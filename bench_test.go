@@ -3,8 +3,8 @@
 // into the package under test).
 package rcm_test
 
-// Benchmark harness: one benchmark per paper artifact (see DESIGN.md §3 for
-// the experiment index). Each BenchmarkFigNN regenerates the corresponding
+// Benchmark harness: one benchmark per paper artifact (see the experiment
+// index in internal/figures/figures.go). Each BenchmarkFigNN regenerates the corresponding
 // table/figure through internal/figures at a calibrated size; run
 // cmd/figures for the full-scale (N = 2^16) regeneration with printed rows.
 // Micro-benchmarks for the substrates follow the figure benches.

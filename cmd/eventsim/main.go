@@ -47,9 +47,6 @@ import (
 	"rcm/internal/table"
 )
 
-// faultClauseNames lists the plan clauses for the -fault usage string.
-func faultClauseNames() []string { return fault.ClauseNames() }
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "eventsim:", err)
@@ -57,70 +54,109 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+// options is one parsed command line: the run description, in the engine's
+// own vocabulary, plus what the CLI decides beyond it.
+type options struct {
+	// cfg is the run. Every flag that describes the run is bound straight
+	// into the field it sets, so the flag set cannot drift from
+	// eventsim.Config; -transport and -fault compose one spelling that is
+	// parsed once into cfg.Transport.
+	cfg eventsim.Config
+	// transport is the composed transport spelling, echoed in the title.
+	transport, fault string
+
+	modeFlag, format       string
+	mode                   exp.Mode
+	cpuprofile, memprofile string
+}
+
+// newFlags declares the command's flags, bound to o.
+func newFlags(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("eventsim", flag.ContinueOnError)
-	var (
-		protocol = fs.String("protocol", "chord", "protocol: plaxton|can|kademlia|chord|symphony|singlehop")
-		bits     = fs.Int("bits", 12, "identifier length d (N = 2^d)")
-		scenario = fs.String("scenario", "massfail", "scenario: "+strings.Join(eventsim.ScenarioNames(), "|"))
-		duration = fs.Float64("duration", 10, "total simulated time")
-		buckets  = fs.Int("buckets", 10, "metric windows per run")
-		rate     = fs.Float64("rate", 500, "aggregate lookup arrivals per time unit")
+	cfg, p := &o.cfg, &o.cfg.Params
+	fs.StringVar(&cfg.Protocol, "protocol", "chord", "protocol: plaxton|can|kademlia|chord|symphony|singlehop")
+	fs.IntVar(&cfg.Overlay.Bits, "bits", 12, "identifier length d (N = 2^d)")
+	fs.StringVar(&cfg.Scenario, "scenario", "massfail", "scenario: "+strings.Join(eventsim.ScenarioNames(), "|"))
+	fs.Float64Var(&cfg.Duration, "duration", 10, "total simulated time")
+	fs.IntVar(&cfg.Buckets, "buckets", 10, "metric windows per run")
+	fs.Float64Var(&p.Rate, "rate", 500, "aggregate lookup arrivals per time unit")
 
-		failFrac = fs.Float64("fail", 0.3, "massfail/correlated: fraction of nodes that fail")
-		failTime = fs.Float64("fail-time", 0, "when the failure hits (0: 30% of duration)")
-		regions  = fs.Int("regions", 0, "correlated: contiguous regions to kill (0: default 4)")
+	fs.Float64Var(&p.FailFraction, "fail", 0.3, "massfail/correlated: fraction of nodes that fail")
+	fs.Float64Var(&p.FailTime, "fail-time", 0, "when the failure hits (0: 30% of duration)")
+	fs.IntVar(&p.Regions, "regions", 0, "correlated: contiguous regions to kill (0: default 4)")
 
-		meanOnline  = fs.Float64("mean-online", 0, "churn: mean online session (0: default 1)")
-		meanOffline = fs.Float64("mean-offline", 0, "churn: mean offline duration (0: default 0.25)")
+	fs.Float64Var(&p.MeanOnline, "mean-online", 0, "churn: mean online session (0: default 1)")
+	fs.Float64Var(&p.MeanOffline, "mean-offline", 0, "churn: mean offline duration (0: default 0.25)")
 
-		lifetime   = fs.String("lifetime", "", "heavytail/diurnal/tracechurn: session distribution: exp | pareto[:alpha] | weibull[:shape] | lognormal[:sigma] | trace:<file>")
-		downtime   = fs.String("downtime", "", "heavytail/diurnal/tracechurn: offline distribution (same spellings as -lifetime)")
-		diurnalPer = fs.Float64("diurnal-period", 0, "diurnal: day length (0: half the duration)")
-		diurnalAmp = fs.Float64("diurnal-amplitude", 0, "diurnal: session-mean modulation amplitude in [0,1) (0: default 0.6)")
+	fs.StringVar(&p.Lifetime, "lifetime", "", "heavytail/diurnal/tracechurn: session distribution: exp | pareto[:alpha] | weibull[:shape] | lognormal[:sigma] | trace:<file>")
+	fs.StringVar(&p.Downtime, "downtime", "", "heavytail/diurnal/tracechurn: offline distribution (same spellings as -lifetime)")
+	fs.Float64Var(&p.DiurnalPeriod, "diurnal-period", 0, "diurnal: day length (0: half the duration)")
+	fs.Float64Var(&p.DiurnalAmplitude, "diurnal-amplitude", 0, "diurnal: session-mean modulation amplitude in [0,1) (0: default 0.6)")
 
-		zipfS      = fs.Float64("zipf", 0, "zipf: target skew s (0: scenario default)")
-		hot        = fs.Float64("hot", 0, "flashcrowd: fraction of crowd lookups on the hot key (0: default 0.8)")
-		crowdStart = fs.Float64("crowd-start", 0, "flashcrowd: crowd onset (0: 30% of duration)")
-		crowdDur   = fs.Float64("crowd-duration", 0, "flashcrowd: crowd length (0: 20% of duration)")
-		crowdMul   = fs.Float64("crowd-factor", 0, "flashcrowd: rate multiplier (0: default 10)")
+	fs.Float64Var(&p.ZipfS, "zipf", 0, "zipf: target skew s (0: scenario default)")
+	fs.Float64Var(&p.Hot, "hot", 0, "flashcrowd: fraction of crowd lookups on the hot key (0: default 0.8)")
+	fs.Float64Var(&p.CrowdStart, "crowd-start", 0, "flashcrowd: crowd onset (0: 30% of duration)")
+	fs.Float64Var(&p.CrowdDuration, "crowd-duration", 0, "flashcrowd: crowd length (0: 20% of duration)")
+	fs.Float64Var(&p.CrowdFactor, "crowd-factor", 0, "flashcrowd: rate multiplier (0: default 10)")
 
-		transport = fs.String("transport", "constant", "transport: constant[:lat] | empirical[:median] | lossy[:rate[:inner]]")
-		faultPlan = fs.String("fault", "", `fault plan wrapped around the transport, e.g. "partition:2@2-4,dup:0.1" (see rcm/fault; clauses: `+strings.Join(faultClauseNames(), "|")+`)`)
-		replicas  = fs.Int("replicas", 0, "replicate each key across k successive owners with failover reads (0 or 1: no replication)")
-		maintain  = fs.Bool("maintain", false, "enable join/stabilize maintenance")
-		stabilize = fs.Float64("stabilize-every", 0, "per-node stabilization period (0: default 1)")
-		shards    = fs.Int("shards", 0, "event wheels to shard the population across (0: default 4)")
-		scheduler = fs.String("scheduler", "", "event queue: wheel (timing wheels, default) | heap (reference)")
-		seed      = fs.Uint64("seed", 1, "deterministic seed")
-		kn        = fs.Int("kn", 1, "symphony near neighbors")
-		ks        = fs.Int("ks", 1, "symphony shortcuts")
-		modeFlag  = fs.String("mode", "event+analytic", `measurements, "+"-joined: event|event+analytic|event+analytic+sim`)
-		format    = fs.String("format", "ascii", "output format: ascii|csv")
+	fs.StringVar(&o.transport, "transport", "constant", "transport: constant[:lat] | empirical[:median] | lossy[:rate[:inner]]")
+	fs.StringVar(&o.fault, "fault", "", `fault plan wrapped around the transport, e.g. "partition:2@2-4,dup:0.1" (see rcm/fault; clauses: `+strings.Join(fault.ClauseNames(), "|")+`)`)
+	fs.IntVar(&p.Replicas, "replicas", 0, "replicate each key across k successive owners with failover reads (0 or 1: no replication)")
+	fs.BoolVar(&cfg.Maintain, "maintain", false, "enable join/stabilize maintenance")
+	fs.Float64Var(&cfg.StabilizeEvery, "stabilize-every", 0, "per-node stabilization period (0: default 1)")
+	fs.IntVar(&cfg.Shards, "shards", 0, "event wheels to shard the population across (0: default 4)")
+	fs.Uint64Var(&cfg.Seed, "seed", 1, "deterministic seed")
+	fs.IntVar(&cfg.Overlay.SymphonyNear, "kn", 1, "symphony near neighbors")
+	fs.IntVar(&cfg.Overlay.SymphonyShortcuts, "ks", 1, "symphony shortcuts")
+	fs.StringVar(&o.modeFlag, "mode", "event+analytic", `measurements, "+"-joined: event|event+analytic|event+analytic+sim`)
+	fs.StringVar(&o.format, "format", "ascii", "output format: ascii|csv")
 
-		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with: go tool pprof)")
-		memprofile = fs.String("memprofile", "", "write a heap profile taken after the run to this file")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file (inspect with: go tool pprof)")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile taken after the run to this file")
 
-		traceEvery = fs.Int("trace", 0, "print the full hop trace of every Nth lookup after the table (0 disables; ascii format only)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
+	fs.IntVar(&cfg.Trace, "trace", 0, "print the full hop trace of every Nth lookup after the table (0 disables; ascii format only)")
+	return fs
+}
+
+// parseFlags parses a command line into options and checks what only the
+// CLI can check; the run description itself is validated by the plan.
+func parseFlags(args []string) (options, error) {
+	var o options
+	if err := newFlags(&o).Parse(args); err != nil {
+		return o, err
 	}
-	if *format != "ascii" && *format != "csv" {
-		return fmt.Errorf("unknown format %q", *format)
+	if o.format != "ascii" && o.format != "csv" {
+		return o, fmt.Errorf("unknown format %q", o.format)
 	}
-	mode, err := exp.ParseMode(*modeFlag)
+	var err error
+	if o.mode, err = exp.ParseMode(o.modeFlag); err != nil {
+		return o, err
+	}
+	if o.mode&exp.ModeEvent == 0 {
+		return o, fmt.Errorf("-mode %q does not include event (this is the event simulator)", o.modeFlag)
+	}
+	if kn := o.cfg.Overlay.SymphonyNear; kn < 1 {
+		return o, fmt.Errorf("-kn %d must be >= 1", kn)
+	}
+	if ks := o.cfg.Overlay.SymphonyShortcuts; ks < 1 {
+		return o, fmt.Errorf("-ks %d must be >= 1", ks)
+	}
+	if o.cfg.Trace > 0 && o.format != "ascii" {
+		return o, fmt.Errorf("-trace mixes trace text into the output; use -format ascii")
+	}
+	if o.fault != "" {
+		// -fault composes with -transport: the plan wraps whatever inner
+		// transport was picked, in the same spec grammar the engine parses.
+		o.transport = "fault:" + o.fault + "/" + o.transport
+	}
+	o.cfg.Transport, err = eventsim.ParseTransport(o.transport)
+	return o, err
+}
+
+func run(args []string, out io.Writer) error {
+	o, err := parseFlags(args)
 	if err != nil {
 		return err
-	}
-	if mode&exp.ModeEvent == 0 {
-		return fmt.Errorf("-mode %q does not include event (this is the event simulator)", *modeFlag)
-	}
-	if *kn < 1 {
-		return fmt.Errorf("-kn %d must be >= 1", *kn)
-	}
-	if *ks < 1 {
-		return fmt.Errorf("-ks %d must be >= 1", *ks)
 	}
 
 	// Profiles bracket the whole measurement (overlay construction,
@@ -129,8 +165,8 @@ func run(args []string, out io.Writer) error {
 	// defer is registered before CPU profiling starts: defers run LIFO,
 	// so the CPU profile stops *before* the forced GC and heap encoding —
 	// neither pollutes cpu.prof's tail.
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
+	if o.memprofile != "" {
+		f, err := os.Create(o.memprofile)
 		if err != nil {
 			return err
 		}
@@ -144,8 +180,8 @@ func run(args []string, out io.Writer) error {
 			f.Close()
 		}()
 	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
 		if err != nil {
 			return err
 		}
@@ -156,94 +192,46 @@ func run(args []string, out io.Writer) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	spec, err := exp.SpecFor(*protocol, exp.Config{SymphonyNear: *kn, SymphonyShortcuts: *ks})
+	spec, err := exp.SpecFor(o.cfg.Protocol, o.cfg.Overlay)
 	if err != nil {
 		return err
-	}
-	tspec := *transport
-	if *faultPlan != "" {
-		// -fault composes with -transport: the plan wraps whatever inner
-		// transport was picked, in the same spec grammar the engine parses.
-		tspec = "fault:" + *faultPlan + "/" + tspec
-	}
-	setting := exp.EventSetting{
-		Scenario: *scenario,
-		Params: exp.EventParams{
-			Rate:             *rate,
-			ZipfS:            *zipfS,
-			FailFraction:     *failFrac,
-			FailTime:         *failTime,
-			Regions:          *regions,
-			MeanOnline:       *meanOnline,
-			MeanOffline:      *meanOffline,
-			CrowdStart:       *crowdStart,
-			CrowdDuration:    *crowdDur,
-			CrowdFactor:      *crowdMul,
-			Hot:              *hot,
-			Lifetime:         *lifetime,
-			Downtime:         *downtime,
-			DiurnalPeriod:    *diurnalPer,
-			DiurnalAmplitude: *diurnalAmp,
-			Replicas:         *replicas,
-		},
-		Transport:      tspec,
-		Duration:       *duration,
-		Buckets:        *buckets,
-		Maintain:       *maintain,
-		StabilizeEvery: *stabilize,
-		Shards:         *shards,
-		Scheduler:      *scheduler,
 	}
 	plan := exp.Plan{
 		Name:   "eventsim",
 		Specs:  []exp.Spec{spec},
-		Bits:   []int{*bits},
-		Events: []exp.EventSetting{setting},
+		Bits:   []int{o.cfg.Overlay.Bits},
+		Events: []eventsim.Config{o.cfg},
+	}
+	runOpts := []exp.Option{exp.WithModes(o.mode), exp.WithSeed(o.cfg.Seed), exp.WithSimWorkers(1)}
+
+	if o.format == "csv" {
+		return exp.StreamCSV(out, exp.Stream(context.Background(), plan, runOpts...))
 	}
 
-	if *traceEvery < 0 {
-		return fmt.Errorf("-trace %d must be >= 0", *traceEvery)
-	}
-	if *traceEvery > 0 && *format != "ascii" {
-		return fmt.Errorf("-trace mixes trace text into the output; use -format ascii")
-	}
-
-	if *format == "csv" {
-		return exp.StreamCSV(out, exp.Stream(context.Background(), plan,
-			exp.WithModes(mode), exp.WithSeed(*seed), exp.WithSimWorkers(1)))
-	}
-
-	rows, err := exp.Run(context.Background(), plan,
-		exp.WithModes(mode), exp.WithSeed(*seed), exp.WithSimWorkers(1))
+	rows, err := exp.Run(context.Background(), plan, runOpts...)
 	if err != nil {
 		return err
 	}
-	if err := renderASCII(out, setting, mode, rows); err != nil {
+	if err := renderASCII(out, o, rows); err != nil {
 		return err
 	}
-	if *traceEvery > 0 {
-		return renderTraces(out, setting, *protocol,
-			exp.Config{Bits: *bits, SymphonyNear: *kn, SymphonyShortcuts: *ks}, *seed, *traceEvery)
+	if o.cfg.Trace > 0 {
+		return renderTraces(out, o.cfg)
 	}
 	return nil
 }
 
-// renderTraces re-runs the identical configuration with trace sampling
-// enabled and prints each sampled lookup's event-by-event route. A
-// second run is fine for a debug flag: the engine is deterministic, so
-// the traced run is the run the table came from.
-func renderTraces(out io.Writer, setting exp.EventSetting, protocol string, overlay exp.Config, seed uint64, every int) error {
-	cfg, err := setting.SimConfig(protocol, overlay, seed)
-	if err != nil {
-		return err
-	}
-	cfg.Trace = every
+// renderTraces runs the same configuration through the engine directly —
+// rows do not carry traces — and prints each sampled lookup's
+// event-by-event route. A second run is fine for a debug flag: the engine
+// is deterministic, so the traced run is the run the table came from.
+func renderTraces(out io.Writer, cfg eventsim.Config) error {
 	res, err := eventsim.Run(cfg)
 	if err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(out, "hop traces (every %d%s lookup, %d sampled):\n",
-		every, ordinal(every), len(res.Traces)); err != nil {
+		cfg.Trace, ordinal(cfg.Trace), len(res.Traces)); err != nil {
 		return err
 	}
 	return eventsim.WriteTraces(out, res)
@@ -266,20 +254,22 @@ func ordinal(n int) string {
 
 // renderASCII prints the bucket series as a table, plus a summary of the
 // static-model comparison when analytic/sim columns were computed.
-func renderASCII(out io.Writer, setting exp.EventSetting, mode exp.Mode, rows []exp.Row) error {
+func renderASCII(out io.Writer, o options, rows []exp.Row) error {
+	mode := o.mode
 	if len(rows) == 0 {
 		return fmt.Errorf("no rows produced")
 	}
 	first := rows[0]
 	cols := []string{"t", "started", "success %", "mean hops", "hops p99", "latency", "lat p99", "msgs/node/s", "maint/node/s", "online %"}
-	replicated := setting.Params.Replicas > 1
+	replicas := o.cfg.Params.Replicas
+	replicated := replicas > 1
 	if replicated {
 		cols = append(cols, "repair/node/s")
 	}
 	title := fmt.Sprintf("%s · %s scenario, N=2^%d, transport %s, q_eff=%.3g",
-		first.Protocol, first.Scenario, first.Bits, displayTransport(setting.Transport), first.Q)
+		first.Protocol, first.Scenario, first.Bits, o.transport, first.Q)
 	if replicated {
-		title += fmt.Sprintf(", k=%d", setting.Params.Replicas)
+		title += fmt.Sprintf(", k=%d", replicas)
 	}
 	t := table.New(title, cols...)
 	for _, r := range rows {
@@ -318,13 +308,4 @@ func renderASCII(out io.Writer, setting exp.EventSetting, mode exp.Mode, rows []
 		}
 	}
 	return nil
-}
-
-// displayTransport echoes the transport spelling, defaulting the empty
-// string for display.
-func displayTransport(s string) string {
-	if s == "" {
-		return "constant"
-	}
-	return s
 }

@@ -3,11 +3,17 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
+
+	"rcm/eventsim"
 )
 
 func runCapture(t *testing.T, args ...string) string {
@@ -91,7 +97,6 @@ func TestErrors(t *testing.T) {
 		"infinite-mean alpha": {"-scenario", "heavytail", "-lifetime", "pareto:0.9"},
 		"trace without file":  {"-scenario", "tracechurn"},
 		"amplitude too big":   {"-scenario", "diurnal", "-diurnal-amplitude", "1.5"},
-		"unknown scheduler":   {"-scheduler", "fifo"},
 		"negative trace":      {"-trace", "-1"},
 		"trace into csv":      {"-trace", "5", "-format", "csv"},
 		"negative replicas":   {"-replicas", "-1"},
@@ -218,17 +223,6 @@ func TestDiurnalScenario(t *testing.T) {
 	}
 }
 
-// TestSchedulerFlagBitIdentical: the -scheduler flag selects the queue
-// implementation without changing a byte of output.
-func TestSchedulerFlagBitIdentical(t *testing.T) {
-	base := append([]string{"-scenario", "churn", "-maintain", "-seed", "7", "-mode", "event"}, quick...)
-	wheel := runCapture(t, append(base, "-scheduler", "wheel")...)
-	heap := runCapture(t, append(base, "-scheduler", "heap")...)
-	if wheel != heap {
-		t.Errorf("scheduler changed output:\nwheel:\n%s\nheap:\n%s", wheel, heap)
-	}
-}
-
 // TestFaultFlag: -fault composes a fault plan over the -transport spec
 // (visible in the title), stays deterministic, and rejects bad plans.
 func TestFaultFlag(t *testing.T) {
@@ -242,5 +236,164 @@ func TestFaultFlag(t *testing.T) {
 	}
 	if err := run(append([]string{"-fault", "bogus:1"}, quick...), &strings.Builder{}); err == nil {
 		t.Error("bogus fault plan accepted")
+	}
+}
+
+// leaves flattens a run description into path → value, descending into
+// nested structs (Overlay, Params) and stopping at everything else — a
+// Transport is one leaf however it is composed.
+func leaves(prefix string, v reflect.Value, out map[string]any) {
+	if v.Kind() != reflect.Struct {
+		out[prefix] = v.Interface()
+		return
+	}
+	for i := 0; i < v.NumField(); i++ {
+		leaves(strings.TrimPrefix(prefix+"."+v.Type().Field(i).Name, "."), v.Field(i), out)
+	}
+}
+
+// TestEveryKnobHasOneFlag is the guard against a fifth spelling of the
+// eventsim knobs: the flags bind straight into eventsim.Config, so adding
+// a field to Config or Params fails here until it is either bound by
+// exactly one flag or listed, with its reason, as deliberately flagless.
+// Each flag is set alone to a non-default value and the parsed Config is
+// diffed, leaf by leaf, against the default command line's.
+func TestEveryKnobHasOneFlag(t *testing.T) {
+	// Fields no flag sets, and why.
+	flagless := map[string]string{
+		"Overlay.Seed": "derived from -seed by the engine and the runner",
+		"RTO":          "engine knob reachable from plans; the CLI keeps the safe default",
+		"MaxHops":      "engine knob reachable from plans; the CLI keeps the safe default",
+		"Retransmits":  "engine knob reachable from plans; the CLI keeps the safe default",
+		"AdaptiveRTO":  "engine knob reachable from plans; the CLI keeps the safe default",
+	}
+	// Flags that describe the invocation, not the run.
+	notRun := map[string]bool{"mode": true, "format": true, "cpuprofile": true, "memprofile": true}
+	// String flags need a value their parser accepts; numbers and bools
+	// get a generic non-default one.
+	sample := map[string]string{
+		"protocol": "kademlia", "scenario": "churn", "lifetime": "pareto:2", "downtime": "weibull:0.5",
+		"transport": "lossy:0.5", "fault": "dup:0.5", "mode": "event", "format": "csv",
+		"cpuprofile": "cpu.prof", "memprofile": "mem.prof",
+	}
+
+	base, err := parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]any{}
+	leaves("", reflect.ValueOf(base.cfg), want)
+
+	boundBy := map[string][]string{}
+	newFlags(new(options)).VisitAll(func(f *flag.Flag) {
+		val, ok := sample[f.Name]
+		if !ok {
+			switch f.Value.(flag.Getter).Get().(type) {
+			case bool:
+				val = "true"
+			case float64:
+				val = "0.125"
+			default:
+				val = "3"
+			}
+		}
+		o, err := parseFlags([]string{"-" + f.Name + "=" + val})
+		if err != nil {
+			t.Fatalf("-%s=%s: %v", f.Name, val, err)
+		}
+		got := map[string]any{}
+		leaves("", reflect.ValueOf(o.cfg), got)
+		var changed []string
+		for path := range want {
+			if !reflect.DeepEqual(got[path], want[path]) {
+				changed = append(changed, path)
+				boundBy[path] = append(boundBy[path], f.Name)
+			}
+		}
+		wantN := 1
+		if notRun[f.Name] {
+			wantN = 0
+		}
+		if len(changed) != wantN {
+			t.Errorf("-%s sets %d Config fields %v, want %d", f.Name, len(changed), changed, wantN)
+		}
+	})
+
+	for path := range want {
+		flags := boundBy[path]
+		sort.Strings(flags)
+		switch {
+		case path == "Transport":
+			// The one composed field: -fault wraps what -transport picked.
+			if fmt.Sprint(flags) != "[fault transport]" {
+				t.Errorf("Transport is bound by %v, want [fault transport]", flags)
+			}
+		case flagless[path] != "":
+			if len(flags) != 0 {
+				t.Errorf("%s is listed as flagless but is bound by %v", path, flags)
+			}
+		case len(flags) != 1:
+			t.Errorf("%s is bound by %d flags %v, want exactly one (or list it as flagless, with the reason)", path, len(flags), flags)
+		}
+	}
+	for path := range flagless {
+		if _, ok := want[path]; !ok {
+			t.Errorf("flagless lists %s, which is not a Config field", path)
+		}
+	}
+}
+
+// TestDocumentedExamplesParse: each example command line in the package
+// comment parses to exactly the run description written out here — the
+// defaults the flags declare plus what the line says, nothing threaded by
+// hand in between.
+func TestDocumentedExamplesParse(t *testing.T) {
+	defaults := eventsim.Config{
+		Protocol:  "chord",
+		Overlay:   eventsim.OverlayConfig{Bits: 12, SymphonyNear: 1, SymphonyShortcuts: 1},
+		Scenario:  "massfail",
+		Params:    eventsim.Params{Rate: 500, FailFraction: 0.3},
+		Transport: eventsim.Constant{},
+		Seed:      1,
+		Duration:  10,
+		Buckets:   10,
+	}
+	with := func(edit func(*eventsim.Config)) eventsim.Config {
+		cfg := defaults
+		edit(&cfg)
+		return cfg
+	}
+	for line, want := range map[string]eventsim.Config{
+		"-protocol chord -bits 12 -scenario massfail -fail 0.3": defaults,
+		"-protocol kademlia -bits 10 -scenario churn -maintain": with(func(c *eventsim.Config) {
+			c.Protocol, c.Overlay.Bits, c.Scenario, c.Maintain = "kademlia", 10, "churn", true
+		}),
+		"-protocol chord -scenario heavytail -lifetime pareto:1.5": with(func(c *eventsim.Config) {
+			c.Scenario, c.Params.Lifetime = "heavytail", "pareto:1.5"
+		}),
+		"-protocol chord -scenario tracechurn -lifetime trace:sessions.txt": with(func(c *eventsim.Config) {
+			c.Scenario, c.Params.Lifetime = "tracechurn", "trace:sessions.txt"
+		}),
+		"-protocol chord -scenario flashcrowd -transport lossy:0.05:empirical": with(func(c *eventsim.Config) {
+			c.Scenario, c.Transport = "flashcrowd", eventsim.Lossy{Rate: 0.05, Inner: eventsim.Empirical{}}
+		}),
+		"-protocol symphony -scenario zipf -zipf 1.2 -format csv": with(func(c *eventsim.Config) {
+			c.Protocol, c.Scenario, c.Params.ZipfS = "symphony", "zipf", 1.2
+		}),
+		"-bits 12 -scenario massfail -rate 20000 -duration 2 -mode event -cpuprofile cpu.prof -memprofile mem.prof": with(func(c *eventsim.Config) {
+			c.Params.Rate, c.Duration = 20000, 2
+		}),
+		"-bits 8 -scenario massfail -fail 0.3 -duration 2 -trace 100": with(func(c *eventsim.Config) {
+			c.Overlay.Bits, c.Duration, c.Trace = 8, 2, 100
+		}),
+	} {
+		o, err := parseFlags(strings.Fields(line))
+		if err != nil {
+			t.Errorf("%s: %v", line, err)
+			continue
+		}
+		if !reflect.DeepEqual(o.cfg, want) {
+			t.Errorf("%s\n parsed %+v\n want   %+v", line, o.cfg, want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 // Command figures regenerates the paper's tables and figures (and the
-// extension experiments) as ASCII tables or CSV files. See DESIGN.md for
-// the experiment index mapping figure names to paper artifacts. The
+// extension experiments) as ASCII tables or CSV files. See the experiment
+// index in internal/figures/figures.go, which maps figure names to paper
+// artifacts. The
 // grid-shaped experiments construct declarative plans executed by the
 // parallel runner in rcm/exp.
 //

@@ -59,6 +59,6 @@
 // runner.
 //
 // The full experiment harness that regenerates every figure and table of
-// the paper lives in cmd/figures; see DESIGN.md for the experiment index
-// and EXPERIMENTS.md for recorded results.
+// the paper lives in cmd/figures; see the experiment index in
+// internal/figures/figures.go.
 package rcm

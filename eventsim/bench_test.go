@@ -87,39 +87,6 @@ func BenchmarkEventSimShards(b *testing.B) {
 	}
 }
 
-// BenchmarkEventSimObs measures the cost of the always-on hop/latency
-// histogram accumulation: /off runs with Config.NoDist (the pre-obs
-// engine), /on is the default. Both process the identical event
-// sequence, so events/s compares apples to apples; scripts/bench.sh
-// gates /on at >= 0.98x of /off from the same run.
-func BenchmarkEventSimObs(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		noDist bool
-	}{{"off", true}, {"on", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := benchConfig(4)
-			cfg.NoDist = mode.noDist
-			if _, err := Run(cfg); err != nil {
-				b.Fatal(err)
-			}
-			var events uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += res.Events
-			}
-			if s := b.Elapsed().Seconds(); s > 0 {
-				b.ReportMetric(float64(events)/s, "events/s")
-			}
-			b.ReportAllocs()
-		})
-	}
-}
-
 // BenchmarkEventSimFault measures the fault middleware's cost to runs
 // that do not use it: /off is the plain transport, /noop wraps the same
 // transport in a Faulty whose only clause is a partition windowed past
@@ -213,7 +180,7 @@ func BenchmarkEventSimLarge(b *testing.B) {
 // periodic stabilization and join maintenance — the pending set is large
 // (the whole pre-scheduled lifecycle plus per-node timers) and almost
 // every event arms another timer.
-func churnBenchConfig(scheduler string) Config {
+func churnBenchConfig() Config {
 	return Config{
 		Protocol:       "chord",
 		Overlay:        OverlayConfig{Bits: 12},
@@ -224,30 +191,28 @@ func churnBenchConfig(scheduler string) Config {
 		Maintain:       true,
 		StabilizeEvery: 0.25,
 		Seed:           1,
-		Scheduler:      scheduler,
 	}
 }
 
 // BenchmarkEventSimScheduler contrasts the two eventQueue implementations
-// on the churn-heavy scenario. The two sub-benchmarks process the *same*
-// event sequence (results are bit-identical across schedulers), so their
-// events/s compare apples to apples; CI's benchcmp step asserts the wheel
-// is no slower than the heap baseline from the same run's artifact.
+// on the churn-heavy scenario: /wheel is the engine as shipped, /heap runs
+// it on the binary-heap reference through the runOverlay seam. The two
+// sub-benchmarks process the *same* event sequence (results are
+// bit-identical across queues), so their events/s compare apples to
+// apples; CI's benchcmp step asserts the wheel is no slower than the heap
+// baseline from the same run's artifact.
 func BenchmarkEventSimScheduler(b *testing.B) {
-	for _, scheduler := range []string{SchedulerWheel, SchedulerHeap} {
-		b.Run(scheduler, func(b *testing.B) {
-			cfg := churnBenchConfig(scheduler)
-			if _, err := Run(cfg); err != nil {
-				b.Fatal(err)
-			}
+	for _, sched := range []struct {
+		name string
+		run  func(testing.TB, Config) *Result
+	}{{"wheel", mustRun}, {"heap", runHeap}} {
+		b.Run(sched.name, func(b *testing.B) {
+			cfg := churnBenchConfig()
+			sched.run(b, cfg)
 			var events uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += res.Events
+				events += sched.run(b, cfg).Events
 			}
 			if s := b.Elapsed().Seconds(); s > 0 {
 				b.ReportMetric(float64(events)/s, "events/s")

@@ -23,7 +23,7 @@
 // per node or per message — one persistent worker per shard, and none at
 // all on serial hardware. The population is interleaved across a small
 // number of shards (node % Shards), each owning an event queue (a
-// hierarchical timing wheel by default; see Config.Scheduler), a
+// hierarchical timing wheel; see queue.go), a
 // deterministic splitmix64 RNG stream, its nodes' online flags and
 // routing-table rows, a slice-backed free-list arena of in-flight forward
 // attempts, and per-bucket metric accumulators. Every mutable per-node or
@@ -60,8 +60,8 @@
 // rides inside the request messages, so ownership of a lookup passes from
 // shard to shard with the message and no per-lookup record is ever
 // written concurrently. Results are bit-identical for a fixed
-// (Seed, Shards) pair regardless of scheduler choice, GOMAXPROCS, and how
-// the host schedules the shard workers.
+// (Seed, Shards) pair regardless of GOMAXPROCS and how the host schedules
+// the shard workers.
 //
 // Acknowledgements are modeled reliable (loss applies to requests), and
 // the retransmission timeout must exceed the worst-case round trip, so a
@@ -261,7 +261,7 @@
 // stay reliable, like the lossy transport, and for the same reason: it
 // is the model a live wrapper can reproduce exactly. Injected faults are
 // billed per kind into Result.Faults, and runs stay bit-identical across
-// (Seed, Shards) pairs and schedulers; without a plan the engine draws
+// (Seed, Shards) pairs; without a plan the engine draws
 // no extra randomness, so fault-free runs are bit-identical to builds
 // that predate the capability. The faultstorm scenario (a stable
 // population under steady uniform load) is the intended substrate:

@@ -199,8 +199,7 @@ type engine struct {
 	onlineFrac []float64
 	nextBucket int
 
-	dist  bool // accumulate hop/latency histograms (on unless NoDist)
-	trace int  // sample every trace-th lookup's hop trace (0 = off)
+	trace int // sample every trace-th lookup's hop trace (0 = off)
 
 	// inj is the bound fault plan when Config.Transport is a Faulty
 	// (nil otherwise — the no-plan hot path draws no extra coins and is
@@ -218,7 +217,7 @@ type engine struct {
 
 // traced reports whether lookup lk's path is being recorded. The
 // predicate depends only on the schedule index, so the sampled set is
-// identical across (Seed, Shards) and schedulers.
+// identical across (Seed, Shards).
 func (e *engine) traced(lk uint32) bool {
 	return e.trace > 0 && int(lk)%e.trace == 0
 }
@@ -238,7 +237,7 @@ func (e *engine) bucketOf(t float64) int32 {
 
 // push assigns the event its shard-local sequence number — the tie-break
 // half of the engine's total (t, seq) event order — and hands it to the
-// configured scheduler (timing wheel or binary heap; see queue.go).
+// shard's event queue (see queue.go).
 func (sh *shard) push(e ev) {
 	e.seq = sh.seq
 	sh.seq++
@@ -399,10 +398,8 @@ func (sh *shard) forward(t float64, lk uint32, cur uint32, hops uint16, ri, mask
 		acc.completed++
 		acc.sumHops += float64(total)
 		acc.sumLatency += t - m.start
-		if eng.dist {
-			acc.hops.Observe(int64(total))
-			acc.lat.Observe(latencyMicros(t - m.start))
-		}
+		acc.hops.Observe(int64(total))
+		acc.lat.Observe(latencyMicros(t - m.start))
 		if eng.traced(lk) {
 			sh.recordTrace(lk, TraceEvent{T: t, Kind: TraceDone, Node: int(cur), Hops: int(total)})
 		}

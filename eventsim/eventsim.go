@@ -3,7 +3,6 @@ package eventsim
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"rcm/fault"
 	"rcm/internal/dht"
@@ -82,29 +81,15 @@ type Config struct {
 	// with exponential backoff per retransmission, capped at 8×RTO.
 	// Off (the default), the engine is bit-identical to builds without
 	// the estimator; on, results remain deterministic across (Seed,
-	// Shards) and schedulers like every other output.
+	// Shards) like every other output.
 	AdaptiveRTO bool
-	// Scheduler selects the per-shard event-queue implementation:
-	// SchedulerWheel (hierarchical timing wheels, the default — O(1)
-	// schedule on the timer-dominated churn+stabilization workload) or
-	// SchedulerHeap (the binary-heap reference the wheel is differentially
-	// tested and benchmarked against). Results are bit-identical across
-	// schedulers for a fixed (Seed, Shards); the knob exists for
-	// benchmarking and differential testing, not tuning.
-	Scheduler string
 	// Trace samples per-lookup hop traces: every Trace-th scheduled
 	// lookup (by schedule index; 1 records all) has its full path —
 	// start, per-hop sends and acceptances, retransmission timeouts,
 	// failovers, and the final verdict — recorded into Result.Traces.
 	// Zero (the default) disables tracing. Traces are bit-identical
-	// across (Seed, Shards) and schedulers, like every other output.
+	// across (Seed, Shards), like every other output.
 	Trace int
-	// NoDist disables the per-bucket hop/latency distribution
-	// accumulation (Result.HopDist/LatDist), which is otherwise always
-	// on. It exists for the bench.sh histogram-overhead gate — the
-	// baseline side of the "obs enabled >= 0.98x baseline" comparison —
-	// not as a tuning knob.
-	NoDist bool
 }
 
 func (cfg Config) withDefaults() Config {
@@ -141,10 +126,6 @@ func (cfg Config) withDefaults() Config {
 	case cfg.Retransmits < 0:
 		cfg.Retransmits = 0
 	}
-	cfg.Scheduler = strings.ToLower(strings.TrimSpace(cfg.Scheduler))
-	if cfg.Scheduler == "" {
-		cfg.Scheduler = SchedulerWheel
-	}
 	cfg.Params = cfg.Params.withDefaults(cfg.Duration)
 	return cfg
 }
@@ -154,7 +135,7 @@ func (cfg Config) withDefaults() Config {
 func (cfg Config) Validate() error {
 	cfg = cfg.withDefaults()
 	if _, ok := LookupScenario(cfg.Scenario); !ok {
-		return fmt.Errorf("eventsim: unknown scenario %q (have %s)", cfg.Scenario, strings.Join(scenarioKeys(), ", "))
+		return scenarios.Unknown(cfg.Scenario)
 	}
 	if err := validateTransport(cfg.Transport); err != nil {
 		return err
@@ -179,10 +160,15 @@ func (cfg Config) Validate() error {
 	if cfg.Trace < 0 {
 		return fmt.Errorf("eventsim: Trace = %d must be >= 0 (0 off, N samples every Nth lookup)", cfg.Trace)
 	}
-	if cfg.Scheduler != SchedulerWheel && cfg.Scheduler != SchedulerHeap {
-		return fmt.Errorf("eventsim: unknown scheduler %q (have %s, %s)", cfg.Scheduler, SchedulerWheel, SchedulerHeap)
-	}
 	return nil
+}
+
+// QEff returns the steady-state offline fraction the configured scenario
+// converges to — the static model's equivalent failure probability, which
+// rcm/exp uses to place analytic and static-simulation comparison columns
+// on event rows.
+func (cfg Config) QEff() float64 {
+	return cfg.Params.EffectiveOffline(cfg.Scenario, cfg.withDefaults().Duration)
 }
 
 // Bucket aggregates one time window of a run. Lookup outcomes (Started,
@@ -273,8 +259,8 @@ type Result struct {
 	// distributions over each bucket's completed cohort, indexed like
 	// Buckets (lookups attribute to the bucket they started in).
 	// Latencies are recorded in microseconds of simulated time. Both
-	// are nil when Config.NoDist is set. Like every Result field they
-	// are bit-identical across (Seed, Shards) and schedulers.
+	// Like every Result field they are bit-identical across (Seed,
+	// Shards).
 	HopDist, LatDist []obs.Histogram
 	// Traces holds the sampled per-lookup hop traces, ascending by
 	// lookup index; empty unless Config.Trace > 0.
@@ -324,7 +310,7 @@ func (r *Result) WindowSuccess(from, to float64) float64 {
 // inside [from, to] into one histogram — the distribution-level
 // counterpart of WindowSuccess, and what the live-cluster conformance
 // suite pins replayed hop distributions against. Empty (Count() == 0)
-// when the window completed no lookups or distributions were disabled.
+// when the window completed no lookups.
 func (r *Result) WindowHopDist(from, to float64) obs.Histogram {
 	return mergeWindow(r.Buckets, r.HopDist, from, to)
 }
@@ -395,6 +381,14 @@ func Run(cfg Config) (*Result, error) {
 // implement Forwarder and must not be shared with concurrent users when
 // cfg.Maintain is set: maintenance mutates routing tables in place.
 func RunOverlay(p registry.Protocol, cfg Config) (*Result, error) {
+	return runOverlay(p, cfg, func(delta float64) eventQueue { return newWheelQueue(delta) })
+}
+
+// runOverlay is RunOverlay with the per-shard event queue supplied by the
+// caller — the seam through which the differential tests and
+// BenchmarkEventSimScheduler run the engine on the binary-heap reference
+// queue that lives beside them.
+func runOverlay(p registry.Protocol, cfg Config, newQueue func(delta float64) eventQueue) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -450,7 +444,6 @@ func RunOverlay(p registry.Protocol, cfg Config) (*Result, error) {
 		rto:        cfg.RTO,
 		maxHops:    cfg.MaxHops,
 		onlineFrac: make([]float64, cfg.Buckets),
-		dist:       !cfg.NoDist,
 		trace:      cfg.Trace,
 		adaptive:   cfg.AdaptiveRTO,
 	}
@@ -470,16 +463,10 @@ func RunOverlay(p registry.Protocol, cfg Config) (*Result, error) {
 	}
 	e.shards = make([]*shard, shards)
 	for i := range e.shards {
-		var q eventQueue
-		if cfg.Scheduler == SchedulerHeap {
-			q = &heapQueue{}
-		} else {
-			q = newWheelQueue(e.delta)
-		}
 		e.shards[i] = &shard{
 			id:      i,
 			eng:     e,
-			q:       q,
+			q:       newQueue(e.delta),
 			rng:     root.Split(),
 			online:  make([]bool, n),
 			started: overlay.NewBitset(len(env.lookups)),
@@ -537,11 +524,9 @@ func RunOverlay(p registry.Protocol, cfg Config) (*Result, error) {
 		Replicas:  k,
 		Duration:  cfg.Duration,
 		Buckets:   make([]Bucket, cfg.Buckets),
+		HopDist:   make([]obs.Histogram, cfg.Buckets),
+		LatDist:   make([]obs.Histogram, cfg.Buckets),
 		Lookups:   len(env.lookups),
-	}
-	if e.dist {
-		res.HopDist = make([]obs.Histogram, cfg.Buckets)
-		res.LatDist = make([]obs.Histogram, cfg.Buckets)
 	}
 	for bi := range res.Buckets {
 		b := &res.Buckets[bi]
@@ -560,10 +545,8 @@ func RunOverlay(p registry.Protocol, cfg Config) (*Result, error) {
 			})
 			// Folding shard histograms in shard order is deterministic by
 			// construction: Merge is commutative, so any order would do.
-			if e.dist {
-				res.HopDist[bi].Merge(&acc.hops)
-				res.LatDist[bi].Merge(&acc.lat)
-			}
+			res.HopDist[bi].Merge(&acc.hops)
+			res.LatDist[bi].Merge(&acc.lat)
 		}
 	}
 	res.Traces = e.mergeTraces()

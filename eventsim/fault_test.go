@@ -41,8 +41,7 @@ func TestFaultDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("shards=%d: two identical fault runs diverged", shards)
 		}
-		cfg.Scheduler = SchedulerHeap
-		h := mustRun(t, cfg)
+		h := runHeap(t, cfg)
 		if !reflect.DeepEqual(a, h) {
 			t.Fatalf("shards=%d: heap scheduler diverged from wheel under faults", shards)
 		}
@@ -217,8 +216,7 @@ func TestAdaptiveRTODeterministicUnderFaults(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("two identical adaptive-RTO runs diverged")
 	}
-	cfg.Scheduler = SchedulerHeap
-	h := mustRun(t, cfg)
+	h := runHeap(t, cfg)
 	if !reflect.DeepEqual(a, h) {
 		t.Fatal("heap scheduler diverged from wheel with AdaptiveRTO on")
 	}

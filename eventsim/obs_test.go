@@ -28,7 +28,7 @@ func obsConfig() Config {
 func TestHistogramsMatchScalarAggregates(t *testing.T) {
 	res := mustRun(t, obsConfig())
 	if res.HopDist == nil || res.LatDist == nil {
-		t.Fatal("distributions nil without NoDist")
+		t.Fatal("distributions nil")
 	}
 	if len(res.HopDist) != len(res.Buckets) || len(res.LatDist) != len(res.Buckets) {
 		t.Fatalf("distribution series length %d/%d, want %d", len(res.HopDist), len(res.LatDist), len(res.Buckets))
@@ -48,29 +48,6 @@ func TestHistogramsMatchScalarAggregates(t *testing.T) {
 				t.Errorf("bucket %d: latency histogram mean %v s, want %v s", bi, got, want)
 			}
 		}
-	}
-}
-
-// TestNoDistDisables checks the overhead-gate escape hatch leaves the
-// scalar series untouched.
-func TestNoDistDisables(t *testing.T) {
-	cfg := obsConfig()
-	with := mustRun(t, cfg)
-	cfg.NoDist = true
-	without := mustRun(t, cfg)
-	if without.HopDist != nil || without.LatDist != nil {
-		t.Error("NoDist run still produced distributions")
-	}
-	if !reflect.DeepEqual(with.Buckets, without.Buckets) {
-		t.Error("NoDist changed the scalar bucket series")
-	}
-	withDist := with.WindowHopDist(0, cfg.Duration)
-	if withDist.Count() == 0 {
-		t.Error("default run produced an empty hop distribution")
-	}
-	withoutDist := without.WindowHopDist(0, cfg.Duration)
-	if withoutDist.Count() != 0 {
-		t.Error("WindowHopDist on a NoDist run is not empty")
 	}
 }
 
@@ -154,12 +131,17 @@ func TestTraceDeterministic(t *testing.T) {
 	cfg := obsConfig()
 	cfg.Trace = 5
 	var renders []string
-	for _, sched := range []string{SchedulerWheel, SchedulerHeap} {
-		cfg.Scheduler = sched
-		a := mustRun(t, cfg)
-		b := mustRun(t, cfg)
+	for _, sched := range []struct {
+		name string
+		run  func(testing.TB, Config) *Result
+	}{
+		{"wheel", mustRun},
+		{"heap", runHeap},
+	} {
+		a := sched.run(t, cfg)
+		b := sched.run(t, cfg)
 		if !reflect.DeepEqual(a.Traces, b.Traces) {
-			t.Fatalf("%s: two identical runs produced different traces", sched)
+			t.Fatalf("%s: two identical runs produced different traces", sched.name)
 		}
 		var sb strings.Builder
 		if err := WriteTraces(&sb, a); err != nil {

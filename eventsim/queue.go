@@ -9,11 +9,11 @@ package eventsim
 // epoch barrier bulk-pushes merged cross-shard batches in unsorted
 // arrival-time order and relies on (t, seq) alone to linearize them.
 //
-// Two implementations exist: the hierarchical timing wheel (Config
-// Scheduler "wheel", the default — O(1) schedule for the timer-dominated
-// churn and stabilization workload) and the binary heap ("heap", the
-// reference implementation the wheel is differentially tested and
-// benchmarked against).
+// The engine runs on the hierarchical timing wheel (timingwheel.go — O(1)
+// schedule for the timer-dominated churn and stabilization workload); the
+// binary heap it is differentially tested and benchmarked against lives in
+// timingwheel_test.go and reaches the engine through runOverlay's
+// queue-constructor parameter.
 type eventQueue interface {
 	// push schedules e (seq already assigned). Events are never scheduled
 	// in the simulated past, but an event may land inside the window the
@@ -30,77 +30,10 @@ type eventQueue interface {
 	size() int
 }
 
-// Scheduler names accepted by Config.Scheduler.
-const (
-	// SchedulerWheel selects the hierarchical timing-wheel queue (the
-	// default).
-	SchedulerWheel = "wheel"
-	// SchedulerHeap selects the binary-heap reference queue.
-	SchedulerHeap = "heap"
-)
-
 // evLess is the engine's total event order: time, then push sequence.
 func evLess(a, b ev) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
 	return a.seq < b.seq
-}
-
-// heapQueue is a classic binary min-heap over (t, seq), slice-backed and
-// allocation-free after warm-up. container/heap is avoided on this hot
-// path — its interface calls box every event.
-type heapQueue struct {
-	h []ev
-}
-
-func (q *heapQueue) size() int { return len(q.h) }
-
-func (q *heapQueue) minTime() (float64, bool) {
-	if len(q.h) == 0 {
-		return 0, false
-	}
-	return q.h[0].t, true
-}
-
-func (q *heapQueue) push(e ev) {
-	q.h = append(q.h, e)
-	h := q.h
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !evLess(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (q *heapQueue) popBefore(end float64) (ev, bool) {
-	h := q.h
-	if len(h) == 0 || h[0].t >= end {
-		return ev{}, false
-	}
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	q.h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && evLess(h[l], h[smallest]) {
-			smallest = l
-		}
-		if r < last && evLess(h[r], h[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
-	return top, true
 }

@@ -5,11 +5,11 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"rcm/eventsim/lifetime"
 	"rcm/overlay"
 	"rcm/replica"
+	"rcm/spec"
 )
 
 // Params is the flat knob set shared by the scenario library. Every field
@@ -494,93 +494,25 @@ type Scenario interface {
 // defaulted). Factories run once per eventsim.Run.
 type ScenarioFactory func(p Params) (Scenario, error)
 
-// The scenario registry mirrors the geometry/protocol registries: a
-// case-insensitive name-keyed table with registration-order listing. Each
-// key remembers its canonical name so aliases resolve everywhere,
-// including q_eff computation.
-type scenarioEntry struct {
-	canonical string
-	factory   ScenarioFactory
-}
-
-var scenarios = struct {
-	mu    sync.RWMutex
-	order []string
-	index map[string]scenarioEntry
-}{index: map[string]scenarioEntry{}}
+// scenarios is the scenario registry — an instance of the module's one
+// name registry (rcm/spec), like the geometry and protocol registries, so
+// aliases resolve everywhere, including q_eff computation.
+var scenarios = spec.NewRegistry[ScenarioFactory]("eventsim", "scenario")
 
 // RegisterScenario adds a scenario factory under a canonical name plus
 // optional aliases. Names are case-insensitive; a taken or empty name is
 // an error.
 func RegisterScenario(name string, f ScenarioFactory, aliases ...string) error {
-	if f == nil {
-		return fmt.Errorf("eventsim: scenario %q has nil factory", name)
-	}
-	keys := make([]string, 0, 1+len(aliases))
-	for _, n := range append([]string{name}, aliases...) {
-		k := strings.ToLower(strings.TrimSpace(n))
-		if k == "" {
-			return fmt.Errorf("eventsim: empty scenario name")
-		}
-		keys = append(keys, k)
-	}
-	scenarios.mu.Lock()
-	defer scenarios.mu.Unlock()
-	for i, k := range keys {
-		if _, taken := scenarios.index[k]; taken {
-			what := "name"
-			if i > 0 {
-				what = "alias"
-			}
-			return fmt.Errorf("eventsim: scenario %s %q already registered", what, k)
-		}
-		for _, prev := range keys[:i] {
-			if prev == k {
-				return fmt.Errorf("eventsim: scenario %q aliases itself", k)
-			}
-		}
-	}
-	for _, k := range keys {
-		scenarios.index[k] = scenarioEntry{canonical: keys[0], factory: f}
-	}
-	scenarios.order = append(scenarios.order, keys[0])
-	return nil
+	return scenarios.Register(name, f, aliases...)
 }
 
 // LookupScenario resolves a scenario factory by name or alias.
-func LookupScenario(name string) (ScenarioFactory, bool) {
-	scenarios.mu.RLock()
-	defer scenarios.mu.RUnlock()
-	e, ok := scenarios.index[strings.ToLower(strings.TrimSpace(name))]
-	return e.factory, ok
-}
+func LookupScenario(name string) (ScenarioFactory, bool) { return scenarios.Lookup(name) }
 
 // CanonicalScenario resolves a scenario name or alias to its canonical
 // registered name (ok is false for unknown names).
-func CanonicalScenario(name string) (string, bool) {
-	scenarios.mu.RLock()
-	defer scenarios.mu.RUnlock()
-	e, ok := scenarios.index[strings.ToLower(strings.TrimSpace(name))]
-	return e.canonical, ok
-}
+func CanonicalScenario(name string) (string, bool) { return scenarios.Canonical(name) }
 
 // ScenarioNames returns the canonical scenario names in registration order
 // (the built-in five first, user registrations after).
-func ScenarioNames() []string {
-	scenarios.mu.RLock()
-	defer scenarios.mu.RUnlock()
-	out := make([]string, len(scenarios.order))
-	copy(out, scenarios.order)
-	return out
-}
-
-func scenarioKeys() []string {
-	scenarios.mu.RLock()
-	defer scenarios.mu.RUnlock()
-	out := make([]string, 0, len(scenarios.index))
-	for k := range scenarios.index {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+func ScenarioNames() []string { return scenarios.Names() }

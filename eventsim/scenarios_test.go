@@ -84,31 +84,81 @@ func TestParseLifetimeErrorTable(t *testing.T) {
 	}
 }
 
-// TestParamsLifetimeValidation: the new Params fields are validated up
-// front — Run must refuse the configuration before any scheduling.
+// TestParamsLifetimeValidation: every Params domain — the lifetime-model
+// fields and the older knobs alike — is validated up front: Run must
+// refuse the configuration before any scheduling, with an error that names
+// the offending knob.
 func TestParamsLifetimeValidation(t *testing.T) {
 	ok := Config{Protocol: "chord", Overlay: OverlayConfig{Bits: 6}, Scenario: "heavytail"}
-	for name, mutate := range map[string]func(*Config){
-		"unknown lifetime":     func(c *Config) { c.Params.Lifetime = "cauchy" },
-		"infinite-mean pareto": func(c *Config) { c.Params.Lifetime = "pareto:0.9" },
-		"unknown downtime":     func(c *Config) { c.Params.Downtime = "nope" },
-		"amplitude 1":          func(c *Config) { c.Params.DiurnalAmplitude = 1 },
-		"amplitude negative":   func(c *Config) { c.Params.DiurnalAmplitude = -0.2 },
-		"amplitude NaN":        func(c *Config) { c.Params.DiurnalAmplitude = math.NaN() },
-		"period negative":      func(c *Config) { c.Params.DiurnalPeriod = -1 },
-		"period Inf":           func(c *Config) { c.Params.DiurnalPeriod = math.Inf(1) },
+	for name, tc := range map[string]struct {
+		mutate  func(*Params)
+		wantSub string
+	}{
+		"unknown lifetime":     {func(p *Params) { p.Lifetime = "cauchy" }, "unknown family"},
+		"infinite-mean pareto": {func(p *Params) { p.Lifetime = "pareto:0.9" }, "Lifetime"},
+		"unknown downtime":     {func(p *Params) { p.Downtime = "nope" }, "Downtime"},
+		"amplitude 1":          {func(p *Params) { p.DiurnalAmplitude = 1 }, "DiurnalAmplitude = 1 out of [0,1)"},
+		"amplitude negative":   {func(p *Params) { p.DiurnalAmplitude = -0.2 }, "DiurnalAmplitude"},
+		"amplitude NaN":        {func(p *Params) { p.DiurnalAmplitude = math.NaN() }, "DiurnalAmplitude"},
+		"period negative":      {func(p *Params) { p.DiurnalPeriod = -1 }, "DiurnalPeriod"},
+		"period Inf":           {func(p *Params) { p.DiurnalPeriod = math.Inf(1) }, "DiurnalPeriod"},
+		"negative rate":        {func(p *Params) { p.Rate = -1 }, "Rate = -1"},
+		"fail fraction":        {func(p *Params) { p.FailFraction = 1.5 }, "FailFraction = 1.5 out of [0,1]"},
+		"hot above one":        {func(p *Params) { p.Hot = 2 }, "Hot = 2 out of [0,1]"},
+		"negative region":      {func(p *Params) { p.Regions = -2 }, "Regions = -2"},
 	} {
 		cfg := ok
-		mutate(&cfg)
+		tc.mutate(&cfg.Params)
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted", name)
+		for what, err := range map[string]error{"Config": cfg.Validate(), "Params": cfg.Params.Validate()} {
+			if err == nil {
+				t.Errorf("%s: %s.Validate accepted", name, what)
+			} else if !strings.Contains(err.Error(), tc.wantSub) {
+				t.Errorf("%s: %s.Validate error %q does not mention %q", name, what, err, tc.wantSub)
+			}
 		}
 	}
 	if _, err := Run(ok); err != nil {
 		t.Errorf("valid heavytail config rejected: %v", err)
+	}
+}
+
+// TestHotValidation: the Hot knob's domain is [0,1] — the table pins the
+// boundary, interior, and every rejection class (negative, above one, NaN)
+// with the descriptive error text.
+func TestHotValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		hot  float64
+		ok   bool
+	}{
+		{"zero selects default", 0, true},
+		{"interior", 0.5, true},
+		{"lower boundary epsilon", 1e-9, true},
+		{"upper boundary", 1, true},
+		{"negative", -0.1, false},
+		{"above one", 1.1, false},
+		{"far out", 80, false},
+		{"NaN", math.NaN(), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := Params{Hot: tc.hot}
+			err := p.Validate()
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("Validate(Hot=%v) = %v, want nil", tc.hot, err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("Validate(Hot=%v) accepted", tc.hot)
+			}
+			if !strings.Contains(err.Error(), "Hot") || !strings.Contains(err.Error(), "out of [0,1]") {
+				t.Errorf("Validate(Hot=%v) error %q not descriptive", tc.hot, err)
+			}
+		})
 	}
 }
 

@@ -5,8 +5,86 @@ import (
 	"reflect"
 	"testing"
 
+	"rcm/internal/dht"
 	"rcm/overlay"
 )
+
+// heapQueue is the binary-heap reference the timing wheel is
+// differentially tested and benchmarked against: a classic min-heap over
+// (t, seq), slice-backed and allocation-free after warm-up (container/heap
+// would box every event and skew the benchmark comparison).
+type heapQueue struct {
+	h []ev
+}
+
+func (q *heapQueue) size() int { return len(q.h) }
+
+func (q *heapQueue) minTime() (float64, bool) {
+	if len(q.h) == 0 {
+		return 0, false
+	}
+	return q.h[0].t, true
+}
+
+func (q *heapQueue) push(e ev) {
+	q.h = append(q.h, e)
+	h := q.h
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !evLess(h[i], h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func (q *heapQueue) popBefore(end float64) (ev, bool) {
+	h := q.h
+	if len(h) == 0 || h[0].t >= end {
+		return ev{}, false
+	}
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	q.h = h[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < last && evLess(h[l], h[smallest]) {
+			smallest = l
+		}
+		if r < last && evLess(h[r], h[smallest]) {
+			smallest = r
+		}
+		if smallest == i {
+			break
+		}
+		h[i], h[smallest] = h[smallest], h[i]
+		i = smallest
+	}
+	return top, true
+}
+
+// runHeap is Run on the binary-heap reference queue: the same overlay
+// construction, then the engine through runOverlay's queue-constructor
+// seam. Every heap-vs-wheel bit-identity check and
+// BenchmarkEventSimScheduler's baseline side go through it.
+func runHeap(tb testing.TB, cfg Config) *Result {
+	tb.Helper()
+	full := cfg.withDefaults()
+	p, err := dht.New(full.Protocol, full.Overlay)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := runOverlay(p, cfg, func(float64) eventQueue { return &heapQueue{} })
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
 
 // TestWheelMatchesHeapRandomized drives the two eventQueue implementations
 // with an identical randomized schedule-and-drain workload and checks they
@@ -186,12 +264,8 @@ func TestSchedulersBitIdentical(t *testing.T) {
 		if scenario == "tracechurn" {
 			cfg.Params.Lifetime = "trace:" + trace
 		}
-		heapCfg := cfg
-		heapCfg.Scheduler = SchedulerHeap
-		wheelCfg := cfg
-		wheelCfg.Scheduler = SchedulerWheel
-		a := mustRun(t, heapCfg)
-		b := mustRun(t, wheelCfg)
+		a := runHeap(t, cfg)
+		b := mustRun(t, cfg)
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: heap and wheel schedulers diverged:\nheap:  %+v\nwheel: %+v", scenario, a, b)
 		}

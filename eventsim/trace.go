@@ -58,7 +58,7 @@ func (sh *shard) recordTrace(lk uint32, ev TraceEvent) {
 }
 
 // mergeTraces assembles the shards' trace buffers into per-lookup
-// traces. Determinism across (Seed, Shards) and schedulers: the
+// traces. Determinism across (Seed, Shards): the
 // simulation itself is bit-identical, so the set of recorded events and
 // their times are too; within one lookup, equal-time events always come
 // from a single handler chain on the lookup's current owner shard, so

@@ -1,24 +1,25 @@
 package exp
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"testing"
+
+	"rcm/eventsim"
 )
 
 // Error-path coverage for the streaming runner around ModeEvent cells:
-// cancellation mid-grid, encoder write failures, scheduler passthrough
-// and the reorder-window ordering guarantee for multi-row cells.
+// cancellation mid-grid, encoder write failures and the reorder-window
+// ordering guarantee for multi-row cells.
 
 // multiEventPlan is a grid whose event cells each yield several rows:
 // 2 specs × 2 settings × 3 buckets = 12 rows from 4 cells.
 func multiEventPlan() Plan {
-	setting := func(rate float64) EventSetting {
-		return EventSetting{
+	setting := func(rate float64) eventsim.Config {
+		return eventsim.Config{
 			Scenario: "massfail",
-			Params:   EventParams{FailFraction: 0.2, FailTime: 0.5, Rate: rate},
+			Params:   eventsim.Params{FailFraction: 0.2, FailTime: 0.5, Rate: rate},
 			Duration: 1.5,
 			Buckets:  3,
 		}
@@ -27,7 +28,7 @@ func multiEventPlan() Plan {
 		Name:   "errorpath",
 		Specs:  []Spec{MustSpec("chord"), MustSpec("kademlia")},
 		Bits:   []int{7},
-		Events: []EventSetting{setting(200), setting(400)},
+		Events: []eventsim.Config{setting(200), setting(400)},
 	}
 }
 
@@ -141,42 +142,5 @@ func TestModeEventReorderWindowOrdering(t *testing.T) {
 					workers, spec, hi, lo)
 			}
 		}
-	}
-}
-
-// TestEventSchedulerPassthrough: the EventSetting.Scheduler knob reaches
-// the engine — both spellings produce byte-identical rows, and an unknown
-// scheduler is rejected at validation time, before any cell runs.
-func TestEventSchedulerPassthrough(t *testing.T) {
-	mk := func(scheduler string) Plan {
-		p := multiEventPlan()
-		for i := range p.Events {
-			p.Events[i].Scheduler = scheduler
-		}
-		return p
-	}
-	wheel, err := Run(context.Background(), mk("wheel"), WithModes(ModeEvent), WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	heap, err := Run(context.Background(), mk("heap"), WithModes(ModeEvent), WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b bytes.Buffer
-	if err := WriteCSV(&a, wheel); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteCSV(&b, heap); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("rows differ across schedulers:\n%s\nvs\n%s", a.String(), b.String())
-	}
-	if err := mk("fifo").Validate(ModeEvent); err == nil {
-		t.Error("unknown scheduler accepted by Validate")
-	}
-	if _, err := Run(context.Background(), mk("fifo"), WithModes(ModeEvent)); err == nil {
-		t.Error("unknown scheduler accepted by Run")
 	}
 }

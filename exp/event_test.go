@@ -6,6 +6,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"rcm/eventsim"
 )
 
 // TestParseModeRoundTrip: ParseMode is the exact inverse of Mode.String
@@ -54,9 +56,9 @@ func eventPlan() Plan {
 		Name:  "eventtest",
 		Specs: []Spec{MustSpec("chord")},
 		Bits:  []int{8},
-		Events: []EventSetting{{
+		Events: []eventsim.Config{{
 			Scenario: "massfail",
-			Params:   EventParams{FailFraction: 0.3, FailTime: 1, Rate: 1000},
+			Params:   eventsim.Params{FailFraction: 0.3, FailTime: 1, Rate: 1000},
 			Duration: 4,
 			Buckets:  4,
 		}},
@@ -167,19 +169,19 @@ func TestEventPlanValidation(t *testing.T) {
 	}
 
 	badScenario := base
-	badScenario.Events = []EventSetting{{Scenario: "nope"}}
+	badScenario.Events = []eventsim.Config{{Scenario: "nope"}}
 	if err := badScenario.Validate(ModeEvent); err == nil {
 		t.Error("unknown scenario accepted")
 	}
 
 	badTransport := base
-	badTransport.Events = []EventSetting{{Scenario: "massfail", Transport: "warp"}}
+	badTransport.Events = []eventsim.Config{{Scenario: "massfail", Transport: eventsim.Lossy{Rate: 2}}}
 	if err := badTransport.Validate(ModeEvent); err == nil {
-		t.Error("unknown transport accepted")
+		t.Error("out-of-domain transport accepted")
 	}
 
 	badParams := base
-	badParams.Events = []EventSetting{{Scenario: "massfail", Params: EventParams{FailFraction: 2}}}
+	badParams.Events = []eventsim.Config{{Scenario: "massfail", Params: eventsim.Params{FailFraction: 2}}}
 	if err := badParams.Validate(ModeEvent); err == nil {
 		t.Error("out-of-domain params accepted")
 	}

@@ -36,12 +36,21 @@
 // (rcm.RegisterGeometry / rcm.RegisterProtocol), so a user-registered
 // geometry sweeps through analytic, simulation, churn and event cells
 // exactly like the paper's five built-ins — see examples/randchord. Event
-// cells run the message-level simulator in rcm/eventsim (Plan.Events,
-// ModeEvent); event scenarios resolve through that package's scenario
-// registry.
+// cells run the message-level simulator in rcm/eventsim (ModeEvent), each
+// described once in the engine's own type:
 //
-// The analytic columns share one memoization cache per run (or across runs
-// via WithCache): the phase products Π(1−Q(m)) share prefixes across the
+//	plan.Events = []eventsim.Config{{
+//		Scenario: "massfail",
+//		Params:   eventsim.Params{FailFraction: 0.3, FailTime: 1},
+//		Duration: 4,
+//	}}
+//
+// so every engine knob is reachable from a plan; the runner pins Protocol,
+// Overlay and Seed per cell, and scenarios resolve through that package's
+// scenario registry.
+//
+// The analytic columns share one memoization cache per run: the phase
+// products Π(1−Q(m)) share prefixes across the
 // entire q-grid, which is what makes wide grids cheap — see
 // BenchmarkExpSweep and BenchmarkStreamSweep.
 package exp

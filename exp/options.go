@@ -14,26 +14,20 @@ type settings struct {
 	workers    int
 	pairs      int
 	trials     int
-	allPairs   bool
 	simWorkers int
-	progress   func(done, total int)
-	eval       *core.Evaluator
-	noMemo     bool
+	eval       *core.Evaluator // the run's analytic memo; nil under WithoutMemo
 }
 
 // Option configures one run of a Plan (Stream or Run).
 type Option func(*settings)
 
 func resolve(opts []Option) settings {
-	st := settings{mode: ModeAnalytic, seed: 1}
+	st := settings{mode: ModeAnalytic, seed: 1, eval: core.NewEvaluator()}
 	for _, o := range opts {
 		o(&st)
 	}
 	if st.workers <= 0 {
 		st.workers = runtime.NumCPU()
-	}
-	if st.eval == nil && !st.noMemo {
-		st.eval = core.NewEvaluator()
 	}
 	return st
 }
@@ -76,11 +70,6 @@ func WithTrials(n int) Option {
 	return func(st *settings) { st.trials = n }
 }
 
-// WithAllPairs routes every ordered surviving pair instead of sampling.
-func WithAllPairs() Option {
-	return func(st *settings) { st.allPairs = true }
-}
-
 // WithSimWorkers bounds routing parallelism inside one cell. Zero means
 // all CPUs; note the worker count is part of the sampling plan, so pin it
 // (typically to 1) when byte-stable output across machines matters.
@@ -88,36 +77,9 @@ func WithSimWorkers(n int) Option {
 	return func(st *settings) { st.simWorkers = n }
 }
 
-// WithProgress installs a callback invoked after each row is yielded, in
-// row order, with the number of completed cells and the plan total.
-func WithProgress(fn func(done, total int)) Option {
-	return func(st *settings) { st.progress = fn }
-}
-
-// Cache is a shared analytic memoization cache: the phase-product prefixes
-// and distance distributions reused across every cell of a run. Supply one
-// Cache to several runs (it is safe for concurrent use) to share the memo
-// across plans; by default each run allocates a fresh one.
-type Cache struct {
-	eval *core.Evaluator
-}
-
-// NewCache returns an empty shared cache.
-func NewCache() *Cache {
-	return &Cache{eval: core.NewEvaluator()}
-}
-
-// WithCache makes the run memoize analytic evaluations in c.
-func WithCache(c *Cache) Option {
-	return func(st *settings) { st.eval = c.eval }
-}
-
 // WithoutMemo disables analytic memoization entirely and evaluates every
 // cell through the direct package-level path — the serial reference used
 // by equivalence tests and the BenchmarkExpSweep baseline.
 func WithoutMemo() Option {
-	return func(st *settings) {
-		st.noMemo = true
-		st.eval = nil
-	}
+	return func(st *settings) { st.eval = nil }
 }

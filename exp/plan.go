@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 
+	"rcm/eventsim"
 	"rcm/internal/sim"
 	"rcm/spec"
 )
@@ -26,7 +27,7 @@ const (
 	// and reports steady-state lookup success at q = q_eff.
 	ModeChurn
 	// ModeEvent runs the message-level discrete-event simulator
-	// (rcm/eventsim) for every EventSetting, yielding one Row per time
+	// (rcm/eventsim) for every Plan.Events entry, yielding one Row per time
 	// bucket. Combined with ModeAnalytic/ModeSim, each event row also
 	// carries the static predictions at the scenario's q_eff.
 	ModeEvent
@@ -191,9 +192,13 @@ type Plan struct {
 	Qs []float64
 	// Churn lists the churn scenarios executed under ModeChurn.
 	Churn []ChurnSetting
-	// Events lists the message-level scenarios executed under ModeEvent;
-	// each yields Buckets rows per (spec, bits) cell.
-	Events []EventSetting
+	// Events lists the message-level runs executed under ModeEvent, each
+	// in the event engine's own vocabulary: an eventsim.Config names the
+	// scenario, its Params, the Transport and every engine knob, and
+	// yields Buckets rows per (spec, bits) cell. The runner pins Protocol,
+	// Overlay and Seed per cell (from the Spec, Plan.Bits and WithSeed),
+	// so whatever a plan sets there is ignored.
+	Events []eventsim.Config
 }
 
 // Validate checks the plan is executable under the given mode.
@@ -271,7 +276,7 @@ type cell struct {
 	q     float64 // grid: the swept q; churn/event: q_eff
 	qIdx  int     // index into Plan.Qs (grid cells only)
 	churn ChurnSetting
-	event EventSetting
+	event eventsim.Config
 }
 
 // cellCount returns the total number of cells the plan expands to under

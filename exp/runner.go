@@ -315,9 +315,6 @@ func Stream(ctx context.Context, plan Plan, opts ...Option) iter.Seq2[Row, error
 				}
 			}
 			done++
-			if st.progress != nil {
-				st.progress(done, total)
-			}
 		}
 		// The producer shut the window down because the context was
 		// canceled (rather than the grid finishing): surface the
@@ -420,11 +417,10 @@ func (r *run) fillGrid(row *Row, c cell) error {
 			return err
 		}
 		res, err := sim.MeasureStaticResilience(p, c.q, sim.Options{
-			Pairs:    r.st.pairs,
-			AllPairs: r.st.allPairs,
-			Trials:   r.st.trials,
-			Workers:  r.st.simWorkers,
-			Seed:     r.st.seed + uint64(c.qIdx)*seedStride,
+			Pairs:   r.st.pairs,
+			Trials:  r.st.trials,
+			Workers: r.st.simWorkers,
+			Seed:    r.st.seed + uint64(c.qIdx)*seedStride,
 		})
 		if err != nil {
 			return err
@@ -477,30 +473,37 @@ func (r *run) fillChurn(row *Row, c cell) error {
 		}
 	}
 	if r.st.mode&ModeSim != 0 {
-		// The static comparison runs on an unrepaired overlay at q = q_eff,
-		// seeded at seed+1 as cmd/churnsim always did. It depends only on
-		// (spec, bits, q_eff), so the repair on/off variants of one group
-		// share a single cached measurement.
-		entry := r.statics.get(staticKey{key: key, q: c.q})
-		entry.once.Do(func() {
-			var static dht.Protocol
-			static, entry.err = r.overlays.get(key)
-			if entry.err != nil {
-				return
-			}
-			entry.res, entry.err = sim.MeasureStaticResilience(static, c.q, sim.Options{
-				Pairs:    r.st.pairs,
-				AllPairs: r.st.allPairs,
-				Trials:   r.st.trials,
-				Workers:  r.st.simWorkers,
-				Seed:     r.st.seed + 1,
-			})
-		})
-		if entry.err != nil {
-			return entry.err
+		if err := r.fillStatic(row, key, c.q); err != nil {
+			return err
 		}
-		fillSim(row, entry.res)
 	}
+	return nil
+}
+
+// fillStatic fills the static comparison of a churn or event cell: static
+// resilience on an unmutated overlay at q = q_eff, seeded at seed+1 as
+// cmd/churnsim always did. It depends only on (spec, bits, q_eff), so the
+// cells of one group — repair on/off variants, event settings sharing a
+// q_eff — share a single cached measurement.
+func (r *run) fillStatic(row *Row, key overlayKey, q float64) error {
+	entry := r.statics.get(staticKey{key: key, q: q})
+	entry.once.Do(func() {
+		var static dht.Protocol
+		static, entry.err = r.overlays.get(key)
+		if entry.err != nil {
+			return
+		}
+		entry.res, entry.err = sim.MeasureStaticResilience(static, q, sim.Options{
+			Pairs:   r.st.pairs,
+			Trials:  r.st.trials,
+			Workers: r.st.simWorkers,
+			Seed:    r.st.seed + 1,
+		})
+	})
+	if entry.err != nil {
+		return entry.err
+	}
+	fillSim(row, entry.res)
 	return nil
 }
 
@@ -511,31 +514,23 @@ func (r *run) fillChurn(row *Row, c cell) error {
 // against the static predictions directly.
 func (r *run) fillEvent(c cell) ([]Row, error) {
 	key := r.overlayKey(c)
-	cfg, err := c.event.config(key.protocol, key.cfg, r.st.seed)
+	cfg := c.event
+	cfg.Protocol, cfg.Overlay, cfg.Seed = key.protocol, key.cfg, r.st.seed
+	var p dht.Protocol
+	var err error
+	if cfg.Maintain {
+		// Maintenance mutates routing tables in place; build a private
+		// overlay so cells sharing the cache never observe the repairs.
+		p, err = build(key)
+	} else {
+		p, err = r.overlays.get(key)
+	}
 	if err != nil {
 		return nil, err
 	}
-	var res *eventsim.Result
-	if c.event.Maintain {
-		// Maintenance mutates routing tables in place; build a private
-		// overlay so cells sharing the cache never observe the repairs.
-		p, err := build(key)
-		if err != nil {
-			return nil, err
-		}
-		res, err = eventsim.RunOverlay(p, cfg)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		p, err := r.overlays.get(key)
-		if err != nil {
-			return nil, err
-		}
-		res, err = eventsim.RunOverlay(p, cfg)
-		if err != nil {
-			return nil, err
-		}
+	res, err := eventsim.RunOverlay(p, cfg)
+	if err != nil {
+		return nil, err
 	}
 
 	proto := newRow(r.plan.Name, c)
@@ -547,28 +542,9 @@ func (r *run) fillEvent(c cell) ([]Row, error) {
 		}
 	}
 	if r.st.mode&ModeSim != 0 {
-		// The static comparison at q = q_eff on an unmutated overlay,
-		// seeded like the churn cells' comparison and shared across the
-		// settings of one (spec, bits, q_eff) group.
-		entry := r.statics.get(staticKey{key: key, q: c.q})
-		entry.once.Do(func() {
-			var static dht.Protocol
-			static, entry.err = r.overlays.get(key)
-			if entry.err != nil {
-				return
-			}
-			entry.res, entry.err = sim.MeasureStaticResilience(static, c.q, sim.Options{
-				Pairs:    r.st.pairs,
-				AllPairs: r.st.allPairs,
-				Trials:   r.st.trials,
-				Workers:  r.st.simWorkers,
-				Seed:     r.st.seed + 1,
-			})
-		})
-		if entry.err != nil {
-			return nil, entry.err
+		if err := r.fillStatic(&proto, key, c.q); err != nil {
+			return nil, err
 		}
-		fillSim(&proto, entry.res)
 	}
 
 	rows := make([]Row, 0, len(res.Buckets))
@@ -587,11 +563,10 @@ func (r *run) fillEvent(c cell) ([]Row, error) {
 		}
 		row.EventOnline = b.OnlineFraction
 		row.EventReplicas = res.Replicas
-		// Percentile columns, when the engine collected distributions
-		// and the window completed anything (they stay NaN otherwise).
-		// The latency histogram records integer microseconds; the
-		// columns convert back to the run's time unit.
-		if res.HopDist != nil && res.HopDist[bi].Count() > 0 {
+		// Percentile columns, when the window completed anything (they
+		// stay NaN otherwise). The latency histogram records integer
+		// microseconds; the columns convert back to the run's time unit.
+		if res.HopDist[bi].Count() > 0 {
 			hd, ld := &res.HopDist[bi], &res.LatDist[bi]
 			row.EventHopsP50 = float64(hd.P50())
 			row.EventHopsP99 = float64(hd.P99())

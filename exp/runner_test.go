@@ -84,26 +84,6 @@ func TestMemoMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestSharedCacheAcrossRuns reuses one memoization cache across runs.
-func TestSharedCacheAcrossRuns(t *testing.T) {
-	ctx := context.Background()
-	cache := NewCache()
-	plan := testPlan()
-	first, err := Run(ctx, plan, WithModes(ModeAnalytic), WithCache(cache))
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Run(ctx, plan, WithModes(ModeAnalytic), WithCache(cache))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range first {
-		if first[i].AnalyticRoutability != second[i].AnalyticRoutability {
-			t.Errorf("row %d: second run differs", i)
-		}
-	}
-}
-
 // TestGridRows sanity-checks grid row content against direct evaluation.
 func TestGridRows(t *testing.T) {
 	ctx := context.Background()

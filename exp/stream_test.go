@@ -140,29 +140,6 @@ func TestStreamRunError(t *testing.T) {
 	}
 }
 
-// TestStreamProgress checks the progress callback fires once per row, in
-// order, with the right total.
-func TestStreamProgress(t *testing.T) {
-	plan := analyticPlan(64)
-	var calls []int
-	total := -1
-	rows, err := Run(context.Background(), plan, WithProgress(func(done, n int) {
-		calls = append(calls, done)
-		total = n
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != len(rows) || len(calls) != len(rows) {
-		t.Fatalf("progress: %d calls, total %d, want %d", len(calls), total, len(rows))
-	}
-	for i, d := range calls {
-		if d != i+1 {
-			t.Fatalf("progress call %d reported done=%d", i, d)
-		}
-	}
-}
-
 // TestStreamCSVPropagatesError: the streaming encoder surfaces the
 // sequence's error instead of silently truncating the file.
 func TestStreamCSVPropagatesError(t *testing.T) {

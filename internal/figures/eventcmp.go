@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"rcm/eventsim"
 	"rcm/exp"
 	"rcm/internal/table"
 )
@@ -36,11 +37,11 @@ func EventCompare(opt Options) ([]*table.Table, error) {
 		failTime = 1.5
 	)
 	qs := []float64{0, 0.15, 0.3, 0.45}
-	settings := make([]exp.EventSetting, 0, len(qs))
+	settings := make([]eventsim.Config, 0, len(qs))
 	for _, q := range qs {
-		settings = append(settings, exp.EventSetting{
+		settings = append(settings, eventsim.Config{
 			Scenario: "massfail",
-			Params: exp.EventParams{
+			Params: eventsim.Params{
 				FailFraction: q,
 				FailTime:     failTime,
 				Rate:         float64(opt.Pairs),

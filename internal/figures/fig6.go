@@ -54,7 +54,7 @@ func fig6Series(protocol string, opt Options) (*table.Table, error) {
 // probability at N = 2^Bits for the tree, hypercube and XOR geometries,
 // analysis against simulation. The paper overlays Gummadi et al.'s
 // simulation data; here the simulation is regenerated from scratch by the
-// static-resilience harness (see DESIGN.md §5, substitution 1).
+// static-resilience harness (E3 in the experiment index, figures.go).
 func Fig6a(opt Options) ([]*table.Table, error) {
 	opt = opt.withDefaults()
 	series := []struct {

@@ -1,10 +1,10 @@
 // Package figures regenerates every table and figure of the paper's
-// evaluation (plus the extension experiments catalogued in DESIGN.md) as
+// evaluation (plus the extension experiments catalogued below) as
 // textual tables. Each generator is pure given its options and seed, so the
 // harness output is reproducible; cmd/figures renders the results and
 // bench_test.go times them.
 //
-// Experiment index (see DESIGN.md §3):
+// Experiment index:
 //
 //	E1  Fig. 1–3   worked 8-node hypercube example + exact enumeration
 //	E2  Fig. 4/5/8 Markov chains vs closed forms

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"rcm/eventsim"
 	"rcm/exp"
 	"rcm/internal/table"
 )
@@ -59,11 +60,11 @@ func Frontier(opt Options) ([]*table.Table, error) {
 		burnIn      = 1.0
 		buckets     = 6
 	)
-	settings := make([]exp.EventSetting, 0, len(frontierCells))
+	settings := make([]eventsim.Config, 0, len(frontierCells))
 	for _, cell := range frontierCells {
-		settings = append(settings, exp.EventSetting{
+		settings = append(settings, eventsim.Config{
 			Scenario: cell.scenario,
-			Params: exp.EventParams{
+			Params: eventsim.Params{
 				MeanOnline:  meanOnline,
 				MeanOffline: meanOffline,
 				Rate:        float64(opt.Pairs),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"rcm/eventsim"
 	"rcm/exp"
 	"rcm/internal/table"
 )
@@ -56,15 +57,15 @@ func LifetimeCompare(opt Options) ([]*table.Table, error) {
 		meanOffline = 1.0
 		burnIn      = 1.0
 	)
-	settings := make([]exp.EventSetting, 0, len(lifetimeFamilies))
+	settings := make([]eventsim.Config, 0, len(lifetimeFamilies))
 	for _, fam := range lifetimeFamilies {
 		scenario := "churn"
 		if fam.spec != "exp" {
 			scenario = "heavytail"
 		}
-		settings = append(settings, exp.EventSetting{
+		settings = append(settings, eventsim.Config{
 			Scenario: scenario,
-			Params: exp.EventParams{
+			Params: eventsim.Params{
 				MeanOnline:  meanOnline,
 				MeanOffline: meanOffline,
 				Rate:        float64(opt.Pairs),

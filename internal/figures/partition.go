@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"rcm/eventsim"
 	"rcm/exp"
 	"rcm/internal/core"
 	"rcm/internal/table"
@@ -43,14 +44,17 @@ func Partition(opt Options) ([]*table.Table, error) {
 		from, to = 2.0, 4.0
 		q        = 0.5 // a 2-way cut hides half the population from any source
 	)
-	transport := fmt.Sprintf("fault:partition:2@%g-%g/constant:0.01", from, to)
+	transport, err := eventsim.ParseTransport(fmt.Sprintf("fault:partition:2@%g-%g/constant:0.01", from, to))
+	if err != nil {
+		return nil, err
+	}
 	ks := []int{1, 3}
-	settings := make([]exp.EventSetting, 0, len(ks))
+	settings := make([]eventsim.Config, 0, len(ks))
 	for _, k := range ks {
-		settings = append(settings, exp.EventSetting{
+		settings = append(settings, eventsim.Config{
 			Scenario:  "faultstorm",
 			Transport: transport,
-			Params: exp.EventParams{
+			Params: eventsim.Params{
 				Rate:     float64(opt.Pairs),
 				Replicas: k,
 			},

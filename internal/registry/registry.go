@@ -17,20 +17,16 @@
 // Protocols additionally expose optional *capabilities* — interfaces the
 // event layer (rcm/eventsim) discovers by type assertion: Forwarder
 // (per-hop candidate enumeration; required to run under eventsim) and
-// Maintainer (join/stabilize maintenance). Two sibling name-keyed
-// registries with the same registration rules live beside this one:
-// eventsim's scenario registry (RegisterScenario) and the lifetime
-// distribution registry (rcm/eventsim/lifetime.Register) that supplies
-// session/downtime models to the churn-family scenarios.
+// Maintainer (join/stabilize maintenance). The two tables here, eventsim's
+// scenario registry (RegisterScenario) and every "name[:arg]" parser table
+// (transports, lifetime families, stores, modes) are all instances of the
+// one name registry in rcm/spec, so the registration rules cannot differ
+// between them.
 package registry
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-
 	"rcm/overlay"
+	"rcm/spec"
 )
 
 // Geometry is the RCM description of a DHT routing geometry (§4.1, steps
@@ -160,116 +156,51 @@ type ProtocolEntry struct {
 	New ProtocolFactory
 }
 
-// registryT is one name-keyed table: canonical names in registration order
-// plus a case-insensitive index over names and aliases.
-type registryT[E any] struct {
-	mu    sync.RWMutex
-	order []string
-	index map[string]E
-}
-
-func (r *registryT[E]) register(kind, name string, entry E, aliases []string) error {
-	keys := make([]string, 0, 1+len(aliases))
-	for _, n := range append([]string{name}, aliases...) {
-		k := strings.ToLower(strings.TrimSpace(n))
-		if k == "" {
-			return fmt.Errorf("registry: empty %s name", kind)
-		}
-		keys = append(keys, k)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.index == nil {
-		r.index = make(map[string]E)
-	}
-	for i, k := range keys {
-		if _, taken := r.index[k]; taken {
-			what := "name"
-			if i > 0 {
-				what = "alias"
-			}
-			return fmt.Errorf("registry: %s %s %q already registered", kind, what, k)
-		}
-		for _, prev := range keys[:i] {
-			if prev == k {
-				return fmt.Errorf("registry: %s %q aliases itself", kind, k)
-			}
-		}
-	}
-	for _, k := range keys {
-		r.index[k] = entry
-	}
-	r.order = append(r.order, keys[0])
-	return nil
-}
-
-func (r *registryT[E]) lookup(name string) (E, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.index[strings.ToLower(strings.TrimSpace(name))]
-	return e, ok
-}
-
-func (r *registryT[E]) names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, len(r.order))
-	copy(out, r.order)
-	return out
-}
-
-func (r *registryT[E]) keys() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.index))
-	for k := range r.index {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
+// Both tables are instances of the module's one name registry (rcm/spec):
+// case folding, aliases and collision checking live there.
 var (
-	geometries registryT[GeometryEntry]
-	protocols  registryT[ProtocolEntry]
+	geometries = spec.NewRegistry[GeometryFactory]("registry", "geometry")
+	protocols  = spec.NewRegistry[ProtocolFactory]("registry", "protocol")
 )
 
 // RegisterGeometry adds an analytic geometry under a canonical name plus
 // optional aliases. Names are case-insensitive; registering a name or alias
 // that is already taken (by either a canonical name or an alias) is an
-// error, as is an empty name.
+// error, as is an empty name or a nil factory.
 func RegisterGeometry(name string, f GeometryFactory, aliases ...string) error {
-	if f == nil {
-		return fmt.Errorf("registry: geometry %q has nil factory", name)
-	}
-	return geometries.register("geometry", name, GeometryEntry{Name: strings.ToLower(strings.TrimSpace(name)), New: f}, aliases)
+	return geometries.Register(name, f, aliases...)
 }
 
 // RegisterProtocol adds a concrete overlay factory under a canonical name
 // plus optional aliases, with the same collision rules as RegisterGeometry.
 func RegisterProtocol(name string, f ProtocolFactory, aliases ...string) error {
-	if f == nil {
-		return fmt.Errorf("registry: protocol %q has nil factory", name)
-	}
-	return protocols.register("protocol", name, ProtocolEntry{Name: strings.ToLower(strings.TrimSpace(name)), New: f}, aliases)
+	return protocols.Register(name, f, aliases...)
 }
 
 // LookupGeometry resolves a geometry by canonical name or alias.
-func LookupGeometry(name string) (GeometryEntry, bool) { return geometries.lookup(name) }
+func LookupGeometry(name string) (GeometryEntry, bool) {
+	f, ok := geometries.Lookup(name)
+	canonical, _ := geometries.Canonical(name)
+	return GeometryEntry{Name: canonical, New: f}, ok
+}
 
 // LookupProtocol resolves a protocol by canonical name or alias.
-func LookupProtocol(name string) (ProtocolEntry, bool) { return protocols.lookup(name) }
+func LookupProtocol(name string) (ProtocolEntry, bool) {
+	f, ok := protocols.Lookup(name)
+	canonical, _ := protocols.Canonical(name)
+	return ProtocolEntry{Name: canonical, New: f}, ok
+}
 
 // GeometryNames returns the canonical geometry names in registration order
 // (the five paper geometries first, user registrations after).
-func GeometryNames() []string { return geometries.names() }
+func GeometryNames() []string { return geometries.Names() }
 
 // ProtocolNames returns the canonical protocol names in registration order.
-func ProtocolNames() []string { return protocols.names() }
+func ProtocolNames() []string { return protocols.Names() }
 
 // GeometryKeys returns every accepted geometry name and alias, sorted; it
 // backs "unknown name" error messages.
-func GeometryKeys() []string { return geometries.keys() }
+func GeometryKeys() []string { return geometries.Keys() }
 
 // ProtocolKeys returns every accepted protocol name and alias, sorted.
-func ProtocolKeys() []string { return protocols.keys() }
+func ProtocolKeys() []string { return protocols.Keys() }

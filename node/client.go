@@ -51,7 +51,8 @@ type ClientConfig struct {
 	// acknowledged the request (default 50 ms).
 	RTO time.Duration
 	// Retransmits is how many times an unacknowledged request is re-sent
-	// before the client gives up on the entry node (default 2).
+	// before the client gives up on the entry node (default 2; negative
+	// disables retransmission, as in node.Config and eventsim.Config).
 	Retransmits int
 	// Deadline is the request time-to-live (default 5 s).
 	Deadline time.Duration
@@ -78,8 +79,11 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	if cfg.RTO <= 0 {
 		cfg.RTO = 50 * time.Millisecond
 	}
-	if cfg.Retransmits <= 0 {
+	switch {
+	case cfg.Retransmits == 0:
 		cfg.Retransmits = 2
+	case cfg.Retransmits < 0:
+		cfg.Retransmits = 0
 	}
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 5 * time.Second

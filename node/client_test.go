@@ -68,3 +68,47 @@ func TestClientUnresponsiveEntry(t *testing.T) {
 		t.Errorf("dead entry node = %+v, want unresponsive error", res)
 	}
 }
+
+// TestClientRetransmitsKnob pins ClientConfig.Retransmits to the rule
+// node.Config and eventsim.Config follow — zero selects the default of 2,
+// a negative value disables retransmission — by counting the datagrams an
+// endpoint that never answers receives before the client gives up.
+func TestClientRetransmitsKnob(t *testing.T) {
+	for _, tc := range []struct {
+		retransmits, wantSends int
+	}{
+		{-1, 1},
+		{0, 3},
+		{3, 4},
+	} {
+		mem := NewMemNetwork()
+		silent := mem.Endpoint()
+		c, err := Dial(ClientConfig{
+			Target:      silent.Addr(),
+			Space:       overlay.MustSpace(4),
+			Transport:   mem.Endpoint(),
+			RTO:         5 * time.Millisecond,
+			Retransmits: tc.retransmits,
+			Deadline:    time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := c.Lookup(3)
+		c.Close()
+		if res.Err == nil || !strings.Contains(res.Err.Error(), "unresponsive") {
+			t.Errorf("Retransmits=%d: %+v, want unresponsive error", tc.retransmits, res)
+		}
+		silent.Close() // Recv drains what was delivered, then reports closed
+		sends := 0
+		for {
+			if _, _, err := silent.Recv(); err != nil {
+				break
+			}
+			sends++
+		}
+		if sends != tc.wantSends {
+			t.Errorf("Retransmits=%d: %d sends, want %d", tc.retransmits, sends, tc.wantSends)
+		}
+	}
+}

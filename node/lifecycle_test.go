@@ -153,3 +153,80 @@ func TestControlConcurrentWithClose(t *testing.T) {
 		}
 	}
 }
+
+// TestResponseGuardStopped: the per-request response guard must die with
+// the request. Before the fix every concluded request left its
+// time.AfterFunc armed, so Deadline + 2·RTO later each one posted a dead
+// closure into the event loop (and held the request's state until then).
+// The test parks the loop past the guard time and looks at what queued up
+// behind it: nothing may, whether the requests concluded by a response or
+// by Kill.
+func TestResponseGuardStopped(t *testing.T) {
+	const (
+		rto      = 10 * time.Millisecond
+		deadline = 100 * time.Millisecond
+		guard    = deadline + 2*rto
+	)
+	proto, err := rcm.NewProtocol("chord", rcm.Config{Bits: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := NewMemNetwork()
+	tr, silent := mem.Endpoint(), mem.Endpoint() // silent never answers
+	nd, err := New(Config{
+		Protocol:  proto,
+		ID:        3,
+		Transport: tr,
+		AddrOf: func(id overlay.ID) string {
+			if id == 3 {
+				return tr.Addr()
+			}
+			return silent.Addr()
+		},
+		RTO:      rto,
+		Deadline: deadline,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd.Start()
+	defer nd.Close()
+
+	guardCallbacks := func(what string) {
+		t.Helper()
+		release := make(chan struct{})
+		if !nd.post(func() { <-release }) {
+			t.Fatal("post on a live node failed")
+		}
+		time.Sleep(guard + 50*time.Millisecond) // past every guard armed so far
+		queued := len(nd.cmds)
+		close(release)
+		if queued != 0 {
+			t.Errorf("%s: %d guard callbacks reached the loop, want 0", what, queued)
+		}
+	}
+
+	for i := 0; i < 20; i++ {
+		if res := nd.Lookup(3); !res.OK() {
+			t.Fatalf("self-lookup %d: %+v", i, res)
+		}
+	}
+	guardCallbacks("after 20 completed lookups")
+
+	// A lookup toward the silent peer stays in flight (retransmitting)
+	// until Kill concludes it; its guard must be disarmed with it.
+	inflight := make(chan Result, 1)
+	go func() { inflight <- nd.Lookup(9) }()
+	for nd.Metrics().ReqsOut == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	nd.Kill()
+	if res := <-inflight; res.Err == nil || !strings.Contains(res.Err.Error(), "killed") {
+		t.Fatalf("in-flight lookup across Kill = %+v, want killed error", res)
+	}
+	guardCallbacks("after Kill")
+
+	if m := nd.Metrics(); m.Expired != 0 {
+		t.Errorf("Expired = %d, want 0: no request here outlived its deadline", m.Expired)
+	}
+}

@@ -131,11 +131,14 @@ type pendingFwd struct {
 
 // originWait is one locally-originated request awaiting its verdict:
 // the caller's channel plus what the origin needs to attribute the
-// outcome (operation, issue time) when the response arrives.
+// outcome (operation, issue time) when the response arrives, and the
+// response-deadline guard timer, stopped with whatever concludes the
+// request first.
 type originWait struct {
 	ch    chan Result
 	op    Op
 	start time.Time
+	guard *time.Timer
 }
 
 // Node is one live DHT node: an event-loop goroutine owning all routing
@@ -275,10 +278,7 @@ func (n *Node) control(down bool) {
 				st.timer.Stop()
 			}
 			n.pending = make(map[uint64]*pendingFwd)
-			for id, w := range n.origins {
-				delete(n.origins, id)
-				w.ch <- Result{Err: fmt.Errorf("node %d: killed", n.cfg.ID)}
-			}
+			n.failOrigins("killed")
 		}
 		n.downNow.Store(down)
 		close(ack)
@@ -314,10 +314,7 @@ func (n *Node) loop() {
 				case f := <-n.cmds:
 					f()
 				default:
-					for id, w := range n.origins {
-						delete(n.origins, id)
-						w.ch <- Result{Err: fmt.Errorf("node %d: closed", n.cfg.ID)}
-					}
+					n.failOrigins("closed")
 					for _, st := range n.pending {
 						st.timer.Stop()
 					}
@@ -325,6 +322,16 @@ func (n *Node) loop() {
 				}
 			}
 		}
+	}
+}
+
+// failOrigins concludes every still-waiting originator with a local
+// failure and disarms its response guard.
+func (n *Node) failOrigins(why string) {
+	for id, w := range n.origins {
+		delete(n.origins, id)
+		w.guard.Stop()
+		w.ch <- Result{Err: fmt.Errorf("node %d: %s", n.cfg.ID, why)}
 	}
 }
 
@@ -475,11 +482,10 @@ func (n *Node) issue(op Op, dst overlay.ID, key uint64, value []byte) Result {
 			ch <- Result{Err: fmt.Errorf("node %d: down", n.cfg.ID)}
 			return
 		}
-		n.origins[reqID] = originWait{ch: ch, op: op, start: time.Now()}
 		// Local response deadline: if every downstream holder dies or the
 		// response datagram is lost, the origin still concludes.
 		guard := n.cfg.Deadline + 2*n.cfg.RTO
-		time.AfterFunc(guard, func() {
+		timer := time.AfterFunc(guard, func() {
 			n.post(func() {
 				if w, live := n.origins[reqID]; live {
 					delete(n.origins, reqID)
@@ -488,6 +494,7 @@ func (n *Node) issue(op Op, dst overlay.ID, key uint64, value []byte) Result {
 				}
 			})
 		})
+		n.origins[reqID] = originWait{ch: ch, op: op, start: time.Now(), guard: timer}
 		n.hold(m, time.Now())
 	})
 	if !ok {
@@ -703,6 +710,7 @@ func (n *Node) handleResp(m message) {
 		return // duplicate or late response
 	}
 	delete(n.origins, m.ReqID)
+	w.guard.Stop()
 	n.stats.recordVerdict(w.op, m.Status, int(m.Hops), time.Since(w.start))
 	w.ch <- Result{Status: m.Status, Hops: int(m.Hops), Value: m.Value}
 }

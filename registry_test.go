@@ -2,10 +2,15 @@ package rcm_test
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
 	"rcm"
+	"rcm/eventsim"
+	"rcm/eventsim/lifetime"
+	"rcm/exp"
+	"rcm/node"
 	"rcm/overlay"
 )
 
@@ -210,5 +215,228 @@ func TestRegisteredProtocolFlowsThroughSimulate(t *testing.T) {
 	}
 	if res.Routability != 1 {
 		t.Errorf("toy protocol routability at q=0 = %v, want 1", res.Routability)
+	}
+}
+
+// noopScenario is a minimal valid scenario registrant.
+type noopScenario struct{}
+
+func (noopScenario) Name() string                { return "noop" }
+func (noopScenario) Program(*eventsim.Env) error { return nil }
+
+// nameTable adapts one of the module's name-keyed tables to the contract
+// test below, through its public surface only.
+type nameTable struct {
+	// noun is what the table calls a registrant in registration errors.
+	noun string
+	// register adds a registrant whose factory calls built when it runs
+	// (a nil built registers a nil factory); nil for tables closed to
+	// user registration.
+	register func(name string, built func(), aliases ...string) error
+	// resolve builds spelling through the table. Open tables report
+	// identity through built; closed ones return it.
+	resolve func(spelling string) (any, error)
+	names   func() []string
+	// known is a built-in name and one of its aliases, for closed tables.
+	known [2]string
+}
+
+// nameTables lists every table backed by the shared registry (rcm/spec).
+func nameTables() []nameTable {
+	return []nameTable{
+		{
+			noun: "geometry",
+			register: func(name string, built func(), aliases ...string) error {
+				var f rcm.GeometryFactory
+				if built != nil {
+					f = func(rcm.Config) (rcm.Geometry, error) { built(); return toyGeometry{name: name}, nil }
+				}
+				return rcm.RegisterGeometry(name, f, aliases...)
+			},
+			resolve: func(s string) (any, error) { _, err := exp.SpecFor(s, exp.Config{}); return nil, err },
+			names:   rcm.Geometries,
+		},
+		{
+			noun: "protocol",
+			register: func(name string, built func(), aliases ...string) error {
+				var f rcm.ProtocolFactory
+				if built != nil {
+					f = func(cfg rcm.Config) (rcm.Protocol, error) {
+						built()
+						return &toyProtocol{space: overlay.MustSpace(cfg.Bits)}, nil
+					}
+				}
+				return rcm.RegisterProtocol(name, f, aliases...)
+			},
+			resolve: func(s string) (any, error) { _, err := rcm.NewProtocol(s, rcm.Config{Bits: 4}); return nil, err },
+			names:   rcm.Protocols,
+		},
+		{
+			noun: "scenario",
+			register: func(name string, built func(), aliases ...string) error {
+				var f eventsim.ScenarioFactory
+				if built != nil {
+					f = func(eventsim.Params) (eventsim.Scenario, error) { built(); return noopScenario{}, nil }
+				}
+				return eventsim.RegisterScenario(name, f, aliases...)
+			},
+			resolve: func(s string) (any, error) {
+				_, err := eventsim.BuildSchedule(eventsim.Config{Overlay: eventsim.OverlayConfig{Bits: 4}, Scenario: s})
+				return nil, err
+			},
+			names: eventsim.ScenarioNames,
+		},
+		{
+			noun: "transport",
+			register: func(name string, built func(), aliases ...string) error {
+				var f func(string) (eventsim.Transport, error)
+				if built != nil {
+					f = func(string) (eventsim.Transport, error) { built(); return eventsim.Constant{}, nil }
+				}
+				return eventsim.RegisterTransport(name, f, aliases...)
+			},
+			resolve: func(s string) (any, error) { _, err := eventsim.ParseTransport(s); return nil, err },
+			names:   eventsim.TransportNames,
+		},
+		{
+			noun: "family",
+			register: func(name string, built func(), aliases ...string) error {
+				var f lifetime.Factory
+				if built != nil {
+					f = func(string) (lifetime.Family, error) { built(); return lifetime.Exponential{}, nil }
+				}
+				return lifetime.Register(name, f, aliases...)
+			},
+			resolve: func(s string) (any, error) { _, err := lifetime.Parse(s); return nil, err },
+			names:   lifetime.Names,
+		},
+		{
+			noun: "store",
+			register: func(name string, built func(), aliases ...string) error {
+				var f func(string) (node.Store, error)
+				if built != nil {
+					f = func(string) (node.Store, error) { built(); return node.NewMemStore(), nil }
+				}
+				return node.RegisterStore(name, f, aliases...)
+			},
+			resolve: func(s string) (any, error) { _, err := node.ParseStore(s); return nil, err },
+			names:   node.StoreNames,
+		},
+		{
+			noun:    "mode flag",
+			resolve: func(s string) (any, error) { return exp.ParseMode(s) },
+			known:   [2]string{"sim", "static"},
+		},
+	}
+}
+
+// TestRegistryContract holds every name-keyed table in the module to the
+// one set of naming rules rcm/spec implements: case- and space-insensitive
+// resolution, aliases resolving to their canonical registrant, name /
+// alias / self-alias collisions, empty names and nil factories rejected
+// (a failed registration claiming nothing), Names in registration order,
+// and unknown names erroring against the sorted list of every accepted
+// spelling. A table that grew its own copy of the rules would drift from
+// this; one that is merely an instance of the shared registry cannot.
+func TestRegistryContract(t *testing.T) {
+	for _, tb := range nameTables() {
+		t.Run(tb.noun, func(t *testing.T) {
+			slug := "contract-" + strings.ReplaceAll(tb.noun, " ", "-")
+			first, alias, second := slug+"-a", slug+"-a2", slug+"-b"
+
+			var built string // canonical name of the registrant whose factory ran last
+			mark := func(name string) func() { return func() { built = name } }
+			resolve := func(spelling string) (any, error) {
+				built = ""
+				id, err := tb.resolve(spelling)
+				if id == nil {
+					id = built
+				}
+				return id, err
+			}
+			sameRegistrant := func(canonical string, spellings ...string) {
+				t.Helper()
+				want, err := resolve(canonical)
+				if err != nil || want == "" {
+					t.Fatalf("resolve(%q) = %v, %v", canonical, want, err)
+				}
+				for _, sp := range spellings {
+					if got, err := resolve(sp); err != nil || got != want {
+						t.Errorf("resolve(%q) = %v, %v; want the registrant of %q", sp, got, err, canonical)
+					}
+				}
+			}
+			unknown := func(name string, listed ...string) {
+				t.Helper()
+				_, err := resolve(name)
+				if err == nil {
+					t.Fatalf("unknown name %q resolved", name)
+				}
+				msg := err.Error()
+				from, to := strings.Index(msg, "(have "), strings.LastIndex(msg, ")")
+				if !strings.Contains(msg, `"`+name+`"`) || from < 0 || to < from {
+					t.Fatalf("unknown-name error %q does not quote the name and list the accepted ones", msg)
+				}
+				keys := strings.Split(msg[from+len("(have "):to], ", ")
+				if !sort.StringsAreSorted(keys) {
+					t.Errorf("accepted names not sorted: %v", keys)
+				}
+				for _, want := range listed {
+					if i := sort.SearchStrings(keys, want); i == len(keys) || keys[i] != want {
+						t.Errorf("accepted names %v do not list %q", keys, want)
+					}
+				}
+			}
+
+			if tb.register == nil {
+				sameRegistrant(tb.known[0], strings.ToUpper(tb.known[0]), "  "+tb.known[1]+" ")
+				unknown(slug+"-nope", tb.known[0], tb.known[1])
+				return
+			}
+
+			if err := tb.register(strings.ToUpper(first[:1])+first[1:], mark(first), " "+strings.ToUpper(alias)+" "); err != nil {
+				t.Fatalf("first registration: %v", err)
+			}
+			sameRegistrant(first, strings.ToUpper(first), "  "+first+"  ", alias, strings.ToUpper(alias))
+
+			for what, tc := range map[string]struct {
+				name    string
+				aliases []string
+				wantSub string
+			}{
+				"taken name":            {first, nil, tb.noun + ` name "` + first + `" already registered`},
+				"taken name, recased":   {strings.ToUpper(first), nil, "already registered"},
+				"alias taken as a name": {alias, nil, tb.noun + ` name "` + alias + `" already registered`},
+				"name taken as alias":   {slug + "-fresh", []string{first}, tb.noun + ` alias "` + first + `" already registered`},
+				"alias taken as alias":  {slug + "-fresh", []string{alias}, "already registered"},
+				"self alias":            {slug + "-fresh", []string{strings.ToUpper(slug) + "-FRESH"}, tb.noun + ` "` + slug + `-fresh" aliases itself`},
+				"empty name":            {"", nil, "empty " + tb.noun + " name"},
+				"blank name":            {"   ", nil, "empty " + tb.noun + " name"},
+				"blank alias":           {slug + "-fresh", []string{" "}, "empty " + tb.noun + " name"},
+			} {
+				err := tb.register(tc.name, mark(tc.name), tc.aliases...)
+				if err == nil {
+					t.Errorf("%s: Register(%q, %v) accepted", what, tc.name, tc.aliases)
+				} else if !strings.Contains(err.Error(), tc.wantSub) {
+					t.Errorf("%s: error %q does not mention %q", what, err, tc.wantSub)
+				}
+			}
+			if err := tb.register(slug+"-fresh", nil); err == nil || !strings.Contains(err.Error(), "has nil factory") {
+				t.Errorf("nil factory error = %v", err)
+			}
+			// None of the failed registrations claimed its fresh name.
+			if _, err := resolve(slug + "-fresh"); err == nil {
+				t.Errorf("failed registrations left %q resolvable", slug+"-fresh")
+			}
+
+			if err := tb.register(second, mark(second)); err != nil {
+				t.Fatalf("second registration: %v", err)
+			}
+			names := tb.names()
+			if n := len(names); n < 2 || names[n-2] != first || names[n-1] != second {
+				t.Errorf("Names() = %v, want registration order ending in %q, %q (canonical names only)", names, first, second)
+			}
+			unknown(slug+"-nope", first, alias, second)
+		})
 	}
 }

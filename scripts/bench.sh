@@ -46,7 +46,7 @@ echo "== event engine (BENCH_eventsim.json) =="
 # the {1,2,4,8} shard sweep) at the configured benchtime, and the 2^20-node
 # macro-benchmark shard sweep at 2x — one million-node run per shard count
 # is plenty, and the shared prebuilt overlay amortizes construction.
-go test -bench 'BenchmarkEventSim$|BenchmarkEventSimShards|BenchmarkEventSimScheduler|BenchmarkEventSimObs|BenchmarkEventSimFault' \
+go test -bench 'BenchmarkEventSim$|BenchmarkEventSimShards|BenchmarkEventSimScheduler|BenchmarkEventSimFault' \
   -benchmem -benchtime "$eventtime" -run '^$' ./eventsim | tee bench_eventsim.txt
 go test -bench 'BenchmarkEventSimLarge' \
   -benchmem -benchtime 2x -run '^$' ./eventsim | tee -a bench_eventsim.txt
@@ -62,14 +62,6 @@ go run ./cmd/benchcmp -file BENCH_eventsim.json \
   -base BenchmarkEventSimScheduler/heap -new BenchmarkEventSimScheduler/wheel \
   -metric events_per_s -tolerance 0.10 \
   -baseline bench/BENCH_eventsim.baseline.json
-
-# Histogram-overhead gate: the always-on hop/latency distribution
-# accumulation must cost under 2% events/s versus the same run with
-# Config.NoDist (same machine, same binary).
-echo "== histogram-overhead gate: obs on vs off (cmd/benchcmp) =="
-go run ./cmd/benchcmp -file BENCH_eventsim.json \
-  -base BenchmarkEventSimObs/off -new BenchmarkEventSimObs/on \
-  -metric events_per_s -tolerance 0.02
 
 # Fault-middleware gate: a bound fault plan whose clauses never fire on
 # the benchmark workload (a partition window after the run ends) must

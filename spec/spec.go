@@ -19,14 +19,16 @@
 //     passed verbatim to its factory — the factory owns the argument
 //     grammar (a number, a comma list, a file path, even a nested spec).
 //
-// A Table is the same shape as the geometry/protocol/scenario registries in
-// the rest of the module: Register with collision checking, Lookup,
-// registration-order Names, sorted Keys. The generic payload keeps each
-// wrapper's vocabulary strongly typed.
+// Underneath the grammar sits Registry, the payload-agnostic name table:
+// Register with collision checking, Lookup, Canonical, registration-order
+// Names, sorted Keys. The geometry, protocol and scenario registries are
+// plain Registry instances and a Table is a Registry of factories plus
+// Parse, so the naming rules live here and nowhere else.
 package spec
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,30 +41,152 @@ import (
 // which the Table has already resolved.
 type Factory[T any] func(arg string) (T, error)
 
-// Table is one case-insensitive, alias-aware name-keyed parser: the shared
-// grammar of every "name[:arg]" flag in the module. The zero value is not
-// usable; construct with New. Tables are safe for concurrent use.
-type Table[T any] struct {
+// Registry is the module's one case-insensitive, alias-aware,
+// collision-checked name table, agnostic of what a name maps to: the
+// geometry, protocol and scenario registries store their factories in it
+// directly, and Table layers the "name[:arg]" grammar over a Registry of
+// Factory values. The zero value is not usable; construct with
+// NewRegistry. Registries are safe for concurrent use.
+type Registry[E any] struct {
 	prefix string // error prefix, e.g. "eventsim" or "lifetime"
 	noun   string // what a registrant is called in errors, e.g. "transport"
-	def    string // canonical name selected by the empty spec ("" = reject)
 
 	mu    sync.RWMutex
 	order []string
-	index map[string]tableEntry[T]
+	index map[string]registrant[E]
 }
 
-type tableEntry[T any] struct {
+type registrant[E any] struct {
 	canonical string
-	factory   Factory[T]
+	entry     E
 }
 
-// New returns an empty table. prefix is the error-message package prefix
-// ("eventsim"), noun is the vocabulary word used in errors ("transport" —
-// producing e.g. `eventsim: unknown transport "warp" (have constant,
-// empirical, lossy)`).
+// NewRegistry returns an empty registry. prefix is the error-message
+// package prefix ("eventsim"), noun is the vocabulary word used in errors
+// ("transport" — producing e.g. `eventsim: unknown transport "warp" (have
+// constant, empirical, lossy)`).
+func NewRegistry[E any](prefix, noun string) *Registry[E] {
+	return &Registry[E]{prefix: prefix, noun: noun, index: map[string]registrant[E]{}}
+}
+
+// Register adds an entry (a factory, in every registry of the module)
+// under a canonical name plus optional aliases. Names are
+// case-insensitive; registering a name or alias that is already taken (by
+// either a canonical name or an alias) is an error, as is an empty name or
+// a nil entry. A failed registration claims nothing.
+func (r *Registry[E]) Register(name string, entry E, aliases ...string) error {
+	if isNil(entry) {
+		return fmt.Errorf("%s: %s %q has nil factory", r.prefix, r.noun, name)
+	}
+	keys := make([]string, 0, 1+len(aliases))
+	for _, n := range append([]string{name}, aliases...) {
+		k := fold(n)
+		if k == "" {
+			return fmt.Errorf("%s: empty %s name", r.prefix, r.noun)
+		}
+		keys = append(keys, k)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, k := range keys {
+		if _, taken := r.index[k]; taken {
+			what := "name"
+			if i > 0 {
+				what = "alias"
+			}
+			return fmt.Errorf("%s: %s %s %q already registered", r.prefix, r.noun, what, k)
+		}
+		for _, prev := range keys[:i] {
+			if prev == k {
+				return fmt.Errorf("%s: %s %q aliases itself", r.prefix, r.noun, k)
+			}
+		}
+	}
+	for _, k := range keys {
+		r.index[k] = registrant[E]{canonical: keys[0], entry: entry}
+	}
+	r.order = append(r.order, keys[0])
+	return nil
+}
+
+// isNil reports whether a registry entry is a nil func, pointer, map,
+// slice, channel or interface — the "nil factory" every Register rejects.
+func isNil(entry any) bool {
+	switch v := reflect.ValueOf(entry); v.Kind() {
+	case reflect.Invalid:
+		return true
+	case reflect.Func, reflect.Pointer, reflect.Map, reflect.Slice, reflect.Chan:
+		return v.IsNil()
+	}
+	return false
+}
+
+// MustRegister is Register for statically-known names; it panics on error
+// and is intended for package init blocks.
+func (r *Registry[E]) MustRegister(name string, entry E, aliases ...string) {
+	if err := r.Register(name, entry, aliases...); err != nil {
+		panic(err)
+	}
+}
+
+// Lookup resolves an entry by canonical name or alias.
+func (r *Registry[E]) Lookup(name string) (E, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	e, ok := r.index[fold(name)]
+	return e.entry, ok
+}
+
+// Canonical resolves a name or alias to its canonical registered name
+// (ok is false for unknown names).
+func (r *Registry[E]) Canonical(name string) (string, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	e, ok := r.index[fold(name)]
+	return e.canonical, ok
+}
+
+// Names returns the canonical names in registration order (built-ins
+// first, user registrations after).
+func (r *Registry[E]) Names() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]string, len(r.order))
+	copy(out, r.order)
+	return out
+}
+
+// Keys returns every accepted name and alias, sorted; it backs "unknown
+// name" error messages.
+func (r *Registry[E]) Keys() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]string, 0, len(r.index))
+	for k := range r.index {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Unknown is the error for a name that did not resolve: it lists every
+// accepted name and alias so a typo is self-diagnosing.
+func (r *Registry[E]) Unknown(name string) error {
+	return fmt.Errorf("%s: unknown %s %q (have %s)", r.prefix, r.noun, name, strings.Join(r.Keys(), ", "))
+}
+
+// Table is a Registry of factories plus the shared grammar of every
+// "name[:arg]" flag in the module: Parse splits a spec, resolves the name
+// (or the table default) and hands the argument text to the registrant's
+// factory. The zero value is not usable; construct with New.
+type Table[T any] struct {
+	*Registry[Factory[T]]
+	def string // canonical name selected by the empty spec ("" = reject); guarded by mu
+}
+
+// New returns an empty table; prefix and noun are as for NewRegistry.
 func New[T any](prefix, noun string) *Table[T] {
-	return &Table[T]{prefix: prefix, noun: noun, index: map[string]tableEntry[T]{}}
+	return &Table[T]{Registry: NewRegistry[Factory[T]](prefix, noun)}
 }
 
 // SetDefault makes the empty spec resolve to the named registrant (which
@@ -77,53 +201,6 @@ func (t *Table[T]) SetDefault(name string) error {
 	}
 	t.def = k
 	return nil
-}
-
-// Register adds a factory under a canonical name plus optional aliases.
-// Names are case-insensitive; registering a name or alias that is already
-// taken (by either a canonical name or an alias) is an error, as is an
-// empty name or a nil factory.
-func (t *Table[T]) Register(name string, f Factory[T], aliases ...string) error {
-	if f == nil {
-		return fmt.Errorf("%s: %s %q has nil factory", t.prefix, t.noun, name)
-	}
-	keys := make([]string, 0, 1+len(aliases))
-	for _, n := range append([]string{name}, aliases...) {
-		k := fold(n)
-		if k == "" {
-			return fmt.Errorf("%s: empty %s name", t.prefix, t.noun)
-		}
-		keys = append(keys, k)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i, k := range keys {
-		if _, taken := t.index[k]; taken {
-			what := "name"
-			if i > 0 {
-				what = "alias"
-			}
-			return fmt.Errorf("%s: %s %s %q already registered", t.prefix, t.noun, what, k)
-		}
-		for _, prev := range keys[:i] {
-			if prev == k {
-				return fmt.Errorf("%s: %s %q aliases itself", t.prefix, t.noun, k)
-			}
-		}
-	}
-	for _, k := range keys {
-		t.index[k] = tableEntry[T]{canonical: keys[0], factory: f}
-	}
-	t.order = append(t.order, keys[0])
-	return nil
-}
-
-// MustRegister is Register for statically-known names; it panics on error
-// and is intended for package init blocks.
-func (t *Table[T]) MustRegister(name string, f Factory[T], aliases ...string) {
-	if err := t.Register(name, f, aliases...); err != nil {
-		panic(err)
-	}
 }
 
 // Parse resolves a full "name[:arg]" spec: split at the first ':', resolve
@@ -145,53 +222,11 @@ func (t *Table[T]) Parse(s string) (T, error) {
 		}
 		name = def
 	}
-	f, ok := t.lookup(name)
+	f, ok := t.Lookup(name)
 	if !ok {
-		return zero, fmt.Errorf("%s: unknown %s %q (have %s)", t.prefix, t.noun, name, strings.Join(t.Keys(), ", "))
+		return zero, t.Unknown(name)
 	}
 	return f(arg)
-}
-
-// Lookup resolves a factory by canonical name or alias.
-func (t *Table[T]) Lookup(name string) (Factory[T], bool) { return t.lookup(name) }
-
-func (t *Table[T]) lookup(name string) (Factory[T], bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	e, ok := t.index[fold(name)]
-	return e.factory, ok
-}
-
-// Canonical resolves a name or alias to its canonical registered name
-// (ok is false for unknown names).
-func (t *Table[T]) Canonical(name string) (string, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	e, ok := t.index[fold(name)]
-	return e.canonical, ok
-}
-
-// Names returns the canonical names in registration order (built-ins
-// first, user registrations after).
-func (t *Table[T]) Names() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]string, len(t.order))
-	copy(out, t.order)
-	return out
-}
-
-// Keys returns every accepted name and alias, sorted; it backs "unknown
-// name" error messages.
-func (t *Table[T]) Keys() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]string, 0, len(t.index))
-	for k := range t.index {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Split separates a spec into its name and argument parts at the first
@@ -209,7 +244,7 @@ func hasArg(s string) bool {
 	return strings.Contains(s, ":")
 }
 
-// fold is the table's name normalization: lower-case, space-trimmed.
+// fold is the registry's name normalization: lower-case, space-trimmed.
 func fold(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
 
 // Float parses a registrant's single numeric argument; the empty argument
