@@ -19,10 +19,15 @@ bench:
 
 # profile runs the event-engine benchmark workload through cmd/eventsim
 # with pprof enabled, so perf investigations start from cpu.prof/mem.prof
-# (go tool pprof cpu.prof) instead of guesses.
+# (go tool pprof cpu.prof) instead of guesses. BITS, RATE and DURATION
+# resize it: `make profile BITS=20 RATE=200000` is the
+# million-node run.
+BITS ?= 12
+RATE ?= 20000
+DURATION ?= 2
 profile:
-	go run ./cmd/eventsim -bits 12 -scenario massfail -fail 0.3 -fail-time 1 \
-	  -rate 20000 -duration 2 -maintain -mode event \
+	go run ./cmd/eventsim -bits $(BITS) -scenario massfail -fail 0.3 -fail-time 1 \
+	  -rate $(RATE) -duration $(DURATION) -maintain -mode event \
 	  -cpuprofile cpu.prof -memprofile mem.prof > /dev/null
 	@echo "wrote cpu.prof and mem.prof — inspect with: go tool pprof cpu.prof"
 

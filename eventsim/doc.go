@@ -23,7 +23,7 @@
 // per node or per message — one persistent worker per shard, and none at
 // all on serial hardware. The population is interleaved across a small
 // number of shards (node % Shards), each owning an event queue (a
-// hierarchical timing wheel; see queue.go), a
+// hierarchical timing wheel; see queue.go and timingwheel.go), a
 // deterministic splitmix64 RNG stream, its nodes' online flags and
 // routing-table rows, a slice-backed free-list arena of in-flight forward
 // attempts, and per-bucket metric accumulators. Every mutable per-node or
@@ -43,14 +43,23 @@
 // node lifecycle changes are folded into the global alive-snapshot
 // bitset, and cross-shard messages (which always carry at least one
 // lookahead of latency, so they can never arrive inside the epoch that
-// sent them) are delivered by bulk-pushing each source shard's outbox, in
-// source-shard order, into the destination queue. No sorting happens at
-// the barrier: queue order is (arrival time, push sequence), so push
-// order only decides ties between equal-time events, and sequential
-// per-source delivery reproduces exactly the tie order — send order
-// within a source, source-shard order across sources — that a stable
-// sort by arrival time over the concatenated outboxes would have
-// produced, at none of its cost.
+// sent them) change hands: the coordinator swaps each source shard's
+// outbox for the destination's emptied inbox — slice headers only — and
+// every shard pushes its own inbox into its own queue, in source-shard
+// order, as the first act of its next epoch. Delivery therefore runs on
+// the shard workers, in parallel, into the cache that will drain the
+// events, and the coordinator's serial section is O(Shards²) words. Until
+// a message is pushed it is in no queue, so each shard also reports the
+// least arrival time it sent; the coordinator counts that as pending work
+// and never idle-skips past it. No sorting happens anywhere: queue order
+// is (arrival time, push sequence), so push order only decides ties
+// between equal-time events, and per-source delivery gives them the tie
+// order — send order within a source, source-shard order across sources —
+// that a stable sort by arrival time over the concatenated outboxes would
+// have produced, at none of its cost. Deferring the pushes to the
+// destination changes nothing about that order, sequence numbers
+// included: nothing else touches a shard's queue between the barrier and
+// the shard's next epoch.
 //
 // The snapshot is frozen during an epoch, which makes the one view remote
 // nodes have of the population (used by lookup conditioning and

@@ -137,7 +137,16 @@ type shard struct {
 	pending []pendingHop
 	freePd  []uint32
 
-	outbox  [][]ev  // cross-shard sends this epoch, indexed by dest shard
+	// outbox holds this epoch's cross-shard sends, indexed by destination
+	// shard; inbox the previous epoch's arrivals, indexed by source shard,
+	// which the shard pushes itself as the first act of its next epoch (the
+	// barrier only swaps the slice headers). sentMin is the least arrival
+	// time among this epoch's sends, +Inf when there were none: until the
+	// destinations have pushed them, it is the only place the coordinator
+	// can see that those messages exist.
+	outbox  [][]ev
+	inbox   [][]ev
+	sentMin float64
 	toggles []int32 // node lifecycle deltas this epoch: +node+1 up, -(node+1) down
 
 	acc     []bucketAcc
@@ -255,6 +264,9 @@ func (sh *shard) send(e ev) {
 		return
 	}
 	sh.outbox[ds] = append(sh.outbox[ds], e)
+	if e.t < sh.sentMin {
+		sh.sentMin = e.t
+	}
 }
 
 // allocPending places an attempt in the arena and returns its id.
@@ -292,8 +304,16 @@ func (sh *shard) worker(done chan<- struct{}) {
 	}
 }
 
-// runEpoch processes every local event with t < end.
+// runEpoch delivers the messages the other shards sent this one during
+// the previous epoch, then processes every local event with t < end.
 func (sh *shard) runEpoch(end float64) {
+	for src, in := range sh.inbox {
+		for _, m := range in {
+			sh.push(m)
+		}
+		sh.inbox[src] = in[:0]
+	}
+	sh.sentMin = math.Inf(1)
 	for {
 		e, ok := sh.q.popBefore(end)
 		if !ok {
@@ -733,8 +753,9 @@ func (sh *shard) handleStab(e ev) {
 
 // run executes the engine to completion: epochs of one lookahead each,
 // with a barrier between epochs that applies lifecycle deltas to the
-// alive snapshot, merges cross-shard messages into their destination
-// queues, and samples per-bucket online fractions. With more than one
+// alive snapshot, hands each shard's cross-shard sends to their
+// destinations (which push them themselves, first thing next epoch), and
+// samples per-bucket online fractions. With more than one
 // shard and parallel hardware, each shard is drained by a persistent
 // worker goroutine released and joined through a channel barrier; on a
 // single shard, or when GOMAXPROCS is 1 and goroutines could only add
@@ -765,7 +786,7 @@ func (e *engine) run() {
 	for {
 		pendingWork := false
 		for _, sh := range e.shards {
-			if sh.q.size() > 0 {
+			if sh.q.size() > 0 || sh.sentMin < math.Inf(1) {
 				pendingWork = true
 				break
 			}
@@ -787,8 +808,8 @@ func (e *engine) run() {
 			}
 		}
 
-		// Barrier: lifecycle deltas first (so merged messages and the next
-		// epoch observe the post-toggle snapshot), then message delivery.
+		// Barrier: lifecycle deltas first (so the next epoch, deliveries
+		// included, observes the post-toggle snapshot), then message hand-off.
 		for _, sh := range e.shards {
 			for _, d := range sh.toggles {
 				if d > 0 {
@@ -801,30 +822,37 @@ func (e *engine) run() {
 			}
 			sh.toggles = sh.toggles[:0]
 		}
-		// Deliver cross-shard messages: for each destination, bulk-push
-		// every source's outbox in source-shard order. No sort is needed
-		// for determinism — this is the load-bearing trick that emptied
-		// the old barrier's concatenate-and-stable-sort hot path:
+		// Hand cross-shard messages over: every (source, destination) pair
+		// swaps its full outbox for the destination's drained inbox — slice
+		// headers only — and each destination pushes its inbox itself, in
+		// source-shard order, before it pops anything next epoch (runEpoch):
+		// in parallel, and into the cache that will drain them. That is the
+		// same pushes in the same order, with the same seq values, as pushing
+		// them here, because nothing else touches a shard's queue or seq
+		// counter between this barrier and its next runEpoch. And no sort is
+		// needed for determinism:
 		//
 		// The queues' total order is (t, seq), with seq assigned at push.
 		// Events with different arrival times are ordered by t no matter
 		// which push order (and therefore which seq values) they got, so
-		// seq assignment only decides ties. Pushing source 0's outbox in
-		// send order, then source 1's, and so on gives equal-t events
-		// exactly the tie order the former stable sort produced: send
-		// order within a source, source-shard order across sources. Ties
-		// against events pushed in earlier or later epochs keep their
-		// order too, because the seq counter is monotonic across the whole
-		// run in both schemes. Identical (t, seq)-relative order means
-		// identical pop order, so results are bit-identical — enforced by
-		// the determinism and scheduler-differential suites.
+		// seq assignment only decides ties. Pushing source 0's batch in
+		// send order, then source 1's, and so on gives equal-t events the
+		// tie order a stable sort of the concatenated batches by arrival
+		// time would: send order within a source, source-shard order across
+		// sources. Ties against events pushed in earlier or later epochs keep
+		// their order too, because the seq counter is monotonic across the
+		// whole run. Identical (t, seq)-relative order means identical pop
+		// order, so results are bit-identical — enforced by the determinism
+		// and scheduler-differential suites.
 		for di, dst := range e.shards {
-			for _, src := range e.shards {
-				ob := src.outbox[di]
-				for _, m := range ob {
-					dst.push(m)
+			for si, src := range e.shards {
+				full, empty := src.outbox[di], dst.inbox[si]
+				if cap(empty) < len(full) {
+					// The pair's two buffers alternate; size this one to what
+					// its twin just carried rather than let it regrow by appends.
+					empty = make([]ev, 0, len(full))
 				}
-				src.outbox[di] = ob[:0]
+				src.outbox[di], dst.inbox[si] = empty, full
 			}
 		}
 
@@ -836,11 +864,17 @@ func (e *engine) run() {
 		}
 
 		// Advance; skip idle stretches (all queue tops far in the future)
-		// in one hop while staying on lookahead-aligned boundaries.
+		// in one hop while staying on lookahead-aligned boundaries. A
+		// message handed over above is in no queue yet: its sender's sentMin
+		// stands in for it, so the skip lands where it would have had the
+		// message been pushed already.
 		minTop := math.Inf(1)
 		for _, sh := range e.shards {
 			if t, ok := sh.q.minTime(); ok && t < minTop {
 				minTop = t
+			}
+			if sh.sentMin < minTop {
+				minTop = sh.sentMin
 			}
 		}
 		next := end + e.delta

@@ -471,6 +471,8 @@ func runOverlay(p registry.Protocol, cfg Config, newQueue func(delta float64) ev
 			online:  make([]bool, n),
 			started: overlay.NewBitset(len(env.lookups)),
 			outbox:  make([][]ev, shards),
+			inbox:   make([][]ev, shards),
+			sentMin: math.Inf(1),
 			acc:     make([]bucketAcc, cfg.Buckets),
 		}
 		if cfg.AdaptiveRTO {

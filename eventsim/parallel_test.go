@@ -53,7 +53,8 @@ func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // per-shard-count results legitimately differ — the shard count is part
 // of the sampling plan): a lossless churn-free run completes every lookup
 // at Shards=1 and Shards=4 alike, under whatever parallelism the host
-// gives the workers.
+// gives the workers. A sparse run then pins the two paths, and the heap
+// reference, to exact agreement where deferred delivery is most exposed.
 func TestInlineMatchesWorkers(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		res := mustRun(t, Config{
@@ -68,6 +69,46 @@ func TestInlineMatchesWorkers(t *testing.T) {
 		total := res.Totals()
 		if total.Started == 0 || total.Completed != total.Started {
 			t.Errorf("shards=%d: %d/%d lookups completed, want all", shards, total.Completed, total.Started)
+		}
+	}
+
+	// Cross-shard messages are pushed by their destination at the start of
+	// the epoch after the one that sent them, so between the two a message
+	// is in no queue. A sparse replicated run puts the engine in the state
+	// where that matters: once the last scheduled lookup has started, a
+	// failover notice travelling back to its source is the only pending
+	// work there is, with every queue empty (across these seeds that
+	// happens at every shard count; 7 and 15 hit it at all three). The run
+	// must neither end under the notice nor idle-skip past its arrival,
+	// however the shards are executed and whichever queue they run on.
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for seed := uint64(1); seed <= 16; seed++ {
+		for _, shards := range []int{2, 3, 8} {
+			cfg := Config{
+				Protocol:  "chord",
+				Overlay:   OverlayConfig{Bits: 8},
+				Scenario:  "massfail",
+				Params:    Params{FailFraction: 0.5, FailTime: 1, Rate: 0.3, Replicas: 3},
+				Transport: Empirical{Median: 0.06},
+				Duration:  60,
+				Shards:    shards,
+				Seed:      seed,
+			}
+			workers := mustRun(t, cfg)
+			if total := workers.Totals(); total.Started != total.Completed+total.Failed {
+				t.Errorf("seed=%d shards=%d: %d lookups started, %d completed + %d failed: a message was stranded",
+					seed, shards, total.Started, total.Completed, total.Failed)
+			}
+			runtime.GOMAXPROCS(1)
+			inline := mustRun(t, cfg)
+			runtime.GOMAXPROCS(prev)
+			if !reflect.DeepEqual(workers, inline) {
+				t.Errorf("seed=%d shards=%d: worker and inline runs diverged:\n%+v\nvs\n%+v", seed, shards, workers, inline)
+			}
+			if heap := runHeap(t, cfg); !reflect.DeepEqual(workers, heap) {
+				t.Errorf("seed=%d shards=%d: wheel and heap runs diverged:\n%+v\nvs\n%+v", seed, shards, workers, heap)
+			}
 		}
 	}
 }

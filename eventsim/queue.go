@@ -5,12 +5,15 @@ package eventsim
 // bit-identical across them — is total (t, seq) order: popBefore emits
 // pending events in exactly the order evLess defines, stopping at the
 // epoch boundary. Sequence numbers are assigned by the shard before push.
-// Implementations must not let push *order* leak into pop order: the
-// epoch barrier bulk-pushes merged cross-shard batches in unsorted
-// arrival-time order and relies on (t, seq) alone to linearize them.
+// Implementations must not let push *order* leak into pop order: at the
+// start of every epoch a shard bulk-pushes the cross-shard batches it was
+// handed at the barrier, source by source, in unsorted arrival-time order,
+// and relies on (t, seq) alone to linearize them.
 //
-// The engine runs on the hierarchical timing wheel (timingwheel.go — O(1)
-// schedule for the timer-dominated churn and stabilization workload); the
+// The engine runs on the hierarchical timing wheel (timingwheel.go): O(1)
+// schedule into chunked slot buckets, a wide first level so that messages
+// and retransmission timers are placed exactly once, and a linear-time
+// ordering pass per drained slot. There is one queue and no knob; the
 // binary heap it is differentially tested and benchmarked against lives in
 // timingwheel_test.go and reaches the engine through runOverlay's
 // queue-constructor parameter.

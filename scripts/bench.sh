@@ -53,14 +53,17 @@ go test -bench 'BenchmarkEventSimLarge' \
 extract_json < bench_eventsim.txt > BENCH_eventsim.json
 cat BENCH_eventsim.json
 
-# Scheduler gate: the timing-wheel queue must be no slower than the
-# binary-heap reference measured in the same run (same machine, same
-# binary — immune to host-speed variation), plus an informational
-# benchstat-style diff against the committed baseline snapshot.
+# Scheduler gate: on the churn workload the timing-wheel queue must
+# sustain at least 1.5x the events/s of the binary-heap reference measured
+# in the same run (same machine, same binary — immune to host-speed
+# variation; both sides process the identical event sequence). Measured
+# 2.0x on 2 cores when the bar was set; 1.4x was the linked-list wheel this
+# one replaced. Plus an informational benchstat-style diff against the
+# committed baseline snapshot.
 echo "== scheduler gate: wheel vs heap (cmd/benchcmp) =="
 go run ./cmd/benchcmp -file BENCH_eventsim.json \
   -base BenchmarkEventSimScheduler/heap -new BenchmarkEventSimScheduler/wheel \
-  -metric events_per_s -tolerance 0.10 \
+  -metric events_per_s -min-ratio 1.5 \
   -baseline bench/BENCH_eventsim.baseline.json
 
 # Fault-middleware gate: a bound fault plan whose clauses never fire on
