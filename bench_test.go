@@ -83,7 +83,8 @@ func BenchmarkSymphonyDesign(b *testing.B) { benchFigure(b, "symphony") }
 // routability.
 func BenchmarkPercolation(b *testing.B) { benchFigure(b, "percolation") }
 
-// BenchmarkChurn regenerates E11: churn steady state vs the static model.
+// BenchmarkChurn regenerates E11: message-level churn steady states, with
+// and without maintenance, vs the static model at q_eff.
 func BenchmarkChurn(b *testing.B) { benchFigure(b, "churn") }
 
 // BenchmarkPathLength regenerates E12: analytic vs chain vs simulated
@@ -306,26 +307,6 @@ func BenchmarkComponentAnalysis(b *testing.B) {
 		st := percolation.ComponentStats(p, nodes, alive)
 		if st.Alive == 0 {
 			b.Fatal("no survivors")
-		}
-	}
-}
-
-// BenchmarkChurnStep measures the event-driven churn engine end to end on a
-// 2^10-node Kademlia overlay.
-func BenchmarkChurnStep(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p, err := dht.New("kademlia", dht.Config{Bits: 10, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sim.SimulateChurn(p, sim.ChurnOptions{
-			Duration:        2,
-			MeasureEvery:    0.5,
-			PairsPerMeasure: 500,
-			Seed:            uint64(i + 1),
-		}); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -97,13 +97,21 @@ func TestModeFlag(t *testing.T) {
 	}
 }
 
-// TestModeFlagRejectsOtherEngines: dhtsim has no churn/event settings, so
-// those modes must be rejected at the flag with a pointer to the right CLI.
+// TestModeFlagRejectsOtherEngines: dhtsim has no event settings, so that
+// mode must be rejected at the flag with a pointer to the right CLI, and
+// "churn" — the removed Monte-Carlo engine's mode — is an unknown name
+// whose error lists the modes that exist.
 func TestModeFlagRejectsOtherEngines(t *testing.T) {
-	for _, mode := range []string{"churn", "event", "sim+churn", "analytic"} {
+	for mode, want := range map[string]string{
+		"event":     "use eventsim",
+		"sim+event": "use eventsim",
+		"analytic":  "must include sim",
+		"churn":     `unknown mode flag "churn" (have analytic, event,`,
+		"sim+churn": `unknown mode flag "churn" (have analytic, event,`,
+	} {
 		var sb strings.Builder
-		if err := run([]string{"-mode", mode}, &sb); err == nil {
-			t.Errorf("-mode %s accepted", mode)
+		if err := run([]string{"-mode", mode}, &sb); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-mode %s: err = %v, want mention of %q", mode, err, want)
 		}
 	}
 }

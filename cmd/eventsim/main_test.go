@@ -107,6 +107,13 @@ func TestErrors(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+	// "churn" named the removed Monte-Carlo engine's mode (churn is a
+	// -scenario here); the unknown-name error lists the modes that exist.
+	var sb strings.Builder
+	err := run([]string{"-mode", "event+churn"}, &sb)
+	if want := `unknown mode flag "churn" (have analytic, event,`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("-mode event+churn: err = %v, want mention of %q", err, want)
+	}
 }
 
 // TestReplicatedSingleHop: -protocol singlehop resolves through the

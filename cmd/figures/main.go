@@ -9,7 +9,7 @@
 //
 //	figures -fig 6a                  # Fig. 6(a) at the paper's N=2^16
 //	figures -fig 7b -format csv      # Fig. 7(b) as CSV on stdout
-//	figures -fig churngrid           # E16: geometry × churn-repair grid
+//	figures -fig churn               # E11: churn × maintenance vs the static model
 //	figures -fig all -bits 12        # everything, at reduced size
 //	figures -fig all -out results/   # write one file per table
 package main

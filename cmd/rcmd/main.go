@@ -1,5 +1,5 @@
 // Command rcmd launches and drives live rcm DHT nodes — the deployable
-// face of the framework's Layer 5. It has three modes:
+// face of the framework's Layer 4. It has three modes:
 //
 // Daemon: run one node of an overlay over real UDP sockets. Every
 // daemon of a deployment shares the -protocol/-bits/-seed triple (they

@@ -21,14 +21,14 @@
 // RegisterGeometry and RegisterProtocol add implementations to a shared
 // name-keyed registry; the paper's five geometries (Tree, Hypercube, XOR,
 // Ring, Symphony) are ordinary registrants of the same tables. Everything
-// downstream — ModelFor, Simulate, Churn, the rcm/exp experiment runner,
-// the rcm/eventsim event simulator, and the five CLIs (cmd/rcmcalc,
-// cmd/dhtsim, cmd/churnsim, cmd/eventsim, cmd/figures) — resolves names
-// through that registry, so a registered geometry flows end-to-end into
-// analytics, simulation, churn, event simulation and figure generation.
+// downstream — ModelFor, Simulate, the rcm/exp experiment runner, the
+// rcm/eventsim event simulator, and the four CLIs (cmd/rcmcalc,
+// cmd/dhtsim, cmd/eventsim, cmd/figures) — resolves names through that
+// registry, so a registered geometry flows end-to-end into analytics,
+// simulation, event simulation and figure generation.
 // See examples/randchord for a complete walkthrough.
 //
-// The package exposes three evaluation layers:
+// The package exposes two evaluation layers:
 //
 //   - Analytic models (Tree, Hypercube, XOR, Ring, Symphony, ModelFor,
 //     NewModel): closed-form routability r(N,q), per-route success p(h,q),
@@ -39,24 +39,23 @@
 //     static-resilience failure model, reproducing the experimental side
 //     of the paper's validation.
 //
-//   - Churn simulation (Churn): an event-driven extension measuring how
-//     the static model's predictions transfer to dynamic node populations
-//     with and without table repair.
-//
-// A fourth layer lives in rcm/eventsim: message-level discrete-event
+// A third layer lives in rcm/eventsim: message-level discrete-event
 // simulation, where registry protocols run real lookup dynamics —
 // hop-by-hop forwarding, timeouts, retries, joins and stabilization —
 // over pluggable transports, driven by a name-registered scenario
-// library and cross-validated against the static layers. Protocols opt
+// library and cross-validated against the static layers. It is also the
+// churn engine: its churn scenarios measure how the static model's
+// predictions transfer to dynamic node populations, with and without
+// maintenance, and what the maintenance costs in messages. Protocols opt
 // in through two optional capabilities (eventsim.Forwarder,
 // eventsim.Maintainer); all five built-ins implement Forwarder.
 //
-// Grid-shaped studies — geometry × size × failure-probability × churn
-// sweeps — belong to the public experiment runner in rcm/exp: declarative
-// Plans, functional options, context cancellation, and results streamed
-// row by row in constant memory. All overlay construction shares one
-// canonical Config type across Simulate, Churn, dht construction and the
-// runner.
+// Grid-shaped studies — geometry × size × failure-probability sweeps and
+// event runs — belong to the public experiment runner in rcm/exp:
+// declarative Plans, functional options, context cancellation, and results
+// streamed row by row in constant memory. All overlay construction shares one
+// canonical Config type across Simulate, dht construction, the event
+// simulator and the runner.
 //
 // The full experiment harness that regenerates every figure and table of
 // the paper lives in cmd/figures; see the experiment index in

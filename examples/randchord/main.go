@@ -9,8 +9,12 @@
 // The program registers the geometry and the protocol under the name
 // "randchord", classifies the geometry with the §5 numeric Knopp-test
 // probe (there is no hand-derived verdict for it — that is the point),
-// and then sweeps a full analytic + simulation + churn grid through
-// exp.Stream, streaming CSV rows as cells complete.
+// and then sweeps a full analytic + simulation + message-level event grid
+// through exp.Stream, streaming CSV rows as cells complete. The event
+// cells need the two optional capabilities the protocol adds to Route:
+// AppendCandidateHops (rcm.Forwarder — what a node can decide locally)
+// and Join/Stabilize (rcm.Maintainer — ReCord's finger maintenance, with
+// its message cost).
 package main
 
 import (
@@ -21,6 +25,7 @@ import (
 	"os"
 
 	"rcm"
+	"rcm/eventsim"
 	"rcm/exp"
 	"rcm/overlay"
 )
@@ -190,26 +195,74 @@ func (p *protocol) Neighbors(x overlay.ID) []overlay.ID {
 	return out
 }
 
-// ResampleNode re-draws node x's fingers within their windows, preferring
-// alive candidates. The churn engine discovers this method structurally,
-// so the repair experiments work on user protocols too.
-func (p *protocol) ResampleNode(x overlay.ID, alive *overlay.Bitset, rng *overlay.RNG) {
-	d := p.space.Bits()
-	n := p.space.Size()
-	for i := 1; i <= d; i++ {
-		lo := uint64(1) << uint(i-1)
-		base := (int(x)*d + i - 1) * p.r
-		for j := 0; j < p.r; j++ {
-			var id overlay.ID
-			for attempt := 0; attempt < 16; attempt++ {
-				id = overlay.ID((uint64(x) + lo + rng.Uint64n(lo)) & (n - 1))
-				if alive == nil || alive.Get(int(id)) {
-					break
-				}
+// AppendCandidateHops implements rcm.Forwarder: every finger that does not
+// overshoot dst, closest-to-dst first — Route's preference order, so the
+// first alive candidate is the hop Route takes. A finger drawn twice
+// appears once.
+func (p *protocol) AppendCandidateHops(buf []overlay.ID, x, dst overlay.ID) []overlay.ID {
+	remaining := p.space.RingDist(x, dst)
+	start := len(buf)
+	fingers := p.table[int(x)*p.space.Bits()*p.r:][:p.space.Bits()*p.r]
+outer:
+	for _, f := range fingers {
+		if p.space.RingDist(x, f) > remaining {
+			continue // overshoots dst
+		}
+		for _, prev := range buf[start:] {
+			if prev == f {
+				continue outer
 			}
-			p.table[base+j] = id
+		}
+		// Insertion by remaining distance, ascending.
+		nr := p.space.RingDist(f, dst)
+		buf = append(buf, f)
+		j := len(buf) - 1
+		for j > start && p.space.RingDist(buf[j-1], dst) > nr {
+			buf[j] = buf[j-1]
+			j--
+		}
+		buf[j] = f
+	}
+	return buf
+}
+
+// redraw re-draws finger j of node x's window i, probing up to 16 uniform
+// draws for an alive node (a window whose candidates are mostly dead keeps
+// its final draw), and returns the messages spent: a probe and a response
+// per draw.
+func (p *protocol) redraw(x overlay.ID, i, j int, alive *overlay.Bitset, rng *overlay.RNG) int {
+	n := p.space.Size()
+	lo := uint64(1) << uint(i-1)
+	var id overlay.ID
+	probes := 0
+	for probes < 16 {
+		id = overlay.ID((uint64(x) + lo + rng.Uint64n(lo)) & (n - 1))
+		probes++
+		if alive == nil || alive.Get(int(id)) {
+			break
 		}
 	}
+	p.table[(int(x)*p.space.Bits()+i-1)*p.r+j] = id
+	return 2 * probes
+}
+
+// Join implements rcm.Maintainer: a (re)joining node re-draws all its
+// fingers toward alive nodes. The event engine discovers the capability
+// structurally, so maintenance experiments work on user protocols too.
+func (p *protocol) Join(x overlay.ID, alive *overlay.Bitset, rng *overlay.RNG) int {
+	cost := 0
+	for i := 1; i <= p.space.Bits(); i++ {
+		for j := 0; j < p.r; j++ {
+			cost += p.redraw(x, i, j, alive, rng)
+		}
+	}
+	return cost
+}
+
+// Stabilize implements rcm.Maintainer: one periodic round refreshes a
+// single uniformly-chosen finger.
+func (p *protocol) Stabilize(x overlay.ID, alive *overlay.Bitset, rng *overlay.RNG) int {
+	return p.redraw(x, 1+rng.Intn(p.space.Bits()), rng.Intn(p.r), alive, rng)
 }
 
 // Register both halves under one name, at package-init time as the
@@ -251,25 +304,33 @@ func main() {
 	}
 	fmt.Printf("analytic r(2^16,0.3) : %.4f (ring with R=1 fingers: %.4f)\n\n", r16, ring)
 
-	// 2. Sweep the full grid — analytic, simulation and churn cells —
+	// 2. Sweep the full grid — analytic, simulation and event cells —
 	//    through the public streaming runner, exactly as the built-ins do
-	//    in cmd/figures. Rows stream out as cells complete.
+	//    in cmd/figures. Rows stream out as cells complete. The event
+	//    cells are slow exponential churn at q_eff = 0.2 (each row carries
+	//    the static predictions at that q beside it), without and with
+	//    the finger maintenance above.
 	spec, err := exp.SpecFor("randchord", exp.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	churn := eventsim.Config{
+		Scenario: "churn",
+		Params:   eventsim.Params{MeanOnline: 40, MeanOffline: 10, Rate: 1000},
+		Duration: 6,
+		Buckets:  6,
+	}
+	maintained := churn
+	maintained.Maintain = true
 	plan := exp.Plan{
-		Name:  "randchord-grid",
-		Specs: []exp.Spec{spec},
-		Bits:  []int{10, 12},
-		Qs:    exp.PaperQGrid(),
-		Churn: []exp.ChurnSetting{
-			{Duration: 6, MeasureEvery: 0.5, PairsPerMeasure: 1000, BurnIn: 1},
-			{Duration: 6, MeasureEvery: 0.5, PairsPerMeasure: 1000, BurnIn: 1, Repair: true},
-		},
+		Name:   "randchord-grid",
+		Specs:  []exp.Spec{spec},
+		Bits:   []int{10, 12},
+		Qs:     exp.PaperQGrid(),
+		Events: []eventsim.Config{churn, maintained},
 	}
 	err = exp.StreamCSV(os.Stdout, exp.Stream(context.Background(), plan,
-		exp.WithModes(exp.ModeAnalytic, exp.ModeSim, exp.ModeChurn),
+		exp.WithModes(exp.ModeAnalytic, exp.ModeSim, exp.ModeEvent),
 		exp.WithPairs(4000), exp.WithTrials(2),
 		exp.WithSeed(1),
 	))

@@ -16,7 +16,6 @@ func Header() []string {
 		"analytic_routability", "analytic_failed_pct", "analytic_reach",
 		"sim_routability", "sim_failed_pct", "sim_stderr", "sim_mean_hops",
 		"sim_alive", "sim_pairs", "sim_trials",
-		"churn_repair", "churn_success", "churn_offline",
 		"scenario", "time", "event_started", "event_success",
 		"event_mean_hops", "event_mean_latency",
 		"event_msgs_node_s", "event_maint_node_s", "event_online",
@@ -39,7 +38,6 @@ func (r Row) fields() []string {
 		num(r.SimRoutability), num(r.SimFailedPct), num(r.SimStdErr),
 		num(r.SimMeanHops), num(r.SimAlive),
 		count(r.SimPairs), count(r.SimTrials),
-		boolCell(r.Kind, r.ChurnRepair), num(r.ChurnSuccess), num(r.ChurnOffline),
 		r.Scenario, num(r.Time), eventCount(r.Kind, r.EventStarted), num(r.EventSuccess),
 		num(r.EventMeanHops), num(r.EventMeanLatency),
 		num(r.EventMsgsNodeS), num(r.EventMaintNodeS), num(r.EventOnline),
@@ -64,14 +62,6 @@ func count(n int) string {
 		return ""
 	}
 	return strconv.Itoa(n)
-}
-
-// boolCell renders churn_repair only on churn rows.
-func boolCell(kind string, v bool) string {
-	if kind != "churn" {
-		return ""
-	}
-	return strconv.FormatBool(v)
 }
 
 // eventCount renders event_started only on event rows, where a zero is a
@@ -115,8 +105,7 @@ func StreamCSV(w io.Writer, rows iter.Seq2[Row, error]) error {
 }
 
 // WriteJSON streams rows as a JSON array of objects with a fixed key
-// order. Unmeasured (NaN/Inf) numbers encode as null; the churn time
-// series is not encoded.
+// order. Unmeasured (NaN/Inf) numbers encode as null.
 func WriteJSON(w io.Writer, rows []Row) error {
 	header := Header()
 	var b strings.Builder
@@ -140,7 +129,7 @@ func WriteJSON(w io.Writer, rows []Row) error {
 }
 
 // jsonValue renders a field by column name: identity columns are strings,
-// churn_repair is a boolean, everything else numeric (null when empty).
+// everything else numeric (null when empty).
 func jsonValue(name, cellStr string) string {
 	switch name {
 	case "plan", "kind", "geometry", "system", "protocol", "scenario":

@@ -40,7 +40,7 @@ func TestParseModeRoundTrip(t *testing.T) {
 			t.Errorf("ParseMode(%q) = %v, %v; want %v", alias, m, err, want)
 		}
 	}
-	for _, bad := range []string{"", "warp", "sim+warp", "sim++analytic", "sim:3"} {
+	for _, bad := range []string{"", "warp", "sim+warp", "sim++analytic", "sim:3", "sim+churn"} {
 		if _, err := ParseMode(bad); err == nil {
 			t.Errorf("ParseMode(%q) accepted", bad)
 		}
@@ -48,6 +48,21 @@ func TestParseModeRoundTrip(t *testing.T) {
 	// Unknown flags name every accepted spelling.
 	if _, err := ParseMode("warp"); err == nil || !strings.Contains(err.Error(), "analytic") || !strings.Contains(err.Error(), "eventsim") {
 		t.Errorf("ParseMode(warp) error %v does not list accepted spellings", err)
+	}
+	// "churn" named the Monte-Carlo churn engine's mode; with the engine
+	// gone it is an unknown name like any other, and the error points at
+	// the three modes that exist.
+	_, err := ParseMode("churn")
+	if err == nil {
+		t.Fatal(`ParseMode("churn") accepted`)
+	}
+	for _, want := range []string{`unknown mode flag "churn"`, "analytic", "sim", "event"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseMode(churn) error %q does not mention %q", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), "churn,") {
+		t.Errorf("ParseMode(churn) error %q still lists churn as accepted", err)
 	}
 }
 
@@ -214,7 +229,7 @@ func TestEventCSVShape(t *testing.T) {
 	if byName["time"] != "1" {
 		t.Errorf("time cell %q, want 1", byName["time"])
 	}
-	if byName["analytic_routability"] != "" || byName["churn_success"] != "" {
+	if byName["analytic_routability"] != "" || byName["sim_routability"] != "" {
 		t.Errorf("unmeasured cells not empty: %v", byName)
 	}
 	if byName["event_success"] == "" || byName["event_online"] == "" {

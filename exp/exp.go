@@ -1,7 +1,8 @@
 // Package exp is the public experiment-runner subsystem: a declarative
-// Plan describes a (geometry × d × q × churn) grid, and a sharded parallel
-// runner executes the grid's cells across workers, memoizing the analytic
-// hot path and streaming results as flat, deterministically-ordered rows.
+// Plan describes a (geometry × d × q) grid plus message-level event runs,
+// and a sharded parallel runner executes the grid's cells across workers,
+// memoizing the analytic hot path and streaming results as flat,
+// deterministically-ordered rows.
 //
 // A Plan is pure data; execution is configured with functional options and
 // driven through a context:
@@ -22,8 +23,8 @@
 //
 // Stream yields one Row per cell as an iter.Seq2[Row, error] (event cells
 // yield one Row per time bucket); absent measurements are NaN. Rows
-// arrive in plan order (spec-major, then bits, then q; churn cells after
-// the grid, event cells last) regardless of how many workers executed them,
+// arrive in plan order (spec-major, then bits, then q; event cells after
+// the grid) regardless of how many workers executed them,
 // so golden-file tests of the CSV/JSON encodings are stable and a parallel
 // run is byte-identical to a serial one. Only a bounded window of cells
 // (proportional to the worker count) is in flight at any moment, so a
@@ -34,8 +35,8 @@
 //
 // Geometries and protocols resolve through the shared name-keyed registry
 // (rcm.RegisterGeometry / rcm.RegisterProtocol), so a user-registered
-// geometry sweeps through analytic, simulation, churn and event cells
-// exactly like the paper's five built-ins — see examples/randchord. Event
+// geometry sweeps through analytic, simulation and event cells exactly
+// like the paper's five built-ins — see examples/randchord. Event
 // cells run the message-level simulator in rcm/eventsim (ModeEvent), each
 // described once in the engine's own type:
 //
@@ -60,7 +61,6 @@ import (
 	"strings"
 
 	"rcm/internal/registry"
-	"rcm/internal/sim"
 )
 
 // Geometry is the analytic extension point: the RCM description of a DHT
@@ -76,17 +76,14 @@ type Protocol = registry.Protocol
 // Plan.Bits) and Seed (from WithSeed) per cell.
 type Config = registry.Config
 
-// ChurnPoint is one lookup-success measurement epoch of a churn cell.
-type ChurnPoint = sim.ChurnPoint
-
 // Spec pairs an analytic geometry with the concrete protocol that realizes
 // it. Protocol may be empty for analytic-only plans; Geometry must be set.
 type Spec struct {
 	// Geometry is the RCM analytic model.
 	Geometry Geometry
-	// Protocol names the overlay used for simulation and churn cells, in
+	// Protocol names the overlay used for simulation and event cells, in
 	// either registry vocabulary (e.g. "kademlia" or "xor"). Empty disables
-	// sim/churn cells for this spec.
+	// sim/event cells for this spec.
 	Protocol string
 	// Overlay carries protocol-specific construction parameters (e.g.
 	// Symphony's kn/ks). Its Bits and Seed fields are ignored: the runner

@@ -8,31 +8,37 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"rcm/eventsim"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenPlan must be fully machine-independent: analytic math is pure
-// float64, sim workers are pinned to 1, and the churn engine's worker count
-// is a fixed default — so the encoded bytes are identical everywhere. The
-// golden files predate the streaming redesign; matching them byte-for-byte
-// proves the public API reproduces the internal runner exactly.
+// float64, sim workers are pinned to 1, and the event setting pins its
+// transport and shard count (both part of the engine's sampling plan) — so
+// the encoded bytes are identical everywhere. One grid block and one event
+// setting lock both row kinds and every column group.
 func goldenPlan() Plan {
 	return Plan{
 		Name:  "golden",
 		Specs: AllSpecs(),
 		Bits:  []int{8},
 		Qs:    []float64{0, 0.3, 0.9},
-		Churn: []ChurnSetting{
-			{Duration: 2, MeasureEvery: 0.5, PairsPerMeasure: 200, BurnIn: 0.5},
-			{Duration: 2, MeasureEvery: 0.5, PairsPerMeasure: 200, BurnIn: 0.5, Repair: true},
-		},
+		Events: []eventsim.Config{{
+			Scenario:  "massfail",
+			Params:    eventsim.Params{FailFraction: 0.3, FailTime: 1, Rate: 200},
+			Transport: eventsim.Constant{},
+			Shards:    4,
+			Duration:  2,
+			Buckets:   2,
+		}},
 	}
 }
 
 func goldenOpts() []Option {
 	return []Option{
-		WithModes(ModeAnalytic, ModeSim, ModeChurn),
+		WithModes(ModeAnalytic, ModeSim, ModeEvent),
 		WithPairs(400), WithTrials(2), WithSimWorkers(1),
 		WithSeed(1),
 	}
@@ -94,13 +100,13 @@ func TestGoldenJSON(t *testing.T) {
 	if first["q"] != 0.0 || first["analytic_routability"] != 1.0 {
 		t.Errorf("first object values: %v", first)
 	}
-	// Grid rows carry no churn fields.
-	if first["churn_success"] != nil {
-		t.Errorf("grid row churn_success = %v, want null", first["churn_success"])
+	// Grid rows carry no event fields.
+	if first["event_success"] != nil {
+		t.Errorf("grid row event_success = %v, want null", first["event_success"])
 	}
 	last := decoded[len(decoded)-1]
-	if last["kind"] != "churn" || last["churn_repair"] != true {
-		t.Errorf("last object should be the repair churn row: %v", last)
+	if last["kind"] != "event" || last["scenario"] != "massfail" || last["time"] != 2.0 {
+		t.Errorf("last object should be the final massfail bucket: %v", last)
 	}
 	checkGolden(t, "golden.json", b.Bytes())
 }

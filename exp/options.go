@@ -46,8 +46,8 @@ func WithModes(modes ...Mode) Option {
 
 // WithSeed sets the seed all randomness derives from (default 1). Grid
 // cell i (by q index) measures with seed seed + i·0x9e37, matching the
-// historical sim.Sweep schedule; churn cells use the seed directly and
-// seed+1 for their static comparison, matching cmd/churnsim.
+// historical sim.Sweep schedule; event cells use the seed directly and
+// seed+1 for their static comparison.
 func WithSeed(seed uint64) Option {
 	return func(st *settings) { st.seed = seed }
 }

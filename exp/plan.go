@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"rcm/eventsim"
-	"rcm/internal/sim"
 	"rcm/spec"
 )
 
@@ -15,24 +14,21 @@ import (
 type Mode uint8
 
 // Mode flags. They compose: ModeAnalytic|ModeSim is the "compare" layout of
-// Fig. 6, ModeAnalytic|ModeSim|ModeChurn additionally scores the static
-// model against churn steady states.
+// Fig. 6, ModeAnalytic|ModeSim|ModeEvent additionally scores the static
+// model against message-level dynamics.
 const (
 	// ModeAnalytic evaluates the RCM closed forms (routability, failed-path
 	// percentage, expected reach) at every grid point.
 	ModeAnalytic Mode = 1 << iota
 	// ModeSim measures static resilience on the concrete overlay.
 	ModeSim
-	// ModeChurn runs the event-driven churn engine for every ChurnSetting
-	// and reports steady-state lookup success at q = q_eff.
-	ModeChurn
 	// ModeEvent runs the message-level discrete-event simulator
 	// (rcm/eventsim) for every Plan.Events entry, yielding one Row per time
 	// bucket. Combined with ModeAnalytic/ModeSim, each event row also
 	// carries the static predictions at the scenario's q_eff.
 	ModeEvent
 
-	modeAll = ModeAnalytic | ModeSim | ModeChurn | ModeEvent
+	modeAll = ModeAnalytic | ModeSim | ModeEvent
 )
 
 // String renders the mode as a "+"-joined flag list (e.g. "analytic+sim"),
@@ -48,7 +44,6 @@ func (m Mode) String() string {
 	}{
 		{ModeAnalytic, "analytic"},
 		{ModeSim, "sim"},
-		{ModeChurn, "churn"},
 		{ModeEvent, "event"},
 	} {
 		if m&f.bit != 0 {
@@ -75,7 +70,6 @@ var modeFlags = func() *spec.Table[Mode] {
 	}{
 		{"analytic", ModeAnalytic, []string{"rcm"}},
 		{"sim", ModeSim, []string{"static"}},
-		{"churn", ModeChurn, nil},
 		{"event", ModeEvent, []string{"eventsim"}},
 		{"none", 0, nil},
 	} {
@@ -108,76 +102,9 @@ func ParseMode(s string) (Mode, error) {
 	return m, nil
 }
 
-// ChurnSetting describes one churn scenario of a plan. The zero value uses
-// the engine defaults (mean online 1, mean offline 0.25, q_eff = 0.2);
-// negative or non-finite fields are rejected by Plan.Validate.
-type ChurnSetting struct {
-	// MeanOnline and MeanOffline are the exponential session parameters.
-	MeanOnline, MeanOffline float64
-	// Duration is total simulated time; measurements every MeasureEvery.
-	Duration, MeasureEvery float64
-	// PairsPerMeasure lookups are sampled per epoch.
-	PairsPerMeasure int
-	// Repair re-draws table entries on rejoin and periodically while
-	// online, modeling a maintained DHT.
-	Repair bool
-	// BurnIn discards measurements before this time from the steady state.
-	BurnIn float64
-}
-
-// options converts the setting to engine options at the given seed.
-func (c ChurnSetting) options(seed uint64) sim.ChurnOptions {
-	opt := sim.ChurnOptions{
-		MeanOnline:      c.MeanOnline,
-		MeanOffline:     c.MeanOffline,
-		Duration:        c.Duration,
-		MeasureEvery:    c.MeasureEvery,
-		PairsPerMeasure: c.PairsPerMeasure,
-		Seed:            seed,
-	}
-	if c.Repair {
-		opt.RepairOnRejoin = true
-		opt.RepairEvery = opt.MeasureEvery
-		if opt.RepairEvery == 0 {
-			opt.RepairEvery = 0.5 // engine default MeasureEvery
-		}
-	}
-	return opt
-}
-
-// Validate rejects settings the churn engine would silently clamp into a
-// degenerate run: negative or non-finite session, duration or measurement
-// parameters. Zero fields are allowed and take the engine defaults.
-func (c ChurnSetting) Validate() error {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"MeanOnline", c.MeanOnline},
-		{"MeanOffline", c.MeanOffline},
-		{"Duration", c.Duration},
-		{"MeasureEvery", c.MeasureEvery},
-		{"BurnIn", c.BurnIn},
-	} {
-		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("exp: churn setting %s = %v must be a finite value >= 0 (zero selects the engine default)", f.name, f.v)
-		}
-	}
-	if c.PairsPerMeasure < 0 {
-		return fmt.Errorf("exp: churn setting PairsPerMeasure = %d must be >= 0", c.PairsPerMeasure)
-	}
-	return nil
-}
-
-// QEff returns the steady-state offline fraction implied by the setting —
-// the static model's equivalent failure probability.
-func (c ChurnSetting) QEff() float64 {
-	return c.options(0).QEff()
-}
-
 // Plan declares an experiment grid: Specs × Bits × Qs grid cells (when the
-// run mode has analytic or sim bits), then Specs × Bits × Churn churn
-// cells (when the mode has ModeChurn). Everything about how the grid is
+// run mode has analytic or sim bits), then Specs × Bits × Events event
+// cells (when the mode has ModeEvent). Everything about how the grid is
 // executed — mode, seed, parallelism, sampling sizes — is a run option
 // (WithModes, WithSeed, …), so one Plan value can be re-run under
 // different regimes.
@@ -190,8 +117,6 @@ type Plan struct {
 	Bits []int
 	// Qs are the node-failure probabilities to sweep.
 	Qs []float64
-	// Churn lists the churn scenarios executed under ModeChurn.
-	Churn []ChurnSetting
 	// Events lists the message-level runs executed under ModeEvent, each
 	// in the event engine's own vocabulary: an eventsim.Config names the
 	// scenario, its Params, the Transport and every engine knob, and
@@ -225,20 +150,12 @@ func (p Plan) Validate(mode Mode) error {
 			return fmt.Errorf("exp: bits=%d out of range", d)
 		}
 	}
-	if mode&(ModeAnalytic|ModeSim) != 0 && len(p.Qs) == 0 && mode&(ModeChurn|ModeEvent) == 0 {
+	if mode&(ModeAnalytic|ModeSim) != 0 && len(p.Qs) == 0 && mode&ModeEvent == 0 {
 		return errors.New("exp: plan has no q grid")
 	}
 	for _, q := range p.Qs {
 		if q < 0 || q > 1 || math.IsNaN(q) {
 			return fmt.Errorf("exp: q=%v out of [0,1]", q)
-		}
-	}
-	if mode&ModeChurn != 0 && len(p.Churn) == 0 {
-		return errors.New("exp: churn mode with no churn settings")
-	}
-	for _, c := range p.Churn {
-		if err := c.Validate(); err != nil {
-			return err
 		}
 	}
 	if mode&ModeEvent != 0 && len(p.Events) == 0 {
@@ -249,22 +166,21 @@ func (p Plan) Validate(mode Mode) error {
 			return err
 		}
 	}
-	if mode&(ModeSim|ModeChurn|ModeEvent) != 0 {
+	if mode&(ModeSim|ModeEvent) != 0 {
 		for _, s := range p.Specs {
 			if s.Protocol == "" {
-				return fmt.Errorf("exp: spec %q has no protocol for sim/churn/event mode", s.Geometry.Name())
+				return fmt.Errorf("exp: spec %q has no protocol for sim/event mode", s.Geometry.Name())
 			}
 		}
 	}
 	return nil
 }
 
-// cellKind discriminates grid cells from churn cells.
+// cellKind discriminates grid cells from event cells.
 type cellKind uint8
 
 const (
 	gridCell cellKind = iota + 1
-	churnCell
 	eventCell
 )
 
@@ -273,22 +189,18 @@ type cell struct {
 	kind  cellKind
 	spec  Spec
 	bits  int
-	q     float64 // grid: the swept q; churn/event: q_eff
+	q     float64 // grid: the swept q; event: q_eff
 	qIdx  int     // index into Plan.Qs (grid cells only)
-	churn ChurnSetting
 	event eventsim.Config
 }
 
 // cellCount returns the total number of cells the plan expands to under
-// the given mode, without materializing them. Grid and churn cells yield
-// one row each; an event cell yields one row per time bucket.
+// the given mode, without materializing them. A grid cell yields one row;
+// an event cell yields one row per time bucket.
 func (p Plan) cellCount(mode Mode) int {
 	n := 0
 	if mode&(ModeAnalytic|ModeSim) != 0 {
 		n += len(p.Specs) * len(p.Bits) * len(p.Qs)
-	}
-	if mode&ModeChurn != 0 {
-		n += len(p.Specs) * len(p.Bits) * len(p.Churn)
 	}
 	if mode&ModeEvent != 0 {
 		n += len(p.Specs) * len(p.Bits) * len(p.Events)
@@ -297,10 +209,9 @@ func (p Plan) cellCount(mode Mode) int {
 }
 
 // cellAt returns cell i of the plan's deterministic expansion order — grid
-// cells spec-major, then bits, then q; churn cells after all grid cells,
-// then event cells, each spec-major, then bits, then setting order. Cells
-// are derived arithmetically so a streaming run never materializes the
-// grid.
+// cells spec-major, then bits, then q; event cells after all grid cells,
+// spec-major, then bits, then setting order. Cells are derived
+// arithmetically so a streaming run never materializes the grid.
 func (p Plan) cellAt(mode Mode, i int) cell {
 	if mode&(ModeAnalytic|ModeSim) != 0 {
 		grid := len(p.Specs) * len(p.Bits) * len(p.Qs)
@@ -311,17 +222,6 @@ func (p Plan) cellAt(mode Mode, i int) cell {
 			return cell{kind: gridCell, spec: p.Specs[si], bits: p.Bits[bi], q: p.Qs[qi], qIdx: qi}
 		}
 		i -= grid
-	}
-	if mode&ModeChurn != 0 {
-		churn := len(p.Specs) * len(p.Bits) * len(p.Churn)
-		if i < churn {
-			ci := i % len(p.Churn)
-			bi := (i / len(p.Churn)) % len(p.Bits)
-			si := i / (len(p.Churn) * len(p.Bits))
-			c := p.Churn[ci]
-			return cell{kind: churnCell, spec: p.Specs[si], bits: p.Bits[bi], q: c.QEff(), churn: c}
-		}
-		i -= churn
 	}
 	ei := i % len(p.Events)
 	bi := (i / len(p.Events)) % len(p.Bits)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"rcm/eventsim"
 	"rcm/internal/core"
 )
 
@@ -107,13 +108,6 @@ func TestPlanValidate(t *testing.T) {
 		{"bad bits", ModeAnalytic, func(p *Plan) { p.Bits = []int{0} }, "out of range"},
 		{"no qs", ModeAnalytic, func(p *Plan) { p.Qs = nil }, "no q grid"},
 		{"bad q", ModeAnalytic, func(p *Plan) { p.Qs = []float64{1.5} }, "out of [0,1]"},
-		{"churn without settings", ModeChurn, func(p *Plan) {}, "no churn settings"},
-		{"negative churn duration", ModeChurn, func(p *Plan) {
-			p.Churn = []ChurnSetting{{Duration: -1}}
-		}, "Duration"},
-		{"negative churn session", ModeChurn, func(p *Plan) {
-			p.Churn = []ChurnSetting{{MeanOnline: -0.5}}
-		}, "MeanOnline"},
 		{"sim without protocol", ModeSim, func(p *Plan) {
 			p.Specs = []Spec{{Geometry: core.Tree{}}}
 		}, "no protocol"},
@@ -130,13 +124,13 @@ func TestPlanValidate(t *testing.T) {
 
 func TestPlanCellOrder(t *testing.T) {
 	p := Plan{
-		Specs: AllSpecs()[:2],
-		Bits:  []int{8, 10},
-		Qs:    []float64{0.1, 0.3},
-		Churn: []ChurnSetting{{Repair: false}, {Repair: true}},
+		Specs:  AllSpecs()[:2],
+		Bits:   []int{8, 10},
+		Qs:     []float64{0.1, 0.3},
+		Events: []eventsim.Config{{Scenario: "churn"}, {Scenario: "churn", Maintain: true}},
 	}
-	mode := ModeAnalytic | ModeChurn
-	// 2 specs × 2 bits × 2 qs grid + 2 specs × 2 bits × 2 churn settings.
+	mode := ModeAnalytic | ModeEvent
+	// 2 specs × 2 bits × 2 qs grid + 2 specs × 2 bits × 2 event settings.
 	if n := p.cellCount(mode); n != 16 {
 		t.Fatalf("cellCount = %d, want 16", n)
 	}
@@ -151,22 +145,11 @@ func TestPlanCellOrder(t *testing.T) {
 	if cells[7].kind != gridCell || cells[7].spec.Protocol != "can" || cells[7].bits != 10 || cells[7].q != 0.3 {
 		t.Errorf("cell 7 = %+v", cells[7])
 	}
-	if cells[8].kind != churnCell || cells[8].spec.Protocol != "plaxton" || cells[8].churn.Repair {
+	if cells[8].kind != eventCell || cells[8].spec.Protocol != "plaxton" || cells[8].event.Maintain {
 		t.Errorf("cell 8 = %+v", cells[8])
 	}
-	if cells[15].kind != churnCell || cells[15].spec.Protocol != "can" || !cells[15].churn.Repair {
+	if cells[15].kind != eventCell || cells[15].spec.Protocol != "can" || !cells[15].event.Maintain {
 		t.Errorf("cell 15 = %+v", cells[15])
-	}
-}
-
-func TestChurnSettingQEff(t *testing.T) {
-	// Defaults: mean online 1, mean offline 0.25 → q_eff = 0.2.
-	if q := (ChurnSetting{}).QEff(); q < 0.199 || q > 0.201 {
-		t.Errorf("default QEff = %v, want 0.2", q)
-	}
-	c := ChurnSetting{MeanOnline: 3, MeanOffline: 1}
-	if q := c.QEff(); q < 0.249 || q > 0.251 {
-		t.Errorf("QEff = %v, want 0.25", q)
 	}
 }
 
@@ -178,10 +161,10 @@ func TestModeString(t *testing.T) {
 		{0, "none"},
 		{ModeAnalytic, "analytic"},
 		{ModeSim, "sim"},
-		{ModeChurn, "churn"},
+		{ModeEvent, "event"},
 		{ModeAnalytic | ModeSim, "analytic+sim"},
-		{ModeAnalytic | ModeSim | ModeChurn, "analytic+sim+churn"},
-		{ModeChurn | 1<<6, "churn+invalid(0x40)"},
+		{ModeAnalytic | ModeSim | ModeEvent, "analytic+sim+event"},
+		{ModeEvent | 1<<6, "event+invalid(0x40)"},
 	} {
 		if got := tc.mode.String(); got != tc.want {
 			t.Errorf("Mode(%#x).String() = %q, want %q", uint8(tc.mode), got, tc.want)

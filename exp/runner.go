@@ -18,18 +18,19 @@ import (
 // unchanged by the delegation to this runner.
 const seedStride = 0x9e37
 
-// Row is one result of a plan: a single grid or churn cell. Measurements a
-// cell did not perform are NaN (encoded as empty CSV cells / JSON nulls).
+// Row is one result of a plan: a grid cell, or one time bucket of an event
+// cell. Measurements a cell did not perform are NaN (encoded as empty CSV
+// cells / JSON nulls).
 type Row struct {
 	// Plan is the plan name.
 	Plan string
-	// Kind is "grid" or "churn".
+	// Kind is "grid" or "event".
 	Kind string
 	// Geometry, System and Protocol identify the spec.
 	Geometry, System, Protocol string
 	// Bits is the identifier length d (N = 2^d).
 	Bits int
-	// Q is the node-failure probability; for churn rows it is q_eff.
+	// Q is the node-failure probability; for event rows it is q_eff.
 	Q float64
 
 	// AnalyticRoutability, AnalyticFailedPct and AnalyticReach are the RCM
@@ -46,12 +47,6 @@ type Row struct {
 	SimAlive       float64
 	SimPairs       int
 	SimTrials      int
-
-	// ChurnRepair tells whether the churn scenario repaired tables;
-	// ChurnSuccess and ChurnOffline are the steady-state means.
-	ChurnRepair  bool
-	ChurnSuccess float64
-	ChurnOffline float64
 
 	// Scenario names the event scenario; Time is the end of the row's
 	// metric window. Event rows only (an event cell yields one row per
@@ -85,10 +80,6 @@ type Row struct {
 	// message rate per node per time unit. Event rows only.
 	EventReplicas    int
 	EventRepairNodeS float64
-
-	// Series is the churn time series backing ChurnSuccess. It is carried
-	// for renderers (cmd/churnsim) and excluded from CSV/JSON encodings.
-	Series []ChurnPoint
 }
 
 // newRow returns a Row with every measurement field set to NaN.
@@ -110,8 +101,6 @@ func newRow(plan string, c cell) Row {
 		SimStdErr:           nan,
 		SimMeanHops:         nan,
 		SimAlive:            nan,
-		ChurnSuccess:        nan,
-		ChurnOffline:        nan,
 		Time:                nan,
 		EventSuccess:        nan,
 		EventMeanHops:       nan,
@@ -144,8 +133,8 @@ type overlayEntry struct {
 }
 
 // overlayCache shares overlay construction across the cells of one run.
-// Route is read-only and safe for concurrent use; churn cells with repair
-// mutate tables and therefore bypass the cache.
+// Route is read-only and safe for concurrent use; event cells with
+// maintenance mutate tables and therefore bypass the cache.
 type overlayCache struct {
 	mu sync.Mutex
 	m  map[overlayKey]*overlayEntry
@@ -165,9 +154,10 @@ func (oc *overlayCache) get(key overlayKey) (dht.Protocol, error) {
 	return e.p, e.err
 }
 
-// staticCache deduplicates the churn cells' static-resilience comparison:
-// the repair on/off variants of one (spec, bits, q_eff) group measure the
-// same unrepaired overlay at the same seed, so they share one result.
+// staticCache deduplicates the event cells' static-resilience comparison:
+// the settings of one (spec, bits, q_eff) group — maintenance on/off
+// variants, say — measure the same unmaintained overlay at the same seed,
+// so they share one result.
 type staticCache struct {
 	mu sync.Mutex
 	m  map[staticKey]*staticEntry
@@ -208,7 +198,7 @@ type run struct {
 }
 
 // result is one computed cell, delivered through its promise channel. A
-// grid or churn cell carries one row; an event cell one row per bucket.
+// grid cell carries one row; an event cell one row per bucket.
 type result struct {
 	rows []Row
 	err  error
@@ -350,19 +340,10 @@ func (r *run) runCell(c cell) ([]Row, error) {
 		return rows, err
 	}
 	row := newRow(r.plan.Name, c)
-	var err error
-	switch c.kind {
-	case gridCell:
-		row.Kind = "grid"
-		err = r.fillGrid(&row, c)
-	case churnCell:
-		row.Kind = "churn"
-		err = r.fillChurn(&row, c)
-	default:
-		err = fmt.Errorf("unknown cell kind %d", c.kind)
-	}
+	row.Kind = "grid"
+	err := r.fillGrid(&row, c)
 	if err != nil {
-		err = fmt.Errorf("exp: %s cell %s d=%d q=%v: %w", row.Kind, c.spec.Geometry.Name(), c.bits, c.q, err)
+		err = fmt.Errorf("exp: grid cell %s d=%d q=%v: %w", c.spec.Geometry.Name(), c.bits, c.q, err)
 	}
 	return []Row{row}, err
 }
@@ -440,51 +421,10 @@ func fillSim(row *Row, res sim.Result) {
 	row.SimTrials = res.Trials
 }
 
-// fillChurn computes a churn cell: the churn steady state at q_eff, plus —
-// depending on the run mode — the analytic closed forms and a static
-// simulated comparison at the same q_eff.
-func (r *run) fillChurn(row *Row, c cell) error {
-	row.ChurnRepair = c.churn.Repair
-	opt := c.churn.options(r.st.seed)
-
-	var p dht.Protocol
-	var err error
-	key := r.overlayKey(c)
-	if c.churn.Repair {
-		// Repair mutates routing tables in place; build a private overlay
-		// so concurrent cells sharing the cache never observe the repairs.
-		p, err = build(key)
-	} else {
-		p, err = r.overlays.get(key)
-	}
-	if err != nil {
-		return err
-	}
-	points, err := sim.SimulateChurn(p, opt)
-	if err != nil {
-		return err
-	}
-	row.Series = points
-	row.ChurnSuccess, row.ChurnOffline = sim.SteadyState(points, c.churn.BurnIn)
-
-	if r.st.mode&ModeAnalytic != 0 {
-		if err := r.fillAnalytic(row, c.spec.Geometry, c.bits, c.q); err != nil {
-			return err
-		}
-	}
-	if r.st.mode&ModeSim != 0 {
-		if err := r.fillStatic(row, key, c.q); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// fillStatic fills the static comparison of a churn or event cell: static
-// resilience on an unmutated overlay at q = q_eff, seeded at seed+1 as
-// cmd/churnsim always did. It depends only on (spec, bits, q_eff), so the
-// cells of one group — repair on/off variants, event settings sharing a
-// q_eff — share a single cached measurement.
+// fillStatic fills the static comparison of an event cell: static
+// resilience on an unmutated overlay at q = q_eff, seeded at seed+1. It
+// depends only on (spec, bits, q_eff), so the event settings of one group
+// that share a q_eff share a single cached measurement.
 func (r *run) fillStatic(row *Row, key overlayKey, q float64) error {
 	entry := r.statics.get(staticKey{key: key, q: q})
 	entry.once.Do(func() {

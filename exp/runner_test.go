@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"rcm/eventsim"
 	"rcm/internal/core"
 	"rcm/internal/sim"
 )
@@ -18,16 +19,16 @@ func testPlan() Plan {
 		Specs: AllSpecs(),
 		Bits:  []int{8, 9},
 		Qs:    []float64{0, 0.2, 0.5},
-		Churn: []ChurnSetting{
-			{Duration: 2, MeasureEvery: 0.5, PairsPerMeasure: 200, BurnIn: 0.5},
-			{Duration: 2, MeasureEvery: 0.5, PairsPerMeasure: 200, BurnIn: 0.5, Repair: true},
+		Events: []eventsim.Config{
+			{Scenario: "churn", Params: eventsim.Params{Rate: 200}, Duration: 2, Buckets: 2},
+			{Scenario: "churn", Params: eventsim.Params{Rate: 200}, Duration: 2, Buckets: 2, Maintain: true},
 		},
 	}
 }
 
 func testOpts(extra ...Option) []Option {
 	base := []Option{
-		WithModes(ModeAnalytic, ModeSim, ModeChurn),
+		WithModes(ModeAnalytic, ModeSim, ModeEvent),
 		WithPairs(500), WithTrials(2), WithSimWorkers(1),
 		WithSeed(1),
 	}
@@ -122,8 +123,8 @@ func TestGridRows(t *testing.T) {
 	if rows[1].SimPairs != 2000 || rows[1].SimTrials != 2 {
 		t.Errorf("sim tallies: pairs=%d trials=%d", rows[1].SimPairs, rows[1].SimTrials)
 	}
-	if !math.IsNaN(rows[1].ChurnSuccess) {
-		t.Errorf("grid row has churn measurement: %v", rows[1].ChurnSuccess)
+	if !math.IsNaN(rows[1].EventSuccess) {
+		t.Errorf("grid row has event measurement: %v", rows[1].EventSuccess)
 	}
 }
 
@@ -155,52 +156,6 @@ func TestGridMatchesSweep(t *testing.T) {
 		if rows[i].SimRoutability != want[i].Routability {
 			t.Errorf("q=%v: runner %v != sim.Sweep %v", qs[i], rows[i].SimRoutability, want[i].Routability)
 		}
-	}
-}
-
-// TestChurnRows checks churn cells report steady state, repair variants
-// and the static comparison columns.
-func TestChurnRows(t *testing.T) {
-	ctx := context.Background()
-	plan := Plan{
-		Name:  "churn",
-		Specs: []Spec{MustSpec("kademlia")},
-		Bits:  []int{8},
-		Churn: []ChurnSetting{
-			{Duration: 3, MeasureEvery: 0.5, PairsPerMeasure: 300, BurnIn: 1},
-			{Duration: 3, MeasureEvery: 0.5, PairsPerMeasure: 300, BurnIn: 1, Repair: true},
-		},
-	}
-	rows, err := Run(ctx, plan, testOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(rows))
-	}
-	for i, r := range rows {
-		if r.Kind != "churn" {
-			t.Fatalf("row %d kind %q", i, r.Kind)
-		}
-		if r.Q < 0.19 || r.Q > 0.21 {
-			t.Errorf("row %d q_eff = %v, want ~0.2", i, r.Q)
-		}
-		if math.IsNaN(r.ChurnSuccess) || r.ChurnSuccess <= 0 || r.ChurnSuccess > 1 {
-			t.Errorf("row %d churn success = %v", i, r.ChurnSuccess)
-		}
-		if math.IsNaN(r.AnalyticRoutability) || math.IsNaN(r.SimRoutability) {
-			t.Errorf("row %d missing static comparison: %+v", i, r)
-		}
-		if len(r.Series) == 0 {
-			t.Errorf("row %d has no time series", i)
-		}
-	}
-	if rows[0].ChurnRepair || !rows[1].ChurnRepair {
-		t.Errorf("repair flags: %v, %v", rows[0].ChurnRepair, rows[1].ChurnRepair)
-	}
-	// Repair should not hurt steady-state success (it heals tables).
-	if rows[1].ChurnSuccess < rows[0].ChurnSuccess-0.05 {
-		t.Errorf("repair success %v well below static-tables %v", rows[1].ChurnSuccess, rows[0].ChurnSuccess)
 	}
 }
 

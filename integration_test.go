@@ -135,62 +135,6 @@ func TestScalabilityStoryConsistent(t *testing.T) {
 	}
 }
 
-func TestChurnStaticConsistencyViaFacade(t *testing.T) {
-	// The facade's churn steady state must match its own static simulation
-	// at q_eff for a protocol with static tables.
-	cfg := rcm.ChurnConfig{
-		Protocol:        "can",
-		Config:          rcm.Config{Bits: 10, Seed: 11},
-		MeanOnline:      1,
-		MeanOffline:     0.25,
-		Duration:        6,
-		MeasureEvery:    0.5,
-		PairsPerMeasure: 2500,
-	}
-	pts, err := rcm.Churn(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	churnSuccess, _ := rcm.SteadyState(pts, 1)
-	static, err := rcm.Simulate(rcm.SimConfig{
-		Protocol: "can", Config: rcm.Config{Bits: 10, Seed: 13}, Q: 0.2, Pairs: 15000, Trials: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(churnSuccess-static.Routability) > 0.05 {
-		t.Errorf("churn %v vs static %v", churnSuccess, static.Routability)
-	}
-}
-
-func TestRepairRecoversTowardAnalyticOptimum(t *testing.T) {
-	// With alive-aware repair, Kademlia's churn success approaches its
-	// analytic routability (repair restores the model's fresh-tables
-	// assumption).
-	base := rcm.ChurnConfig{
-		Protocol:        "kademlia",
-		Config:          rcm.Config{Bits: 10, Seed: 17},
-		MeanOnline:      1,
-		MeanOffline:     0.25,
-		Duration:        8,
-		MeasureEvery:    0.5,
-		PairsPerMeasure: 3000,
-	}
-	base.Repair = true
-	pts, err := rcm.Churn(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repaired, _ := rcm.SteadyState(pts, 1)
-	analytic, err := rcm.XOR().Routability(10, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(repaired-analytic) > 0.05 {
-		t.Errorf("repaired churn %v vs analytic optimum %v", repaired, analytic)
-	}
-}
-
 func TestHeadlineOrderingAcrossLayers(t *testing.T) {
 	// The Fig. 7(a) ordering (hypercube > ring > xor > tree > symphony)
 	// must hold in both the analytic and the simulated layer at q=0.3.

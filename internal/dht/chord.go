@@ -162,19 +162,6 @@ func (c *Chord) Stabilize(x overlay.ID, alive *overlay.Bitset, rng *overlay.RNG)
 	return probeCost(attempts)
 }
 
-// ResampleNode implements Resampler: re-draws every finger of x within its
-// window, preferring alive candidates. Not safe concurrently with Route.
-func (c *Chord) ResampleNode(x overlay.ID, alive *overlay.Bitset, rng *overlay.RNG) {
-	d := c.space.Bits()
-	n := c.space.Size()
-	for i := 1; i <= d; i++ {
-		lo := uint64(1) << uint(i-1)
-		c.table[int(x)*d+i-1] = drawAlive(alive, func() overlay.ID {
-			return overlay.ID((uint64(x) + lo + rng.Uint64n(lo)) & (n - 1))
-		})
-	}
-}
-
 // Neighbors implements Protocol.
 func (c *Chord) Neighbors(x overlay.ID) []overlay.ID {
 	d := c.space.Bits()

@@ -112,17 +112,3 @@ func (c *ChordWithSuccessors) Neighbors(x overlay.ID) []overlay.ID {
 	copy(out, c.table[int(x)*deg:int(x)*deg+deg])
 	return out
 }
-
-// ResampleNode implements Resampler: re-draws the randomized fingers
-// (successors are structural). Not safe concurrently with Route.
-func (c *ChordWithSuccessors) ResampleNode(x overlay.ID, alive *overlay.Bitset, rng *overlay.RNG) {
-	d := c.space.Bits()
-	n := c.space.Size()
-	base := int(x)*c.Degree() + c.successors
-	for i := 1; i <= d; i++ {
-		lo := uint64(1) << uint(i-1)
-		c.table[base+i-1] = drawAlive(alive, func() overlay.ID {
-			return overlay.ID((uint64(x) + lo + rng.Uint64n(lo)) & (n - 1))
-		})
-	}
-}

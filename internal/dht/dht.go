@@ -47,33 +47,15 @@ type Forwarder = registry.Forwarder
 // structural, so it has nothing to maintain.
 type Maintainer = registry.Maintainer
 
-// Resampler is implemented by overlays whose randomized table entries can
-// be re-drawn in place — the repair step of the churn experiment (E11).
-// Repair mimics a live node re-establishing connections: each entry is
-// re-drawn until it lands on an alive node (bounded retries, since some
-// table slots have a single legal candidate). A nil alive set disables the
-// aliveness filter. ResampleNode is NOT safe to call concurrently with
-// Route.
-type Resampler interface {
-	// ResampleNode re-draws node x's randomized routing-table entries,
-	// preferring alive candidates.
-	ResampleNode(x overlay.ID, alive *overlay.Bitset, rng *overlay.RNG)
-}
-
-// resampleAttempts bounds the retry loop when repairing a table entry: a
-// slot whose candidate set is mostly dead keeps its final draw.
+// resampleAttempts bounds the retry loop when a Maintainer re-draws a table
+// entry: a slot whose candidate set is mostly dead keeps its final draw.
 const resampleAttempts = 16
 
-// drawAlive retries draw() until it returns an alive identifier, up to
-// resampleAttempts times, returning the final draw regardless.
-func drawAlive(alive *overlay.Bitset, draw func() overlay.ID) overlay.ID {
-	id, _ := drawAliveCost(alive, draw)
-	return id
-}
-
-// drawAliveCost is drawAlive, additionally reporting the number of draws
-// performed — the probe count that Maintainer implementations charge as
-// messages (each draw models one probe/response exchange, 2 messages).
+// drawAliveCost retries draw() until it returns an alive identifier (a nil
+// alive set disables the filter), up to resampleAttempts times, returning
+// the final draw regardless together with the number of draws performed —
+// the probe count that Maintainer implementations charge as messages
+// (each draw models one probe/response exchange, 2 messages).
 func drawAliveCost(alive *overlay.Bitset, draw func() overlay.ID) (overlay.ID, int) {
 	var id overlay.ID
 	attempts := 0

@@ -133,18 +133,6 @@ func (k *Kademlia) Stabilize(x overlay.ID, alive *overlay.Bitset, rng *overlay.R
 	return prefixRefresh(k.space, k.table, x, 1+rng.Intn(k.space.Bits()), alive, rng)
 }
 
-// ResampleNode implements Resampler: re-draws every bucket contact of x,
-// preferring alive candidates. Not safe concurrently with Route.
-func (k *Kademlia) ResampleNode(x overlay.ID, alive *overlay.Bitset, rng *overlay.RNG) {
-	d := k.space.Bits()
-	for i := 1; i <= d; i++ {
-		i := i
-		k.table[int(x)*d+i-1] = drawAlive(alive, func() overlay.ID {
-			return k.space.RandomTail(k.space.FlipBit(x, i), i, rng)
-		})
-	}
-}
-
 // Neighbors implements Protocol.
 func (k *Kademlia) Neighbors(x overlay.ID) []overlay.ID {
 	d := k.space.Bits()

@@ -99,18 +99,6 @@ func (p *Plaxton) Stabilize(x overlay.ID, alive *overlay.Bitset, rng *overlay.RN
 	return prefixRefresh(p.space, p.table, x, 1+rng.Intn(p.space.Bits()), alive, rng)
 }
 
-// ResampleNode implements Resampler: re-draws every per-level neighbor of
-// x, preferring alive candidates. Not safe concurrently with Route.
-func (p *Plaxton) ResampleNode(x overlay.ID, alive *overlay.Bitset, rng *overlay.RNG) {
-	d := p.space.Bits()
-	for i := 1; i <= d; i++ {
-		i := i
-		p.table[int(x)*d+i-1] = drawAlive(alive, func() overlay.ID {
-			return p.space.RandomTail(p.space.FlipBit(x, i), i, rng)
-		})
-	}
-}
-
 // Neighbors implements Protocol.
 func (p *Plaxton) Neighbors(x overlay.ID) []overlay.ID {
 	d := p.space.Bits()

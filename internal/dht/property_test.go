@@ -139,8 +139,8 @@ func TestGreedyRoutesAreLoopFree(t *testing.T) {
 }
 
 func TestResamplePreservesStructuralInvariants(t *testing.T) {
-	// After repair, table entries must still satisfy each protocol's
-	// structural constraints.
+	// After a Maintainer.Join re-draw, table entries must still satisfy
+	// each protocol's structural constraints.
 	alive := overlay.NewBitset(1 << 10)
 	alive.FillRandomAlive(0.3, overlay.NewRNG(59))
 	rng := overlay.NewRNG(61)
@@ -149,12 +149,22 @@ func TestResamplePreservesStructuralInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ka, err := NewKademlia(Config{Bits: 10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := pl.Space()
-	for x := overlay.ID(0); x < 50; x++ {
-		pl.ResampleNode(x, alive, rng)
-		for i, nb := range pl.Neighbors(x) {
-			if got := s.FirstDifferingBit(x, nb); got != i+1 {
-				t.Fatalf("plaxton resample broke level %d: differs at %d", i+1, got)
+	// Both prefix tables: entry i stays in x's level-i prefix class.
+	for _, p := range []interface {
+		Protocol
+		Maintainer
+	}{pl, ka} {
+		for x := overlay.ID(0); x < 50; x++ {
+			p.Join(x, alive, rng)
+			for i, nb := range p.Neighbors(x) {
+				if got := s.FirstDifferingBit(x, nb); got != i+1 {
+					t.Fatalf("%s re-draw broke level %d: differs at %d", p.Name(), i+1, got)
+				}
 			}
 		}
 	}
@@ -164,12 +174,12 @@ func TestResamplePreservesStructuralInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	for x := overlay.ID(0); x < 50; x++ {
-		ch.ResampleNode(x, alive, rng)
+		ch.Join(x, alive, rng)
 		for i, f := range ch.Neighbors(x) {
 			dist := s.RingDist(x, f)
 			lo := uint64(1) << uint(i)
 			if dist < lo || dist >= lo<<1 {
-				t.Fatalf("chord resample broke finger %d: distance %d", i+1, dist)
+				t.Fatalf("chord re-draw broke finger %d: distance %d", i+1, dist)
 			}
 		}
 	}
@@ -179,18 +189,18 @@ func TestResamplePreservesStructuralInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	for x := overlay.ID(0); x < 50; x++ {
-		sy.ResampleNode(x, alive, rng)
+		sy.Join(x, alive, rng)
 		nbs := sy.Neighbors(x)
 		for j := 0; j < 2; j++ {
 			if s.RingDist(x, nbs[j]) != uint64(j+1) {
-				t.Fatalf("symphony resample broke near link %d", j)
+				t.Fatalf("symphony re-draw broke near link %d", j)
 			}
 		}
 	}
 }
 
 func TestResamplePrefersAliveCandidates(t *testing.T) {
-	// With plenty of alive candidates per slot, repaired entries should be
+	// With plenty of alive candidates per slot, re-joined entries should be
 	// overwhelmingly alive (each slot retries up to resampleAttempts).
 	k, err := NewKademlia(Config{Bits: 12, Seed: 3})
 	if err != nil {
@@ -201,7 +211,7 @@ func TestResamplePrefersAliveCandidates(t *testing.T) {
 	rng := overlay.NewRNG(71)
 	total, aliveCount := 0, 0
 	for x := overlay.ID(0); x < 200; x++ {
-		k.ResampleNode(x, alive, rng)
+		k.Join(x, alive, rng)
 		// High-order buckets have huge candidate sets; the last bucket has
 		// exactly one candidate. Check the first 8 buckets.
 		for _, nb := range k.Neighbors(x)[:8] {

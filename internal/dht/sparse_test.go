@@ -289,30 +289,3 @@ func TestSuccessorListImprovesResilience(t *testing.T) {
 		t.Errorf("8 successors (%d routes) did not beat 1 successor (%d routes)", ok8, ok1)
 	}
 }
-
-func TestChordWithSuccessorsResample(t *testing.T) {
-	c, err := NewChordWithSuccessors(Config{Bits: 8, Seed: 3}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := c.Neighbors(5)
-	alive := overlay.NewBitset(int(c.Space().Size()))
-	alive.SetAll()
-	c.ResampleNode(5, alive, overlay.NewRNG(99))
-	after := c.Neighbors(5)
-	// Successors unchanged, fingers re-drawn (some should differ).
-	for j := 0; j < 2; j++ {
-		if before[j] != after[j] {
-			t.Errorf("successor %d changed by resample", j)
-		}
-	}
-	diff := 0
-	for i := 2; i < len(before); i++ {
-		if before[i] != after[i] {
-			diff++
-		}
-	}
-	if diff == 0 {
-		t.Error("resample left all fingers identical")
-	}
-}

@@ -174,19 +174,6 @@ func (sy *Symphony) Stabilize(x overlay.ID, alive *overlay.Bitset, rng *overlay.
 	return probeCost(attempts)
 }
 
-// ResampleNode implements Resampler: re-draws x's shortcuts from the
-// harmonic distribution (near links are structural and stay), preferring
-// alive candidates. Not safe concurrently with Route.
-func (sy *Symphony) ResampleNode(x overlay.ID, alive *overlay.Bitset, rng *overlay.RNG) {
-	n := sy.space.Size()
-	base := int(x) * sy.Degree()
-	for j := 0; j < sy.ks; j++ {
-		sy.table[base+sy.kn+j] = drawAlive(alive, func() overlay.ID {
-			return overlay.ID((uint64(x) + rng.Harmonic(n-1)) & (n - 1))
-		})
-	}
-}
-
 // Neighbors implements Protocol.
 func (sy *Symphony) Neighbors(x overlay.ID) []overlay.ID {
 	deg := sy.Degree()

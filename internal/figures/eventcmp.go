@@ -34,6 +34,7 @@ func EventCompare(opt Options) ([]*table.Table, error) {
 	}
 	const (
 		duration = 6.0
+		buckets  = 6
 		failTime = 1.5
 	)
 	qs := []float64{0, 0.15, 0.3, 0.45}
@@ -47,7 +48,7 @@ func EventCompare(opt Options) ([]*table.Table, error) {
 				Rate:         float64(opt.Pairs),
 			},
 			Duration: duration,
-			Buckets:  6,
+			Buckets:  buckets,
 		})
 	}
 	specs := []exp.Spec{exp.MustSpec("chord"), exp.MustSpec("kademlia"), exp.MustSpec("can")}
@@ -62,50 +63,26 @@ func EventCompare(opt Options) ([]*table.Table, error) {
 		return nil, err
 	}
 
-	// Aggregate each (geometry, q_eff) group's post-fail steady state:
-	// buckets starting after the failure has settled, weighted by cohort
-	// size.
-	type key struct {
-		geometry string
-		q        float64
-	}
-	type agg struct {
-		started, completed int
-		analytic, static   float64
-	}
-	groups := map[key]*agg{}
-	for _, r := range rows {
-		k := key{r.Geometry, r.Q}
-		g, ok := groups[k]
-		if !ok {
-			g = &agg{analytic: r.AnalyticRoutability, static: r.SimRoutability}
-			groups[k] = g
-		}
-		// Bucket start at/after the failure; EventSuccess is NaN for an
-		// empty cohort, so only tally buckets that started lookups.
-		if r.Time-duration/6 >= failTime && r.EventStarted > 0 {
-			g.started += r.EventStarted
-			g.completed += int(r.EventSuccess*float64(r.EventStarted) + 0.5)
-		}
-	}
-
 	t := table.New(fmt.Sprintf("E17: static model vs message-level event simulation, massfail, N=2^%d", bits),
 		"geometry", "q", "analytic r%", "static sim r%", "event r%", "event-static")
-	for _, s := range specs {
+	for si, s := range specs {
 		name := s.Geometry.Name()
-		for _, q := range qs {
-			g, ok := groups[key{name, q}]
-			if !ok || g.started == 0 {
+		for qi, q := range qs {
+			// The post-fail steady state: windows starting after the
+			// failure has settled.
+			cell := eventCell(rows, len(qs), buckets, si, qi)
+			w := foldEvent(cell, failTime, untilEnd)
+			if w.started == 0 {
 				return nil, fmt.Errorf("figures: eventcmp missing group %s q=%v", name, q)
 			}
-			event := float64(g.completed) / float64(g.started)
+			static := cell[0].SimRoutability
 			t.AddRow(
 				name,
 				table.F(q, 2),
-				table.Pct(g.analytic, 2),
-				table.Pct(g.static, 2),
-				table.Pct(event, 2),
-				table.F(100*(event-g.static), 2),
+				table.Pct(cell[0].AnalyticRoutability, 2),
+				table.Pct(static, 2),
+				table.Pct(w.success(), 2),
+				table.F(100*(w.success()-static), 2),
 			)
 		}
 	}

@@ -16,8 +16,8 @@
 //	E8  Eq. 6      Qxor exact vs approximation
 //	E9  §1/§4.3.4  Symphony kn/ks design ablation
 //	E10 §1         percolation: connectivity vs routability
-//	E11 §1/§6      churn vs the static model
-//	E16 §1/§6      geometry × churn-repair cross-product (rcm/exp grid)
+//	E11 §1/§6      churn vs the static model: protocol × q_eff × maintenance,
+//	               message-level (the former E16 grid is folded in)
 //	E17 §1/§6      analytic vs static-sim vs message-level event simulation
 //	E18 §1/§6      lookup performance vs lifetime family at equal q_eff
 //	E20 §1/§5      latency-vs-maintenance frontier: multi-hop vs single-hop
@@ -25,7 +25,7 @@
 //	E21 §1/§4      routability during/after a deterministic 2-way partition
 //	               vs the static model at q=1/2, per protocol × k∈{1,3}
 //
-// The grid-shaped experiments (E3–E6, E11, E16) construct declarative
+// The grid-shaped experiments (E3–E6, E11, E17–E21) construct declarative
 // experiment plans and delegate execution to the public streaming runner
 // in rcm/exp.
 package figures

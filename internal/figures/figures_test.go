@@ -34,7 +34,7 @@ func cellF(t *testing.T, tb *table.Table, row int, col string) float64 {
 }
 
 func TestNamesComplete(t *testing.T) {
-	want := []string{"3", "6a", "6b", "7a", "7b", "base", "chains", "churn", "churngrid", "eventcmp", "frontier", "hopdist", "lifetimecmp", "partition", "pathlen", "percolation", "qxor", "scalability", "sparse", "successors", "symphony"}
+	want := []string{"3", "6a", "6b", "7a", "7b", "base", "chains", "churn", "eventcmp", "frontier", "hopdist", "lifetimecmp", "partition", "pathlen", "percolation", "qxor", "scalability", "sparse", "successors", "symphony"}
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
@@ -283,28 +283,90 @@ func TestPercolationCeiling(t *testing.T) {
 	}
 }
 
+// TestChurnGridCrossProduct pins the E11 table's shape: every
+// protocol × q_eff ∈ {20, 33} × maintain ∈ {off, on}, in plan order, each
+// off/on pair sharing its regime's static columns.
+func TestChurnGridCrossProduct(t *testing.T) {
+	ts, err := Generate("churn", Options{Bits: 8, Pairs: 1500, Trials: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ts) != 1 {
+		t.Fatalf("tables = %d, want 1", len(ts))
+	}
+	tb := ts[0]
+	protocols := []string{"plaxton", "can", "kademlia", "chord", "symphony", "singlehop"}
+	if tb.NumRows() != 4*len(protocols) {
+		t.Fatalf("rows = %d, want %d", tb.NumRows(), 4*len(protocols))
+	}
+	for r := 0; r < tb.NumRows(); r++ {
+		wantQ, wantMaintain := []string{"20", "33"}[r%4/2], []string{"off", "on"}[r%2]
+		if p, q, m := cell(t, tb, r, "protocol"), cell(t, tb, r, "q_eff %"), cell(t, tb, r, "maintain"); p != protocols[r/4] || q != wantQ || m != wantMaintain {
+			t.Errorf("row %d is %s/%s/%s, want %s/%s/%s", r, p, q, m, protocols[r/4], wantQ, wantMaintain)
+		}
+		if r%2 == 1 {
+			for _, col := range []string{"static sim r%", "analytic r%", "online %"} {
+				if off, on := cell(t, tb, r-1, col), cell(t, tb, r, col); off != on {
+					t.Errorf("row %d %s: maintain on %s differs from off %s at one q_eff", r, col, on, off)
+				}
+			}
+		}
+	}
+}
+
+// TestChurnTable holds the E11 figure to its claim. With static tables,
+// message-level lookup success under slow exponential churn reproduces the
+// static simulation at q_eff, at both regimes, for the five paper
+// protocols, and availability sits at 1 − q_eff. Maintenance never costs the table-based
+// protocols success, changes nothing for can (no Maintainer), and shows up
+// as a message bill; singlehop goes E20's way — its sweep clears rejoiners
+// from views, so maintenance costs it lookups and an order of magnitude
+// more messages than chord.
 func TestChurnTable(t *testing.T) {
-	ts, err := Generate("churn", fastOpts())
+	ts, err := Generate("churn", Options{Bits: 10, Pairs: 8000, Trials: 4, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tb := ts[0]
-	if tb.NumRows() != 6 {
-		t.Fatalf("rows = %d, want 6", tb.NumRows())
-	}
-	for r := 0; r < tb.NumRows(); r++ {
-		churn := cellF(t, tb, r, "churn success %")
-		static := cellF(t, tb, r, "static sim %")
-		repair := cellF(t, tb, r, "churn+repair success %")
-		if diff := churn - static; diff > 8 || diff < -8 {
-			t.Errorf("row %d: churn %v vs static %v", r, churn, static)
+	wantOnline := map[string]float64{"20": 80, "33": 100 * 2 / 3.0} // by q_eff %
+	chordMaint := map[string]float64{}
+	for r := 0; r < tb.NumRows(); r += 2 {
+		proto, q := cell(t, tb, r, "protocol"), cell(t, tb, r, "q_eff %")
+		off, on := cellF(t, tb, r, "event r%"), cellF(t, tb, r+1, "event r%")
+		maint := cellF(t, tb, r+1, "maint/node/s")
+		if m := cellF(t, tb, r, "maint/node/s"); m != 0 {
+			t.Errorf("%s q_eff=%s: maintain off still sent %v maint/node/s", proto, q, m)
 		}
-		if repair < churn-3 {
-			t.Errorf("row %d: repair %v worse than none %v", r, repair, churn)
+		if online := cellF(t, tb, r, "online %"); online < wantOnline[q]-2 || online > wantOnline[q]+2 {
+			t.Errorf("%s q_eff=%s: online %v%%, want %.1f ± 2", proto, q, online, wantOnline[q])
 		}
-		off := cellF(t, tb, r, "offline %")
-		if off < 15 || off > 25 {
-			t.Errorf("row %d: offline fraction %v, want ~20", r, off)
+		if proto == "singlehop" {
+			if on >= off {
+				t.Errorf("singlehop q_eff=%s: maintenance %v%% not below static views %v%% (E20's stale-view finding)", q, on, off)
+			}
+			if maint < 10*chordMaint[q] {
+				t.Errorf("singlehop q_eff=%s: maintenance %v msgs/node/s not an order above chord's %v", q, maint, chordMaint[q])
+			}
+			continue
+		}
+		static := cellF(t, tb, r, "static sim r%")
+		if diff := off - static; diff > 5 || diff < -5 {
+			t.Errorf("%s q_eff=%s: event %v%% vs static sim %v%%, want within 5 pp", proto, q, off, static)
+		}
+		if proto == "can" {
+			if on != off || maint != 0 {
+				t.Errorf("can q_eff=%s: no Maintainer, yet maintain on gives %v%% at %v msgs vs %v%%", q, on, maint, off)
+			}
+			continue
+		}
+		if on < off-1 {
+			t.Errorf("%s q_eff=%s: maintenance %v%% below static tables %v%%", proto, q, on, off)
+		}
+		if maint <= 0 {
+			t.Errorf("%s q_eff=%s: maintenance on but no maintenance messages", proto, q)
+		}
+		if proto == "chord" {
+			chordMaint[q] = maint
 		}
 	}
 }

@@ -88,72 +88,29 @@ func Frontier(opt Options) ([]*table.Table, error) {
 		return nil, err
 	}
 
-	// Aggregate each (geometry, setting) block's post-burn-in steady
-	// window, weighted by cohort size. Rows arrive in plan order —
-	// settings-major within each spec, buckets in time order — so a cell
-	// is exactly the next `buckets` rows of its geometry.
-	type agg struct {
-		started, completed  int
-		sumHops, sumLatency float64
-		sumMaint, sumRepair float64
-		sumOnline           float64
-		buckets             int
-	}
-	groups := map[string]*agg{}
-	key := func(geometry string, setting int) string { return fmt.Sprintf("%s/%d", geometry, setting) }
-	rowsSeen := map[string]int{}
-	for _, r := range rows {
-		k := key(r.Geometry, rowsSeen[r.Geometry]/buckets)
-		rowsSeen[r.Geometry]++
-		g, ok := groups[k]
-		if !ok {
-			g = &agg{}
-			groups[k] = g
-		}
-		if r.Time-duration/buckets >= burnIn-1e-9 {
-			if r.EventStarted > 0 {
-				g.started += r.EventStarted
-				// Mean hops and latency are completed-cohort means, so they
-				// weight by the completed count (both are NaN when a bucket
-				// completed nothing).
-				completed := int(r.EventSuccess*float64(r.EventStarted) + 0.5)
-				g.completed += completed
-				if completed > 0 {
-					g.sumHops += r.EventMeanHops * float64(completed)
-					g.sumLatency += r.EventMeanLatency * float64(completed)
-				}
-			}
-			g.sumMaint += r.EventMaintNodeS
-			g.sumRepair += r.EventRepairNodeS
-			g.sumOnline += r.EventOnline
-			g.buckets++
-		}
-	}
-
 	t := table.New(fmt.Sprintf("E20 — latency-vs-maintenance frontier: multi-hop vs single-hop vs k-replication under churn (N=2^%d)", bits),
 		"protocol", "churn", "k", "event r%", "mean hops", "latency", "maint/node/s", "repair/node/s", "online %")
-	for _, s := range specs {
-		name := s.Geometry.Name() // Row.Geometry carries the geometry vocabulary
+	for si, s := range specs {
 		for i, cell := range frontierCells {
-			g, ok := groups[key(name, i)]
-			if !ok || g.started == 0 || g.completed == 0 || g.buckets == 0 {
-				return nil, fmt.Errorf("figures: frontier missing group %s/%s k=%d", name, cell.label, cell.replicas)
+			// The post-burn-in steady window.
+			w := foldEvent(eventCell(rows, len(frontierCells), buckets, si, i), burnIn, untilEnd)
+			if w.started == 0 || w.completed == 0 {
+				return nil, fmt.Errorf("figures: frontier missing group %s/%s k=%d", s.Geometry.Name(), cell.label, cell.replicas)
 			}
 			k := cell.replicas
 			if k == 0 {
 				k = 1
 			}
-			event := float64(g.completed) / float64(g.started)
 			t.AddRow(
 				s.Protocol,
 				cell.label,
 				table.I(k),
-				table.Pct(event, 2),
-				table.F(g.sumHops/float64(g.completed), 2),
-				table.F(g.sumLatency/float64(g.completed), 3),
-				table.F(g.sumMaint/float64(g.buckets), 3),
-				table.F(g.sumRepair/float64(g.buckets), 3),
-				table.Pct(g.sumOnline/float64(g.buckets), 1),
+				table.Pct(w.success(), 2),
+				table.F(w.meanHops(), 2),
+				table.F(w.meanLatency(), 3),
+				table.F(w.meanMaint(), 3),
+				table.F(w.meanRepair(), 3),
+				table.Pct(w.meanOnline(), 1),
 			)
 		}
 	}

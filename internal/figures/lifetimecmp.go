@@ -56,6 +56,7 @@ func LifetimeCompare(opt Options) ([]*table.Table, error) {
 		meanOnline  = 4.0
 		meanOffline = 1.0
 		burnIn      = 1.0
+		buckets     = 8
 	)
 	settings := make([]eventsim.Config, 0, len(lifetimeFamilies))
 	for _, fam := range lifetimeFamilies {
@@ -72,7 +73,7 @@ func LifetimeCompare(opt Options) ([]*table.Table, error) {
 				Lifetime:    fam.spec,
 			},
 			Duration: duration,
-			Buckets:  8,
+			Buckets:  buckets,
 			Maintain: true,
 		})
 	}
@@ -88,65 +89,27 @@ func LifetimeCompare(opt Options) ([]*table.Table, error) {
 		return nil, err
 	}
 
-	// Aggregate each (geometry, setting) block's post-burn-in steady
-	// window, weighted by cohort size. Rows arrive in plan order —
-	// settings-major within each spec, buckets in time order — so a cell
-	// is exactly the next 8 rows of its geometry.
-	const bucketsPerCell = 8
-	type agg struct {
-		started, completed int
-		sumHops, sumMaint  float64
-		sumOnline          float64
-		buckets            int
-		static             float64
-	}
-	groups := map[string]*agg{}
-	key := func(geometry string, setting int) string { return fmt.Sprintf("%s/%d", geometry, setting) }
-	rowsSeen := map[string]int{}
-	for _, r := range rows {
-		k := key(r.Geometry, rowsSeen[r.Geometry]/bucketsPerCell)
-		rowsSeen[r.Geometry]++
-		g, ok := groups[k]
-		if !ok {
-			g = &agg{static: r.SimRoutability}
-			groups[k] = g
-		}
-		if r.Time-duration/bucketsPerCell >= burnIn-1e-9 {
-			if r.EventStarted > 0 {
-				g.started += r.EventStarted
-				// EventMeanHops is a completed-cohort mean, so it must be
-				// weighted by the completed count (and skipped when the
-				// bucket completed nothing — the mean is NaN there).
-				completed := int(r.EventSuccess*float64(r.EventStarted) + 0.5)
-				g.completed += completed
-				if completed > 0 {
-					g.sumHops += r.EventMeanHops * float64(completed)
-				}
-			}
-			g.sumMaint += r.EventMaintNodeS
-			g.sumOnline += r.EventOnline
-			g.buckets++
-		}
-	}
 	t := table.New(fmt.Sprintf("E18: lookup performance vs lifetime family at equal mean online time, churn q_eff=0.2, N=2^%d", bits),
 		"geometry", "lifetime", "event r%", "static sim r%", "event-static", "mean hops", "maint/node/s", "online %")
-	for _, s := range specs {
+	for si, s := range specs {
 		name := s.Geometry.Name()
 		for i, fam := range lifetimeFamilies {
-			g, ok := groups[key(name, i)]
-			if !ok || g.started == 0 || g.completed == 0 || g.buckets == 0 {
+			// The post-burn-in steady window.
+			cell := eventCell(rows, len(lifetimeFamilies), buckets, si, i)
+			w := foldEvent(cell, burnIn, untilEnd)
+			if w.started == 0 || w.completed == 0 {
 				return nil, fmt.Errorf("figures: lifetimecmp missing group %s/%s", name, fam.label)
 			}
-			event := float64(g.completed) / float64(g.started)
+			static := cell[0].SimRoutability
 			t.AddRow(
 				name,
 				fam.label,
-				table.Pct(event, 2),
-				table.Pct(g.static, 2),
-				fmt.Sprintf("%+.4f", event-g.static),
-				table.F(g.sumHops/float64(g.completed), 2),
-				table.F(g.sumMaint/float64(g.buckets), 3),
-				table.Pct(g.sumOnline/float64(g.buckets), 1),
+				table.Pct(w.success(), 2),
+				table.Pct(static, 2),
+				fmt.Sprintf("%+.4f", w.success()-static),
+				table.F(w.meanHops(), 2),
+				table.F(w.meanMaint(), 3),
+				table.Pct(w.meanOnline(), 1),
 			)
 		}
 	}

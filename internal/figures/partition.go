@@ -86,55 +86,23 @@ func Partition(opt Options) ([]*table.Table, error) {
 		pred[g.Name()] = [2]float64{single, 1 - (1-single)*(1-single)*(1-single)}
 	}
 
-	// Aggregate each (geometry, k) block's lookups into the three
-	// regimes by bucket start time. Rows arrive in plan order —
-	// settings-major within each spec, buckets in time order — so a cell
-	// is exactly the next `buckets` rows of its geometry.
-	type agg struct {
-		started, completed [3]int // pre, during, post
-	}
-	groups := map[string]*agg{}
-	key := func(geometry string, setting int) string { return fmt.Sprintf("%s/%d", geometry, setting) }
-	rowsSeen := map[string]int{}
-	width := duration / buckets
-	for _, r := range rows {
-		k := key(r.Geometry, rowsSeen[r.Geometry]/buckets)
-		rowsSeen[r.Geometry]++
-		g, ok := groups[k]
-		if !ok {
-			g = &agg{}
-			groups[k] = g
-		}
-		if r.EventStarted == 0 {
-			continue
-		}
-		start := r.Time - width // lookups are bucketed by start time
-		regime := 0
-		switch {
-		case start >= to-1e-9:
-			regime = 2
-		case start >= from-1e-9:
-			regime = 1
-		}
-		g.started[regime] += r.EventStarted
-		g.completed[regime] += int(r.EventSuccess*float64(r.EventStarted) + 0.5)
-	}
+	// Each cell's lookups fall into three regimes by window start: before
+	// the cut, during it, after it heals.
+	regimes := [][2]float64{{0, from}, {from, to}, {to, untilEnd}}
 
 	t := table.New(fmt.Sprintf("E21 — routability through a 2-way partition (window [%g, %g)) vs static model at q=%.2g (N=2^%d)", from, to, q, bits),
 		"protocol", "k", "pre %", "during %", "post %", "static pred %")
-	for _, s := range specs {
+	for si, s := range specs {
 		name := s.Geometry.Name()
 		for i, k := range ks {
-			g, ok := groups[key(name, i)]
-			if !ok {
-				return nil, fmt.Errorf("figures: partition missing group %s k=%d", name, k)
-			}
+			cell := eventCell(rows, len(ks), buckets, si, i)
 			cells := []string{s.Protocol, table.I(k)}
-			for regime := 0; regime < 3; regime++ {
-				if g.started[regime] == 0 {
+			for regime, bounds := range regimes {
+				w := foldEvent(cell, bounds[0], bounds[1])
+				if w.started == 0 {
 					return nil, fmt.Errorf("figures: partition %s k=%d regime %d started no lookups", name, k, regime)
 				}
-				cells = append(cells, table.Pct(float64(g.completed[regime])/float64(g.started[regime]), 2))
+				cells = append(cells, table.Pct(w.success(), 2))
 			}
 			p, ok := pred[name]
 			if !ok {

@@ -1,7 +1,7 @@
-// Package sim contains the experiment harnesses that exercise the protocol
+// Package sim contains the experiment harness that exercises the protocol
 // simulators: the Gummadi-style static-resilience measurement the paper
-// validates against (Fig. 6), an event-driven churn engine (the dynamic
-// regime §1 leaves open), and helpers shared by both.
+// validates against (Fig. 6). The dynamic regime §1 leaves open is
+// rcm/eventsim's.
 package sim
 
 import (

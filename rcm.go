@@ -25,8 +25,8 @@ type Geometry = registry.Geometry
 type Protocol = registry.Protocol
 
 // Config is the canonical overlay-construction configuration, shared by
-// the simulator factory, the experiment runner (rcm/exp) and this
-// package's SimConfig/ChurnConfig.
+// the simulator factory, the experiment runner (rcm/exp), the event
+// simulator (rcm/eventsim) and this package's SimConfig.
 type Config = registry.Config
 
 // GeometryFactory builds a Geometry from a Config (most geometries ignore
@@ -51,7 +51,7 @@ type Maintainer = registry.Maintainer
 
 // NewProtocol resolves a protocol name (either registry vocabulary,
 // including user registrations) and constructs the overlay — the
-// programmatic counterpart of the name-driven Simulate/Churn entry points,
+// programmatic counterpart of the name-driven Simulate entry point,
 // for callers that need the Protocol value itself: routing directly,
 // asserting capabilities (Forwarder, Maintainer), or running live nodes
 // (rcm/node) on the exact overlay the analytic layers describe.
@@ -67,14 +67,14 @@ func NewProtocol(name string, cfg Config) (Protocol, error) {
 // registry under a canonical name plus optional aliases. Names are
 // case-insensitive; a name or alias that is already taken is an error.
 // Registered geometries resolve everywhere built-ins do: ModelFor,
-// exp.SpecFor, and the rcmcalc/dhtsim/churnsim/figures name flags.
+// exp.SpecFor, and the rcmcalc/dhtsim/eventsim/figures name flags.
 func RegisterGeometry(name string, f GeometryFactory, aliases ...string) error {
 	return registry.RegisterGeometry(name, f, aliases...)
 }
 
 // RegisterProtocol adds a concrete overlay factory to the shared registry,
 // with the same naming rules as RegisterGeometry. Registered protocols
-// construct through Simulate and Churn exactly like the five built-ins;
+// construct through Simulate and NewProtocol exactly like the built-ins;
 // to sweep one through the rcm/exp runner, also register the matching
 // analytic geometry under the same name (an exp.Spec always carries a
 // Geometry — see examples/randchord, which registers both halves).
@@ -257,23 +257,10 @@ type SimConfig struct {
 	Workers int
 }
 
-// SimResult reports a static-resilience measurement.
-type SimResult struct {
-	// Protocol is the canonical protocol name.
-	Protocol string
-	// Q is the failure probability measured.
-	Q float64
-	// Routability is the measured fraction of routable surviving pairs.
-	Routability float64
-	// FailedPathPct is 100·(1−Routability).
-	FailedPathPct float64
-	// StdErr is the standard error of Routability across trials.
-	StdErr float64
-	// MeanHops is the mean hop count over successful routes.
-	MeanHops float64
-	// AliveFraction is the measured fraction of surviving nodes.
-	AliveFraction float64
-}
+// SimResult reports a static-resilience measurement: routability with its
+// standard error and 95% confidence interval across trials, mean hops, the
+// surviving fraction and the pair/trial tallies.
+type SimResult = sim.Result
 
 // Simulate builds the overlay and measures its static resilience at cfg.Q.
 func Simulate(cfg SimConfig) (SimResult, error) {
@@ -290,96 +277,5 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 	if err != nil {
 		return SimResult{}, fmt.Errorf("rcm: %w", err)
 	}
-	return SimResult{
-		Protocol:      res.Protocol,
-		Q:             res.Q,
-		Routability:   res.Routability,
-		FailedPathPct: res.FailedPathPct,
-		StdErr:        res.StdErr,
-		MeanHops:      res.MeanHops,
-		AliveFraction: res.AliveFraction,
-	}, nil
-}
-
-// ChurnConfig configures the churn extension (experiment E11): an
-// event-driven on/off node population with optional table repair.
-type ChurnConfig struct {
-	// Protocol names the overlay, as in SimConfig.
-	Protocol string
-	// Config is the overlay construction configuration; Seed also drives
-	// the churn process.
-	Config
-	// MeanOnline and MeanOffline are the exponential session parameters;
-	// the steady-state offline fraction is MeanOffline/(MeanOnline+MeanOffline).
-	// Both must be positive.
-	MeanOnline  float64
-	MeanOffline float64
-	// Duration is total simulated time; lookups are sampled every
-	// MeasureEvery time units. Both must be positive.
-	Duration     float64
-	MeasureEvery float64
-	// PairsPerMeasure lookups are sampled per epoch (default 2000).
-	PairsPerMeasure int
-	// Repair re-draws a node's table entries toward alive nodes on rejoin
-	// and periodically while online.
-	Repair bool
-}
-
-// validate rejects configurations the engine would otherwise clamp into a
-// silently degenerate run.
-func (cfg ChurnConfig) validate() error {
-	switch {
-	case cfg.MeanOnline <= 0:
-		return fmt.Errorf("rcm: churn MeanOnline = %v must be > 0", cfg.MeanOnline)
-	case cfg.MeanOffline <= 0:
-		return fmt.Errorf("rcm: churn MeanOffline = %v must be > 0", cfg.MeanOffline)
-	case cfg.Duration <= 0:
-		return fmt.Errorf("rcm: churn Duration = %v must be > 0", cfg.Duration)
-	case cfg.MeasureEvery <= 0:
-		return fmt.Errorf("rcm: churn MeasureEvery = %v must be > 0", cfg.MeasureEvery)
-	case cfg.MeasureEvery > cfg.Duration:
-		return fmt.Errorf("rcm: churn MeasureEvery = %v exceeds Duration = %v (no measurements would be taken)", cfg.MeasureEvery, cfg.Duration)
-	case cfg.PairsPerMeasure < 0:
-		return fmt.Errorf("rcm: churn PairsPerMeasure = %d must be >= 0", cfg.PairsPerMeasure)
-	}
-	return nil
-}
-
-// ChurnPoint is one lookup-success measurement during churn: the time of
-// the measurement, the offline fraction at that instant, and the lookup
-// success among sampled online pairs.
-type ChurnPoint = sim.ChurnPoint
-
-// Churn runs the churn experiment and returns the measurement series.
-func Churn(cfg ChurnConfig) ([]ChurnPoint, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	p, err := dht.New(cfg.Protocol, cfg.Config)
-	if err != nil {
-		return nil, fmt.Errorf("rcm: %w", err)
-	}
-	opt := sim.ChurnOptions{
-		MeanOnline:      cfg.MeanOnline,
-		MeanOffline:     cfg.MeanOffline,
-		Duration:        cfg.Duration,
-		MeasureEvery:    cfg.MeasureEvery,
-		PairsPerMeasure: cfg.PairsPerMeasure,
-		Seed:            cfg.Seed,
-	}
-	if cfg.Repair {
-		opt.RepairOnRejoin = true
-		opt.RepairEvery = opt.MeasureEvery
-	}
-	pts, err := sim.SimulateChurn(p, opt)
-	if err != nil {
-		return nil, fmt.Errorf("rcm: %w", err)
-	}
-	return pts, nil
-}
-
-// SteadyState averages churn points after discarding everything before
-// burnIn, returning mean lookup success and mean offline fraction.
-func SteadyState(points []ChurnPoint, burnIn float64) (meanSuccess, meanOffline float64) {
-	return sim.SteadyState(points, burnIn)
+	return res, nil
 }

@@ -2,7 +2,6 @@ package rcm
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -148,6 +147,10 @@ func TestSimulateEndToEnd(t *testing.T) {
 	if res.Routability <= 0.5 || res.Routability >= 1 {
 		t.Errorf("routability = %v, want moderate", res.Routability)
 	}
+	// SimResult is sim.Result itself: the interval and tallies come along.
+	if !(res.CI95Low <= res.Routability && res.Routability <= res.CI95High) || res.Pairs != 6000 || res.Trials != 2 {
+		t.Errorf("CI [%v, %v] around %v, pairs=%d trials=%d", res.CI95Low, res.CI95High, res.Routability, res.Pairs, res.Trials)
+	}
 	if math.Abs(res.FailedPathPct-100*(1-res.Routability)) > 1e-9 {
 		t.Errorf("failed%% inconsistent: %v vs r=%v", res.FailedPathPct, res.Routability)
 	}
@@ -170,73 +173,6 @@ func TestSimulateValidation(t *testing.T) {
 	}
 	if _, err := Simulate(SimConfig{Protocol: "chord", Config: Config{Bits: 8}, Q: 2}); err == nil {
 		t.Error("q=2 accepted")
-	}
-}
-
-func TestChurnEndToEnd(t *testing.T) {
-	pts, err := Churn(ChurnConfig{
-		Protocol:        "chord",
-		Config:          Config{Bits: 9, Seed: 3},
-		MeanOnline:      1,
-		MeanOffline:     0.25,
-		Duration:        5,
-		MeasureEvery:    0.5,
-		PairsPerMeasure: 1500,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 10 {
-		t.Fatalf("points = %d, want 10", len(pts))
-	}
-	success, offline := SteadyState(pts, 1)
-	if success <= 0.5 || success > 1 {
-		t.Errorf("steady success = %v", success)
-	}
-	if math.Abs(offline-0.2) > 0.06 {
-		t.Errorf("steady offline = %v, want ~0.2", offline)
-	}
-	if s, o := SteadyState(pts, 100); s != 0 || o != 0 {
-		t.Errorf("fully burned-in SteadyState = %v, %v", s, o)
-	}
-}
-
-func TestChurnValidation(t *testing.T) {
-	valid := ChurnConfig{
-		Protocol: "chord", Config: Config{Bits: 8},
-		MeanOnline: 1, MeanOffline: 0.25,
-		Duration: 5, MeasureEvery: 0.5,
-	}
-	bad := valid
-	bad.Protocol = "nope"
-	if _, err := Churn(bad); err == nil {
-		t.Error("unknown protocol accepted")
-	}
-	// The facade is strict: zero or negative session/measurement
-	// parameters are configuration bugs, not default requests.
-	for _, tc := range []struct {
-		name   string
-		mutate func(*ChurnConfig)
-		want   string
-	}{
-		{"zero duration", func(c *ChurnConfig) { c.Duration = 0 }, "Duration"},
-		{"negative duration", func(c *ChurnConfig) { c.Duration = -3 }, "Duration"},
-		{"zero measure interval", func(c *ChurnConfig) { c.MeasureEvery = 0 }, "MeasureEvery"},
-		{"zero mean online", func(c *ChurnConfig) { c.MeanOnline = 0 }, "MeanOnline"},
-		{"negative mean online", func(c *ChurnConfig) { c.MeanOnline = -1 }, "MeanOnline"},
-		{"zero mean offline", func(c *ChurnConfig) { c.MeanOffline = 0 }, "MeanOffline"},
-		{"interval past duration", func(c *ChurnConfig) { c.MeasureEvery = 10 }, "exceeds Duration"},
-		{"negative pairs", func(c *ChurnConfig) { c.PairsPerMeasure = -1 }, "PairsPerMeasure"},
-	} {
-		cfg := valid
-		tc.mutate(&cfg)
-		_, err := Churn(cfg)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
-		}
-	}
-	if _, err := Churn(valid); err != nil {
-		t.Errorf("valid config rejected: %v", err)
 	}
 }
 
