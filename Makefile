@@ -12,8 +12,9 @@ test:
 race:
 	go test -race ./...
 
-# bench produces BENCH_exp.json (runner ns/op, allocs/op) and
-# BENCH_eventsim.json (engine events/s, allocs/event) in one command.
+# bench produces BENCH_exp.json (runner ns/op, allocs/op),
+# BENCH_eventsim.json (engine events/s, allocs/event) and BENCH_node.json
+# (live node: wire codec, loop trip, one hop, store) in one command.
 bench:
 	scripts/bench.sh
 

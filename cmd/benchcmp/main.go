@@ -136,7 +136,7 @@ func run(args []string, out io.Writer) error {
 				continue
 			}
 			shared++
-			for _, m := range []string{"ns_per_op", "events_per_s", "allocs_per_event"} {
+			for _, m := range []string{"ns_per_op", "allocs_per_op", "events_per_s", "allocs_per_event"} {
 				bv, bok := b.metric(m)
 				cv, cok := cur.metric(m)
 				if !bok || !cok || bv == 0 {

@@ -202,19 +202,26 @@ func NewSparseKademlia(cfg Config, n int) (*SparseKademlia, error) {
 	return &SparseKademlia{space: s, nodes: nodes, table: table, index: index}, nil
 }
 
-// xorClosest returns the occupied node minimizing XOR distance to target.
-// The ascending sort order doubles as an XOR-prefix order, but a linear
-// scan is kept for clarity; construction is one-off.
+// xorClosest returns the occupied node minimizing XOR distance to target
+// (unique: XOR with a fixed target is a bijection). The ascending order of
+// nodes is the in-order walk of their binary trie, so the search descends
+// it a bit at a time: nodes[lo:hi] agree on every bit above the current
+// one, those with it clear precede those with it set, and the half that
+// matches target's bit — when it is occupied — holds the minimum.
 func xorClosest(s overlay.Space, nodes []overlay.ID, target overlay.ID) overlay.ID {
-	best := nodes[0]
-	bestDist := s.XORDist(best, target)
-	for _, nd := range nodes[1:] {
-		if d := s.XORDist(nd, target); d < bestDist {
-			bestDist = d
-			best = nd
+	lo, hi := 0, len(nodes)
+	for bit := s.Bits() - 1; bit >= 0 && hi-lo > 1; bit-- {
+		mask := overlay.ID(1) << uint(bit)
+		set := lo + sort.Search(hi-lo, func(i int) bool { return nodes[lo+i]&mask != 0 })
+		switch {
+		case set == lo || set == hi: // every node here has the same bit: nothing to choose
+		case target&mask != 0:
+			lo = set
+		default:
+			hi = set
 		}
 	}
-	return best
+	return nodes[lo]
 }
 
 // Name implements Protocol.

@@ -75,6 +75,49 @@ func TestSuccessorOf(t *testing.T) {
 	}
 }
 
+// xorClosestScan is the definition xorClosest must agree with: the
+// occupied node at least XOR distance, by linear scan.
+func xorClosestScan(s overlay.Space, nodes []overlay.ID, target overlay.ID) overlay.ID {
+	best := nodes[0]
+	bestDist := s.XORDist(best, target)
+	for _, nd := range nodes[1:] {
+		if d := s.XORDist(nd, target); d < bestDist {
+			bestDist = d
+			best = nd
+		}
+	}
+	return best
+}
+
+// TestXORClosestMatchesScan: the trie descent returns the scan's node for
+// random populations from two nodes to the full space — targets occupied
+// and not, every width including the one-bit space.
+func TestXORClosestMatchesScan(t *testing.T) {
+	rng := overlay.NewRNG(41)
+	for _, bits := range []int{1, 2, 3, 7, 12, 20} {
+		s := overlay.MustSpace(bits)
+		for trial := 0; trial < 40; trial++ {
+			n := 2
+			if max := int(min(s.Size(), 3000)); max > 2 {
+				n += rng.Intn(max - 1)
+			}
+			nodes, err := sparsePopulation(s, n, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for probe := 0; probe < 200; probe++ {
+				target := overlay.ID(rng.Uint64n(s.Size()))
+				if probe%4 == 0 {
+					target = nodes[rng.Intn(len(nodes))]
+				}
+				if got, want := xorClosest(s, nodes, target), xorClosestScan(s, nodes, target); got != want {
+					t.Fatalf("bits %d, %d nodes, target %d: xorClosest = %d, scan = %d", bits, n, target, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestSparseChordStructure(t *testing.T) {
 	sc, err := NewSparseChord(Config{Bits: 12, Seed: 3}, 300)
 	if err != nil {

@@ -66,9 +66,10 @@ func TestLoopOwnerBad(t *testing.T) {
 	runGolden(t, "loopowner/bad", "rcm/node", LoopOwner)
 }
 
-// TestLoopOwnerClean: the dispatch root, posted closures (both the
-// channel send and the rcm:loop-post helper), loop-reachable handlers,
-// the go-launch of the root, and unannotated types are all silent.
+// TestLoopOwnerClean: the dispatch root draining an inbox of packets and
+// posted functions, closures handed to the rcm:loop-post helper,
+// loop-reachable handlers, the go-launch of the root, and unannotated
+// types are all silent.
 func TestLoopOwnerClean(t *testing.T) {
 	runGolden(t, "loopowner/clean", "rcm/node", LoopOwner)
 }

@@ -20,10 +20,10 @@
 //
 // loopowner guards the node's ownership discipline. Struct fields
 // marked `// rcm:loop-owned` may be touched only by code reachable from
-// the event-loop dispatch: the function marked `rcm:event-loop`,
-// closures sent into its command channel, and closures handed to a
-// `rcm:loop-post` helper. Goroutine bodies, timer callbacks and
-// exported entry points must instead post a command into the loop. The
+// the event-loop dispatch: the function marked `rcm:event-loop` (the
+// node's inbox drain) and closures handed to a `rcm:loop-post` helper.
+// Goroutine bodies, timer callbacks and exported entry points must
+// instead post a closure into the loop. The
 // analyzer also flags laundering — calling a loop-only helper from
 // outside the loop.
 //

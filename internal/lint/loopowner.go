@@ -15,7 +15,7 @@ const (
 	MarkerEventLoop = "rcm:event-loop"
 	// MarkerLoopPost on a function/method: function-literal arguments
 	// passed to it are executed on the loop goroutine (it posts them
-	// into the loop's command channel).
+	// into the loop's inbox).
 	MarkerLoopPost = "rcm:loop-post"
 )
 
@@ -23,12 +23,11 @@ const (
 // lets rcm/node route without locks: struct fields marked
 // "// rcm:loop-owned" may be read or written only from code that
 // provably runs on the event-loop goroutine — the method marked
-// "// rcm:event-loop", function literals posted into the loop (sent on
-// a func-typed channel, or passed to a "// rcm:loop-post" method), and
-// methods reachable from those. Accesses from goroutines spawned with
-// `go`, from time.AfterFunc callbacks, or from exported entry points
-// are data races waiting for a scheduler change; they must post a
-// closure into the command channel instead.
+// "// rcm:event-loop", function literals posted into the loop (passed to
+// a "// rcm:loop-post" method), and methods reachable from those.
+// Accesses from goroutines spawned with `go`, from time.AfterFunc
+// callbacks, or from exported entry points are data races waiting for a
+// scheduler change; they must post a closure into the loop instead.
 var LoopOwner = &Analyzer{
 	Name: "loopowner",
 	Doc:  "restrict rcm:loop-owned struct fields to code reachable from the rcm:event-loop dispatch (posted closures included)",
@@ -117,13 +116,6 @@ func (c *loopContext) build() {
 		case *ast.FuncLit:
 			c.parentFn[n] = enclosingFunc(stack)
 
-		case *ast.SendStmt:
-			// A function literal sent on a func-typed channel is a
-			// posted loop command.
-			if lit, ok := ast.Unparen(n.Value).(*ast.FuncLit); ok && isFuncChan(info, n.Chan) {
-				c.loop[lit] = true
-			}
-
 		case *ast.CallExpr:
 			if encl := enclosingFunc(stack); encl != nil {
 				if fn := calleeFunc(info, n); fn != nil {
@@ -150,20 +142,6 @@ func (c *loopContext) build() {
 func (c *loopContext) markedLoopPost(decl ast.Node) bool {
 	fd, ok := decl.(*ast.FuncDecl)
 	return ok && commentHasMarker([]*ast.CommentGroup{fd.Doc}, MarkerLoopPost)
-}
-
-// isFuncChan reports whether expr is a channel of functions.
-func isFuncChan(info *types.Info, expr ast.Expr) bool {
-	tv, ok := info.Types[expr]
-	if !ok {
-		return false
-	}
-	ch, ok := tv.Type.Underlying().(*types.Chan)
-	if !ok {
-		return false
-	}
-	_, isFunc := ch.Elem().Underlying().(*types.Signature)
-	return isFunc
 }
 
 // propagate closes the loop set over direct calls: a function called
@@ -271,7 +249,7 @@ func (c *loopContext) reportLaunderedCalls() {
 				}
 			}
 		}
-		c.pass.Reportf(call.Pos(), "call to %s, which touches loop-owned state, from outside the event loop; post a closure into the loop's command channel instead", fn.Name())
+		c.pass.Reportf(call.Pos(), "call to %s, which touches loop-owned state, from outside the event loop; post a closure into the loop instead", fn.Name())
 		return true
 	})
 }

@@ -1,5 +1,5 @@
 // Package node runs registered DHT protocols as live networked nodes —
-// the framework's fifth and highest-fidelity layer. Where eventsim
+// the framework's fourth and highest-fidelity layer. Where eventsim
 // simulates hop-by-hop forwarding with virtual timers, a Node does the
 // same thing with real packets and real clocks: the identical
 // ACK-transfers-ownership, RTO-retransmit, candidate-failover
@@ -8,15 +8,34 @@
 //
 // # Anatomy of a node
 //
-// A Node is three goroutines around loop-owned state: an event loop
-// that owns every piece of routing state (so handlers never lock), a
-// receive pump decoding datagrams into loop events, and timer callbacks
-// posting retransmission timeouts. Requests travel in a compact binary
-// wire format (versioned header; request/ack/response kinds; hop
-// budgets and millisecond deadlines carried in every message), and the
-// get/put key-value API stores values at each key's owner through a
-// pluggable Store (in-memory map, bounded LRU, or anything registered
-// with RegisterStore).
+// A Node is one event-loop goroutine that owns every piece of routing
+// state (so handlers never lock) and one way into it: the inbox, a
+// mutex-guarded queue the loop swaps out whole and runs a batch at a
+// time. An entry is either a raw datagram with its sender — decoded on
+// the loop — or a posted function: a local request, Kill/Restart, a
+// Metrics snapshot, a timer fire. Producers touch the inbox's one-slot
+// wake channel only when the loop has gone to sleep on an empty queue,
+// so a datagram costs one lock and at most one goroutine wake-up. At
+// most 4096 datagrams wait in an inbox, the rest are dropped as a full
+// socket buffer would drop them; posted functions are never dropped, and
+// one the inbox accepted always runs, which is why no caller can hang
+// across Close or Kill.
+//
+// How datagrams reach the inbox depends on the transport. An in-memory
+// endpoint attached to a node (fault-wrapped or not — the wrapper applies
+// the stall filter of its Recv to the pushed datagram) delivers from the
+// sender's goroutine straight into the destination's inbox: a mem cluster
+// of N nodes is N goroutines and an endpoint carries no mailbox of its
+// own. A UDP socket, or any other Transport, gets a pump goroutine whose
+// body is Recv → inbox, the only place a system call has to block. Timer
+// callbacks (per-hop retransmission timeouts, per-request response
+// guards) post back into the inbox.
+//
+// Requests travel in a compact binary wire format (versioned header;
+// request/ack/response kinds; hop budgets and millisecond deadlines
+// carried in every message), and the get/put key-value API stores values
+// at each key's owner through a pluggable Store (in-memory map, bounded
+// LRU, or anything registered with RegisterStore).
 //
 // # Launching a cluster
 //

@@ -225,19 +225,35 @@ func (ft *FaultTransport) coins(pl fault.Plan) (corrupt bool, hold time.Duration
 	return corrupt, hold, dup
 }
 
-// Recv implements Transport: inbound requests are dropped while this
-// node is inside its stall episode — alive but unresponsive, exactly the
-// engine's model (no ack, so the sender's RTO machinery takes over).
+// stalled is the inbound half of the plan, shared by both receive
+// paths: a request arriving while this node is inside its stall episode
+// is dropped (and counted) — alive but unresponsive, exactly the engine's
+// model (no ack, so the sender's RTO machinery takes over).
+func (ft *FaultTransport) stalled(pkt []byte) bool {
+	if isReq(pkt) && ft.inj.Stalled(ft.cfg.Self, ft.now()) {
+		ft.stallDrops.Add(1)
+		return true
+	}
+	return false
+}
+
+// Recv implements Transport, dropping inbound requests while stalled.
 func (ft *FaultTransport) Recv() ([]byte, string, error) {
 	for {
 		pkt, from, err := ft.inner.Recv()
-		if err != nil {
+		if err != nil || !ft.stalled(pkt) {
 			return pkt, from, err
 		}
-		if isReq(pkt) && ft.inj.Stalled(ft.cfg.Self, ft.now()) {
-			ft.stallDrops.Add(1)
-			continue
-		}
-		return pkt, from, nil
 	}
+}
+
+// attach implements pushTransport when the inner transport does, passing
+// pushed datagrams through the same stall filter as Recv.
+func (ft *FaultTransport) attach(deliver func(pkt []byte, from string)) bool {
+	p, ok := ft.inner.(pushTransport)
+	return ok && p.attach(func(pkt []byte, from string) {
+		if !ft.stalled(pkt) {
+			deliver(pkt, from)
+		}
+	})
 }

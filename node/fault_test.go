@@ -188,7 +188,8 @@ func TestFaultTransportDupReorder(t *testing.T) {
 // TestFaultTransportStall: during its stall episode a node's wrapper
 // swallows inbound requests (no ack ever forms — the sender's RTO takes
 // over) but still delivers acks and responses; outside the episode it is
-// transparent.
+// transparent. Both ways in are held to it: Recv, and the push path an
+// attached node is fed by.
 func TestFaultTransportStall(t *testing.T) {
 	const self = 5
 	plan := mustPlan(t, "stall:1:10")
@@ -196,37 +197,57 @@ func TestFaultTransportStall(t *testing.T) {
 	if !ok {
 		t.Fatal("stall:1 placed no episode")
 	}
-	mem := NewMemNetwork()
-	sender, receiver := mem.Endpoint(), mem.Endpoint()
-	clk := &fakeClock{}
-	ft, err := WrapFault(receiver, FaultConfig{
-		Plan: plan, Seed: 11, Horizon: 100, Self: self, Now: clk.now,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ft.Close() })
+	for _, path := range []string{"recv", "push"} {
+		t.Run(path, func(t *testing.T) {
+			mem := NewMemNetwork()
+			sender, receiver := mem.Endpoint(), mem.Endpoint()
+			clk := &fakeClock{}
+			ft, err := WrapFault(receiver, FaultConfig{
+				Plan: plan, Seed: 11, Horizon: 100, Self: self, Now: clk.now,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ft.Close() })
+			next := func() []byte { return recvOne(t, ft, time.Second) }
+			if path == "push" {
+				pushed := make(chan []byte, 4)
+				if !ft.attach(func(pkt []byte, _ string) { pushed <- pkt }) {
+					t.Fatal("a fault wrapper around a mem endpoint cannot push")
+				}
+				next = func() []byte {
+					select {
+					case pkt := <-pushed:
+						return pkt
+					case <-time.After(time.Second):
+						t.Fatal("nothing pushed within 1s")
+						return nil
+					}
+				}
+			}
 
-	clk.set((win.From + win.To) / 2) // mid-episode
-	if err := sender.Send(ft.Addr(), reqPacket(t, 1, self, sender.Addr())); err != nil {
-		t.Fatal(err)
-	}
-	if err := sender.Send(ft.Addr(), ackPacket(t, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if m, err := decodeWire(recvOne(t, ft, time.Second)); err != nil || m.Kind != msgAck {
-		t.Fatalf("stalled node should still see the ack first, got kind=%d err=%v", m.Kind, err)
-	}
-	if c := ft.Counts(); c.StallDrops != 1 {
-		t.Fatalf("stall drops = %d, want 1", c.StallDrops)
-	}
+			clk.set((win.From + win.To) / 2) // mid-episode
+			if err := sender.Send(ft.Addr(), reqPacket(t, 1, self, sender.Addr())); err != nil {
+				t.Fatal(err)
+			}
+			if err := sender.Send(ft.Addr(), ackPacket(t, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if m, err := decodeWire(next()); err != nil || m.Kind != msgAck {
+				t.Fatalf("stalled node should still see the ack first, got kind=%d err=%v", m.Kind, err)
+			}
+			if c := ft.Counts(); c.StallDrops != 1 {
+				t.Fatalf("stall drops = %d, want 1", c.StallDrops)
+			}
 
-	clk.set(win.To + 1) // episode over
-	if err := sender.Send(ft.Addr(), reqPacket(t, 2, self, sender.Addr())); err != nil {
-		t.Fatal(err)
-	}
-	if m, err := decodeWire(recvOne(t, ft, time.Second)); err != nil || m.Kind != msgReq || m.ReqID != 2 {
-		t.Fatalf("post-episode request not delivered: kind=%d reqID=%d err=%v", m.Kind, m.ReqID, err)
+			clk.set(win.To + 1) // episode over
+			if err := sender.Send(ft.Addr(), reqPacket(t, 2, self, sender.Addr())); err != nil {
+				t.Fatal(err)
+			}
+			if m, err := decodeWire(next()); err != nil || m.Kind != msgReq || m.ReqID != 2 {
+				t.Fatalf("post-episode request not delivered: kind=%d reqID=%d err=%v", m.Kind, m.ReqID, err)
+			}
+		})
 	}
 }
 

@@ -35,8 +35,8 @@ func soloNode(t *testing.T) *Node {
 }
 
 // within fails the test if fn does not return inside d — the regression
-// shape for the control-after-Close hang, where the posted closure could
-// land in cmds after the drain and nobody would ever close the ack.
+// shape for the control-after-Close hang, where a posted closure accepted
+// after the loop's last drain would never run and never close the ack.
 func within(t *testing.T, d time.Duration, what string, fn func()) {
 	t.Helper()
 	done := make(chan struct{})
@@ -50,9 +50,8 @@ func within(t *testing.T, d time.Duration, what string, fn func()) {
 
 // TestRestartAfterCloseRejected: Restart on a closed node must return
 // promptly, must not re-arm the drained loop, and the node must keep
-// rejecting requests. Before the fix the control select was a coin flip
-// once done closed, so the call could hang or flip downNow on a dead
-// loop; many iterations make the old coin flip land on both sides.
+// rejecting requests: the closed inbox refuses the post, so the call can
+// neither hang nor flip downNow on a dead loop.
 func TestRestartAfterCloseRejected(t *testing.T) {
 	nd := soloNode(t)
 	nd.Kill()
@@ -116,24 +115,33 @@ func TestKillRestartCycleThenClose(t *testing.T) {
 	within(t, 5*time.Second, "second Close", nd.Close)
 }
 
-// TestControlConcurrentWithClose hammers Kill/Restart from many
-// goroutines racing one Close: whatever interleaving wins, every call
-// must return. (Run with -race this also checks the control path touches
-// no loop state off-loop.)
+// TestControlConcurrentWithClose hammers Kill/Restart, lookups and
+// metrics snapshots from many goroutines racing one Close: whatever
+// interleaving wins, every call must return — a post the inbox accepted
+// runs, one it refused fails its caller at once. (Run with -race this
+// also checks these paths touch no loop state off-loop.)
 func TestControlConcurrentWithClose(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		nd := soloNode(t)
 		start := make(chan struct{})
 		done := make(chan struct{})
-		for g := 0; g < 4; g++ {
+		calls := []func(g, i int){
+			func(g, i int) {
+				if (g+i)%2 == 0 {
+					nd.Kill()
+				} else {
+					nd.Restart()
+				}
+			},
+			func(g, i int) { nd.Lookup(overlay.ID(3 + i%2)) }, // self, and a peer that never acks
+			func(g, i int) { nd.Metrics() },
+		}
+		const callers = 6
+		for g := 0; g < callers; g++ {
 			go func(g int) {
 				<-start
 				for i := 0; i < 10; i++ {
-					if (g+i)%2 == 0 {
-						nd.Kill()
-					} else {
-						nd.Restart()
-					}
+					calls[g%len(calls)](g, i)
 				}
 				done <- struct{}{}
 			}(g)
@@ -144,11 +152,11 @@ func TestControlConcurrentWithClose(t *testing.T) {
 			done <- struct{}{}
 		}()
 		close(start)
-		for i := 0; i < 5; i++ {
+		for i := 0; i < callers+1; i++ {
 			select {
 			case <-done:
 			case <-time.After(10 * time.Second):
-				t.Fatalf("round %d: lifecycle call hung racing Close", round)
+				t.Fatalf("round %d: call hung racing Close", round)
 			}
 		}
 	}
@@ -199,7 +207,7 @@ func TestResponseGuardStopped(t *testing.T) {
 			t.Fatal("post on a live node failed")
 		}
 		time.Sleep(guard + 50*time.Millisecond) // past every guard armed so far
-		queued := len(nd.cmds)
+		queued := queuedEntries(nd)
 		close(release)
 		if queued != 0 {
 			t.Errorf("%s: %d guard callbacks reached the loop, want 0", what, queued)
@@ -229,4 +237,12 @@ func TestResponseGuardStopped(t *testing.T) {
 	if m := nd.Metrics(); m.Expired != 0 {
 		t.Errorf("Expired = %d, want 0: no request here outlived its deadline", m.Expired)
 	}
+}
+
+// queuedEntries is how many entries wait in nd's inbox behind whatever
+// the loop is running.
+func queuedEntries(nd *Node) int {
+	nd.in.mu.Lock()
+	defer nd.in.mu.Unlock()
+	return len(nd.in.q)
 }

@@ -82,25 +82,13 @@ type evictionCounter interface{ Evictions() uint64 }
 func (n *Node) Metrics() Metrics {
 	var m Metrics
 	done := make(chan struct{})
-	if !n.post(func() {
+	if n.post(func() {
 		m = n.snapshotMetrics()
 		close(done)
 	}) {
-		return Metrics{}
+		<-done
 	}
-	select {
-	case <-done:
-		return m
-	case <-n.loopExit:
-		// post can win its send race against Close after the loop has
-		// already drained and exited; the closure will never run.
-		select {
-		case <-done:
-			return m
-		default:
-			return Metrics{}
-		}
-	}
+	return m
 }
 
 // snapshotMetrics assembles a Metrics from loop-owned state; loop

@@ -142,9 +142,8 @@ type originWait struct {
 }
 
 // Node is one live DHT node: an event-loop goroutine owning all routing
-// state, a receive goroutine feeding it decoded packets, and timer
-// callbacks feeding it retransmission timeouts. The public methods are
-// safe for concurrent use.
+// state, fed through one inbox by arriving datagrams, local callers and
+// timer callbacks. The public methods are safe for concurrent use.
 type Node struct {
 	cfg   Config
 	fwd   rcm.Forwarder
@@ -152,11 +151,9 @@ type Node struct {
 	tr    Transport
 	store Store
 
-	cmds     chan func()
-	done     chan struct{}
-	loopExit chan struct{} // closed when the event loop returns
-	wg       sync.WaitGroup
-	once     sync.Once
+	in   *inbox
+	wg   sync.WaitGroup
+	once sync.Once
 
 	reqSeq  atomic.Uint64
 	downNow atomic.Bool // read by fast paths; written only by the loop
@@ -169,7 +166,9 @@ type Node struct {
 	origins    map[uint64]originWait    // rcm:loop-owned
 	attemptSeq uint64                   // rcm:loop-owned
 	seen       map[uint64]struct{}      // rcm:loop-owned — recently handled request ids (dedupe)
-	seenFIFO   []uint64                 // rcm:loop-owned
+	seenRing   []uint64                 // rcm:loop-owned — the same ids in arrival order; a ring once seenCap long
+	seenHead   int                      // rcm:loop-owned — oldest ring slot
+	now        time.Time                // rcm:loop-owned — see clock
 	encBuf     []byte                   // rcm:loop-owned
 	candBuf    []overlay.ID             // rcm:loop-owned
 	rtt        map[overlay.ID]*rttState // rcm:loop-owned — per-peer adaptive-RTO estimator (see rto.go)
@@ -203,18 +202,16 @@ func New(cfg Config) (*Node, error) {
 	}
 	cfg = cfg.withDefaults()
 	n := &Node{
-		cfg:      cfg,
-		fwd:      fwd,
-		space:    space,
-		tr:       cfg.Transport,
-		store:    cfg.Store,
-		cmds:     make(chan func(), 256),
-		done:     make(chan struct{}),
-		loopExit: make(chan struct{}),
-		pending:  make(map[uint64]*pendingFwd),
-		origins:  make(map[uint64]originWait),
-		seen:     make(map[uint64]struct{}),
-		rtt:      make(map[overlay.ID]*rttState),
+		cfg:     cfg,
+		fwd:     fwd,
+		space:   space,
+		tr:      cfg.Transport,
+		store:   cfg.Store,
+		in:      newInbox(),
+		pending: make(map[uint64]*pendingFwd),
+		origins: make(map[uint64]originWait),
+		seen:    make(map[uint64]struct{}),
+		rtt:     make(map[overlay.ID]*rttState),
 	}
 	return n, nil
 }
@@ -228,17 +225,24 @@ func (n *Node) Addr() string { return n.tr.Addr() }
 // Store returns the node's key-value backend.
 func (n *Node) Store() Store { return n.store }
 
-// Start launches the event loop and the receive pump.
+// Start launches the event loop. A transport that can push (in-memory
+// endpoints, fault-wrapped or not) delivers into the inbox from the
+// sender's goroutine, so the loop is the node's only goroutine; any other
+// transport gets a pump goroutine blocking in Recv on the loop's behalf.
 func (n *Node) Start() {
-	n.wg.Add(2)
+	n.wg.Add(1)
 	go n.loop()
-	go n.recvPump()
+	if p, ok := n.tr.(pushTransport); ok && p.attach(n.deliver) {
+		return
+	}
+	n.wg.Add(1)
+	go n.pump()
 }
 
 // Close stops the node permanently, failing callers blocked on requests.
 func (n *Node) Close() {
 	n.once.Do(func() {
-		close(n.done)
+		n.in.close()
 		n.tr.Close()
 	})
 	n.wg.Wait()
@@ -257,20 +261,12 @@ func (n *Node) Restart() { n.control(false) }
 // Down reports whether the node is currently killed.
 func (n *Node) Down() bool { return n.downNow.Load() }
 
+// control applies Kill/Restart on the loop and waits for it. After Close
+// it is a rejected no-op: the inbox refuses the post, so a closed node's
+// downNow is never re-armed.
 func (n *Node) control(down bool) {
-	select {
-	case <-n.done:
-		// Kill/Restart after Close is a rejected no-op. Without this
-		// deterministic check the select below is a coin flip once done is
-		// closed (the buffered cmds send can still win), and the posted
-		// closure would either re-arm a draining loop's downNow or — if the
-		// loop has already exited — never run, hanging the ack wait.
-		return
-	default:
-	}
 	ack := make(chan struct{})
-	select {
-	case n.cmds <- func() {
+	if n.post(func() {
 		if down && !n.downNow.Load() {
 			// Crash semantics: every in-flight responsibility dies with
 			// the node.
@@ -282,47 +278,48 @@ func (n *Node) control(down bool) {
 		}
 		n.downNow.Store(down)
 		close(ack)
-	}:
-		select {
-		case <-ack:
-		case <-n.loopExit:
-			// Close raced us between the check above and the send: the
-			// closure may sit in cmds forever after the drain, so waiting
-			// only on ack could hang. The node is closed either way.
-		}
-	case <-n.done:
+	}) {
+		<-ack
 	}
 }
 
 // loop is the event loop: every piece of routing state is owned by this
-// goroutine, so handlers never lock. rcm:event-loop (the loopowner
-// dispatch root: code reachable from here may touch rcm:loop-owned
-// fields).
+// goroutine, so handlers never lock. It drains the inbox a batch at a
+// time. rcm:event-loop (the loopowner dispatch root: code reachable from
+// here may touch rcm:loop-owned fields).
 func (n *Node) loop() {
 	defer n.wg.Done()
-	defer close(n.loopExit)
-	for {
-		select {
-		case f := <-n.cmds:
-			f()
-		case <-n.done:
-			// Drain to release any control/op callers racing with Close,
-			// then fail every still-waiting originator: timers posting
-			// after done cannot reach the loop, so nobody else will.
-			for {
-				select {
-				case f := <-n.cmds:
-					f()
-				default:
-					n.failOrigins("closed")
-					for _, st := range n.pending {
-						st.timer.Stop()
-					}
-					return
-				}
+	var batch []inboxEntry
+	for open := true; open; {
+		batch, open = n.in.take(batch)
+		for i := range batch {
+			e := &batch[i]
+			n.now = time.Time{}
+			if e.fn != nil {
+				e.fn()
+			} else if open { // a closed node answers no datagram, only its blocked callers
+				n.handle(e.pkt, e.from)
 			}
 		}
+		clear(batch) // it is the next spare: keep no packet or closure alive through it
 	}
+	// The inbox accepted every post it reported true for and the final
+	// batch has run them, so whoever is still waiting is registered here:
+	// fail them, since timers firing from now on cannot reach the loop.
+	n.failOrigins("closed")
+	for _, st := range n.pending {
+		st.timer.Stop()
+	}
+}
+
+// clock returns the time at which the running inbox entry first asked
+// for it: an entry reads the clock at most once, and one that needs no
+// time (an acknowledgement under the fixed RTO) not at all.
+func (n *Node) clock() time.Time {
+	if n.now.IsZero() {
+		n.now = time.Now()
+	}
+	return n.now
 }
 
 // failOrigins concludes every still-waiting originator with a local
@@ -335,36 +332,30 @@ func (n *Node) failOrigins(why string) {
 	}
 }
 
-// recvPump decodes packets and posts them to the loop.
-func (n *Node) recvPump() {
+// pump feeds the inbox from a transport that can only be read by
+// blocking in Recv (a socket).
+func (n *Node) pump() {
 	defer n.wg.Done()
 	for {
 		pkt, from, err := n.tr.Recv()
-		if err != nil {
-			return
-		}
-		m, err := decodeWire(pkt)
-		if err != nil {
-			continue // malformed datagram: drop, like any UDP service
-		}
-		select {
-		case n.cmds <- func() { n.handle(m, from) }:
-		case <-n.done:
+		if err != nil || !n.in.put(inboxEntry{pkt: pkt, from: from}) {
 			return
 		}
 	}
 }
 
-// post schedules f on the loop, reporting false if the node is closed.
-// rcm:loop-post (loopowner: function literals passed here run on the
-// event-loop goroutine).
+// deliver hands one arriving datagram to the loop; the node owns pkt from
+// here on. It is the push transports' entry, called on the sender's
+// goroutine.
+func (n *Node) deliver(pkt []byte, from string) {
+	n.in.put(inboxEntry{pkt: pkt, from: from})
+}
+
+// post schedules f on the loop, reporting false if the node is closed;
+// an accepted f always runs. rcm:loop-post (loopowner: function literals
+// passed here run on the event-loop goroutine).
 func (n *Node) post(f func()) bool {
-	select {
-	case n.cmds <- f:
-		return true
-	case <-n.done:
-		return false
-	}
+	return n.in.put(inboxEntry{fn: f})
 }
 
 // ---- Public operations -------------------------------------------------
@@ -494,35 +485,28 @@ func (n *Node) issue(op Op, dst overlay.ID, key uint64, value []byte) Result {
 				}
 			})
 		})
-		n.origins[reqID] = originWait{ch: ch, op: op, start: time.Now(), guard: timer}
-		n.hold(m, time.Now())
+		n.origins[reqID] = originWait{ch: ch, op: op, start: n.clock(), guard: timer}
+		n.hold(m)
 	})
 	if !ok {
 		return Result{Err: fmt.Errorf("node %d: closed", n.cfg.ID)}
 	}
-	select {
-	case r := <-ch:
-		return r
-	case <-n.loopExit:
-		// The post slipped into cmds after Close's drain emptied it: the
-		// closure never runs and no verdict is coming. Prefer a verdict
-		// that did land (the drain fails registered origins before the
-		// loop exits, racing this select).
-		select {
-		case r := <-ch:
-			return r
-		default:
-			return Result{Err: fmt.Errorf("node %d: closed", n.cfg.ID)}
-		}
-	}
+	// The accepted post runs and registers ch, and a registered origin
+	// always concludes: by its response, its guard, Kill, or the loop's
+	// exit.
+	return <-ch
 }
 
 // ---- Event handlers (loop goroutine only) ------------------------------
 
-// handle dispatches one decoded packet.
-func (n *Node) handle(m message, from string) {
+// handle decodes and dispatches one datagram.
+func (n *Node) handle(pkt []byte, from string) {
 	if n.downNow.Load() {
 		return // a dead node neither acknowledges nor routes
+	}
+	m, err := decodeWire(pkt)
+	if err != nil {
+		return // malformed datagram: drop, like any UDP service
 	}
 	n.stats.countIn(m.Kind)
 	switch m.Kind {
@@ -563,13 +547,13 @@ func (n *Node) handleReq(m message, from string) {
 	n.sendMsg(from, &message{Kind: msgAck, ReqID: m.ReqID})
 	n.markSeen(m.ReqID)
 	m.Hops++
-	n.hold(m, time.Now())
+	n.hold(m)
 }
 
 // hold is the holder state machine shared by origination and receipt:
 // complete the request at its owner, or pick the first candidate and
 // dispatch.
-func (n *Node) hold(m message, arrived time.Time) {
+func (n *Node) hold(m message) {
 	if overlay.ID(m.Dst) == n.cfg.ID {
 		n.applyOwner(m)
 		return
@@ -586,7 +570,7 @@ func (n *Node) hold(m message, arrived time.Time) {
 	st := &pendingFwd{
 		msg:      m,
 		cands:    append([]overlay.ID(nil), n.candBuf...),
-		deadline: arrived.Add(time.Duration(m.Deadline) * time.Millisecond),
+		deadline: n.clock().Add(time.Duration(m.Deadline) * time.Millisecond),
 	}
 	n.pending[m.ReqID] = st
 	n.dispatch(st)
@@ -595,7 +579,7 @@ func (n *Node) hold(m message, arrived time.Time) {
 // dispatch sends the request to the current candidate and arms the RTO —
 // the live counterpart of eventsim's dispatch.
 func (n *Node) dispatch(st *pendingFwd) {
-	remaining := time.Until(st.deadline)
+	remaining := st.deadline.Sub(n.clock())
 	if remaining <= 0 {
 		delete(n.pending, st.msg.ReqID)
 		n.respond(st.msg, StatusExpired, nil)
@@ -606,7 +590,7 @@ func (n *Node) dispatch(st *pendingFwd) {
 	out := st.msg
 	out.Budget--
 	out.Deadline = uint32(remaining / time.Millisecond)
-	st.sentAt = time.Now()
+	st.sentAt = n.clock()
 	n.sendMsg(n.cfg.AddrOf(st.cands[st.ci]), &out)
 	attempt := st.attempt
 	reqID := st.msg.ReqID
@@ -631,7 +615,7 @@ func (n *Node) handleAck(m message) {
 		// Karn's rule: only un-retransmitted attempts yield RTT samples —
 		// after a retransmission the ack is ambiguous about which copy it
 		// answers.
-		n.observeRTT(st.cands[st.ci], time.Since(st.sentAt))
+		n.observeRTT(st.cands[st.ci], n.clock().Sub(st.sentAt))
 	}
 	delete(n.pending, m.ReqID)
 }
@@ -711,7 +695,7 @@ func (n *Node) handleResp(m message) {
 	}
 	delete(n.origins, m.ReqID)
 	w.guard.Stop()
-	n.stats.recordVerdict(w.op, m.Status, int(m.Hops), time.Since(w.start))
+	n.stats.recordVerdict(w.op, m.Status, int(m.Hops), n.clock().Sub(w.start))
 	w.ch <- Result{Status: m.Status, Hops: int(m.Hops), Value: m.Value}
 }
 
@@ -729,13 +713,15 @@ func (n *Node) sendMsg(addr string, m *message) {
 	n.tr.Send(addr, buf)
 }
 
-// markSeen records a handled request id in the bounded dedupe window.
+// markSeen records a handled request id in the bounded dedupe window,
+// evicting the oldest once seenCap ids are held.
 func (n *Node) markSeen(reqID uint64) {
-	if len(n.seenFIFO) >= seenCap {
-		old := n.seenFIFO[0]
-		n.seenFIFO = n.seenFIFO[1:]
-		delete(n.seen, old)
+	if len(n.seenRing) < seenCap {
+		n.seenRing = append(n.seenRing, reqID)
+	} else {
+		delete(n.seen, n.seenRing[n.seenHead])
+		n.seenRing[n.seenHead] = reqID
+		n.seenHead = (n.seenHead + 1) % seenCap
 	}
 	n.seen[reqID] = struct{}{}
-	n.seenFIFO = append(n.seenFIFO, reqID)
 }

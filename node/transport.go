@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 )
 
@@ -27,14 +28,31 @@ type Transport interface {
 	Close() error
 }
 
+// pushTransport is the capability of a transport that needs no goroutine
+// blocked in Recv: once attached, it calls deliver for every arriving
+// datagram, on the sender's goroutine, handing over ownership of pkt.
+// attach reports false when the transport cannot push after all (a fault
+// wrapper around a socket); its Recv then remains the way in.
+type pushTransport interface {
+	attach(deliver func(pkt []byte, from string)) bool
+}
+
 // errClosed is returned by transport operations after Close.
 var errClosed = errors.New("node: transport closed")
 
 // udpTransport is the real-socket transport.
 type udpTransport struct {
 	conn *net.UDPConn
+	addr string
 	buf  []byte
+
+	mu    sync.Mutex
+	peers map[string]netip.AddrPort // resolved destinations, by address string
 }
+
+// udpPeerCap bounds the resolved-destination cache; it is emptied when a
+// transport has sent to more distinct addresses than this.
+const udpPeerCap = 4096
 
 // ListenUDP opens a UDP socket on addr ("127.0.0.1:0" picks a free port)
 // and returns the transport bound to it.
@@ -47,18 +65,48 @@ func ListenUDP(addr string) (Transport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("node: listen %q: %w", addr, err)
 	}
-	return &udpTransport{conn: conn, buf: make([]byte, maxPacket+1)}, nil
+	return &udpTransport{
+		conn:  conn,
+		addr:  conn.LocalAddr().String(),
+		buf:   make([]byte, maxPacket+1),
+		peers: make(map[string]netip.AddrPort),
+	}, nil
 }
 
-func (t *udpTransport) Addr() string { return t.conn.LocalAddr().String() }
+func (t *udpTransport) Addr() string { return t.addr }
 
 func (t *udpTransport) Send(addr string, pkt []byte) error {
+	ap, err := t.resolve(addr)
+	if err != nil {
+		return err
+	}
+	_, err = t.conn.WriteToUDPAddrPort(pkt, ap)
+	return err
+}
+
+// resolve returns addr's socket address, resolving each destination once
+// for the life of the transport.
+func (t *udpTransport) resolve(addr string) (netip.AddrPort, error) {
+	t.mu.Lock()
+	ap, ok := t.peers[addr]
+	t.mu.Unlock()
+	if ok {
+		return ap, nil
+	}
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
-		return fmt.Errorf("node: resolve %q: %w", addr, err)
+		return ap, fmt.Errorf("node: resolve %q: %w", addr, err)
 	}
-	_, err = t.conn.WriteToUDP(pkt, ua)
-	return err
+	// Unmapped, the address suits an IPv4 and a dual-stack socket alike.
+	ap = ua.AddrPort()
+	ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+	t.mu.Lock()
+	if len(t.peers) >= udpPeerCap {
+		clear(t.peers)
+	}
+	t.peers[addr] = ap
+	t.mu.Unlock()
+	return ap, nil
 }
 
 func (t *udpTransport) Recv() ([]byte, string, error) {
@@ -97,12 +145,17 @@ type memPacket struct {
 	from string
 }
 
+// memEndpoint queues arriving packets in a mailbox for Recv — made on
+// first use, so an endpoint attached to a node never carries one — or,
+// once attached, hands them straight to deliver.
 type memEndpoint struct {
-	net  *MemNetwork
-	addr string
-	box  chan memPacket
-	once sync.Once
-	done chan struct{}
+	net     *MemNetwork
+	addr    string
+	deliver func(pkt []byte, from string) // guarded by net.mu
+	boxOnce sync.Once
+	box     chan memPacket
+	once    sync.Once
+	done    chan struct{}
 }
 
 // Endpoint creates a new endpoint with a unique synthetic address.
@@ -114,7 +167,6 @@ func (n *MemNetwork) Endpoint() Transport {
 	ep := &memEndpoint{
 		net:  n,
 		addr: addr,
-		box:  make(chan memPacket, memMailboxCap),
 		done: make(chan struct{}),
 	}
 	n.eps[addr] = ep
@@ -131,28 +183,51 @@ func (e *memEndpoint) Send(addr string, pkt []byte) error {
 	}
 	e.net.mu.RLock()
 	dst, ok := e.net.eps[addr]
+	var deliver func([]byte, string)
+	if ok {
+		deliver = dst.deliver
+	}
 	e.net.mu.RUnlock()
 	if !ok {
 		return nil // unknown destination: dropped, like an unroutable datagram
 	}
-	p := memPacket{data: append([]byte(nil), pkt...), from: e.addr}
+	data := append([]byte(nil), pkt...) // the caller reuses pkt
+	if deliver != nil {
+		deliver(data, e.addr)
+		return nil
+	}
 	select {
-	case dst.box <- p:
+	case dst.mailbox() <- memPacket{data: data, from: e.addr}:
 	case <-dst.done:
 	default: // full mailbox: dropped, like a full socket buffer
 	}
 	return nil
 }
 
+func (e *memEndpoint) mailbox() chan memPacket {
+	e.boxOnce.Do(func() { e.box = make(chan memPacket, memMailboxCap) })
+	return e.box
+}
+
+// attach implements pushTransport. Packets that reached the mailbox
+// before the attachment stay there for Recv.
+func (e *memEndpoint) attach(deliver func(pkt []byte, from string)) bool {
+	e.net.mu.Lock()
+	e.deliver = deliver
+	e.net.mu.Unlock()
+	return true
+}
+
 func (e *memEndpoint) Recv() ([]byte, string, error) {
+	box := e.mailbox()
 	select {
-	case p := <-e.box:
+	case p := <-box:
 		return p.data, p.from, nil
 	case <-e.done:
 		// Drain anything already queued before reporting closure, so a
 		// test that closes and re-reads sees deterministic behavior.
 		select {
-		case p := <-e.box:
+		case p := <-box:
 			return p.data, p.from, nil
 		default:
 			return nil, "", errClosed

@@ -1,19 +1,22 @@
 #!/usr/bin/env bash
-# bench.sh produces both benchmark artifacts in one command:
+# bench.sh produces the benchmark artifacts in one command:
 #
 #   BENCH_exp.json       — experiment-runner benchmarks (ns/op, allocs/op)
 #   BENCH_eventsim.json  — event-engine benchmarks (events/s, allocs/event,
 #                          plus ns/op and allocs/op)
+#   BENCH_node.json      — live-node benchmarks (ns/op, allocs/op): wire
+#                          codec, one loop trip, one hop on mem and UDP, store
 #
-# Usage: scripts/bench.sh [exp-benchtime] [eventsim-benchtime]
+# Usage: scripts/bench.sh [exp-benchtime] [eventsim-benchtime] [node-benchtime]
 # Defaults: 100x for the (cheap) runner benchmarks, 5x for the (whole-run)
-# event-engine benchmarks; CI uses the defaults. Also exposed as
-# `make bench`.
+# event-engine benchmarks, 1s for the (nanosecond to microsecond) node
+# benchmarks; CI uses the defaults. Also exposed as `make bench`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 benchtime="${1:-100x}"
 eventtime="${2:-5x}"
+nodetime="${3:-1s}"
 
 # extract_json turns `go test -bench` output into a JSON array of
 # {name, ns_per_op, allocs_per_op, events_per_s, allocs_per_event}
@@ -52,6 +55,17 @@ go test -bench 'BenchmarkEventSimLarge' \
   -benchmem -benchtime 2x -run '^$' ./eventsim | tee -a bench_eventsim.txt
 extract_json < bench_eventsim.txt > BENCH_eventsim.json
 cat BENCH_eventsim.json
+
+echo "== live node (BENCH_node.json) =="
+go test -bench . -benchmem -benchtime "$nodetime" -run '^$' ./node | tee bench_node.txt
+extract_json < bench_node.txt > BENCH_node.json
+cat BENCH_node.json
+
+# No gate on the live layer: its claims are made end to end, through
+# benchmark/run.sh. The diff against the committed snapshot is the
+# trajectory (bench/README.md holds the snapshot of its parent as well).
+echo "== live node vs committed snapshot (cmd/benchcmp, informational) =="
+go run ./cmd/benchcmp -file BENCH_node.json -baseline bench/BENCH_node.baseline.json
 
 # Scheduler gate: on the churn workload the timing-wheel queue must
 # sustain at least 1.5x the events/s of the binary-heap reference measured
