@@ -12,13 +12,15 @@ test:
 race:
 	go test -race ./...
 
-# bench produces BENCH_exp.json (runner ns/op, allocs/op),
-# BENCH_eventsim.json (engine events/s, allocs/event) and BENCH_node.json
-# (live node: wire codec, loop trip, one hop, store) in one command.
+# bench runs the repository benchmark (BENCHMARK.json; benchmark/README.md)
+# once over all seven workloads, untraced then traced, and writes
+# benchmark/out/results.json and benchmark/out/trace/. It is the only
+# source of a performance number; hold two result sets against each
+# other with `bash benchmark/run.sh -compare a.json b.json`.
 bench:
-	scripts/bench.sh
+	bash benchmark/run.sh -runs 1
 
-# profile runs the event-engine benchmark workload through cmd/eventsim
+# profile runs a 2^12 massfail-with-maintenance workload through cmd/eventsim
 # with pprof enabled, so perf investigations start from cpu.prof/mem.prof
 # (go tool pprof cpu.prof) instead of guesses. BITS, RATE and DURATION
 # resize it: `make profile BITS=20 RATE=200000` is the

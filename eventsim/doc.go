@@ -281,7 +281,7 @@
 // samples from un-retransmitted attempts only) with exponential backoff,
 // floored at Config.RTO — so the arena-recycling invariant
 // RTO > 2×MaxLatency is preserved — and capped at 8×RTO. rcm/node
-// implements the same estimator live, and since the estimator only moves
-// timeout deadlines, a run in which no timeout fires is bit-identical
-// with the estimator on or off.
+// runs the same estimator (obs.RTT) live, and since the estimator only
+// moves timeout deadlines, a run in which no timeout fires is
+// bit-identical with the estimator on or off.
 package eventsim

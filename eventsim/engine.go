@@ -161,7 +161,7 @@ type shard struct {
 	// when Config.AdaptiveRTO is on; keyed sender<<32|next. Senders are
 	// shard-owned, so the map never sees cross-shard writes, and it is
 	// only ever probed by key — no iteration, no ordering hazard.
-	rtt map[uint64]*peerRTT
+	rtt map[uint64]obs.RTT[float64]
 
 	// traces collects this shard's events for sampled lookups (empty
 	// unless Config.Trace > 0); merged deterministically after the run.
@@ -333,7 +333,10 @@ func (sh *shard) runEpoch(end float64) {
 				// Karn's rule: only un-retransmitted attempts contribute RTT
 				// samples (the live node cannot tell which copy a late ack
 				// answers, so the sim's estimator obeys the same restriction).
-				sh.observeRTT(pd.node, pd.next, e.t-pd.sent)
+				key := uint64(pd.node)<<32 | uint64(pd.next)
+				est := sh.rtt[key]
+				est.Observe(e.t - pd.sent)
+				sh.rtt[key] = est
 			}
 			pd.live = false
 		case evTimeout:
@@ -544,7 +547,10 @@ func (sh *shard) dispatch(t float64, lk, cur, next uint32, ci, try int, hops uin
 	}
 	rto := eng.rto
 	if eng.adaptive {
-		rto = sh.rtoFor(cur, next, try)
+		// Floored at the configured RTO: that preserves the
+		// arena-recycling invariant RTO > 2*MaxLatency, so an adaptive
+		// timeout can never fire before a genuinely-delivered ack.
+		rto = sh.rtt[uint64(cur)<<32|uint64(next)].RTO(eng.rto, eng.rto, try)
 	}
 	id := sh.allocPending(pendingHop{
 		lk: lk, node: cur, next: next,
@@ -629,54 +635,6 @@ func (sh *shard) handleDup(e ev) {
 		return
 	}
 	sh.acc[eng.bucketOf(e.t)].msgs++
-}
-
-// peerRTT is one (sender, next-hop) pair's smoothed round-trip state:
-// Jacobson's estimator with the RFC 6298 gains (alpha 1/8, beta 1/4).
-type peerRTT struct {
-	srtt, rttvar float64
-}
-
-// observeRTT feeds one round-trip sample into the pair's estimator.
-// First sample initializes srtt = r, rttvar = r/2; later samples update
-// rttvar before srtt, per RFC 6298.
-func (sh *shard) observeRTT(cur, next uint32, r float64) {
-	key := uint64(cur)<<32 | uint64(next)
-	pr, ok := sh.rtt[key]
-	if !ok {
-		sh.rtt[key] = &peerRTT{srtt: r, rttvar: r / 2}
-		return
-	}
-	d := pr.srtt - r
-	if d < 0 {
-		d = -d
-	}
-	pr.rttvar += (d - pr.rttvar) / 4
-	pr.srtt += (r - pr.srtt) / 8
-}
-
-// rtoFor returns the retransmission timeout for one attempt when the
-// adaptive estimator is on: srtt + 4*rttvar, floored at the configured
-// RTO — the floor preserves the arena-recycling invariant RTO >
-// 2*MaxLatency, so an adaptive timeout can never fire before a
-// genuinely-delivered ack — doubled per retransmission (exponential
-// backoff) and capped at 8x the configured RTO.
-func (sh *shard) rtoFor(cur, next uint32, try int) float64 {
-	eng := sh.eng
-	rto := eng.rto
-	if pr, ok := sh.rtt[uint64(cur)<<32|uint64(next)]; ok {
-		if est := pr.srtt + 4*pr.rttvar; est > rto {
-			rto = est
-		}
-	}
-	ceil := 8 * eng.rto
-	for i := 0; i < try && rto < ceil; i++ {
-		rto *= 2
-	}
-	if rto > ceil {
-		rto = ceil
-	}
-	return rto
 }
 
 func (sh *shard) handleTimeout(e ev) {

@@ -476,7 +476,7 @@ func runOverlay(p registry.Protocol, cfg Config, newQueue func(delta float64) ev
 			acc:     make([]bucketAcc, cfg.Buckets),
 		}
 		if cfg.AdaptiveRTO {
-			e.shards[i].rtt = make(map[uint64]*peerRTT)
+			e.shards[i].rtt = make(map[uint64]obs.RTT[float64])
 		}
 	}
 

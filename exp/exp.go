@@ -52,8 +52,8 @@
 //
 // The analytic columns share one memoization cache per run: the phase
 // products Π(1−Q(m)) share prefixes across the
-// entire q-grid, which is what makes wide grids cheap — see
-// BenchmarkExpSweep and BenchmarkStreamSweep.
+// entire q-grid, which is what makes wide grids cheap (the repository
+// benchmark reports it as exp.memo_speedup).
 package exp
 
 import (

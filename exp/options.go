@@ -79,7 +79,7 @@ func WithSimWorkers(n int) Option {
 
 // WithoutMemo disables analytic memoization entirely and evaluates every
 // cell through the direct package-level path — the serial reference used
-// by equivalence tests and the BenchmarkExpSweep baseline.
+// by equivalence tests and the benchmark's exp.memo_speedup baseline.
 func WithoutMemo() Option {
 	return func(st *settings) { st.eval = nil }
 }

@@ -178,26 +178,6 @@ func TestStreamConstantMemory(t *testing.T) {
 	}
 }
 
-// BenchmarkStreamSweep drives the streaming runner over a b.N-cell
-// analytic grid, so ns/op and allocs/op are per-cell figures; allocs/op
-// staying flat across -benchtime grid sizes is the streaming guarantee
-// (no full-grid buffering), asserted by TestStreamConstantMemory.
-func BenchmarkStreamSweep(b *testing.B) {
-	plan := analyticPlan(b.N)
-	b.ReportAllocs()
-	b.ResetTimer()
-	rows := 0
-	for _, err := range Stream(context.Background(), plan) {
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows++
-	}
-	if rows != b.N {
-		b.Fatalf("streamed %d rows, want %d", rows, b.N)
-	}
-}
-
 func ExampleStream() {
 	plan := Plan{
 		Name:  "example",

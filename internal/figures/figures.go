@@ -2,7 +2,7 @@
 // evaluation (plus the extension experiments catalogued below) as
 // textual tables. Each generator is pure given its options and seed, so the
 // harness output is reproducible; cmd/figures renders the results and
-// bench_test.go times them.
+// the repository benchmark's figures_all workload times them.
 //
 // Experiment index:
 //

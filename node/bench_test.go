@@ -8,9 +8,10 @@ import (
 	"rcm/overlay"
 )
 
-// The live layer's rung of the benchmark ladder (scripts/bench.sh →
-// BENCH_node.json): the wire codec, one trip through the event loop, one
-// hop on each transport, and the store.
+// The live layer's costs are measured by the repository benchmark (bash
+// benchmark/run.sh: node.local_op_us, node.store_*_ns, node.per_hop_us);
+// these are the ones it has no metric for — the wire codec, and one hop
+// on each transport with its allocation count (ROADMAP item 2's target).
 
 var benchMessages = []struct {
 	name string
@@ -92,19 +93,6 @@ func benchPair(b *testing.B, substrate string) [2]*Node {
 	return nodes
 }
 
-// BenchmarkSelfLookup is one trip through the event loop: the issuing
-// node owns the destination, so no datagram is sent.
-func BenchmarkSelfLookup(b *testing.B) {
-	nd := benchPair(b, "mem")[0]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if res := nd.Lookup(0); !res.OK() {
-			b.Fatal(res)
-		}
-	}
-}
-
 // BenchmarkOneHopLookup is a request, its acknowledgement and the
 // response between two nodes: three datagrams, four loop trips.
 func BenchmarkOneHopLookup(b *testing.B) {
@@ -120,27 +108,4 @@ func BenchmarkOneHopLookup(b *testing.B) {
 			}
 		})
 	}
-}
-
-func BenchmarkStore(b *testing.B) {
-	const keys = 4096
-	value := make([]byte, 256)
-	store := NewMemStore()
-	b.Run("Put", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			store.Put(uint64(i%keys)*0x9e3779b97f4a7c15, value)
-		}
-	})
-	for i := 0; i < keys; i++ {
-		store.Put(uint64(i)*0x9e3779b97f4a7c15, value)
-	}
-	b.Run("Get", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, ok := store.Get(uint64(i%keys) * 0x9e3779b97f4a7c15); !ok {
-				b.Fatal("preloaded key missing")
-			}
-		}
-	})
 }

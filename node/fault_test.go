@@ -473,6 +473,77 @@ func TestAdaptiveRTOLiveCluster(t *testing.T) {
 	}
 }
 
+// TestKarnAcrossFailover: acks name a request, not the peer that sent
+// them, so a slow (not lost) ack from the candidate the holder just
+// gave up on arrives looking like an instant answer from the next one.
+// It must retire the attempt without seeding that peer's estimator —
+// a near-zero RTT there would make its next timeouts spurious.
+func TestKarnAcrossFailover(t *testing.T) {
+	proto, err := rcm.NewProtocol("chord", rcm.Config{Bits: 2, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dst = 3
+	cands := proto.(rcm.Forwarder).AppendCandidateHops(nil, 0, dst)
+	if len(cands) < 2 {
+		t.Fatalf("node 0 has %d candidates toward %d, need 2", len(cands), dst)
+	}
+	mem := NewMemNetwork()
+	trs := make([]Transport, 4) // node 0 is the relay under test, the rest are the test's
+	for i := range trs {
+		trs[i] = mem.Endpoint()
+	}
+	probeTr := mem.Endpoint()
+	t.Cleanup(func() {
+		for _, tr := range append(trs[1:], probeTr) {
+			tr.Close()
+		}
+	})
+	relay, err := New(Config{
+		Protocol:    proto,
+		ID:          0,
+		Transport:   trs[0],
+		AddrOf:      func(id overlay.ID) string { return trs[id].Addr() },
+		RTO:         100 * time.Millisecond,
+		Retransmits: -1,
+		AdaptiveRTO: true,
+		Deadline:    5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	relay.Start()
+	t.Cleanup(relay.Close)
+
+	if err := probeTr.Send(relay.Addr(), reqPacket(t, 0xa1, dst, probeTr.Addr())); err != nil {
+		t.Fatal(err)
+	}
+	// Candidate 0 holds its ack back past the RTO; the request reaching
+	// candidate 1 is the failover.
+	for _, c := range cands[:2] {
+		if m, err := decodeWire(recvOne(t, trs[c], time.Second)); err != nil || m.Kind != msgReq || m.ReqID != 0xa1 {
+			t.Fatalf("candidate %d should see the request: kind=%d reqID=%#x err=%v", c, m.Kind, m.ReqID, err)
+		}
+	}
+	if err := trs[cands[0]].Send(relay.Addr(), ackPacket(t, 0xa1)); err != nil {
+		t.Fatal(err)
+	}
+	// The inbox is FIFO: this runs on the loop after the ack is handled.
+	type state struct {
+		pending int
+		seeded  bool
+	}
+	got := make(chan state, 1)
+	relay.post(func() {
+		_, seeded := relay.rtt[cands[1]]
+		got <- state{len(relay.pending), seeded}
+	})
+	if s := <-got; s.pending != 0 || s.seeded {
+		t.Fatalf("late ack from candidate %d after failover to %d: pending=%d (want 0, retired), estimator for %d seeded=%v (want false)",
+			cands[0], cands[1], s.pending, cands[1], s.seeded)
+	}
+}
+
 // TestKillWithInFlightRTOs is the timer-hygiene regression (run under
 // -race): Kill a node while dozens of its RTO timers are in flight —
 // every stale pop must be inert — then restart it and serve traffic.

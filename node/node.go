@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"rcm"
+	"rcm/obs"
 	"rcm/overlay"
 	"rcm/replica"
 )
@@ -54,11 +55,11 @@ type Config struct {
 	Replicas int
 	// AdaptiveRTO replaces the fixed retransmission timeout with a
 	// per-peer Jacobson/Karn estimator (RFC 6298 gains, samples from
-	// un-retransmitted attempts only — Karn's rule) with exponential
+	// requests sent exactly once — Karn's rule) with exponential
 	// backoff, floored at max(1ms, RTO/8) and capped at 8×RTO. The same
-	// estimator eventsim runs with Config.AdaptiveRTO, except the live
-	// floor may undercut the fixed RTO: a consistently fast peer is
-	// declared lost sooner, which is the point. Off by default.
+	// estimator (obs.RTT) eventsim runs with Config.AdaptiveRTO, except
+	// the live floor may undercut the fixed RTO: a consistently fast peer
+	// is declared lost sooner, which is the point. Off by default.
 	AdaptiveRTO bool
 	// MaxInFlight bounds the forward-attempt table: once this many
 	// relayed requests await hop acknowledgements, further requests for
@@ -162,17 +163,17 @@ type Node struct {
 	// The rcm:loop-owned markers are enforced by rcmlint's loopowner
 	// analyzer: any read or write outside code reachable from the
 	// rcm:event-loop dispatch is a lint error, not a latent race.
-	pending    map[uint64]*pendingFwd   // rcm:loop-owned
-	origins    map[uint64]originWait    // rcm:loop-owned
-	attemptSeq uint64                   // rcm:loop-owned
-	seen       map[uint64]struct{}      // rcm:loop-owned — recently handled request ids (dedupe)
-	seenRing   []uint64                 // rcm:loop-owned — the same ids in arrival order; a ring once seenCap long
-	seenHead   int                      // rcm:loop-owned — oldest ring slot
-	now        time.Time                // rcm:loop-owned — see clock
-	encBuf     []byte                   // rcm:loop-owned
-	candBuf    []overlay.ID             // rcm:loop-owned
-	rtt        map[overlay.ID]*rttState // rcm:loop-owned — per-peer adaptive-RTO estimator (see rto.go)
-	stats      stats                    // rcm:loop-owned — instrumentation (see metrics.go)
+	pending    map[uint64]*pendingFwd                // rcm:loop-owned
+	origins    map[uint64]originWait                 // rcm:loop-owned
+	attemptSeq uint64                                // rcm:loop-owned
+	seen       map[uint64]struct{}                   // rcm:loop-owned — recently handled request ids (dedupe)
+	seenRing   []uint64                              // rcm:loop-owned — the same ids in arrival order; a ring once seenCap long
+	seenHead   int                                   // rcm:loop-owned — oldest ring slot
+	now        time.Time                             // rcm:loop-owned — see clock
+	encBuf     []byte                                // rcm:loop-owned
+	candBuf    []overlay.ID                          // rcm:loop-owned
+	rtt        map[overlay.ID]obs.RTT[time.Duration] // rcm:loop-owned — per-peer adaptive-RTO estimator
+	stats      stats                                 // rcm:loop-owned — instrumentation (see metrics.go)
 }
 
 const seenCap = 4096
@@ -211,7 +212,7 @@ func New(cfg Config) (*Node, error) {
 		pending: make(map[uint64]*pendingFwd),
 		origins: make(map[uint64]originWait),
 		seen:    make(map[uint64]struct{}),
-		rtt:     make(map[overlay.ID]*rttState),
+		rtt:     make(map[overlay.ID]obs.RTT[time.Duration]),
 	}
 	return n, nil
 }
@@ -596,7 +597,12 @@ func (n *Node) dispatch(st *pendingFwd) {
 	reqID := st.msg.ReqID
 	rto := n.cfg.RTO
 	if n.cfg.AdaptiveRTO {
-		rto = n.rtoFor(st.cands[st.ci], st.try)
+		// Unlike the simulator, whose floor is the configured RTO (its
+		// arena invariant), the live floor may undercut it: a nearby
+		// responsive peer is probed faster and a dead one detected
+		// sooner. Safe here because pending state is keyed by request
+		// id, not held in recycled slots.
+		rto = n.rtt[st.cands[st.ci]].RTO(rto, max(time.Millisecond, rto/8), st.try)
 	}
 	st.timer = time.AfterFunc(rto, func() {
 		n.post(func() { n.handleTimeout(reqID, attempt) })
@@ -611,11 +617,16 @@ func (n *Node) handleAck(m message) {
 		return
 	}
 	st.timer.Stop()
-	if n.cfg.AdaptiveRTO && st.try == 0 {
-		// Karn's rule: only un-retransmitted attempts yield RTT samples —
-		// after a retransmission the ack is ambiguous about which copy it
-		// answers.
-		n.observeRTT(st.cands[st.ci], n.clock().Sub(st.sentAt))
+	if n.cfg.AdaptiveRTO && st.ci == 0 && st.try == 0 {
+		// Karn's rule: only a request this holder has sent exactly once
+		// yields an RTT sample. Acks carry no sender, so after a
+		// retransmission or a failover the ack is ambiguous about which
+		// copy it answers — a slow ack from the candidate just given up
+		// on would otherwise read as a near-zero RTT for the next one.
+		peer := st.cands[0]
+		est := n.rtt[peer]
+		est.Observe(n.clock().Sub(st.sentAt))
+		n.rtt[peer] = est
 	}
 	delete(n.pending, m.ReqID)
 }

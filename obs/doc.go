@@ -4,6 +4,9 @@
 // eventsim shards at epoch barriers, the live node event loop, cluster
 // replay reports, and the rcmd metrics endpoint — so the same bucket
 // boundaries and the same rendering describe simulated and real runs.
+// RTT, the round-trip estimator behind both executors' adaptive
+// retransmission timeout, lives here for the same reason: one
+// definition, two instantiations.
 //
 // # Adding a custom metric
 //

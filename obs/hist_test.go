@@ -191,11 +191,3 @@ func TestQuantileClamping(t *testing.T) {
 		t.Errorf("Quantile(2) = %d, want 7", h.Quantile(2))
 	}
 }
-
-func BenchmarkObserve(b *testing.B) {
-	var h Histogram
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(int64(i) & 1023)
-	}
-}

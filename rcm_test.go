@@ -2,6 +2,9 @@ package rcm
 
 import (
 	"math"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -200,5 +203,24 @@ func TestNewProtocol(t *testing.T) {
 	}
 	if _, err := NewProtocol("chord", Config{}); err == nil {
 		t.Error("zero bits accepted")
+	}
+}
+
+// TestDocsNameOnlyWhatExists: every cmd/<name>, scripts/<file> and
+// bench/<file> path the instructions mention must exist, so deleting a
+// tool cannot leave a README, Makefile, CI or skill line pointing at
+// nothing.
+func TestDocsNameOnlyWhatExists(t *testing.T) {
+	ref := regexp.MustCompile(`(?m)(?:^|[^\w/.])(?:\./)?((?:cmd|scripts|bench)/[\w.-]+)`)
+	for _, doc := range []string{"README.md", "Makefile", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ref.FindAllStringSubmatch(string(text), -1) {
+			if _, err := os.Stat(strings.TrimRight(m[1], ".")); err != nil {
+				t.Errorf("%s names %s: %v", doc, m[1], err)
+			}
+		}
 	}
 }

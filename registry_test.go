@@ -32,20 +32,6 @@ func toyFactory(name string) rcm.GeometryFactory {
 	return func(rcm.Config) (rcm.Geometry, error) { return toyGeometry{name: name}, nil }
 }
 
-func TestRegisterGeometryDuplicate(t *testing.T) {
-	if err := rcm.RegisterGeometry("dup-geo-test", toyFactory("dup-geo-test")); err != nil {
-		t.Fatalf("first registration: %v", err)
-	}
-	err := rcm.RegisterGeometry("dup-geo-test", toyFactory("dup-geo-test"))
-	if err == nil || !strings.Contains(err.Error(), "already registered") {
-		t.Errorf("duplicate registration err = %v", err)
-	}
-	// Case-insensitive: a different casing is still a duplicate.
-	if err := rcm.RegisterGeometry("DUP-GEO-TEST", toyFactory("x")); err == nil {
-		t.Error("case-variant duplicate accepted")
-	}
-}
-
 func TestRegisterGeometryBuiltinCollisions(t *testing.T) {
 	// Canonical built-in names and their aliases are all reserved, in both
 	// vocabularies: "chord" is an alias of the ring geometry and the
@@ -64,21 +50,6 @@ func TestRegisterGeometryBuiltinCollisions(t *testing.T) {
 	}
 	if _, lookupErr := rcm.ModelFor("alias-collision-test", rcm.Config{}); lookupErr == nil {
 		t.Error("failed registration still resolvable by canonical name")
-	}
-}
-
-func TestRegisterGeometryRejectsJunk(t *testing.T) {
-	if err := rcm.RegisterGeometry("", toyFactory("")); err == nil {
-		t.Error("empty name accepted")
-	}
-	if err := rcm.RegisterGeometry("   ", toyFactory(" ")); err == nil {
-		t.Error("blank name accepted")
-	}
-	if err := rcm.RegisterGeometry("nil-factory-test", nil); err == nil {
-		t.Error("nil factory accepted")
-	}
-	if err := rcm.RegisterGeometry("self-alias-test", toyFactory("s"), "Self-Alias-Test"); err == nil {
-		t.Error("name aliasing itself accepted")
 	}
 }
 
