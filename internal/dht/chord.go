@@ -1,6 +1,8 @@
 package dht
 
 import (
+	"math/bits"
+
 	"rcm/overlay"
 )
 
@@ -10,10 +12,14 @@ import (
 // Routing is greedy clockwise without overshooting the target; progress
 // made by suboptimal hops is preserved (the structural property that makes
 // the paper's ring analysis a lower bound, §4.3.3).
+//
+// The constructor and both Maintainer methods keep every finger inside its
+// window (the invariant stated on table), and forwarding is derived from
+// that rather than from a scan: see eligible.
 type Chord struct {
 	space overlay.Space
-	// table[x*d + (i-1)] is node x's finger i.
-	table []overlay.ID
+	// table.row(x)[i-1] is node x's finger i.
+	table table
 }
 
 var (
@@ -28,19 +34,17 @@ func NewChord(cfg Config) (*Chord, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := s.Bits()
 	n := s.Size()
 	rng := overlay.NewRNG(cfg.Seed ^ 0x63686f7264) // "chord"
-	table := make([]overlay.ID, int(n)*d)
+	t := newTable(int(n), s.Bits())
 	for x := uint64(0); x < n; x++ {
-		for i := 1; i <= d; i++ {
-			lo := uint64(1) << uint(i-1)
-			span := lo // window [2^{i-1}, 2^i) has width 2^{i-1}
-			dist := lo + rng.Uint64n(span)
-			table[int(x)*d+i-1] = overlay.ID((x + dist) & (n - 1))
+		row := t.row(int(x))
+		for i := range row {
+			lo := uint64(1) << uint(i) // finger i+1: window [2^i, 2^{i+1}), width 2^i
+			row[i] = uint32((x + lo + rng.Uint64n(lo)) & (n - 1))
 		}
 	}
-	return &Chord{space: s, table: table}, nil
+	return &Chord{space: s, table: t}, nil
 }
 
 // Name implements Protocol.
@@ -55,95 +59,77 @@ func (c *Chord) Space() overlay.Space { return c.space }
 // Degree implements Protocol.
 func (c *Chord) Degree() int { return c.space.Bits() }
 
+// eligible returns the fingers of x that do not overshoot dst, in finger
+// order. With 2^{m−1} ≤ remaining < 2^m the window invariant decides all
+// but one without reading them: fingers 1…m−1 fall short of dst, fingers
+// beyond m pass it, and finger m takes one compare. Clockwise distance
+// rises with the finger index, so the last eligible finger lands closest
+// to dst and the walk from last to first is the preference order.
+func (c *Chord) eligible(x, dst overlay.ID) []uint32 {
+	remaining := c.space.RingDist(x, dst)
+	m := bits.Len64(remaining)
+	if m == 0 {
+		return nil
+	}
+	row := c.table.row(int(x))
+	if c.space.RingDist(x, overlay.ID(row[m-1])) > remaining {
+		m--
+	}
+	return row[:m]
+}
+
 // Route implements Protocol: take the alive finger that lands closest to
 // dst without passing it; fail when no alive finger makes clockwise
 // progress. The successor finger guarantees progress whenever it is alive.
 func (c *Chord) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bool) {
-	d := c.space.Bits()
 	cur := src
 	hops := 0
-	for maxHops := hopCap(c.space); hops < maxHops; {
+	for maxHops := hopCap(c.space); hops < maxHops; hops++ {
 		if cur == dst {
 			return hops, true
 		}
-		remaining := c.space.RingDist(cur, dst)
-		var best overlay.ID
-		bestRemaining := remaining
-		found := false
-		base := int(cur) * d
-		for i := 0; i < d; i++ {
-			f := c.table[base+i]
-			// Overshooting fingers (past dst clockwise) are not eligible.
-			if c.space.RingDist(cur, f) > remaining {
-				continue
-			}
-			if !alive.Get(int(f)) {
-				continue
-			}
-			if nr := c.space.RingDist(f, dst); nr < bestRemaining {
-				bestRemaining = nr
-				best = f
-				found = true
-			}
+		fingers := c.eligible(cur, dst)
+		i := len(fingers) - 1
+		for i >= 0 && !alive.Get(int(fingers[i])) {
+			i--
 		}
-		if !found {
+		if i < 0 {
 			return hops, false
 		}
-		cur = best
-		hops++
+		cur = overlay.ID(fingers[i])
 	}
 	return hops, false
 }
 
 // AppendCandidateHops implements Forwarder: the non-overshooting fingers of
-// x, deduplicated, ordered by resulting clockwise distance to dst (ties keep
-// finger order) — so the first alive candidate is exactly Route's greedy
-// choice.
+// x ordered by resulting clockwise distance to dst — so the first alive
+// candidate is exactly Route's greedy choice. The windows are disjoint and
+// exclude x, so the list has no duplicates and never contains x.
 func (c *Chord) AppendCandidateHops(buf []overlay.ID, x, dst overlay.ID) []overlay.ID {
-	remaining := c.space.RingDist(x, dst)
-	if remaining == 0 {
-		return buf
-	}
-	d := c.space.Bits()
-	start := len(buf)
-	base := int(x) * d
-outer:
-	for i := 0; i < d; i++ {
-		f := c.table[base+i]
-		if f == x || c.space.RingDist(x, f) > remaining {
-			continue // self or overshooting: no eligible progress
-		}
-		for _, prev := range buf[start:] {
-			if prev == f {
-				continue outer
-			}
-		}
-		// Stable insertion by resulting distance (ascending).
-		nr := c.space.RingDist(f, dst)
-		buf = append(buf, f)
-		j := len(buf) - 1
-		for j > start && c.space.RingDist(buf[j-1], dst) > nr {
-			buf[j] = buf[j-1]
-			j--
-		}
-		buf[j] = f
+	fingers := c.eligible(x, dst)
+	for i := len(fingers) - 1; i >= 0; i-- {
+		buf = append(buf, overlay.ID(fingers[i]))
 	}
 	return buf
+}
+
+// refresh re-draws finger i of x inside its window, preferring alive
+// nodes, and returns the modeled message cost.
+func (c *Chord) refresh(x overlay.ID, i int, alive *overlay.Bitset, rng *overlay.RNG) int {
+	lo := uint64(1) << uint(i-1)
+	id, attempts := drawAliveCost(alive, func() overlay.ID {
+		return overlay.ID((uint64(x) + lo + rng.Uint64n(lo)) & (c.space.Size() - 1))
+	})
+	c.table.row(int(x))[i-1] = uint32(id)
+	return probeCost(attempts)
 }
 
 // Join implements Maintainer: a (re)joining node rebuilds all d fingers
 // toward alive nodes, returning the modeled message cost.
 func (c *Chord) Join(x overlay.ID, alive *overlay.Bitset, rng *overlay.RNG) int {
-	d := c.space.Bits()
-	n := c.space.Size()
 	cost := 0
-	for i := 1; i <= d; i++ {
-		lo := uint64(1) << uint(i-1)
-		id, attempts := drawAliveCost(alive, func() overlay.ID {
-			return overlay.ID((uint64(x) + lo + rng.Uint64n(lo)) & (n - 1))
-		})
-		c.table[int(x)*d+i-1] = id
-		cost += probeCost(attempts)
+	for i := 1; i <= c.space.Bits(); i++ {
+		cost += c.refresh(x, i, alive, rng)
 	}
 	return cost
 }
@@ -151,21 +137,8 @@ func (c *Chord) Join(x overlay.ID, alive *overlay.Bitset, rng *overlay.RNG) int 
 // Stabilize implements Maintainer: one periodic round refreshes a single
 // uniformly-chosen finger (Chord's fix_fingers).
 func (c *Chord) Stabilize(x overlay.ID, alive *overlay.Bitset, rng *overlay.RNG) int {
-	d := c.space.Bits()
-	n := c.space.Size()
-	i := 1 + rng.Intn(d)
-	lo := uint64(1) << uint(i-1)
-	id, attempts := drawAliveCost(alive, func() overlay.ID {
-		return overlay.ID((uint64(x) + lo + rng.Uint64n(lo)) & (n - 1))
-	})
-	c.table[int(x)*d+i-1] = id
-	return probeCost(attempts)
+	return c.refresh(x, 1+rng.Intn(c.space.Bits()), alive, rng)
 }
 
 // Neighbors implements Protocol.
-func (c *Chord) Neighbors(x overlay.ID) []overlay.ID {
-	d := c.space.Bits()
-	out := make([]overlay.ID, d)
-	copy(out, c.table[int(x)*d:int(x)*d+d])
-	return out
-}
+func (c *Chord) Neighbors(x overlay.ID) []overlay.ID { return c.table.neighbors(int(x)) }

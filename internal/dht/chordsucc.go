@@ -17,8 +17,8 @@ import (
 type ChordWithSuccessors struct {
 	space      overlay.Space
 	successors int
-	// table[x*deg ... (x+1)*deg) holds s successors then d fingers.
-	table []overlay.ID
+	// table.row(x) holds s successors then d fingers.
+	table table
 }
 
 var _ Protocol = (*ChordWithSuccessors)(nil)
@@ -35,21 +35,19 @@ func NewChordWithSuccessors(cfg Config, s int) (*ChordWithSuccessors, error) {
 	}
 	d := sp.Bits()
 	n := sp.Size()
-	deg := s + d
 	rng := overlay.NewRNG(cfg.Seed ^ 0x63686f72647363) // "chordsc"
-	table := make([]overlay.ID, int(n)*deg)
+	t := newTable(int(n), s+d)
 	for x := uint64(0); x < n; x++ {
-		base := int(x) * deg
+		row := t.row(int(x))
 		for j := 1; j <= s; j++ {
-			table[base+j-1] = overlay.ID((x + uint64(j)) & (n - 1))
+			row[j-1] = uint32((x + uint64(j)) & (n - 1))
 		}
 		for i := 1; i <= d; i++ {
 			lo := uint64(1) << uint(i-1)
-			dist := lo + rng.Uint64n(lo)
-			table[base+s+i-1] = overlay.ID((x + dist) & (n - 1))
+			row[s+i-1] = uint32((x + lo + rng.Uint64n(lo)) & (n - 1))
 		}
 	}
-	return &ChordWithSuccessors{space: sp, successors: s, table: table}, nil
+	return &ChordWithSuccessors{space: sp, successors: s, table: t}, nil
 }
 
 // Name implements Protocol.
@@ -70,7 +68,6 @@ func (c *ChordWithSuccessors) Successors() int { return c.successors }
 // Route implements Protocol: greedy clockwise over alive successors and
 // fingers without overshooting.
 func (c *ChordWithSuccessors) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bool) {
-	deg := c.Degree()
 	cur := src
 	hops := 0
 	for maxHops := hopCap(c.space); hops < maxHops; {
@@ -81,9 +78,8 @@ func (c *ChordWithSuccessors) Route(src, dst overlay.ID, alive *overlay.Bitset) 
 		var best overlay.ID
 		bestRemaining := remaining
 		found := false
-		base := int(cur) * deg
-		for i := 0; i < deg; i++ {
-			f := c.table[base+i]
+		for _, e := range c.table.row(int(cur)) {
+			f := overlay.ID(e)
 			if c.space.RingDist(cur, f) > remaining {
 				continue
 			}
@@ -107,8 +103,5 @@ func (c *ChordWithSuccessors) Route(src, dst overlay.ID, alive *overlay.Bitset) 
 
 // Neighbors implements Protocol.
 func (c *ChordWithSuccessors) Neighbors(x overlay.ID) []overlay.ID {
-	deg := c.Degree()
-	out := make([]overlay.ID, deg)
-	copy(out, c.table[int(x)*deg:int(x)*deg+deg])
-	return out
+	return c.table.neighbors(int(x))
 }

@@ -73,36 +73,14 @@ func drawAliveCost(alive *overlay.Bitset, draw func() overlay.ID) (overlay.ID, i
 // probe and one response per attempted candidate.
 func probeCost(attempts int) int { return 2 * attempts }
 
-// prefixRefresh re-draws table entry i of node x in a prefix-corrected
-// table (entry i flips bit i of x with a uniform random tail), preferring
-// alive candidates, and returns the modeled message cost. Kademlia and
-// Plaxton tables share this structure, so both protocols' Maintainer
-// methods delegate here.
-func prefixRefresh(s overlay.Space, tbl []overlay.ID, x overlay.ID, i int, alive *overlay.Bitset, rng *overlay.RNG) int {
-	id, attempts := drawAliveCost(alive, func() overlay.ID {
-		return s.RandomTail(s.FlipBit(x, i), i, rng)
-	})
-	tbl[int(x)*s.Bits()+i-1] = id
-	return probeCost(attempts)
-}
-
-// prefixJoin is the full-table prefixRefresh: the Maintainer.Join body
-// shared by Kademlia and Plaxton.
-func prefixJoin(s overlay.Space, tbl []overlay.ID, x overlay.ID, alive *overlay.Bitset, rng *overlay.RNG) int {
-	cost := 0
-	for i := 1; i <= s.Bits(); i++ {
-		cost += prefixRefresh(s, tbl, x, i, alive, rng)
-	}
-	return cost
-}
-
 // Config is the canonical overlay-construction configuration shared across
 // the module (defined in internal/registry, re-exported publicly as
 // rcm.Config).
 type Config = registry.Config
 
-// MaxSimBits caps overlay sizes: routing tables are O(N·d), so d=22 is
-// roughly 350 MB of table and already far past the paper's N = 2^16.
+// MaxSimBits caps overlay sizes: a routing table is 2^d·d entries of 4
+// bytes (see table), 2^22·22·4 B at the cap — already far past the paper's
+// N = 2^16.
 const MaxSimBits = 22
 
 func space(c Config) (overlay.Space, error) {

@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -16,6 +17,15 @@ import (
 // respect each protocol's analytic bound. Each property runs both under
 // testing/quick's randomized seeds and over a fixed-seed regression
 // corpus of (bits, seed) overlays, so a regression reproduces exactly.
+//
+// Chord and Kademlia derive forwarding from the position of a table entry
+// instead of scanning the row (see table). The scan they replaced lives on
+// here as referenceCandidates / referenceRoute, written once over
+// Neighbors and the protocol's metric so it knows nothing of any table
+// layout, and TestForwardingMatchesReference holds every Forwarder to it
+// entry for entry; TestTableInvariant pins the window invariant the
+// derivation rests on. FuzzForwarderOracle (build tag fuzz) drives the same
+// comparison from arbitrary inputs.
 
 // forwarderCorpus is the fixed-seed regression corpus: overlay sizes and
 // construction seeds replayed deterministically on every test run.
@@ -244,6 +254,213 @@ func TestHopCountsRespectAnalyticBound(t *testing.T) {
 						name, c.bits, hops, bound, src, dst)
 				}
 			}
+		}
+	}
+}
+
+// referenceCandidates is the scan-dedupe-sort enumeration every table
+// protocol shipped before forwarding was derived from the table invariant:
+// the neighbors of x strictly closer to dst under the protocol's metric,
+// deduplicated, in ascending order of resulting distance with ties keeping
+// table order (stable insertion).
+func referenceCandidates(p Protocol, x, dst overlay.ID) []overlay.ID {
+	metric := routeMetric(p)
+	cur := metric(x, dst)
+	var out []overlay.ID
+outer:
+	for _, nb := range p.Neighbors(x) {
+		nd := metric(nb, dst)
+		if nd >= cur {
+			continue
+		}
+		for _, prev := range out {
+			if prev == nb {
+				continue outer
+			}
+		}
+		out = append(out, nb)
+		j := len(out) - 1
+		for j > 0 && metric(out[j-1], dst) > nd {
+			out[j] = out[j-1]
+			j--
+		}
+		out[j] = nb
+	}
+	return out
+}
+
+// referenceRoute is the scan-all greedy walk: at every hop the alive
+// neighbor that lands strictly closest to dst (first in table order on a
+// tie); fail when no alive neighbor makes progress.
+func referenceRoute(p Protocol, src, dst overlay.ID, alive *overlay.Bitset) (int, bool) {
+	metric := routeMetric(p)
+	cur := src
+	hops := 0
+	for maxHops := hopCap(p.Space()); hops < maxHops; hops++ {
+		if cur == dst {
+			return hops, true
+		}
+		best, bestDist := cur, metric(cur, dst)
+		for _, nb := range p.Neighbors(cur) {
+			if !alive.Get(int(nb)) {
+				continue
+			}
+			if nd := metric(nb, dst); nd < bestDist {
+				best, bestDist = nb, nd
+			}
+		}
+		if best == cur {
+			return hops, false
+		}
+		cur = best
+	}
+	return hops, false
+}
+
+// maintain runs a seeded script of Join and Stabilize calls against p (a
+// no-op for the hypercube, which has nothing to maintain). Each step picks
+// a node, one of the two methods and one of three alive arguments: nil, a
+// random set, or the all-dead set — under which every re-draw exhausts its
+// retries and the final draw stays in place, alive or not.
+func maintain(p Protocol, steps int, seed uint64) {
+	m, ok := p.(Maintainer)
+	if !ok {
+		return
+	}
+	size := p.Space().Size()
+	rng := overlay.NewRNG(seed ^ 0x6d61696e74) // "maint"
+	some := overlay.NewBitset(int(size))
+	some.FillRandomAlive(0.5, rng)
+	alives := []*overlay.Bitset{nil, some, overlay.NewBitset(int(size))}
+	for i := 0; i < steps; i++ {
+		x := overlay.ID(rng.Uint64n(size))
+		alive := alives[rng.Intn(len(alives))]
+		if rng.Intn(4) == 0 {
+			m.Join(x, alive, rng)
+		} else {
+			m.Stabilize(x, alive, rng)
+		}
+	}
+}
+
+// aliveSets returns one seeded failure pattern per q in {0, 0.3, 0.6, 0.9}.
+func aliveSets(s overlay.Space, seed uint64) []*overlay.Bitset {
+	var out []*overlay.Bitset
+	for i, q := range []float64{0, 0.3, 0.6, 0.9} {
+		alive := overlay.NewBitset(int(s.Size()))
+		alive.FillRandomAlive(q, overlay.NewRNG(seed+uint64(i)))
+		out = append(out, alive)
+	}
+	return out
+}
+
+// matchesReference holds the shipping Forwarder and Route of p to the
+// reference at one (x, dst): the candidate list must be identical entry
+// for entry (so, against any alive set, the first alive candidate is the
+// reference's greedy hop), and Route must return the reference walk's hop
+// count and outcome against every given alive set. x must be a node; dst
+// may be any 64-bit value — distances are masked, so an out-of-space dst
+// is routed toward and never reached.
+func matchesReference(t testing.TB, p Protocol, x, dst overlay.ID, alives []*overlay.Bitset) bool {
+	t.Helper()
+	got := p.(Forwarder).AppendCandidateHops(nil, x, dst)
+	want := referenceCandidates(p, x, dst)
+	if !slices.Equal(got, want) {
+		t.Errorf("%s bits=%d x=%d dst=%d: candidates %v, reference %v", p.Name(), p.Space().Bits(), x, dst, got, want)
+		return false
+	}
+	for _, alive := range alives {
+		hops, ok := p.Route(x, dst, alive)
+		if rHops, rOK := referenceRoute(p, x, dst, alive); hops != rHops || ok != rOK {
+			t.Errorf("%s bits=%d x=%d dst=%d: Route (%d,%v), reference (%d,%v)", p.Name(), p.Space().Bits(), x, dst, hops, ok, rHops, rOK)
+			return false
+		}
+	}
+	return true
+}
+
+// TestForwardingMatchesReference is the oracle test: every (x, dst) at
+// Bits 5–8 for all five protocols — each dst also lifted out of the space,
+// which must change nothing but the final arrival — and 20 000 seeded
+// pairs at Bits 10, 12 and 16 for the two protocols whose forwarding is a
+// closed form, on a fresh overlay and again after 4·N maintenance calls.
+func TestForwardingMatchesReference(t *testing.T) {
+	check := func(name string, bits, sampled int) {
+		p, _ := mustForwarder(t, name, bits, uint64(bits))
+		s := p.Space()
+		alives := aliveSets(s, uint64(bits)*131)
+		rng := overlay.NewRNG(uint64(bits) ^ 0x0AC1E)
+		for _, state := range []string{"fresh", "maintained"} {
+			if state == "maintained" {
+				maintain(p, 4*int(s.Size()), uint64(bits))
+			}
+			for i := 0; i < sampled; i++ {
+				x, dst := overlay.ID(rng.Uint64n(s.Size())), overlay.ID(rng.Uint64())
+				if i%4 != 0 {
+					dst &= overlay.ID(s.Size() - 1) // three in four inside the space
+				}
+				if !matchesReference(t, p, x, dst, alives) {
+					t.Fatalf("%s overlay", state)
+				}
+			}
+			if sampled > 0 {
+				continue
+			}
+			for x := overlay.ID(0); uint64(x) < s.Size(); x++ {
+				for dst := overlay.ID(0); uint64(dst) < s.Size(); dst++ {
+					lifted := dst | overlay.ID(rng.Uint64()<<uint(bits))
+					if !matchesReference(t, p, x, dst, alives) || !matchesReference(t, p, x, lifted, alives[1:2]) {
+						t.Fatalf("%s overlay", state)
+					}
+				}
+			}
+		}
+	}
+	for _, name := range forwarderProtocols {
+		for bits := 5; bits <= 8; bits++ {
+			check(name, bits, 0)
+		}
+	}
+	for _, name := range []string{"chord", "kademlia"} {
+		for _, bits := range []int{10, 12, 16} {
+			check(name, bits, 20000)
+		}
+	}
+}
+
+// TestTableInvariant pins what the closed forms rely on (stated on table):
+// after any construction and any sequence of Join / Stabilize calls, chord
+// finger i of every node lies at clockwise distance [2^{i−1}, 2^i) and
+// kademlia / plaxton contact i first differs from its owner at bit i.
+func TestTableInvariant(t *testing.T) {
+	f := func(bitsSel uint8, seed uint64, steps uint16) bool {
+		bits := 1 + int(bitsSel)%10
+		for _, name := range []string{"chord", "kademlia", "plaxton"} {
+			p, _ := mustForwarder(t, name, bits, seed)
+			maintain(p, int(steps), seed)
+			s := p.Space()
+			for x := overlay.ID(0); uint64(x) < s.Size(); x++ {
+				for i, nb := range p.Neighbors(x) {
+					if name == "chord" {
+						if dist, lo := s.RingDist(x, nb), uint64(1)<<uint(i); dist < lo || dist >= 2*lo {
+							t.Errorf("chord bits=%d seed=%d steps=%d: node %d finger %d at distance %d", bits, seed, steps, x, i+1, dist)
+							return false
+						}
+					} else if got := s.FirstDifferingBit(x, nb); got != i+1 {
+						t.Errorf("%s bits=%d seed=%d steps=%d: node %d contact %d first differs at bit %d", name, bits, seed, steps, x, i+1, got)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+	for _, c := range forwarderCorpus {
+		if !f(uint8(c.bits-1), c.seed, uint16(4<<uint(c.bits))) {
+			t.Fatalf("corpus bits=%d seed=%d", c.bits, c.seed)
 		}
 	}
 }

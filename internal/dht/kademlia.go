@@ -1,6 +1,8 @@
 package dht
 
 import (
+	"math/bits"
+
 	"rcm/overlay"
 )
 
@@ -11,10 +13,19 @@ import (
 // contact strictly closer to the target may be used, so a dead
 // highest-order contact can be bypassed by correcting a lower-order bit
 // (Fig. 5(a)), at the cost of progress that is not preserved across phases.
+//
+// The constructor and both Maintainer methods keep contact i differing
+// from x first at bit i (the invariant stated on table), and forwarding is
+// derived from that rather than from a scan: contact i is strictly closer
+// to dst exactly when bit i of x⊕dst is set (it clears that bit and leaves
+// the higher ones alone), and clearing a higher bit always lands closer
+// than clearing a lower one. The contacts at the set bits of x⊕dst, most
+// significant first, are therefore the progress-making contacts in
+// preference order — the hypercube's enumeration, read from a table.
 type Kademlia struct {
 	space overlay.Space
-	// table[x*d + (i-1)] is node x's bucket-i contact.
-	table []overlay.ID
+	// table.row(x)[i-1] is node x's bucket-i contact.
+	table table
 }
 
 var (
@@ -29,17 +40,8 @@ func NewKademlia(cfg Config) (*Kademlia, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := s.Bits()
-	n := s.Size()
 	rng := overlay.NewRNG(cfg.Seed ^ 0x6b61646d6c6961) // "kadmlia"
-	table := make([]overlay.ID, int(n)*d)
-	for x := uint64(0); x < n; x++ {
-		id := overlay.ID(x)
-		for i := 1; i <= d; i++ {
-			table[int(x)*d+i-1] = s.RandomTail(s.FlipBit(id, i), i, rng)
-		}
-	}
-	return &Kademlia{space: s, table: table}, nil
+	return &Kademlia{space: s, table: newPrefixTable(s, rng)}, nil
 }
 
 // Name implements Protocol.
@@ -57,66 +59,38 @@ func (k *Kademlia) Degree() int { return k.space.Bits() }
 // Route implements Protocol: greedy descent in XOR distance over alive
 // contacts; fail when no alive contact is strictly closer to dst.
 func (k *Kademlia) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bool) {
-	d := k.space.Bits()
 	cur := src
 	hops := 0
-	for maxHops := hopCap(k.space); hops < maxHops; {
+hop:
+	for maxHops := hopCap(k.space); hops < maxHops; hops++ {
 		if cur == dst {
 			return hops, true
 		}
-		curDist := k.space.XORDist(cur, dst)
-		bestDist := curDist
-		best := cur
-		base := int(cur) * d
-		for i := 0; i < d; i++ {
-			nb := k.table[base+i]
-			if !alive.Get(int(nb)) {
-				continue
+		row := k.table.row(int(cur))
+		for diff := k.space.XORDist(cur, dst); diff != 0; {
+			top := bits.Len64(diff) // bit `top` from the right is bit d+1−top from the left
+			if nb := row[len(row)-top]; alive.Get(int(nb)) {
+				cur = overlay.ID(nb)
+				continue hop
 			}
-			if nd := k.space.XORDist(nb, dst); nd < bestDist {
-				bestDist = nd
-				best = nb
-			}
+			diff &^= 1 << uint(top-1)
 		}
-		if best == cur {
-			return hops, false
-		}
-		cur = best
-		hops++
+		return hops, false
 	}
 	return hops, false
 }
 
 // AppendCandidateHops implements Forwarder: the contacts strictly closer to
-// dst in XOR distance, deduplicated, ordered by resulting distance (ties
-// keep bucket order) — the first alive candidate is Route's greedy choice.
+// dst in XOR distance, ordered by resulting distance — the first alive
+// candidate is Route's greedy choice. Contacts differ from x and from each
+// other in their first differing bit, so the list has no duplicates and
+// never contains x.
 func (k *Kademlia) AppendCandidateHops(buf []overlay.ID, x, dst overlay.ID) []overlay.ID {
-	curDist := k.space.XORDist(x, dst)
-	if curDist == 0 {
-		return buf
-	}
-	d := k.space.Bits()
-	start := len(buf)
-	base := int(x) * d
-outer:
-	for i := 0; i < d; i++ {
-		nb := k.table[base+i]
-		nd := k.space.XORDist(nb, dst)
-		if nd >= curDist {
-			continue // no strict progress
-		}
-		for _, prev := range buf[start:] {
-			if prev == nb {
-				continue outer
-			}
-		}
-		buf = append(buf, nb)
-		j := len(buf) - 1
-		for j > start && k.space.XORDist(buf[j-1], dst) > nd {
-			buf[j] = buf[j-1]
-			j--
-		}
-		buf[j] = nb
+	row := k.table.row(int(x))
+	for diff := k.space.XORDist(x, dst); diff != 0; {
+		top := bits.Len64(diff)
+		buf = append(buf, overlay.ID(row[len(row)-top]))
+		diff &^= 1 << uint(top-1)
 	}
 	return buf
 }
@@ -134,12 +108,7 @@ func (k *Kademlia) Stabilize(x overlay.ID, alive *overlay.Bitset, rng *overlay.R
 }
 
 // Neighbors implements Protocol.
-func (k *Kademlia) Neighbors(x overlay.ID) []overlay.ID {
-	d := k.space.Bits()
-	out := make([]overlay.ID, d)
-	copy(out, k.table[int(x)*d:int(x)*d+d])
-	return out
-}
+func (k *Kademlia) Neighbors(x overlay.ID) []overlay.ID { return k.table.neighbors(int(x)) }
 
 // AppendReplicaSet implements the rcm/replica.Replicator capability
 // (structurally — no import needed): copies of a key live on the XOR-

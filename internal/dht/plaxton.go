@@ -12,8 +12,8 @@ import (
 // message is dropped (Fig. 4(a)).
 type Plaxton struct {
 	space overlay.Space
-	// table[x*d + (i-1)] is node x's level-i neighbor.
-	table []overlay.ID
+	// table.row(x)[i-1] is node x's level-i neighbor.
+	table table
 }
 
 var (
@@ -28,19 +28,8 @@ func NewPlaxton(cfg Config) (*Plaxton, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := s.Bits()
-	n := s.Size()
 	rng := overlay.NewRNG(cfg.Seed ^ 0x706c6178746f6e) // "plaxton"
-	table := make([]overlay.ID, int(n)*d)
-	for x := uint64(0); x < n; x++ {
-		id := overlay.ID(x)
-		for i := 1; i <= d; i++ {
-			// Flip bit i, then randomize everything to its right: a uniform
-			// choice among the 2^{d-i} level-i candidates.
-			table[int(x)*d+i-1] = s.RandomTail(s.FlipBit(id, i), i, rng)
-		}
-	}
-	return &Plaxton{space: s, table: table}, nil
+	return &Plaxton{space: s, table: newPrefixTable(s, rng)}, nil
 }
 
 // Name implements Protocol.
@@ -58,20 +47,18 @@ func (p *Plaxton) Degree() int { return p.space.Bits() }
 // Route implements Protocol. Each hop must correct the current leftmost
 // differing bit; the unique neighbor able to do so being dead is fatal.
 func (p *Plaxton) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bool) {
-	d := p.space.Bits()
 	cur := src
 	hops := 0
-	for maxHops := hopCap(p.space); hops < maxHops; {
-		if cur == dst {
-			return hops, true
-		}
+	for maxHops := hopCap(p.space); hops < maxHops; hops++ {
 		i := p.space.FirstDifferingBit(cur, dst)
-		next := p.table[int(cur)*d+i-1]
+		if i == 0 {
+			return hops, cur == dst // an out-of-space dst is never reached
+		}
+		next := p.table.row(int(cur))[i-1]
 		if !alive.Get(int(next)) {
 			return hops, false
 		}
-		cur = next
-		hops++
+		cur = overlay.ID(next)
 	}
 	return hops, false
 }
@@ -84,7 +71,7 @@ func (p *Plaxton) AppendCandidateHops(buf []overlay.ID, x, dst overlay.ID) []ove
 	if i == 0 {
 		return buf
 	}
-	return append(buf, p.table[int(x)*p.space.Bits()+i-1])
+	return append(buf, overlay.ID(p.table.row(int(x))[i-1]))
 }
 
 // Join implements Maintainer: a (re)joining node rebuilds every per-level
@@ -100,9 +87,4 @@ func (p *Plaxton) Stabilize(x overlay.ID, alive *overlay.Bitset, rng *overlay.RN
 }
 
 // Neighbors implements Protocol.
-func (p *Plaxton) Neighbors(x overlay.ID) []overlay.ID {
-	d := p.space.Bits()
-	out := make([]overlay.ID, d)
-	copy(out, p.table[int(x)*d:int(x)*d+d])
-	return out
-}
+func (p *Plaxton) Neighbors(x overlay.ID) []overlay.ID { return p.table.neighbors(int(x)) }

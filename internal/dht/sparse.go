@@ -58,8 +58,8 @@ func successorOf(nodes []overlay.ID, target overlay.ID) overlay.ID {
 type SparseChord struct {
 	space overlay.Space
 	nodes []overlay.ID
-	// table[k*d + (i-1)] is finger i of nodes[k].
-	table []overlay.ID
+	// table.row(k)[i-1] is finger i of nodes[k].
+	table table
 	index map[overlay.ID]int
 }
 
@@ -79,17 +79,17 @@ func NewSparseChord(cfg Config, n int) (*SparseChord, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := s.Bits()
-	table := make([]overlay.ID, len(nodes)*d)
+	t := newTable(len(nodes), s.Bits())
 	index := make(map[overlay.ID]int, len(nodes))
 	for k, x := range nodes {
 		index[x] = k
-		for i := 1; i <= d; i++ {
-			target := overlay.ID((uint64(x) + (uint64(1) << uint(i-1))) & (s.Size() - 1))
-			table[k*d+i-1] = successorOf(nodes, target)
+		row := t.row(k)
+		for i := range row {
+			target := overlay.ID((uint64(x) + (uint64(1) << uint(i))) & (s.Size() - 1))
+			row[i] = uint32(successorOf(nodes, target))
 		}
 	}
-	return &SparseChord{space: s, nodes: nodes, table: table, index: index}, nil
+	return &SparseChord{space: s, nodes: nodes, table: t, index: index}, nil
 }
 
 // Name implements Protocol.
@@ -110,7 +110,6 @@ func (c *SparseChord) Nodes() []overlay.ID { return c.nodes }
 // Route implements Protocol: greedy clockwise over alive fingers without
 // overshooting, as in the dense overlay.
 func (c *SparseChord) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bool) {
-	d := c.space.Bits()
 	cur := src
 	hops := 0
 	for maxHops := hopCap(c.space); hops < maxHops; {
@@ -125,8 +124,8 @@ func (c *SparseChord) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bo
 		var best overlay.ID
 		bestRemaining := remaining
 		found := false
-		for i := 0; i < d; i++ {
-			f := c.table[k*d+i]
+		for _, e := range c.table.row(k) {
+			f := overlay.ID(e)
 			if f == cur || c.space.RingDist(cur, f) > remaining {
 				continue
 			}
@@ -154,10 +153,7 @@ func (c *SparseChord) Neighbors(x overlay.ID) []overlay.ID {
 	if !ok {
 		return nil
 	}
-	d := c.space.Bits()
-	out := make([]overlay.ID, d)
-	copy(out, c.table[k*d:(k+1)*d])
-	return out
+	return c.table.neighbors(k)
 }
 
 // SparseKademlia is Kademlia over a non-fully-populated space: bucket i of
@@ -166,7 +162,8 @@ func (c *SparseChord) Neighbors(x overlay.ID) []overlay.ID {
 type SparseKademlia struct {
 	space overlay.Space
 	nodes []overlay.ID
-	table []overlay.ID
+	// table.row(k)[i-1] is the bucket-i contact of nodes[k].
+	table table
 	index map[overlay.ID]int
 }
 
@@ -187,19 +184,17 @@ func NewSparseKademlia(cfg Config, n int) (*SparseKademlia, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := s.Bits()
-	table := make([]overlay.ID, len(nodes)*d)
+	t := newTable(len(nodes), s.Bits())
 	index := make(map[overlay.ID]int, len(nodes))
 	for k, x := range nodes {
 		index[x] = k
-	}
-	for k, x := range nodes {
-		for i := 1; i <= d; i++ {
-			ideal := s.RandomTail(s.FlipBit(x, i), i, rng)
-			table[k*d+i-1] = xorClosest(s, nodes, ideal)
+		row := t.row(k)
+		for i := range row {
+			ideal := s.RandomTail(s.FlipBit(x, i+1), i+1, rng)
+			row[i] = uint32(xorClosest(s, nodes, ideal))
 		}
 	}
-	return &SparseKademlia{space: s, nodes: nodes, table: table, index: index}, nil
+	return &SparseKademlia{space: s, nodes: nodes, table: t, index: index}, nil
 }
 
 // xorClosest returns the occupied node minimizing XOR distance to target
@@ -241,7 +236,6 @@ func (k *SparseKademlia) Nodes() []overlay.ID { return k.nodes }
 
 // Route implements Protocol: greedy XOR descent over alive contacts.
 func (k *SparseKademlia) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bool) {
-	d := k.space.Bits()
 	cur := src
 	hops := 0
 	for maxHops := hopCap(k.space); hops < maxHops; {
@@ -255,8 +249,8 @@ func (k *SparseKademlia) Route(src, dst overlay.ID, alive *overlay.Bitset) (int,
 		curDist := k.space.XORDist(cur, dst)
 		best := cur
 		bestDist := curDist
-		for i := 0; i < d; i++ {
-			nb := k.table[ki*d+i]
+		for _, e := range k.table.row(ki) {
+			nb := overlay.ID(e)
 			if !alive.Get(int(nb)) {
 				continue
 			}
@@ -280,8 +274,5 @@ func (k *SparseKademlia) Neighbors(x overlay.ID) []overlay.ID {
 	if !ok {
 		return nil
 	}
-	d := k.space.Bits()
-	out := make([]overlay.ID, d)
-	copy(out, k.table[ki*d:(ki+1)*d])
-	return out
+	return k.table.neighbors(ki)
 }

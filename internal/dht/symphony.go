@@ -14,8 +14,8 @@ type Symphony struct {
 	space overlay.Space
 	kn    int
 	ks    int
-	// table[x*deg ... (x+1)*deg) holds kn near links then ks shortcuts.
-	table []overlay.ID
+	// table.row(x) holds kn near links then ks shortcuts.
+	table table
 }
 
 var (
@@ -41,18 +41,17 @@ func NewSymphony(cfg Config) (*Symphony, error) {
 	n := s.Size()
 	deg := kn + ks
 	rng := overlay.NewRNG(cfg.Seed ^ 0x73796d70686f6e79) // "symphony"
-	table := make([]overlay.ID, int(n)*deg)
+	t := newTable(int(n), deg)
 	for x := uint64(0); x < n; x++ {
-		base := int(x) * deg
+		row := t.row(int(x))
 		for j := 1; j <= kn; j++ {
-			table[base+j-1] = overlay.ID((x + uint64(j)) & (n - 1))
+			row[j-1] = uint32((x + uint64(j)) & (n - 1))
 		}
-		for j := 0; j < ks; j++ {
-			dist := rng.Harmonic(n - 1)
-			table[base+kn+j] = overlay.ID((x + dist) & (n - 1))
+		for j := kn; j < deg; j++ {
+			row[j] = uint32((x + rng.Harmonic(n-1)) & (n - 1))
 		}
 	}
-	return &Symphony{space: s, kn: kn, ks: ks, table: table}, nil
+	return &Symphony{space: s, kn: kn, ks: ks, table: t}, nil
 }
 
 // Name implements Protocol.
@@ -76,7 +75,6 @@ func (sy *Symphony) Shortcuts() int { return sy.ks }
 // Route implements Protocol: greedy clockwise over alive links without
 // overshooting; fail when no alive link makes progress.
 func (sy *Symphony) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bool) {
-	deg := sy.Degree()
 	cur := src
 	hops := 0
 	for maxHops := hopCap(sy.space); hops < maxHops; {
@@ -87,9 +85,8 @@ func (sy *Symphony) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bool
 		var best overlay.ID
 		bestRemaining := remaining
 		found := false
-		base := int(cur) * deg
-		for i := 0; i < deg; i++ {
-			l := sy.table[base+i]
+		for _, e := range sy.table.row(int(cur)) {
+			l := overlay.ID(e)
 			if sy.space.RingDist(cur, l) > remaining {
 				continue
 			}
@@ -119,12 +116,10 @@ func (sy *Symphony) AppendCandidateHops(buf []overlay.ID, x, dst overlay.ID) []o
 	if remaining == 0 {
 		return buf
 	}
-	deg := sy.Degree()
 	start := len(buf)
-	base := int(x) * deg
 outer:
-	for i := 0; i < deg; i++ {
-		l := sy.table[base+i]
+	for _, e := range sy.table.row(int(x)) {
+		l := overlay.ID(e)
 		if l == x || sy.space.RingDist(x, l) > remaining {
 			continue
 		}
@@ -145,19 +140,24 @@ outer:
 	return buf
 }
 
+// redraw re-draws shortcut j of x from the harmonic distribution,
+// preferring alive nodes, and returns the modeled message cost.
+func (sy *Symphony) redraw(x overlay.ID, j int, alive *overlay.Bitset, rng *overlay.RNG) int {
+	n := sy.space.Size()
+	id, attempts := drawAliveCost(alive, func() overlay.ID {
+		return overlay.ID((uint64(x) + rng.Harmonic(n-1)) & (n - 1))
+	})
+	sy.table.row(int(x))[sy.kn+j] = uint32(id)
+	return probeCost(attempts)
+}
+
 // Join implements Maintainer: a (re)joining node re-draws its ks shortcuts
 // toward alive nodes (near links are structural), returning the modeled
 // message cost.
 func (sy *Symphony) Join(x overlay.ID, alive *overlay.Bitset, rng *overlay.RNG) int {
-	n := sy.space.Size()
-	base := int(x) * sy.Degree()
 	cost := 0
 	for j := 0; j < sy.ks; j++ {
-		id, attempts := drawAliveCost(alive, func() overlay.ID {
-			return overlay.ID((uint64(x) + rng.Harmonic(n-1)) & (n - 1))
-		})
-		sy.table[base+sy.kn+j] = id
-		cost += probeCost(attempts)
+		cost += sy.redraw(x, j, alive, rng)
 	}
 	return cost
 }
@@ -165,19 +165,8 @@ func (sy *Symphony) Join(x overlay.ID, alive *overlay.Bitset, rng *overlay.RNG) 
 // Stabilize implements Maintainer: one periodic round re-draws a single
 // uniformly-chosen shortcut from the harmonic distribution.
 func (sy *Symphony) Stabilize(x overlay.ID, alive *overlay.Bitset, rng *overlay.RNG) int {
-	n := sy.space.Size()
-	j := rng.Intn(sy.ks)
-	id, attempts := drawAliveCost(alive, func() overlay.ID {
-		return overlay.ID((uint64(x) + rng.Harmonic(n-1)) & (n - 1))
-	})
-	sy.table[int(x)*sy.Degree()+sy.kn+j] = id
-	return probeCost(attempts)
+	return sy.redraw(x, rng.Intn(sy.ks), alive, rng)
 }
 
 // Neighbors implements Protocol.
-func (sy *Symphony) Neighbors(x overlay.ID) []overlay.ID {
-	deg := sy.Degree()
-	out := make([]overlay.ID, deg)
-	copy(out, sy.table[int(x)*deg:int(x)*deg+deg])
-	return out
-}
+func (sy *Symphony) Neighbors(x overlay.ID) []overlay.ID { return sy.table.neighbors(int(x)) }

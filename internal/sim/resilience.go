@@ -79,21 +79,6 @@ type Result struct {
 	Trials int
 }
 
-// population returns the node identifiers participating in the overlay:
-// every identifier for fully-populated overlays, or the overlay's declared
-// population when it implements dht.Populated (sparse variant).
-func population(p dht.Protocol) []overlay.ID {
-	if sp, ok := p.(dht.Populated); ok {
-		return sp.Nodes()
-	}
-	n := p.Space().Size()
-	out := make([]overlay.ID, n)
-	for i := uint64(0); i < n; i++ {
-		out[i] = overlay.ID(i)
-	}
-	return out
-}
-
 // MeasureStaticResilience runs the static-resilience experiment of §1/§2:
 // fail each node independently with probability q, keep routing tables
 // static, and measure the fraction of sampled surviving ordered pairs that
@@ -107,22 +92,39 @@ func MeasureStaticResilience(p dht.Protocol, q float64, opt Options) (Result, er
 		return Result{}, fmt.Errorf("sim: q=%v out of [0,1]", q)
 	}
 	opt = opt.withDefaults()
-	nodes := population(p)
-	if len(nodes) < 2 {
+	// The participating identifiers: the overlay's declared population when
+	// it implements dht.Populated (sparse variant), otherwise every
+	// identifier — node i is identifier i and nodes stays nil.
+	var nodes []overlay.ID
+	n := int(p.Space().Size())
+	if sp, ok := p.(dht.Populated); ok {
+		nodes = sp.Nodes()
+		n = len(nodes)
+	}
+	if n < 2 {
 		return Result{}, errors.New("sim: overlay population smaller than 2")
 	}
 	root := overlay.NewRNG(opt.Seed ^ 0x5245534c) // "RESL"
 
 	perTrial := make([]float64, 0, opt.Trials)
 	var totalPairs, totalSuccess, totalHops, aliveSum int
+	// One failure pattern at a time: every trial rewrites the whole
+	// population's bits, so the set and the list are reused, not reallocated.
+	alive := overlay.NewBitset(int(p.Space().Size()))
+	aliveNodes := make([]overlay.ID, 0, n)
 	for trial := 0; trial < opt.Trials; trial++ {
 		trialRNG := root.Split()
-		alive := overlay.NewBitset(int(p.Space().Size()))
-		aliveNodes := make([]overlay.ID, 0, len(nodes))
-		for _, id := range nodes {
+		aliveNodes = aliveNodes[:0]
+		for i := 0; i < n; i++ {
+			id := overlay.ID(i)
+			if nodes != nil {
+				id = nodes[i]
+			}
 			if trialRNG.Bernoulli(1 - q) {
 				alive.Set(int(id))
 				aliveNodes = append(aliveNodes, id)
+			} else {
+				alive.Clear(int(id))
 			}
 		}
 		aliveSum += len(aliveNodes)
@@ -155,7 +157,7 @@ func MeasureStaticResilience(p dht.Protocol, q float64, opt Options) (Result, er
 		StdErr:        stderr,
 		CI95Low:       lo,
 		CI95High:      hi,
-		AliveFraction: float64(aliveSum) / float64(len(nodes)*opt.Trials),
+		AliveFraction: float64(aliveSum) / float64(n*opt.Trials),
 		Pairs:         totalPairs,
 		Trials:        opt.Trials,
 	}

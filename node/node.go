@@ -455,6 +455,9 @@ func (n *Node) issue(op Op, dst overlay.ID, key uint64, value []byte) Result {
 	if n.downNow.Load() {
 		return Result{Err: fmt.Errorf("node %d: down", n.cfg.ID)}
 	}
+	if !n.space.Contains(dst) {
+		return Result{Status: StatusNoRoute, Err: fmt.Errorf("node %d: destination %d outside the %d-bit identifier space", n.cfg.ID, dst, n.space.Bits())}
+	}
 	reqID := uint64(n.cfg.ID)<<32 | (n.reqSeq.Add(1) & 0xffffffff)
 	ch := make(chan Result, 1)
 	m := message{
@@ -527,6 +530,15 @@ func (n *Node) handle(pkt []byte, from string) {
 // shed *without* an acknowledgement, so the sender's RTO machinery
 // routes around the overload exactly as it would a lost request.
 func (n *Node) handleReq(m message, from string) {
+	if !n.space.Contains(overlay.ID(m.Dst)) {
+		// Malformed outside input: no node owns it, and since every
+		// distance is masked, forwarding would carry it hop by hop toward
+		// Dst mod N before anyone noticed. Retire the sender's attempt and
+		// refuse at once, recording nothing.
+		n.sendMsg(from, &message{Kind: msgAck, ReqID: m.ReqID})
+		n.respond(m, StatusNoRoute, nil)
+		return
+	}
 	if _, dup := n.seen[m.ReqID]; dup {
 		n.sendMsg(from, &message{Kind: msgAck, ReqID: m.ReqID})
 		n.stats.dupReqs++

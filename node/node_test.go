@@ -236,3 +236,48 @@ func TestNodeConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestOutOfSpaceDstRefused: a destination outside the identifier space is
+// malformed outside input that no node owns. Every distance is masked, so
+// routing it would spend O(log N) forwards and forward-table slots walking
+// toward Dst mod N before the last hop noticed; instead the first node to
+// see it — on origination or on receipt of a hand-built datagram — answers
+// NoRoute, and nobody forwards anything.
+func TestOutOfSpaceDstRefused(t *testing.T) {
+	nodes := bootCluster(t, "chord", 6, "mem")
+	size := uint64(len(nodes))
+	forwards := func() (total uint64) {
+		for _, nd := range nodes {
+			total += nd.Metrics().ReqsOut
+		}
+		return total
+	}
+
+	if res := nodes[3].Lookup(overlay.ID(size + 40)); res.Status != StatusNoRoute || res.Err == nil {
+		t.Errorf("in-process lookup of an out-of-space destination: %+v, want a NoRoute refusal", res)
+	}
+
+	probe := nodes[0].tr.(*memEndpoint).net.Endpoint()
+	giveUp := time.AfterFunc(5*time.Second, func() { probe.Close() })
+	defer giveUp.Stop()
+	pkt, err := appendWire(nil, &message{Kind: msgReq, Op: OpLookup, Budget: 64, ReqID: 0xbad, Dst: size + 40, Deadline: 3000, Origin: probe.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := probe.Send(nodes[0].tr.Addr(), pkt); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []uint8{msgAck, msgResp} {
+		reply, _, err := probe.Recv()
+		if err != nil {
+			t.Fatalf("waiting for the %v: %v", want, err)
+		}
+		m, err := decodeWire(reply)
+		if err != nil || m.Kind != want || m.ReqID != 0xbad || (want == msgResp && m.Status != StatusNoRoute) {
+			t.Fatalf("reply %+v (err %v), want kind %v for request 0xbad, a response carrying NoRoute", m, err, want)
+		}
+	}
+	if n := forwards(); n != 0 {
+		t.Errorf("%d request forwards spent on out-of-space destinations, want 0", n)
+	}
+}
