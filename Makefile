@@ -1,7 +1,7 @@
 # Developer entry points; CI calls the same targets so local runs and the
 # pipeline cannot drift.
 
-.PHONY: build test race bench profile fmt vet lint fuzz-smoke cluster-smoke chaos-smoke examples
+.PHONY: build test race bench lines profile fmt vet lint fuzz-smoke cluster-smoke chaos-smoke examples
 
 build:
 	go build ./...
@@ -19,6 +19,13 @@ race:
 # other with `bash benchmark/run.sh -compare a.json b.json`.
 bench:
 	bash benchmark/run.sh -runs 1
+
+# lines prints the two line counts ROADMAP.md and CHANGES.md quote —
+# non-test Go and test Go, benchmark/ and examples/ excluded — so the
+# north-star number is a command, not a transcription.
+lines:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^benchmark/\|^examples/' | xargs wc -l | tail -1 | awk '{print $$1, "non-test Go lines"}'
+	@git ls-files '*.go' | grep '_test.go$$' | grep -v '^benchmark/\|^examples/' | xargs wc -l | tail -1 | awk '{print $$1, "test Go lines"}'
 
 # profile runs a 2^12 massfail-with-maintenance workload through cmd/eventsim
 # with pprof enabled, so perf investigations start from cpu.prof/mem.prof

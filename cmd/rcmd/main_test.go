@@ -1,9 +1,12 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -119,7 +122,7 @@ func TestClientAgainstLiveNodes(t *testing.T) {
 }
 
 // TestLoadPeers pins the peers-file grammar: comments, blank lines,
-// malformed rows, out-of-range ids.
+// malformed rows, out-of-range ids, an id mapped twice.
 func TestLoadPeers(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, content string) string {
@@ -130,23 +133,166 @@ func TestLoadPeers(t *testing.T) {
 		return p
 	}
 	good := write("good.txt", "# deployment map\n0 127.0.0.1:4000\n\n1 127.0.0.1:4001\n")
-	addrs, err := loadPeers(good, 4)
+	addrs, mapped, err := loadPeers(good, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if addrs[0] != "127.0.0.1:4000" || addrs[1] != "127.0.0.1:4001" || addrs[2] != "" {
-		t.Errorf("addrs = %q", addrs)
+	if addrs[0] != "127.0.0.1:4000" || addrs[1] != "127.0.0.1:4001" || addrs[2] != "" || mapped != 2 {
+		t.Errorf("addrs = %q, mapped = %d", addrs, mapped)
 	}
 	for name, content := range map[string]string{
 		"range.txt": "9 127.0.0.1:4009",
 		"row.txt":   "0 127.0.0.1:4000 extra",
 	} {
-		if _, err := loadPeers(write(name, content), 4); err == nil {
+		if _, _, err := loadPeers(write(name, content), 4); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
-	if _, err := loadPeers(filepath.Join(dir, "absent.txt"), 4); err == nil {
+	if _, _, err := loadPeers(filepath.Join(dir, "absent.txt"), 4); err == nil {
 		t.Error("missing file accepted")
+	}
+	// A later line must not silently replace an earlier one: the error
+	// names both.
+	dup := write("dup.txt", "1 127.0.0.1:4001\n# moved\n1 127.0.0.1:5001\n")
+	if _, _, err := loadPeers(dup, 4); err == nil || !strings.Contains(err.Error(), "dup.txt:3: id 1 is already mapped on line 1") {
+		t.Errorf("duplicate id: %v", err)
+	}
+}
+
+// TestDaemonStartupLine: the start-up line says how much of the
+// identifier space the peers file maps — an unmapped id is a legitimate
+// absent node, but every send to it is dropped, so the operator is told.
+func TestDaemonStartupLine(t *testing.T) {
+	peers := filepath.Join(t.TempDir(), "peers.txt")
+	if err := os.WriteFile(peers, []byte("0 127.0.0.1:4000\n5 127.0.0.1:4005\n9 127.0.0.1:4009\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o, err := parseFlags([]string{"-protocol", "chord", "-bits", "4", "-id", "5", "-listen", "127.0.0.1:0", "-peers", peers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	stop, err := startDaemon(o, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	if got := out.String(); !strings.HasPrefix(got, "rcmd: node 5/16 of chord overlay up on 127.0.0.1:") ||
+		!strings.HasSuffix(got, "(peers: 3 of 16 ids mapped)\n") {
+		t.Errorf("start-up line %q", got)
+	}
+}
+
+// TestReplicasRejectedInClientMode: a client operation reaches the
+// key's root owner only, so -replicas with -op is refused (it used to be
+// silently ignored, storing one copy in a k = 3 deployment), and -h says
+// who issues replicated operations.
+func TestReplicasRejectedInClientMode(t *testing.T) {
+	err := run([]string{"-replicas", "3", "-op", "put", "-key", "k", "-value", "v", "-connect", "127.0.0.1:1"}, nil, &strings.Builder{})
+	if err == nil || !strings.Contains(err.Error(), "replicated operations are issued by a daemon") {
+		t.Errorf("-replicas 3 -op put: %v", err)
+	}
+	if _, err := parseFlags([]string{"-replicas", "1", "-op", "get", "-key", "k", "-connect", "x"}); err != nil {
+		t.Errorf("-replicas 1 is single-owner and fine for a client: %v", err)
+	}
+	if usage := newFlags(new(options)).Lookup("replicas").Usage; !strings.Contains(usage, "Not for -op") {
+		t.Errorf("-h does not say -replicas is not a client flag: %q", usage)
+	}
+}
+
+// leaves flattens a config into path → value, one leaf per field.
+func leaves(prefix string, v any, out map[string]any) {
+	rv := reflect.ValueOf(v)
+	for i := 0; i < rv.NumField(); i++ {
+		out[prefix+"."+rv.Type().Field(i).Name] = rv.Field(i).Interface()
+	}
+}
+
+// TestEveryKnobHasOneFlag: the flags bind into one cluster.Config, one
+// node.Config template and one node.ClientConfig, so a field added to
+// any of the three fails here until exactly one flag sets it or it is
+// listed, with its reason, as deliberately flagless. Each flag is set
+// alone to a non-default value and the parsed configs are diffed, field
+// by field, against the default command line's.
+func TestEveryKnobHasOneFlag(t *testing.T) {
+	const engineKnob = "reachable through the Go API; the CLI keeps the default"
+	flagless := map[string]string{
+		"cluster.Transport":      "the interactive cluster is in-memory; a UDP deployment is daemons",
+		"cluster.MaxHops":        engineKnob,
+		"cluster.AdaptiveRTO":    engineKnob,
+		"cluster.MaxInFlight":    engineKnob,
+		"cluster.FaultHorizon":   "stall placement horizon; the cluster default (3600 s) outlasts a session",
+		"cluster.FaultWallClock": "always true: nothing advances a schedule clock while you type",
+		"node.Protocol":          "built by startDaemon from -protocol -bits -seed",
+		"node.Transport":         "the socket startDaemon opens on -listen",
+		"node.AddrOf":            "the directory startDaemon loads from -peers",
+		"node.Store":             "a fresh store startDaemon parses from -store",
+		"node.MaxHops":           engineKnob,
+		"node.AdaptiveRTO":       engineKnob,
+		"node.MaxInFlight":       engineKnob,
+		"client.Bind":            "the default 127.0.0.1:0 suits a client on the daemons' host; elsewhere use the Go API",
+		"client.Transport":       "in-process tests only",
+		"client.MaxHops":         engineKnob,
+	}
+	// Fields two flags legitimately reach: -cluster N is the population,
+	// from which the identifier length follows; -timeout caps -deadline.
+	composed := map[string]string{
+		"cluster.Bits":    "[bits cluster]",
+		"client.Deadline": "[deadline timeout]",
+	}
+	sample := map[string]string{
+		"protocol": "kademlia", "store": "lru:8", "fault": "dup:0.5", "cluster": "8",
+		"rto": "7ms", "deadline": "3s", "timeout": "2s",
+	}
+	flatten := func(o options) map[string]any {
+		out := map[string]any{}
+		leaves("cluster", o.cluster, out)
+		leaves("node", o.node, out)
+		leaves("client", o.client, out)
+		return out
+	}
+	base, err := parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := flatten(base)
+
+	boundBy := map[string][]string{}
+	newFlags(new(options)).VisitAll(func(f *flag.Flag) {
+		val, ok := sample[f.Name]
+		if !ok {
+			val = "3" // a number, an address, a key: every remaining flag takes it
+		}
+		o, err := parseFlags([]string{"-" + f.Name + "=" + val})
+		if err != nil {
+			t.Fatalf("-%s=%s: %v", f.Name, val, err)
+		}
+		for path, v := range flatten(o) {
+			if !reflect.DeepEqual(v, want[path]) {
+				boundBy[path] = append(boundBy[path], f.Name)
+			}
+		}
+	})
+	for path := range want {
+		flags := boundBy[path]
+		sort.Strings(flags)
+		switch {
+		case composed[path] != "":
+			if fmt.Sprint(flags) != composed[path] {
+				t.Errorf("%s is bound by %v, want %s", path, flags, composed[path])
+			}
+		case flagless[path] != "":
+			if len(flags) != 0 {
+				t.Errorf("%s is listed as flagless but is bound by %v", path, flags)
+			}
+		case len(flags) != 1:
+			t.Errorf("%s is bound by %d flags %v, want exactly one (or list it as flagless, with the reason)", path, len(flags), flags)
+		}
+	}
+	for path := range flagless {
+		if _, ok := want[path]; !ok {
+			t.Errorf("flagless lists %s, which is not a config field", path)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
 
 	"rcm/obs"
 )
@@ -13,8 +14,8 @@ import (
 // metricsServer is the -metrics-addr HTTP listener: the process's
 // observability surface, served without touching the DHT's UDP plane.
 //
-//	/debug/vars    registry + node snapshot as JSON (counters, gauges,
-//	               histogram percentiles and buckets)
+//	/debug/vars    the node (or cluster) snapshot as JSON (counters,
+//	               gauges, histogram percentiles and buckets)
 //	/metrics       the same snapshot as sorted text lines
 //	/debug/pprof/  live CPU/heap/goroutine profiles
 type metricsServer struct {
@@ -47,7 +48,9 @@ func startMetricsServer(addr string, snapshot func() obs.Snapshot, out io.Writer
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 
-	ms := &metricsServer{srv: &http.Server{Handler: mux}, ln: ln}
+	// ReadHeaderTimeout: a client that opens a connection and never sends
+	// its request must not hold a goroutine and a descriptor forever.
+	ms := &metricsServer{srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}, ln: ln}
 	go func() { _ = ms.srv.Serve(ln) }()
 	fmt.Fprintf(out, "rcmd: metrics on http://%s/debug/vars (text at /metrics, profiles at /debug/pprof/)\n", ln.Addr())
 	return ms, nil

@@ -98,10 +98,8 @@ type pendingHop struct {
 // free — the per-bucket copies merge once, after the run (obs.Merge is
 // commutative, so the fold order cannot be observed in the result).
 type bucketAcc struct {
-	started, completed, failed, skipped int
-	timeouts, msgs, maint, repair       int
-	sumHops, sumLatency                 float64
-	hops, lat                           obs.Histogram
+	Bucket    // counters only; the run fills in the window and online fraction
+	hops, lat obs.Histogram
 }
 
 // shard owns an interleaved slice of the population (node % shards): its
@@ -385,13 +383,13 @@ func (sh *shard) handleStart(e ev) {
 		}
 	}
 	if !sh.online[m.src] || !viable {
-		sh.acc[m.startBucket].skipped++
+		sh.acc[m.startBucket].Skipped++
 		if eng.traced(e.lk) {
 			sh.recordTrace(e.lk, TraceEvent{T: e.t, Kind: TraceSkip, Node: int(m.src)})
 		}
 		return
 	}
-	sh.acc[m.startBucket].started++
+	sh.acc[m.startBucket].Started++
 	if eng.traced(e.lk) {
 		sh.recordTrace(e.lk, TraceEvent{T: e.t, Kind: TraceStart, Node: int(m.src)})
 	}
@@ -418,9 +416,9 @@ func (sh *shard) forward(t float64, lk uint32, cur uint32, hops uint16, ri, mask
 	if cur == eng.owner(m.dst, ri) {
 		acc := &sh.acc[m.startBucket]
 		total := hops + prior
-		acc.completed++
-		acc.sumHops += float64(total)
-		acc.sumLatency += t - m.start
+		acc.Completed++
+		acc.SumHops += float64(total)
+		acc.SumLatency += t - m.start
 		acc.hops.Observe(int64(total))
 		acc.lat.Observe(latencyMicros(t - m.start))
 		if eng.traced(lk) {
@@ -479,7 +477,7 @@ func (sh *shard) failAttempt(t float64, lk uint32, cur uint32, hops uint16, ri, 
 			return
 		}
 	}
-	sh.acc[m.startBucket].failed++
+	sh.acc[m.startBucket].Failed++
 	if eng.traced(lk) {
 		sh.recordTrace(lk, TraceEvent{T: t, Kind: TraceFail, Node: int(cur), Hops: int(hops + prior)})
 	}
@@ -493,7 +491,7 @@ func (sh *shard) handleRetry(e ev) {
 	eng := sh.eng
 	m := &eng.meta[e.lk]
 	if !sh.online[m.src] {
-		sh.acc[m.startBucket].failed++
+		sh.acc[m.startBucket].Failed++
 		if eng.traced(e.lk) {
 			sh.recordTrace(e.lk, TraceEvent{T: e.t, Kind: TraceFail, Node: int(m.src), Hops: int(e.prior)})
 		}
@@ -507,7 +505,7 @@ func (sh *shard) handleRetry(e ev) {
 // pending arena.
 func (sh *shard) dispatch(t float64, lk, cur, next uint32, ci, try int, hops uint16, ri, mask uint8, prior uint16) {
 	eng := sh.eng
-	sh.acc[eng.bucketOf(t)].msgs++
+	sh.acc[eng.bucketOf(t)].LookupMessages++
 	lat, delivered := eng.cfg.Transport.Sample(sh.rng)
 	var dupLat float64
 	dupDelivered := false
@@ -603,7 +601,7 @@ func (sh *shard) handleReq(e ev) {
 	// Acknowledge (reliable, latency-only) so the sender retires the
 	// attempt, then keep forwarding — ownership of the lookup has just
 	// transferred to this shard with the message.
-	sh.acc[eng.bucketOf(e.t)].msgs++
+	sh.acc[eng.bucketOf(e.t)].LookupMessages++
 	sh.send(ev{t: e.t + eng.sampleLatency(sh.rng), kind: evAck, node: e.b, a: e.a})
 	hops := e.hops + 1
 	if eng.traced(e.lk) {
@@ -634,7 +632,7 @@ func (sh *shard) handleDup(e ev) {
 		sh.faults.StallDrops++
 		return
 	}
-	sh.acc[eng.bucketOf(e.t)].msgs++
+	sh.acc[eng.bucketOf(e.t)].LookupMessages++
 }
 
 func (sh *shard) handleTimeout(e ev) {
@@ -646,7 +644,7 @@ func (sh *shard) handleTimeout(e ev) {
 		return // acknowledged in the meantime
 	}
 	eng := sh.eng
-	sh.acc[eng.bucketOf(e.t)].timeouts++
+	sh.acc[eng.bucketOf(e.t)].Timeouts++
 	if eng.traced(pd.lk) {
 		sh.recordTrace(pd.lk, TraceEvent{T: e.t, Kind: TraceRTO, Node: int(pd.node), To: int(pd.next), Hops: int(pd.hops), Cand: int(pd.cand), Try: int(pd.try)})
 	}
@@ -689,11 +687,11 @@ func (sh *shard) handleToggle(t float64, node uint32, up bool) {
 		// coordinated across the survivors — k repair messages per
 		// effective toggle, the repair-bandwidth bill replication adds on
 		// top of routing-table maintenance.
-		sh.acc[eng.bucketOf(t)].repair += eng.k
+		sh.acc[eng.bucketOf(t)].RepairMessages += eng.k
 	}
 	if up && eng.mnt != nil {
 		cost := eng.mnt.Join(overlay.ID(node), eng.snapshot, sh.rng)
-		sh.acc[eng.bucketOf(t)].maint += cost
+		sh.acc[eng.bucketOf(t)].MaintMessages += cost
 	}
 }
 
@@ -701,7 +699,7 @@ func (sh *shard) handleStab(e ev) {
 	eng := sh.eng
 	if sh.online[e.node] && eng.mnt != nil {
 		cost := eng.mnt.Stabilize(overlay.ID(e.node), eng.snapshot, sh.rng)
-		sh.acc[eng.bucketOf(e.t)].maint += cost
+		sh.acc[eng.bucketOf(e.t)].MaintMessages += cost
 	}
 	next := e.t + eng.cfg.StabilizeEvery
 	if next <= eng.cfg.Duration {

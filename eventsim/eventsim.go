@@ -537,14 +537,7 @@ func runOverlay(p registry.Protocol, cfg Config, newQueue func(delta float64) ev
 		b.OnlineFraction = e.onlineFrac[bi]
 		for _, sh := range e.shards {
 			acc := &sh.acc[bi]
-			b.add(Bucket{
-				Started: acc.started, Skipped: acc.skipped,
-				Completed: acc.completed, Failed: acc.failed,
-				Timeouts:       acc.timeouts,
-				LookupMessages: acc.msgs, MaintMessages: acc.maint,
-				RepairMessages: acc.repair,
-				SumHops:        acc.sumHops, SumLatency: acc.sumLatency,
-			})
+			b.add(acc.Bucket)
 			// Folding shard histograms in shard order is deterministic by
 			// construction: Merge is commutative, so any order would do.
 			res.HopDist[bi].Merge(&acc.hops)

@@ -125,64 +125,38 @@ type overlayKey struct {
 	cfg      Config
 }
 
-// overlayEntry builds its protocol at most once.
-type overlayEntry struct {
+// onceMap computes the value of each key at most once, however many cells
+// ask for it concurrently; every asker gets that one value and error. The
+// zero value is ready.
+type onceMap[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*onceEntry[V]
+}
+
+type onceEntry[V any] struct {
 	once sync.Once
-	p    dht.Protocol
+	v    V
 	err  error
 }
 
-// overlayCache shares overlay construction across the cells of one run.
-// Route is read-only and safe for concurrent use; event cells with
-// maintenance mutate tables and therefore bypass the cache.
-type overlayCache struct {
-	mu sync.Mutex
-	m  map[overlayKey]*overlayEntry
-}
-
-func (oc *overlayCache) get(key overlayKey) (dht.Protocol, error) {
-	oc.mu.Lock()
-	e, ok := oc.m[key]
-	if !ok {
-		e = &overlayEntry{}
-		oc.m[key] = e
+func (om *onceMap[K, V]) get(key K, compute func() (V, error)) (V, error) {
+	om.mu.Lock()
+	if om.m == nil {
+		om.m = make(map[K]*onceEntry[V])
 	}
-	oc.mu.Unlock()
-	e.once.Do(func() {
-		e.p, e.err = build(key)
-	})
-	return e.p, e.err
-}
-
-// staticCache deduplicates the event cells' static-resilience comparison:
-// the settings of one (spec, bits, q_eff) group — maintenance on/off
-// variants, say — measure the same unmaintained overlay at the same seed,
-// so they share one result.
-type staticCache struct {
-	mu sync.Mutex
-	m  map[staticKey]*staticEntry
+	e, ok := om.m[key]
+	if !ok {
+		e = new(onceEntry[V])
+		om.m[key] = e
+	}
+	om.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = compute() })
+	return e.v, e.err
 }
 
 type staticKey struct {
 	key overlayKey
 	q   float64
-}
-
-type staticEntry struct {
-	once sync.Once
-	res  sim.Result
-	err  error
-}
-
-func (sc *staticCache) get(key staticKey) *staticEntry {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	e, ok := sc.m[key]
-	if !ok {
-		e = &staticEntry{}
-		sc.m[key] = e
-	}
-	return e
 }
 
 func build(key overlayKey) (dht.Protocol, error) {
@@ -191,10 +165,22 @@ func build(key overlayKey) (dht.Protocol, error) {
 
 // run carries the per-run execution state shared by the workers.
 type run struct {
-	plan     Plan
-	st       settings
-	overlays *overlayCache
-	statics  *staticCache
+	plan Plan
+	st   settings
+	// overlays shares overlay construction across the cells of one run.
+	// Route is read-only and safe for concurrent use; event cells with
+	// maintenance mutate tables and therefore bypass the cache.
+	overlays onceMap[overlayKey, dht.Protocol]
+	// statics deduplicates the event cells' static-resilience comparison:
+	// the settings of one (spec, bits, q_eff) group — maintenance on/off
+	// variants, say — measure the same unmaintained overlay at the same
+	// seed, so they share one result.
+	statics onceMap[staticKey, sim.Result]
+}
+
+// overlay returns the run's shared, read-only overlay for key.
+func (r *run) overlay(key overlayKey) (dht.Protocol, error) {
+	return r.overlays.get(key, func() (dht.Protocol, error) { return build(key) })
 }
 
 // result is one computed cell, delivered through its promise channel. A
@@ -230,12 +216,7 @@ func Stream(ctx context.Context, plan Plan, opts ...Option) iter.Seq2[Row, error
 			workers = total
 		}
 
-		r := &run{
-			plan:     plan,
-			st:       st,
-			overlays: &overlayCache{m: make(map[overlayKey]*overlayEntry)},
-			statics:  &staticCache{m: make(map[staticKey]*staticEntry)},
-		}
+		r := &run{plan: plan, st: st}
 
 		type job struct {
 			idx     int
@@ -393,7 +374,7 @@ func (r *run) fillGrid(row *Row, c cell) error {
 		}
 	}
 	if r.st.mode&ModeSim != 0 {
-		p, err := r.overlays.get(r.overlayKey(c))
+		p, err := r.overlay(r.overlayKey(c))
 		if err != nil {
 			return err
 		}
@@ -426,24 +407,22 @@ func fillSim(row *Row, res sim.Result) {
 // depends only on (spec, bits, q_eff), so the event settings of one group
 // that share a q_eff share a single cached measurement.
 func (r *run) fillStatic(row *Row, key overlayKey, q float64) error {
-	entry := r.statics.get(staticKey{key: key, q: q})
-	entry.once.Do(func() {
-		var static dht.Protocol
-		static, entry.err = r.overlays.get(key)
-		if entry.err != nil {
-			return
+	res, err := r.statics.get(staticKey{key: key, q: q}, func() (sim.Result, error) {
+		static, err := r.overlay(key)
+		if err != nil {
+			return sim.Result{}, err
 		}
-		entry.res, entry.err = sim.MeasureStaticResilience(static, q, sim.Options{
+		return sim.MeasureStaticResilience(static, q, sim.Options{
 			Pairs:   r.st.pairs,
 			Trials:  r.st.trials,
 			Workers: r.st.simWorkers,
 			Seed:    r.st.seed + 1,
 		})
 	})
-	if entry.err != nil {
-		return entry.err
+	if err != nil {
+		return err
 	}
-	fillSim(row, entry.res)
+	fillSim(row, res)
 	return nil
 }
 
@@ -463,7 +442,7 @@ func (r *run) fillEvent(c cell) ([]Row, error) {
 		// overlay so cells sharing the cache never observe the repairs.
 		p, err = build(key)
 	} else {
-		p, err = r.overlays.get(key)
+		p, err = r.overlay(key)
 	}
 	if err != nil {
 		return nil, err

@@ -3,7 +3,10 @@ package exp
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rcm/eventsim"
@@ -177,5 +180,35 @@ func TestRunnerErrors(t *testing.T) {
 	// Analytic-only is fine at large d.
 	if _, err := Run(ctx, plan, WithModes(ModeAnalytic)); err != nil {
 		t.Errorf("analytic d=30: %v", err)
+	}
+}
+
+// TestOnceMapComputesOncePerKey: however many goroutines ask for one key
+// at once, compute runs once and every asker sees its value and error.
+func TestOnceMapComputesOncePerKey(t *testing.T) {
+	var om onceMap[string, int]
+	var calls atomic.Int32
+	boom := errors.New("boom")
+	const askers = 16
+	var wg sync.WaitGroup
+	for i := 0; i < askers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, err := om.get("k", func() (int, error) {
+				calls.Add(1)
+				return 42, boom
+			})
+			if v != 42 || err != boom {
+				t.Errorf("get = (%d, %v), want (42, boom)", v, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := calls.Load(); n != 1 {
+		t.Errorf("compute ran %d times for one key, want 1", n)
+	}
+	if v, err := om.get("other", func() (int, error) { return 7, nil }); v != 7 || err != nil {
+		t.Errorf("second key = (%d, %v), want (7, nil)", v, err)
 	}
 }

@@ -159,18 +159,6 @@ func (e *Evaluator) logNodes(g Geometry, d, maxH int) []float64 {
 	return v
 }
 
-// SuccessProb is the memoized equivalent of the package-level SuccessProb.
-func (e *Evaluator) SuccessProb(g Geometry, d, h int, q float64) (float64, error) {
-	if err := validateDQ(d, q); err != nil {
-		return 0, err
-	}
-	if h < 1 || h > g.MaxDistance(d) {
-		return 0, fmt.Errorf("%w: h=%d not in [1,%d]", ErrBadDistance, h, g.MaxDistance(d))
-	}
-	cum := e.prefix(g, d, h, q)
-	return numeric.Clamp01(math.Exp(cum[h-1])), nil
-}
-
 // LogExpectedReach is the memoized equivalent of the package-level
 // LogExpectedReach.
 func (e *Evaluator) LogExpectedReach(g Geometry, d int, q float64) (float64, error) {

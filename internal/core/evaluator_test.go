@@ -46,27 +46,6 @@ func TestEvaluatorMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestEvaluatorSuccessProb checks the memoized p(h,q) against the direct
-// computation, including series extension (h grows across calls).
-func TestEvaluatorSuccessProb(t *testing.T) {
-	e := NewEvaluator()
-	for _, g := range AllGeometries() {
-		for _, h := range []int{1, 3, 7, 16, 12, 2} { // non-monotone on purpose
-			want, err := SuccessProb(g, 16, h, 0.3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := e.SuccessProb(g, 16, h, 0.3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Errorf("%s h=%d: %v != %v", g.Name(), h, got, want)
-			}
-		}
-	}
-}
-
 // TestEvaluatorSymphonyKeying ensures d-dependent geometries (Symphony) do
 // not share cached series across system sizes or configurations.
 func TestEvaluatorSymphonyKeying(t *testing.T) {
@@ -134,11 +113,5 @@ func TestEvaluatorValidation(t *testing.T) {
 	}
 	if _, err := e.Routability(Tree{}, 16, -0.1); err == nil {
 		t.Error("q<0 accepted")
-	}
-	if _, err := e.SuccessProb(Tree{}, 16, 0, 0.5); err == nil {
-		t.Error("h=0 accepted")
-	}
-	if _, err := e.SuccessProb(Tree{}, 16, 17, 0.5); err == nil {
-		t.Error("h>d accepted")
 	}
 }

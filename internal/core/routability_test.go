@@ -283,7 +283,7 @@ func TestExpectedReachBruteForceHypercube(t *testing.T) {
 		p := 1.0
 		for h := 1; h <= d; h++ {
 			p *= 1 - math.Pow(q, float64(h))
-			want += numeric.Binomial(d, h) * p
+			want += math.Exp(numeric.LogBinomial(d, h)) * p
 		}
 		got, err := core.ExpectedReach(core.Hypercube{}, d, q)
 		if err != nil {

@@ -92,15 +92,10 @@ func Classify(g Geometry, q float64, opt ClassifyOptions) Verdict {
 	opt = opt.withDefaults()
 	sums := make([]float64, len(opt.Dims))
 	for i, d := range opt.Dims {
-		var acc numeric.KahanSum
-		for m := 1; m <= d; m++ {
-			t := g.PhaseFailure(d, m, q)
-			if t < 0 || t > 1 || math.IsNaN(t) {
-				return Indeterminate
-			}
-			acc.Add(t)
+		var ok bool
+		if sums[i], ok = PhaseFailureSum(g, d, q); !ok {
+			return Indeterminate
 		}
-		sums[i] = acc.Sum()
 	}
 	n := len(sums)
 	if n < 3 {
@@ -119,6 +114,21 @@ func Classify(g Geometry, q float64, opt ClassifyOptions) Verdict {
 		return Unscalable
 	}
 	return Indeterminate
+}
+
+// PhaseFailureSum returns S(d) = Σ_{m=1..d} Q_d(m), the partial sum of the
+// §5 Knopp test, by compensated summation. ok is false when some Q_d(m) is
+// not a probability, which leaves the test without a verdict.
+func PhaseFailureSum(g Geometry, d int, q float64) (sum float64, ok bool) {
+	var acc numeric.KahanSum
+	for m := 1; m <= d; m++ {
+		t := g.PhaseFailure(d, m, q)
+		if t < 0 || t > 1 || math.IsNaN(t) {
+			return 0, false
+		}
+		acc.Add(t)
+	}
+	return acc.Sum(), true
 }
 
 // AsymptoticSuccess estimates lim_{h→∞} p(h,q) — the left side of the

@@ -62,9 +62,6 @@ func (c *ChordWithSuccessors) Space() overlay.Space { return c.space }
 // Degree implements Protocol.
 func (c *ChordWithSuccessors) Degree() int { return c.successors + c.space.Bits() }
 
-// Successors returns the successor-list length s.
-func (c *ChordWithSuccessors) Successors() int { return c.successors }
-
 // Route implements Protocol: greedy clockwise over alive successors and
 // fingers without overshooting.
 func (c *ChordWithSuccessors) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bool) {

@@ -243,8 +243,8 @@ func TestChordWithSuccessorsStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Successors() != 4 {
-		t.Fatalf("Successors() = %d", c.Successors())
+	if c.successors != 4 {
+		t.Fatalf("successors = %d", c.successors)
 	}
 	if c.Degree() != 14 {
 		t.Fatalf("Degree() = %d, want 4+10", c.Degree())

@@ -1,8 +1,9 @@
 package figures
 
 import (
+	"fmt"
+
 	"rcm/internal/core"
-	"rcm/internal/numeric"
 	"rcm/internal/table"
 )
 
@@ -23,13 +24,12 @@ func Scalability(opt Options) ([]*table.Table, error) {
 	t2 := table.New("§5 — scalability verdicts",
 		"geometry", "system", "numeric verdict", "paper verdict", "reason")
 	for _, g := range core.AllGeometries() {
-		sums := make([]float64, 0, len(checkpoints))
-		for _, d := range checkpoints {
-			var acc numeric.KahanSum
-			for m := 1; m <= d; m++ {
-				acc.Add(g.PhaseFailure(d, m, q))
+		sums := make([]float64, len(checkpoints))
+		for i, d := range checkpoints {
+			var ok bool
+			if sums[i], ok = core.PhaseFailureSum(g, d, q); !ok {
+				return nil, fmt.Errorf("scalability: %s: Q(m) at d=%d is not a probability", g.Name(), d)
 			}
-			sums = append(sums, acc.Sum())
 		}
 		limit := core.AsymptoticSuccess(g, q, 4096)
 		t1.AddRow(

@@ -244,14 +244,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// isPkgFunc reports whether call invokes the package-level function
-// pkgPath.name (e.g. "time".Now), resolved through the type checker so
-// renamed imports and shadowed identifiers cannot fool it.
-func isPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	f := calleeFunc(info, call)
-	return f != nil && f.Name() == name && f.Pkg() != nil && f.Pkg().Path() == pkgPath && !isMethod(f)
-}
-
 func isMethod(f *types.Func) bool {
 	sig, ok := f.Type().(*types.Signature)
 	return ok && sig.Recv() != nil

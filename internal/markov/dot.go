@@ -2,7 +2,6 @@ package markov
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -32,32 +31,4 @@ func (c *Chain) DOT(title string) string {
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-// Summary returns a compact, deterministic textual description of the
-// chain: state count, absorbing states, and the out-degree histogram.
-// Useful in tests and documentation.
-func (c *Chain) Summary() string {
-	absorbing := make([]string, 0, 2)
-	histogram := map[int]int{}
-	edges := 0
-	for s := 0; s < c.NumStates(); s++ {
-		out := len(c.edges[s])
-		edges += out
-		histogram[out]++
-		if out == 0 {
-			absorbing = append(absorbing, c.names[s])
-		}
-	}
-	degrees := make([]int, 0, len(histogram))
-	for d := range histogram {
-		degrees = append(degrees, d)
-	}
-	sort.Ints(degrees)
-	var parts []string
-	for _, d := range degrees {
-		parts = append(parts, fmt.Sprintf("%d:%d", d, histogram[d]))
-	}
-	return fmt.Sprintf("states=%d edges=%d absorbing=[%s] outdegree={%s}",
-		c.NumStates(), edges, strings.Join(absorbing, ","), strings.Join(parts, " "))
 }

@@ -55,19 +55,6 @@ func TestDOTNoTitle(t *testing.T) {
 	}
 }
 
-func TestSummary(t *testing.T) {
-	c, _, err := TreeChain(3, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := c.Summary()
-	for _, want := range []string{"states=5", "edges=6", "absorbing=[S3,F]", "0:2", "2:3"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("summary %q missing %q", s, want)
-		}
-	}
-}
-
 func TestSummaryStateCounts(t *testing.T) {
 	// XOR chain at h: Σ_{m=1..h} m + success + failure states.
 	for h := 2; h <= 8; h++ {

@@ -1,6 +1,6 @@
 // Package numeric provides numerically stable primitives used by the RCM
-// analytic core: log-space combinatorics, stable sums and products, series
-// convergence probes, and an independent math/big oracle used by tests.
+// analytic core: log-space combinatorics, stable sums and products, and an
+// independent math/big oracle used by tests.
 //
 // All routability computations in this repository run in log space so that
 // the framework can be evaluated at the paper's asymptotic operating point
@@ -30,13 +30,6 @@ func LogBinomial(n, k int) float64 {
 	return ln - lk - lnk
 }
 
-// Binomial returns C(n,k) as a float64. It overflows to +Inf gracefully for
-// very large arguments; callers needing exact large values should use the
-// big-number oracle in bigf.go.
-func Binomial(n, k int) float64 {
-	return math.Exp(LogBinomial(n, k))
-}
-
 // LogSumExp returns log(sum(exp(xs))) computed stably. Empty input and
 // all-NegInf input yield NegInf.
 func LogSumExp(xs []float64) float64 {
@@ -54,50 +47,6 @@ func LogSumExp(xs []float64) float64 {
 		sum += math.Exp(x - maxv)
 	}
 	return maxv + math.Log(sum)
-}
-
-// LogSumExp2 returns log(exp(a) + exp(b)) stably.
-func LogSumExp2(a, b float64) float64 {
-	if a < b {
-		a, b = b, a
-	}
-	if math.IsInf(a, -1) {
-		return NegInf
-	}
-	return a + math.Log1p(math.Exp(b-a))
-}
-
-// Log1mExp returns log(1 - exp(x)) for x <= 0, using the standard
-// numerically stable split around log(1/2).
-func Log1mExp(x float64) float64 {
-	if x >= 0 {
-		if x == 0 {
-			return NegInf
-		}
-		return math.NaN()
-	}
-	if x > -math.Ln2 {
-		return math.Log(-math.Expm1(x))
-	}
-	return math.Log1p(-math.Exp(x))
-}
-
-// PowInt returns base^exp for a non-negative integer exponent using fast
-// exponentiation. It is exact for small exponents and avoids the pow(x,y)
-// corner cases for negative bases.
-func PowInt(base float64, exp int) float64 {
-	if exp < 0 {
-		return 1 / PowInt(base, -exp)
-	}
-	result := 1.0
-	for exp > 0 {
-		if exp&1 == 1 {
-			result *= base
-		}
-		base *= base
-		exp >>= 1
-	}
-	return result
 }
 
 // GuardedPow returns base^exp where exp may be astronomically large

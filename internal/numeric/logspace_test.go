@@ -99,68 +99,6 @@ func TestLogSumExpKnown(t *testing.T) {
 	}
 }
 
-func TestLogSumExp2MatchesSlice(t *testing.T) {
-	f := func(a, b float64) bool {
-		a = math.Mod(a, 50)
-		b = math.Mod(b, 50)
-		got := LogSumExp2(a, b)
-		want := LogSumExp([]float64{a, b})
-		return math.Abs(got-want) < 1e-10
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLog1mExp(t *testing.T) {
-	for _, x := range []float64{-1e-10, -0.1, -0.5, -1, -5, -50} {
-		got := Log1mExp(x)
-		want := math.Log(-math.Expm1(x)) // high-accuracy reference
-		if math.Abs(got-want) > 1e-9*math.Abs(want)+1e-12 {
-			t.Errorf("Log1mExp(%v) = %v, want %v", x, got, want)
-		}
-	}
-	if got := Log1mExp(0); !math.IsInf(got, -1) {
-		t.Errorf("Log1mExp(0) = %v, want -Inf", got)
-	}
-	if got := Log1mExp(1); !math.IsNaN(got) {
-		t.Errorf("Log1mExp(1) = %v, want NaN", got)
-	}
-}
-
-func TestPowInt(t *testing.T) {
-	tests := []struct {
-		base float64
-		exp  int
-		want float64
-	}{
-		{2, 0, 1},
-		{2, 10, 1024},
-		{0.5, 3, 0.125},
-		{-2, 3, -8},
-		{-2, 2, 4},
-		{3, -2, 1.0 / 9},
-		{0, 5, 0},
-		{0, 0, 1},
-	}
-	for _, tt := range tests {
-		if got := PowInt(tt.base, tt.exp); !almostEqual(got, tt.want, 1e-12) {
-			t.Errorf("PowInt(%v,%d) = %v, want %v", tt.base, tt.exp, got, tt.want)
-		}
-	}
-}
-
-func TestPowIntMatchesMathPow(t *testing.T) {
-	f := func(b float64, e8 uint8) bool {
-		b = math.Abs(math.Mod(b, 2))
-		e := int(e8 % 40)
-		return almostEqual(PowInt(b, e), math.Pow(b, float64(e)), 1e-10)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestGuardedPow(t *testing.T) {
 	tests := []struct {
 		base, exp, want float64

@@ -54,7 +54,7 @@ func TestClusterSmoke(t *testing.T) {
 			// CI artifact: when CLUSTER_METRICS_OUT names a file, write
 			// the first (plain chord) cell's cluster-wide metrics snapshot
 			// (counters, gauges, histogram percentiles) there in the
-			// registry JSON shape, so every CI run keeps an inspectable
+			// /debug/vars JSON shape, so every CI run keeps an inspectable
 			// record of what the live stack did.
 			if out := os.Getenv("CLUSTER_METRICS_OUT"); out != "" && cell.protocol == "chord" && cell.replicas == 0 {
 				f, err := os.Create(out)

@@ -69,7 +69,12 @@
 //
 // Out-of-band tools use Client, which injects requests at any entry
 // node and receives the owner's response directly (Dial, then
-// Get/Put/Lookup) — that is what `rcmd -op get` does.
+// Get/Put/Lookup) — that is what `rcmd -op get` does. A Client reaches
+// the key's root owner only: its Put writes one copy and its Get does not
+// fail over, whatever Config.Replicas the deployment runs with.
+// Replicated operations are issued by a node (Node.Put/Get, or the
+// prompt of `rcmd -cluster`), which is why rcmd refuses -replicas
+// together with -op.
 //
 // # Conformance with eventsim
 //

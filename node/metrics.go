@@ -6,34 +6,16 @@ import (
 	"rcm/obs"
 )
 
-// stats is the node's instrumentation. It is loop-owned like the rest
-// of the routing state — handlers increment plain fields with no
-// atomics or locks, and snapshots are taken by a closure posted into
-// the loop — so observing a node costs the hot path nothing beyond the
-// increments themselves.
-type stats struct {
-	reqsIn, acksIn, respsIn    uint64
-	reqsOut, acksOut, respsOut uint64
-	dupReqs                    uint64 // duplicate request deliveries dropped by the dedupe window
-	shed                       uint64 // relayed requests refused (unacked) because the forward table was full
-	timeouts                   uint64 // RTO expiries acted on (stale timer pops excluded)
-	retransmits                uint64 // re-sends to the same candidate
-	failovers                  uint64 // candidate-list advances after exhausted retransmissions
-	expired                    uint64 // locally-originated requests that hit the response guard
-
-	storeGets, storeHits, storePuts uint64
-
-	// hops records the route length of locally-originated requests that
-	// completed OK; the per-op latencies record microseconds from issue
-	// to verdict (any status), measured at the origin.
-	hops                      obs.Histogram
-	lookupLat, getLat, putLat obs.Histogram
-}
-
-// Metrics is a point-in-time snapshot of one node's instrumentation,
-// taken on the event loop so it is internally consistent. Histograms
-// are value copies and merge freely across nodes (cluster stats, the
-// rcmd metrics endpoint).
+// Metrics is one node's instrumentation. The node's own record
+// (Node.stats) is loop-owned like the rest of the routing state —
+// handlers increment plain fields with no atomics or locks — so observing
+// a node costs the hot path nothing beyond the increments themselves;
+// Node.Metrics copies it on the event loop, so a snapshot is internally
+// consistent. Histograms are value copies and merge freely across nodes
+// (cluster stats, the rcmd metrics endpoint).
+//
+// Every uint64 and obs.Histogram field has one row in metricCounters or
+// metricHists, which is what names, merges and renders it.
 type Metrics struct {
 	// ReqsIn/AcksIn/RespsIn count messages received while alive, by
 	// kind; the Out counters count messages sent.
@@ -91,30 +73,14 @@ func (n *Node) Metrics() Metrics {
 	return m
 }
 
-// snapshotMetrics assembles a Metrics from loop-owned state; loop
-// goroutine only.
+// snapshotMetrics copies the loop-owned record and fills in the gauges
+// read from live state; loop goroutine only.
 func (n *Node) snapshotMetrics() Metrics {
-	m := Metrics{
-		ReqsIn: n.stats.reqsIn, AcksIn: n.stats.acksIn, RespsIn: n.stats.respsIn,
-		ReqsOut: n.stats.reqsOut, AcksOut: n.stats.acksOut, RespsOut: n.stats.respsOut,
-		DupReqs:       n.stats.dupReqs,
-		Shed:          n.stats.shed,
-		Timeouts:      n.stats.timeouts,
-		Retransmits:   n.stats.retransmits,
-		Failovers:     n.stats.failovers,
-		Expired:       n.stats.expired,
-		StoreGets:     n.stats.storeGets,
-		StoreHits:     n.stats.storeHits,
-		StorePuts:     n.stats.storePuts,
-		StoreLen:      n.store.Len(),
-		InFlight:      len(n.pending),
-		Waiting:       len(n.origins),
-		Down:          n.downNow.Load(),
-		Hops:          n.stats.hops,
-		LookupLatency: n.stats.lookupLat,
-		GetLatency:    n.stats.getLat,
-		PutLatency:    n.stats.putLat,
-	}
+	m := n.stats
+	m.StoreLen = n.store.Len()
+	m.InFlight = len(n.pending)
+	m.Waiting = len(n.origins)
+	m.Down = n.downNow.Load()
 	if ec, ok := n.store.(evictionCounter); ok {
 		m.StoreEvictions = ec.Evictions()
 	}
@@ -122,44 +88,79 @@ func (n *Node) snapshotMetrics() Metrics {
 }
 
 // countIn tallies a received message by kind; loop goroutine only.
-func (s *stats) countIn(kind uint8) {
+func (m *Metrics) countIn(kind uint8) {
 	switch kind {
 	case msgReq:
-		s.reqsIn++
+		m.ReqsIn++
 	case msgAck:
-		s.acksIn++
+		m.AcksIn++
 	case msgResp:
-		s.respsIn++
+		m.RespsIn++
 	}
 }
 
 // countOut tallies a sent message by kind; loop goroutine only.
-func (s *stats) countOut(kind uint8) {
+func (m *Metrics) countOut(kind uint8) {
 	switch kind {
 	case msgReq:
-		s.reqsOut++
+		m.ReqsOut++
 	case msgAck:
-		s.acksOut++
+		m.AcksOut++
 	case msgResp:
-		s.respsOut++
+		m.RespsOut++
 	}
 }
 
 // recordVerdict records a locally-originated request's outcome; loop
 // goroutine only.
-func (s *stats) recordVerdict(op Op, status Status, hops int, elapsed time.Duration) {
+func (m *Metrics) recordVerdict(op Op, status Status, hops int, elapsed time.Duration) {
 	if status == StatusOK {
-		s.hops.Observe(int64(hops))
+		m.Hops.Observe(int64(hops))
 	}
 	us := elapsed.Microseconds()
 	switch op {
 	case OpGet:
-		s.getLat.Observe(us)
+		m.GetLatency.Observe(us)
 	case OpPut:
-		s.putLat.Observe(us)
+		m.PutLatency.Observe(us)
 	default:
-		s.lookupLat.Observe(us)
+		m.LookupLatency.Observe(us)
 	}
+}
+
+// metricCounters and metricHists name every counter and histogram of a
+// Metrics once, in the (name-sorted) order the document renders them;
+// MergeMetrics and Snapshot both walk them.
+var metricCounters = []struct {
+	name  string
+	field func(*Metrics) *uint64
+}{
+	{"acks_in", func(m *Metrics) *uint64 { return &m.AcksIn }},
+	{"acks_out", func(m *Metrics) *uint64 { return &m.AcksOut }},
+	{"dup_reqs", func(m *Metrics) *uint64 { return &m.DupReqs }},
+	{"expired", func(m *Metrics) *uint64 { return &m.Expired }},
+	{"failovers", func(m *Metrics) *uint64 { return &m.Failovers }},
+	{"reqs_in", func(m *Metrics) *uint64 { return &m.ReqsIn }},
+	{"reqs_out", func(m *Metrics) *uint64 { return &m.ReqsOut }},
+	{"resps_in", func(m *Metrics) *uint64 { return &m.RespsIn }},
+	{"resps_out", func(m *Metrics) *uint64 { return &m.RespsOut }},
+	{"retransmits", func(m *Metrics) *uint64 { return &m.Retransmits }},
+	{"rto_timeouts", func(m *Metrics) *uint64 { return &m.Timeouts }},
+	{"shed", func(m *Metrics) *uint64 { return &m.Shed }},
+	{"store_evictions", func(m *Metrics) *uint64 { return &m.StoreEvictions }},
+	{"store_gets", func(m *Metrics) *uint64 { return &m.StoreGets }},
+	{"store_hits", func(m *Metrics) *uint64 { return &m.StoreHits }},
+	{"store_puts", func(m *Metrics) *uint64 { return &m.StorePuts }},
+}
+
+var metricHists = []struct {
+	name  string
+	field func(*Metrics) *obs.Histogram
+}{
+	{"get_latency_us", func(m *Metrics) *obs.Histogram { return &m.GetLatency }},
+	{"hops", func(m *Metrics) *obs.Histogram { return &m.Hops }},
+	{"lookup_latency_us", func(m *Metrics) *obs.Histogram { return &m.LookupLatency }},
+	{"put_latency_us", func(m *Metrics) *obs.Histogram { return &m.PutLatency }},
 }
 
 // MergeMetrics folds per-node snapshots into a cluster-wide aggregate:
@@ -168,72 +169,44 @@ func MergeMetrics(ms ...Metrics) Metrics {
 	var out Metrics
 	for i := range ms {
 		m := &ms[i]
-		out.ReqsIn += m.ReqsIn
-		out.AcksIn += m.AcksIn
-		out.RespsIn += m.RespsIn
-		out.ReqsOut += m.ReqsOut
-		out.AcksOut += m.AcksOut
-		out.RespsOut += m.RespsOut
-		out.DupReqs += m.DupReqs
-		out.Shed += m.Shed
-		out.Timeouts += m.Timeouts
-		out.Retransmits += m.Retransmits
-		out.Failovers += m.Failovers
-		out.Expired += m.Expired
-		out.StoreGets += m.StoreGets
-		out.StoreHits += m.StoreHits
-		out.StorePuts += m.StorePuts
+		for _, c := range metricCounters {
+			*c.field(&out) += *c.field(m)
+		}
+		for _, h := range metricHists {
+			h.field(&out).Merge(h.field(m))
+		}
 		out.StoreLen += m.StoreLen
-		out.StoreEvictions += m.StoreEvictions
 		out.InFlight += m.InFlight
 		out.Waiting += m.Waiting
 		out.Down = out.Down || m.Down
-		out.Hops.Merge(&m.Hops)
-		out.LookupLatency.Merge(&m.LookupLatency)
-		out.GetLatency.Merge(&m.GetLatency)
-		out.PutLatency.Merge(&m.PutLatency)
 	}
 	return out
 }
 
-// Snapshot renders a Metrics into an obs registry snapshot shape —
-// counters, gauges, and the four histograms under the given name
-// prefix — so cluster aggregates and single daemons serve the same
+// Snapshot renders a Metrics as an obs.Snapshot — counters, gauges and
+// the four histograms under the given name prefix, each section sorted
+// by name — so cluster aggregates and single daemons serve the same
 // /debug/vars-style document.
 func (m Metrics) Snapshot(prefix string) obs.Snapshot {
-	counters := []obs.NamedValue{
-		{Name: prefix + "_acks_in", Value: int64(m.AcksIn)},
-		{Name: prefix + "_acks_out", Value: int64(m.AcksOut)},
-		{Name: prefix + "_dup_reqs", Value: int64(m.DupReqs)},
-		{Name: prefix + "_expired", Value: int64(m.Expired)},
-		{Name: prefix + "_failovers", Value: int64(m.Failovers)},
-		{Name: prefix + "_reqs_in", Value: int64(m.ReqsIn)},
-		{Name: prefix + "_reqs_out", Value: int64(m.ReqsOut)},
-		{Name: prefix + "_resps_in", Value: int64(m.RespsIn)},
-		{Name: prefix + "_resps_out", Value: int64(m.RespsOut)},
-		{Name: prefix + "_retransmits", Value: int64(m.Retransmits)},
-		{Name: prefix + "_rto_timeouts", Value: int64(m.Timeouts)},
-		{Name: prefix + "_shed", Value: int64(m.Shed)},
-		{Name: prefix + "_store_evictions", Value: int64(m.StoreEvictions)},
-		{Name: prefix + "_store_gets", Value: int64(m.StoreGets)},
-		{Name: prefix + "_store_hits", Value: int64(m.StoreHits)},
-		{Name: prefix + "_store_puts", Value: int64(m.StorePuts)},
+	s := obs.Snapshot{
+		Counters: make([]obs.NamedValue, 0, len(metricCounters)),
+		Hists:    make([]obs.NamedHist, 0, len(metricHists)),
+	}
+	for _, c := range metricCounters {
+		s.Counters = append(s.Counters, obs.NamedValue{Name: prefix + "_" + c.name, Value: int64(*c.field(&m))})
 	}
 	down := int64(0)
 	if m.Down {
 		down = 1
 	}
-	gauges := []obs.NamedValue{
+	s.Gauges = []obs.NamedValue{
 		{Name: prefix + "_down", Value: down},
 		{Name: prefix + "_inflight", Value: int64(m.InFlight)},
 		{Name: prefix + "_store_len", Value: int64(m.StoreLen)},
 		{Name: prefix + "_waiting", Value: int64(m.Waiting)},
 	}
-	hists := []obs.NamedHist{
-		{Name: prefix + "_get_latency_us", Hist: m.GetLatency},
-		{Name: prefix + "_hops", Hist: m.Hops},
-		{Name: prefix + "_lookup_latency_us", Hist: m.LookupLatency},
-		{Name: prefix + "_put_latency_us", Hist: m.PutLatency},
+	for _, h := range metricHists {
+		s.Hists = append(s.Hists, obs.NamedHist{Name: prefix + "_" + h.name, Hist: *h.field(&m)})
 	}
-	return obs.Snapshot{Counters: counters, Gauges: gauges, Hists: hists}
+	return s
 }

@@ -2,10 +2,13 @@ package node
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"rcm"
+	"rcm/obs"
 	"rcm/overlay"
 )
 
@@ -195,9 +198,9 @@ func TestMetricsEvictions(t *testing.T) {
 	}
 }
 
-// TestMetricsSnapshotShape: the registry-shaped rendering carries every
-// counter, gauge and histogram under the prefix, and its JSON form is
-// valid registry output.
+// TestMetricsSnapshotShape: the obs.Snapshot rendering carries every
+// counter, gauge and histogram under the prefix, and its JSON form is a
+// valid /debug/vars document.
 func TestMetricsSnapshotShape(t *testing.T) {
 	nodes := bootCluster(t, "chord", 3, "mem")
 	for dst := range nodes {
@@ -223,5 +226,77 @@ func TestMetricsSnapshotShape(t *testing.T) {
 	}
 	if !strings.Contains(tb.String(), "node_hops") {
 		t.Errorf("snapshot text missing histogram line:\n%s", tb.String())
+	}
+}
+
+// TestMergeMetricsIsFieldwise: merging random per-node Metrics equals
+// field-wise sums and histogram merges, and every uint64 and
+// obs.Histogram field of Metrics has its row in metricCounters or
+// metricHists — so a counter added later cannot be forgotten in the
+// merge or the rendered document.
+func TestMergeMetricsIsFieldwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	uint64T, histT := reflect.TypeOf(uint64(0)), reflect.TypeOf(obs.Histogram{})
+	ms := make([]Metrics, 5)
+	for i := range ms {
+		v := reflect.ValueOf(&ms[i]).Elem()
+		for f := 0; f < v.NumField(); f++ {
+			switch fv := v.Field(f); fv.Type() {
+			case uint64T:
+				fv.SetUint(uint64(rng.Intn(1000)))
+			case histT:
+				h := fv.Addr().Interface().(*obs.Histogram)
+				for n := rng.Intn(20); n > 0; n-- {
+					h.Observe(int64(rng.Intn(5000)))
+				}
+			case reflect.TypeOf(0):
+				fv.SetInt(int64(rng.Intn(50)))
+			case reflect.TypeOf(false):
+				fv.SetBool(i == 3)
+			default:
+				t.Fatalf("Metrics.%s has type %s: teach this test (and MergeMetrics) about it", v.Type().Field(f).Name, fv.Type())
+			}
+		}
+	}
+	got := MergeMetrics(ms...)
+
+	var want Metrics
+	wv := reflect.ValueOf(&want).Elem()
+	for i := range ms {
+		v := reflect.ValueOf(&ms[i]).Elem()
+		for f := 0; f < v.NumField(); f++ {
+			switch fv, wf := v.Field(f), wv.Field(f); fv.Type() {
+			case uint64T:
+				wf.SetUint(wf.Uint() + fv.Uint())
+			case histT:
+				wf.Addr().Interface().(*obs.Histogram).Merge(fv.Addr().Interface().(*obs.Histogram))
+			case reflect.TypeOf(0):
+				wf.SetInt(wf.Int() + fv.Int())
+			default:
+				wf.SetBool(wf.Bool() || fv.Bool())
+			}
+		}
+	}
+	if got != want {
+		t.Errorf("MergeMetrics\n got %+v\nwant %+v", got, want)
+	}
+
+	// Every counter and histogram field is in exactly one table row.
+	rows := map[uintptr]int{}
+	var probe Metrics
+	for _, c := range metricCounters {
+		rows[reflect.ValueOf(c.field(&probe)).Pointer()]++
+	}
+	for _, h := range metricHists {
+		rows[reflect.ValueOf(h.field(&probe)).Pointer()]++
+	}
+	pv := reflect.ValueOf(&probe).Elem()
+	for f := 0; f < pv.NumField(); f++ {
+		if ft := pv.Field(f).Type(); ft != uint64T && ft != histT {
+			continue
+		}
+		if n := rows[pv.Field(f).Addr().Pointer()]; n != 1 {
+			t.Errorf("Metrics.%s has %d rows in metricCounters/metricHists, want 1", pv.Type().Field(f).Name, n)
+		}
 	}
 }

@@ -173,7 +173,7 @@ type Node struct {
 	encBuf     []byte                                // rcm:loop-owned
 	candBuf    []overlay.ID                          // rcm:loop-owned
 	rtt        map[overlay.ID]obs.RTT[time.Duration] // rcm:loop-owned — per-peer adaptive-RTO estimator
-	stats      stats                                 // rcm:loop-owned — instrumentation (see metrics.go)
+	stats      Metrics                               // rcm:loop-owned — counters and histograms (see metrics.go)
 }
 
 const seenCap = 4096
@@ -484,7 +484,7 @@ func (n *Node) issue(op Op, dst overlay.ID, key uint64, value []byte) Result {
 			n.post(func() {
 				if w, live := n.origins[reqID]; live {
 					delete(n.origins, reqID)
-					n.stats.expired++
+					n.stats.Expired++
 					w.ch <- Result{Status: StatusExpired, Err: fmt.Errorf("node %d: request %#x: no response within %v", n.cfg.ID, reqID, guard)}
 				}
 			})
@@ -541,12 +541,12 @@ func (n *Node) handleReq(m message, from string) {
 	}
 	if _, dup := n.seen[m.ReqID]; dup {
 		n.sendMsg(from, &message{Kind: msgAck, ReqID: m.ReqID})
-		n.stats.dupReqs++
+		n.stats.DupReqs++
 		return // duplicate delivery (our ACK was lost); already handled
 	}
 	if _, fwding := n.pending[m.ReqID]; fwding {
 		n.sendMsg(from, &message{Kind: msgAck, ReqID: m.ReqID})
-		n.stats.dupReqs++
+		n.stats.DupReqs++
 		return // retransmission of an attempt we accepted moments ago
 	}
 	if overlay.ID(m.Dst) != n.cfg.ID && len(n.pending) >= n.cfg.MaxInFlight {
@@ -554,7 +554,7 @@ func (n *Node) handleReq(m message, from string) {
 		// responsibility for relayed work (requests we own are always
 		// served — they never enter the table). Deterministic, silent,
 		// counted.
-		n.stats.shed++
+		n.stats.Shed++
 		return
 	}
 	n.sendMsg(from, &message{Kind: msgAck, ReqID: m.ReqID})
@@ -652,16 +652,16 @@ func (n *Node) handleTimeout(reqID, attempt uint64) {
 	if !ok || st.attempt != attempt {
 		return // acknowledged or superseded in the meantime
 	}
-	n.stats.timeouts++
+	n.stats.Timeouts++
 	if st.try < n.cfg.Retransmits {
 		st.try++
-		n.stats.retransmits++
+		n.stats.Retransmits++
 		n.dispatch(st)
 		return
 	}
 	st.ci++
 	st.try = 0
-	n.stats.failovers++
+	n.stats.Failovers++
 	if st.ci >= len(st.cands) {
 		delete(n.pending, reqID)
 		n.respond(st.msg, StatusNoRoute, nil)
@@ -675,15 +675,15 @@ func (n *Node) handleTimeout(reqID, attempt uint64) {
 func (n *Node) applyOwner(m message) {
 	switch m.Op {
 	case OpGet:
-		n.stats.storeGets++
+		n.stats.StoreGets++
 		if v, ok := n.store.Get(m.Key); ok {
-			n.stats.storeHits++
+			n.stats.StoreHits++
 			n.respond(m, StatusOK, v)
 		} else {
 			n.respond(m, StatusNotFound, nil)
 		}
 	case OpPut:
-		n.stats.storePuts++
+		n.stats.StorePuts++
 		n.store.Put(m.Key, m.Value)
 		n.respond(m, StatusOK, nil)
 	default:

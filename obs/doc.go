@@ -1,55 +1,48 @@
 // Package obs is the framework's shared observability layer: a
-// deterministic, mergeable, allocation-free histogram plus lightweight
-// counter/gauge registries. Every layer of the stack records into it —
-// eventsim shards at epoch barriers, the live node event loop, cluster
-// replay reports, and the rcmd metrics endpoint — so the same bucket
-// boundaries and the same rendering describe simulated and real runs.
-// RTT, the round-trip estimator behind both executors' adaptive
-// retransmission timeout, lives here for the same reason: one
-// definition, two instantiations.
+// deterministic, mergeable, allocation-free histogram and Snapshot, the
+// one shape every metrics document is rendered from. Every layer of the
+// stack records into it — eventsim shards at epoch barriers, the live
+// node event loop, cluster replay reports, and the rcmd metrics endpoint
+// — so the same bucket boundaries and the same rendering describe
+// simulated and real runs. RTT, the round-trip estimator behind both
+// executors' adaptive retransmission timeout, lives here for the same
+// reason: one definition, two instantiations.
 //
 // # Adding a custom metric
 //
-// The obs package has two recording disciplines, chosen by who owns
-// the data:
-//
-// 1. Concurrent counters and gauges. Anything updated from multiple
-// goroutines uses the registry's atomic types. Create on first use and
-// record:
-//
-//	var served = obs.Default().Counter("myapp_requests_served")
-//
-//	func handle() {
-//		served.Inc()
-//		obs.Default().Gauge("myapp_queue_depth").Set(int64(len(queue)))
-//	}
-//
-// Counters only go up; gauges move both ways. Names are flat strings —
-// the convention is subsystem_metric_unit (node_msgs_in,
-// node_lookup_latency_us). Everything in obs.Default() appears
-// automatically at the rcmd -metrics-addr endpoint and in the
-// interactive cluster's stats command.
-//
-// 2. Single-owner histograms. Histogram is deliberately not
-// thread-safe: the deterministic pattern is that each writer (a sim
-// shard, a node event loop) owns its own value, observes without
-// synchronization or allocation, and merges or snapshots at a
-// boundary it already owns:
+// There is one path: the writer owns the data, and renders it through a
+// Snapshot. Histogram is deliberately not thread-safe, and a counter is a
+// plain integer field beside it: each writer (a sim shard, a node event
+// loop) owns its own values, records without synchronization or
+// allocation, and merges or copies them out at a boundary it already
+// owns:
 //
 //	type loop struct {
-//		latency obs.Histogram // owned by the event loop goroutine
+//		served  uint64        // owned by the event loop goroutine
+//		latency obs.Histogram
 //	}
 //
-//	func (l *loop) record(us int64) { l.latency.Observe(us) }
+//	func (l *loop) record(us int64) { l.served++; l.latency.Observe(us) }
 //
-// To publish it, register a snapshot provider that captures behind the
-// owner's synchronization — for a node event loop, a posted closure:
+// To publish, copy the values out behind the owner's synchronization —
+// for a node event loop, a posted closure — and name them in a Snapshot,
+// each section sorted by name (names are flat strings; the convention is
+// subsystem_metric_unit: node_reqs_in, node_lookup_latency_us):
 //
-//	obs.Default().RegisterHistogram("myapp_latency_us", func() obs.Histogram {
-//		var snap obs.Histogram
-//		l.post(func() { snap = l.latency }) // value copy inside the loop
-//		return snap
-//	})
+//	func (l *loop) Snapshot() obs.Snapshot {
+//		var served uint64
+//		var lat obs.Histogram
+//		l.post(func() { served, lat = l.served, l.latency }) // value copies inside the loop
+//		return obs.Snapshot{
+//			Counters: []obs.NamedValue{{Name: "myapp_served", Value: int64(served)}},
+//			Hists:    []obs.NamedHist{{Name: "myapp_latency_us", Hist: lat}},
+//		}
+//	}
+//
+// Snapshot.WriteJSON and WriteText are what rcmd's -metrics-addr endpoint
+// and the interactive cluster's stats command serve; node.Metrics (its
+// counter table, MergeMetrics and Snapshot) is the in-repo instance of
+// the pattern.
 //
 // Because bucket boundaries are fixed, histograms from different
 // owners Merge commutatively: fold shard copies in any order and the
