@@ -1,7 +1,7 @@
 # Developer entry points; CI calls the same targets so local runs and the
 # pipeline cannot drift.
 
-.PHONY: build test race bench lines profile fmt vet lint fuzz-smoke cluster-smoke chaos-smoke examples
+.PHONY: build test race cpu-sweep bench lines profile fmt vet lint fuzz-smoke cluster-smoke chaos-smoke examples
 
 build:
 	go build ./...
@@ -11,6 +11,15 @@ test:
 
 race:
 	go test -race ./...
+
+# cpu-sweep runs the golden-bearing packages at two core counts. Every
+# number they pin is a function of (plan, seed) alone; a sample that
+# starts to depend on the host fails a golden under one of the two
+# instead of waiting for someone to compare two machines. The root
+# package is not in the list: it pins no golden, and its registry tests
+# register process-global names, so they cannot run twice in one process.
+cpu-sweep:
+	go test -cpu 1,4 ./exp ./internal/sim ./internal/figures ./cmd/dhtsim ./cmd/figures
 
 # bench runs the repository benchmark (BENCHMARK.json; benchmark/README.md)
 # once over all seven workloads, untraced then traced, and writes

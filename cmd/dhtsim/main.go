@@ -50,13 +50,16 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	// The flags default to 1; explicit zero or negative values would be
-	// silently replaced by the registry factory's defaults, so reject them.
-	if *kn < 1 {
-		return fmt.Errorf("-kn %d must be >= 1", *kn)
-	}
-	if *ks < 1 {
-		return fmt.Errorf("-ks %d must be >= 1", *ks)
+	// Zero or negative values would be silently replaced by defaults (the
+	// registry factory's, the simulator's) under a title that still prints
+	// what was typed, so reject them.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"kn", *kn}, {"ks", *ks}, {"pairs", *pairs}, {"trials", *trials}} {
+		if f.v < 1 {
+			return fmt.Errorf("-%s %d must be >= 1", f.name, f.v)
+		}
 	}
 	spec, err := exp.SpecFor(*protocol, exp.Config{SymphonyNear: *kn, SymphonyShortcuts: *ks})
 	if err != nil {

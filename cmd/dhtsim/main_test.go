@@ -68,6 +68,23 @@ func TestBadBitsError(t *testing.T) {
 	}
 }
 
+// A non-positive count would be replaced by a default while the table's
+// title still printed what was typed.
+func TestNonPositiveCountsRejected(t *testing.T) {
+	for _, flag := range []string{"-kn", "-ks", "-pairs", "-trials"} {
+		for _, v := range []string{"0", "-2"} {
+			var sb strings.Builder
+			err := run([]string{"-protocol", "symphony", "-bits", "8", flag, v}, &sb)
+			if want := flag + " " + v + " must be >= 1"; err == nil || err.Error() != want {
+				t.Errorf("%s %s: err = %v, want %q", flag, v, err, want)
+			}
+			if sb.Len() != 0 {
+				t.Errorf("%s %s: printed a table:\n%s", flag, v, sb.String())
+			}
+		}
+	}
+}
+
 func TestMatchingGeometryCoversAll(t *testing.T) {
 	for _, name := range []string{"plaxton", "can", "kademlia", "chord", "symphony"} {
 		out := runCapture(t, "-protocol", name, "-bits", "8", "-q", "0.1",

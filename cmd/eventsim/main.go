@@ -202,7 +202,7 @@ func run(args []string, out io.Writer) error {
 		Bits:   []int{o.cfg.Overlay.Bits},
 		Events: []eventsim.Config{o.cfg},
 	}
-	runOpts := []exp.Option{exp.WithModes(o.mode), exp.WithSeed(o.cfg.Seed), exp.WithSimWorkers(1)}
+	runOpts := []exp.Option{exp.WithModes(o.mode), exp.WithSeed(o.cfg.Seed)}
 
 	if o.format == "csv" {
 		return exp.StreamCSV(out, exp.Stream(context.Background(), plan, runOpts...))

@@ -34,7 +34,7 @@ func TestCrossValidateStaticModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		static, err := sim.MeasureStaticResilience(p, 0, sim.Options{Pairs: 2000, Trials: 1, Seed: 1, Workers: 1})
+		static, err := sim.MeasureStaticResilience(p, 0, sim.Options{Pairs: 2000, Trials: 1, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestCrossValidateUnderFailure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		static, err := sim.MeasureStaticResilience(p, q, sim.Options{Pairs: 20000, Trials: 3, Seed: 7, Workers: 1})
+		static, err := sim.MeasureStaticResilience(p, q, sim.Options{Pairs: 20000, Trials: 3, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -723,6 +723,7 @@ func (e *engine) run() {
 	e.onlineFrac[0] = float64(e.onlineCount) / float64(e.n)
 	e.nextBucket = 1
 
+	//lint:allow detsource picks inline vs goroutine drain only; TestDeterministicAcrossGOMAXPROCS pins the two bit-identical
 	parallel := len(e.shards) > 1 && runtime.GOMAXPROCS(0) > 1
 	var done chan struct{}
 	if parallel {

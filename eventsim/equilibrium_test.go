@@ -75,7 +75,7 @@ func eqMeasure(t *testing.T, p dht.Protocol, scenario, lifetime string, meanOn, 
 // through different table draws.
 func eqStatic(t *testing.T, p dht.Protocol) float64 {
 	t.Helper()
-	static, err := sim.MeasureStaticResilience(p, eqQEff, sim.Options{Pairs: 10000, Trials: 3, Seed: eqSeed, Workers: 1})
+	static, err := sim.MeasureStaticResilience(p, eqQEff, sim.Options{Pairs: 10000, Trials: 3, Seed: eqSeed})
 	if err != nil {
 		t.Fatal(err)
 	}

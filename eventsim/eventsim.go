@@ -46,8 +46,9 @@ type Config struct {
 	Seed uint64
 	// Shards is the number of event wheels the population is interleaved
 	// across (node % Shards). The default is 4. Results are deterministic
-	// for a fixed (Seed, Shards) pair; like sim.Options.Workers, the shard
-	// count is part of the sampling plan, not a free performance knob.
+	// for a fixed (Seed, Shards) pair: each shard owns its nodes' random
+	// streams, so the shard count is part of what a run computes, not a
+	// free performance knob.
 	Shards int
 	// Duration is the total simulated time (default 10; in-flight lookups
 	// are drained to completion past it).

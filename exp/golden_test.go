@@ -39,7 +39,7 @@ func goldenPlan() Plan {
 func goldenOpts() []Option {
 	return []Option{
 		WithModes(ModeAnalytic, ModeSim, ModeEvent),
-		WithPairs(400), WithTrials(2), WithSimWorkers(1),
+		WithPairs(400), WithTrials(2),
 		WithSeed(1),
 	}
 }

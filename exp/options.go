@@ -9,13 +9,12 @@ import (
 // settings is the resolved run configuration assembled from Options; the
 // struct never appears in the public API.
 type settings struct {
-	mode       Mode
-	seed       uint64
-	workers    int
-	pairs      int
-	trials     int
-	simWorkers int
-	eval       *core.Evaluator // the run's analytic memo; nil under WithoutMemo
+	mode    Mode
+	seed    uint64
+	workers int
+	pairs   int
+	trials  int
+	eval    *core.Evaluator // the run's analytic memo; nil under WithoutMemo
 }
 
 // Option configures one run of a Plan (Stream or Run).
@@ -27,6 +26,7 @@ func resolve(opts []Option) settings {
 		o(&st)
 	}
 	if st.workers <= 0 {
+		//lint:allow detsource sizes the cell pool only; TestParallelMatchesSerial pins rows independent of it
 		st.workers = runtime.NumCPU()
 	}
 	return st
@@ -44,16 +44,18 @@ func WithModes(modes ...Mode) Option {
 	}
 }
 
-// WithSeed sets the seed all randomness derives from (default 1). Grid
-// cell i (by q index) measures with seed seed + i·0x9e37, matching the
-// historical sim.Sweep schedule; event cells use the seed directly and
-// seed+1 for their static comparison.
+// WithSeed sets the seed all randomness derives from (default 1): rows
+// are a function of the plan, the modes, pairs, trials and this seed, on
+// any host. Grid cell i (by q index) measures with seed seed + i·0x9e37,
+// sim.Sweep's schedule; event cells use the seed directly and seed+1 for
+// their static comparison.
 func WithSeed(seed uint64) Option {
 	return func(st *settings) { st.seed = seed }
 }
 
-// WithWorkers bounds cell-level parallelism; zero or negative means all
-// CPUs (the default). Row order and content do not depend on it.
+// WithWorkers bounds cell-level parallelism, the only parallelism of a
+// static run (one cell measures on one goroutine); zero or negative means
+// all CPUs (the default). Row order and content do not depend on it.
 func WithWorkers(n int) Option {
 	return func(st *settings) { st.workers = n }
 }
@@ -68,13 +70,6 @@ func WithPairs(n int) Option {
 // (default 3).
 func WithTrials(n int) Option {
 	return func(st *settings) { st.trials = n }
-}
-
-// WithSimWorkers bounds routing parallelism inside one cell. Zero means
-// all CPUs; note the worker count is part of the sampling plan, so pin it
-// (typically to 1) when byte-stable output across machines matters.
-func WithSimWorkers(n int) Option {
-	return func(st *settings) { st.simWorkers = n }
 }
 
 // WithoutMemo disables analytic memoization entirely and evaluates every

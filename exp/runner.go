@@ -13,9 +13,8 @@ import (
 	"rcm/internal/sim"
 )
 
-// seedStride separates the measurement seeds of adjacent q-grid cells; it
-// is the stride sim.Sweep historically used, kept so cmd/dhtsim output is
-// unchanged by the delegation to this runner.
+// seedStride separates the measurement seeds of adjacent q-grid cells,
+// on sim.Sweep's schedule.
 const seedStride = 0x9e37
 
 // Row is one result of a plan: a grid cell, or one time bucket of an event
@@ -379,10 +378,9 @@ func (r *run) fillGrid(row *Row, c cell) error {
 			return err
 		}
 		res, err := sim.MeasureStaticResilience(p, c.q, sim.Options{
-			Pairs:   r.st.pairs,
-			Trials:  r.st.trials,
-			Workers: r.st.simWorkers,
-			Seed:    r.st.seed + uint64(c.qIdx)*seedStride,
+			Pairs:  r.st.pairs,
+			Trials: r.st.trials,
+			Seed:   r.st.seed + uint64(c.qIdx)*seedStride,
 		})
 		if err != nil {
 			return err
@@ -413,10 +411,9 @@ func (r *run) fillStatic(row *Row, key overlayKey, q float64) error {
 			return sim.Result{}, err
 		}
 		return sim.MeasureStaticResilience(static, q, sim.Options{
-			Pairs:   r.st.pairs,
-			Trials:  r.st.trials,
-			Workers: r.st.simWorkers,
-			Seed:    r.st.seed + 1,
+			Pairs:  r.st.pairs,
+			Trials: r.st.trials,
+			Seed:   r.st.seed + 1,
 		})
 	})
 	if err != nil {

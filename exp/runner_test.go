@@ -32,7 +32,7 @@ func testPlan() Plan {
 func testOpts(extra ...Option) []Option {
 	base := []Option{
 		WithModes(ModeAnalytic, ModeSim, ModeEvent),
-		WithPairs(500), WithTrials(2), WithSimWorkers(1),
+		WithPairs(500), WithTrials(2),
 		WithSeed(1),
 	}
 	return append(base, extra...)
@@ -99,7 +99,7 @@ func TestGridRows(t *testing.T) {
 	}
 	rows, err := Run(ctx, plan,
 		WithModes(ModeAnalytic, ModeSim),
-		WithPairs(1000), WithTrials(2), WithSimWorkers(1), WithSeed(1))
+		WithPairs(1000), WithTrials(2), WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestGridMatchesSweep(t *testing.T) {
 		Qs:    qs,
 	}
 	rows, err := Run(ctx, plan,
-		WithModes(ModeSim), WithPairs(800), WithTrials(2), WithSimWorkers(1), WithSeed(7))
+		WithModes(ModeSim), WithPairs(800), WithTrials(2), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestGridMatchesSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.Sweep(p, qs, sim.Options{Pairs: 800, Trials: 2, Workers: 1, Seed: 7})
+	want, err := sim.Sweep(p, qs, sim.Options{Pairs: 800, Trials: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestRunnerErrors(t *testing.T) {
 		Bits:  []int{30},
 		Qs:    []float64{0.1},
 	}
-	if _, err := Run(ctx, plan, WithModes(ModeSim), WithPairs(10), WithTrials(1), WithSimWorkers(1)); err == nil {
+	if _, err := Run(ctx, plan, WithModes(ModeSim), WithPairs(10), WithTrials(1)); err == nil {
 		t.Error("bits=30 sim plan accepted")
 	}
 	// Analytic-only is fine at large d.

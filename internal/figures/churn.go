@@ -83,7 +83,7 @@ func Churn(opt Options) ([]*table.Table, error) {
 	rows, err := exp.Run(context.Background(), plan,
 		exp.WithModes(exp.ModeEvent, exp.ModeAnalytic, exp.ModeSim),
 		exp.WithPairs(opt.Pairs), exp.WithTrials(opt.Trials),
-		exp.WithSeed(opt.Seed), exp.WithSimWorkers(1),
+		exp.WithSeed(opt.Seed),
 	)
 	if err != nil {
 		return nil, err

@@ -14,11 +14,6 @@ func init() {
 // fig6Series computes one protocol's full q-grid — analytic failed-path
 // percentage from the RCM model against the simulated percentage from the
 // static-resilience harness — as a single experiment plan.
-//
-// Note: delegating to the runner unified the per-q measurement seeds on
-// the sim.Sweep schedule (Seed + i·0x9e37); the pre-runner generator used
-// Seed + i·7919, so simulated columns differ from older recorded output by
-// sampling noise (well inside the trial stderr).
 func fig6Series(protocol string, opt Options) (*table.Table, error) {
 	spec, err := exp.SpecFor(protocol, exp.Config{})
 	if err != nil {

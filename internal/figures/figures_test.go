@@ -1,10 +1,12 @@
 package figures
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
+	"rcm"
 	"rcm/internal/table"
 )
 
@@ -389,5 +391,50 @@ func TestGenerateAll(t *testing.T) {
 		if !strings.Contains(tb.ASCII(), "\n") {
 			t.Errorf("table %q renders empty", tb.Title())
 		}
+	}
+}
+
+// TestStaticSampleIndependentOfHost is the property the static path
+// promises: every simulated figure, and the facade's Simulate, is a
+// function of (plan, seed) — not of how many cores the host schedules on.
+// GOMAXPROCS is process-wide, so the test must not run in parallel.
+func TestStaticSampleIndependentOfHost(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+
+	opt := Options{Bits: 8, Pairs: 300, Trials: 2, Seed: 1}
+	names := []string{"6a", "6b", "pathlen", "percolation", "sparse", "successors"}
+	render := func() (map[string]string, rcm.SimResult) {
+		out := make(map[string]string, len(names))
+		for _, name := range names {
+			tables, err := Generate(name, opt)
+			if err != nil {
+				t.Fatalf("figure %s: %v", name, err)
+			}
+			for _, tb := range tables {
+				out[name] += tb.ASCII()
+			}
+		}
+		res, err := rcm.Simulate(rcm.SimConfig{
+			Protocol: "kademlia", Config: rcm.Config{Bits: 8, Seed: 1},
+			Q: 0.3, Pairs: 300, Trials: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, res
+	}
+
+	runtime.GOMAXPROCS(1)
+	figs1, sim1 := render()
+	runtime.GOMAXPROCS(4)
+	figs4, sim4 := render()
+
+	for _, name := range names {
+		if figs1[name] != figs4[name] {
+			t.Errorf("figure %s differs between GOMAXPROCS 1 and 4:\n%s\nvs\n%s", name, figs1[name], figs4[name])
+		}
+	}
+	if sim1 != sim4 {
+		t.Errorf("Simulate differs between GOMAXPROCS 1 and 4:\n%+v\nvs\n%+v", sim1, sim4)
 	}
 }

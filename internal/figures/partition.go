@@ -68,7 +68,7 @@ func Partition(opt Options) ([]*table.Table, error) {
 	rows, err := exp.Run(context.Background(), plan,
 		exp.WithModes(exp.ModeEvent),
 		exp.WithPairs(opt.Pairs), exp.WithTrials(opt.Trials),
-		exp.WithSeed(opt.Seed), exp.WithSimWorkers(1),
+		exp.WithSeed(opt.Seed),
 	)
 	if err != nil {
 		return nil, err

@@ -47,6 +47,10 @@ var forbiddenCalls = map[[2]string]string{
 	{"os", "Getenv"}:      "environment-dependent control flow",
 	{"os", "LookupEnv"}:   "environment-dependent control flow",
 	{"os", "Environ"}:     "environment-dependent control flow",
+	// A core count may size a pool whose output a test pins independent of
+	// it (//lint:allow, naming the test); it must never shape a sample.
+	{"runtime", "GOMAXPROCS"}: "host-dependent control flow",
+	{"runtime", "NumCPU"}:     "host-dependent control flow",
 }
 
 // globalRandAllowed names the math/rand functions that do NOT draw from
@@ -62,14 +66,14 @@ var globalRandAllowed = map[string]bool{
 
 // DetSource forbids nondeterministic inputs in determinism-critical
 // packages: wall-clock and timer reads, the process-global math/rand
-// source, environment reads, and map iteration that feeds an ordered
+// source, environment and core-count reads, and map iteration that feeds an ordered
 // sink (channel sends, writer/encoder calls, or appends to an outer
 // slice that is never sorted afterwards — Go randomizes map iteration
 // order on purpose, so each of those turns a map walk into a
 // run-to-run diff).
 var DetSource = &Analyzer{
 	Name: "detsource",
-	Doc:  "forbid wall clocks, global math/rand, env reads and order-sensitive map iteration in determinism-critical packages",
+	Doc:  "forbid wall clocks, global math/rand, env and core-count reads and order-sensitive map iteration in determinism-critical packages",
 	Run:  runDetSource,
 }
 

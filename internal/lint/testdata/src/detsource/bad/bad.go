@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"runtime"
 	"time"
 )
 
@@ -37,6 +38,11 @@ var intn func(int) int = rand.Intn // want `math/rand\.Intn uses the process-glo
 
 func env() string {
 	return os.Getenv("RCM_DEBUG") // want `os\.Getenv in a determinism-critical package \(environment-dependent control flow\)`
+}
+
+// A worker count read off the host becomes part of whatever it splits.
+func workers() int {
+	return min(runtime.GOMAXPROCS(0), runtime.NumCPU()) // want `runtime\.GOMAXPROCS in a determinism-critical package \(host-dependent control flow\)` `runtime\.NumCPU in a determinism-critical package`
 }
 
 func keysUnsorted(m map[string]int) []string {

@@ -3,6 +3,8 @@ package sim
 import (
 	"math"
 	"testing"
+
+	"rcm/overlay"
 )
 
 func TestAllPairsNoFailure(t *testing.T) {
@@ -30,16 +32,53 @@ func TestSampledEstimateMatchesExhaustive(t *testing.T) {
 
 func TestAllPairsMatchesDefinitionOne(t *testing.T) {
 	// Cross-check the exhaustive measurement against a direct O(n²)
-	// reimplementation for one failure pattern.
+	// reimplementation for one failure pattern, rebuilt here from the
+	// documented stream derivation: NewRNG(seed ^ "RESL"), one Split per
+	// trial, one Bernoulli(1−q) per node in identifier order.
+	const (
+		seed = 9
+		q    = 0.4
+	)
 	p := buildProtocol(t, "can", 7)
-	r := measure(t, p, 0.4, Options{AllPairs: true, Trials: 1, Seed: 9, Workers: 3})
-	if r.Routability < 0 || r.Routability > 1 {
-		t.Fatalf("routability = %v", r.Routability)
+	r := measure(t, p, q, Options{AllPairs: true, Trials: 1, Seed: seed})
+
+	n := int(p.Space().Size())
+	trial := overlay.NewRNG(seed ^ 0x5245534c).Split()
+	alive := overlay.NewBitset(n)
+	var nodes []overlay.ID
+	for i := 0; i < n; i++ {
+		if trial.Bernoulli(1 - q) {
+			alive.Set(i)
+			nodes = append(nodes, overlay.ID(i))
+		}
 	}
-	// Workers must not affect the exhaustive result.
-	r1 := measure(t, p, 0.4, Options{AllPairs: true, Trials: 1, Seed: 9, Workers: 1})
-	if r.Routability != r1.Routability || r.Pairs != r1.Pairs {
-		t.Errorf("worker count changed exhaustive result: %v vs %v", r, r1)
+	var routed, hops int
+	for _, src := range nodes {
+		for _, dst := range nodes {
+			if src == dst {
+				continue
+			}
+			if h, ok := p.Route(src, dst, alive); ok {
+				routed++
+				hops += h
+			}
+		}
+	}
+	pairs := len(nodes) * (len(nodes) - 1)
+	if routed == 0 || routed == pairs {
+		t.Fatalf("degenerate pattern: %d of %d pairs routed", routed, pairs)
+	}
+	if r.Pairs != pairs {
+		t.Errorf("routed pairs = %d, want %d", r.Pairs, pairs)
+	}
+	if want := float64(routed) / float64(pairs); r.Routability != want {
+		t.Errorf("routability = %v, Definition 1 gives %v", r.Routability, want)
+	}
+	if want := float64(hops) / float64(routed); r.MeanHops != want {
+		t.Errorf("mean hops = %v, want %v", r.MeanHops, want)
+	}
+	if want := float64(len(nodes)) / float64(n); r.AliveFraction != want {
+		t.Errorf("alive fraction = %v, want %v", r.AliveFraction, want)
 	}
 }
 

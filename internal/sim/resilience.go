@@ -8,15 +8,15 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"rcm/internal/dht"
 	"rcm/overlay"
 )
 
 // Options configures a static-resilience measurement. The zero value is
-// usable: 10 000 sampled pairs, 3 trials, all CPUs.
+// usable: 10 000 sampled pairs, 3 trials. A measurement runs on the calling
+// goroutine and draws every sample from streams derived from Seed; callers
+// that want parallelism run measurements side by side (rcm/exp's cell pool).
 type Options struct {
 	// Pairs is the number of ordered (src, dst) pairs sampled per trial.
 	// Ignored when AllPairs is set.
@@ -29,11 +29,6 @@ type Options struct {
 	Trials int
 	// Seed makes the measurement deterministic.
 	Seed uint64
-	// Workers bounds the number of goroutines routing pairs. Note that in
-	// sampled mode each worker draws pairs from its own RNG stream, so the
-	// worker count is part of the sampling plan: fix Workers (not just
-	// Seed) for bit-identical results. AllPairs mode is worker-invariant.
-	Workers int
 }
 
 func (o Options) withDefaults() Options {
@@ -42,9 +37,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Trials <= 0 {
 		o.Trials = 3
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -85,8 +77,9 @@ type Result struct {
 // remain routable with greedy, non-backtracking forwarding.
 //
 // Pairs are sampled uniformly over distinct surviving nodes. Trials use
-// independent failure patterns; within each trial the sampled pairs are
-// routed in parallel across Workers goroutines.
+// independent failure patterns: trial t splits its stream off
+// NewRNG(Seed ^ "RESL"), draws one Bernoulli per node in identifier order,
+// then splits the pair stream off what is left.
 func MeasureStaticResilience(p dht.Protocol, q float64, opt Options) (Result, error) {
 	if q < 0 || q > 1 || math.IsNaN(q) {
 		return Result{}, fmt.Errorf("sim: q=%v out of [0,1]", q)
@@ -135,10 +128,10 @@ func MeasureStaticResilience(p dht.Protocol, q float64, opt Options) (Result, er
 		}
 		var success, hops, routed int
 		if opt.AllPairs {
-			success, hops = routeAllPairs(p, alive, aliveNodes, opt.Workers)
+			success, hops = routeAllPairs(p, alive, aliveNodes)
 			routed = len(aliveNodes) * (len(aliveNodes) - 1)
 		} else {
-			success, hops = routePairs(p, alive, aliveNodes, opt, trialRNG)
+			success, hops = routePairs(p, alive, aliveNodes, opt.Pairs, trialRNG)
 			routed = opt.Pairs
 		}
 		perTrial = append(perTrial, float64(success)/float64(routed))
@@ -167,56 +160,21 @@ func MeasureStaticResilience(p dht.Protocol, q float64, opt Options) (Result, er
 	return res, nil
 }
 
-// routePairs samples opt.Pairs ordered pairs of distinct alive nodes and
-// routes them in parallel, returning the success count and the total hops
-// over successful routes.
-func routePairs(p dht.Protocol, alive *overlay.Bitset, aliveNodes []overlay.ID, opt Options, rng *overlay.RNG) (successes, hops int) {
-	workers := opt.Workers
-	if workers > opt.Pairs {
-		workers = opt.Pairs
-	}
-	chunk := (opt.Pairs + workers - 1) / workers
-
-	type partial struct{ ok, hops int }
-	partials := make([]partial, workers)
-	seeds := make([]*overlay.RNG, workers)
-	for w := 0; w < workers; w++ {
-		seeds[w] = rng.Split()
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		start := w * chunk
-		count := chunk
-		if start+count > opt.Pairs {
-			count = opt.Pairs - start
+// routePairs samples that many ordered pairs of distinct alive nodes from
+// one stream split off the trial's and routes them, returning the success
+// count and the total hops over successful routes.
+func routePairs(p dht.Protocol, alive *overlay.Bitset, aliveNodes []overlay.ID, pairs int, rng *overlay.RNG) (successes, hops int) {
+	local := rng.Split()
+	for i := 0; i < pairs; i++ {
+		src := aliveNodes[local.Intn(len(aliveNodes))]
+		dst := aliveNodes[local.Intn(len(aliveNodes))]
+		for dst == src {
+			dst = aliveNodes[local.Intn(len(aliveNodes))]
 		}
-		if count <= 0 {
-			continue
+		if h, routed := p.Route(src, dst, alive); routed {
+			successes++
+			hops += h
 		}
-		wg.Add(1)
-		go func(w, count int) {
-			defer wg.Done()
-			local := seeds[w]
-			var ok, h int
-			for i := 0; i < count; i++ {
-				src := aliveNodes[local.Intn(len(aliveNodes))]
-				dst := aliveNodes[local.Intn(len(aliveNodes))]
-				for dst == src {
-					dst = aliveNodes[local.Intn(len(aliveNodes))]
-				}
-				if hh, routed := p.Route(src, dst, alive); routed {
-					ok++
-					h += hh
-				}
-			}
-			partials[w] = partial{ok: ok, hops: h}
-		}(w, count)
-	}
-	wg.Wait()
-	for _, pt := range partials {
-		successes += pt.ok
-		hops += pt.hops
 	}
 	return successes, hops
 }
@@ -249,51 +207,19 @@ func confidence95(mean, stderr float64, n int) (lo, hi float64) {
 	return lo, hi
 }
 
-// routeAllPairs routes every ordered pair of alive nodes, parallelized over
-// source nodes, and returns the success count and total hops of successful
-// routes.
-func routeAllPairs(p dht.Protocol, alive *overlay.Bitset, aliveNodes []overlay.ID, workers int) (successes, hops int) {
-	if workers > len(aliveNodes) {
-		workers = len(aliveNodes)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	type partial struct{ ok, hops int }
-	partials := make([]partial, workers)
-	chunk := (len(aliveNodes) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		start := w * chunk
-		end := start + chunk
-		if end > len(aliveNodes) {
-			end = len(aliveNodes)
-		}
-		if start >= end {
-			continue
-		}
-		wg.Add(1)
-		go func(w, start, end int) {
-			defer wg.Done()
-			var ok, h int
-			for _, src := range aliveNodes[start:end] {
-				for _, dst := range aliveNodes {
-					if dst == src {
-						continue
-					}
-					if hh, routed := p.Route(src, dst, alive); routed {
-						ok++
-						h += hh
-					}
-				}
+// routeAllPairs routes every ordered pair of alive nodes and returns the
+// success count and total hops of successful routes.
+func routeAllPairs(p dht.Protocol, alive *overlay.Bitset, aliveNodes []overlay.ID) (successes, hops int) {
+	for _, src := range aliveNodes {
+		for _, dst := range aliveNodes {
+			if dst == src {
+				continue
 			}
-			partials[w] = partial{ok: ok, hops: h}
-		}(w, start, end)
-	}
-	wg.Wait()
-	for _, pt := range partials {
-		successes += pt.ok
-		hops += pt.hops
+			if h, routed := p.Route(src, dst, alive); routed {
+				successes++
+				hops += h
+			}
+		}
 	}
 	return successes, hops
 }

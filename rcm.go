@@ -253,8 +253,6 @@ type SimConfig struct {
 	// (default 3).
 	Pairs  int
 	Trials int
-	// Workers bounds routing parallelism (default: all CPUs).
-	Workers int
 }
 
 // SimResult reports a static-resilience measurement: routability with its
@@ -269,10 +267,9 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 		return SimResult{}, fmt.Errorf("rcm: %w", err)
 	}
 	res, err := sim.MeasureStaticResilience(p, cfg.Q, sim.Options{
-		Pairs:   cfg.Pairs,
-		Trials:  cfg.Trials,
-		Seed:    cfg.Seed,
-		Workers: cfg.Workers,
+		Pairs:  cfg.Pairs,
+		Trials: cfg.Trials,
+		Seed:   cfg.Seed,
 	})
 	if err != nil {
 		return SimResult{}, fmt.Errorf("rcm: %w", err)
