@@ -19,7 +19,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
+	"rcm"
 	"rcm/exp"
 	"rcm/internal/table"
 )
@@ -34,7 +36,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("dhtsim", flag.ContinueOnError)
 	var (
-		protocol = fs.String("protocol", "chord", "protocol: plaxton|can|kademlia|chord|symphony")
+		protocol = fs.String("protocol", "chord", "protocol: "+strings.Join(rcm.Protocols(), "|"))
 		bits     = fs.Int("bits", 14, "identifier length d (N = 2^d)")
 		q        = fs.Float64("q", 0.3, "node failure probability")
 		pairs    = fs.Int("pairs", 20000, "sampled pairs per trial")

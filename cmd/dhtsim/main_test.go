@@ -1,8 +1,14 @@
 package main
 
 import (
+	"errors"
+	"flag"
+	"io"
+	"os"
 	"strings"
 	"testing"
+
+	"rcm"
 )
 
 func runCapture(t *testing.T, args ...string) string {
@@ -129,6 +135,41 @@ func TestModeFlagRejectsOtherEngines(t *testing.T) {
 		var sb strings.Builder
 		if err := run([]string{"-mode", mode}, &sb); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("-mode %s: err = %v, want mention of %q", mode, err, want)
+		}
+	}
+}
+
+// usage returns what `-h` prints: the flag package writes it to os.Stderr,
+// read when the usage is printed, so the test swaps the file for a pipe.
+func usage(t *testing.T) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	err = run([]string{"-h"}, io.Discard)
+	os.Stderr = stderr
+	w.Close()
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run(-h) = %v, want flag.ErrHelp", err)
+	}
+	text, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(text)
+}
+
+// TestHelpNamesEveryProtocol: -h lists the registry's names, so a
+// registrant -protocol accepts cannot be missing from the help (singlehop
+// was, while the list was typed by hand).
+func TestHelpNamesEveryProtocol(t *testing.T) {
+	text := usage(t)
+	for _, name := range rcm.Protocols() {
+		if !strings.Contains(text, name) {
+			t.Errorf("-h does not name protocol %q:\n%s", name, text)
 		}
 	}
 }

@@ -41,6 +41,7 @@ import (
 	"runtime/pprof"
 	"strings"
 
+	"rcm"
 	"rcm/eventsim"
 	"rcm/exp"
 	"rcm/fault"
@@ -74,7 +75,7 @@ type options struct {
 func newFlags(o *options) *flag.FlagSet {
 	fs := flag.NewFlagSet("eventsim", flag.ContinueOnError)
 	cfg, p := &o.cfg, &o.cfg.Params
-	fs.StringVar(&cfg.Protocol, "protocol", "chord", "protocol: plaxton|can|kademlia|chord|symphony|singlehop")
+	fs.StringVar(&cfg.Protocol, "protocol", "chord", "protocol: "+strings.Join(rcm.Protocols(), "|"))
 	fs.IntVar(&cfg.Overlay.Bits, "bits", 12, "identifier length d (N = 2^d)")
 	fs.StringVar(&cfg.Scenario, "scenario", "massfail", "scenario: "+strings.Join(eventsim.ScenarioNames(), "|"))
 	fs.Float64Var(&cfg.Duration, "duration", 10, "total simulated time")

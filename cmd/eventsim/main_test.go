@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"rcm"
 	"rcm/eventsim"
 )
 
@@ -401,6 +402,17 @@ func TestDocumentedExamplesParse(t *testing.T) {
 		}
 		if !reflect.DeepEqual(o.cfg, want) {
 			t.Errorf("%s\n parsed %+v\n want   %+v", line, o.cfg, want)
+		}
+	}
+}
+
+// TestHelpNamesEveryProtocol: -h lists the registry's names instead of a
+// list typed by hand.
+func TestHelpNamesEveryProtocol(t *testing.T) {
+	usage := newFlags(new(options)).Lookup("protocol").Usage
+	for _, name := range rcm.Protocols() {
+		if !strings.Contains(usage, name) {
+			t.Errorf("-protocol help %q does not name %q", usage, name)
 		}
 	}
 }

@@ -18,7 +18,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
+	"rcm"
 	"rcm/exp"
 	"rcm/internal/core"
 	"rcm/internal/table"
@@ -34,7 +36,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("rcmcalc", flag.ContinueOnError)
 	var (
-		geometry = fs.String("geometry", "all", "geometry: tree|hypercube|xor|ring|symphony|all")
+		geometry = fs.String("geometry", "all", "geometry: "+strings.Join(rcm.Geometries(), "|")+"|all")
 		bits     = fs.Int("bits", 16, "identifier length d (N = 2^d)")
 		q        = fs.Float64("q", 0.1, "node failure probability")
 		kn       = fs.Int("kn", 1, "symphony near neighbors")
@@ -46,9 +48,19 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// A flag that would be parsed and then ignored is an error, not a
+	// table that answers a different question.
+	if *sweepQ && *sweepN {
+		return fmt.Errorf("-sweep-q and -sweep-n are two different tables: pick one")
+	}
 	if *base != 2 {
-		if *geometry != "tree" {
+		switch {
+		case *geometry != "tree":
 			return fmt.Errorf("-base applies only to -geometry tree")
+		case *sweepQ || *sweepN:
+			return fmt.Errorf("-base %d evaluates a single point: it does not combine with -sweep-q or -sweep-n", *base)
+		case *kn != 1 || *ks != 1:
+			return fmt.Errorf("-kn and -ks are symphony parameters: they do not combine with -base")
 		}
 		return renderTreeBase(out, *base, *bits, *q)
 	}
@@ -114,7 +126,7 @@ func renderTreeBase(out io.Writer, base, digits int, q float64) error {
 	if err != nil {
 		return err
 	}
-	r, err := core.RoutabilityBaseB(g, base, digits, q)
+	r, err := g.Routability(digits, q)
 	if err != nil {
 		return err
 	}

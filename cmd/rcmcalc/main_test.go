@@ -1,8 +1,14 @@
 package main
 
 import (
+	"errors"
+	"flag"
+	"io"
+	"os"
 	"strings"
 	"testing"
+
+	"rcm"
 )
 
 func runCapture(t *testing.T, args ...string) string {
@@ -104,5 +110,61 @@ func TestTreeBaseFlagRejectsBadRadix(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-geometry", "tree", "-base", "1"}, &sb); err == nil {
 		t.Error("base 1 accepted")
+	}
+}
+
+// usage returns what `-h` prints: the flag package writes it to os.Stderr,
+// read when the usage is printed, so the test swaps the file for a pipe.
+func usage(t *testing.T) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	err = run([]string{"-h"}, io.Discard)
+	os.Stderr = stderr
+	w.Close()
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run(-h) = %v, want flag.ErrHelp", err)
+	}
+	text, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(text)
+}
+
+// TestHelpNamesEveryGeometry: -h lists the registry's names, so a
+// registrant -geometry accepts cannot be missing from the help (singlehop
+// was, while the list was typed by hand).
+func TestHelpNamesEveryGeometry(t *testing.T) {
+	text := usage(t)
+	for _, name := range append(rcm.Geometries(), "all") {
+		if !strings.Contains(text, name) {
+			t.Errorf("-h does not name geometry %q:\n%s", name, text)
+		}
+	}
+}
+
+// TestIgnoredFlagCombinationsRejected: a flag that is parsed and then
+// dropped used to print a table answering a different question — -base
+// with a sweep printed one point, two sweeps ran the q sweep, -base with
+// -kn dropped -kn.
+func TestIgnoredFlagCombinationsRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-geometry", "tree", "-base", "4", "-sweep-q"},
+		{"-geometry", "tree", "-base", "4", "-sweep-n"},
+		{"-sweep-q", "-sweep-n"},
+		{"-geometry", "tree", "-base", "4", "-kn", "3"},
+		{"-geometry", "tree", "-base", "4", "-ks", "2"},
+	} {
+		var sb strings.Builder
+		if err := run(args, &sb); err == nil {
+			t.Errorf("%v accepted:\n%s", args, sb.String())
+		} else if strings.Contains(err.Error(), "\n") {
+			t.Errorf("%v: error is not one line: %q", args, err)
+		}
 	}
 }

@@ -175,7 +175,7 @@ func parseFlags(args []string) (options, error) {
 	}
 	// Interactive clusters run the plan against wall time since boot:
 	// windowed clauses fire while you type.
-	d.FaultSeed, d.FaultWallClock = d.Seed, true
+	d.FaultWallClock = true
 	return o, nil
 }
 

@@ -69,11 +69,24 @@ func Spec(f Family) string {
 	}
 }
 
-// parseShape parses the optional single numeric argument of a parametric
-// family spec; empty selects the family default (zero value).
-func parseShape(family, arg string) (float64, error) {
-	v, _, err := spec.Float("lifetime", family, arg)
-	return v, err
+// shaped is the factory of a one-parameter family: parse the optional
+// numeric shape argument (empty selects the family default, its zero
+// value), construct the family, validate it.
+func shaped[F interface {
+	Family
+	Validate() error
+}](name string, construct func(shape float64) F) Factory {
+	return func(arg string) (Family, error) {
+		v, _, err := spec.Float("lifetime", name, arg)
+		if err != nil {
+			return nil, err
+		}
+		f := construct(v)
+		if err := f.Validate(); err != nil {
+			return nil, err
+		}
+		return f, nil
+	}
 }
 
 func init() {
@@ -88,39 +101,9 @@ func init() {
 			}
 			return Exponential{}, nil
 		}, []string{"exponential"}},
-		{"pareto", func(arg string) (Family, error) {
-			a, err := parseShape("pareto", arg)
-			if err != nil {
-				return nil, err
-			}
-			p := Pareto{Alpha: a}
-			if err := p.Validate(); err != nil {
-				return nil, err
-			}
-			return p, nil
-		}, []string{"heavytail"}},
-		{"weibull", func(arg string) (Family, error) {
-			k, err := parseShape("weibull", arg)
-			if err != nil {
-				return nil, err
-			}
-			w := Weibull{Shape: k}
-			if err := w.Validate(); err != nil {
-				return nil, err
-			}
-			return w, nil
-		}, nil},
-		{"lognormal", func(arg string) (Family, error) {
-			s, err := parseShape("lognormal", arg)
-			if err != nil {
-				return nil, err
-			}
-			l := Lognormal{Sigma: s}
-			if err := l.Validate(); err != nil {
-				return nil, err
-			}
-			return l, nil
-		}, []string{"lognorm"}},
+		{"pareto", shaped("pareto", func(a float64) Pareto { return Pareto{Alpha: a} }), []string{"heavytail"}},
+		{"weibull", shaped("weibull", func(k float64) Weibull { return Weibull{Shape: k} }), nil},
+		{"lognormal", shaped("lognormal", func(s float64) Lognormal { return Lognormal{Sigma: s} }), []string{"lognorm"}},
 		{"trace", func(arg string) (Family, error) {
 			if arg == "" {
 				return nil, fmt.Errorf("lifetime: trace requires a file path, e.g. trace:sessions.txt")

@@ -2,6 +2,7 @@ package eventsim
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -163,5 +164,48 @@ func TestTraceValidation(t *testing.T) {
 	cfg.Trace = -1
 	if _, err := Run(cfg); err == nil {
 		t.Error("Trace=-1 accepted")
+	}
+}
+
+// TestBucketAddIsFieldwise: shards and drain phases merge their tallies
+// with Bucket.add, which spells every counter out. Random buckets, every
+// field but the window's own description (Start, End, OnlineFraction)
+// summed — a counter added to Bucket and forgotten in add fails here.
+func TestBucketAddIsFieldwise(t *testing.T) {
+	window := map[string]bool{"Start": true, "End": true, "OnlineFraction": true}
+	rng := rand.New(rand.NewSource(1))
+	fill := func(b *Bucket) {
+		v := reflect.ValueOf(b).Elem()
+		for f := 0; f < v.NumField(); f++ {
+			switch fv := v.Field(f); fv.Kind() {
+			case reflect.Int:
+				fv.SetInt(int64(rng.Intn(1000)))
+			case reflect.Float64:
+				fv.SetFloat(float64(rng.Intn(1000)) / 8) // dyadic: sums are exact
+			default:
+				t.Fatalf("Bucket.%s has type %s: teach this test (and Bucket.add) about it", v.Type().Field(f).Name, fv.Type())
+			}
+		}
+	}
+	var got, o Bucket
+	fill(&got)
+	fill(&o)
+	before := got
+	got.add(o)
+
+	gv, bv, ov := reflect.ValueOf(got), reflect.ValueOf(before), reflect.ValueOf(o)
+	for f := 0; f < gv.NumField(); f++ {
+		name := gv.Type().Field(f).Name
+		want := bv.Field(f).Interface()
+		if !window[name] {
+			if gv.Field(f).Kind() == reflect.Int {
+				want = int(bv.Field(f).Int() + ov.Field(f).Int())
+			} else {
+				want = bv.Field(f).Float() + ov.Field(f).Float()
+			}
+		}
+		if g := gv.Field(f).Interface(); g != want {
+			t.Errorf("after add, Bucket.%s = %v, want %v", name, g, want)
+		}
 	}
 }

@@ -18,12 +18,12 @@ func init() {
 		factory ScenarioFactory
 		aliases []string
 	}{
-		{"massfail", func(p Params) (Scenario, error) { return massfail{p}, nil }, []string{"fail"}},
-		{"churn", func(p Params) (Scenario, error) { return churn{p}, nil }, nil},
-		{"flashcrowd", func(p Params) (Scenario, error) { return flashcrowd{p}, nil }, []string{"crowd"}},
-		{"correlated", func(p Params) (Scenario, error) { return correlated{p}, nil }, []string{"regions"}},
-		{"zipf", func(p Params) (Scenario, error) { return zipf{p}, nil }, []string{"skewed"}},
-		{"faultstorm", func(p Params) (Scenario, error) { return faultstorm{p}, nil }, []string{"storm"}},
+		{"massfail", func(Params) (Scenario, error) { return massfail{}, nil }, []string{"fail"}},
+		{"churn", func(Params) (Scenario, error) { return churn{}, nil }, nil},
+		{"flashcrowd", func(Params) (Scenario, error) { return flashcrowd{}, nil }, []string{"crowd"}},
+		{"correlated", func(Params) (Scenario, error) { return correlated{}, nil }, []string{"regions"}},
+		{"zipf", func(Params) (Scenario, error) { return zipf{}, nil }, []string{"skewed"}},
+		{"faultstorm", func(Params) (Scenario, error) { return faultstorm{}, nil }, []string{"storm"}},
 		{"heavytail", newHeavytail, []string{"pareto-churn"}},
 		{"diurnal", newDiurnal, []string{"daily"}},
 		{"tracechurn", newTracechurn, []string{"trace-replay"}},
@@ -39,11 +39,11 @@ func init() {
 // fails simultaneously and stays down; uniform lookups flow for the whole
 // run. After the failure the overlay is exactly the static-resilience
 // regime, which is what the cross-validation test exploits.
-type massfail struct{ p Params }
+type massfail struct{}
 
-func (s massfail) Name() string { return "massfail" }
+func (massfail) Name() string { return "massfail" }
 
-func (s massfail) Program(env *Env) error {
+func (massfail) Program(env *Env) error {
 	p := env.Params()
 	if p.FailTime <= env.Duration() {
 		rng := env.RNG()
@@ -60,11 +60,11 @@ func (s massfail) Program(env *Env) error {
 // churn gives every node an exponential on/off lifecycle (the dynamic
 // regime §1 leaves open), with uniform lookups throughout — the
 // message-level counterpart of internal/sim's churn engine.
-type churn struct{ p Params }
+type churn struct{}
 
-func (s churn) Name() string { return "churn" }
+func (churn) Name() string { return "churn" }
 
-func (s churn) Program(env *Env) error {
+func (churn) Program(env *Env) error {
 	p := env.Params()
 	for node := 0; node < env.Nodes(); node++ {
 		env.ChurnNode(node, p.MeanOnline, p.MeanOffline)
@@ -77,11 +77,11 @@ func (s churn) Program(env *Env) error {
 // [CrowdStart, CrowdStart+CrowdDuration) the arrival rate multiplies by
 // CrowdFactor with a fraction Hot of lookups addressed to one hot key.
 // No nodes fail; the stress is purely load concentration.
-type flashcrowd struct{ p Params }
+type flashcrowd struct{}
 
-func (s flashcrowd) Name() string { return "flashcrowd" }
+func (flashcrowd) Name() string { return "flashcrowd" }
 
-func (s flashcrowd) Program(env *Env) error {
+func (flashcrowd) Program(env *Env) error {
 	p := env.Params()
 	// Clamp the crowd window into the run, as massfail does for FailTime:
 	// a crowd that starts past the horizon degenerates to baseline load.
@@ -111,11 +111,11 @@ func (s flashcrowd) Program(env *Env) error {
 // failures where identifier-adjacent nodes share fate. Structured
 // geometries (ring successor chains, tree subtrees) lose whole routing
 // neighborhoods at once, which independent sampling never produces.
-type correlated struct{ p Params }
+type correlated struct{}
 
-func (s correlated) Name() string { return "correlated" }
+func (correlated) Name() string { return "correlated" }
 
-func (s correlated) Program(env *Env) error {
+func (correlated) Program(env *Env) error {
 	p := env.Params()
 	if p.FailTime <= env.Duration() && p.Regions > 0 && p.FailFraction > 0 {
 		rng := env.RNG()
@@ -142,39 +142,59 @@ func (s correlated) Program(env *Env) error {
 // transport (rcm/fault) rather than a churn scenario, which would
 // confound node lifecycle with injected network faults. With a lossless
 // plain transport it degenerates to the uniform baseline.
-type faultstorm struct{ p Params }
+type faultstorm struct{}
 
-func (s faultstorm) Name() string { return "faultstorm" }
+func (faultstorm) Name() string { return "faultstorm" }
 
-func (s faultstorm) Program(env *Env) error {
+func (faultstorm) Program(env *Env) error {
 	env.PoissonLookups(0, env.Duration(), env.Params().Rate, nil)
 	return nil
 }
 
-// heavytail is churn with the memoryless assumption removed: every node's
-// online sessions are drawn from a configurable lifetime family (default
-// Pareto α = 1.5) and its offline stretches from another (default
-// exponential), both pinned to the same MeanOnline/MeanOffline means as
-// the churn scenario — so q_eff is identical and any performance gap is
-// attributable purely to the lifetime *shape*. The equilibrium conformance
-// suite locks in the resulting finding: the static q_eff summary, exact
-// for exponential lifetimes, measurably misses for heavy tails.
-type heavytail struct {
-	p       Params
+// renewal is churn with the memoryless assumption removed, the scenario
+// behind both heavytail and tracechurn: every node alternates online
+// sessions drawn from on and offline stretches drawn from off, both pinned
+// to the same MeanOnline/MeanOffline means as the churn scenario — so
+// q_eff is identical and any performance gap is attributable purely to the
+// lifetime *shape*. The two registrants differ in where on comes from.
+type renewal struct {
+	name    string
 	on, off Lifetime
 }
 
+// newHeavytail defaults the online family to Pareto α = 1.5 and the
+// offline one to exponential. The equilibrium conformance suite locks in
+// the resulting finding: the static q_eff summary, exact for exponential
+// lifetimes, measurably misses for heavy tails.
 func newHeavytail(p Params) (Scenario, error) {
 	_, _, on, off, err := lifetimeDists(p, "pareto", "exp")
 	if err != nil {
 		return nil, err
 	}
-	return heavytail{p: p, on: on, off: off}, nil
+	return renewal{name: "heavytail", on: on, off: off}, nil
 }
 
-func (s heavytail) Name() string { return "heavytail" }
+// newTracechurn replays measured availability traces: sessions and
+// downtimes are resampled from trace files (rescaled to
+// MeanOnline/MeanOffline, so trace replay sits on the same equal-mean axis
+// as the parametric families — request the trace's own empirical mean to
+// replay natively). Params.Lifetime must name a trace or other explicit
+// family; the scenario refuses to default it, because "replay" with no
+// trace is a silent downgrade to synthetic churn.
+func newTracechurn(p Params) (Scenario, error) {
+	if strings.TrimSpace(p.Lifetime) == "" {
+		return nil, fmt.Errorf("eventsim: tracechurn requires Params.Lifetime (e.g. \"trace:sessions.txt\")")
+	}
+	_, _, on, off, err := lifetimeDists(p, p.Lifetime, "exp")
+	if err != nil {
+		return nil, err
+	}
+	return renewal{name: "tracechurn", on: on, off: off}, nil
+}
 
-func (s heavytail) Program(env *Env) error {
+func (s renewal) Name() string { return s.name }
+
+func (s renewal) Program(env *Env) error {
 	for node := 0; node < env.Nodes(); node++ {
 		env.ChurnNodeDist(node, s.on, s.off)
 	}
@@ -190,7 +210,6 @@ func (s heavytail) Program(env *Env) error {
 // long-run q_eff with period DiurnalPeriod and amplitude set by
 // DiurnalAmplitude.
 type diurnal struct {
-	p         Params
 	onF, offF LifetimeFamily
 }
 
@@ -201,7 +220,7 @@ func newDiurnal(p Params) (Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	return diurnal{p: p, onF: onF, offF: offF}, nil
+	return diurnal{onF: onF, offF: offF}, nil
 }
 
 func (s diurnal) Name() string { return "diurnal" }
@@ -237,49 +256,16 @@ func (s diurnal) Program(env *Env) error {
 	return nil
 }
 
-// tracechurn replays measured availability traces: sessions and downtimes
-// are resampled from trace files (rescaled to MeanOnline/MeanOffline, so
-// trace replay sits on the same equal-mean axis as the parametric
-// families — request the trace's own empirical mean to replay natively).
-// Params.Lifetime must name a trace or other explicit family; the
-// scenario refuses to default it, because "replay" with no trace is a
-// silent downgrade to synthetic churn.
-type tracechurn struct {
-	p       Params
-	on, off Lifetime
-}
-
-func newTracechurn(p Params) (Scenario, error) {
-	if strings.TrimSpace(p.Lifetime) == "" {
-		return nil, fmt.Errorf("eventsim: tracechurn requires Params.Lifetime (e.g. \"trace:sessions.txt\")")
-	}
-	_, _, on, off, err := lifetimeDists(p, p.Lifetime, "exp")
-	if err != nil {
-		return nil, err
-	}
-	return tracechurn{p: p, on: on, off: off}, nil
-}
-
-func (s tracechurn) Name() string { return "tracechurn" }
-
-func (s tracechurn) Program(env *Env) error {
-	for node := 0; node < env.Nodes(); node++ {
-		env.ChurnNodeDist(node, s.on, s.off)
-	}
-	env.PoissonLookups(0, env.Duration(), env.Params().Rate, nil)
-	return nil
-}
-
 // zipf keeps every node online and skews the lookup workload: targets are
 // drawn from a Zipf(ZipfS) rank distribution over a random permutation of
 // the identifier space. A zero ZipfS selects the scenario default s = 1
 // (a zipf run should be skewed without extra flags); for the uniform
 // baseline use the massfail scenario with FailFraction 0.
-type zipf struct{ p Params }
+type zipf struct{}
 
-func (s zipf) Name() string { return "zipf" }
+func (zipf) Name() string { return "zipf" }
 
-func (s zipf) Program(env *Env) error {
+func (zipf) Program(env *Env) error {
 	p := env.Params()
 	s_ := p.ZipfS
 	if s_ <= 0 {

@@ -58,7 +58,6 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"rcm/internal/registry"
 )
@@ -101,20 +100,17 @@ type Spec struct {
 // not resolve here (a Spec always carries a Geometry) — register both
 // halves under one name as examples/randchord does.
 func SpecFor(name string, overlay Config) (Spec, error) {
-	ge, ok := registry.LookupGeometry(name)
+	f, ok := registry.Geometries.Lookup(name)
 	if !ok {
-		return Spec{}, fmt.Errorf("exp: unknown geometry or protocol %q (have %s)",
-			name, strings.Join(registry.GeometryKeys(), ", "))
+		return Spec{}, fmt.Errorf("exp: %w", registry.Geometries.Unknown(name))
 	}
-	g, err := ge.New(overlay)
+	g, err := f(overlay)
 	if err != nil {
-		return Spec{}, fmt.Errorf("exp: geometry %q: %w", ge.Name, err)
+		canonical, _ := registry.Geometries.Canonical(name)
+		return Spec{}, fmt.Errorf("exp: geometry %q: %w", canonical, err)
 	}
-	s := Spec{Geometry: g, Overlay: overlay}
-	if pe, ok := registry.LookupProtocol(name); ok {
-		s.Protocol = pe.Name
-	}
-	return s, nil
+	protocol, _ := registry.Protocols.Canonical(name)
+	return Spec{Geometry: g, Protocol: protocol, Overlay: overlay}, nil
 }
 
 // MustSpec is SpecFor with the default overlay configuration; it panics on

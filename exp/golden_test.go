@@ -15,10 +15,10 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenPlan must be fully machine-independent: analytic math is pure
-// float64, sim workers are pinned to 1, and the event setting pins its
-// transport and shard count (both part of the engine's sampling plan) — so
-// the encoded bytes are identical everywhere. One grid block and one event
-// setting lock both row kinds and every column group.
+// float64, the static simulator measures on one goroutine, and the event
+// setting pins its transport and shard count (both part of the engine's
+// sampling plan) — so the encoded bytes are identical everywhere. One grid
+// block and one event setting lock both row kinds and every column group.
 func goldenPlan() Plan {
 	return Plan{
 		Name:  "golden",

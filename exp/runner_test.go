@@ -15,7 +15,8 @@ import (
 )
 
 // testPlan is a small but full-featured plan: every mode, two system
-// sizes; testOpts pins sim workers so output is machine-independent.
+// sizes; testOpts pins the sample sizes and the seed its output is a
+// function of.
 func testPlan() Plan {
 	return Plan{
 		Name:  "test",

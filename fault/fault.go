@@ -60,9 +60,9 @@ type Plan struct {
 	Stall      *Stall
 }
 
-// clause is one parsed plan fragment, applied to the plan under
-// construction; application fails when the clause kind repeats.
-type clause func(*Plan) error
+// clause is one parsed plan fragment: it writes its kind's part of the
+// plan under construction.
+type clause func(*Plan)
 
 // clauses is the plan-fragment vocabulary, sharing the module's
 // name[:arg] spec grammar: a plan is a comma list of clauses, each
@@ -77,9 +77,9 @@ func init() {
 	}{
 		{"partition", parsePartition, []string{"part"}},
 		{"delayspike", parseDelaySpike, []string{"spike"}},
-		{"dup", parseDup, []string{"duplicate"}},
-		{"reorder", parseReorder, nil},
-		{"corrupt", parseCorrupt, nil},
+		{"dup", probClause("dup", func(p *Plan) *float64 { return &p.Dup }), []string{"duplicate"}},
+		{"reorder", probClause("reorder", func(p *Plan) *float64 { return &p.Reorder }), nil},
+		{"corrupt", probClause("corrupt", func(p *Plan) *float64 { return &p.Corrupt }), nil},
 		{"stall", parseStall, nil},
 	}
 	for _, r := range reg {
@@ -91,20 +91,31 @@ func init() {
 func ClauseNames() []string { return clauses.Names() }
 
 // Parse parses a comma-separated fault plan, e.g.
-// "partition:2@1-2,dup:0.1". The result is validated.
+// "partition:2@1-2,dup:0.1". The result is validated. A plan holds at
+// most one clause of each kind, whatever the clause's value, and must
+// inject something: "dup:0" is the empty plan, an error like "".
 func Parse(s string) (Plan, error) {
 	var p Plan
-	if strings.TrimSpace(s) == "" {
-		return p, fmt.Errorf("fault: empty plan (have clauses %s)", strings.Join(clauses.Keys(), ", "))
+	var parts []string
+	if strings.TrimSpace(s) != "" {
+		parts = strings.Split(s, ",")
 	}
-	for _, part := range strings.Split(s, ",") {
+	seen := map[string]bool{}
+	for _, part := range parts {
 		c, err := clauses.Parse(part)
 		if err != nil {
 			return Plan{}, err
 		}
-		if err := c(&p); err != nil {
-			return Plan{}, err
+		name, _ := spec.Split(part)
+		kind, _ := clauses.Canonical(name)
+		if seen[kind] {
+			return Plan{}, fmt.Errorf("fault: plan repeats the %s clause", kind)
 		}
+		seen[kind] = true
+		c(&p)
+	}
+	if p.Empty() {
+		return Plan{}, fmt.Errorf("fault: empty plan (have clauses %s)", strings.Join(clauses.Keys(), ", "))
 	}
 	if err := p.Validate(); err != nil {
 		return Plan{}, err
@@ -419,16 +430,19 @@ func splitWindow(name, headNoun, arg string) (head string, w Window, err error) 
 	return strings.TrimSpace(head), w, nil
 }
 
-// prob parses a clause's single-probability argument.
-func prob(name, arg string) (float64, error) {
-	v, ok, err := spec.Float("fault", name, arg)
-	if err != nil {
-		return 0, err
+// probClause is the factory of a single-probability clause, name:<p>,
+// which sets the plan field that field selects.
+func probClause(name string, field func(*Plan) *float64) spec.Factory[clause] {
+	return func(arg string) (clause, error) {
+		v, ok, err := spec.Float("fault", name, arg)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return nil, fmt.Errorf("fault: %s needs a probability argument (%s:<p>)", name, name)
+		}
+		return func(p *Plan) { *field(p) = v }, nil
 	}
-	if !ok {
-		return 0, fmt.Errorf("fault: %s needs a probability argument (%s:<p>)", name, name)
-	}
-	return v, nil
 }
 
 func parsePartition(arg string) (clause, error) {
@@ -440,13 +454,7 @@ func parsePartition(arg string) (clause, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fault: partition group count %q: %v", head, err)
 	}
-	return func(p *Plan) error {
-		if p.Partition != nil {
-			return fmt.Errorf("fault: plan repeats the partition clause")
-		}
-		p.Partition = &Partition{Groups: groups, Window: w}
-		return nil
-	}, nil
+	return func(p *Plan) { p.Partition = &Partition{Groups: groups, Window: w} }, nil
 }
 
 func parseDelaySpike(arg string) (clause, error) {
@@ -458,55 +466,7 @@ func parseDelaySpike(arg string) (clause, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fault: delayspike factor %q: %v", head, err)
 	}
-	return func(p *Plan) error {
-		if p.DelaySpike != nil {
-			return fmt.Errorf("fault: plan repeats the delayspike clause")
-		}
-		p.DelaySpike = &DelaySpike{Factor: factor, Window: w}
-		return nil
-	}, nil
-}
-
-func parseDup(arg string) (clause, error) {
-	v, err := prob("dup", arg)
-	if err != nil {
-		return nil, err
-	}
-	return func(p *Plan) error {
-		if p.Dup != 0 {
-			return fmt.Errorf("fault: plan repeats the dup clause")
-		}
-		p.Dup = v
-		return nil
-	}, nil
-}
-
-func parseReorder(arg string) (clause, error) {
-	v, err := prob("reorder", arg)
-	if err != nil {
-		return nil, err
-	}
-	return func(p *Plan) error {
-		if p.Reorder != 0 {
-			return fmt.Errorf("fault: plan repeats the reorder clause")
-		}
-		p.Reorder = v
-		return nil
-	}, nil
-}
-
-func parseCorrupt(arg string) (clause, error) {
-	v, err := prob("corrupt", arg)
-	if err != nil {
-		return nil, err
-	}
-	return func(p *Plan) error {
-		if p.Corrupt != 0 {
-			return fmt.Errorf("fault: plan repeats the corrupt clause")
-		}
-		p.Corrupt = v
-		return nil
-	}, nil
+	return func(p *Plan) { p.DelaySpike = &DelaySpike{Factor: factor, Window: w} }, nil
 }
 
 func parseStall(arg string) (clause, error) {
@@ -522,11 +482,5 @@ func parseStall(arg string) (clause, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fault: stall mean %q: %v", ms, err)
 	}
-	return func(p *Plan) error {
-		if p.Stall != nil {
-			return fmt.Errorf("fault: plan repeats the stall clause")
-		}
-		p.Stall = &Stall{P: pv, Mean: mv}
-		return nil
-	}, nil
+	return func(p *Plan) { p.Stall = &Stall{P: pv, Mean: mv} }, nil
 }

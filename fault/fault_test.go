@@ -1,6 +1,9 @@
 package fault
 
 import (
+	"math/rand"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -73,6 +76,14 @@ func TestParseErrors(t *testing.T) {
 		{"stall:0.1:0", "positive finite duration"},
 		{"dup:0.1,dup:0.2", "repeats the dup clause"},
 		{"partition:2@1-2,partition:2@3-4", "repeats the partition clause"},
+		// A repeat is a repeat whatever the values and whichever comes first,
+		// and a plan whose clauses all inject nothing is the empty plan.
+		{"dup:0,dup:0.5", "repeats the dup clause"},
+		{"dup:0.5,dup:0", "repeats the dup clause"},
+		{"reorder:0,reorder:0.1", "repeats the reorder clause"},
+		{"duplicate:0.1,dup:0.2", "repeats the dup clause"},
+		{"dup:0", "empty plan"},
+		{"dup:0,corrupt:0", "empty plan"},
 	} {
 		_, err := Parse(tc.in)
 		if err == nil {
@@ -274,5 +285,53 @@ func TestCounts(t *testing.T) {
 	}
 	if got, want := c.String(), "partition=2 dup=2 stall=3"; got != want {
 		t.Errorf("String = %q, want %q", got, want)
+	}
+}
+
+// TestCountsAreFieldwise: Add, Total and String each spell every fault
+// kind out. With random tallies, Add sums every field, Total is the sum
+// over every field, and String renders one name=value pair per non-zero
+// field — so a kind added to Counts and forgotten in one of the three
+// fails here.
+func TestCountsAreFieldwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	fill := func(c *Counts) {
+		v := reflect.ValueOf(c).Elem()
+		for f := 0; f < v.NumField(); f++ {
+			if v.Field(f).Kind() != reflect.Uint64 {
+				t.Fatalf("Counts.%s has type %s: teach this test (and Add, Total, String) about it", v.Type().Field(f).Name, v.Field(f).Type())
+			}
+			v.Field(f).SetUint(1 + uint64(rng.Intn(1000)))
+		}
+	}
+	var a, b Counts
+	fill(&a)
+	fill(&b)
+	sum := a
+	sum.Add(b)
+
+	var total uint64
+	sv, av, bv := reflect.ValueOf(sum), reflect.ValueOf(a), reflect.ValueOf(b)
+	for f := 0; f < sv.NumField(); f++ {
+		want := av.Field(f).Uint() + bv.Field(f).Uint()
+		if got := sv.Field(f).Uint(); got != want {
+			t.Errorf("after Add, Counts.%s = %d, want %d", sv.Type().Field(f).Name, got, want)
+		}
+		total += want
+	}
+	if got := sum.Total(); got != total {
+		t.Errorf("Total() = %d, want the sum over every field %d", got, total)
+	}
+	pairs := strings.Fields(sum.String())
+	if len(pairs) != sv.NumField() {
+		t.Errorf("String() = %q renders %d kinds, Counts has %d", sum.String(), len(pairs), sv.NumField())
+	}
+	for f, pair := range pairs {
+		if _, v, _ := strings.Cut(pair, "="); f < sv.NumField() && v != strconv.FormatUint(sv.Field(f).Uint(), 10) {
+			t.Errorf("String() pair %d is %q, want Counts.%s = %d", f, pair, sv.Type().Field(f).Name, sv.Field(f).Uint())
+		}
+	}
+	if got := (Counts{}).String(); got != "none" {
+		t.Errorf("zero Counts renders %q, want none", got)
 	}
 }

@@ -200,7 +200,7 @@ func (e *Evaluator) ExpectedReach(g Geometry, d int, q float64) (float64, error)
 
 // Routability is the memoized equivalent of the package-level Routability.
 func (e *Evaluator) Routability(g Geometry, d int, q float64) (float64, error) {
-	return routabilityFromLogES(d, q, func() (float64, error) {
+	return routabilityFromLogES(d, q, math.Ln2, func() (float64, error) {
 		return e.LogExpectedReach(g, d, q)
 	})
 }

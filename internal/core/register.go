@@ -39,8 +39,6 @@ func init() {
 		// so an exp.SpecFor("singlehop") resolves both halves.
 		{"singlehop", static(SingleHop{}), []string{"onehop", "d1ht"}},
 	} {
-		if err := registry.RegisterGeometry(reg.name, reg.factory, reg.aliases...); err != nil {
-			panic(err) // static names; unreachable
-		}
+		registry.Geometries.MustRegister(reg.name, reg.factory, reg.aliases...)
 	}
 }

@@ -62,15 +62,16 @@ func ExpectedReach(g Geometry, d int, q float64) (float64, error) {
 // routable. By convention r = 1 at q = 0 and r = 0 once the expected number
 // of survivors drops below one (the denominator becomes non-positive).
 func Routability(g Geometry, d int, q float64) (float64, error) {
-	return routabilityFromLogES(d, q, func() (float64, error) {
+	return routabilityFromLogES(d, q, math.Ln2, func() (float64, error) {
 		return LogExpectedReach(g, d, q)
 	})
 }
 
-// routabilityFromLogES evaluates Eq. 3 given a source of ln E[S] — the
-// single implementation behind both the direct path and the memoized
-// Evaluator, so their edge-case handling cannot drift apart.
-func routabilityFromLogES(d int, q float64, logReach func() (float64, error)) (float64, error) {
+// routabilityFromLogES evaluates Eq. 3 for N = b^d given ln b and a source
+// of ln E[S] — the single implementation behind the direct path, the
+// memoized Evaluator and the base-b tree, so their edge-case handling
+// cannot drift apart.
+func routabilityFromLogES(d int, q, logBase float64, logReach func() (float64, error)) (float64, error) {
 	if err := validateDQ(d, q); err != nil {
 		return 0, err
 	}
@@ -80,7 +81,7 @@ func routabilityFromLogES(d int, q float64, logReach func() (float64, error)) (f
 	if q == 1 {
 		return 0, nil
 	}
-	logSurvivors := float64(d)*math.Ln2 + math.Log(1-q)
+	logSurvivors := float64(d)*logBase + math.Log(1-q)
 	if logSurvivors <= 0 {
 		return 0, nil
 	}

@@ -83,34 +83,12 @@ func (g GeneralizedTree) ClosedFormRoutability(d int, q float64) (float64, error
 	return numeric.Clamp01(math.Exp(logNum - numeric.LogExpm1(a))), nil
 }
 
-// RoutabilityBaseB evaluates the generic RCM pipeline for a base-b
-// geometry: identical to Routability but with the survivor denominator
-// (1−q)·b^d − 1 instead of the binary 2^d. Geometries whose n(h) sums to
-// b^d − 1 (such as GeneralizedTree) must be evaluated through this entry
-// point for d digits of radix b.
-func RoutabilityBaseB(g Geometry, base, d int, q float64) (float64, error) {
-	if base < 2 {
-		return 0, fmt.Errorf("core: base %d must be >= 2", base)
-	}
-	if err := validateDQ(d, q); err != nil {
-		return 0, err
-	}
-	if q == 0 {
-		return 1, nil
-	}
-	if q == 1 {
-		return 0, nil
-	}
-	logSurvivors := float64(d)*math.Log(float64(base)) + math.Log(1-q)
-	if logSurvivors <= 0 {
-		return 0, nil
-	}
-	logES, err := LogExpectedReach(g, d, q)
-	if err != nil {
-		return 0, err
-	}
-	if math.IsInf(logES, -1) {
-		return 0, nil
-	}
-	return numeric.Clamp01(math.Exp(logES - numeric.LogExpm1(logSurvivors))), nil
+// Routability evaluates the generic RCM pipeline for d digits of radix b:
+// Eq. 3 as in the package-level Routability, with the survivor denominator
+// (1−q)·b^d − 1 in place of the binary 2^d, because n(h) here sums to
+// b^d − 1.
+func (g GeneralizedTree) Routability(d int, q float64) (float64, error) {
+	return routabilityFromLogES(d, q, math.Log(float64(g.base())), func() (float64, error) {
+		return LogExpectedReach(g, d, q)
+	})
 }

@@ -32,7 +32,7 @@ func TestGeneralizedTreeBase2MatchesTree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := core.RoutabilityBaseB(g2, 2, d, q)
+			got, err := g2.Routability(d, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +74,7 @@ func TestGeneralizedTreeClosedFormMatchesPipeline(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				generic, err := core.RoutabilityBaseB(g, base, d, q)
+				generic, err := g.Routability(d, q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -92,7 +92,7 @@ func TestLargerBaseHelpsButNotAsymptotically(t *testing.T) {
 	// are shorter and routability higher — but Q(m) = q still diverges, so
 	// the verdict cannot change.
 	q := 0.3
-	r2, err := core.RoutabilityBaseB(core.Tree{}, 2, 16, q)
+	r2, err := core.Routability(core.Tree{}, 16, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestLargerBaseHelpsButNotAsymptotically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r16, err := core.RoutabilityBaseB(g16, 16, 4, q) // 16^4 = 2^16
+	r16, err := g16.Routability(4, q) // 16^4 = 2^16
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestLargerBaseHelpsButNotAsymptotically(t *testing.T) {
 	// And the decay with d persists at any base.
 	prev := 1.0
 	for _, d := range []int{4, 8, 16, 32} {
-		r, err := core.RoutabilityBaseB(g16, 16, d, q)
+		r, err := g16.Routability(d, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,10 +126,11 @@ func TestLargerBaseHelpsButNotAsymptotically(t *testing.T) {
 }
 
 func TestRoutabilityBaseBValidation(t *testing.T) {
-	if _, err := core.RoutabilityBaseB(core.Tree{}, 1, 8, 0.1); err == nil {
+	// The radix is checked where the geometry is made, d and q by the pipeline.
+	if _, err := core.NewGeneralizedTree(1); err == nil {
 		t.Error("base 1 accepted")
 	}
-	if _, err := core.RoutabilityBaseB(core.Tree{}, 2, 0, 0.1); err == nil {
+	if _, err := (core.GeneralizedTree{Base: 2}).Routability(0, 0.1); err == nil {
 		t.Error("d=0 accepted")
 	}
 }

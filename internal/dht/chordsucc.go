@@ -67,33 +67,15 @@ func (c *ChordWithSuccessors) Degree() int { return c.successors + c.space.Bits(
 func (c *ChordWithSuccessors) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bool) {
 	cur := src
 	hops := 0
-	for maxHops := hopCap(c.space); hops < maxHops; {
+	for maxHops := hopCap(c.space); hops < maxHops; hops++ {
 		if cur == dst {
 			return hops, true
 		}
-		remaining := c.space.RingDist(cur, dst)
-		var best overlay.ID
-		bestRemaining := remaining
-		found := false
-		for _, e := range c.table.row(int(cur)) {
-			f := overlay.ID(e)
-			if c.space.RingDist(cur, f) > remaining {
-				continue
-			}
-			if !alive.Get(int(f)) {
-				continue
-			}
-			if nr := c.space.RingDist(f, dst); nr < bestRemaining {
-				bestRemaining = nr
-				best = f
-				found = true
-			}
-		}
-		if !found {
+		next, ok := greedyRingHop(c.space, c.table.row(int(cur)), cur, dst, alive)
+		if !ok {
 			return hops, false
 		}
-		cur = best
-		hops++
+		cur = next
 	}
 	return hops, false
 }

@@ -13,7 +13,6 @@ package dht
 
 import (
 	"fmt"
-	"strings"
 
 	"rcm/internal/registry"
 	"rcm/overlay"
@@ -94,26 +93,21 @@ func space(c Config) (overlay.Space, error) {
 // name-keyed registry, under the system names with the paper's geometry
 // terms as aliases — mirroring the geometry registrations in internal/core.
 func init() {
-	wrap := func(f func(Config) (Protocol, error)) registry.ProtocolFactory {
-		return registry.ProtocolFactory(f)
-	}
 	for _, reg := range []struct {
 		name    string
 		factory registry.ProtocolFactory
 		aliases []string
 	}{
-		{"plaxton", wrap(asProtocol(NewPlaxton)), []string{"tree"}},
-		{"can", wrap(asProtocol(NewHypercubeCAN)), []string{"hypercube"}},
-		{"kademlia", wrap(asProtocol(NewKademlia)), []string{"xor"}},
-		{"chord", wrap(asProtocol(NewChord)), []string{"ring"}},
-		{"symphony", wrap(asProtocol(NewSymphony)), []string{"smallworld", "small-world"}},
+		{"plaxton", asProtocol(NewPlaxton), []string{"tree"}},
+		{"can", asProtocol(NewHypercubeCAN), []string{"hypercube"}},
+		{"kademlia", asProtocol(NewKademlia), []string{"xor"}},
+		{"chord", asProtocol(NewChord), []string{"ring"}},
+		{"symphony", asProtocol(NewSymphony), []string{"smallworld", "small-world"}},
 		// Beyond the paper's five: the full-membership one-hop overlay,
 		// registered under the same name as its geometry in internal/core.
-		{"singlehop", wrap(asProtocol(NewSingleHop)), []string{"onehop", "d1ht"}},
+		{"singlehop", asProtocol(NewSingleHop), []string{"onehop", "d1ht"}},
 	} {
-		if err := registry.RegisterProtocol(reg.name, reg.factory, reg.aliases...); err != nil {
-			panic(err) // static names; unreachable
-		}
+		registry.Protocols.MustRegister(reg.name, reg.factory, reg.aliases...)
 	}
 }
 
@@ -134,18 +128,18 @@ func asProtocol[P Protocol](f func(Config) (P, error)) func(Config) (Protocol, e
 // geometry terms — plaxton/tree, can/hypercube, kademlia/xor, chord/ring,
 // symphony — plus anything registered through rcm.RegisterProtocol.
 func New(name string, cfg Config) (Protocol, error) {
-	e, ok := registry.LookupProtocol(name)
+	f, ok := registry.Protocols.Lookup(name)
 	if !ok {
-		return nil, fmt.Errorf("dht: unknown protocol %q (have %s)", name, strings.Join(registry.ProtocolKeys(), ", "))
+		return nil, registry.Protocols.Unknown(name)
 	}
-	return e.New(cfg)
+	return f(cfg)
 }
 
 // ProtocolNames lists the canonical protocol names accepted by New in
 // registration order: the paper's five in presentation order, then any
 // user registrations.
 func ProtocolNames() []string {
-	return registry.ProtocolNames()
+	return registry.Protocols.Names()
 }
 
 // hopCap bounds route lengths defensively. Every protocol here makes strict

@@ -112,7 +112,7 @@ func (c *SparseChord) Nodes() []overlay.ID { return c.nodes }
 func (c *SparseChord) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bool) {
 	cur := src
 	hops := 0
-	for maxHops := hopCap(c.space); hops < maxHops; {
+	for maxHops := hopCap(c.space); hops < maxHops; hops++ {
 		if cur == dst {
 			return hops, true
 		}
@@ -120,29 +120,9 @@ func (c *SparseChord) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bo
 		if !ok {
 			return hops, false
 		}
-		remaining := c.space.RingDist(cur, dst)
-		var best overlay.ID
-		bestRemaining := remaining
-		found := false
-		for _, e := range c.table.row(k) {
-			f := overlay.ID(e)
-			if f == cur || c.space.RingDist(cur, f) > remaining {
-				continue
-			}
-			if !alive.Get(int(f)) {
-				continue
-			}
-			if nr := c.space.RingDist(f, dst); nr < bestRemaining {
-				bestRemaining = nr
-				best = f
-				found = true
-			}
-		}
-		if !found {
+		if cur, ok = greedyRingHop(c.space, c.table.row(k), cur, dst, alive); !ok {
 			return hops, false
 		}
-		cur = best
-		hops++
 	}
 	return hops, false
 }

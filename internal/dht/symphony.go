@@ -77,33 +77,15 @@ func (sy *Symphony) Shortcuts() int { return sy.ks }
 func (sy *Symphony) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bool) {
 	cur := src
 	hops := 0
-	for maxHops := hopCap(sy.space); hops < maxHops; {
+	for maxHops := hopCap(sy.space); hops < maxHops; hops++ {
 		if cur == dst {
 			return hops, true
 		}
-		remaining := sy.space.RingDist(cur, dst)
-		var best overlay.ID
-		bestRemaining := remaining
-		found := false
-		for _, e := range sy.table.row(int(cur)) {
-			l := overlay.ID(e)
-			if sy.space.RingDist(cur, l) > remaining {
-				continue
-			}
-			if !alive.Get(int(l)) {
-				continue
-			}
-			if nr := sy.space.RingDist(l, dst); nr < bestRemaining {
-				bestRemaining = nr
-				best = l
-				found = true
-			}
-		}
-		if !found {
+		next, ok := greedyRingHop(sy.space, sy.table.row(int(cur)), cur, dst, alive)
+		if !ok {
 			return hops, false
 		}
-		cur = best
-		hops++
+		cur = next
 	}
 	return hops, false
 }

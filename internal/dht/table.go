@@ -79,3 +79,20 @@ func prefixJoin(s overlay.Space, t table, x overlay.ID, alive *overlay.Bitset, r
 	}
 	return cost
 }
+
+// greedyRingHop is the hop choice of every ring overlay that scans its row
+// (Symphony, ChordWithSuccessors, SparseChord): the alive entry that lands
+// closest to dst clockwise, the first such entry on a tie, and ok false
+// when none lands strictly closer than cur. Strict improvement is the
+// no-overshoot rule — an entry past dst, or cur itself, is at least as far
+// from dst as cur is — so there is no separate overshoot test.
+func greedyRingHop(s overlay.Space, row []uint32, cur, dst overlay.ID, alive *overlay.Bitset) (best overlay.ID, ok bool) {
+	bestRemaining := s.RingDist(cur, dst)
+	for _, e := range row {
+		f := overlay.ID(e)
+		if nr := s.RingDist(f, dst); nr < bestRemaining && alive.Get(int(f)) {
+			bestRemaining, best, ok = nr, f, true
+		}
+	}
+	return best, ok
+}

@@ -35,7 +35,7 @@ func RadixAblation(opt Options) ([]*table.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			r, err := core.RoutabilityBaseB(g, cfg.base, cfg.digits, q)
+			r, err := g.Routability(cfg.digits, q)
 			if err != nil {
 				return nil, err
 			}
@@ -52,7 +52,7 @@ func RadixAblation(opt Options) ([]*table.Table, error) {
 		return nil, err
 	}
 	for _, d := range []int{2, 4, 8, 16, 25} {
-		r, err := core.RoutabilityBaseB(g16, 16, d, 0.1)
+		r, err := g16.Routability(d, 0.1)
 		if err != nil {
 			return nil, err
 		}

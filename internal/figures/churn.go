@@ -1,7 +1,6 @@
 package figures
 
 import (
-	"context"
 	"fmt"
 
 	"rcm/eventsim"
@@ -47,10 +46,6 @@ func init() {
 // below the static prediction, which is E18's subject, not this figure's.
 func Churn(opt Options) ([]*table.Table, error) {
 	opt = opt.withDefaults()
-	bits := opt.Bits
-	if bits > 10 {
-		bits = 10 // event cells run full message dynamics; 2^10 keeps E11 quick
-	}
 	const (
 		duration   = 8.0
 		buckets    = 8
@@ -78,23 +73,18 @@ func Churn(opt Options) ([]*table.Table, error) {
 	for _, name := range dht.ProtocolNames() {
 		specs = append(specs, exp.MustSpec(name))
 	}
-	plan := exp.Plan{Name: "churn", Specs: specs, Bits: []int{bits}, Events: settings}
-
-	rows, err := exp.Run(context.Background(), plan,
-		exp.WithModes(exp.ModeEvent, exp.ModeAnalytic, exp.ModeSim),
-		exp.WithPairs(opt.Pairs), exp.WithTrials(opt.Trials),
-		exp.WithSeed(opt.Seed),
-	)
+	// Event cells run full message dynamics; 2^10 keeps E11 quick.
+	g, err := runEventGrid("churn", opt, 10, specs, settings, exp.ModeEvent, exp.ModeAnalytic, exp.ModeSim)
 	if err != nil {
 		return nil, err
 	}
 
-	t := table.New(fmt.Sprintf("E11 — churn steady state vs the static model at q_eff, with and without maintenance (N=2^%d)", bits),
+	t := table.New(fmt.Sprintf("E11 — churn steady state vs the static model at q_eff, with and without maintenance (N=2^%d)", g.bits),
 		"protocol", "q_eff %", "maintain", "event r%", "static sim r%", "analytic r%", "maint/node/s", "online %")
 	for si, s := range specs {
 		for i, cfg := range settings {
 			// The post-burn-in steady window.
-			cell := eventCell(rows, len(settings), buckets, si, i)
+			cell := g.cell(si, i)
 			w := foldEvent(cell, burnIn, untilEnd)
 			if w.started == 0 {
 				return nil, fmt.Errorf("figures: churn cell %s q_eff=%.2f started no lookups", s.Protocol, cfg.QEff())

@@ -1,7 +1,6 @@
 package figures
 
 import (
-	"context"
 	"fmt"
 
 	"rcm/eventsim"
@@ -28,10 +27,6 @@ func init() {
 // agreement to an actual message-passing protocol.
 func EventCompare(opt Options) ([]*table.Table, error) {
 	opt = opt.withDefaults()
-	bits := opt.Bits
-	if bits > 10 {
-		bits = 10 // event cells run full message dynamics; 2^10 keeps E17 quick
-	}
 	const (
 		duration = 6.0
 		buckets  = 6
@@ -52,25 +47,20 @@ func EventCompare(opt Options) ([]*table.Table, error) {
 		})
 	}
 	specs := []exp.Spec{exp.MustSpec("chord"), exp.MustSpec("kademlia"), exp.MustSpec("can")}
-	plan := exp.Plan{Name: "eventcmp", Specs: specs, Bits: []int{bits}, Events: settings}
-
-	rows, err := exp.Run(context.Background(), plan,
-		exp.WithModes(exp.ModeEvent, exp.ModeAnalytic, exp.ModeSim),
-		exp.WithPairs(opt.Pairs), exp.WithTrials(opt.Trials),
-		exp.WithSeed(opt.Seed),
-	)
+	// Event cells run full message dynamics; 2^10 keeps E17 quick.
+	g, err := runEventGrid("eventcmp", opt, 10, specs, settings, exp.ModeEvent, exp.ModeAnalytic, exp.ModeSim)
 	if err != nil {
 		return nil, err
 	}
 
-	t := table.New(fmt.Sprintf("E17: static model vs message-level event simulation, massfail, N=2^%d", bits),
+	t := table.New(fmt.Sprintf("E17: static model vs message-level event simulation, massfail, N=2^%d", g.bits),
 		"geometry", "q", "analytic r%", "static sim r%", "event r%", "event-static")
 	for si, s := range specs {
 		name := s.Geometry.Name()
 		for qi, q := range qs {
 			// The post-fail steady state: windows starting after the
 			// failure has settled.
-			cell := eventCell(rows, len(qs), buckets, si, qi)
+			cell := g.cell(si, qi)
 			w := foldEvent(cell, failTime, untilEnd)
 			if w.started == 0 {
 				return nil, fmt.Errorf("figures: eventcmp missing group %s q=%v", name, q)

@@ -1,8 +1,10 @@
 package figures
 
 import (
+	"context"
 	"math"
 
+	"rcm/eventsim"
 	"rcm/exp"
 )
 
@@ -29,11 +31,33 @@ func (w eventWindow) meanMaint() float64   { return w.sumMaint / float64(w.windo
 func (w eventWindow) meanRepair() float64  { return w.sumRepair / float64(w.windows) }
 func (w eventWindow) meanOnline() float64  { return w.sumOnline / float64(w.windows) }
 
-// eventCell returns the rows of the cell (spec si, setting ei) of an
-// event plan with one Bits value and no q grid: rows arrive in plan order
-// — spec-major, then setting, `buckets` rows per cell in time order.
-func eventCell(rows []exp.Row, settings, buckets, si, ei int) []exp.Row {
-	return rows[(si*settings+ei)*buckets:][:buckets]
+// eventGrid is the experiment every event figure runs: specs × settings
+// at one system size, through exp.Run. Rows arrive in plan order —
+// spec-major, then setting, `buckets` rows per cell in time order.
+type eventGrid struct {
+	bits              int // opt.Bits capped at the figure's maxBits
+	rows              []exp.Row
+	settings, buckets int
+}
+
+// runEventGrid runs the figure's plan at min(opt.Bits, maxBits) bits: event
+// cells run full message dynamics, so every figure caps the size that keeps
+// it quick. All settings share one Buckets value.
+func runEventGrid(name string, opt Options, maxBits int, specs []exp.Spec, settings []eventsim.Config, modes ...exp.Mode) (eventGrid, error) {
+	g := eventGrid{bits: min(opt.Bits, maxBits), settings: len(settings), buckets: settings[0].Buckets}
+	plan := exp.Plan{Name: name, Specs: specs, Bits: []int{g.bits}, Events: settings}
+	var err error
+	g.rows, err = exp.Run(context.Background(), plan,
+		exp.WithModes(modes...),
+		exp.WithPairs(opt.Pairs), exp.WithTrials(opt.Trials),
+		exp.WithSeed(opt.Seed),
+	)
+	return g, err
+}
+
+// cell returns the rows of the cell (spec si, setting ei).
+func (g eventGrid) cell(si, ei int) []exp.Row {
+	return g.rows[(si*g.settings+ei)*g.buckets:][:g.buckets]
 }
 
 // foldEvent folds the rows of one event cell whose metric window starts in

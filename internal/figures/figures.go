@@ -4,26 +4,34 @@
 // harness output is reproducible; cmd/figures renders the results and
 // the repository benchmark's figures_all workload times them.
 //
-// Experiment index:
+// Experiment index, one line per registered figure (the second column is
+// its -fig name; a test holds the column to Names()):
 //
-//	E1  Fig. 1–3   worked 8-node hypercube example + exact enumeration
-//	E2  Fig. 4/5/8 Markov chains vs closed forms
-//	E3  Fig. 6(a)  analysis vs simulation: tree, hypercube, xor
-//	E4  Fig. 6(b)  analysis vs simulation: ring
-//	E5  Fig. 7(a)  asymptotic failed paths at N = 2^100
-//	E6  Fig. 7(b)  routability vs system size at q = 0.1
-//	E7  §5         scalability classification
-//	E8  Eq. 6      Qxor exact vs approximation
-//	E9  §1/§4.3.4  Symphony kn/ks design ablation
-//	E10 §1         percolation: connectivity vs routability
-//	E11 §1/§6      churn vs the static model: protocol × q_eff × maintenance,
-//	               message-level (the former E16 grid is folded in)
-//	E17 §1/§6      analytic vs static-sim vs message-level event simulation
-//	E18 §1/§6      lookup performance vs lifetime family at equal q_eff
-//	E20 §1/§5      latency-vs-maintenance frontier: multi-hop vs single-hop
-//	               vs k-replication under exponential and heavy-tailed churn
-//	E21 §1/§4      routability during/after a deterministic 2-way partition
-//	               vs the static model at q=1/2, per protocol × k∈{1,3}
+//	E1  3           Fig. 1–3   worked 8-node hypercube example + exact enumeration
+//	E2  chains      Fig. 4/5/8 Markov chains vs closed forms
+//	E3  6a          Fig. 6(a)  analysis vs simulation: tree, hypercube, xor
+//	E4  6b          Fig. 6(b)  analysis vs simulation: ring
+//	E5  7a          Fig. 7(a)  asymptotic failed paths at N = 2^100
+//	E6  7b          Fig. 7(b)  routability vs system size at q = 0.1
+//	E7  scalability §5         scalability classification
+//	E8  qxor        Eq. 6      Qxor exact vs approximation
+//	E9  symphony    §1/§4.3.4  Symphony kn/ks design ablation
+//	E10 percolation §1         percolation: connectivity vs routability
+//	E11 churn       §1/§6      churn vs the static model: protocol × q_eff × maintenance,
+//	                           message-level (the former E16 grid is folded in)
+//	E12 pathlen     §1/§3      path lengths: analytic distance vs simulated hops, and
+//	                           Markov-chain expected steps per successful route
+//	E13 successors  §1         Chord successor-list ablation
+//	E14 sparse      §6         non-fully-populated identifier spaces vs d_eff predictions
+//	E15 base        §3         tree radix ablation at equal N, and base-16 decay with size
+//	E17 eventcmp    §1/§6      analytic vs static-sim vs message-level event simulation
+//	E18 lifetimecmp §1/§6      lookup performance vs lifetime family at equal q_eff
+//	E19 hopdist     §4.3       hop-count distribution: Markov mixture vs eventsim vs
+//	                           live cluster, chord and kademlia
+//	E20 frontier    §1/§5      latency-vs-maintenance frontier: multi-hop vs single-hop
+//	                           vs k-replication under exponential and heavy-tailed churn
+//	E21 partition   §1/§4      routability during/after a deterministic 2-way partition
+//	                           vs the static model at q=1/2, per protocol × k∈{1,3}
 //
 // The grid-shaped experiments (E3–E6, E11, E17–E21) construct declarative
 // experiment plans and delegate execution to the public streaming runner

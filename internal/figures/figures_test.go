@@ -1,6 +1,8 @@
 package figures
 
 import (
+	"os"
+	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -45,6 +47,34 @@ func TestNamesComplete(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("Names()[%d] = %q, want %q", i, got[i], want[i])
 		}
+	}
+}
+
+// TestExperimentIndexNamesEveryFigure: the package comment's experiment
+// index has one E-numbered line per registered figure and none for a
+// figure that is gone (it had fallen five behind).
+func TestExperimentIndexNamesEveryFigure(t *testing.T) {
+	src, err := os.ReadFile("figures.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, _ := strings.Cut(string(src), "\npackage figures")
+	indexed := map[string]string{} // -fig name → E-number
+	numbers := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^//\t(E\d+)\s+(\S+)\s`).FindAllStringSubmatch(doc, -1) {
+		if indexed[m[2]] != "" || numbers[m[1]] {
+			t.Errorf("index line %s %s repeats a figure or a number", m[1], m[2])
+		}
+		indexed[m[2]], numbers[m[1]] = m[1], true
+	}
+	for _, name := range Names() {
+		if indexed[name] == "" {
+			t.Errorf("figure %q has no line in figures.go's experiment index", name)
+		}
+		delete(indexed, name)
+	}
+	for name, e := range indexed {
+		t.Errorf("experiment index line %s names %q, which is not a registered figure", e, name)
 	}
 }
 

@@ -1,7 +1,6 @@
 package figures
 
 import (
-	"context"
 	"fmt"
 
 	"rcm/eventsim"
@@ -49,10 +48,6 @@ var frontierCells = []struct {
 // restores most of the lost lookups at a visible repair/node/s cost.
 func Frontier(opt Options) ([]*table.Table, error) {
 	opt = opt.withDefaults()
-	bits := opt.Bits
-	if bits > 9 {
-		bits = 9 // 2^9 nodes: O(N) singlehop maintenance stays tractable
-	}
 	const (
 		duration    = 6.0
 		meanOnline  = 4.0
@@ -77,23 +72,18 @@ func Frontier(opt Options) ([]*table.Table, error) {
 		})
 	}
 	specs := []exp.Spec{exp.MustSpec("chord"), exp.MustSpec("kademlia"), exp.MustSpec("singlehop")}
-	plan := exp.Plan{Name: "frontier", Specs: specs, Bits: []int{bits}, Events: settings}
-
-	rows, err := exp.Run(context.Background(), plan,
-		exp.WithModes(exp.ModeEvent),
-		exp.WithPairs(opt.Pairs), exp.WithTrials(opt.Trials),
-		exp.WithSeed(opt.Seed),
-	)
+	// 2^9 nodes: O(N) singlehop maintenance stays tractable.
+	g, err := runEventGrid("frontier", opt, 9, specs, settings, exp.ModeEvent)
 	if err != nil {
 		return nil, err
 	}
 
-	t := table.New(fmt.Sprintf("E20 — latency-vs-maintenance frontier: multi-hop vs single-hop vs k-replication under churn (N=2^%d)", bits),
+	t := table.New(fmt.Sprintf("E20 — latency-vs-maintenance frontier: multi-hop vs single-hop vs k-replication under churn (N=2^%d)", g.bits),
 		"protocol", "churn", "k", "event r%", "mean hops", "latency", "maint/node/s", "repair/node/s", "online %")
 	for si, s := range specs {
 		for i, cell := range frontierCells {
 			// The post-burn-in steady window.
-			w := foldEvent(eventCell(rows, len(frontierCells), buckets, si, i), burnIn, untilEnd)
+			w := foldEvent(g.cell(si, i), burnIn, untilEnd)
 			if w.started == 0 || w.completed == 0 {
 				return nil, fmt.Errorf("figures: frontier missing group %s/%s k=%d", s.Geometry.Name(), cell.label, cell.replicas)
 			}

@@ -1,7 +1,6 @@
 package figures
 
 import (
-	"context"
 	"fmt"
 
 	"rcm/eventsim"
@@ -47,10 +46,6 @@ var lifetimeFamilies = []struct {
 // equilibrium conformance suite locks both directions in as tests.)
 func LifetimeCompare(opt Options) ([]*table.Table, error) {
 	opt = opt.withDefaults()
-	bits := opt.Bits
-	if bits > 10 {
-		bits = 10 // event cells run full message dynamics; 2^10 keeps E18 quick
-	}
 	const (
 		duration    = 8.0
 		meanOnline  = 4.0
@@ -78,24 +73,19 @@ func LifetimeCompare(opt Options) ([]*table.Table, error) {
 		})
 	}
 	specs := []exp.Spec{exp.MustSpec("chord"), exp.MustSpec("kademlia")}
-	plan := exp.Plan{Name: "lifetimecmp", Specs: specs, Bits: []int{bits}, Events: settings}
-
-	rows, err := exp.Run(context.Background(), plan,
-		exp.WithModes(exp.ModeEvent, exp.ModeSim),
-		exp.WithPairs(opt.Pairs), exp.WithTrials(opt.Trials),
-		exp.WithSeed(opt.Seed),
-	)
+	// Event cells run full message dynamics; 2^10 keeps E18 quick.
+	g, err := runEventGrid("lifetimecmp", opt, 10, specs, settings, exp.ModeEvent, exp.ModeSim)
 	if err != nil {
 		return nil, err
 	}
 
-	t := table.New(fmt.Sprintf("E18: lookup performance vs lifetime family at equal mean online time, churn q_eff=0.2, N=2^%d", bits),
+	t := table.New(fmt.Sprintf("E18: lookup performance vs lifetime family at equal mean online time, churn q_eff=0.2, N=2^%d", g.bits),
 		"geometry", "lifetime", "event r%", "static sim r%", "event-static", "mean hops", "maint/node/s", "online %")
 	for si, s := range specs {
 		name := s.Geometry.Name()
 		for i, fam := range lifetimeFamilies {
 			// The post-burn-in steady window.
-			cell := eventCell(rows, len(lifetimeFamilies), buckets, si, i)
+			cell := g.cell(si, i)
 			w := foldEvent(cell, burnIn, untilEnd)
 			if w.started == 0 || w.completed == 0 {
 				return nil, fmt.Errorf("figures: lifetimecmp missing group %s/%s", name, fam.label)

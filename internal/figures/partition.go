@@ -1,7 +1,6 @@
 package figures
 
 import (
-	"context"
 	"fmt"
 
 	"rcm/eventsim"
@@ -34,10 +33,6 @@ func init() {
 // "half the keyspace is gone" into a modest dent.
 func Partition(opt Options) ([]*table.Table, error) {
 	opt = opt.withDefaults()
-	bits := opt.Bits
-	if bits > 8 {
-		bits = 8 // full message dynamics; 2^8 keeps E21 quick
-	}
 	const (
 		duration = 6.0
 		buckets  = 6
@@ -63,13 +58,8 @@ func Partition(opt Options) ([]*table.Table, error) {
 		})
 	}
 	specs := []exp.Spec{exp.MustSpec("chord"), exp.MustSpec("kademlia")}
-	plan := exp.Plan{Name: "partition", Specs: specs, Bits: []int{bits}, Events: settings}
-
-	rows, err := exp.Run(context.Background(), plan,
-		exp.WithModes(exp.ModeEvent),
-		exp.WithPairs(opt.Pairs), exp.WithTrials(opt.Trials),
-		exp.WithSeed(opt.Seed),
-	)
+	// Full message dynamics; 2^8 keeps E21 quick.
+	g, err := runEventGrid("partition", opt, 8, specs, settings, exp.ModeEvent)
 	if err != nil {
 		return nil, err
 	}
@@ -77,25 +67,25 @@ func Partition(opt Options) ([]*table.Table, error) {
 	// Static predictions per geometry: r(N, 1/2) from the paper's
 	// framework, then success = (1−q)·r and its k-replica extension.
 	pred := map[string][2]float64{} // geometry name → {k=1, k=3}
-	for _, g := range core.AllGeometries() {
-		r, err := core.Routability(g, bits, q)
+	for _, geom := range core.AllGeometries() {
+		r, err := core.Routability(geom, g.bits, q)
 		if err != nil {
 			continue // geometries without an analytic form don't appear here
 		}
 		single := (1 - q) * r
-		pred[g.Name()] = [2]float64{single, 1 - (1-single)*(1-single)*(1-single)}
+		pred[geom.Name()] = [2]float64{single, 1 - (1-single)*(1-single)*(1-single)}
 	}
 
 	// Each cell's lookups fall into three regimes by window start: before
 	// the cut, during it, after it heals.
 	regimes := [][2]float64{{0, from}, {from, to}, {to, untilEnd}}
 
-	t := table.New(fmt.Sprintf("E21 — routability through a 2-way partition (window [%g, %g)) vs static model at q=%.2g (N=2^%d)", from, to, q, bits),
+	t := table.New(fmt.Sprintf("E21 — routability through a 2-way partition (window [%g, %g)) vs static model at q=%.2g (N=2^%d)", from, to, q, g.bits),
 		"protocol", "k", "pre %", "during %", "post %", "static pred %")
 	for si, s := range specs {
 		name := s.Geometry.Name()
 		for i, k := range ks {
-			cell := eventCell(rows, len(ks), buckets, si, i)
+			cell := g.cell(si, i)
 			cells := []string{s.Protocol, table.I(k)}
 			for regime, bounds := range regimes {
 				w := foldEvent(cell, bounds[0], bounds[1])

@@ -18,6 +18,49 @@ type Endpoints struct {
 	Phases  []StateID
 }
 
+// layout is the state set every routing chain starts from, in id order:
+// the states of phase 0, …, phase h−1, then S_h and F. Ids, names and the
+// order edges are added in are what topoOrder, the solvers' accumulation
+// order and the DOT export read, so the builders below share this layout
+// and its epilogue and keep their own edge loops.
+type layout struct {
+	b      Builder
+	phases []StateID   // phases[i] is S_i, the state that enters phase i
+	sub    [][]StateID // sub[i][j]: phase i after j suboptimal hops; sub[i][0] == phases[i]
+	fail   StateID
+}
+
+// newLayout adds width(i) states (i,0)…(i,width(i)−1) for every phase
+// i < h; a nil width is the chains without suboptimal hops (Fig. 4), whose
+// phase i is the single state named S_i.
+func newLayout(h int, width func(i int) int) *layout {
+	l := &layout{phases: make([]StateID, h+1), sub: make([][]StateID, h)}
+	for i := 0; i < h; i++ {
+		if width == nil {
+			l.phases[i] = l.b.AddState(fmt.Sprintf("S%d", i))
+			continue
+		}
+		l.sub[i] = make([]StateID, width(i))
+		for j := range l.sub[i] {
+			l.sub[i][j] = l.b.AddState(fmt.Sprintf("(%d,%d)", i, j))
+		}
+		l.phases[i] = l.sub[i][0]
+	}
+	l.phases[h] = l.b.AddState(fmt.Sprintf("S%d", h))
+	l.fail = l.b.AddState("F")
+	return l
+}
+
+// build validates the chain and names its endpoints.
+func (l *layout) build() (*Chain, Endpoints, error) {
+	c, err := l.b.Build()
+	if err != nil {
+		return nil, Endpoints{}, err
+	}
+	h := len(l.phases) - 1
+	return c, Endpoints{Start: l.phases[0], Success: l.phases[h], Failure: l.fail, Phases: l.phases}, nil
+}
+
 // TreeChain builds the Fig. 4(a) chain for routing to a target h ordered
 // bits away in the tree (Plaxton) geometry: at each step exactly one
 // neighbor can correct the leftmost differing bit, so each phase advances
@@ -26,21 +69,12 @@ func TreeChain(h int, q float64) (*Chain, Endpoints, error) {
 	if err := checkHQ(h, q); err != nil {
 		return nil, Endpoints{}, err
 	}
-	var b Builder
-	phases := make([]StateID, h+1)
-	for i := 0; i <= h; i++ {
-		phases[i] = b.AddState(fmt.Sprintf("S%d", i))
-	}
-	f := b.AddState("F")
+	l := newLayout(h, nil)
 	for i := 0; i < h; i++ {
-		b.AddEdge(phases[i], phases[i+1], 1-q)
-		b.AddEdge(phases[i], f, q)
+		l.b.AddEdge(l.phases[i], l.phases[i+1], 1-q)
+		l.b.AddEdge(l.phases[i], l.fail, q)
 	}
-	c, err := b.Build()
-	if err != nil {
-		return nil, Endpoints{}, err
-	}
-	return c, Endpoints{Start: phases[0], Success: phases[h], Failure: f, Phases: phases}, nil
+	return l.build()
 }
 
 // HypercubeChain builds the Fig. 4(b) chain: with i bits already corrected
@@ -50,23 +84,14 @@ func HypercubeChain(h int, q float64) (*Chain, Endpoints, error) {
 	if err := checkHQ(h, q); err != nil {
 		return nil, Endpoints{}, err
 	}
-	var b Builder
-	phases := make([]StateID, h+1)
-	for i := 0; i <= h; i++ {
-		phases[i] = b.AddState(fmt.Sprintf("S%d", i))
-	}
-	f := b.AddState("F")
+	l := newLayout(h, nil)
 	for i := 0; i < h; i++ {
 		remaining := h - i
 		fail := math.Pow(q, float64(remaining))
-		b.AddEdge(phases[i], phases[i+1], 1-fail)
-		b.AddEdge(phases[i], f, fail)
+		l.b.AddEdge(l.phases[i], l.phases[i+1], 1-fail)
+		l.b.AddEdge(l.phases[i], l.fail, fail)
 	}
-	c, err := b.Build()
-	if err != nil {
-		return nil, Endpoints{}, err
-	}
-	return c, Endpoints{Start: phases[0], Success: phases[h], Failure: f, Phases: phases}, nil
+	return l.build()
 }
 
 // XORChain builds the Fig. 5(b) chain for XOR (Kademlia) routing to a target
@@ -84,35 +109,18 @@ func XORChain(h int, q float64) (*Chain, Endpoints, error) {
 	if err := checkHQ(h, q); err != nil {
 		return nil, Endpoints{}, err
 	}
-	var b Builder
-	phases := make([]StateID, h+1)
-	// sub[i][j] includes j=0 as the phase-entry state (i,0) == Phases[i].
-	sub := make([][]StateID, h)
-	for i := 0; i < h; i++ {
-		m := h - i
-		sub[i] = make([]StateID, m)
-		for j := 0; j < m; j++ {
-			sub[i][j] = b.AddState(fmt.Sprintf("(%d,%d)", i, j))
-		}
-		phases[i] = sub[i][0]
-	}
-	phases[h] = b.AddState(fmt.Sprintf("S%d", h))
-	f := b.AddState("F")
+	l := newLayout(h, func(i int) int { return h - i })
 	for i := 0; i < h; i++ {
 		m := h - i
 		for j := 0; j < m; j++ {
-			b.AddEdge(sub[i][j], phases[i+1], 1-q)
-			b.AddEdge(sub[i][j], f, math.Pow(q, float64(m-j)))
+			l.b.AddEdge(l.sub[i][j], l.phases[i+1], 1-q)
+			l.b.AddEdge(l.sub[i][j], l.fail, math.Pow(q, float64(m-j)))
 			if j < m-1 {
-				b.AddEdge(sub[i][j], sub[i][j+1], q*(1-math.Pow(q, float64(m-j-1))))
+				l.b.AddEdge(l.sub[i][j], l.sub[i][j+1], q*(1-math.Pow(q, float64(m-j-1))))
 			}
 		}
 	}
-	c, err := b.Build()
-	if err != nil {
-		return nil, Endpoints{}, err
-	}
-	return c, Endpoints{Start: phases[0], Success: phases[h], Failure: f, Phases: phases}, nil
+	return l.build()
 }
 
 // RingChain builds the Fig. 8(a) chain for ring (Chord) routing. Unlike XOR,
@@ -130,23 +138,11 @@ func RingChain(h int, q float64) (*Chain, Endpoints, error) {
 	if h > RingChainMaxH {
 		return nil, Endpoints{}, fmt.Errorf("markov: ring chain with h=%d exceeds max %d (2^h state blowup)", h, RingChainMaxH)
 	}
-	var b Builder
-	phases := make([]StateID, h+1)
-	sub := make([][]StateID, h)
+	// Phase i allows at most 2^{m−1} suboptimal hops, m = h−i.
+	l := newLayout(h, func(i int) int { return 1 << uint(h-i-1) })
 	for i := 0; i < h; i++ {
 		m := h - i
-		k := 1 << uint(m-1) // max suboptimal hops in this phase
-		sub[i] = make([]StateID, k)
-		for j := 0; j < k; j++ {
-			sub[i][j] = b.AddState(fmt.Sprintf("(%d,%d)", i, j))
-		}
-		phases[i] = sub[i][0]
-	}
-	phases[h] = b.AddState(fmt.Sprintf("S%d", h))
-	f := b.AddState("F")
-	for i := 0; i < h; i++ {
-		m := h - i
-		k := len(sub[i])
+		k := len(l.sub[i])
 		fail := math.Pow(q, float64(m))
 		subopt := q * (1 - math.Pow(q, float64(m-1)))
 		for j := 0; j < k; j++ {
@@ -154,17 +150,13 @@ func RingChain(h int, q float64) (*Chain, Endpoints, error) {
 			if j == k-1 {
 				advance += subopt // residual mass credited to progress
 			} else {
-				b.AddEdge(sub[i][j], sub[i][j+1], subopt)
+				l.b.AddEdge(l.sub[i][j], l.sub[i][j+1], subopt)
 			}
-			b.AddEdge(sub[i][j], phases[i+1], advance)
-			b.AddEdge(sub[i][j], f, fail)
+			l.b.AddEdge(l.sub[i][j], l.phases[i+1], advance)
+			l.b.AddEdge(l.sub[i][j], l.fail, fail)
 		}
 	}
-	c, err := b.Build()
-	if err != nil {
-		return nil, Endpoints{}, err
-	}
-	return c, Endpoints{Start: phases[0], Success: phases[h], Failure: f, Phases: phases}, nil
+	return l.build()
 }
 
 // RingChainMaxH caps the ring chain's exponential state count (2^h − 1
@@ -195,35 +187,20 @@ func SymphonyChain(h, d int, q float64, kn, ks int) (*Chain, Endpoints, error) {
 		return nil, Endpoints{}, fmt.Errorf("markov: symphony parameters give ks/d + q^(kn+ks) = %v > 1; d too small for this q", x+y)
 	}
 	bigJ := int(math.Ceil(float64(d) / (1 - q)))
-	var b Builder
-	phases := make([]StateID, h+1)
-	sub := make([][]StateID, h)
-	for i := 0; i < h; i++ {
-		sub[i] = make([]StateID, bigJ+1)
-		for j := 0; j <= bigJ; j++ {
-			sub[i][j] = b.AddState(fmt.Sprintf("(%d,%d)", i, j))
-		}
-		phases[i] = sub[i][0]
-	}
-	phases[h] = b.AddState(fmt.Sprintf("S%d", h))
-	f := b.AddState("F")
+	l := newLayout(h, func(int) int { return bigJ + 1 })
 	for i := 0; i < h; i++ {
 		for j := 0; j <= bigJ; j++ {
 			advance := x
 			if j == bigJ {
 				advance += 1 - x - y
 			} else {
-				b.AddEdge(sub[i][j], sub[i][j+1], 1-x-y)
+				l.b.AddEdge(l.sub[i][j], l.sub[i][j+1], 1-x-y)
 			}
-			b.AddEdge(sub[i][j], phases[i+1], advance)
-			b.AddEdge(sub[i][j], f, y)
+			l.b.AddEdge(l.sub[i][j], l.phases[i+1], advance)
+			l.b.AddEdge(l.sub[i][j], l.fail, y)
 		}
 	}
-	c, err := b.Build()
-	if err != nil {
-		return nil, Endpoints{}, err
-	}
-	return c, Endpoints{Start: phases[0], Success: phases[h], Failure: f, Phases: phases}, nil
+	return l.build()
 }
 
 func checkHQ(h int, q float64) error {

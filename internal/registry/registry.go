@@ -6,7 +6,7 @@
 //
 // The package sits below every consumer: internal/core aliases Geometry,
 // internal/dht aliases Protocol and Config and resolves dht.New through
-// LookupProtocol, and the public surfaces (package rcm and rcm/exp)
+// Protocols, and the public surfaces (package rcm and rcm/exp)
 // re-export the types and the Register functions. The five built-in
 // geometries and protocols are ordinary registrants (internal/core and
 // internal/dht register them in their init functions), so a user-registered
@@ -140,67 +140,11 @@ type GeometryFactory func(Config) (Geometry, error)
 // ProtocolFactory builds a concrete overlay from a configuration.
 type ProtocolFactory func(Config) (Protocol, error)
 
-// GeometryEntry is a resolved geometry registration.
-type GeometryEntry struct {
-	// Name is the canonical registered name.
-	Name string
-	// New builds the geometry.
-	New GeometryFactory
-}
-
-// ProtocolEntry is a resolved protocol registration.
-type ProtocolEntry struct {
-	// Name is the canonical registered name.
-	Name string
-	// New builds the overlay.
-	New ProtocolFactory
-}
-
-// Both tables are instances of the module's one name registry (rcm/spec):
-// case folding, aliases and collision checking live there.
+// Geometries and Protocols are the two name tables, instances of the
+// module's one name registry (rcm/spec): case folding, aliases, collision
+// checking, Lookup, Canonical, registration-order Names and the "unknown
+// name (have …)" error all live there, and consumers call them directly.
 var (
-	geometries = spec.NewRegistry[GeometryFactory]("registry", "geometry")
-	protocols  = spec.NewRegistry[ProtocolFactory]("registry", "protocol")
+	Geometries = spec.NewRegistry[GeometryFactory]("registry", "geometry")
+	Protocols  = spec.NewRegistry[ProtocolFactory]("registry", "protocol")
 )
-
-// RegisterGeometry adds an analytic geometry under a canonical name plus
-// optional aliases. Names are case-insensitive; registering a name or alias
-// that is already taken (by either a canonical name or an alias) is an
-// error, as is an empty name or a nil factory.
-func RegisterGeometry(name string, f GeometryFactory, aliases ...string) error {
-	return geometries.Register(name, f, aliases...)
-}
-
-// RegisterProtocol adds a concrete overlay factory under a canonical name
-// plus optional aliases, with the same collision rules as RegisterGeometry.
-func RegisterProtocol(name string, f ProtocolFactory, aliases ...string) error {
-	return protocols.Register(name, f, aliases...)
-}
-
-// LookupGeometry resolves a geometry by canonical name or alias.
-func LookupGeometry(name string) (GeometryEntry, bool) {
-	f, ok := geometries.Lookup(name)
-	canonical, _ := geometries.Canonical(name)
-	return GeometryEntry{Name: canonical, New: f}, ok
-}
-
-// LookupProtocol resolves a protocol by canonical name or alias.
-func LookupProtocol(name string) (ProtocolEntry, bool) {
-	f, ok := protocols.Lookup(name)
-	canonical, _ := protocols.Canonical(name)
-	return ProtocolEntry{Name: canonical, New: f}, ok
-}
-
-// GeometryNames returns the canonical geometry names in registration order
-// (the five paper geometries first, user registrations after).
-func GeometryNames() []string { return geometries.Names() }
-
-// ProtocolNames returns the canonical protocol names in registration order.
-func ProtocolNames() []string { return protocols.Names() }
-
-// GeometryKeys returns every accepted geometry name and alias, sorted; it
-// backs "unknown name" error messages.
-func GeometryKeys() []string { return geometries.Keys() }
-
-// ProtocolKeys returns every accepted protocol name and alias, sorted.
-func ProtocolKeys() []string { return protocols.Keys() }

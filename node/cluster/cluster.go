@@ -31,7 +31,9 @@ type Config struct {
 	Protocol string
 	// Bits is the identifier length; the cluster runs 2^Bits nodes.
 	Bits int
-	// Seed seeds overlay construction.
+	// Seed seeds overlay construction and the fault plan's derived choices
+	// (partition cut, stall episodes); use the simulation seed for
+	// conformance.
 	Seed uint64
 	// Transport selects the substrate: "mem" (default; in-memory
 	// datagrams) or "udp" (one loopback socket per node).
@@ -55,9 +57,6 @@ type Config struct {
 	// cluster suffers the same fault schedule an eventsim run of the
 	// fault-wrapped transport simulates.
 	Fault string
-	// FaultSeed seeds the plan's derived choices (partition cut, stall
-	// episodes); use the simulation seed for conformance.
-	FaultSeed uint64
 	// FaultHorizon is the plan's time horizon in schedule seconds
 	// (stall-episode placement); use the schedule duration for
 	// conformance. Defaults to 3600.
@@ -153,7 +152,7 @@ func New(cfg Config) (*Cluster, error) {
 		for i := 0; i < n; i++ {
 			ft, err := node.WrapFault(transports[i], node.FaultConfig{
 				Plan:    plan,
-				Seed:    cfg.FaultSeed,
+				Seed:    cfg.Seed,
 				Horizon: horizon,
 				Self:    uint64(i),
 				IDOf:    func(addr string) (uint64, bool) { id, ok := addrToID[addr]; return id, ok },

@@ -74,7 +74,6 @@ func faultLiveCluster(t *testing.T, cfg eventsim.Config, plan string) *Cluster {
 		Deadline:     3 * time.Second,
 		Replicas:     cfg.Params.Replicas,
 		Fault:        plan,
-		FaultSeed:    cfg.Seed,
 		FaultHorizon: cfg.Duration,
 	})
 	if err != nil {

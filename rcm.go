@@ -69,7 +69,7 @@ func NewProtocol(name string, cfg Config) (Protocol, error) {
 // Registered geometries resolve everywhere built-ins do: ModelFor,
 // exp.SpecFor, and the rcmcalc/dhtsim/eventsim/figures name flags.
 func RegisterGeometry(name string, f GeometryFactory, aliases ...string) error {
-	return registry.RegisterGeometry(name, f, aliases...)
+	return registry.Geometries.Register(name, f, aliases...)
 }
 
 // RegisterProtocol adds a concrete overlay factory to the shared registry,
@@ -79,16 +79,16 @@ func RegisterGeometry(name string, f GeometryFactory, aliases ...string) error {
 // analytic geometry under the same name (an exp.Spec always carries a
 // Geometry — see examples/randchord, which registers both halves).
 func RegisterProtocol(name string, f ProtocolFactory, aliases ...string) error {
-	return registry.RegisterProtocol(name, f, aliases...)
+	return registry.Protocols.Register(name, f, aliases...)
 }
 
 // Geometries returns the canonical registered geometry names in
 // registration order: the paper's five first, user registrations after.
-func Geometries() []string { return registry.GeometryNames() }
+func Geometries() []string { return registry.Geometries.Names() }
 
 // Protocols returns the canonical registered protocol names in
 // registration order.
-func Protocols() []string { return registry.ProtocolNames() }
+func Protocols() []string { return registry.Protocols.Names() }
 
 // Model is an analytic RCM description of a DHT routing geometry. The zero
 // value is not usable; obtain instances from Tree, Hypercube, XOR, Ring,
@@ -107,13 +107,14 @@ func NewModel(g Geometry) Model { return Model{g: g} }
 // through the shared registry and wraps it as a Model. The configuration
 // is passed to the geometry's factory; pass Config{} for defaults.
 func ModelFor(name string, cfg Config) (Model, error) {
-	e, ok := registry.LookupGeometry(name)
+	f, ok := registry.Geometries.Lookup(name)
 	if !ok {
-		return Model{}, fmt.Errorf("rcm: unknown geometry %q", name)
+		return Model{}, fmt.Errorf("rcm: %w", registry.Geometries.Unknown(name))
 	}
-	g, err := e.New(cfg)
+	g, err := f(cfg)
 	if err != nil {
-		return Model{}, fmt.Errorf("rcm: geometry %q: %w", e.Name, err)
+		canonical, _ := registry.Geometries.Canonical(name)
+		return Model{}, fmt.Errorf("rcm: geometry %q: %w", canonical, err)
 	}
 	return Model{g: g}, nil
 }
@@ -185,57 +186,32 @@ func (m Model) ExpectedReach(d int, q float64) (float64, error) {
 }
 
 // Verdict classifies a geometry's large-system behavior (Definition 2).
-type Verdict int
+// The zero value is invalid.
+type Verdict = core.Verdict
 
 // Verdict values.
 const (
 	// Scalable: routability converges to a nonzero value as N → ∞.
-	Scalable Verdict = iota + 1
+	Scalable = core.Scalable
 	// Unscalable: routability converges to zero for any q > 0.
-	Unscalable
+	Unscalable = core.Unscalable
 	// Indeterminate: the numeric probe could not classify the geometry.
-	Indeterminate
+	Indeterminate = core.Indeterminate
 )
-
-// String implements fmt.Stringer.
-func (v Verdict) String() string {
-	switch v {
-	case Scalable:
-		return "scalable"
-	case Unscalable:
-		return "unscalable"
-	case Indeterminate:
-		return "indeterminate"
-	default:
-		return "invalid"
-	}
-}
-
-func fromCoreVerdict(v core.Verdict) Verdict {
-	switch v {
-	case core.Scalable:
-		return Scalable
-	case core.Unscalable:
-		return Unscalable
-	default:
-		return Indeterminate
-	}
-}
 
 // Scalability returns the paper's §5 verdict for the geometry together with
 // the one-line justification. Geometries without a hand-derived analysis
 // (including user-registered ones) return Indeterminate — use
 // ClassifyNumerically for them.
 func (m Model) Scalability() (Verdict, string) {
-	v, reason := core.TheoreticalVerdict(m.g)
-	return fromCoreVerdict(v), reason
+	return core.TheoreticalVerdict(m.g)
 }
 
 // ClassifyNumerically runs the Knopp-test probe (§5, Theorem 1) on Σ Q(m)
 // at failure probability q, independent of the hand-derived verdict. It
 // works for any Geometry, including user-defined ones.
 func (m Model) ClassifyNumerically(q float64) Verdict {
-	return fromCoreVerdict(core.Classify(m.g, q, core.ClassifyOptions{}))
+	return core.Classify(m.g, q, core.ClassifyOptions{})
 }
 
 // SimConfig configures a static-resilience simulation (the Fig. 6

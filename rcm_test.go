@@ -2,10 +2,6 @@ package rcm
 
 import (
 	"math"
-	"os"
-	"path/filepath"
-	"regexp"
-	"strings"
 	"testing"
 )
 
@@ -204,68 +200,5 @@ func TestNewProtocol(t *testing.T) {
 	}
 	if _, err := NewProtocol("chord", Config{}); err == nil {
 		t.Error("zero bits accepted")
-	}
-}
-
-// TestDocsNameOnlyWhatExists: every cmd/<name>, scripts/<file> and
-// bench/<file> path the instructions mention must exist, so deleting a
-// tool cannot leave a README, Makefile, CI or skill line pointing at
-// nothing; and every -flag on a command line that starts with a cmd/
-// binary's name — a whole line, or a backticked span — must be declared
-// (as a "flag" literal) in that binary's source.
-func TestDocsNameOnlyWhatExists(t *testing.T) {
-	ref := regexp.MustCompile(`(?m)(?:^|[^\w/.])(?:\./)?((?:cmd|scripts|bench)/[\w.-]+)`)
-	span := regexp.MustCompile("`[^`]+`")
-	flagTok := regexp.MustCompile(`^--?([a-zA-Z][\w-]*)`)
-	sources := map[string]string{} // cmd name → its non-test Go source
-	mains, err := filepath.Glob("cmd/*/*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range mains {
-		if src, err := os.ReadFile(f); err == nil && !strings.HasSuffix(f, "_test.go") {
-			sources[filepath.Base(filepath.Dir(f))] += string(src)
-		}
-	}
-	for _, doc := range []string{"README.md", "Makefile", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
-		raw, err := os.ReadFile(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		text := string(raw)
-		for _, m := range ref.FindAllStringSubmatch(text, -1) {
-			if _, err := os.Stat(strings.TrimRight(m[1], ".")); err != nil {
-				t.Errorf("%s names %s: %v", doc, m[1], err)
-			}
-		}
-
-		// Join continuation lines and drop fence markers (whose odd
-		// backticks would mispair the spans); fenced lines stay.
-		text = strings.NewReplacer("\\\n", " ", "```", "").Replace(text)
-		lines := strings.Split(text, "\n")
-		for _, s := range span.FindAllString(text, -1) {
-			lines = append(lines, strings.Trim(s, "`"))
-		}
-		for _, line := range lines {
-			toks := strings.Fields(line)
-			for len(toks) > 0 && (toks[0] == "$" || toks[0] == "go" || toks[0] == "run") {
-				toks = toks[1:]
-			}
-			if len(toks) == 0 {
-				continue
-			}
-			name := strings.TrimPrefix(strings.TrimPrefix(toks[0], "./"), "cmd/")
-			if sources[name] == "" {
-				continue // not a command line of ours
-			}
-			for _, tok := range toks[1:] {
-				if strings.ContainsAny(tok[:1], "|>&;#") {
-					break // the rest belongs to the shell
-				}
-				if m := flagTok.FindStringSubmatch(tok); m != nil && !strings.Contains(sources[name], `"`+m[1]+`"`) {
-					t.Errorf("%s: `%s` passes -%s, which cmd/%s does not declare", doc, strings.Join(toks, " "), m[1], name)
-				}
-			}
-		}
 	}
 }
