@@ -50,23 +50,23 @@ profile:
 	  -cpuprofile cpu.prof -memprofile mem.prof > /dev/null
 	@echo "wrote cpu.prof and mem.prof — inspect with: go tool pprof cpu.prof"
 
-# cluster-smoke boots a live in-process 64-node DHT cluster and replays
-# an eventsim massfail schedule against it — the quick end-to-end check
-# that the live-node layer (wire protocol, RTO failover, kill/restart)
-# still routes. The test carries its own wall-clock budget; -timeout is
-# the outer backstop. Set CLUSTER_METRICS_OUT=<file> to also write the
-# cluster-wide metrics/histogram snapshot (CI uploads it as an
-# artifact).
+# cluster-smoke boots a live in-process 64-node DHT cluster on virtual
+# time ("sim") and replays an eventsim massfail schedule against it — the
+# quick end-to-end check that the live-node layer (wire protocol, RTO
+# failover, kill/restart) still routes. Virtual time makes it a
+# sub-second run; -timeout is the backstop against a hang. Set
+# CLUSTER_METRICS_OUT=<file> to also write the cluster-wide
+# metrics/histogram snapshot (CI uploads it as an artifact).
 cluster-smoke:
-	go test -run TestClusterSmoke -count=1 -timeout 120s -v ./node/cluster/
+	go test -run TestClusterSmoke -count=1 -timeout 60s -v ./node/cluster/
 
-# chaos-smoke replays a lookup schedule against a live 64-node cluster
-# while every node's transport runs a partition+duplication fault plan
-# (rcm/fault), under the race detector. The pin is recovery: every
-# lookup scheduled after the partition heals succeeds, and both fault
-# kinds demonstrably fired.
+# chaos-smoke replays a lookup schedule against a live 64-node "sim"
+# cluster while every node's transport runs a partition+duplication
+# fault plan (rcm/fault), under the race detector. The pin is recovery:
+# every lookup scheduled after the partition heals succeeds, and both
+# fault kinds demonstrably fired.
 chaos-smoke:
-	go test -race -run TestChaosSmoke -count=1 -timeout 150s -v ./node/cluster/
+	go test -race -run TestChaosSmoke -count=1 -timeout 60s -v ./node/cluster/
 
 fmt:
 	gofmt -l .

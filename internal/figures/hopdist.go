@@ -73,8 +73,7 @@ func HopDistribution(opt Options) ([]*table.Table, error) {
 				Duration: 4,
 				Seed:     opt.Seed,
 				// Lossless transport on both sides: same-candidate
-				// retransmission never helps, and disabling it keeps the
-				// live replay's RTO wall clock tight.
+				// retransmission never helps.
 				Retransmits: -1,
 			}
 			res, err := eventsim.Run(cfg)
@@ -87,16 +86,16 @@ func HopDistribution(opt Options) ([]*table.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			// RTO well above scheduling jitter: on a loaded single-core
-			// host a tight timeout fires spuriously, and the resulting
-			// failover changes a hop count — which would break the
-			// figure's render-twice determinism contract. The transport
-			// is lossless in-memory, so a large RTO only slows genuine
-			// dead-candidate failovers.
+			// The cluster runs on virtual time ("sim"): no timeout fires
+			// spuriously, however loaded the host, and a genuine
+			// dead-candidate failover costs no wall clock. Any RTO above
+			// the simulated round trip gives the same hops, so the value
+			// is the one the figure has always run with.
 			c, err := cluster.New(cluster.Config{
 				Protocol:    cfg.Protocol,
 				Bits:        cfg.Overlay.Bits,
 				Seed:        cfg.Overlay.Seed,
+				Transport:   "sim",
 				RTO:         75 * time.Millisecond,
 				Retransmits: -1,
 				Deadline:    10 * time.Second,

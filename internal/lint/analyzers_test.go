@@ -39,6 +39,13 @@ func TestDetSourceReplica(t *testing.T) {
 	runGolden(t, "detsource/replica", "rcm/replica", DetSource)
 }
 
+// TestDetSourceNode: rcm/node is determinism-critical — a replay on a
+// virtual network must be a function of its schedule, so wall-clock
+// reads and runtime timers are caught outside the marked wall clock.
+func TestDetSourceNode(t *testing.T) {
+	runGolden(t, "detsource/node", "rcm/node", DetSource)
+}
+
 // TestBoundaryReplicaLeaf: the placement library may import overlay and
 // stdlib only; an executor import is caught at the import site.
 func TestBoundaryReplicaLeaf(t *testing.T) {

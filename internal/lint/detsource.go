@@ -9,11 +9,15 @@ import (
 // DetPackages lists the determinism-critical import paths (patterns as
 // in BoundaryRules): every layer that feeds the fixed-(Seed, Shards)
 // bit-identity contract — the static model, the simulators, the event
-// engine and the registries/spec grammar they resolve names through.
-// Inside these packages all randomness must flow from seeded sources
-// (overlay.RNG, rand.New), virtual time from the engine clock, and
-// ordered output from totally-ordered iteration.
+// engine and the registries/spec grammar they resolve names through —
+// and the live node, whose replay on a virtual network is a function of
+// its schedule. Inside these packages all randomness must flow from
+// seeded sources (overlay.RNG, rand.New), time from the engine clock or
+// the node's clock (rcm/node/internal/clock, whose wall implementation
+// is the one sanctioned wall-clock site), and ordered output from
+// totally-ordered iteration.
 var DetPackages = []string{
+	"rcm/node/...",
 	"rcm/eventsim/...",
 	"rcm/fault/...",
 	"rcm/overlay/...",

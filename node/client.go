@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rcm/node/internal/clock"
 	"rcm/overlay"
 )
 
@@ -43,7 +44,8 @@ type ClientConfig struct {
 	// be reachable from the daemons (default "127.0.0.1:0").
 	Bind string
 	// Transport overrides the UDP socket (in-process tests); when set,
-	// Bind is ignored and Close leaves the transport open.
+	// Bind is ignored and Close leaves the transport open. A client waits
+	// on the wall clock, so a NewSimNetwork endpoint does not suit it.
 	Transport Transport
 	// MaxHops bounds route length (default 4·bits + 16, as node.Config).
 	MaxHops int
@@ -204,9 +206,9 @@ func (c *Client) do(op Op, dst overlay.ID, key uint64, value []byte) Result {
 		return Result{Err: err}
 	}
 
-	guard := time.NewTimer(c.cfg.Deadline + 2*c.cfg.RTO)
+	guard := clock.Wall.NewTimer(c.cfg.Deadline + 2*c.cfg.RTO)
 	defer guard.Stop()
-	rto := time.NewTimer(c.cfg.RTO)
+	rto := clock.Wall.NewTimer(c.cfg.RTO)
 	defer rto.Stop()
 	acked, sends := false, 1
 	for {

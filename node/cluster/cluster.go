@@ -1,7 +1,8 @@
 // Package cluster bootstraps and drives whole populations of live
 // rcm/node DHT nodes — every identifier in the space backed by a running
-// node, over in-memory datagrams (one process, no sockets) or real UDP
-// loopback sockets. Its centerpiece is Replay: executing an eventsim
+// node, over in-memory datagrams (one process, no sockets; on the wall
+// clock or on virtual time) or real UDP loopback sockets. Its centerpiece
+// is Replay: executing an eventsim
 // schedule (the exact lifecycle and workload eventsim.Run would simulate)
 // against the live cluster, so the conformance suite can pin live lookup
 // outcomes to the simulator's predictions.
@@ -19,6 +20,7 @@ import (
 	"rcm/eventsim"
 	"rcm/fault"
 	"rcm/node"
+	"rcm/node/internal/clock"
 	"rcm/obs"
 	"rcm/overlay"
 	"rcm/replica"
@@ -36,7 +38,10 @@ type Config struct {
 	// conformance.
 	Seed uint64
 	// Transport selects the substrate: "mem" (default; in-memory
-	// datagrams) or "udp" (one loopback socket per node).
+	// datagrams on the wall clock), "sim" (in-memory datagrams on virtual
+	// time, node.NewSimNetwork: no node goroutines, no sleeping, and a
+	// Replay that is a function of its schedule) or "udp" (one loopback
+	// socket per node).
 	Transport string
 	// Store is the per-node store spec ("mem", "lru:1024", ...); every
 	// node gets its own fresh store.
@@ -61,9 +66,10 @@ type Config struct {
 	// (stall-episode placement); use the schedule duration for
 	// conformance. Defaults to 3600.
 	FaultHorizon float64
-	// FaultWallClock evaluates the plan against wall-clock seconds since
-	// boot instead of the replay-driven schedule clock — for interactive
-	// clusters, where nothing advances the schedule clock.
+	// FaultWallClock evaluates the plan against the network's clock —
+	// seconds since boot, virtual on "sim" — instead of the
+	// replay-driven schedule clock: for interactive clusters, where
+	// nothing advances the schedule clock.
 	FaultWallClock bool
 	// AdaptiveRTO enables the per-peer adaptive retransmission timeout
 	// on every node (see node.Config.AdaptiveRTO).
@@ -87,8 +93,9 @@ type Cluster struct {
 	nodes  []*node.Node
 	addrs  []string
 	faults []*node.FaultTransport
-	clock  planClock
-	bounds []float64 // fault-plan window edges, ascending
+	plan   planClock
+	bounds []float64   // fault-plan window edges, ascending
+	clk    clock.Clock // the network's: times a replayed lookup
 }
 
 // New builds the overlay, boots one node per identifier and starts them
@@ -109,9 +116,11 @@ func New(cfg Config) (*Cluster, error) {
 	switch cfg.Transport {
 	case "", "mem":
 		mem = node.NewMemNetwork()
+	case "sim":
+		mem = node.NewSimNetwork()
 	case "udp":
 	default:
-		return nil, fmt.Errorf("cluster: unknown transport %q (have mem, udp)", cfg.Transport)
+		return nil, fmt.Errorf("cluster: unknown transport %q (have mem, sim, udp)", cfg.Transport)
 	}
 
 	transports := make([]node.Transport, n)
@@ -129,6 +138,7 @@ func New(cfg Config) (*Cluster, error) {
 		transports[i] = tr
 		c.addrs[i] = tr.Addr()
 	}
+	c.clk = clock.Of(transports[0])
 
 	if cfg.Fault != "" {
 		plan, err := fault.Parse(cfg.Fault)
@@ -144,9 +154,9 @@ func New(cfg Config) (*Cluster, error) {
 		for i, a := range c.addrs {
 			addrToID[a] = uint64(i)
 		}
-		now := c.clock.now
+		now := c.plan.now
 		if cfg.FaultWallClock {
-			now = nil // node.WrapFault defaults to wall time since creation
+			now = nil // node.WrapFault defaults to the network's time since creation
 		}
 		c.faults = make([]*node.FaultTransport, n)
 		for i := 0; i < n; i++ {
@@ -158,9 +168,9 @@ func New(cfg Config) (*Cluster, error) {
 				IDOf:    func(addr string) (uint64, bool) { id, ok := addrToID[addr]; return id, ok },
 				Now:     now,
 				// The in-memory (or loopback) substrate delivers in
-				// microseconds; a small hold budget keeps reordering well
-				// under any sane RTO, mirroring the engine's
-				// inner-MaxLatency scaling.
+				// microseconds, the simulated one in a millisecond; a small
+				// hold budget keeps reordering well under any sane RTO,
+				// mirroring the engine's inner-MaxLatency scaling.
 				Latency: 2 * time.Millisecond,
 			})
 			if err != nil {
@@ -283,8 +293,8 @@ type Outcome struct {
 	OK bool
 	// Hops is the delivered route length (OK only).
 	Hops int
-	// Latency is the issue-to-verdict wall-clock time of an issued
-	// lookup (zero when skipped).
+	// Latency is the issue-to-verdict time of an issued lookup on the
+	// network's clock — virtual time on "sim" — (zero when skipped).
 	Latency time.Duration
 }
 
@@ -349,8 +359,8 @@ func (r *Report) WindowHopDist(from, to float64) obs.Histogram {
 	return h
 }
 
-// WindowLatency returns the wall-clock lookup latency distribution, in
-// microseconds, over issued lookups scheduled in [from, to] — every
+// WindowLatency returns the lookup latency distribution (Outcome.Latency),
+// in microseconds, over issued lookups scheduled in [from, to] — every
 // verdict, not just successes, mirroring eventsim's latency histogram.
 func (r *Report) WindowLatency(from, to float64) obs.Histogram {
 	var h obs.Histogram
@@ -366,6 +376,7 @@ func (r *Report) WindowLatency(from, to float64) obs.Histogram {
 // ReplayOptions tunes Replay.
 type ReplayOptions struct {
 	// Concurrency bounds simultaneously in-flight lookups (default 64).
+	// A "sim" cluster issues them one at a time.
 	Concurrency int
 }
 
@@ -384,7 +395,9 @@ type replayEvent struct {
 // toggle applies, in-flight lookups are drained, so each lookup observes
 // exactly the population state of its scheduled instant (the regime
 // eventsim's own lookups see, since simulated routes complete fast
-// against toggle spacing).
+// against toggle spacing). On a "sim" cluster each lookup completes
+// before the next is issued, so the whole replay is a function of the
+// schedule: run twice, it gives equal Reports, latencies included.
 //
 // The report's windows are in schedule time, directly comparable to the
 // eventsim.Result of the same Config — which is precisely what the
@@ -438,6 +451,19 @@ func (c *Cluster) Replay(sched *eventsim.Schedule, opt ReplayOptions) (*Report, 
 		Duration: sched.Duration,
 		Outcomes: make([]Outcome, len(sched.Lookups)),
 	}
+	lookup := func(src int, owners []overlay.ID, out *Outcome) {
+		start := c.clk.Now()
+		for _, o := range owners {
+			res := c.nodes[src].Lookup(o)
+			out.Hops += res.Hops
+			if res.OK() {
+				out.OK = true
+				break
+			}
+		}
+		out.Latency = c.clk.Now() - start
+	}
+	_, serial := c.clk.(*clock.Virtual)
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, conc)
 	drained := true
@@ -456,7 +482,7 @@ func (c *Cluster) Replay(sched *eventsim.Schedule, opt ReplayOptions) (*Report, 
 			}
 			bi++
 		}
-		c.clock.set(ev.t)
+		c.plan.set(ev.t)
 
 		if ev.toggle >= 0 {
 			if !drained {
@@ -493,22 +519,17 @@ func (c *Cluster) Replay(sched *eventsim.Schedule, opt ReplayOptions) (*Report, 
 			out.Skipped = true
 			continue
 		}
+		if serial {
+			lookup(lk.Src, owners, out)
+			continue
+		}
 		drained = false
 		sem <- struct{}{}
 		wg.Add(1)
 		go func(src int, owners []overlay.ID, out *Outcome) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			start := time.Now()
-			for _, o := range owners {
-				res := c.nodes[src].Lookup(o)
-				out.Hops += res.Hops
-				if res.OK() {
-					out.OK = true
-					break
-				}
-			}
-			out.Latency = time.Since(start)
+			lookup(src, owners, out)
 		}(lk.Src, owners, out)
 	}
 	wg.Wait()

@@ -25,20 +25,28 @@ func conformanceConfig(protocol string, bits int, q float64, seed uint64) events
 		Seed:     seed,
 		// Lossless transports never benefit from same-candidate
 		// retransmission, so disable it on both sides: dead-candidate
-		// failover then costs one RTO instead of three, which keeps the
-		// live replay's wall clock tight without changing any outcome.
+		// failover then costs one RTO instead of three without changing
+		// any outcome.
 		Retransmits: -1,
 	}
 }
 
-// liveCluster boots the matching live cluster for a conformance config.
+// liveCluster boots the matching live cluster for a conformance config,
+// on virtual time.
 func liveCluster(t *testing.T, cfg eventsim.Config) *Cluster {
+	t.Helper()
+	return bootCluster(t, cfg, "sim", 15*time.Millisecond)
+}
+
+// bootCluster boots cfg's live cluster on the given transport and RTO.
+func bootCluster(t *testing.T, cfg eventsim.Config, transport string, rto time.Duration) *Cluster {
 	t.Helper()
 	c, err := New(Config{
 		Protocol:    cfg.Protocol,
 		Bits:        cfg.Overlay.Bits,
 		Seed:        cfg.Overlay.Seed,
-		RTO:         15 * time.Millisecond,
+		Transport:   transport,
+		RTO:         rto,
 		Retransmits: -1,
 		Deadline:    3 * time.Second,
 		Replicas:    cfg.Params.Replicas,
@@ -60,7 +68,9 @@ func liveCluster(t *testing.T, cfg eventsim.Config) *Cluster {
 // the same failed set — and, replicated, the same frozen owner masks in
 // the same placement order — so the comparison pins the whole live
 // stack — wire protocol, RTO machinery, candidate failover, replica
-// failover, kill semantics — to the simulator's routing discipline.
+// failover, kill semantics — to the simulator's routing discipline. The
+// cluster runs on virtual time ("sim"), so a timeout costs no wall clock
+// and cannot fire spuriously.
 func TestConformanceLiveVsEventsim(t *testing.T) {
 	const (
 		bits = 7 // 128 nodes
@@ -76,83 +86,98 @@ func TestConformanceLiveVsEventsim(t *testing.T) {
 		{"chord", 3},
 	}
 	for _, cell := range cells {
-		protocol := fmt.Sprintf("%s/k=%d", cell.protocol, cell.replicas)
 		for _, q := range []float64{0, 0.2} {
 			cfg := conformanceConfig(cell.protocol, bits, q, seed)
 			cfg.Params.Replicas = cell.replicas
-
-			res, err := eventsim.Run(cfg)
-			if err != nil {
-				t.Fatalf("%s q=%v: eventsim: %v", protocol, q, err)
-			}
-			sched, err := eventsim.BuildSchedule(cfg)
-			if err != nil {
-				t.Fatalf("%s q=%v: BuildSchedule: %v", protocol, q, err)
-			}
-
-			c := liveCluster(t, cfg)
-			report, err := c.Replay(sched, ReplayOptions{})
-			if err != nil {
-				t.Fatalf("%s q=%v: replay: %v", protocol, q, err)
-			}
-
-			// Steady state: well after the t = 1 failure.
-			simSucc := res.WindowSuccess(2, cfg.Duration)
-			liveSucc := report.WindowSuccess(2, cfg.Duration)
-			if math.IsNaN(simSucc) || math.IsNaN(liveSucc) {
-				t.Fatalf("%s q=%v: empty window (sim %v, live %v)", protocol, q, simSucc, liveSucc)
-			}
-			if d := math.Abs(simSucc - liveSucc); d > 0.05 {
-				t.Errorf("%s q=%v: live success %.4f vs eventsim %.4f (|Δ| = %.4f > 0.05)",
-					protocol, q, liveSucc, simSucc, d)
-			}
-
-			simHops := windowMeanHops(res, 2, cfg.Duration)
-			liveHops := report.WindowMeanHops(2, cfg.Duration)
-			if d := math.Abs(simHops - liveHops); d > 0.5 {
-				t.Errorf("%s q=%v: live mean hops %.3f vs eventsim %.3f (|Δ| = %.3f > 0.5)",
-					protocol, q, liveHops, simHops, d)
-			}
-
-			// The strongest pin: the steady-state hop *distributions* are
-			// identical histogram values, bucket for bucket — not just
-			// close in the mean. Both sides walk the same candidate lists
-			// over the same seed-pinned tables against the same failed
-			// set, observe integer hop counts into the same obs bucket
-			// layout, and the window cohort (lookups scheduled in [2, 4])
-			// is closed well after the t = 1 failure, so any inequality
-			// here is a routing divergence, not noise.
-			simDist := res.WindowHopDist(2, cfg.Duration)
-			liveDist := report.WindowHopDist(2, cfg.Duration)
-			if simDist != liveDist {
-				t.Errorf("%s q=%v: live hop distribution diverges from eventsim:\nlive: %s\nsim:  %s",
-					protocol, q, liveDist.String(), simDist.String())
-			}
-			if simDist.Count() == 0 {
-				t.Errorf("%s q=%v: empty steady-state hop distribution", protocol, q)
-			}
-
-			// Live latency is wall-clock, so only sanity is pinned: one
-			// observation per issued (not skipped) window lookup, and a
-			// positive tail.
-			liveLat := report.WindowLatency(2, cfg.Duration)
-			if liveLat.Count() < liveDist.Count() {
-				t.Errorf("%s q=%v: latency histogram n=%d below completed n=%d",
-					protocol, q, liveLat.Count(), liveDist.Count())
-			}
-			if liveLat.Count() > 0 && liveLat.Max() <= 0 {
-				t.Errorf("%s q=%v: non-positive live latency tail", protocol, q)
-			}
-
-			// q = 0 is an identity, not an approximation: nothing failed,
-			// so every lookup must succeed on both substrates.
-			if q == 0 && (liveSucc != 1 || simSucc != 1) {
-				t.Errorf("%s q=0: success live %.4f, sim %.4f (want exactly 1)", protocol, liveSucc, simSucc)
-			}
-			t.Logf("%s q=%v: success live %.4f sim %.4f; hops live %.3f sim %.3f",
-				protocol, q, liveSucc, simSucc, liveHops, simHops)
+			name := fmt.Sprintf("%s/k=%d q=%v", cell.protocol, cell.replicas, q)
+			checkConformance(t, name, cfg, liveCluster(t, cfg))
 		}
 	}
+}
+
+// TestConformanceWallClock keeps one cell per protocol on the wall clock
+// ("mem"), so the runtime timer that wakes a node's loop — the path a
+// "sim" cluster replaces with virtual time — stays held to eventsim. The
+// RTO is generous because a timeout that fires spuriously on a loaded
+// host changes a hop count; a genuine failover pays it in wall time.
+func TestConformanceWallClock(t *testing.T) {
+	for _, protocol := range []string{"chord", "kademlia", "singlehop"} {
+		cfg := conformanceConfig(protocol, 7, 0.2, 11)
+		checkConformance(t, protocol+" q=0.2 on mem", cfg, bootCluster(t, cfg, "mem", 100*time.Millisecond))
+	}
+}
+
+// checkConformance replays cfg's schedule on c and holds the report to
+// eventsim's run of cfg over the steady-state window [2, Duration].
+func checkConformance(t *testing.T, name string, cfg eventsim.Config, c *Cluster) {
+	t.Helper()
+	res, err := eventsim.Run(cfg)
+	if err != nil {
+		t.Fatalf("%s: eventsim: %v", name, err)
+	}
+	sched, err := eventsim.BuildSchedule(cfg)
+	if err != nil {
+		t.Fatalf("%s: BuildSchedule: %v", name, err)
+	}
+	report, err := c.Replay(sched, ReplayOptions{})
+	if err != nil {
+		t.Fatalf("%s: replay: %v", name, err)
+	}
+
+	// Steady state: well after the t = 1 failure.
+	simSucc := res.WindowSuccess(2, cfg.Duration)
+	liveSucc := report.WindowSuccess(2, cfg.Duration)
+	if math.IsNaN(simSucc) || math.IsNaN(liveSucc) {
+		t.Fatalf("%s: empty window (sim %v, live %v)", name, simSucc, liveSucc)
+	}
+	if d := math.Abs(simSucc - liveSucc); d > 0.05 {
+		t.Errorf("%s: live success %.4f vs eventsim %.4f (|Δ| = %.4f > 0.05)",
+			name, liveSucc, simSucc, d)
+	}
+
+	simHops := windowMeanHops(res, 2, cfg.Duration)
+	liveHops := report.WindowMeanHops(2, cfg.Duration)
+	if d := math.Abs(simHops - liveHops); d > 0.5 {
+		t.Errorf("%s: live mean hops %.3f vs eventsim %.3f (|Δ| = %.3f > 0.5)",
+			name, liveHops, simHops, d)
+	}
+
+	// The strongest pin: the steady-state hop *distributions* are
+	// identical histogram values, bucket for bucket — not just close in
+	// the mean. Both sides walk the same candidate lists over the same
+	// seed-pinned tables against the same failed set, observe integer hop
+	// counts into the same obs bucket layout, and the window cohort
+	// (lookups scheduled in [2, 4]) is closed well after the t = 1
+	// failure, so any inequality here is a routing divergence, not noise.
+	simDist := res.WindowHopDist(2, cfg.Duration)
+	liveDist := report.WindowHopDist(2, cfg.Duration)
+	if simDist != liveDist {
+		t.Errorf("%s: live hop distribution diverges from eventsim:\nlive: %s\nsim:  %s",
+			name, liveDist.String(), simDist.String())
+	}
+	if simDist.Count() == 0 {
+		t.Errorf("%s: empty steady-state hop distribution", name)
+	}
+
+	// Live latency runs on the network's clock, not eventsim's transport
+	// model, so only sanity is pinned: one observation per issued (not
+	// skipped) window lookup, and a positive tail.
+	liveLat := report.WindowLatency(2, cfg.Duration)
+	if liveLat.Count() < liveDist.Count() {
+		t.Errorf("%s: latency histogram n=%d below completed n=%d",
+			name, liveLat.Count(), liveDist.Count())
+	}
+	if liveLat.Count() > 0 && liveLat.Max() <= 0 {
+		t.Errorf("%s: non-positive live latency tail", name)
+	}
+
+	// q = 0 is an identity, not an approximation: nothing failed, so
+	// every lookup must succeed on both substrates.
+	if cfg.Params.FailFraction == 0 && (liveSucc != 1 || simSucc != 1) {
+		t.Errorf("%s: success live %.4f, sim %.4f (want exactly 1)", name, liveSucc, simSucc)
+	}
+	t.Logf("%s: success live %.4f sim %.4f; hops live %.3f sim %.3f",
+		name, liveSucc, simSucc, liveHops, simHops)
 }
 
 // windowMeanHops mirrors Report.WindowMeanHops for an eventsim result:

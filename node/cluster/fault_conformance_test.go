@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"rcm/eventsim"
+	"rcm/fault"
 )
 
 // registerGuardedLookups registers (once) the scenario the partition
@@ -19,19 +22,26 @@ import (
 // hop distributions must match histogram for histogram.
 func registerGuardedLookups(t *testing.T) {
 	t.Helper()
-	err := eventsim.RegisterScenario("test-fault-guard", func(p eventsim.Params) (eventsim.Scenario, error) {
-		return progScenario{name: "test-fault-guard", prog: func(env *eventsim.Env) error {
-			rate := env.Params().Rate
-			env.PoissonLookups(0, 0.8, rate, nil)
-			env.PoissonLookups(1.2, 1.8, rate, nil)
-			env.PoissonLookups(3.4, env.Duration(), rate, nil)
-			return nil
-		}}, nil
+	guardedOnce.Do(func() {
+		guardedErr = eventsim.RegisterScenario("test-fault-guard", func(p eventsim.Params) (eventsim.Scenario, error) {
+			return progScenario{name: "test-fault-guard", prog: func(env *eventsim.Env) error {
+				rate := env.Params().Rate
+				env.PoissonLookups(0, 0.8, rate, nil)
+				env.PoissonLookups(1.2, 1.8, rate, nil)
+				env.PoissonLookups(3.4, env.Duration(), rate, nil)
+				return nil
+			}}, nil
+		})
 	})
-	if err != nil && err.Error() != `eventsim: scenario "test-fault-guard" already registered` {
-		t.Fatal(err)
+	if guardedErr != nil {
+		t.Fatal(guardedErr)
 	}
 }
+
+var (
+	guardedOnce sync.Once
+	guardedErr  error
+)
 
 // faultConformanceConfig is the shared eventsim configuration of the
 // fault conformance cells: a 64-node run on the guarded-lookup schedule
@@ -57,18 +67,18 @@ func faultConformanceConfig(protocol, transport, scenario string, seed uint64) (
 // faultLiveCluster boots the live cluster matching a fault conformance
 // config: same overlay seed, same fault plan bound to the same
 // (simulation seed, duration), replayed against the cluster's plan
-// clock.
+// clock, on virtual time.
 func faultLiveCluster(t *testing.T, cfg eventsim.Config, plan string) *Cluster {
 	t.Helper()
 	c, err := New(Config{
-		Protocol: cfg.Protocol,
-		Bits:     cfg.Overlay.Bits,
-		Seed:     cfg.Overlay.Seed,
-		// Generous against wrapper hold-backs (≤ 2ms) plus race-detector
-		// scheduling overhead: a spurious live timeout would re-flip
-		// clause coins on the retransmission and desynchronize the
-		// outcome from the simulator. Blackholed attempts pay this
-		// per drop, which is the only place it costs wall clock.
+		Protocol:  cfg.Protocol,
+		Bits:      cfg.Overlay.Bits,
+		Seed:      cfg.Overlay.Seed,
+		Transport: "sim",
+		// Above the wrapper's hold-back (≤ 2 ms) plus the simulated round
+		// trip: a timeout would re-flip clause coins on the
+		// retransmission and desynchronize the outcome from the
+		// simulator.
 		RTO:          100 * time.Millisecond,
 		Retransmits:  -1,
 		Deadline:     3 * time.Second,
@@ -193,52 +203,97 @@ func TestFaultConformanceLiveVsEventsim(t *testing.T) {
 }
 
 // TestChaosSmoke is the `make chaos-smoke` gate: a 64-node live cluster
-// replaying a uniform lookup schedule while every transport runs a
-// partition-plus-duplication plan, under the race detector. The pin is
-// recovery: lookups scheduled after the partition heals all succeed,
-// and both fault kinds demonstrably fired.
+// on virtual time replaying a uniform lookup schedule while every
+// transport runs a partition-plus-duplication plan, under the race
+// detector. The pin is recovery: lookups scheduled after the partition
+// heals all succeed, and both fault kinds demonstrably fired.
 func TestChaosSmoke(t *testing.T) {
-	const budget = 90 * time.Second
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		const plan = "partition:2@0.5-1.5,dup:0.2"
-		cfg, err := faultConformanceConfig("chord", "fault:"+plan+"/constant:0.01", "faultstorm", 5)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		cfg.Duration = 3
-		cfg.Buckets = 3
-		sched, err := eventsim.BuildSchedule(cfg)
-		if err != nil {
-			t.Errorf("BuildSchedule: %v", err)
-			return
-		}
+	const plan = "partition:2@0.5-1.5,dup:0.2"
+	cfg, err := faultConformanceConfig("chord", "fault:"+plan+"/constant:0.01", "faultstorm", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Duration = 3
+	cfg.Buckets = 3
+	sched, err := eventsim.BuildSchedule(cfg)
+	if err != nil {
+		t.Fatalf("BuildSchedule: %v", err)
+	}
+	c := faultLiveCluster(t, cfg, plan)
+	report, err := c.Replay(sched, ReplayOptions{})
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	counts := c.FaultCounts()
+	if counts.PartitionDrops == 0 || counts.Dups == 0 {
+		t.Errorf("chaos plan never fired: %s", counts)
+	}
+	during := report.WindowSuccess(0.5, 1.4)
+	if during >= 1 {
+		t.Errorf("mid-partition success %.4f, want < 1 (did the partition bite?)", during)
+	}
+	// Recovery: every lookup scheduled at or after the heal succeeds.
+	if healed := report.WindowSuccess(1.5, cfg.Duration); healed != 1 {
+		t.Errorf("post-heal success %.4f, want 1", healed)
+	}
+	t.Logf("chaos smoke: %d lookups, mid-partition success %.4f, faults %s",
+		len(report.Outcomes), during, counts)
+}
+
+// TestSimReplayDeterministic: on virtual time a replay is a function of
+// its schedule. One fault plan replayed twice against fresh 128-node
+// kademlia clusters gives reflect.DeepEqual Reports, latencies included,
+// and equal fault and message counts — while the plan demonstrably
+// partitions, duplicates and reorders, and failovers make latencies
+// differ from lookup to lookup.
+func TestSimReplayDeterministic(t *testing.T) {
+	registerGuardedLookups(t)
+	const plan = "partition:2@1-3,dup:0.3,reorder:0.3"
+	cfg, err := faultConformanceConfig("kademlia", "fault:"+plan+"/constant:0.01", "test-fault-guard", 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Overlay.Bits = 7
+	sched, err := eventsim.BuildSchedule(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type run struct {
+		report *Report
+		faults fault.Counts
+		msgs   uint64
+	}
+	replay := func() run {
 		c := faultLiveCluster(t, cfg, plan)
 		report, err := c.Replay(sched, ReplayOptions{})
 		if err != nil {
-			t.Errorf("replay: %v", err)
-			return
+			t.Fatal(err)
 		}
-		counts := c.FaultCounts()
-		if counts.PartitionDrops == 0 || counts.Dups == 0 {
-			t.Errorf("chaos plan never fired: %s", counts)
+		m := c.Metrics()
+		return run{report, c.FaultCounts(), m.ReqsOut + m.AcksOut + m.RespsOut}
+	}
+	a, b := replay(), replay()
+	if a.faults.PartitionDrops == 0 || a.faults.Dups == 0 || a.faults.Reorders == 0 {
+		t.Fatalf("plan did not bite: %s", a.faults)
+	}
+	latencies := map[time.Duration]bool{}
+	for _, o := range a.report.Outcomes {
+		if !o.Skipped {
+			latencies[o.Latency] = true
 		}
-		during := report.WindowSuccess(0.5, 1.4)
-		if during >= 1 {
-			t.Errorf("mid-partition success %.4f, want < 1 (did the partition bite?)", during)
+	}
+	if len(latencies) < 2 {
+		t.Fatalf("%d distinct latencies: the replay did not exercise timeouts", len(latencies))
+	}
+	if a.faults != b.faults || a.msgs != b.msgs {
+		t.Errorf("runs differ: faults %s vs %s, messages %d vs %d", a.faults, b.faults, a.msgs, b.msgs)
+	}
+	if !reflect.DeepEqual(a.report, b.report) {
+		for i := range a.report.Outcomes {
+			if x, y := a.report.Outcomes[i], b.report.Outcomes[i]; x != y {
+				t.Fatalf("reports differ, first at lookup %d: %+v vs %+v", i, x, y)
+			}
 		}
-		// Recovery: every lookup scheduled at or after the heal succeeds.
-		if healed := report.WindowSuccess(1.5, cfg.Duration); healed != 1 {
-			t.Errorf("post-heal success %.4f, want 1", healed)
-		}
-		t.Logf("chaos smoke: %d lookups, mid-partition success %.4f, faults %s",
-			len(report.Outcomes), during, counts)
-	}()
-	select {
-	case <-done:
-	case <-time.After(budget):
-		t.Fatalf("chaos smoke exceeded its %v budget", budget)
+		t.Fatal("reports differ")
 	}
 }

@@ -13,7 +13,7 @@
 // mutex-guarded queue the loop swaps out whole and runs a batch at a
 // time. An entry is either a raw datagram with its sender — decoded on
 // the loop — or a posted function: a local request, Kill/Restart, a
-// Metrics snapshot, a timer fire. Producers touch the inbox's one-slot
+// Metrics snapshot, a timer wake-up. Producers touch the inbox's one-slot
 // wake channel only when the loop has gone to sleep on an empty queue,
 // so a datagram costs one lock and at most one goroutine wake-up. At
 // most 4096 datagrams wait in an inbox, the rest are dropped as a full
@@ -27,9 +27,27 @@
 // sender's goroutine straight into the destination's inbox: a mem cluster
 // of N nodes is N goroutines and an endpoint carries no mailbox of its
 // own. A UDP socket, or any other Transport, gets a pump goroutine whose
-// body is Recv → inbox, the only place a system call has to block. Timer
-// callbacks (per-hop retransmission timeouts, per-request response
-// guards) post back into the inbox.
+// body is Recv → inbox, the only place a system call has to block.
+//
+// Timers are loop state too. Each node keeps one timer queue, an
+// index-tracked 4-ary heap holding every per-hop retransmission timeout
+// and every per-request response guard; an acknowledgement, a response,
+// Kill or Close removes its entries, so a concluded request leaves
+// nothing armed. One clock timer per node stands for the whole queue: it
+// posts a wake-up into the inbox when the earliest deadline is due, and
+// is re-armed only when that deadline moves earlier — a wake-up that
+// finds nothing due re-arms for what is.
+//
+// All time comes from one clock (rcm/node/internal/clock): the wall
+// clock, or the virtual clock of a NewSimNetwork network. On the virtual
+// network a node has no goroutine. Every datagram delivery (a fixed
+// millisecond after its send), posted function, timer wake-up and
+// fault-held re-send is one entry of the network's single (time, arming
+// order) queue, and a caller blocked in Lookup, Get, Put, Kill, Restart,
+// Metrics or Close steps that queue, one entry at a time, until its own
+// reply is in. The node code is the same; a timeout costs no wall-clock
+// time and cannot fire spuriously, and a cluster that issues one request
+// at a time (cluster.Config{Transport: "sim"}) replays deterministically.
 //
 // Requests travel in a compact binary wire format (versioned header;
 // request/ack/response kinds; hop budgets and millisecond deadlines
@@ -46,7 +64,8 @@
 //	defer c.Close()
 //
 // which boots one node per identifier (64 here) over in-memory
-// datagrams — or real UDP loopback sockets with Transport: "udp". For
+// datagrams — on virtual time with Transport: "sim", or over real UDP
+// loopback sockets with Transport: "udp". For
 // multi-process deployments, cmd/rcmd launches one daemon per process
 // from a shared peers file; every daemon must share the protocol, bits
 // and seed, because those three determine the routing tables.

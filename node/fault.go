@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rcm/fault"
+	"rcm/node/internal/clock"
 	"rcm/overlay"
 )
 
@@ -34,8 +35,9 @@ type FaultConfig struct {
 	IDOf func(addr string) (uint64, bool)
 	// Now is the plan clock in seconds; windowed clauses (partition,
 	// delayspike) and stall episodes are evaluated against it. A cluster
-	// replaying a simulated schedule supplies its virtual clock here.
-	// Defaults to wall time since the wrapper was created.
+	// replaying a simulated schedule supplies its schedule clock here.
+	// Defaults to the time on the inner transport's clock since the
+	// wrapper was created: wall time, or a virtual network's time.
 	Now func() float64
 	// Latency is the one-way latency bound of the underlying network —
 	// the hold-back budget reordering and delay spikes are scaled by,
@@ -56,7 +58,8 @@ type FaultTransport struct {
 	inner Transport
 	inj   *fault.Injector
 	cfg   FaultConfig
-	start time.Time
+	clk   clock.Clock // the inner transport's: times hold-backs and the default plan clock
+	start time.Duration
 
 	mu  sync.Mutex
 	rng *overlay.RNG // clause coins; guarded by mu
@@ -87,11 +90,13 @@ func WrapFault(inner Transport, fc FaultConfig) (*FaultTransport, error) {
 	if fc.Latency <= 0 {
 		fc.Latency = 10 * time.Millisecond
 	}
+	clk := clockOf(inner)
 	ft := &FaultTransport{
 		inner: inner,
 		inj:   fc.Plan.Bind(fc.Seed, fc.Horizon),
 		cfg:   fc,
-		start: time.Now(),
+		clk:   clk,
+		start: clk.Now(),
 		// A per-endpoint coin stream, derived from (seed, self) so two
 		// endpoints never share coins.
 		rng:  overlay.NewRNG(fc.Seed ^ (fc.Self+1)*0x9e3779b97f4a7c15),
@@ -104,7 +109,7 @@ func (ft *FaultTransport) now() float64 {
 	if ft.cfg.Now != nil {
 		return ft.cfg.Now()
 	}
-	return time.Since(ft.start).Seconds()
+	return (ft.clk.Now() - ft.start).Seconds()
 }
 
 // Counts returns the faults injected so far, by kind.
@@ -193,7 +198,7 @@ func (ft *FaultTransport) sendHeld(addr string, pkt []byte, delay time.Duration)
 		ft.inner.Send(addr, pkt)
 		return
 	}
-	time.AfterFunc(delay, func() {
+	ft.clk.AfterFunc(delay, func() {
 		select {
 		case <-ft.done:
 		default:

@@ -544,9 +544,40 @@ func TestKarnAcrossFailover(t *testing.T) {
 	}
 }
 
+// TestRTTMapBounded: the adaptive-RTO estimators are loop-owned state
+// keyed by every candidate a node has timed, so 10 000 distinct peers
+// acknowledged in turn must leave at most seenCap of them.
+func TestRTTMapBounded(t *testing.T) {
+	proto, err := rcm.NewProtocol("chord", rcm.Config{Bits: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd, err := New(Config{
+		Protocol:    proto,
+		ID:          0,
+		Transport:   NewMemNetwork().Endpoint(),
+		AddrOf:      func(overlay.ID) string { return "" },
+		AdaptiveRTO: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Never started: the test goroutine is the node's loop.
+	for peer := 0; peer < 10000; peer++ {
+		reqID := uint64(peer + 1)
+		nd.pending[reqID] = &pendingFwd{cands: []overlay.ID{overlay.ID(peer)}}
+		nd.handleAck(message{Kind: msgAck, ReqID: reqID})
+		if len(nd.rtt) > seenCap {
+			t.Fatalf("after %d peers the RTT map holds %d estimators, cap %d", peer+1, len(nd.rtt), seenCap)
+		}
+	}
+}
+
 // TestKillWithInFlightRTOs is the timer-hygiene regression (run under
-// -race): Kill a node while dozens of its RTO timers are in flight —
-// every stale pop must be inert — then restart it and serve traffic.
+// -race): Kill a node while dozens of RTOs sit in its timer queue — Kill
+// must empty the queue, and the clock timer's wake-up that still comes
+// must find nothing — then restart it, serve traffic, and Close it with
+// the queue empty.
 func TestKillWithInFlightRTOs(t *testing.T) {
 	nodes, _ := bootFaultCluster(t, "chord", 4, "", func(cfg *Config) {
 		cfg.RTO = 10 * time.Millisecond
@@ -575,9 +606,19 @@ func TestKillWithInFlightRTOs(t *testing.T) {
 			t.Fatalf("lookup %d to a dead node succeeded: %+v", i, r)
 		}
 	}
+	if n := timersOnLoop(t, nodes[0]); n != 0 {
+		t.Fatalf("after Kill: %d timers queued, want 0", n)
+	}
 	nodes[0].Restart()
 	nodes[victim].Restart()
 	if r := nodes[0].Lookup(overlay.ID(victim)); !r.OK() {
 		t.Fatalf("restarted pair cannot route: %+v", r)
+	}
+	if n := timersOnLoop(t, nodes[0]); n != 0 { // the ack took the RTO, the response the guard
+		t.Fatalf("after a completed lookup: %d timers queued, want 0", n)
+	}
+	nodes[0].Close()
+	if n := nodes[0].timers.Len(); n != 0 { // the loop has exited: Close waited for it
+		t.Fatalf("after Close: %d timers queued, want 0", n)
 	}
 }

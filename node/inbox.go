@@ -89,6 +89,13 @@ func (in *inbox) take(spare []inboxEntry) (batch []inboxEntry, open bool) {
 	return batch, open
 }
 
+// isClosed reports whether close has run.
+func (in *inbox) isClosed() bool {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.closed
+}
+
 // close stops the inbox accepting entries and wakes the loop to drain.
 func (in *inbox) close() {
 	in.mu.Lock()

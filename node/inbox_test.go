@@ -190,50 +190,55 @@ func waitGoroutines(t *testing.T, want int, what string) {
 
 // TestMemClusterGoroutines: a node on an in-memory endpoint is one
 // goroutine — senders push into its inbox, so there is no receive pump —
-// a fault-wrapped endpoint included, and Close leaves none behind. A UDP
-// node keeps its pump, and so does a fault wrapper around a socket, which
-// cannot push.
+// a fault-wrapped endpoint included, and Close leaves none behind. A node
+// on a virtual network is none: the callers step it. A UDP node keeps its
+// pump, and so does a fault wrapper around a socket, which cannot push.
 func TestMemClusterGoroutines(t *testing.T) {
 	proto, err := rcm.NewProtocol("chord", rcm.Config{Bits: 7, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 128
-	mem := NewMemNetwork()
-	addrs := make([]string, n)
-	nodes := make([]*Node, n)
 	base := settledGoroutines()
-	for i := range nodes {
-		var tr Transport = mem.Endpoint()
-		addrs[i] = tr.Addr()
-		if i%2 == 1 {
-			tr, err = WrapFault(tr, FaultConfig{Plan: mustPlan(t, "dup:0.1"), Self: uint64(i)})
+	for _, net := range []struct {
+		name  string
+		mem   *MemNetwork
+		perNd int
+	}{{"mem", NewMemNetwork(), 1}, {"sim", NewSimNetwork(), 0}} {
+		addrs := make([]string, n)
+		nodes := make([]*Node, n)
+		for i := range nodes {
+			var tr Transport = net.mem.Endpoint()
+			addrs[i] = tr.Addr()
+			if i%2 == 1 {
+				tr, err = WrapFault(tr, FaultConfig{Plan: mustPlan(t, "dup:0.1"), Self: uint64(i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			nodes[i], err = New(Config{
+				Protocol:  proto,
+				ID:        overlay.ID(i),
+				Transport: tr,
+				AddrOf:    func(id overlay.ID) string { return addrs[id] },
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			nodes[i].Start()
 		}
-		nodes[i], err = New(Config{
-			Protocol:  proto,
-			ID:        overlay.ID(i),
-			Transport: tr,
-			AddrOf:    func(id overlay.ID) string { return addrs[id] },
-		})
-		if err != nil {
-			t.Fatal(err)
+		waitGoroutines(t, base+n*net.perNd, "128 started "+net.name+" nodes")
+		for i := 0; i < n; i++ {
+			if res := nodes[i].Lookup(overlay.ID((i + 77) % n)); !res.OK() {
+				t.Fatalf("%s lookup from %d: %+v", net.name, i, res)
+			}
 		}
-		nodes[i].Start()
-	}
-	waitGoroutines(t, base+n, "128 started mem nodes")
-	for i := 0; i < n; i++ {
-		if res := nodes[i].Lookup(overlay.ID((i + 77) % n)); !res.OK() {
-			t.Fatalf("lookup from %d: %+v", i, res)
+		waitGoroutines(t, base+n*net.perNd, net.name+" after traffic")
+		for _, nd := range nodes {
+			nd.Close()
 		}
+		waitGoroutines(t, base, net.name+" after Close")
 	}
-	waitGoroutines(t, base+n, "after traffic")
-	for _, nd := range nodes {
-		nd.Close()
-	}
-	waitGoroutines(t, base, "after Close")
 
 	for _, wrapped := range []bool{false, true} {
 		udp, err := ListenUDP("127.0.0.1:0")

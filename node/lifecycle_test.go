@@ -2,6 +2,7 @@ package node
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -162,19 +163,92 @@ func TestControlConcurrentWithClose(t *testing.T) {
 	}
 }
 
-// TestResponseGuardStopped: the per-request response guard must die with
-// the request. Before the fix every concluded request left its
-// time.AfterFunc armed, so Deadline + 2·RTO later each one posted a dead
-// closure into the event loop (and held the request's state until then).
-// The test parks the loop past the guard time and looks at what queued up
-// behind it: nothing may, whether the requests concluded by a response or
-// by Kill.
+// TestSimConcurrentCallers: on a virtual network whichever caller is
+// blocked steps the network, so callers on many goroutines — lookups,
+// Metrics, and Kill/Restart of one node — take turns stepping and each
+// returns with its own reply; afterwards every pair routes and a
+// concurrent Close of every node returns. Under -race this also checks
+// that node state passes between the stepping goroutines only through the
+// network's step lock.
+func TestSimConcurrentCallers(t *testing.T) {
+	proto, err := rcm.NewProtocol("chord", rcm.Config{Bits: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, toggled = 16, 5
+	sim := NewSimNetwork()
+	addrs := make([]string, n)
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		tr := sim.Endpoint()
+		addrs[i] = tr.Addr()
+		if nodes[i], err = New(Config{
+			Protocol:  proto,
+			ID:        overlay.ID(i),
+			Transport: tr,
+			AddrOf:    func(id overlay.ID) string { return addrs[id] },
+			RTO:       10 * time.Millisecond,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		nodes[i].Start()
+	}
+	within(t, 30*time.Second, "concurrent callers", func() {
+		var wg sync.WaitGroup
+		for g := 0; g < 6; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 40; i++ {
+					switch src := (g + i) % n; {
+					case g == 0 && i%2 == 0:
+						nodes[toggled].Kill()
+					case g == 0:
+						nodes[toggled].Restart()
+					case i%5 == 0:
+						nodes[src].Metrics()
+					default:
+						nodes[src].Lookup(overlay.ID((src + 3*g + i) % n))
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	})
+	for src := range nodes {
+		for dst := range nodes {
+			if r := nodes[src].Lookup(overlay.ID(dst)); !r.OK() {
+				t.Fatalf("lookup %d->%d after the concurrent phase: %+v", src, dst, r)
+			}
+		}
+	}
+	within(t, 10*time.Second, "concurrent Close", func() {
+		var wg sync.WaitGroup
+		for _, nd := range nodes {
+			wg.Add(1)
+			go func() { defer wg.Done(); nd.Close() }()
+		}
+		wg.Wait()
+	})
+}
+
+// timersOnLoop reads the length of nd's timer queue on its loop.
+func timersOnLoop(t *testing.T, nd *Node) int {
+	t.Helper()
+	ch := make(chan int, 1)
+	if !nd.post(func() { ch <- nd.timers.Len() }) {
+		t.Fatal("post on a live node failed")
+	}
+	return <-ch
+}
+
+// TestResponseGuardStopped: the per-request response guard and the
+// per-hop RTO must leave the node's timer queue with the request. Before
+// the timer queue, every concluded request left a runtime timer armed,
+// which Deadline + 2·RTO later posted a dead closure into the event loop
+// and held the request's state until then. The queue must be empty after
+// requests concluded by a response, by Kill, and by Close.
 func TestResponseGuardStopped(t *testing.T) {
-	const (
-		rto      = 10 * time.Millisecond
-		deadline = 100 * time.Millisecond
-		guard    = deadline + 2*rto
-	)
 	proto, err := rcm.NewProtocol("chord", rcm.Config{Bits: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -191,8 +265,8 @@ func TestResponseGuardStopped(t *testing.T) {
 			}
 			return silent.Addr()
 		},
-		RTO:      rto,
-		Deadline: deadline,
+		RTO:      time.Second, // the silent peer's failovers outlast the checks below
+		Deadline: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,49 +274,45 @@ func TestResponseGuardStopped(t *testing.T) {
 	nd.Start()
 	defer nd.Close()
 
-	guardCallbacks := func(what string) {
-		t.Helper()
-		release := make(chan struct{})
-		if !nd.post(func() { <-release }) {
-			t.Fatal("post on a live node failed")
-		}
-		time.Sleep(guard + 50*time.Millisecond) // past every guard armed so far
-		queued := queuedEntries(nd)
-		close(release)
-		if queued != 0 {
-			t.Errorf("%s: %d guard callbacks reached the loop, want 0", what, queued)
-		}
-	}
-
 	for i := 0; i < 20; i++ {
 		if res := nd.Lookup(3); !res.OK() {
 			t.Fatalf("self-lookup %d: %+v", i, res)
 		}
 	}
-	guardCallbacks("after 20 completed lookups")
+	if n := timersOnLoop(t, nd); n != 0 {
+		t.Errorf("after 20 completed lookups: %d timers queued, want 0", n)
+	}
 
 	// A lookup toward the silent peer stays in flight (retransmitting)
-	// until Kill concludes it; its guard must be disarmed with it.
-	inflight := make(chan Result, 1)
-	go func() { inflight <- nd.Lookup(9) }()
-	for nd.Metrics().ReqsOut == 0 {
-		time.Sleep(time.Millisecond)
+	// until Kill or Close concludes it; its guard and RTO leave with it.
+	for _, end := range []string{"killed", "closed"} {
+		sent := nd.Metrics().ReqsOut
+		inflight := make(chan Result, 1)
+		go func() { inflight <- nd.Lookup(9) }()
+		for nd.Metrics().ReqsOut == sent {
+			time.Sleep(time.Millisecond)
+		}
+		if n := timersOnLoop(t, nd); n != 2 {
+			t.Fatalf("in flight: %d timers queued, want the guard and the RTO", n)
+		}
+		if end == "killed" {
+			nd.Kill()
+		} else {
+			nd.Close()
+		}
+		if res := <-inflight; res.Err == nil || !strings.Contains(res.Err.Error(), end) {
+			t.Fatalf("in-flight lookup across %s = %+v, want %s error", end, res, end)
+		}
+		if end == "killed" {
+			if n := timersOnLoop(t, nd); n != 0 {
+				t.Errorf("after Kill: %d timers queued, want 0", n)
+			}
+			if m := nd.Metrics(); m.Expired != 0 {
+				t.Errorf("Expired = %d, want 0: no request here outlived its deadline", m.Expired)
+			}
+			nd.Restart()
+		} else if n := nd.timers.Len(); n != 0 { // the loop has exited: Close waited for it
+			t.Errorf("after Close: %d timers queued, want 0", n)
+		}
 	}
-	nd.Kill()
-	if res := <-inflight; res.Err == nil || !strings.Contains(res.Err.Error(), "killed") {
-		t.Fatalf("in-flight lookup across Kill = %+v, want killed error", res)
-	}
-	guardCallbacks("after Kill")
-
-	if m := nd.Metrics(); m.Expired != 0 {
-		t.Errorf("Expired = %d, want 0: no request here outlived its deadline", m.Expired)
-	}
-}
-
-// queuedEntries is how many entries wait in nd's inbox behind whatever
-// the loop is running.
-func queuedEntries(nd *Node) int {
-	nd.in.mu.Lock()
-	defer nd.in.mu.Unlock()
-	return len(nd.in.q)
 }

@@ -62,15 +62,11 @@ type evictionCounter interface{ Evictions() uint64 }
 // by the event loop between events, so counters and histograms are
 // mutually consistent. A closed node returns the zero Metrics.
 func (n *Node) Metrics() Metrics {
-	var m Metrics
-	done := make(chan struct{})
-	if n.post(func() {
-		m = n.snapshotMetrics()
-		close(done)
-	}) {
-		<-done
+	ch := make(chan Metrics, 1)
+	if !n.post(func() { ch <- n.snapshotMetrics() }) {
+		return Metrics{}
 	}
-	return m
+	return await(n, ch)
 }
 
 // snapshotMetrics copies the loop-owned record and fills in the gauges

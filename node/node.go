@@ -3,11 +3,15 @@ package node
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rcm"
+	"rcm/node/internal/clock"
 	"rcm/obs"
 	"rcm/overlay"
 	"rcm/replica"
@@ -120,37 +124,42 @@ func (r Result) OK() bool { return r.Err == nil && r.Status == StatusOK }
 // pendingFwd is one in-flight forward attempt awaiting its hop
 // acknowledgement — the live counterpart of eventsim's pending arena slot.
 type pendingFwd struct {
-	msg      message      // the request as this holder forwards it
-	cands    []overlay.ID // candidate next hops, best first, enumerated once
-	ci       int          // current candidate index
-	try      int          // retransmissions consumed for this candidate
-	attempt  uint64       // guards against stale timer firings
-	timer    *time.Timer
-	deadline time.Time // absolute per-message deadline at this holder
-	sentAt   time.Time // this attempt's send time — the RTT sample reference
+	msg      message       // the request as this holder forwards it
+	cands    []overlay.ID  // candidate next hops, best first, enumerated once
+	ci       int           // current candidate index
+	try      int           // retransmissions consumed for this candidate
+	rto      clock.Handle  // this attempt's retransmission timeout in the node's timer queue
+	deadline time.Duration // absolute per-message deadline at this holder
+	sentAt   time.Duration // this attempt's send time — the RTT sample reference
 }
 
 // originWait is one locally-originated request awaiting its verdict:
 // the caller's channel plus what the origin needs to attribute the
 // outcome (operation, issue time) when the response arrives, and the
-// response-deadline guard timer, stopped with whatever concludes the
-// request first.
+// response-deadline guard in the node's timer queue, removed with
+// whatever concludes the request first.
 type originWait struct {
 	ch    chan Result
 	op    Op
-	start time.Time
-	guard *time.Timer
+	reqID uint64
+	start time.Duration
+	guard clock.Handle
 }
 
-// Node is one live DHT node: an event-loop goroutine owning all routing
-// state, fed through one inbox by arriving datagrams, local callers and
-// timer callbacks. The public methods are safe for concurrent use.
+// Node is one live DHT node: an event loop owning all routing state, fed
+// through one inbox by arriving datagrams, local callers and its timer
+// wake-up. The public methods are safe for concurrent use.
 type Node struct {
 	cfg   Config
 	fwd   rcm.Forwarder
 	space overlay.Space
 	tr    Transport
 	store Store
+
+	// clk is the clock of the node's network; sim is the same clock when
+	// the network is virtual (NewSimNetwork), nil on the wall clock.
+	clk clock.Clock
+	sim *clock.Virtual
 
 	in   *inbox
 	wg   sync.WaitGroup
@@ -163,20 +172,26 @@ type Node struct {
 	// The rcm:loop-owned markers are enforced by rcmlint's loopowner
 	// analyzer: any read or write outside code reachable from the
 	// rcm:event-loop dispatch is a lint error, not a latent race.
-	pending    map[uint64]*pendingFwd                // rcm:loop-owned
-	origins    map[uint64]originWait                 // rcm:loop-owned
-	attemptSeq uint64                                // rcm:loop-owned
-	seen       map[uint64]struct{}                   // rcm:loop-owned — recently handled request ids (dedupe)
-	seenRing   []uint64                              // rcm:loop-owned — the same ids in arrival order; a ring once seenCap long
-	seenHead   int                                   // rcm:loop-owned — oldest ring slot
-	now        time.Time                             // rcm:loop-owned — see clock
-	encBuf     []byte                                // rcm:loop-owned
-	candBuf    []overlay.ID                          // rcm:loop-owned
-	rtt        map[overlay.ID]obs.RTT[time.Duration] // rcm:loop-owned — per-peer adaptive-RTO estimator
-	stats      Metrics                               // rcm:loop-owned — counters and histograms (see metrics.go)
+	pending  map[uint64]*pendingFwd                // rcm:loop-owned
+	origins  map[uint64]*originWait                // rcm:loop-owned
+	timers   clock.Queue[any]                      // rcm:loop-owned — RTOs (*pendingFwd) and response guards (*originWait)
+	wake     clock.Timer                           // rcm:loop-owned — the one clock timer, due at wakeAt; made on first use
+	wakeAt   time.Duration                         // rcm:loop-owned — noWake while the wake is not armed
+	seen     map[uint64]struct{}                   // rcm:loop-owned — recently handled request ids (dedupe)
+	seenRing []uint64                              // rcm:loop-owned — the same ids in arrival order; a ring once seenCap long
+	seenHead int                                   // rcm:loop-owned — oldest ring slot
+	now      time.Duration                         // rcm:loop-owned — see clock
+	encBuf   []byte                                // rcm:loop-owned
+	candBuf  []overlay.ID                          // rcm:loop-owned
+	rtt      map[overlay.ID]obs.RTT[time.Duration] // rcm:loop-owned — per-peer adaptive-RTO estimator, at most seenCap peers
+	stats    Metrics                               // rcm:loop-owned — counters and histograms (see metrics.go)
 }
 
+// seenCap bounds the dedupe window and the per-peer RTT map.
 const seenCap = 4096
+
+// noWake is wakeAt while the clock timer is not armed.
+const noWake = time.Duration(math.MaxInt64)
 
 // New validates the configuration and creates the node (stopped; call
 // Start).
@@ -208,12 +223,15 @@ func New(cfg Config) (*Node, error) {
 		space:   space,
 		tr:      cfg.Transport,
 		store:   cfg.Store,
+		clk:     clockOf(cfg.Transport),
 		in:      newInbox(),
 		pending: make(map[uint64]*pendingFwd),
-		origins: make(map[uint64]originWait),
+		origins: make(map[uint64]*originWait),
+		wakeAt:  noWake,
 		seen:    make(map[uint64]struct{}),
 		rtt:     make(map[overlay.ID]obs.RTT[time.Duration]),
 	}
+	n.sim, _ = n.clk.(*clock.Virtual)
 	return n, nil
 }
 
@@ -230,7 +248,13 @@ func (n *Node) Store() Store { return n.store }
 // endpoints, fault-wrapped or not) delivers into the inbox from the
 // sender's goroutine, so the loop is the node's only goroutine; any other
 // transport gets a pump goroutine blocking in Recv on the loop's behalf.
+// On a virtual network the node has no goroutine at all: the network's
+// steps run it (simDeliver, simAfter).
 func (n *Node) Start() {
+	if n.sim != nil {
+		n.tr.(pushTransport).attach(n.simDeliver)
+		return
+	}
 	n.wg.Add(1)
 	go n.loop()
 	if p, ok := n.tr.(pushTransport); ok && p.attach(n.deliver) {
@@ -245,6 +269,12 @@ func (n *Node) Close() {
 	n.once.Do(func() {
 		n.in.close()
 		n.tr.Close()
+		if n.sim != nil {
+			// What the wall-clock loop does once its last batch has run.
+			done := make(chan struct{}, 1)
+			n.simAfter(0, func() { n.drop("closed"); done <- struct{}{} })
+			await(n, done)
+		}
 	})
 	n.wg.Wait()
 }
@@ -266,21 +296,17 @@ func (n *Node) Down() bool { return n.downNow.Load() }
 // it is a rejected no-op: the inbox refuses the post, so a closed node's
 // downNow is never re-armed.
 func (n *Node) control(down bool) {
-	ack := make(chan struct{})
+	ack := make(chan struct{}, 1)
 	if n.post(func() {
 		if down && !n.downNow.Load() {
 			// Crash semantics: every in-flight responsibility dies with
 			// the node.
-			for _, st := range n.pending {
-				st.timer.Stop()
-			}
-			n.pending = make(map[uint64]*pendingFwd)
-			n.failOrigins("killed")
+			n.drop("killed")
 		}
 		n.downNow.Store(down)
-		close(ack)
+		ack <- struct{}{}
 	}) {
-		<-ack
+		await(n, ack)
 	}
 }
 
@@ -294,43 +320,119 @@ func (n *Node) loop() {
 	for open := true; open; {
 		batch, open = n.in.take(batch)
 		for i := range batch {
-			e := &batch[i]
-			n.now = time.Time{}
-			if e.fn != nil {
-				e.fn()
-			} else if open { // a closed node answers no datagram, only its blocked callers
-				n.handle(e.pkt, e.from)
-			}
+			n.run(&batch[i], open)
 		}
 		clear(batch) // it is the next spare: keep no packet or closure alive through it
 	}
 	// The inbox accepted every post it reported true for and the final
 	// batch has run them, so whoever is still waiting is registered here:
-	// fail them, since timers firing from now on cannot reach the loop.
-	n.failOrigins("closed")
-	for _, st := range n.pending {
-		st.timer.Stop()
+	// fail them, since nothing reaches the loop from now on.
+	n.drop("closed")
+}
+
+// run is one turn of the loop: a posted function, or a datagram — which
+// a closed node does not answer, serving only its blocked callers.
+func (n *Node) run(e *inboxEntry, open bool) {
+	n.now = -1
+	if e.fn != nil {
+		e.fn()
+	} else if open {
+		n.handle(e.pkt, e.from)
 	}
 }
 
-// clock returns the time at which the running inbox entry first asked
-// for it: an entry reads the clock at most once, and one that needs no
-// time (an acknowledgement under the fixed RTO) not at all.
-func (n *Node) clock() time.Time {
-	if n.now.IsZero() {
-		n.now = time.Now()
+// simDeliver runs one arriving datagram on a node of a virtual network,
+// whose steps are the loop: each runs while no other code of the network
+// does. rcm:event-loop
+func (n *Node) simDeliver(pkt []byte, from string) {
+	n.run(&inboxEntry{pkt: pkt, from: from}, !n.in.isClosed())
+}
+
+// simAfter runs f as one step of the node's virtual network, d from now.
+// rcm:loop-post (a step runs while no other code of the network does: f
+// runs as this node's loop)
+func (n *Node) simAfter(d time.Duration, f func()) {
+	n.sim.AfterFunc(d, f)
+}
+
+// await returns the value the loop sends on ch. On a virtual network
+// nothing else steps the network, so the waiting caller does, until the
+// value is there.
+func await[T any](n *Node, ch chan T) T {
+	if n.sim != nil && !n.sim.Run(func() bool { return len(ch) > 0 }) {
+		panic("node: the virtual network ran dry while a caller waited on it")
+	}
+	return <-ch
+}
+
+// clock returns the time at which the running loop turn first asked for
+// it: a turn reads the clock at most once, and one that needs no time (an
+// acknowledgement under the fixed RTO) not at all.
+func (n *Node) clock() time.Duration {
+	if n.now < 0 {
+		n.now = n.clk.Now()
 	}
 	return n.now
 }
 
-// failOrigins concludes every still-waiting originator with a local
-// failure and disarms its response guard.
-func (n *Node) failOrigins(why string) {
-	for id, w := range n.origins {
+// arm queues e — a *pendingFwd's RTO or an *originWait's guard, located
+// by h — for deadline at.
+func (n *Node) arm(h *clock.Handle, e any, at time.Duration) {
+	n.timers.Arm(h, e, at)
+	n.wakeBy(at)
+}
+
+// wakeBy makes the clock timer due no later than at. It is only ever
+// moved earlier: a wake-up that finds nothing due re-arms for what is.
+func (n *Node) wakeBy(at time.Duration) {
+	if at >= n.wakeAt {
+		return
+	}
+	n.wakeAt = at
+	if n.wake == nil {
+		n.wake = n.clk.AfterFunc(at-n.clock(), func() { n.post(func() { n.tick() }) })
+	} else {
+		n.wake.Reset(at - n.clock())
+	}
+}
+
+// tick is the clock timer's turn of the loop: fire every timer now due,
+// earliest first, then re-arm for the next.
+func (n *Node) tick() {
+	n.wakeAt = noWake
+	for {
+		at, ok := n.timers.Next()
+		if !ok {
+			return
+		}
+		if at > n.clock() {
+			n.wakeBy(at)
+			return
+		}
+		_, e, _ := n.timers.Pop()
+		switch e := e.(type) {
+		case *pendingFwd:
+			n.handleTimeout(e)
+		case *originWait:
+			n.expire(e)
+		}
+	}
+}
+
+// drop ends every in-flight responsibility — forward attempts, waiting
+// originators, and the timers of both — as a crash or Close does.
+func (n *Node) drop(why string) {
+	clear(n.pending)
+	for _, id := range slices.Sorted(maps.Keys(n.origins)) {
+		w := n.origins[id]
 		delete(n.origins, id)
-		w.guard.Stop()
 		w.ch <- Result{Err: fmt.Errorf("node %d: %s", n.cfg.ID, why)}
 	}
+	n.timers.Clear()
+	if n.wake != nil {
+		n.wake.Stop()
+	}
+	n.wakeAt = noWake
 }
 
 // pump feeds the inbox from a transport that can only be read by
@@ -352,11 +454,25 @@ func (n *Node) deliver(pkt []byte, from string) {
 	n.in.put(inboxEntry{pkt: pkt, from: from})
 }
 
-// post schedules f on the loop, reporting false if the node is closed;
-// an accepted f always runs. rcm:loop-post (loopowner: function literals
-// passed here run on the event-loop goroutine).
+// post schedules f on the loop — on a virtual network, as a step of its
+// own — reporting false if the node is closed; an accepted f always
+// runs. rcm:loop-post (loopowner: function literals passed here run on
+// the event-loop goroutine).
 func (n *Node) post(f func()) bool {
-	return n.in.put(inboxEntry{fn: f})
+	if n.sim == nil {
+		return n.in.put(inboxEntry{fn: f})
+	}
+	if n.in.isClosed() {
+		return false
+	}
+	n.simAfter(0, func() {
+		open := !n.in.isClosed()
+		n.run(&inboxEntry{fn: f}, open)
+		if !open {
+			n.drop("closed") // closed after accepting f: f may have registered a waiter
+		}
+	})
+	return true
 }
 
 // ---- Public operations -------------------------------------------------
@@ -477,28 +593,30 @@ func (n *Node) issue(op Op, dst overlay.ID, key uint64, value []byte) Result {
 			ch <- Result{Err: fmt.Errorf("node %d: down", n.cfg.ID)}
 			return
 		}
+		w := &originWait{ch: ch, op: op, reqID: reqID, start: n.clock()}
+		n.origins[reqID] = w
 		// Local response deadline: if every downstream holder dies or the
 		// response datagram is lost, the origin still concludes.
-		guard := n.cfg.Deadline + 2*n.cfg.RTO
-		timer := time.AfterFunc(guard, func() {
-			n.post(func() {
-				if w, live := n.origins[reqID]; live {
-					delete(n.origins, reqID)
-					n.stats.Expired++
-					w.ch <- Result{Status: StatusExpired, Err: fmt.Errorf("node %d: request %#x: no response within %v", n.cfg.ID, reqID, guard)}
-				}
-			})
-		})
-		n.origins[reqID] = originWait{ch: ch, op: op, start: n.clock(), guard: timer}
+		n.arm(&w.guard, w, w.start+n.guardTime())
 		n.hold(m)
 	})
 	if !ok {
 		return Result{Err: fmt.Errorf("node %d: closed", n.cfg.ID)}
 	}
 	// The accepted post runs and registers ch, and a registered origin
-	// always concludes: by its response, its guard, Kill, or the loop's
-	// exit.
-	return <-ch
+	// always concludes: by its response, its guard, Kill, or Close.
+	return await(n, ch)
+}
+
+// guardTime is how long an origin waits for a verdict: the request's
+// deadline plus one acknowledgement exchange.
+func (n *Node) guardTime() time.Duration { return n.cfg.Deadline + 2*n.cfg.RTO }
+
+// expire concludes an origin whose response guard ran out.
+func (n *Node) expire(w *originWait) {
+	delete(n.origins, w.reqID)
+	n.stats.Expired++
+	w.ch <- Result{Status: StatusExpired, Err: fmt.Errorf("node %d: request %#x: no response within %v", n.cfg.ID, w.reqID, n.guardTime())}
 }
 
 // ---- Event handlers (loop goroutine only) ------------------------------
@@ -583,7 +701,7 @@ func (n *Node) hold(m message) {
 	st := &pendingFwd{
 		msg:      m,
 		cands:    append([]overlay.ID(nil), n.candBuf...),
-		deadline: n.clock().Add(time.Duration(m.Deadline) * time.Millisecond),
+		deadline: n.clock() + time.Duration(m.Deadline)*time.Millisecond,
 	}
 	n.pending[m.ReqID] = st
 	n.dispatch(st)
@@ -592,21 +710,17 @@ func (n *Node) hold(m message) {
 // dispatch sends the request to the current candidate and arms the RTO —
 // the live counterpart of eventsim's dispatch.
 func (n *Node) dispatch(st *pendingFwd) {
-	remaining := st.deadline.Sub(n.clock())
+	remaining := st.deadline - n.clock()
 	if remaining <= 0 {
 		delete(n.pending, st.msg.ReqID)
 		n.respond(st.msg, StatusExpired, nil)
 		return
 	}
-	n.attemptSeq++
-	st.attempt = n.attemptSeq
 	out := st.msg
 	out.Budget--
 	out.Deadline = uint32(remaining / time.Millisecond)
 	st.sentAt = n.clock()
 	n.sendMsg(n.cfg.AddrOf(st.cands[st.ci]), &out)
-	attempt := st.attempt
-	reqID := st.msg.ReqID
 	rto := n.cfg.RTO
 	if n.cfg.AdaptiveRTO {
 		// Unlike the simulator, whose floor is the configured RTO (its
@@ -616,9 +730,7 @@ func (n *Node) dispatch(st *pendingFwd) {
 		// id, not held in recycled slots.
 		rto = n.rtt[st.cands[st.ci]].RTO(rto, max(time.Millisecond, rto/8), st.try)
 	}
-	st.timer = time.AfterFunc(rto, func() {
-		n.post(func() { n.handleTimeout(reqID, attempt) })
-	})
+	n.arm(&st.rto, st, st.sentAt+rto)
 }
 
 // handleAck retires the acknowledged attempt: the downstream hop has
@@ -628,7 +740,7 @@ func (n *Node) handleAck(m message) {
 	if !ok {
 		return
 	}
-	st.timer.Stop()
+	n.timers.Stop(&st.rto)
 	if n.cfg.AdaptiveRTO && st.ci == 0 && st.try == 0 {
 		// Karn's rule: only a request this holder has sent exactly once
 		// yields an RTT sample. Acks carry no sender, so after a
@@ -636,8 +748,11 @@ func (n *Node) handleAck(m message) {
 		// copy it answers — a slow ack from the candidate just given up
 		// on would otherwise read as a near-zero RTT for the next one.
 		peer := st.cands[0]
-		est := n.rtt[peer]
-		est.Observe(n.clock().Sub(st.sentAt))
+		est, known := n.rtt[peer]
+		est.Observe(n.clock() - st.sentAt)
+		if !known && len(n.rtt) >= seenCap {
+			clear(n.rtt)
+		}
 		n.rtt[peer] = est
 	}
 	delete(n.pending, m.ReqID)
@@ -646,12 +761,9 @@ func (n *Node) handleAck(m message) {
 // handleTimeout mirrors eventsim's handleTimeout: retransmit to the same
 // candidate first (a lost request must not skip the best next hop), fail
 // over to the next candidate once retransmissions are exhausted, and fail
-// the request when no candidates remain.
-func (n *Node) handleTimeout(reqID, attempt uint64) {
-	st, ok := n.pending[reqID]
-	if !ok || st.attempt != attempt {
-		return // acknowledged or superseded in the meantime
-	}
+// the request when no candidates remain. The timer queue has already
+// dropped st's RTO; an acknowledged attempt's never fires.
+func (n *Node) handleTimeout(st *pendingFwd) {
 	n.stats.Timeouts++
 	if st.try < n.cfg.Retransmits {
 		st.try++
@@ -663,7 +775,7 @@ func (n *Node) handleTimeout(reqID, attempt uint64) {
 	st.try = 0
 	n.stats.Failovers++
 	if st.ci >= len(st.cands) {
-		delete(n.pending, reqID)
+		delete(n.pending, st.msg.ReqID)
 		n.respond(st.msg, StatusNoRoute, nil)
 		return
 	}
@@ -717,8 +829,8 @@ func (n *Node) handleResp(m message) {
 		return // duplicate or late response
 	}
 	delete(n.origins, m.ReqID)
-	w.guard.Stop()
-	n.stats.recordVerdict(w.op, m.Status, int(m.Hops), n.clock().Sub(w.start))
+	n.timers.Stop(&w.guard)
+	n.stats.recordVerdict(w.op, m.Status, int(m.Hops), n.clock()-w.start)
 	w.ch <- Result{Status: m.Status, Hops: int(m.Hops), Value: m.Value}
 }
 

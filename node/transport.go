@@ -6,6 +6,9 @@ import (
 	"net"
 	"net/netip"
 	"sync"
+	"time"
+
+	"rcm/node/internal/clock"
 )
 
 // Transport is the datagram substrate a node sends and receives packets
@@ -37,6 +40,16 @@ type pushTransport interface {
 	attach(deliver func(pkt []byte, from string)) bool
 }
 
+// clockOf is the clock tr's network runs on: a virtual network's for one
+// of its endpoints, fault-wrapped or not, the wall clock for anything
+// else.
+func clockOf(tr Transport) clock.Clock {
+	if ft, ok := tr.(*FaultTransport); ok {
+		return clockOf(ft.inner)
+	}
+	return clock.Of(tr)
+}
+
 // errClosed is returned by transport operations after Close.
 var errClosed = errors.New("node: transport closed")
 
@@ -48,10 +61,11 @@ type udpTransport struct {
 
 	mu    sync.Mutex
 	peers map[string]netip.AddrPort // resolved destinations, by address string
+	names map[netip.AddrPort]string // the reverse: senders, by socket address
 }
 
-// udpPeerCap bounds the resolved-destination cache; it is emptied when a
-// transport has sent to more distinct addresses than this.
+// udpPeerCap bounds the resolved-destination cache and its reverse; each
+// is emptied when it would hold more distinct addresses than this.
 const udpPeerCap = 4096
 
 // ListenUDP opens a UDP socket on addr ("127.0.0.1:0" picks a free port)
@@ -70,6 +84,7 @@ func ListenUDP(addr string) (Transport, error) {
 		addr:  conn.LocalAddr().String(),
 		buf:   make([]byte, maxPacket+1),
 		peers: make(map[string]netip.AddrPort),
+		names: make(map[netip.AddrPort]string),
 	}, nil
 }
 
@@ -101,21 +116,39 @@ func (t *udpTransport) resolve(addr string) (netip.AddrPort, error) {
 	ap = ua.AddrPort()
 	ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 	t.mu.Lock()
-	if len(t.peers) >= udpPeerCap {
-		clear(t.peers)
-	}
-	t.peers[addr] = ap
+	t.remember(addr, ap)
 	t.mu.Unlock()
 	return ap, nil
 }
 
+// remember caches addr ↔ ap both ways, emptying a full cache first.
+// Callers hold t.mu.
+func (t *udpTransport) remember(addr string, ap netip.AddrPort) {
+	if len(t.peers) >= udpPeerCap {
+		clear(t.peers)
+	}
+	if len(t.names) >= udpPeerCap {
+		clear(t.names)
+	}
+	t.peers[addr] = ap
+	t.names[ap] = addr
+}
+
 func (t *udpTransport) Recv() ([]byte, string, error) {
-	n, from, err := t.conn.ReadFromUDP(t.buf)
+	n, ap, err := t.conn.ReadFromUDPAddrPort(t.buf)
 	if err != nil {
 		return nil, "", err
 	}
 	pkt := append([]byte(nil), t.buf[:n]...)
-	return pkt, from.String(), nil
+	ap = netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+	t.mu.Lock()
+	from, ok := t.names[ap]
+	if !ok {
+		from = ap.String()
+		t.remember(from, ap)
+	}
+	t.mu.Unlock()
+	return pkt, from, nil
 }
 
 func (t *udpTransport) Close() error { return t.conn.Close() }
@@ -129,12 +162,34 @@ type MemNetwork struct {
 	mu   sync.RWMutex
 	next int
 	eps  map[string]*memEndpoint
+	// vt is the virtual clock of a NewSimNetwork network, nil on the
+	// wall clock.
+	vt *clock.Virtual
 }
 
-// NewMemNetwork returns an empty network.
+// NewMemNetwork returns an empty network on the wall clock: a datagram
+// is delivered as it is sent, and nodes run their own goroutines.
 func NewMemNetwork() *MemNetwork {
 	return &MemNetwork{eps: make(map[string]*memEndpoint)}
 }
+
+// NewSimNetwork returns an empty network on virtual time. A datagram
+// arrives simLatency after it is sent; its delivery, every function
+// posted to a node, every node's timer wake-up and every re-send a
+// FaultTransport holds back is one entry of the network's single
+// (time, arming order) queue. Nodes on it run no goroutine: a caller
+// blocked in Lookup, Get, Put, Kill, Restart, Metrics or Close steps the
+// queue, one entry at a time, until its own reply is in, and time
+// advances only as it does. Timeouts therefore cost no wall-clock time,
+// and with one caller at a time a run is a function of the calls made —
+// Recv on an endpoint is for the test that steps the network itself.
+func NewSimNetwork() *MemNetwork {
+	return &MemNetwork{eps: make(map[string]*memEndpoint), vt: new(clock.Virtual)}
+}
+
+// simLatency is the one-way latency of every datagram on a
+// NewSimNetwork network.
+const simLatency = time.Millisecond
 
 // memMailboxCap bounds an endpoint's receive queue; packets beyond it are
 // dropped, as a kernel socket buffer would.
@@ -175,33 +230,51 @@ func (n *MemNetwork) Endpoint() Transport {
 
 func (e *memEndpoint) Addr() string { return e.addr }
 
+// Clock is the clock of the endpoint's network, for clock.Of.
+func (e *memEndpoint) Clock() clock.Clock {
+	if e.net.vt != nil {
+		return e.net.vt
+	}
+	return clock.Wall
+}
+
 func (e *memEndpoint) Send(addr string, pkt []byte) error {
 	select {
 	case <-e.done:
 		return errClosed
 	default:
 	}
-	e.net.mu.RLock()
-	dst, ok := e.net.eps[addr]
+	data := append([]byte(nil), pkt...) // the caller reuses pkt
+	if vt := e.net.vt; vt != nil {
+		vt.AfterFunc(simLatency, func() { e.net.arrive(addr, data, e.addr) })
+		return nil
+	}
+	e.net.arrive(addr, data, e.addr)
+	return nil
+}
+
+// arrive hands data to whoever holds addr now: the attached node, else
+// the mailbox.
+func (n *MemNetwork) arrive(addr string, data []byte, from string) {
+	n.mu.RLock()
+	dst, ok := n.eps[addr]
 	var deliver func([]byte, string)
 	if ok {
 		deliver = dst.deliver
 	}
-	e.net.mu.RUnlock()
+	n.mu.RUnlock()
 	if !ok {
-		return nil // unknown destination: dropped, like an unroutable datagram
+		return // unknown destination: dropped, like an unroutable datagram
 	}
-	data := append([]byte(nil), pkt...) // the caller reuses pkt
 	if deliver != nil {
-		deliver(data, e.addr)
-		return nil
+		deliver(data, from)
+		return
 	}
 	select {
-	case dst.mailbox() <- memPacket{data: data, from: e.addr}:
+	case dst.mailbox() <- memPacket{data: data, from: from}:
 	case <-dst.done:
 	default: // full mailbox: dropped, like a full socket buffer
 	}
-	return nil
 }
 
 func (e *memEndpoint) mailbox() chan memPacket {
