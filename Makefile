@@ -87,9 +87,11 @@ examples:
 lint:
 	go run ./cmd/rcmlint ./...
 
-# fuzz-smoke gives each fuzz target (wire codec; closed-form forwarding
-# against its scan oracle) a short budget; the targets are build-tagged so
-# they stay out of ordinary test runs.
+# fuzz-smoke gives each fuzz target (wire codec; request table against
+# its map oracle; closed-form forwarding against its scan oracle) a short
+# budget; the targets are build-tagged so they stay out of ordinary test
+# runs.
 fuzz-smoke:
 	go test -tags fuzz -fuzz FuzzParseMessage -fuzztime 10s -run '^$$' ./node
+	go test -tags fuzz -fuzz FuzzRequestTable -fuzztime 10s -run '^$$' ./node
 	go test -tags fuzz -fuzz FuzzForwarderOracle -fuzztime 10s -run '^$$' ./internal/dht

@@ -29,11 +29,21 @@
 // own. A UDP socket, or any other Transport, gets a pump goroutine whose
 // body is Recv → inbox, the only place a system call has to block.
 //
+// What the loop knows about requests sits in one request table, keyed by
+// request id, with up to three roles per entry: a forward attempt
+// awaiting its hop acknowledgement, a request this node originated
+// awaiting its verdict, and membership of the dedupe window, the last
+// 4096 request ids handled, evicted in arrival order. Every datagram
+// costs one probe of it. Forward attempts and waiting origins are
+// records from per-node pools that recycle them, with their candidate
+// slices, so a hop allocates no routing state in steady state; an entry
+// is freed when its last role ends.
+//
 // Timers are loop state too. Each node keeps one timer queue, an
 // index-tracked 4-ary heap holding every per-hop retransmission timeout
-// and every per-request response guard; an acknowledgement, a response,
-// Kill or Close removes its entries, so a concluded request leaves
-// nothing armed. One clock timer per node stands for the whole queue: it
+// and every per-request response guard, each naming its pooled record by
+// index; an acknowledgement, a response, Kill or Close removes its
+// entries, so a concluded request leaves nothing armed. One clock timer per node stands for the whole queue: it
 // posts a wake-up into the inbox when the earliest deadline is due, and
 // is re-armed only when that deadline moves earlier — a wake-up that
 // finds nothing due re-arms for what is.

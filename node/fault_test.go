@@ -1,6 +1,8 @@
 package node
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -276,12 +278,17 @@ func TestWrapFaultValidation(t *testing.T) {
 // wrapping: plan == "" runs plain transports.
 func bootFaultCluster(t *testing.T, protocol string, bits int, plan string, tweak func(*Config)) ([]*Node, []*FaultTransport) {
 	t.Helper()
+	return bootFaultNet(t, NewMemNetwork(), protocol, bits, plan, tweak)
+}
+
+// bootFaultNet is bootFaultCluster on the given network.
+func bootFaultNet(t *testing.T, mem *MemNetwork, protocol string, bits int, plan string, tweak func(*Config)) ([]*Node, []*FaultTransport) {
+	t.Helper()
 	proto, err := rcm.NewProtocol(protocol, rcm.Config{Bits: bits, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := int(proto.Space().Size())
-	mem := NewMemNetwork()
 	addrs := make([]string, n)
 	transports := make([]Transport, n)
 	var wrappers []*FaultTransport
@@ -536,7 +543,7 @@ func TestKarnAcrossFailover(t *testing.T) {
 	got := make(chan state, 1)
 	relay.post(func() {
 		_, seeded := relay.rtt[cands[1]]
-		got <- state{len(relay.pending), seeded}
+		got <- state{relay.reqs.fwds.inUse(), seeded}
 	})
 	if s := <-got; s.pending != 0 || s.seeded {
 		t.Fatalf("late ack from candidate %d after failover to %d: pending=%d (want 0, retired), estimator for %d seeded=%v (want false)",
@@ -565,8 +572,9 @@ func TestRTTMapBounded(t *testing.T) {
 	// Never started: the test goroutine is the node's loop.
 	for peer := 0; peer < 10000; peer++ {
 		reqID := uint64(peer + 1)
-		nd.pending[reqID] = &pendingFwd{cands: []overlay.ID{overlay.ID(peer)}}
-		nd.handleAck(message{Kind: msgAck, ReqID: reqID})
+		st := nd.reqs.addFwd(nd.reqs.entry(reqID))
+		st.cands = append(st.cands, overlay.ID(peer))
+		nd.handleAck(&message{Kind: msgAck, ReqID: reqID})
 		if len(nd.rtt) > seenCap {
 			t.Fatalf("after %d peers the RTT map holds %d estimators, cap %d", peer+1, len(nd.rtt), seenCap)
 		}
@@ -620,5 +628,102 @@ func TestKillWithInFlightRTOs(t *testing.T) {
 	nodes[0].Close()
 	if n := nodes[0].timers.Len(); n != 0 { // the loop has exited: Close waited for it
 		t.Fatalf("after Close: %d timers queued, want 0", n)
+	}
+}
+
+// checkDrained fails unless nd's request table holds nothing but its
+// dedupe window — no forward or origin role, no entry without a role, at
+// most seenCap seen ids — its timer queue is empty, and every pooled
+// record is back on its free list. Call it while nothing steps nd.
+func checkDrained(t *testing.T, when string, nd *Node) {
+	t.Helper()
+	tb := &nd.reqs
+	seen := 0
+	for i := range tb.slots {
+		if tb.slots[i].empty() {
+			continue
+		}
+		if st, w := tb.fwdAt(i), tb.waitAt(i); st != nil || w != nil {
+			t.Errorf("%s: node %d still holds request %#x (forward %v, origin %v)", when, nd.ID(), tb.slots[i].key, st != nil, w != nil)
+		}
+		if tb.seen(i) {
+			seen++
+		}
+	}
+	if seen > seenCap || seen != len(tb.ring) || tb.used != seen {
+		t.Errorf("%s: node %d has %d seen ids, a window of %d and %d entries; want equal and at most %d", when, nd.ID(), seen, len(tb.ring), tb.used, seenCap)
+	}
+	if n := nd.timers.Len(); n != 0 {
+		t.Errorf("%s: node %d has %d timers queued", when, nd.ID(), n)
+	}
+	if len(tb.fwds.free) != len(tb.fwds.recs) || len(tb.waits.free) != len(tb.waits.recs) {
+		t.Errorf("%s: node %d recycled %d of %d forward and %d of %d origin records", when, nd.ID(),
+			len(tb.fwds.free), len(tb.fwds.recs), len(tb.waits.free), len(tb.waits.recs))
+	}
+}
+
+// TestRequestTableDrains holds the live node to its per-request
+// invariants on virtual time: once a replay of over a thousand mixed
+// lookups, gets and puts under duplication, reordering and a two-second
+// partition has run out, once a Kill has caught forward attempts and
+// origins in flight, and once every node is closed, each node's request
+// table holds only its dedupe window, its timer queue is empty and every
+// pooled record is free again — a retire path that forgot to recycle
+// fails here.
+func TestRequestTableDrains(t *testing.T) {
+	sim := NewSimNetwork()
+	nodes, wrappers := bootFaultNet(t, sim, "chord", 6, "dup:0.3,reorder:0.3,partition:2@1-3", nil)
+	rng := overlay.NewRNG(11)
+	ops := 0
+	for ; ops < 1000 || sim.vt.Now() < 4*time.Second; ops++ {
+		src := nodes[rng.Intn(len(nodes))]
+		switch key := fmt.Sprintf("k%d", rng.Intn(64)); rng.Intn(3) {
+		case 0:
+			src.Lookup(overlay.ID(rng.Intn(len(nodes))))
+		case 1:
+			src.Put(key, []byte(key))
+		default:
+			src.Get(key)
+		}
+	}
+	sim.vt.Run(func() bool { return false }) // every retransmission, held copy and late ack
+	var c fault.Counts
+	for _, ft := range wrappers {
+		c.Add(ft.Counts())
+	}
+	if c.Dups == 0 || c.Reorders == 0 || c.PartitionDrops == 0 {
+		t.Fatalf("%d operations over %v injected too little: %s", ops, sim.vt.Now(), c)
+	}
+	t.Logf("%d operations over %v: %s", ops, sim.vt.Now(), c)
+	for _, nd := range nodes {
+		checkDrained(t, "after the replay", nd)
+	}
+
+	const victim, inflight = 1, 8 // node 0 forwards toward its successor
+	nodes[victim].Kill()
+	chs := make([]chan Result, inflight)
+	for i := range chs {
+		chs[i] = make(chan Result, 1)
+		if !nodes[0].originate(chs[i], OpLookup, victim, 0, nil) {
+			t.Fatal("originate on a live node refused")
+		}
+	}
+	sim.vt.Run(func() bool { return nodes[0].reqs.fwds.inUse() == inflight })
+	if n := nodes[0].timers.Len(); n != 2*inflight {
+		t.Fatalf("before Kill: %d timers queued, want an RTO and a guard for each of %d lookups", n, inflight)
+	}
+	nodes[0].Kill()
+	for i, ch := range chs {
+		if r := <-ch; r.Err == nil || !strings.Contains(r.Err.Error(), "killed") {
+			t.Fatalf("lookup %d in flight across Kill = %+v, want a killed error", i, r)
+		}
+	}
+	checkDrained(t, "after Kill", nodes[0])
+
+	for _, nd := range nodes {
+		nd.Close()
+	}
+	for _, nd := range nodes {
+		checkDrained(t, "after Close", nd)
 	}
 }

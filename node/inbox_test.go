@@ -140,24 +140,30 @@ func TestInboxNoLostWakeup(t *testing.T) {
 // TestSeenWindow: the dedupe window holds exactly the last seenCap
 // request ids, evicting in arrival order.
 func TestSeenWindow(t *testing.T) {
-	nd := &Node{seen: make(map[uint64]struct{})}
+	tb := reqTable{window: seenCap}
+	held := func(id uint64) bool {
+		i := tb.lookup(id)
+		return i >= 0 && tb.seen(i)
+	}
 	const total = 2*seenCap + 37
 	for id := uint64(1); id <= total; id++ {
-		nd.markSeen(id)
-		if len(nd.seen) > seenCap || len(nd.seenRing) > seenCap {
-			t.Fatalf("after %d ids the window holds %d (ring %d), cap %d", id, len(nd.seen), len(nd.seenRing), seenCap)
+		if evicted, full := tb.see(tb.entry(id)); full {
+			tb.unsee(evicted)
+		}
+		if tb.used > seenCap || len(tb.ring) > seenCap {
+			t.Fatalf("after %d ids the window holds %d (ring %d), cap %d", id, tb.used, len(tb.ring), seenCap)
 		}
 		if oldest := id - seenCap; id > seenCap {
-			if _, held := nd.seen[oldest]; held {
+			if held(oldest) {
 				t.Fatalf("id %d still held after %d newer ones", oldest, seenCap)
 			}
-			if _, held := nd.seen[oldest+1]; !held {
+			if !held(oldest + 1) {
 				t.Fatalf("id %d evicted with only %d newer ones", oldest+1, seenCap-1)
 			}
 		}
 	}
-	if len(nd.seen) != seenCap {
-		t.Errorf("window holds %d ids, want %d", len(nd.seen), seenCap)
+	if tb.used != seenCap {
+		t.Errorf("window holds %d ids, want %d", tb.used, seenCap)
 	}
 }
 

@@ -74,8 +74,8 @@ func (n *Node) Metrics() Metrics {
 func (n *Node) snapshotMetrics() Metrics {
 	m := n.stats
 	m.StoreLen = n.store.Len()
-	m.InFlight = len(n.pending)
-	m.Waiting = len(n.origins)
+	m.InFlight = n.reqs.fwds.inUse()
+	m.Waiting = n.reqs.waits.inUse()
 	m.Down = n.downNow.Load()
 	if ec, ok := n.store.(evictionCounter); ok {
 		m.StoreEvictions = ec.Evictions()

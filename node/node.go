@@ -3,9 +3,7 @@ package node
 import (
 	"fmt"
 	"hash/fnv"
-	"maps"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,9 +120,11 @@ type Result struct {
 func (r Result) OK() bool { return r.Err == nil && r.Status == StatusOK }
 
 // pendingFwd is one in-flight forward attempt awaiting its hop
-// acknowledgement — the live counterpart of eventsim's pending arena slot.
+// acknowledgement — the live counterpart of eventsim's pending arena slot,
+// and like it a pooled record (reqtable.go).
 type pendingFwd struct {
-	msg      message       // the request as this holder forwards it
+	id       uint32        // index in the forward pool
+	msg      message       // the request as this holder forwards it: one hop's budget spent, Deadline set per attempt
 	cands    []overlay.ID  // candidate next hops, best first, enumerated once
 	ci       int           // current candidate index
 	try      int           // retransmissions consumed for this candidate
@@ -137,8 +137,9 @@ type pendingFwd struct {
 // the caller's channel plus what the origin needs to attribute the
 // outcome (operation, issue time) when the response arrives, and the
 // response-deadline guard in the node's timer queue, removed with
-// whatever concludes the request first.
+// whatever concludes the request first. It is a pooled record too.
 type originWait struct {
+	id    uint32 // index in the origin pool
 	ch    chan Result
 	op    Op
 	reqID uint64
@@ -172,19 +173,14 @@ type Node struct {
 	// The rcm:loop-owned markers are enforced by rcmlint's loopowner
 	// analyzer: any read or write outside code reachable from the
 	// rcm:event-loop dispatch is a lint error, not a latent race.
-	pending  map[uint64]*pendingFwd                // rcm:loop-owned
-	origins  map[uint64]*originWait                // rcm:loop-owned
-	timers   clock.Queue[any]                      // rcm:loop-owned — RTOs (*pendingFwd) and response guards (*originWait)
-	wake     clock.Timer                           // rcm:loop-owned — the one clock timer, due at wakeAt; made on first use
-	wakeAt   time.Duration                         // rcm:loop-owned — noWake while the wake is not armed
-	seen     map[uint64]struct{}                   // rcm:loop-owned — recently handled request ids (dedupe)
-	seenRing []uint64                              // rcm:loop-owned — the same ids in arrival order; a ring once seenCap long
-	seenHead int                                   // rcm:loop-owned — oldest ring slot
-	now      time.Duration                         // rcm:loop-owned — see clock
-	encBuf   []byte                                // rcm:loop-owned
-	candBuf  []overlay.ID                          // rcm:loop-owned
-	rtt      map[overlay.ID]obs.RTT[time.Duration] // rcm:loop-owned — per-peer adaptive-RTO estimator, at most seenCap peers
-	stats    Metrics                               // rcm:loop-owned — counters and histograms (see metrics.go)
+	reqs   reqTable                              // rcm:loop-owned — forward attempts, waiting origins and the dedupe window, one entry per request id
+	timers clock.Queue[uint32]                   // rcm:loop-owned — record id<<1: a forward attempt's RTO; id<<1 | 1: an origin's response guard
+	wake   clock.Timer                           // rcm:loop-owned — the one clock timer, due at wakeAt; made on first use
+	wakeAt time.Duration                         // rcm:loop-owned — noWake while the wake is not armed
+	now    time.Duration                         // rcm:loop-owned — see clock
+	encBuf []byte                                // rcm:loop-owned
+	rtt    map[overlay.ID]obs.RTT[time.Duration] // rcm:loop-owned — per-peer adaptive-RTO estimator, at most seenCap peers
+	stats  Metrics                               // rcm:loop-owned — counters and histograms (see metrics.go)
 }
 
 // seenCap bounds the dedupe window and the per-peer RTT map.
@@ -218,18 +214,16 @@ func New(cfg Config) (*Node, error) {
 	}
 	cfg = cfg.withDefaults()
 	n := &Node{
-		cfg:     cfg,
-		fwd:     fwd,
-		space:   space,
-		tr:      cfg.Transport,
-		store:   cfg.Store,
-		clk:     clockOf(cfg.Transport),
-		in:      newInbox(),
-		pending: make(map[uint64]*pendingFwd),
-		origins: make(map[uint64]*originWait),
-		wakeAt:  noWake,
-		seen:    make(map[uint64]struct{}),
-		rtt:     make(map[overlay.ID]obs.RTT[time.Duration]),
+		cfg:    cfg,
+		fwd:    fwd,
+		space:  space,
+		tr:     cfg.Transport,
+		store:  cfg.Store,
+		clk:    clockOf(cfg.Transport),
+		in:     newInbox(),
+		reqs:   reqTable{window: seenCap},
+		wakeAt: noWake,
+		rtt:    make(map[overlay.ID]obs.RTT[time.Duration]),
 	}
 	n.sim, _ = n.clk.(*clock.Virtual)
 	return n, nil
@@ -375,10 +369,10 @@ func (n *Node) clock() time.Duration {
 	return n.now
 }
 
-// arm queues e — a *pendingFwd's RTO or an *originWait's guard, located
-// by h — for deadline at.
-func (n *Node) arm(h *clock.Handle, e any, at time.Duration) {
-	n.timers.Arm(h, e, at)
+// arm queues the timer ref — a forward record's RTO or an origin record's
+// guard, located by h — for deadline at.
+func (n *Node) arm(h *clock.Handle, ref uint32, at time.Duration) {
+	n.timers.Arm(h, ref, at)
 	n.wakeBy(at)
 }
 
@@ -409,12 +403,11 @@ func (n *Node) tick() {
 			n.wakeBy(at)
 			return
 		}
-		_, e, _ := n.timers.Pop()
-		switch e := e.(type) {
-		case *pendingFwd:
-			n.handleTimeout(e)
-		case *originWait:
-			n.expire(e)
+		_, ref, _ := n.timers.Pop()
+		if ref&1 == 0 {
+			n.handleTimeout(n.reqs.fwds.recs[ref>>1])
+		} else {
+			n.expire(n.reqs.waits.recs[ref>>1])
 		}
 	}
 }
@@ -422,13 +415,10 @@ func (n *Node) tick() {
 // drop ends every in-flight responsibility — forward attempts, waiting
 // originators, and the timers of both — as a crash or Close does.
 func (n *Node) drop(why string) {
-	clear(n.pending)
-	for _, id := range slices.Sorted(maps.Keys(n.origins)) {
-		w := n.origins[id]
-		delete(n.origins, id)
-		w.ch <- Result{Err: fmt.Errorf("node %d: %s", n.cfg.ID, why)}
-	}
 	n.timers.Clear()
+	n.reqs.clearRoles(func(w *originWait) {
+		w.ch <- Result{Err: fmt.Errorf("node %d: %s", n.cfg.ID, why)}
+	})
 	if n.wake != nil {
 		n.wake.Stop()
 	}
@@ -574,38 +564,49 @@ func (n *Node) issue(op Op, dst overlay.ID, key uint64, value []byte) Result {
 	if !n.space.Contains(dst) {
 		return Result{Status: StatusNoRoute, Err: fmt.Errorf("node %d: destination %d outside the %d-bit identifier space", n.cfg.ID, dst, n.space.Bits())}
 	}
-	reqID := uint64(n.cfg.ID)<<32 | (n.reqSeq.Add(1) & 0xffffffff)
 	ch := make(chan Result, 1)
-	m := message{
-		Kind:     msgReq,
-		Op:       op,
-		Hops:     0,
-		Budget:   uint16(n.cfg.MaxHops),
-		ReqID:    reqID,
-		Dst:      uint64(dst),
-		Key:      key,
-		Deadline: uint32(n.cfg.Deadline / time.Millisecond),
-		Origin:   n.tr.Addr(),
-		Value:    value,
-	}
-	ok := n.post(func() {
-		if n.downNow.Load() {
-			ch <- Result{Err: fmt.Errorf("node %d: down", n.cfg.ID)}
-			return
-		}
-		w := &originWait{ch: ch, op: op, reqID: reqID, start: n.clock()}
-		n.origins[reqID] = w
-		// Local response deadline: if every downstream holder dies or the
-		// response datagram is lost, the origin still concludes.
-		n.arm(&w.guard, w, w.start+n.guardTime())
-		n.hold(m)
-	})
-	if !ok {
+	if !n.originate(ch, op, dst, key, value) {
 		return Result{Err: fmt.Errorf("node %d: closed", n.cfg.ID)}
 	}
 	// The accepted post runs and registers ch, and a registered origin
 	// always concludes: by its response, its guard, Kill, or Close.
 	return await(n, ch)
+}
+
+// originate posts a request issued at this node, whose verdict arrives on
+// ch (buffered), reporting false if the node is closed.
+func (n *Node) originate(ch chan Result, op Op, dst overlay.ID, key uint64, value []byte) bool {
+	return n.post(func() {
+		if n.downNow.Load() {
+			ch <- Result{Err: fmt.Errorf("node %d: down", n.cfg.ID)}
+			return
+		}
+		// A request id is fresh unless a datagram forged it; then take the
+		// next, so an entry's roles always belong to one request.
+		var reqID uint64
+		i := -1
+		for i < 0 || !n.reqs.slots[i].empty() {
+			reqID = uint64(n.cfg.ID)<<32 | (n.reqSeq.Add(1) & 0xffffffff)
+			i = n.reqs.entry(reqID)
+		}
+		w := n.reqs.addWait(i)
+		w.ch, w.op, w.reqID, w.start = ch, op, reqID, n.clock()
+		// Local response deadline: if every downstream holder dies or the
+		// response datagram is lost, the origin still concludes.
+		n.arm(&w.guard, w.id<<1|1, w.start+n.guardTime())
+		m := message{
+			Kind:     msgReq,
+			Op:       op,
+			Budget:   uint16(n.cfg.MaxHops),
+			ReqID:    reqID,
+			Dst:      uint64(dst),
+			Key:      key,
+			Deadline: uint32(n.cfg.Deadline / time.Millisecond),
+			Origin:   n.tr.Addr(),
+			Value:    value,
+		}
+		n.hold(&m, i)
+	})
 }
 
 // guardTime is how long an origin waits for a verdict: the request's
@@ -614,30 +615,31 @@ func (n *Node) guardTime() time.Duration { return n.cfg.Deadline + 2*n.cfg.RTO }
 
 // expire concludes an origin whose response guard ran out.
 func (n *Node) expire(w *originWait) {
-	delete(n.origins, w.reqID)
 	n.stats.Expired++
 	w.ch <- Result{Status: StatusExpired, Err: fmt.Errorf("node %d: request %#x: no response within %v", n.cfg.ID, w.reqID, n.guardTime())}
+	n.reqs.dropWait(n.reqs.lookup(w.reqID))
 }
 
 // ---- Event handlers (loop goroutine only) ------------------------------
 
-// handle decodes and dispatches one datagram.
+// handle decodes and dispatches one datagram. The decoded message is
+// passed by pointer from here on; a forward record takes the one copy.
 func (n *Node) handle(pkt []byte, from string) {
 	if n.downNow.Load() {
 		return // a dead node neither acknowledges nor routes
 	}
-	m, err := decodeWire(pkt)
-	if err != nil {
+	var m message
+	if m.decode(pkt) != nil {
 		return // malformed datagram: drop, like any UDP service
 	}
 	n.stats.countIn(m.Kind)
 	switch m.Kind {
 	case msgReq:
-		n.handleReq(m, from)
+		n.handleReq(&m, from)
 	case msgAck:
-		n.handleAck(m)
+		n.handleAck(&m)
 	case msgResp:
-		n.handleResp(m)
+		n.handleResp(&m)
 	}
 }
 
@@ -646,8 +648,9 @@ func (n *Node) handle(pkt []byte, from string) {
 // message — then apply or keep forwarding. Duplicates are acknowledged
 // and dropped; a fresh request that would overflow the forward table is
 // shed *without* an acknowledgement, so the sender's RTO machinery
-// routes around the overload exactly as it would a lost request.
-func (n *Node) handleReq(m message, from string) {
+// routes around the overload exactly as it would a lost request. One
+// table probe finds or makes the request's entry.
+func (n *Node) handleReq(m *message, from string) {
 	if !n.space.Contains(overlay.ID(m.Dst)) {
 		// Malformed outside input: no node owns it, and since every
 		// distance is masked, forwarding would carry it hop by hop toward
@@ -657,34 +660,36 @@ func (n *Node) handleReq(m message, from string) {
 		n.respond(m, StatusNoRoute, nil)
 		return
 	}
-	if _, dup := n.seen[m.ReqID]; dup {
+	i := n.reqs.entry(m.ReqID)
+	if n.reqs.seen(i) || n.reqs.fwdAt(i) != nil {
+		// A duplicate delivery (our ACK was lost) or a retransmission of
+		// an attempt we accepted moments ago: already handled.
 		n.sendMsg(from, &message{Kind: msgAck, ReqID: m.ReqID})
 		n.stats.DupReqs++
-		return // duplicate delivery (our ACK was lost); already handled
+		return
 	}
-	if _, fwding := n.pending[m.ReqID]; fwding {
-		n.sendMsg(from, &message{Kind: msgAck, ReqID: m.ReqID})
-		n.stats.DupReqs++
-		return // retransmission of an attempt we accepted moments ago
-	}
-	if overlay.ID(m.Dst) != n.cfg.ID && len(n.pending) >= n.cfg.MaxInFlight {
+	if overlay.ID(m.Dst) != n.cfg.ID && n.reqs.fwds.inUse() >= n.cfg.MaxInFlight {
 		// Graceful degradation: the forward table is full, so refuse
 		// responsibility for relayed work (requests we own are always
 		// served — they never enter the table). Deterministic, silent,
 		// counted.
+		n.reqs.release(i)
 		n.stats.Shed++
 		return
 	}
 	n.sendMsg(from, &message{Kind: msgAck, ReqID: m.ReqID})
-	n.markSeen(m.ReqID)
+	evicted, full := n.reqs.see(i)
 	m.Hops++
-	n.hold(m)
+	n.hold(m, i)
+	if full {
+		n.reqs.unsee(evicted)
+	}
 }
 
 // hold is the holder state machine shared by origination and receipt:
 // complete the request at its owner, or pick the first candidate and
-// dispatch.
-func (n *Node) hold(m message) {
+// dispatch. i is the request's table slot.
+func (n *Node) hold(m *message, i int) {
 	if overlay.ID(m.Dst) == n.cfg.ID {
 		n.applyOwner(m)
 		return
@@ -693,17 +698,16 @@ func (n *Node) hold(m message) {
 		n.respond(m, StatusHopBudget, nil)
 		return
 	}
-	n.candBuf = n.fwd.AppendCandidateHops(n.candBuf[:0], n.cfg.ID, overlay.ID(m.Dst))
-	if len(n.candBuf) == 0 {
+	st := n.reqs.addFwd(i)
+	st.cands = n.fwd.AppendCandidateHops(st.cands, n.cfg.ID, overlay.ID(m.Dst))
+	if len(st.cands) == 0 {
+		n.reqs.dropFwd(i)
 		n.respond(m, StatusNoRoute, nil)
 		return
 	}
-	st := &pendingFwd{
-		msg:      m,
-		cands:    append([]overlay.ID(nil), n.candBuf...),
-		deadline: n.clock() + time.Duration(m.Deadline)*time.Millisecond,
-	}
-	n.pending[m.ReqID] = st
+	st.msg = *m
+	st.msg.Budget--
+	st.deadline = n.clock() + time.Duration(m.Deadline)*time.Millisecond
 	n.dispatch(st)
 }
 
@@ -712,32 +716,40 @@ func (n *Node) hold(m message) {
 func (n *Node) dispatch(st *pendingFwd) {
 	remaining := st.deadline - n.clock()
 	if remaining <= 0 {
-		delete(n.pending, st.msg.ReqID)
-		n.respond(st.msg, StatusExpired, nil)
+		n.respond(&st.msg, StatusExpired, nil)
+		n.retire(st)
 		return
 	}
-	out := st.msg
-	out.Budget--
-	out.Deadline = uint32(remaining / time.Millisecond)
+	st.msg.Deadline = uint32(remaining / time.Millisecond)
 	st.sentAt = n.clock()
-	n.sendMsg(n.cfg.AddrOf(st.cands[st.ci]), &out)
+	n.sendMsg(n.cfg.AddrOf(st.cands[st.ci]), &st.msg)
 	rto := n.cfg.RTO
 	if n.cfg.AdaptiveRTO {
 		// Unlike the simulator, whose floor is the configured RTO (its
 		// arena invariant), the live floor may undercut it: a nearby
 		// responsive peer is probed faster and a dead one detected
-		// sooner. Safe here because pending state is keyed by request
-		// id, not held in recycled slots.
+		// sooner. Safe here because a retired record's RTO leaves the
+		// timer queue with it, so a recycled record never sees a stale
+		// timeout.
 		rto = n.rtt[st.cands[st.ci]].RTO(rto, max(time.Millisecond, rto/8), st.try)
 	}
-	n.arm(&st.rto, st, st.sentAt+rto)
+	n.arm(&st.rto, st.id<<1, st.sentAt+rto)
+}
+
+// retire ends st's forward attempt, whose RTO is not queued.
+func (n *Node) retire(st *pendingFwd) {
+	n.reqs.dropFwd(n.reqs.lookup(st.msg.ReqID))
 }
 
 // handleAck retires the acknowledged attempt: the downstream hop has
 // accepted responsibility.
-func (n *Node) handleAck(m message) {
-	st, ok := n.pending[m.ReqID]
-	if !ok {
+func (n *Node) handleAck(m *message) {
+	i := n.reqs.lookup(m.ReqID)
+	if i < 0 {
+		return
+	}
+	st := n.reqs.fwdAt(i)
+	if st == nil {
 		return
 	}
 	n.timers.Stop(&st.rto)
@@ -755,7 +767,7 @@ func (n *Node) handleAck(m message) {
 		}
 		n.rtt[peer] = est
 	}
-	delete(n.pending, m.ReqID)
+	n.reqs.dropFwd(i)
 }
 
 // handleTimeout mirrors eventsim's handleTimeout: retransmit to the same
@@ -775,8 +787,8 @@ func (n *Node) handleTimeout(st *pendingFwd) {
 	st.try = 0
 	n.stats.Failovers++
 	if st.ci >= len(st.cands) {
-		delete(n.pending, st.msg.ReqID)
-		n.respond(st.msg, StatusNoRoute, nil)
+		n.respond(&st.msg, StatusNoRoute, nil)
+		n.retire(st)
 		return
 	}
 	n.dispatch(st)
@@ -784,7 +796,7 @@ func (n *Node) handleTimeout(st *pendingFwd) {
 
 // applyOwner performs the operation at the key's owner and responds to
 // the origin.
-func (n *Node) applyOwner(m message) {
+func (n *Node) applyOwner(m *message) {
 	switch m.Op {
 	case OpGet:
 		n.stats.StoreGets++
@@ -805,7 +817,7 @@ func (n *Node) applyOwner(m message) {
 
 // respond sends the final verdict straight to the origin (or delivers
 // locally when this node originated the request).
-func (n *Node) respond(req message, status Status, value []byte) {
+func (n *Node) respond(req *message, status Status, value []byte) {
 	resp := message{
 		Kind:   msgResp,
 		Op:     req.Op,
@@ -815,7 +827,7 @@ func (n *Node) respond(req message, status Status, value []byte) {
 		Value:  value,
 	}
 	if req.Origin == n.tr.Addr() {
-		n.handleResp(resp)
+		n.handleResp(&resp)
 		return
 	}
 	n.sendMsg(req.Origin, &resp)
@@ -823,15 +835,19 @@ func (n *Node) respond(req message, status Status, value []byte) {
 
 // handleResp delivers a verdict to the waiting originator, deduplicating
 // by request id.
-func (n *Node) handleResp(m message) {
-	w, ok := n.origins[m.ReqID]
-	if !ok {
+func (n *Node) handleResp(m *message) {
+	i := n.reqs.lookup(m.ReqID)
+	if i < 0 {
 		return // duplicate or late response
 	}
-	delete(n.origins, m.ReqID)
+	w := n.reqs.waitAt(i)
+	if w == nil {
+		return
+	}
 	n.timers.Stop(&w.guard)
 	n.stats.recordVerdict(w.op, m.Status, int(m.Hops), n.clock()-w.start)
 	w.ch <- Result{Status: m.Status, Hops: int(m.Hops), Value: m.Value}
+	n.reqs.dropWait(i)
 }
 
 // sendMsg encodes and transmits one message, best-effort.
@@ -846,17 +862,4 @@ func (n *Node) sendMsg(addr string, m *message) {
 	n.encBuf = buf[:0]
 	n.stats.countOut(m.Kind)
 	n.tr.Send(addr, buf)
-}
-
-// markSeen records a handled request id in the bounded dedupe window,
-// evicting the oldest once seenCap ids are held.
-func (n *Node) markSeen(reqID uint64) {
-	if len(n.seenRing) < seenCap {
-		n.seenRing = append(n.seenRing, reqID)
-	} else {
-		delete(n.seen, n.seenRing[n.seenHead])
-		n.seenRing[n.seenHead] = reqID
-		n.seenHead = (n.seenHead + 1) % seenCap
-	}
-	n.seen[reqID] = struct{}{}
 }

@@ -143,25 +143,31 @@ func appendWire(buf []byte, m *message) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeWire parses a packet. The value is copied out of pkt so the caller
-// may reuse the receive buffer.
+// decodeWire parses a packet into a new message.
 func decodeWire(pkt []byte) (message, error) {
 	var m message
+	err := m.decode(pkt)
+	return m, err
+}
+
+// decode parses a packet into m, which must be zero. The value is copied
+// out of pkt so the caller may reuse the receive buffer.
+func (m *message) decode(pkt []byte) error {
 	if len(pkt) < headerLen+1+2 {
-		return m, fmt.Errorf("node: packet of %d bytes shorter than the %d-byte minimum", len(pkt), headerLen+1+2)
+		return fmt.Errorf("node: packet of %d bytes shorter than the %d-byte minimum", len(pkt), headerLen+1+2)
 	}
 	if len(pkt) > maxPacket {
-		return m, fmt.Errorf("node: packet of %d bytes exceeds the %d-byte maximum", len(pkt), maxPacket)
+		return fmt.Errorf("node: packet of %d bytes exceeds the %d-byte maximum", len(pkt), maxPacket)
 	}
 	if got := binary.BigEndian.Uint16(pkt[0:2]); got != wireMagic {
-		return m, fmt.Errorf("node: bad magic %#04x", got)
+		return fmt.Errorf("node: bad magic %#04x", got)
 	}
 	if got := pkt[2]; got != wireVersion {
-		return m, fmt.Errorf("node: wire version %d, this node speaks %d", got, wireVersion)
+		return fmt.Errorf("node: wire version %d, this node speaks %d", got, wireVersion)
 	}
 	m.Kind = pkt[3]
 	if m.Kind < msgReq || m.Kind > msgResp {
-		return m, fmt.Errorf("node: unknown message kind %d", m.Kind)
+		return fmt.Errorf("node: unknown message kind %d", m.Kind)
 	}
 	m.Op = Op(pkt[4])
 	m.Status = Status(pkt[5])
@@ -175,7 +181,7 @@ func decodeWire(pkt []byte) (message, error) {
 	olen := int(rest[0])
 	rest = rest[1:]
 	if len(rest) < olen+2 {
-		return m, fmt.Errorf("node: truncated origin (%d of %d bytes)", len(rest), olen+2)
+		return fmt.Errorf("node: truncated origin (%d of %d bytes)", len(rest), olen+2)
 	}
 	m.Origin = string(rest[:olen])
 	rest = rest[olen:]
@@ -185,13 +191,13 @@ func decodeWire(pkt []byte) (message, error) {
 		// maxPacket budgets for a full 255-byte origin, so a short origin
 		// leaves room for an over-limit value; reject it here so every
 		// decoded message can be re-encoded.
-		return m, fmt.Errorf("node: value of %d bytes exceeds the %d-byte wire limit", vlen, MaxValueLen)
+		return fmt.Errorf("node: value of %d bytes exceeds the %d-byte wire limit", vlen, MaxValueLen)
 	}
 	if len(rest) != vlen {
-		return m, fmt.Errorf("node: value length %d does not match remaining %d bytes", vlen, len(rest))
+		return fmt.Errorf("node: value length %d does not match remaining %d bytes", vlen, len(rest))
 	}
 	if vlen > 0 {
 		m.Value = append([]byte(nil), rest...)
 	}
-	return m, nil
+	return nil
 }
