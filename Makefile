@@ -88,10 +88,12 @@ lint:
 	go run ./cmd/rcmlint ./...
 
 # fuzz-smoke gives each fuzz target (wire codec; request table against
-# its map oracle; closed-form forwarding against its scan oracle) a short
-# budget; the targets are build-tagged so they stay out of ordinary test
-# runs.
+# its map oracle; closed-form forwarding against its scan oracle; the
+# shared q-powers walk of internal/core against each geometry's own
+# PhaseFailure) a short budget; the targets are build-tagged so they stay
+# out of ordinary test runs.
 fuzz-smoke:
 	go test -tags fuzz -fuzz FuzzParseMessage -fuzztime 10s -run '^$$' ./node
 	go test -tags fuzz -fuzz FuzzRequestTable -fuzztime 10s -run '^$$' ./node
 	go test -tags fuzz -fuzz FuzzForwarderOracle -fuzztime 10s -run '^$$' ./internal/dht
+	go test -tags fuzz -fuzz FuzzPhaseWalk -fuzztime 10s -run '^$$' ./internal/core

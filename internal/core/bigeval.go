@@ -30,11 +30,11 @@ func RoutabilityBig(g Geometry, d int, q float64, prec uint) (float64, error) {
 	maxH := g.MaxDistance(d)
 	es := new(big.Float).SetPrec(prec)
 	prod := new(big.Float).SetPrec(prec).SetInt64(1)
-	for h := 1; h <= maxH; h++ {
-		oneMinusQ := e.OneMinus(new(big.Float).SetPrec(prec).SetFloat64(g.PhaseFailure(d, h, q)))
-		prod = e.Mul(prod, oneMinusQ)
+	walkPhases(g, d, q, 1, maxH, func(h int, Q float64) bool {
+		prod = e.Mul(prod, e.OneMinus(new(big.Float).SetPrec(prec).SetFloat64(Q)))
 		es = e.Add(es, e.Mul(bigNodesAt(e, g, d, h), prod))
-	}
+		return true
+	})
 	den := e.Mul(e.Pow2(d), new(big.Float).SetPrec(prec).SetFloat64(1-q))
 	den = e.Add(den, new(big.Float).SetPrec(prec).SetInt64(-1))
 	if den.Sign() <= 0 {

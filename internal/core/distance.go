@@ -47,12 +47,13 @@ func MeanSuccessfulRouteLength(g Geometry, d int, q float64) (float64, error) {
 	num := make([]float64, 0, maxH)
 	den := make([]float64, 0, maxH)
 	logp := 0.0
-	for h := 1; h <= maxH; h++ {
-		logp += math.Log1p(-g.PhaseFailure(d, h, q))
+	walkPhases(g, d, q, 1, maxH, func(h int, Q float64) bool {
+		logp += math.Log1p(-Q)
 		term := g.LogNodesAt(d, h) + logp
 		num = append(num, term+math.Log(float64(h)))
 		den = append(den, term)
-	}
+		return true
+	})
 	logDen := numeric.LogSumExp(den)
 	if math.IsInf(logDen, -1) {
 		return 0, nil

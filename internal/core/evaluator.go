@@ -17,7 +17,8 @@ import (
 // prefixes not just across h within one evaluation but across the whole
 // (d, q) grid of a sweep: for the d-invariant geometries (tree, hypercube,
 // XOR, ring) the series at a given q is the same for every system size, so
-// a d-sweep pays the O(maxD²) XOR phase cost once instead of Σ O(d²). The
+// a d-sweep pays the XOR phase cost — O(maxD) Pow calls plus O(maxD²)
+// multiply-adds, see walkPhases — once instead of once per d. The
 // final ln E[S] per cell is cached too, so Routability and ExpectedReach at
 // the same grid point share a single pass.
 //
@@ -88,22 +89,11 @@ func phaseDependsOnD(g Geometry) bool {
 	return true
 }
 
-// phaseConstantInM reports whether g's Q(m) is the same for every phase m
-// (tree: Q = q; Symphony: Eq. 7 is m-free). Series extension then
-// evaluates Q once instead of once per phase — the summation order and
-// values are unchanged, so results stay bit-identical.
-func phaseConstantInM(g Geometry) bool {
-	switch g.(type) {
-	case Tree, GeneralizedTree, Symphony:
-		return true
-	}
-	return false
-}
-
-// prefix returns cum(1..h) for the geometry at (d, q), extending the cached
-// series as needed. The returned slice must not be modified.
-func (e *Evaluator) prefix(g Geometry, d, h int, q float64) []float64 {
-	key := seriesKey{geom: geomID(g), q: q}
+// prefix returns cum(1..h) for the geometry g, identified by id, at (d, q),
+// extending the cached series as needed. The returned slice must not be
+// modified.
+func (e *Evaluator) prefix(g Geometry, id string, d, h int, q float64) []float64 {
+	key := seriesKey{geom: id, q: q}
 	if phaseDependsOnD(g) {
 		key.dim = d
 	}
@@ -117,22 +107,21 @@ func (e *Evaluator) prefix(g Geometry, d, h int, q float64) []float64 {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.cum) < h && phaseConstantInM(g) {
-		inc := math.Log1p(-g.PhaseFailure(d, len(s.cum)+1, q))
-		for m := len(s.cum) + 1; m <= h; m++ {
+	if len(s.cum) < h {
+		// A Q equal to the last phase's (tree and Symphony every phase,
+		// the others once q^m underflows) reuses its log.
+		lastQ, inc := math.NaN(), 0.0
+		walkPhases(g, d, q, len(s.cum)+1, h, func(m int, Q float64) bool {
+			if Q != lastQ {
+				lastQ, inc = Q, math.Log1p(-Q)
+			}
 			prev := 0.0
 			if m > 1 {
 				prev = s.cum[m-2]
 			}
 			s.cum = append(s.cum, prev+inc)
-		}
-	}
-	for m := len(s.cum) + 1; m <= h; m++ {
-		prev := 0.0
-		if m > 1 {
-			prev = s.cum[m-2]
-		}
-		s.cum = append(s.cum, prev+math.Log1p(-g.PhaseFailure(d, m, q)))
+			return true
+		})
 	}
 	return s.cum[:h]
 }
@@ -140,8 +129,8 @@ func (e *Evaluator) prefix(g Geometry, d, h int, q float64) []float64 {
 // logNodes returns ln n(h) for h = 1..maxH, cached per (geometry, d): the
 // distance distribution does not depend on q, so one vector serves the
 // whole q-grid. The returned slice must not be modified.
-func (e *Evaluator) logNodes(g Geometry, d, maxH int) []float64 {
-	key := nodesKey{geom: geomID(g), dim: d}
+func (e *Evaluator) logNodes(g Geometry, id string, d, maxH int) []float64 {
+	key := nodesKey{geom: id, dim: d}
 	e.mu.Lock()
 	if v, ok := e.nodes[key]; ok {
 		e.mu.Unlock()
@@ -165,7 +154,8 @@ func (e *Evaluator) LogExpectedReach(g Geometry, d int, q float64) (float64, err
 	if err := validateDQ(d, q); err != nil {
 		return 0, err
 	}
-	key := reachKey{geom: geomID(g), dim: d, q: q}
+	id := geomID(g)
+	key := reachKey{geom: id, dim: d, q: q}
 	e.mu.Lock()
 	if v, ok := e.reach[key]; ok {
 		e.mu.Unlock()
@@ -174,8 +164,8 @@ func (e *Evaluator) LogExpectedReach(g Geometry, d int, q float64) (float64, err
 	e.mu.Unlock()
 
 	maxH := g.MaxDistance(d)
-	cum := e.prefix(g, d, maxH, q)
-	logN := e.logNodes(g, d, maxH)
+	cum := e.prefix(g, id, d, maxH, q)
+	logN := e.logNodes(g, id, d, maxH)
 	terms := make([]float64, 0, maxH)
 	for h := 1; h <= maxH; h++ {
 		terms = append(terms, logN[h-1]+cum[h-1])

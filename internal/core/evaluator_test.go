@@ -7,39 +7,45 @@ import (
 )
 
 // TestEvaluatorMatchesDirect verifies the memoized evaluator is bit-identical
-// to the package-level functions over a (geometry × d × q) grid, regardless
-// of evaluation order.
+// to the package-level functions over a (geometry × d × q) grid, up to the
+// largest d of the paper's grid, in either evaluation order.
 func TestEvaluatorMatchesDirect(t *testing.T) {
-	e := NewEvaluator()
-	ds := []int{4, 8, 16, 32, 64}
+	ds := []int{4, 8, 16, 32, 64, 128, 200}
 	qs := []float64{0, 0.05, 0.1, 0.3, 0.5, 0.9, 1}
-	for _, g := range AllGeometries() {
-		// Descending d exercises prefix reuse: the series is built at d=64
-		// and every smaller d reads a prefix of it.
-		for i := len(ds) - 1; i >= 0; i-- {
-			d := ds[i]
-			for _, q := range qs {
-				want, err := Routability(g, d, q)
-				if err != nil {
-					t.Fatal(err)
+	// Descending d exercises prefix reuse: the series is built at d=200
+	// and every smaller d reads a prefix of it. Ascending d exercises
+	// extension: every larger d walks on from the end of the last series.
+	for _, descending := range []bool{true, false} {
+		e := NewEvaluator()
+		for _, g := range AllGeometries() {
+			for i := range ds {
+				d := ds[i]
+				if descending {
+					d = ds[len(ds)-1-i]
 				}
-				got, err := e.Routability(g, d, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Errorf("%s d=%d q=%v: evaluator %v != direct %v", g.Name(), d, q, got, want)
-				}
-				wantES, err := ExpectedReach(g, d, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotES, err := e.ExpectedReach(g, d, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gotES != wantES && !(math.IsNaN(gotES) && math.IsNaN(wantES)) {
-					t.Errorf("%s d=%d q=%v: E[S] %v != %v", g.Name(), d, q, gotES, wantES)
+				for _, q := range qs {
+					want, err := Routability(g, d, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := e.Routability(g, d, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Errorf("%s d=%d q=%v descending=%v: evaluator %v != direct %v", g.Name(), d, q, descending, got, want)
+					}
+					wantES, err := ExpectedReach(g, d, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotES, err := e.ExpectedReach(g, d, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if gotES != wantES && !(math.IsNaN(gotES) && math.IsNaN(wantES)) {
+						t.Errorf("%s d=%d q=%v descending=%v: E[S] %v != %v", g.Name(), d, q, descending, gotES, wantES)
+					}
 				}
 			}
 		}

@@ -44,7 +44,8 @@ var (
 
 // MaxDimension bounds the identifier length accepted by the evaluators.
 // Fig. 7(a) uses d=100; the log-space pipeline stays accurate well past
-// that, and the cap keeps the O(d²) XOR evaluation bounded.
+// that, and the cap keeps the XOR evaluation — O(d) Pow calls plus O(d²)
+// multiply-adds per series — bounded.
 const MaxDimension = 8192
 
 func validateDQ(d int, q float64) error {

@@ -45,17 +45,21 @@ func (Ring) LogNodesAt(d, h int) float64 {
 // β^{2^{m−1}} is evaluated with a guarded power so the astronomically large
 // exponent underflows cleanly for large m.
 func (Ring) PhaseFailure(_, m int, q float64) float64 {
+	return ringPhase(m, q, math.Pow(q, float64(m)), math.Pow(q, float64(m-1)))
+}
+
+// ringPhase is Qring(m) given qm = q^m and qm1 = q^{m−1}.
+func ringPhase(m int, q, qm, qm1 float64) float64 {
 	if q <= 0 {
 		return 0
 	}
 	if q >= 1 {
 		return 1
 	}
-	qm := math.Pow(q, float64(m))
 	if qm == 0 {
 		return 0
 	}
-	beta := q * (1 - math.Pow(q, float64(m-1)))
+	beta := q * (1 - qm1)
 	if beta == 0 {
 		// m = 1: a single usable finger (the successor); Q = q.
 		return numeric.Clamp01(qm)

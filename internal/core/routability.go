@@ -18,9 +18,10 @@ func SuccessProb(g Geometry, d, h int, q float64) (float64, error) {
 		return 0, fmt.Errorf("%w: h=%d not in [1,%d]", ErrBadDistance, h, g.MaxDistance(d))
 	}
 	logp := 0.0
-	for m := 1; m <= h; m++ {
-		logp += math.Log1p(-g.PhaseFailure(d, m, q))
-	}
+	walkPhases(g, d, q, 1, h, func(_ int, Q float64) bool {
+		logp += math.Log1p(-Q)
+		return true
+	})
 	return numeric.Clamp01(math.Exp(logp)), nil
 }
 
@@ -35,12 +36,13 @@ func LogExpectedReach(g Geometry, d int, q float64) (float64, error) {
 	maxH := g.MaxDistance(d)
 	terms := make([]float64, 0, maxH)
 	logp := 0.0
-	for h := 1; h <= maxH; h++ {
-		// p(h) = p(h−1)·(1 − Q(h)): the phase products share prefixes, so a
-		// single incremental pass covers every h.
-		logp += math.Log1p(-g.PhaseFailure(d, h, q))
+	// p(h) = p(h−1)·(1 − Q(h)): the phase products share prefixes, so a
+	// single incremental pass covers every h.
+	walkPhases(g, d, q, 1, maxH, func(h int, Q float64) bool {
+		logp += math.Log1p(-Q)
 		terms = append(terms, g.LogNodesAt(d, h)+logp)
-	}
+		return true
+	})
 	return numeric.LogSumExp(terms), nil
 }
 

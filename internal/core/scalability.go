@@ -121,12 +121,14 @@ func Classify(g Geometry, q float64, opt ClassifyOptions) Verdict {
 // not a probability, which leaves the test without a verdict.
 func PhaseFailureSum(g Geometry, d int, q float64) (sum float64, ok bool) {
 	var acc numeric.KahanSum
-	for m := 1; m <= d; m++ {
-		t := g.PhaseFailure(d, m, q)
-		if t < 0 || t > 1 || math.IsNaN(t) {
-			return 0, false
-		}
+	ok = true
+	walkPhases(g, d, q, 1, d, func(_ int, t float64) bool {
+		ok = t >= 0 && t <= 1 && !math.IsNaN(t)
 		acc.Add(t)
+		return ok
+	})
+	if !ok {
+		return 0, false
 	}
 	return acc.Sum(), true
 }
@@ -140,11 +142,9 @@ func AsymptoticSuccess(g Geometry, q float64, horizon int) float64 {
 		horizon = 4096
 	}
 	logp := 0.0
-	for m := 1; m <= horizon; m++ {
-		logp += math.Log1p(-g.PhaseFailure(horizon, m, q))
-		if math.IsInf(logp, -1) {
-			return 0
-		}
-	}
+	walkPhases(g, horizon, q, 1, horizon, func(_ int, Q float64) bool {
+		logp += math.Log1p(-Q)
+		return !math.IsInf(logp, -1)
+	})
 	return numeric.Clamp01(math.Exp(logp))
 }

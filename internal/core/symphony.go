@@ -89,9 +89,15 @@ func (s Symphony) phaseFailure(d int, q float64) float64 {
 	case alpha <= 0:
 		// Dense-links regime (x+y >= 1): only the j=0 term survives in
 		// expectation; the alternating tail is negligible, sum via PowInt.
+		// With q within ~2^-40 of 1, |α| is so near 1 that the terms never
+		// vanish and J reaches 2^53: past 2^20 terms sum in closed form.
 		geom = 0
 		ap := 1.0
 		for j := 0; j <= bigJ && math.Abs(ap) > 1e-18; j++ {
+			if j == 1<<20 {
+				geom = (1 - math.Pow(alpha, float64(bigJ+1))) / (1 - alpha)
+				break
+			}
 			geom += ap
 			ap *= alpha
 		}

@@ -39,23 +39,41 @@ func (XOR) LogNodesAt(d, h int) float64 {
 //	Qxor(m) = q^m + Σ_{k=1..m−1} q^m · Π_{j=m−k..m−1} (1 − q^j)
 //
 // The k-th term is the probability of taking k suboptimal (lower-order-bit)
-// hops and then finding all remaining options dead. Evaluation is O(m) with
-// an incrementally maintained product.
+// hops and then finding all remaining options dead. Every q^j is read from
+// one table of powers: here this phase's own m+1, filled as the product
+// first reads them; in walkPhases the table of powers every phase of a
+// series shares. Evaluation is O(m) with an incrementally maintained
+// product.
 func (XOR) PhaseFailure(_, m int, q float64) float64 {
+	var buf [powBufLen]float64
+	return xorPhase(powers(buf[:], q, m+1, m), 0, q) // an unfilled table
+}
+
+// xorPhase is Eq. 6 at phase m = len(pw)−1 over pw[j] = q^j. Entries from
+// pw[known] on are filled here, each as math.Pow(q, j) at its first use,
+// so a lone phase overlaps its Pow calls with the product chain.
+func xorPhase(pw []float64, known int, q float64) float64 {
 	if q <= 0 {
 		return 0
 	}
 	if q >= 1 {
 		return 1
 	}
-	qm := math.Pow(q, float64(m))
+	m := len(pw) - 1
+	if m >= known {
+		pw[m] = math.Pow(q, float64(m))
+	}
+	qm := pw[m]
 	if qm == 0 {
 		return 0
 	}
 	sum := 1.0  // k = 0 term's coefficient (empty product)
 	prod := 1.0 // Π_{j=m−k..m−1}(1−q^j), maintained incrementally
-	for k := 1; k <= m-1; k++ {
-		prod *= 1 - math.Pow(q, float64(m-k))
+	for j := m - 1; j >= 1; j-- {
+		if j >= known {
+			pw[j] = math.Pow(q, float64(j))
+		}
+		prod *= 1 - pw[j]
 		sum += prod
 	}
 	return numeric.Clamp01(qm * sum)
