@@ -1,7 +1,7 @@
 package exp
 
 import (
-	"fmt"
+	"bytes"
 	"io"
 	"iter"
 	"math"
@@ -27,50 +27,70 @@ func Header() []string {
 	}
 }
 
-// fields returns the row's cells in Header order. NaN and ±Inf become
-// empty cells; floats carry full round-trip precision so golden files are
-// exact.
-func (r Row) fields() []string {
-	return []string{
-		r.Plan, r.Kind, r.Geometry, r.System, r.Protocol,
-		strconv.Itoa(r.Bits), num(r.Q),
-		num(r.AnalyticRoutability), num(r.AnalyticFailedPct), num(r.AnalyticReach),
-		num(r.SimRoutability), num(r.SimFailedPct), num(r.SimStdErr),
-		num(r.SimMeanHops), num(r.SimAlive),
-		count(r.SimPairs), count(r.SimTrials),
-		r.Scenario, num(r.Time), eventCount(r.Kind, r.EventStarted), num(r.EventSuccess),
-		num(r.EventMeanHops), num(r.EventMeanLatency),
-		num(r.EventMsgsNodeS), num(r.EventMaintNodeS), num(r.EventOnline),
-		num(r.EventHopsP50), num(r.EventHopsP99), num(r.EventHopsP999),
-		num(r.EventLatencyP50), num(r.EventLatencyP99), num(r.EventLatencyP999),
-		eventCount(r.Kind, r.EventReplicas), num(r.EventRepairNodeS),
-	}
+// appendCells appends the row's cells to b in Header order, joined by
+// commas: the one spelling of the column order, which both encoders read.
+// NaN and ±Inf become empty cells; floats carry full round-trip precision
+// so golden files are exact.
+func (r Row) appendCells(b []byte) []byte {
+	b = append(b, r.Plan...)
+	b = strs(b, r.Kind, r.Geometry, r.System, r.Protocol)
+	b = strconv.AppendInt(append(b, ','), int64(r.Bits), 10)
+	b = nums(b, r.Q,
+		r.AnalyticRoutability, r.AnalyticFailedPct, r.AnalyticReach,
+		r.SimRoutability, r.SimFailedPct, r.SimStdErr, r.SimMeanHops, r.SimAlive)
+	b = counts(b, r.SimPairs, r.SimTrials)
+	b = strs(b, r.Scenario)
+	b = nums(b, r.Time)
+	b = eventCount(b, r.Kind, r.EventStarted)
+	b = nums(b, r.EventSuccess, r.EventMeanHops, r.EventMeanLatency,
+		r.EventMsgsNodeS, r.EventMaintNodeS, r.EventOnline,
+		r.EventHopsP50, r.EventHopsP99, r.EventHopsP999,
+		r.EventLatencyP50, r.EventLatencyP99, r.EventLatencyP999)
+	b = eventCount(b, r.Kind, r.EventReplicas)
+	return nums(b, r.EventRepairNodeS)
 }
 
-// num formats a float for the flat encodings: shortest round-trip decimal,
-// empty for non-finite values (NaN marks "not measured").
-func num(v float64) string {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return ""
+// strs appends one cell per string, each after a comma.
+func strs(b []byte, ss ...string) []byte {
+	for _, s := range ss {
+		b = append(append(b, ','), s...)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return b
 }
 
-// count formats a tally, empty when zero (not measured).
-func count(n int) string {
-	if n == 0 {
-		return ""
+// nums appends one cell per float, each after a comma: the shortest
+// round-trip decimal, empty for non-finite values (NaN marks "not
+// measured").
+func nums(b []byte, vs ...float64) []byte {
+	for _, v := range vs {
+		b = append(b, ',')
+		if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			b = strconv.AppendFloat(b, v, 'g', -1, 64)
+		}
 	}
-	return strconv.Itoa(n)
+	return b
 }
 
-// eventCount renders event_started only on event rows, where a zero is a
-// real measurement (an idle window), not "not measured".
-func eventCount(kind string, n int) string {
+// counts appends one cell per tally, each after a comma, empty when zero
+// (not measured).
+func counts(b []byte, ns ...int) []byte {
+	for _, n := range ns {
+		b = append(b, ',')
+		if n != 0 {
+			b = strconv.AppendInt(b, int64(n), 10)
+		}
+	}
+	return b
+}
+
+// eventCount appends a tally after a comma on event rows only, where a
+// zero is a real measurement (an idle window), not "not measured".
+func eventCount(b []byte, kind string, n int) []byte {
+	b = append(b, ',')
 	if kind != "event" {
-		return ""
+		return b
 	}
-	return strconv.Itoa(n)
+	return strconv.AppendInt(b, int64(n), 10)
 }
 
 // WriteCSV writes buffered rows as CSV with a header line. Cells never
@@ -86,18 +106,21 @@ func WriteCSV(w io.Writer, rows []Row) error {
 }
 
 // StreamCSV encodes a row sequence — typically Stream's result — as CSV
-// with a header line, row by row, without buffering the grid. It stops at
-// (and returns) the sequence's first error, so a canceled or failed run
+// with a header line, row by row, without buffering the grid: one buffer
+// is reused for every row, and each row is one Write. It stops at (and
+// returns) the sequence's first error, so a canceled or failed run
 // surfaces through the encoder.
 func StreamCSV(w io.Writer, rows iter.Seq2[Row, error]) error {
-	if _, err := io.WriteString(w, strings.Join(Header(), ",")+"\n"); err != nil {
+	b := append([]byte(strings.Join(Header(), ",")), '\n')
+	if _, err := w.Write(b); err != nil {
 		return err
 	}
 	for r, err := range rows {
 		if err != nil {
 			return err
 		}
-		if _, err := io.WriteString(w, strings.Join(r.fields(), ",")+"\n"); err != nil {
+		b = append(r.appendCells(b[:0]), '\n')
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
 	}
@@ -105,39 +128,52 @@ func StreamCSV(w io.Writer, rows iter.Seq2[Row, error]) error {
 }
 
 // WriteJSON streams rows as a JSON array of objects with a fixed key
-// order. Unmeasured (NaN/Inf) numbers encode as null.
+// order, one Write per row. Unmeasured (NaN/Inf) numbers encode as null.
 func WriteJSON(w io.Writer, rows []Row) error {
 	header := Header()
-	var b strings.Builder
-	b.WriteString("[\n")
+	keys := make([]string, len(header))
+	for j, name := range header {
+		keys[j] = strconv.Quote(name) + ": "
+	}
+	b := []byte("[\n")
+	var cells []byte
 	for i, r := range rows {
 		if i > 0 {
-			b.WriteString(",\n")
+			b = append(b, ",\n"...)
 		}
-		b.WriteString("  {")
-		for j, cellStr := range r.fields() {
+		b = append(b, "  {"...)
+		// Cells never contain commas, so the appender's output splits
+		// back into Header's columns.
+		cells = r.appendCells(cells[:0])
+		rest := cells
+		for j, name := range header {
 			if j > 0 {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			fmt.Fprintf(&b, "%q: %s", header[j], jsonValue(header[j], cellStr))
+			var cell []byte
+			cell, rest, _ = bytes.Cut(rest, []byte{','})
+			b = jsonValue(append(b, keys[j]...), name, cell)
 		}
-		b.WriteString("}")
+		b = append(b, '}')
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+		b = b[:0]
 	}
-	b.WriteString("\n]\n")
-	_, err := io.WriteString(w, b.String())
+	_, err := w.Write(append(b, "\n]\n"...))
 	return err
 }
 
-// jsonValue renders a field by column name: identity columns are strings,
+// jsonValue appends a cell by column name: identity columns are strings,
 // everything else numeric (null when empty).
-func jsonValue(name, cellStr string) string {
+func jsonValue(b []byte, name string, cell []byte) []byte {
 	switch name {
 	case "plan", "kind", "geometry", "system", "protocol", "scenario":
-		return strconv.Quote(cellStr)
+		return strconv.AppendQuote(b, string(cell))
 	default:
-		if cellStr == "" {
-			return "null"
+		if len(cell) == 0 {
+			return append(b, "null"...)
 		}
-		return cellStr
+		return append(b, cell...)
 	}
 }

@@ -26,12 +26,14 @@
 // arrive in plan order (spec-major, then bits, then q; event cells after
 // the grid) regardless of how many workers executed them,
 // so golden-file tests of the CSV/JSON encodings are stable and a parallel
-// run is byte-identical to a serial one. Only a bounded window of cells
-// (proportional to the worker count) is in flight at any moment, so a
+// run is byte-identical to a serial one. Only a bounded reorder window of
+// 64 × workers cells is in flight at any moment — finished rows waiting
+// for their turn, plus at most one computing cell per worker — so a
 // million-cell grid streams in constant memory; Run is the convenience
-// wrapper that collects every row into a slice. Cancellation of the
-// context is checked between cells: a canceled grid stops promptly and the
-// iterator yields the context's error.
+// wrapper that collects every row into a slice. The consumer checks the
+// context before yielding each cell's rows: a canceled grid stops
+// promptly, however full the window, and the iterator yields the
+// context's error.
 //
 // Geometries and protocols resolve through the shared name-keyed registry
 // (rcm.RegisterGeometry / rcm.RegisterProtocol), so a user-registered

@@ -17,6 +17,13 @@ import (
 // on sim.Sweep's schedule.
 const seedStride = 0x9e37
 
+// windowPerWorker sizes Stream's reorder window: windowPerWorker × workers
+// cells may be queued ahead of the consumer, so a consumer that pauses (an
+// encoder's Write, a slow cell at the head of the window) does not idle
+// the pool. Only finished rows wait in the window and at most `workers`
+// cells compute at once, so memory stays constant per worker.
+const windowPerWorker = 64
+
 // Row is one result of a plan: a grid cell, or one time bucket of an event
 // cell. Measurements a cell did not perform are NaN (encoded as empty CSV
 // cells / JSON nulls).
@@ -194,11 +201,12 @@ type result struct {
 // and options: cell ordering never depends on worker scheduling, and all
 // randomness derives from the run seed.
 //
-// Cells execute on a worker pool; only a bounded window (proportional to
-// the worker count) is buffered for reordering, so arbitrarily large grids
-// stream in constant memory. The context is checked between cells: when it
-// is canceled the iterator stops promptly and yields ctx.Err(). The first
-// cell error (in plan order) likewise ends the sequence.
+// Cells execute on a worker pool; only a bounded window of 64 × workers
+// cells is buffered for reordering, so arbitrarily large grids stream in
+// constant memory. The context is checked before each cell's rows are
+// yielded: when it is canceled the iterator stops promptly, however full
+// the window, and yields ctx.Err(). The first cell error (in plan order)
+// likewise ends the sequence.
 func Stream(ctx context.Context, plan Plan, opts ...Option) iter.Seq2[Row, error] {
 	return func(yield func(Row, error) bool) {
 		st := resolve(opts)
@@ -223,9 +231,12 @@ func Stream(ctx context.Context, plan Plan, opts ...Option) iter.Seq2[Row, error
 		}
 		jobs := make(chan job)
 		// order carries each cell's promise in submission (= plan) order;
-		// its capacity is the reorder window and bounds the cells in
-		// flight, which is what keeps memory constant on huge grids.
-		order := make(chan chan result, workers)
+		// its capacity, windowPerWorker × workers, is the reorder window
+		// and bounds the cells in flight, which is what keeps memory
+		// constant on huge grids. The consumer checks ctx before each
+		// cell, so a canceled run stops even when the window is full of
+		// finished cells.
+		order := make(chan chan result, windowPerWorker*workers)
 
 		// Unwind order matters: cancel releases the producer (and through
 		// it the workers) before wg.Wait collects them.
@@ -273,6 +284,9 @@ func Stream(ctx context.Context, plan Plan, opts ...Option) iter.Seq2[Row, error
 		done := 0
 		for promise := range order {
 			res := <-promise
+			if res.err == nil {
+				res.err = ctx.Err()
+			}
 			if res.err != nil {
 				cancel()
 				yield(Row{}, res.err)

@@ -9,7 +9,7 @@ import (
 )
 
 // TestRowSchema holds the four spellings of a row's columns together —
-// the Row struct, Header, Row.fields and jsonValue, plus newRow's NaN
+// the Row struct, Header, Row.appendCells and jsonValue, plus newRow's NaN
 // initialisation — so a column added to one and forgotten in another
 // fails here instead of shifting every cell after it.
 func TestRowSchema(t *testing.T) {
@@ -39,9 +39,9 @@ func TestRowSchema(t *testing.T) {
 		}
 	}
 	probe.Kind = "event" // event tallies render on event rows only
-	got := probe.fields()
+	got := strings.Split(string(probe.appendCells(nil)), ",")
 	if len(got) != len(header) {
-		t.Fatalf("fields() has %d cells, Header %d columns", len(got), len(header))
+		t.Fatalf("appendCells has %d cells, Header %d columns", len(got), len(header))
 	}
 	for i, name := range header {
 		field := rt.Field(i)
@@ -54,10 +54,10 @@ func TestRowSchema(t *testing.T) {
 			t.Errorf("column %d is %q, field %d is Row.%s", i, name, i, field.Name)
 		}
 		if got[i] != want[i] {
-			t.Errorf("fields()[%d] (%s) = %q, want Row.%s's %q", i, name, got[i], field.Name, want[i])
+			t.Errorf("appendCells cell %d (%s) = %q, want Row.%s's %q", i, name, got[i], field.Name, want[i])
 		}
 		// JSON quotes exactly the string fields.
-		quoted := jsonValue(name, "x") == `"x"`
+		quoted := string(jsonValue(nil, name, []byte("x"))) == `"x"`
 		if isString := field.Type.Kind() == reflect.String; quoted != isString {
 			t.Errorf("jsonValue quotes %s: %v, but Row.%s is a %s", name, quoted, field.Name, field.Type)
 		}

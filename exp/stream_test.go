@@ -5,8 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+
+	"rcm/internal/core"
 )
 
 // analyticPlan returns a pure-analytic plan with n grid cells over the
@@ -77,6 +82,92 @@ func TestStreamCancellation(t *testing.T) {
 	}
 	if rows >= 10000 {
 		t.Fatalf("canceled run still yielded the whole grid (%d rows)", rows)
+	}
+}
+
+// beganGeometry is the tree geometry with a tally of the cells that have
+// begun computing. Each cell of its plans has its own q, so the first
+// PhaseFailure call at a q is the first of its cell; run it WithoutMemo so
+// every cell reaches PhaseFailure.
+type beganGeometry struct {
+	core.Tree
+	seen  *sync.Map
+	began *atomic.Int64
+}
+
+func (g beganGeometry) PhaseFailure(d, m int, q float64) float64 {
+	if _, dup := g.seen.LoadOrStore(q, true); !dup {
+		g.began.Add(1)
+	}
+	return g.Tree.PhaseFailure(d, m, q)
+}
+
+// beganPlan returns an n-cell analytic plan over a fresh beganGeometry,
+// and the geometry's tally.
+func beganPlan(n int) (Plan, *atomic.Int64) {
+	g := beganGeometry{seen: new(sync.Map), began: new(atomic.Int64)}
+	qs := make([]float64, n)
+	for i := range qs {
+		qs[i] = float64(i+1) / float64(n+1)
+	}
+	return Plan{Name: "began", Specs: []Spec{{Geometry: g}}, Bits: []int{8}, Qs: qs}, g.began
+}
+
+// TestStreamWindowBound pins the reorder window: at every yield, the
+// cells begun are at most the rows yielded plus the window plus the cells
+// the workers hold. The consumer encodes each row several times over so
+// that an unbounded window would let the workers run far ahead.
+func TestStreamWindowBound(t *testing.T) {
+	const workers = 2
+	plan, began := beganPlan(2000)
+	window := int64(windowPerWorker * workers)
+	var rows int64
+	var buf []byte
+	for row, err := range Stream(context.Background(), plan, WithWorkers(workers), WithoutMemo()) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows++
+		if b := began.Load(); b > rows+window+workers {
+			t.Fatalf("after %d rows %d cells have begun, more than rows + window %d + workers %d", rows, b, window, workers)
+		}
+		for range 50 {
+			buf = row.appendCells(buf[:0])
+		}
+	}
+	if rows != 2000 {
+		t.Fatalf("stream yielded %d rows, want 2000", rows)
+	}
+}
+
+// TestStreamCancelWithFullWindow: cancellation is prompt however many
+// finished cells wait in the window. The consumer waits at row 5 until the
+// lone worker has filled the window, then cancels; at most one more cell's
+// rows may follow before context.Canceled.
+func TestStreamCancelWithFullWindow(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	plan, began := beganPlan(20 * windowPerWorker)
+	var rows int
+	var sawErr error
+	for _, err := range Stream(ctx, plan, WithWorkers(1), WithoutMemo()) {
+		if err != nil {
+			sawErr = err
+			break
+		}
+		rows++
+		if rows == 5 {
+			for began.Load() < 5+windowPerWorker {
+				runtime.Gosched()
+			}
+			cancel()
+		}
+	}
+	if !errors.Is(sawErr, context.Canceled) {
+		t.Fatalf("iterator error = %v, want context.Canceled", sawErr)
+	}
+	if rows > 6 {
+		t.Fatalf("%d rows yielded after canceling at row 5, want at most one more cell's", rows-5)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 
 	"rcm/internal/numeric"
@@ -73,8 +74,26 @@ func NewEvaluator() *Evaluator {
 
 // geomID returns a stable identity string for a geometry value. Geometries
 // are immutable value types, so the formatted type+fields pair is a faithful
-// cache key (e.g. Symphony kn/ks configurations key separately).
+// cache key (e.g. Symphony kn/ks configurations key separately). The
+// built-in geometries spell fmt's "%T%+v" out without fmt, since every
+// memoized evaluation computes the key; any other geometry formats it.
 func geomID(g Geometry) string {
+	switch g := g.(type) {
+	case Tree:
+		return "core.Tree{}"
+	case Hypercube:
+		return "core.Hypercube{}"
+	case XOR:
+		return "core.XOR{}"
+	case Ring:
+		return "core.Ring{}"
+	case SingleHop:
+		return "core.SingleHop{}"
+	case Symphony:
+		return "core.Symphony{KN:" + strconv.Itoa(g.KN) + " KS:" + strconv.Itoa(g.KS) + "}"
+	case GeneralizedTree:
+		return "core.GeneralizedTree{Base:" + strconv.Itoa(g.Base) + "}"
+	}
 	return fmt.Sprintf("%T%+v", g, g)
 }
 

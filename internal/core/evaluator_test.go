@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -49,6 +50,44 @@ func TestEvaluatorMatchesDirect(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// stubGeometry is a geometry geomID has no case for; it embeds Hypercube,
+// whose case it must not take.
+type stubGeometry struct {
+	Hypercube
+	Tag int
+}
+
+// TestGeomIDMatchesSprintf holds geomID's spelled-out keys to the fmt
+// spelling they replace, and checks that any other geometry keeps fmt's.
+func TestGeomIDMatchesSprintf(t *testing.T) {
+	geoms := append(AllGeometries(), SingleHop{}, Symphony{KN: 2, KS: 3}, GeneralizedTree{Base: 3}, stubGeometry{Tag: 7})
+	for _, g := range geoms {
+		if got, want := geomID(g), fmt.Sprintf("%T%+v", g, g); got != want {
+			t.Errorf("geomID(%#v) = %q, want %q", g, got, want)
+		}
+	}
+	if geomID(stubGeometry{}) == geomID(Hypercube{}) {
+		t.Error("a geometry embedding Hypercube shares Hypercube's memo key")
+	}
+}
+
+// TestEvaluatorMemoHitAllocs: a repeated evaluation is answered from the
+// memo without allocating, the key included.
+func TestEvaluatorMemoHitAllocs(t *testing.T) {
+	e := NewEvaluator()
+	if _, err := e.LogExpectedReach(XOR{}, 64, 0.3); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := e.LogExpectedReach(XOR{}, 64, 0.3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("memo hit allocates %v times, want 0", allocs)
 	}
 }
 
