@@ -270,10 +270,7 @@ func TestEveryKnobHasOneFlag(t *testing.T) {
 	// Fields no flag sets, and why.
 	flagless := map[string]string{
 		"Overlay.Seed": "derived from -seed by the engine and the runner",
-		"RTO":          "engine knob reachable from plans; the CLI keeps the safe default",
-		"MaxHops":      "engine knob reachable from plans; the CLI keeps the safe default",
-		"Retransmits":  "engine knob reachable from plans; the CLI keeps the safe default",
-		"AdaptiveRTO":  "engine knob reachable from plans; the CLI keeps the safe default",
+		"Retransmits":  "figure hopdist runs with -1 through the Go API; the CLI keeps the default 2",
 	}
 	// Flags that describe the invocation, not the run.
 	notRun := map[string]bool{"mode": true, "format": true, "cpuprofile": true, "memprofile": true}

@@ -215,24 +215,16 @@ func leaves(prefix string, v any, out map[string]any) {
 // alone to a non-default value and the parsed configs are diffed, field
 // by field, against the default command line's.
 func TestEveryKnobHasOneFlag(t *testing.T) {
-	const engineKnob = "reachable through the Go API; the CLI keeps the default"
 	flagless := map[string]string{
 		"cluster.Transport":      "the interactive cluster is in-memory; a UDP deployment is daemons",
-		"cluster.MaxHops":        engineKnob,
-		"cluster.AdaptiveRTO":    engineKnob,
-		"cluster.MaxInFlight":    engineKnob,
-		"cluster.FaultHorizon":   "stall placement horizon; the cluster default (3600 s) outlasts a session",
+		"cluster.FaultHorizon":   "stall placement horizon; node.WrapFault's default (3600 s) outlasts a session",
 		"cluster.FaultWallClock": "always true: nothing advances a schedule clock while you type",
 		"node.Protocol":          "built by startDaemon from -protocol -bits -seed",
 		"node.Transport":         "the socket startDaemon opens on -listen",
 		"node.AddrOf":            "the directory startDaemon loads from -peers",
 		"node.Store":             "a fresh store startDaemon parses from -store",
-		"node.MaxHops":           engineKnob,
-		"node.AdaptiveRTO":       engineKnob,
-		"node.MaxInFlight":       engineKnob,
 		"client.Bind":            "the default 127.0.0.1:0 suits a client on the daemons' host; elsewhere use the Go API",
 		"client.Transport":       "in-process tests only",
-		"client.MaxHops":         engineKnob,
 	}
 	// Fields two flags legitimately reach: -cluster N is the population,
 	// from which the identifier length follows; -timeout caps -deadline.

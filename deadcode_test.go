@@ -4,14 +4,18 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+
+	"rcm/internal/lint"
 )
 
 // testOnlyExports is the allowlist of TestInternalExportsHaveCallers:
@@ -245,6 +249,182 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		}
 		if !testFuncs[test] {
 			t.Errorf("testOnlyExports[%s] names test %s, which does not exist", label, test)
+		}
+	}
+}
+
+// unsetConfigFields is the allowlist of TestConfigFieldsHaveSetters:
+// run-config fields no non-test caller sets, each with the reason it
+// stays a field.
+var unsetConfigFields = map[string]string{
+	"cluster.Config.FaultHorizon": "the fault-conformance suite binds stall placement to its schedule's duration",
+	"node.ClientConfig.Bind":      "a deployment address: the default 127.0.0.1:0 only suits a client on the daemons' host",
+	"node.ClientConfig.Transport": "the in-process fake a client dials through instead of a UDP socket",
+}
+
+// TestConfigFieldsHaveSetters: every exported field of the four run
+// configs (eventsim.Config, node.Config, node.ClientConfig,
+// cluster.Config) is set by some non-test file outside examples/ and
+// outside the struct's own package, whose writes are its defaults —
+// benchmark/ counts — or is in unsetConfigFields. A field whose only
+// non-test value is its default is a constant: inline it. Setting is a
+// keyed (or positional) composite literal, an assignment through a
+// selector, or an &x.F flag binding; a value copied from another config
+// field (MaxHops: cfg.MaxHops) counts only if that field is set,
+// resolved to a fixpoint. Fields are resolved by type, so the RTO of
+// one struct is never mistaken for another's.
+func TestConfigFieldsHaveSetters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and type-checks the module and benchmark/; skipped in -short runs")
+	}
+	// One load from benchmark/, whose module requires this one, sees both.
+	pkgs, err := lint.Load("benchmark", "./...", "rcm/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string][]string{
+		"rcm/eventsim":     {"Config"},
+		"rcm/node":         {"Config", "ClientConfig"},
+		"rcm/node/cluster": {"Config"},
+	}
+	// structKey names a target struct as "node.ClientConfig"; "" for any
+	// other type.
+	structKey := func(typ types.Type) string {
+		if p, ok := typ.(*types.Pointer); ok {
+			typ = p.Elem()
+		}
+		named, ok := typ.(*types.Named)
+		if !ok || named.Obj().Pkg() == nil {
+			return ""
+		}
+		pkg := named.Obj().Pkg()
+		if !slices.Contains(targets[pkg.Path()], named.Obj().Name()) {
+			return ""
+		}
+		return pkg.Name() + "." + named.Obj().Name()
+	}
+	fields := map[string]bool{} // every exported field of a target
+	for _, pkg := range pkgs {
+		for _, name := range targets[pkg.Path] {
+			st := pkg.Types.Scope().Lookup(name).Type().Underlying().(*types.Struct)
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					fields[pkg.Types.Name()+"."+name+"."+f.Name()] = true
+				}
+			}
+		}
+	}
+	if len(fields) == 0 {
+		t.Fatal("found none of the four config structs")
+	}
+
+	set := map[string]bool{}
+	from := map[string][]string{} // field → config fields whose value it copies
+	for _, pkg := range pkgs {
+		if strings.HasPrefix(pkg.Path, "rcm/examples/") {
+			continue
+		}
+		// fieldOf names the config field e selects, "" if none.
+		fieldOf := func(e ast.Expr) string {
+			sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+			if !ok {
+				return ""
+			}
+			s := pkg.Info.Selections[sel]
+			if s == nil || s.Kind() != types.FieldVal || len(s.Index()) != 1 {
+				return ""
+			}
+			if k := structKey(s.Recv()); k != "" {
+				return k + "." + sel.Sel.Name
+			}
+			return ""
+		}
+		// A package's writes to its own config are its defaults.
+		own := ""
+		if targets[pkg.Path] != nil {
+			own = pkg.Types.Name() + "."
+		}
+		setTo := func(field string, value ast.Expr) {
+			if field == "" || own != "" && strings.HasPrefix(field, own) {
+				return
+			}
+			if src := fieldOf(value); value != nil && src != "" {
+				from[field] = append(from[field], src)
+			} else {
+				set[field] = true
+			}
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					k := structKey(pkg.Info.TypeOf(n))
+					if k == "" {
+						return true
+					}
+					st := pkg.Info.TypeOf(n).Underlying().(*types.Struct)
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							setTo(k+"."+kv.Key.(*ast.Ident).Name, kv.Value)
+						} else {
+							setTo(k+"."+st.Field(i).Name(), elt)
+						}
+					}
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						var value ast.Expr
+						if len(n.Rhs) == len(n.Lhs) {
+							value = n.Rhs[i]
+						}
+						// x.F = v sets F; x.F.G = v and x.F[i] = v set F too.
+						for e := ast.Expr(lhs); e != nil; {
+							if field := fieldOf(e); field != "" {
+								setTo(field, value)
+								value = nil
+							}
+							switch x := ast.Unparen(e).(type) {
+							case *ast.SelectorExpr:
+								e = x.X
+							case *ast.IndexExpr:
+								e = x.X
+							case *ast.StarExpr:
+								e = x.X
+							default:
+								e = nil
+							}
+						}
+					}
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						setTo(fieldOf(n.X), nil)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for field, srcs := range from {
+			if !set[field] && slices.ContainsFunc(srcs, func(s string) bool { return set[s] }) {
+				set[field], changed = true, true
+			}
+		}
+	}
+
+	var unset []string
+	for field := range fields {
+		if !set[field] && unsetConfigFields[field] == "" {
+			unset = append(unset, field)
+		}
+	}
+	sort.Strings(unset)
+	for _, field := range unset {
+		t.Errorf("%s is set by no non-test caller: make its default a constant, or list it in unsetConfigFields with the reason it stays", field)
+	}
+	for field := range unsetConfigFields {
+		if !fields[field] || set[field] {
+			t.Errorf("unsetConfigFields lists %s, which a non-test caller sets or which does not exist: drop the entry", field)
 		}
 	}
 }

@@ -261,7 +261,7 @@
 // singlehop protocol's O(1) routing claim breaks under heavy-tailed
 // churn and how much of the loss k=3 replication buys back.
 //
-// # Fault injection and the adaptive RTO
+// # Fault injection
 //
 // Wrapping the transport in a Faulty (spec: fault:<plan>[/<inner>],
 // plans from rcm/fault) injects network faults beyond the lossy model:
@@ -276,12 +276,10 @@
 // population under steady uniform load) is the intended substrate:
 // under it, every deviation from the lossless baseline is the plan's.
 //
-// Config.AdaptiveRTO replaces the fixed retransmission timeout with a
-// per-(sender, next-hop) Jacobson/Karn estimator (RFC 6298 gains,
-// samples from un-retransmitted attempts only) with exponential backoff,
-// floored at Config.RTO — so the arena-recycling invariant
-// RTO > 2×MaxLatency is preserved — and capped at 8×RTO. rcm/node
-// runs the same estimator (obs.RTT) live, and since the estimator only
-// moves timeout deadlines, a run in which no timeout fires is
-// bit-identical with the estimator on or off.
+// The retransmission timeout is fixed: 2×MaxLatency + MinLatency of
+// the transport, and a Faulty reports the plan-inflated MaxLatency, so
+// the arena-recycling invariant RTO > 2×MaxLatency holds under every
+// plan. The forwarding model is the paper's — greedy, no backtracking,
+// independently failed nodes — and has no retransmission timer of its
+// own to adapt.
 package eventsim

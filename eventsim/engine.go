@@ -79,16 +79,15 @@ type lookupMeta struct {
 // makes bare slot indices safe to carry in events with no generation tag.
 type pendingHop struct {
 	lk    uint32
-	node  uint32  // forwarding node
-	next  uint32  // chosen next hop, reused verbatim on retransmission
-	cand  uint16  // candidate index being tried
-	hops  uint16  // the lookup's hop count when this attempt was sent
-	try   uint8   // retransmission count for this candidate
-	live  bool    // false once acknowledged; slot awaits its timeout event
-	ri    uint8   // replica index of the owner this attempt targets
-	mask  uint8   // owner-eligibility bitmask frozen at lookup start
-	prior uint16  // hops spent by earlier failed attempts
-	sent  float64 // send time, the adaptive-RTO estimator's RTT reference
+	node  uint32 // forwarding node
+	next  uint32 // chosen next hop, reused verbatim on retransmission
+	cand  uint16 // candidate index being tried
+	hops  uint16 // the lookup's hop count when this attempt was sent
+	try   uint8  // retransmission count for this candidate
+	live  bool   // false once acknowledged; slot awaits its timeout event
+	ri    uint8  // replica index of the owner this attempt targets
+	mask  uint8  // owner-eligibility bitmask frozen at lookup start
+	prior uint16 // hops spent by earlier failed attempts
 }
 
 // bucketAcc is a shard-local metrics accumulator for one time bucket.
@@ -155,12 +154,6 @@ type shard struct {
 	// summed into Result.Faults after the run.
 	faults fault.Counts
 
-	// rtt holds the per-(sender, next-hop) Jacobson/Karn estimator state
-	// when Config.AdaptiveRTO is on; keyed sender<<32|next. Senders are
-	// shard-owned, so the map never sees cross-shard writes, and it is
-	// only ever probed by key — no iteration, no ordering hazard.
-	rtt map[uint64]obs.RTT[float64]
-
 	// traces collects this shard's events for sampled lookups (empty
 	// unless Config.Trace > 0); merged deterministically after the run.
 	traces []traceRec
@@ -216,10 +209,6 @@ type engine struct {
 	inj      *fault.Injector
 	plan     fault.Plan // inj.Plan(), hoisted off the dispatch hot path
 	innerMax float64
-
-	// adaptive enables the per-peer RTO estimator (Config.AdaptiveRTO);
-	// off, every attempt arms the fixed cfg-derived rto below.
-	adaptive bool
 }
 
 // traced reports whether lookup lk's path is being recorded. The
@@ -326,17 +315,7 @@ func (sh *shard) runEpoch(end float64) {
 		case evAck:
 			// Retire the attempt; the slot itself is reclaimed when the
 			// attempt's timeout event arrives.
-			pd := &sh.pending[e.a]
-			if sh.eng.adaptive && pd.live && pd.try == 0 {
-				// Karn's rule: only un-retransmitted attempts contribute RTT
-				// samples (the live node cannot tell which copy a late ack
-				// answers, so the sim's estimator obeys the same restriction).
-				key := uint64(pd.node)<<32 | uint64(pd.next)
-				est := sh.rtt[key]
-				est.Observe(e.t - pd.sent)
-				sh.rtt[key] = est
-			}
-			pd.live = false
+			sh.pending[e.a].live = false
 		case evTimeout:
 			sh.handleTimeout(e)
 		case evRetry:
@@ -543,17 +522,10 @@ func (sh *shard) dispatch(t float64, lk, cur, next uint32, ci, try int, hops uin
 	if lat < eng.delta {
 		lat = eng.delta
 	}
-	rto := eng.rto
-	if eng.adaptive {
-		// Floored at the configured RTO: that preserves the
-		// arena-recycling invariant RTO > 2*MaxLatency, so an adaptive
-		// timeout can never fire before a genuinely-delivered ack.
-		rto = sh.rtt[uint64(cur)<<32|uint64(next)].RTO(eng.rto, eng.rto, try)
-	}
 	id := sh.allocPending(pendingHop{
 		lk: lk, node: cur, next: next,
 		cand: uint16(ci), hops: hops, try: uint8(try), live: true,
-		ri: ri, mask: mask, prior: prior, sent: t,
+		ri: ri, mask: mask, prior: prior,
 	})
 	if eng.traced(lk) {
 		sh.recordTrace(lk, TraceEvent{T: t, Kind: TraceSend, Node: int(cur), To: int(next), Hops: int(hops + prior), Cand: ci, Try: try})
@@ -583,7 +555,7 @@ func (sh *shard) dispatch(t float64, lk, cur, next uint32, ci, try int, hops uin
 	if delivered {
 		sh.send(req)
 	}
-	sh.push(ev{t: t + rto, kind: evTimeout, node: cur, lk: lk, a: id})
+	sh.push(ev{t: t + eng.rto, kind: evTimeout, node: cur, lk: lk, a: id})
 }
 
 func (sh *shard) handleReq(e ev) {

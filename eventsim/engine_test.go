@@ -276,7 +276,7 @@ func TestConfigValidation(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
 		"unknown scenario":    func(c *Config) { c.Scenario = "nope" },
 		"unknown protocol":    func(c *Config) { c.Protocol = "nope" },
-		"rto below rtt":       func(c *Config) { c.RTO = 0.05 },
+		"rto overflows":       func(c *Config) { c.Transport = Constant{Latency: 1e308} },
 		"negative fail":       func(c *Config) { c.Params.FailFraction = -1 },
 		"fail above one":      func(c *Config) { c.Params.FailFraction = 1.5 },
 		"nan rate":            func(c *Config) { c.Params.Rate = math.NaN() },

@@ -63,27 +63,14 @@ type Config struct {
 	Maintain bool
 	// StabilizeEvery is the per-node stabilization period (default 1).
 	StabilizeEvery float64
-	// RTO is the retransmission timeout a forwarding node waits before
-	// trying its next candidate. It must exceed the worst-case round trip
-	// (2×Transport.MaxLatency()) so an acknowledged hop is never
-	// duplicated; zero selects 2×max + min, the tightest safe value.
-	RTO float64
-	// MaxHops defensively bounds route length (default 4·Bits + 16).
-	MaxHops int
 	// Retransmits is how many times a forwarding node re-sends to the
 	// *same* candidate after a timeout before failing over to the next
 	// one (default 2; negative disables retransmission). Without it a
-	// single lost request would permanently skip the best next hop.
+	// single lost request would permanently skip the best next hop. The
+	// timeout itself is not a knob: it is 2×Transport.MaxLatency() +
+	// MinLatency(), the tightest value that exceeds the worst-case round
+	// trip, so an acknowledged hop is never duplicated.
 	Retransmits int
-	// AdaptiveRTO replaces the fixed retransmission timeout with a
-	// per-(sender, next-hop) Jacobson/Karn estimator (RFC 6298 gains:
-	// srtt + 4*rttvar, samples from un-retransmitted attempts only),
-	// floored at RTO — preserving the RTO > 2×MaxLatency invariant —
-	// with exponential backoff per retransmission, capped at 8×RTO.
-	// Off (the default), the engine is bit-identical to builds without
-	// the estimator; on, results remain deterministic across (Seed,
-	// Shards) like every other output.
-	AdaptiveRTO bool
 	// Trace samples per-lookup hop traces: every Trace-th scheduled
 	// lookup (by schedule index; 1 records all) has its full path —
 	// start, per-hop sends and acceptances, retransmission timeouts,
@@ -115,12 +102,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.StabilizeEvery <= 0 {
 		cfg.StabilizeEvery = 1
 	}
-	if cfg.RTO <= 0 {
-		cfg.RTO = 2*cfg.Transport.MaxLatency() + cfg.Transport.MinLatency()
-	}
-	if cfg.MaxHops <= 0 {
-		cfg.MaxHops = 4*cfg.Overlay.Bits + 16
-	}
 	switch {
 	case cfg.Retransmits == 0:
 		cfg.Retransmits = 2
@@ -129,6 +110,14 @@ func (cfg Config) withDefaults() Config {
 	}
 	cfg.Params = cfg.Params.withDefaults(cfg.Duration)
 	return cfg
+}
+
+// rto is the retransmission timeout a forwarding node waits before
+// trying again: 2×max + min, the tightest value above the worst-case
+// round trip. Validate still checks it, because a user Transport's
+// bounds are outside input (2×max can overflow, or swallow min).
+func (cfg Config) rto() float64 {
+	return 2*cfg.Transport.MaxLatency() + cfg.Transport.MinLatency()
 }
 
 // Validate rejects configurations the engine cannot run soundly. It is
@@ -144,16 +133,17 @@ func (cfg Config) Validate() error {
 	if err := cfg.Params.Validate(); err != nil {
 		return err
 	}
+	rto := cfg.rto()
 	for _, f := range []struct {
 		name string
 		v    float64
-	}{{"Duration", cfg.Duration}, {"StabilizeEvery", cfg.StabilizeEvery}, {"RTO", cfg.RTO}} {
+	}{{"Duration", cfg.Duration}, {"StabilizeEvery", cfg.StabilizeEvery}, {"RTO (2×MaxLatency + MinLatency)", rto}} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v <= 0 {
 			return fmt.Errorf("eventsim: %s = %v must be positive and finite", f.name, f.v)
 		}
 	}
-	if min := 2 * cfg.Transport.MaxLatency(); cfg.RTO <= min {
-		return fmt.Errorf("eventsim: RTO = %v must exceed the worst-case round trip %v — a shorter timeout would duplicate acknowledged hops", cfg.RTO, min)
+	if min := 2 * cfg.Transport.MaxLatency(); rto <= min {
+		return fmt.Errorf("eventsim: RTO (2×MaxLatency + MinLatency) = %v must exceed the worst-case round trip %v — a shorter timeout would duplicate acknowledged hops", rto, min)
 	}
 	if cfg.Shards > 256 {
 		return fmt.Errorf("eventsim: Shards = %d out of [1,256]", cfg.Shards)
@@ -442,11 +432,10 @@ func runOverlay(p registry.Protocol, cfg Config, newQueue func(delta float64) ev
 		repl:       repl,
 		width:      cfg.Duration / float64(cfg.Buckets),
 		delta:      cfg.Transport.MinLatency(),
-		rto:        cfg.RTO,
-		maxHops:    cfg.MaxHops,
+		rto:        cfg.rto(),
+		maxHops:    p.Space().MaxHops(),
 		onlineFrac: make([]float64, cfg.Buckets),
 		trace:      cfg.Trace,
-		adaptive:   cfg.AdaptiveRTO,
 	}
 	if ft, ok := cfg.Transport.(Faulty); ok {
 		// Bind the fault plan to the run: seed-derived partition groups and
@@ -475,9 +464,6 @@ func runOverlay(p registry.Protocol, cfg Config, newQueue func(delta float64) ev
 			inbox:   make([][]ev, shards),
 			sentMin: math.Inf(1),
 			acc:     make([]bucketAcc, cfg.Buckets),
-		}
-		if cfg.AdaptiveRTO {
-			e.shards[i].rtt = make(map[uint64]obs.RTT[float64])
 		}
 	}
 

@@ -18,7 +18,7 @@ import (
 //
 // Like the lossy transport, every clause faults forward (request)
 // traffic only. MaxLatency reports the plan-inflated worst case
-// (Plan.InflateMax), so the default retransmission timeout and the
+// (Plan.InflateMax), so the retransmission timeout and the
 // RTO > 2 x MaxLatency validation stay safe with no extra
 // configuration.
 //

@@ -189,41 +189,3 @@ func TestFaultPlanValidatedInConfig(t *testing.T) {
 		}
 	}
 }
-
-// TestAdaptiveRTOQuiescentIdentical: on a lossless, fault-free run no
-// timeout ever fires, so the adaptive estimator — which only moves
-// timeout deadlines — must leave the Result bit-identical to the fixed
-// path.
-func TestAdaptiveRTOQuiescentIdentical(t *testing.T) {
-	off := faultCfg("constant")
-	on := off
-	on.AdaptiveRTO = true
-	a, b := mustRun(t, off), mustRun(t, on)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("AdaptiveRTO changed a quiescent run's Result")
-	}
-}
-
-// TestAdaptiveRTODeterministicUnderFaults: the estimator path is as
-// reproducible as the fixed one — bit-identical repeated runs and
-// wheel/heap agreement under an empirical transport with stalls (real
-// RTT variance, real timeouts, real backoff).
-func TestAdaptiveRTODeterministicUnderFaults(t *testing.T) {
-	cfg := faultCfg("fault:stall:0.15:0.4/empirical:0.05")
-	cfg.AdaptiveRTO = true
-	a := mustRun(t, cfg)
-	b := mustRun(t, cfg)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("two identical adaptive-RTO runs diverged")
-	}
-	h := runHeap(t, cfg)
-	if !reflect.DeepEqual(a, h) {
-		t.Fatal("heap scheduler diverged from wheel with AdaptiveRTO on")
-	}
-	if a.Faults.StallDrops == 0 || a.Totals().Timeouts == 0 {
-		t.Fatalf("stall plan never exercised the estimator: %s, %d timeouts", a.Faults.String(), a.Totals().Timeouts)
-	}
-	if s := a.WindowSuccess(0, a.Duration); !(s > 0.8) {
-		t.Errorf("adaptive-RTO success %v under stalls, want > 0.8", s)
-	}
-}

@@ -65,6 +65,36 @@ func ExampleSymphony() {
 	// ks=3: 1.00
 }
 
+// The eDonkey question (§1): as a transient population (q = 0.2) grows
+// from a LAN to global scale, XOR routability stays flat while the basic
+// small-world geometry collapses.
+func ExampleModel_Routability_growth() {
+	sym, err := rcm.Symphony(1, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("log2 N  Kademlia r%  Symphony r%")
+	for _, d := range []int{10, 14, 18, 22, 26, 30} {
+		kad, err := rcm.XOR().Routability(d, 0.2)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sy, err := sym.Routability(d, 0.2)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%-6d  %-11.2f  %.2f\n", d, 100*kad, 100*sy)
+	}
+	// Output:
+	// log2 N  Kademlia r%  Symphony r%
+	// 10      90.43        10.26
+	// 14      90.12        1.04
+	// 18      90.07        0.06
+	// 22      90.06        0.00
+	// 26      90.06        0.00
+	// 30      90.06        0.00
+}
+
 // Any registered name — geometry term, system name, or a user
 // registration — resolves to a Model through the shared registry.
 func ExampleModelFor() {

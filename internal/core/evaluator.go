@@ -213,13 +213,3 @@ func (e *Evaluator) Routability(g Geometry, d int, q float64) (float64, error) {
 		return e.LogExpectedReach(g, d, q)
 	})
 }
-
-// FailedPathPercent is the memoized equivalent of the package-level
-// FailedPathPercent.
-func (e *Evaluator) FailedPathPercent(g Geometry, d int, q float64) (float64, error) {
-	r, err := e.Routability(g, d, q)
-	if err != nil {
-		return 0, err
-	}
-	return 100 * (1 - r), nil
-}

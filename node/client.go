@@ -47,8 +47,6 @@ type ClientConfig struct {
 	// Bind is ignored and Close leaves the transport open. A client waits
 	// on the wall clock, so a NewSimNetwork endpoint does not suit it.
 	Transport Transport
-	// MaxHops bounds route length (default 4·bits + 16, as node.Config).
-	MaxHops int
 	// RTO is the retransmission interval while the entry node has not
 	// acknowledged the request (default 50 ms).
 	RTO time.Duration
@@ -74,9 +72,6 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	}
 	if cfg.Space.Size() == 0 {
 		return nil, fmt.Errorf("node: client: zero identifier space")
-	}
-	if cfg.MaxHops <= 0 {
-		cfg.MaxHops = 4*cfg.Space.Bits() + 16
 	}
 	if cfg.RTO <= 0 {
 		cfg.RTO = 50 * time.Millisecond
@@ -190,7 +185,7 @@ func (c *Client) do(op Op, dst overlay.ID, key uint64, value []byte) Result {
 	m := message{
 		Kind:     msgReq,
 		Op:       op,
-		Budget:   uint16(c.cfg.MaxHops),
+		Budget:   uint16(c.cfg.Space.MaxHops()),
 		ReqID:    reqID,
 		Dst:      uint64(dst),
 		Key:      key,

@@ -46,11 +46,10 @@ type Config struct {
 	// Store is the per-node store spec ("mem", "lru:1024", ...); every
 	// node gets its own fresh store.
 	Store string
-	// RTO, Retransmits, MaxHops and Deadline configure every node; see
+	// RTO, Retransmits and Deadline configure every node; see
 	// node.Config. Zero selects the node defaults.
 	RTO         time.Duration
 	Retransmits int
-	MaxHops     int
 	Deadline    time.Duration
 	// Replicas is the key replication factor every node operates with
 	// (see node.Config.Replicas); 0 and 1 both mean no replication.
@@ -64,19 +63,13 @@ type Config struct {
 	Fault string
 	// FaultHorizon is the plan's time horizon in schedule seconds
 	// (stall-episode placement); use the schedule duration for
-	// conformance. Defaults to 3600.
+	// conformance. Zero selects node.FaultConfig's default.
 	FaultHorizon float64
 	// FaultWallClock evaluates the plan against the network's clock —
 	// seconds since boot, virtual on "sim" — instead of the
 	// replay-driven schedule clock: for interactive clusters, where
 	// nothing advances the schedule clock.
 	FaultWallClock bool
-	// AdaptiveRTO enables the per-peer adaptive retransmission timeout
-	// on every node (see node.Config.AdaptiveRTO).
-	AdaptiveRTO bool
-	// MaxInFlight bounds every node's forward table (see
-	// node.Config.MaxInFlight); 0 selects the node default.
-	MaxInFlight int
 }
 
 // planClock is the cluster-wide fault-plan clock: Replay advances it to
@@ -146,10 +139,6 @@ func New(cfg Config) (*Cluster, error) {
 			c.closeTransports(transports)
 			return nil, fmt.Errorf("cluster: %w", err)
 		}
-		horizon := cfg.FaultHorizon
-		if horizon <= 0 {
-			horizon = 3600
-		}
 		addrToID := make(map[string]uint64, n)
 		for i, a := range c.addrs {
 			addrToID[a] = uint64(i)
@@ -163,7 +152,7 @@ func New(cfg Config) (*Cluster, error) {
 			ft, err := node.WrapFault(transports[i], node.FaultConfig{
 				Plan:    plan,
 				Seed:    cfg.Seed,
-				Horizon: horizon,
+				Horizon: cfg.FaultHorizon,
 				Self:    uint64(i),
 				IDOf:    func(addr string) (uint64, bool) { id, ok := addrToID[addr]; return id, ok },
 				Now:     now,
@@ -200,11 +189,8 @@ func New(cfg Config) (*Cluster, error) {
 			Store:       store,
 			RTO:         cfg.RTO,
 			Retransmits: cfg.Retransmits,
-			MaxHops:     cfg.MaxHops,
 			Deadline:    cfg.Deadline,
 			Replicas:    cfg.Replicas,
-			AdaptiveRTO: cfg.AdaptiveRTO,
-			MaxInFlight: cfg.MaxInFlight,
 		})
 		if err != nil {
 			c.closeTransports(transports)

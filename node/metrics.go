@@ -25,8 +25,9 @@ type Metrics struct {
 	// dedupe window (lost-ACK retransmissions arriving twice).
 	DupReqs uint64
 	// Shed counts relayed requests this node refused — silently, with no
-	// ACK — because its forward table was at Config.MaxInFlight; the
-	// sender's RTO machinery routes around the overload.
+	// ACK — because its forward table was full (4096 relayed requests
+	// awaiting acknowledgements); the sender's RTO machinery routes
+	// around the overload.
 	Shed uint64
 	// Timeouts counts RTO expiries that found their attempt still
 	// outstanding; Retransmits the re-sends to the same candidate;

@@ -10,7 +10,6 @@ import (
 
 	"rcm"
 	"rcm/node/internal/clock"
-	"rcm/obs"
 	"rcm/overlay"
 	"rcm/replica"
 )
@@ -42,9 +41,6 @@ type Config struct {
 	// same candidate before failing over to the next one (0 selects the
 	// default 2, mirroring eventsim; negative disables retransmission).
 	Retransmits int
-	// MaxHops bounds route length (default 4·bits + 16, the eventsim
-	// default).
-	MaxHops int
 	// Deadline is the per-request time-to-live carried in every message
 	// and decremented by each holder's holding time (default 5 s).
 	Deadline time.Duration
@@ -55,23 +51,6 @@ type Config struct {
 	// until the last owner has answered. 0 and 1 both mean single-owner
 	// operation; every node of a cluster must agree on the value.
 	Replicas int
-	// AdaptiveRTO replaces the fixed retransmission timeout with a
-	// per-peer Jacobson/Karn estimator (RFC 6298 gains, samples from
-	// requests sent exactly once — Karn's rule) with exponential
-	// backoff, floored at max(1ms, RTO/8) and capped at 8×RTO. The same
-	// estimator (obs.RTT) eventsim runs with Config.AdaptiveRTO, except
-	// the live floor may undercut the fixed RTO: a consistently fast peer
-	// is declared lost sooner, which is the point. Off by default.
-	AdaptiveRTO bool
-	// MaxInFlight bounds the forward-attempt table: once this many
-	// relayed requests await hop acknowledgements, further requests for
-	// other owners are shed — dropped without an acknowledgement, so the
-	// upstream sender's RTO machinery routes around this node exactly as
-	// it would a lost request. Shedding is deterministic (a pure function
-	// of table occupancy), never applies to requests this node owns, and
-	// is counted in Metrics.Shed. 0 selects the default 4096; negative
-	// disables the bound.
-	MaxInFlight int
 }
 
 func (cfg Config) withDefaults() Config {
@@ -87,17 +66,8 @@ func (cfg Config) withDefaults() Config {
 	case cfg.Retransmits < 0:
 		cfg.Retransmits = 0
 	}
-	if cfg.MaxHops <= 0 && cfg.Protocol != nil {
-		cfg.MaxHops = 4*cfg.Protocol.Space().Bits() + 16
-	}
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 5 * time.Second
-	}
-	switch {
-	case cfg.MaxInFlight == 0:
-		cfg.MaxInFlight = 4096
-	case cfg.MaxInFlight < 0:
-		cfg.MaxInFlight = int(^uint(0) >> 1) // unbounded
 	}
 	return cfg
 }
@@ -130,7 +100,6 @@ type pendingFwd struct {
 	try      int           // retransmissions consumed for this candidate
 	rto      clock.Handle  // this attempt's retransmission timeout in the node's timer queue
 	deadline time.Duration // absolute per-message deadline at this holder
-	sentAt   time.Duration // this attempt's send time — the RTT sample reference
 }
 
 // originWait is one locally-originated request awaiting its verdict:
@@ -173,18 +142,26 @@ type Node struct {
 	// The rcm:loop-owned markers are enforced by rcmlint's loopowner
 	// analyzer: any read or write outside code reachable from the
 	// rcm:event-loop dispatch is a lint error, not a latent race.
-	reqs   reqTable                              // rcm:loop-owned — forward attempts, waiting origins and the dedupe window, one entry per request id
-	timers clock.Queue[uint32]                   // rcm:loop-owned — record id<<1: a forward attempt's RTO; id<<1 | 1: an origin's response guard
-	wake   clock.Timer                           // rcm:loop-owned — the one clock timer, due at wakeAt; made on first use
-	wakeAt time.Duration                         // rcm:loop-owned — noWake while the wake is not armed
-	now    time.Duration                         // rcm:loop-owned — see clock
-	encBuf []byte                                // rcm:loop-owned
-	rtt    map[overlay.ID]obs.RTT[time.Duration] // rcm:loop-owned — per-peer adaptive-RTO estimator, at most seenCap peers
-	stats  Metrics                               // rcm:loop-owned — counters and histograms (see metrics.go)
+	reqs   reqTable            // rcm:loop-owned — forward attempts, waiting origins and the dedupe window, one entry per request id
+	timers clock.Queue[uint32] // rcm:loop-owned — record id<<1: a forward attempt's RTO; id<<1 | 1: an origin's response guard
+	wake   clock.Timer         // rcm:loop-owned — the one clock timer, due at wakeAt; made on first use
+	wakeAt time.Duration       // rcm:loop-owned — noWake while the wake is not armed
+	now    time.Duration       // rcm:loop-owned — see clock
+	encBuf []byte              // rcm:loop-owned
+	stats  Metrics             // rcm:loop-owned — counters and histograms (see metrics.go)
 }
 
-// seenCap bounds the dedupe window and the per-peer RTT map.
+// seenCap bounds the dedupe window.
 const seenCap = 4096
+
+// maxInFlight bounds the forward table: once this many relayed requests
+// await hop acknowledgements, further requests for other owners are
+// shed — dropped without an acknowledgement, so the upstream sender's
+// RTO machinery routes around this node exactly as it would a lost
+// request. Shedding is deterministic (a pure function of table
+// occupancy), never applies to requests this node owns, and is counted
+// in Metrics.Shed.
+const maxInFlight = 4096
 
 // noWake is wakeAt while the clock timer is not armed.
 const noWake = time.Duration(math.MaxInt64)
@@ -223,7 +200,6 @@ func New(cfg Config) (*Node, error) {
 		in:     newInbox(),
 		reqs:   reqTable{window: seenCap},
 		wakeAt: noWake,
-		rtt:    make(map[overlay.ID]obs.RTT[time.Duration]),
 	}
 	n.sim, _ = n.clk.(*clock.Virtual)
 	return n, nil
@@ -361,7 +337,7 @@ func await[T any](n *Node, ch chan T) T {
 
 // clock returns the time at which the running loop turn first asked for
 // it: a turn reads the clock at most once, and one that needs no time (an
-// acknowledgement under the fixed RTO) not at all.
+// acknowledgement) not at all.
 func (n *Node) clock() time.Duration {
 	if n.now < 0 {
 		n.now = n.clk.Now()
@@ -597,7 +573,7 @@ func (n *Node) originate(ch chan Result, op Op, dst overlay.ID, key uint64, valu
 		m := message{
 			Kind:     msgReq,
 			Op:       op,
-			Budget:   uint16(n.cfg.MaxHops),
+			Budget:   uint16(n.space.MaxHops()),
 			ReqID:    reqID,
 			Dst:      uint64(dst),
 			Key:      key,
@@ -668,7 +644,7 @@ func (n *Node) handleReq(m *message, from string) {
 		n.stats.DupReqs++
 		return
 	}
-	if overlay.ID(m.Dst) != n.cfg.ID && n.reqs.fwds.inUse() >= n.cfg.MaxInFlight {
+	if overlay.ID(m.Dst) != n.cfg.ID && n.reqs.fwds.inUse() >= maxInFlight {
 		// Graceful degradation: the forward table is full, so refuse
 		// responsibility for relayed work (requests we own are always
 		// served — they never enter the table). Deterministic, silent,
@@ -721,19 +697,8 @@ func (n *Node) dispatch(st *pendingFwd) {
 		return
 	}
 	st.msg.Deadline = uint32(remaining / time.Millisecond)
-	st.sentAt = n.clock()
 	n.sendMsg(n.cfg.AddrOf(st.cands[st.ci]), &st.msg)
-	rto := n.cfg.RTO
-	if n.cfg.AdaptiveRTO {
-		// Unlike the simulator, whose floor is the configured RTO (its
-		// arena invariant), the live floor may undercut it: a nearby
-		// responsive peer is probed faster and a dead one detected
-		// sooner. Safe here because a retired record's RTO leaves the
-		// timer queue with it, so a recycled record never sees a stale
-		// timeout.
-		rto = n.rtt[st.cands[st.ci]].RTO(rto, max(time.Millisecond, rto/8), st.try)
-	}
-	n.arm(&st.rto, st.id<<1, st.sentAt+rto)
+	n.arm(&st.rto, st.id<<1, n.clock()+n.cfg.RTO)
 }
 
 // retire ends st's forward attempt, whose RTO is not queued.
@@ -753,20 +718,6 @@ func (n *Node) handleAck(m *message) {
 		return
 	}
 	n.timers.Stop(&st.rto)
-	if n.cfg.AdaptiveRTO && st.ci == 0 && st.try == 0 {
-		// Karn's rule: only a request this holder has sent exactly once
-		// yields an RTT sample. Acks carry no sender, so after a
-		// retransmission or a failover the ack is ambiguous about which
-		// copy it answers — a slow ack from the candidate just given up
-		// on would otherwise read as a near-zero RTT for the next one.
-		peer := st.cands[0]
-		est, known := n.rtt[peer]
-		est.Observe(n.clock() - st.sentAt)
-		if !known && len(n.rtt) >= seenCap {
-			clear(n.rtt)
-		}
-		n.rtt[peer] = est
-	}
 	n.reqs.dropFwd(i)
 }
 

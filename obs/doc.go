@@ -4,9 +4,7 @@
 // stack records into it — eventsim shards at epoch barriers, the live
 // node event loop, cluster replay reports, and the rcmd metrics endpoint
 // — so the same bucket boundaries and the same rendering describe
-// simulated and real runs. RTT, the round-trip estimator behind both
-// executors' adaptive retransmission timeout, lives here for the same
-// reason: one definition, two instantiations.
+// simulated and real runs.
 //
 // # Adding a custom metric
 //

@@ -57,6 +57,11 @@ func (s Space) Bits() int { return s.bits }
 // Size returns N = 2^d.
 func (s Space) Size() uint64 { return s.size }
 
+// MaxHops is the route-length bound every executor enforces, eventsim
+// and the live node alike: 4·d + 16, far above any greedy route in a
+// d-bit space, so it only ever stops a routing loop.
+func (s Space) MaxHops() int { return 4*s.bits + 16 }
+
 // Contains reports whether x is a valid identifier in this space.
 func (s Space) Contains(x ID) bool { return uint64(x) <= s.mask }
 
