@@ -18,8 +18,12 @@ race:
 # instead of waiting for someone to compare two machines. The root
 # package is not in the list: it pins no golden, and its registry tests
 # register process-global names, so they cannot run twice in one process.
+# eventsim's pinned digests run at both counts too: one core drains the
+# shards inline, four drain them on worker goroutines, and the two must
+# reproduce the same recorded results.
 cpu-sweep:
 	go test -cpu 1,4 ./exp ./internal/sim ./internal/figures ./cmd/dhtsim ./cmd/figures
+	go test -cpu 1,4 -run TestResultsPinned ./eventsim
 
 # bench runs the repository benchmark (BENCHMARK.json; benchmark/README.md)
 # once over all seven workloads, untraced then traced, and writes
