@@ -59,7 +59,10 @@ func BenchmarkEventSimFault(b *testing.B) {
 // BenchmarkEventSimScheduler contrasts the two eventQueue implementations
 // on a timer-dominated churn scenario — every node cycles through
 // exponential sessions with periodic stabilization and join maintenance,
-// so the pending set is large and almost every event arms another timer.
+// so the pending set is large and every stabilization re-arms itself.
+// Retransmission timers bypass both queues (each shard's pending ring
+// holds them), so the queues carry requests, lifecycle toggles and
+// stabilization timers.
 // /wheel is the engine as shipped, /heap runs it on the binary-heap
 // reference through the runOverlay seam. The two sub-benchmarks process
 // the *same* event sequence (results are bit-identical across queues),

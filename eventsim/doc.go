@@ -25,8 +25,8 @@
 // number of shards (node % Shards), each owning an event queue (a
 // hierarchical timing wheel; see queue.go and timingwheel.go), a
 // deterministic splitmix64 RNG stream, its nodes' online flags and
-// routing-table rows, a slice-backed free-list arena of in-flight forward
-// attempts, and per-bucket metric accumulators. Every mutable per-node or
+// routing-table rows, a FIFO ring of in-flight forward attempts, and
+// per-bucket metric accumulators. Every mutable per-node or
 // per-attempt datum lives in its owner shard's own allocations rather
 // than in globally interleaved arrays, so two shards never write the same
 // cache line; the only shared mutable engine state — the alive-snapshot
@@ -75,14 +75,37 @@
 // Acknowledgements are modeled reliable (loss applies to requests), and
 // the retransmission timeout must exceed the worst-case round trip, so a
 // timeout never fires for a hop that actually succeeded: a lookup is
-// never duplicated in flight. Each forward attempt occupies an arena slot
-// addressed by the attempt id its request, acknowledgement and timeout
-// events carry; the slot is recycled when the attempt's timeout event
-// fires — every attempt schedules exactly one, and any acknowledgement
-// provably precedes it — so slot indices are safe to reuse without
-// generation tags and steady-state forwarding allocates nothing. The slot
-// also stashes the chosen next hop, so retransmissions to the same
-// candidate skip the Forwarder's candidate enumeration entirely.
+// never duplicated in flight. Neither timeouts nor acknowledgements are
+// queue events. The RTO is one constant per run and a shard arms
+// attempts in non-decreasing event time, so its attempts come due in the
+// order they were armed: each shard keeps them in a power-of-two ring,
+// addressed by a monotone uint32 attempt id (slot id & mask; growth
+// re-lays the in-flight range under the new mask), and each record holds
+// its deadline with a sequence number drawn like any push's. The shard
+// merges the ring's head with its event queue in exact (t, seq) order —
+// the queue pops up to a (t, seq) bound — and counts a non-empty ring as
+// pending work. A record leaves the ring only when its
+// deadline comes due, so a bare attempt id in a request is safe without
+// a generation tag and steady-state forwarding allocates nothing. The
+// record also stashes the chosen next hop, so retransmissions to the
+// same candidate skip the Forwarder's candidate enumeration entirely.
+//
+// An acknowledgement is a write of the record's live flag. The receiver
+// still draws the ack's latency, because that draw is part of its
+// shard's random stream, but nothing waits for it: a same-shard
+// acknowledgement clears the flag at once, and a cross-shard one travels
+// to the sender's shard in a per-destination id list that changes hands
+// at the barrier and is applied first thing next epoch. Applying it
+// earlier than the ack would have landed cannot be observed, because the
+// flag is read only by the attempt's own deadline, and that deadline
+// cannot come due before the acknowledgement is applied. The request
+// reached the receiver at most MaxLatency after the send, in an epoch
+// ending at most one lookahead (MinLatency) later, and the RTO of
+// 2×MaxLatency + MinLatency puts the deadline at least MaxLatency past
+// that epoch's end: the acknowledgement is applied before the sender's
+// shard processes anything at or after that end.
+// Result.Events counts each acknowledgement when it is applied, so the
+// event total is that of an engine that queues acks and timeouts.
 //
 // # Defining a custom Scenario
 //
@@ -278,8 +301,8 @@
 //
 // The retransmission timeout is fixed: 2×MaxLatency + MinLatency of
 // the transport, and a Faulty reports the plan-inflated MaxLatency, so
-// the arena-recycling invariant RTO > 2×MaxLatency holds under every
-// plan. The forwarding model is the paper's — greedy, no backtracking,
+// the invariant the pending ring relies on, RTO > 2×MaxLatency, holds
+// under every plan. The forwarding model is the paper's — greedy, no backtracking,
 // independently failed nodes — and has no retransmission timer of its
 // own to adapt.
 package eventsim

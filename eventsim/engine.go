@@ -12,16 +12,17 @@ import (
 
 // Event kinds, in deterministic tie-break-irrelevant order (ordering
 // between same-time events is fixed by push sequence, not kind).
+// Retransmission timeouts and acknowledgements are not events: a timeout
+// is the deadline of its attempt's record in the sender's pending ring,
+// and an acknowledgement is a write to that record (see pendingRing).
 const (
-	evStart   uint8 = iota + 1 // a scheduled lookup begins at node
-	evReq                      // a lookup request arrives at node
-	evAck                      // an acknowledgement arrives back at the sender
-	evTimeout                  // a pending forward attempt timed out at node
-	evDown                     // scenario: node goes offline
-	evUp                       // scenario: node comes online
-	evStab                     // periodic stabilization timer at node
-	evRetry                    // a replicated lookup fails over to its next owner at the source
-	evDup                      // the later copy of a duplicated request arrives (fault injection)
+	evStart uint8 = iota + 1 // a scheduled lookup begins at node
+	evReq                    // a lookup request arrives at node
+	evDown                   // scenario: node goes offline
+	evUp                     // scenario: node comes online
+	evStab                   // periodic stabilization timer at node
+	evRetry                  // a replicated lookup fails over to its next owner at the source
+	evDup                    // the later copy of a duplicated request arrives (fault injection)
 )
 
 // ev is the uniform event record, used both in per-shard queues and in
@@ -29,10 +30,8 @@ const (
 //
 //	evStart:   node=src, lk=lookup
 //	evReq:     node=receiver, lk=lookup, a=attempt id, b=sender, hops=count so far
-//	evAck:     node=sender, a=attempt id
-//	evTimeout: node=sender, lk=lookup, a=attempt id
 //	evRetry:   node=src, lk=lookup, ri=next owner, prior=hops already spent
-//	evDown/evUp/evStab: node
+//	evDown/evUp/evStab/evDup: node
 //
 // The lookup's mutable progress (its hop count, and under replication its
 // current owner index, start-time eligibility mask and hops spent by
@@ -68,26 +67,83 @@ type lookupMeta struct {
 	start       float64
 }
 
-// pendingHop is an arena slot for a forward attempt awaiting
-// acknowledgement at the sender. next stashes the candidate chosen when
-// the attempt was first sent, so a retransmission to the same candidate
-// re-sends directly instead of re-running the Forwarder's candidate
-// enumeration. live distinguishes an outstanding attempt from one already
-// acknowledged: the slot itself is recycled only when the attempt's
-// timeout event fires (every attempt schedules exactly one, and the RTO
-// validation guarantees the ack, if any, arrives first), which is what
-// makes bare slot indices safe to carry in events with no generation tag.
+// pendingHop is a forward attempt awaiting acknowledgement at the
+// sender: one record of the shard's pending ring. (t, seq) is the
+// attempt's retransmission deadline and its place in the shard's total
+// event order, seq drawn from the shard's counter like a push's. next
+// stashes the candidate chosen when the attempt was first sent, so a
+// retransmission to the same candidate re-sends directly instead of
+// re-running the Forwarder's candidate enumeration. live distinguishes
+// an outstanding attempt from one already acknowledged: the record
+// leaves the ring only when its deadline comes due, whether or not it
+// was acknowledged (the RTO validation guarantees the ack, if any, lands
+// first), which is what makes bare attempt ids safe to carry in requests
+// and acknowledgements with no generation tag.
 type pendingHop struct {
+	t     float64 // retransmission deadline: sent at t − RTO
+	seq   uint64  // the deadline's tie-break in the shard's (t, seq) order
 	lk    uint32
 	node  uint32 // forwarding node
 	next  uint32 // chosen next hop, reused verbatim on retransmission
 	cand  uint16 // candidate index being tried
 	hops  uint16 // the lookup's hop count when this attempt was sent
 	try   uint8  // retransmission count for this candidate
-	live  bool   // false once acknowledged; slot awaits its timeout event
+	live  bool   // false once acknowledged; the record awaits its deadline
 	ri    uint8  // replica index of the owner this attempt targets
 	mask  uint8  // owner-eligibility bitmask frozen at lookup start
 	prior uint16 // hops spent by earlier failed attempts
+}
+
+// pendingRing holds a shard's in-flight forward attempts in arming order,
+// which is also deadline order: the RTO is one constant per run and a
+// shard arms attempts in non-decreasing event time, so the attempts time
+// out first in, first out, and the ring's head is always the next
+// timeout. Attempt ids are a monotone uint32 — head is the oldest
+// attempt's id, tail the next one's — and an id's record lives at
+// id & (len(buf)−1); since len(buf) is a power of two that divides 2^32,
+// the mapping stays consistent when the counter wraps. Growth re-lays
+// the live [head, tail) range at each id's slot under the new mask, so
+// an id already carried in a request or an acknowledgement still names
+// its own record. The ring grows once to the peak in-flight count and
+// steady-state forwarding allocates nothing.
+type pendingRing struct {
+	buf        []pendingHop
+	head, tail uint32
+}
+
+func (r *pendingRing) size() int { return int(r.tail - r.head) }
+
+// at returns the record of attempt id, which must be in flight.
+func (r *pendingRing) at(id uint32) *pendingHop {
+	return &r.buf[id&uint32(len(r.buf)-1)]
+}
+
+// front returns the oldest in-flight attempt; the ring must be non-empty.
+func (r *pendingRing) front() *pendingHop { return r.at(r.head) }
+
+// pop retires the oldest attempt.
+func (r *pendingRing) pop() { r.head++ }
+
+// push arms the next attempt and returns its id and its record, which
+// stays valid until the ring is pushed again.
+func (r *pendingRing) push() (uint32, *pendingHop) {
+	if r.size() == len(r.buf) {
+		r.grow()
+	}
+	id := r.tail
+	r.tail++
+	return id, r.at(id)
+}
+
+// grow doubles the ring, re-laying every in-flight record at its id's
+// slot under the new mask.
+func (r *pendingRing) grow() {
+	buf := make([]pendingHop, max(2*len(r.buf), 64))
+	mask := uint32(len(buf) - 1)
+	for id := r.head; id != r.tail; id++ {
+		buf[id&mask] = *r.at(id)
+	}
+	r.buf = buf
 }
 
 // bucketAcc is a shard-local metrics accumulator for one time bucket.
@@ -103,7 +159,7 @@ type bucketAcc struct {
 
 // shard owns an interleaved slice of the population (node % shards): its
 // nodes' online flags, routing-table rows, event queue, RNG, pending
-// attempt arena and metric accumulators. Within an epoch a shard runs
+// attempt ring and metric accumulators. Within an epoch a shard runs
 // single-threaded; shards only exchange messages at epoch barriers. Every
 // mutable field lives in the shard's own allocations (not interleaved
 // global arrays), so two shards never write the same cache line.
@@ -125,14 +181,12 @@ type shard struct {
 	// started latches each own-source lookup's at-most-once start.
 	started *overlay.Bitset
 
-	// pending is the slice-backed arena of in-flight forward attempts,
-	// indexed by the attempt id carried in evReq/evAck/evTimeout events;
-	// freePd is its free-list. Slots recycle when their timeout fires, so
-	// the arena grows once to the peak in-flight count and steady-state
-	// attempts allocate nothing — the map this replaces hashed every
-	// ack and timeout on the hot path.
-	pending []pendingHop
-	freePd  []uint32
+	// pending holds the in-flight forward attempts in deadline order,
+	// addressed by the attempt id evReq carries. Its head is the shard's
+	// next retransmission timeout, which runEpoch merges with the event
+	// queue in (t, seq) order; an acknowledgement clears the record's live
+	// flag in place. Neither reaches the event queue.
+	pending pendingRing
 
 	// outbox holds this epoch's cross-shard sends, indexed by destination
 	// shard; inbox the previous epoch's arrivals, indexed by source shard,
@@ -144,6 +198,15 @@ type shard struct {
 	outbox  [][]ev
 	inbox   [][]ev
 	sentMin float64
+
+	// ackOut holds the ids of attempts this shard acknowledged this epoch
+	// on behalf of other shards, indexed by the sender's shard; ackIn the
+	// previous epoch's, indexed by the acknowledging shard, which the
+	// shard applies to its ring before anything else next epoch. They
+	// change hands at the barrier like outbox and inbox.
+	ackOut [][]uint32
+	ackIn  [][]uint32
+
 	toggles []int32 // node lifecycle deltas this epoch: +node+1 up, -(node+1) down
 
 	acc     []bucketAcc
@@ -256,20 +319,9 @@ func (sh *shard) send(e ev) {
 	}
 }
 
-// allocPending places an attempt in the arena and returns its id.
-func (sh *shard) allocPending(pd pendingHop) uint32 {
-	if n := len(sh.freePd); n > 0 {
-		id := sh.freePd[n-1]
-		sh.freePd = sh.freePd[:n-1]
-		sh.pending[id] = pd
-		return id
-	}
-	sh.pending = append(sh.pending, pd)
-	return uint32(len(sh.pending) - 1)
-}
-
 // sampleLatency draws a latency ignoring the delivery verdict — the path
-// acknowledgements take (modeled reliable; see doc.go).
+// failover notices take (modeled reliable like acknowledgements; see
+// doc.go).
 func (e *engine) sampleLatency(rng *overlay.RNG) float64 {
 	lat, _ := e.cfg.Transport.Sample(rng)
 	if lat < e.delta {
@@ -291,9 +343,18 @@ func (sh *shard) worker(done chan<- struct{}) {
 	}
 }
 
-// runEpoch delivers the messages the other shards sent this one during
-// the previous epoch, then processes every local event with t < end.
+// runEpoch applies the acknowledgements and delivers the messages the
+// other shards sent this one during the previous epoch, then processes
+// every local event and retransmission timeout with t < end, the two
+// merged in (t, seq) order.
 func (sh *shard) runEpoch(end float64) {
+	for src, acks := range sh.ackIn {
+		for _, id := range acks {
+			sh.pending.at(id).live = false
+		}
+		sh.events += uint64(len(acks))
+		sh.ackIn[src] = acks[:0]
+	}
 	for src, in := range sh.inbox {
 		for _, m := range in {
 			sh.push(m)
@@ -302,9 +363,23 @@ func (sh *shard) runEpoch(end float64) {
 	}
 	sh.sentMin = math.Inf(1)
 	for {
-		e, ok := sh.q.popBefore(end)
+		// A due timeout bounds the queue's pop at its own (t, seq): the
+		// queue yields only the events ordered before it, and once none is
+		// left the timeout is the least pending item.
+		bt, bseq, due := end, uint64(0), false
+		if sh.pending.size() > 0 {
+			if pd := sh.pending.front(); pd.t < end {
+				bt, bseq, due = pd.t, pd.seq, true
+			}
+		}
+		e, ok := sh.q.popBefore(bt, bseq)
 		if !ok {
-			break
+			if !due {
+				break
+			}
+			sh.events++
+			sh.handleTimeout()
+			continue
 		}
 		sh.events++
 		switch e.kind {
@@ -312,12 +387,6 @@ func (sh *shard) runEpoch(end float64) {
 			sh.handleStart(e)
 		case evReq:
 			sh.handleReq(e)
-		case evAck:
-			// Retire the attempt; the slot itself is reclaimed when the
-			// attempt's timeout event arrives.
-			sh.pending[e.a].live = false
-		case evTimeout:
-			sh.handleTimeout(e)
 		case evRetry:
 			sh.handleRetry(e)
 		case evDown:
@@ -480,8 +549,8 @@ func (sh *shard) handleRetry(e ev) {
 }
 
 // dispatch sends the request for an already-chosen next hop: charge the
-// message, arm the retransmission timeout, and record the attempt in the
-// pending arena.
+// message, and record the attempt, with its retransmission deadline, at
+// the tail of the pending ring.
 func (sh *shard) dispatch(t float64, lk, cur, next uint32, ci, try int, hops uint16, ri, mask uint8, prior uint16) {
 	eng := sh.eng
 	sh.acc[eng.bucketOf(t)].LookupMessages++
@@ -522,11 +591,13 @@ func (sh *shard) dispatch(t float64, lk, cur, next uint32, ci, try int, hops uin
 	if lat < eng.delta {
 		lat = eng.delta
 	}
-	id := sh.allocPending(pendingHop{
+	id, pd := sh.pending.push()
+	*pd = pendingHop{
+		t:  t + eng.rto,
 		lk: lk, node: cur, next: next,
 		cand: uint16(ci), hops: hops, try: uint8(try), live: true,
 		ri: ri, mask: mask, prior: prior,
-	})
+	}
 	if eng.traced(lk) {
 		sh.recordTrace(lk, TraceEvent{T: t, Kind: TraceSend, Node: int(cur), To: int(next), Hops: int(hops + prior), Cand: ci, Try: try})
 	}
@@ -555,7 +626,9 @@ func (sh *shard) dispatch(t float64, lk, cur, next uint32, ci, try int, hops uin
 	if delivered {
 		sh.send(req)
 	}
-	sh.push(ev{t: t + eng.rto, kind: evTimeout, node: cur, lk: lk, a: id})
+	// The deadline is sequenced after the request and its duplicate.
+	pd.seq = sh.seq
+	sh.seq++
 }
 
 func (sh *shard) handleReq(e ev) {
@@ -572,9 +645,19 @@ func (sh *shard) handleReq(e ev) {
 	}
 	// Acknowledge (reliable, latency-only) so the sender retires the
 	// attempt, then keep forwarding — ownership of the lookup has just
-	// transferred to this shard with the message.
+	// transferred to this shard with the message. The ack's latency is
+	// still drawn, as part of this shard's random stream, but the ack
+	// itself is a write of the attempt's live flag: now for a sender on
+	// this shard, first thing next epoch for one on another (doc.go,
+	// Engine design, shows no deadline can tell the difference).
 	sh.acc[eng.bucketOf(e.t)].LookupMessages++
-	sh.send(ev{t: e.t + eng.sampleLatency(sh.rng), kind: evAck, node: e.b, a: e.a})
+	eng.cfg.Transport.Sample(sh.rng)
+	if ds := eng.shardOf(e.b); ds == sh.id {
+		sh.pending.at(e.a).live = false
+		sh.events++
+	} else {
+		sh.ackOut[ds] = append(sh.ackOut[ds], e.a)
+	}
 	hops := e.hops + 1
 	if eng.traced(e.lk) {
 		sh.recordTrace(e.lk, TraceEvent{T: e.t, Kind: TraceHop, Node: int(y), Hops: int(hops + e.prior)})
@@ -607,18 +690,21 @@ func (sh *shard) handleDup(e ev) {
 	sh.acc[eng.bucketOf(e.t)].LookupMessages++
 }
 
-func (sh *shard) handleTimeout(e ev) {
-	pd := sh.pending[e.a]
-	// The timeout is the attempt's last reference: recycle the slot
+// handleTimeout retires the ring's head, whose deadline is the least
+// pending item of the shard.
+func (sh *shard) handleTimeout() {
+	pd := *sh.pending.front()
+	// The deadline is the attempt's last reference: retire the record
 	// whether the attempt was acknowledged or is genuinely overdue.
-	sh.freePd = append(sh.freePd, e.a)
+	sh.pending.pop()
 	if !pd.live {
 		return // acknowledged in the meantime
 	}
 	eng := sh.eng
-	sh.acc[eng.bucketOf(e.t)].Timeouts++
+	t := pd.t
+	sh.acc[eng.bucketOf(t)].Timeouts++
 	if eng.traced(pd.lk) {
-		sh.recordTrace(pd.lk, TraceEvent{T: e.t, Kind: TraceRTO, Node: int(pd.node), To: int(pd.next), Hops: int(pd.hops), Cand: int(pd.cand), Try: int(pd.try)})
+		sh.recordTrace(pd.lk, TraceEvent{T: t, Kind: TraceRTO, Node: int(pd.node), To: int(pd.next), Hops: int(pd.hops), Cand: int(pd.cand), Try: int(pd.try)})
 	}
 	// A pending timeout means the downstream hop did not accept (requests
 	// that were acknowledged retire their attempt before the RTO). If the
@@ -627,7 +713,7 @@ func (sh *shard) handleTimeout(e ev) {
 	// treats that like any other attempt failure: the origin's deadline
 	// machinery re-issues toward the next owner.
 	if !sh.online[pd.node] {
-		sh.failAttempt(e.t, pd.lk, pd.node, pd.hops, pd.ri, pd.mask, pd.prior)
+		sh.failAttempt(t, pd.lk, pd.node, pd.hops, pd.ri, pd.mask, pd.prior)
 		return
 	}
 	// Retransmit to the same candidate first (a lost request must not skip
@@ -635,10 +721,10 @@ func (sh *shard) handleTimeout(e ev) {
 	// second Forwarder call; fail over to the next candidate once
 	// exhausted.
 	if int(pd.try) < eng.cfg.Retransmits {
-		sh.dispatch(e.t, pd.lk, pd.node, pd.next, int(pd.cand), int(pd.try)+1, pd.hops, pd.ri, pd.mask, pd.prior)
+		sh.dispatch(t, pd.lk, pd.node, pd.next, int(pd.cand), int(pd.try)+1, pd.hops, pd.ri, pd.mask, pd.prior)
 		return
 	}
-	sh.attempt(e.t, pd.lk, pd.node, int(pd.cand)+1, pd.hops, pd.ri, pd.mask, pd.prior)
+	sh.attempt(t, pd.lk, pd.node, int(pd.cand)+1, pd.hops, pd.ri, pd.mask, pd.prior)
 }
 
 func (sh *shard) handleToggle(t float64, node uint32, up bool) {
@@ -715,7 +801,7 @@ func (e *engine) run() {
 	for {
 		pendingWork := false
 		for _, sh := range e.shards {
-			if sh.q.size() > 0 || sh.sentMin < math.Inf(1) {
+			if sh.q.size() > 0 || sh.pending.size() > 0 || sh.sentMin < math.Inf(1) {
 				pendingWork = true
 				break
 			}
@@ -782,6 +868,7 @@ func (e *engine) run() {
 					empty = make([]ev, 0, len(full))
 				}
 				src.outbox[di], dst.inbox[si] = empty, full
+				src.ackOut[di], dst.ackIn[si] = dst.ackIn[si], src.ackOut[di]
 			}
 		}
 
@@ -801,6 +888,9 @@ func (e *engine) run() {
 		for _, sh := range e.shards {
 			if t, ok := sh.q.minTime(); ok && t < minTop {
 				minTop = t
+			}
+			if sh.pending.size() > 0 {
+				minTop = min(minTop, sh.pending.front().t)
 			}
 			if sh.sentMin < minTop {
 				minTop = sh.sentMin

@@ -257,7 +257,8 @@ type Result struct {
 	// lookup index; empty unless Config.Trace > 0.
 	Traces []Trace
 	// Lookups is the number of scheduled lookups; Events the total event
-	// count the engine processed.
+	// count the engine processed, each acknowledgement and retransmission
+	// deadline counted as one event.
 	Lookups int
 	Events  uint64
 	// Faults tallies the injected faults when Config.Transport is a
@@ -462,6 +463,8 @@ func runOverlay(p registry.Protocol, cfg Config, newQueue func(delta float64) ev
 			started: overlay.NewBitset(len(env.lookups)),
 			outbox:  make([][]ev, shards),
 			inbox:   make([][]ev, shards),
+			ackOut:  make([][]uint32, shards),
+			ackIn:   make([][]uint32, shards),
 			sentMin: math.Inf(1),
 			acc:     make([]bucketAcc, cfg.Buckets),
 		}

@@ -124,7 +124,7 @@ func TestCorruptAndStallRecoverable(t *testing.T) {
 
 // TestLossyTotalBlackhole (the lossy:1.0 edge case): with every request
 // dropped, every started lookup fails — and the run still terminates with
-// the pending-arena ownership intact (no panic, no double recycling).
+// the pending ring intact (no panic, every attempt retired once).
 func TestLossyTotalBlackhole(t *testing.T) {
 	cfg := faultCfg("lossy:1.0")
 	cfg.Overlay.Bits = 6

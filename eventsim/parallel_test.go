@@ -14,9 +14,9 @@ import (
 // cores the host offers. The scenario turns on every contention-prone
 // subsystem at once — churn lifecycles, maintenance (concurrent
 // routing-table reads and owner-row writes), a lossy empirical transport
-// (retransmissions, arena recycling) — and CI runs this under -race, so
-// the test is simultaneously the bit-identity and the data-race check for
-// the worker/barrier architecture.
+// (retransmissions, cross-shard acknowledgements) — and CI runs this
+// under -race, so the test is simultaneously the bit-identity and the
+// data-race check for the worker/barrier architecture.
 func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	cfg := Config{
 		Protocol:       "chord",

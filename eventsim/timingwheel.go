@@ -14,11 +14,13 @@ import (
 // comparisons per event against the whole pending set.
 //
 // Level 0 is wide — wheelSpan0 slots, eight lookaheads — because almost
-// everything the engine schedules is near: a message lands one lookahead
-// ahead and a default retransmission timer three, so both reach their
-// final slot on the first placement and are never touched again until
-// drained. Only far timers (stabilization, pre-scheduled lifecycles and
-// lookups) park in the upper levels, wheelSpanUp slots each, a level-k
+// everything the engine schedules is near: a message lands between one
+// and a few lookaheads ahead, so it reaches its final slot on the first
+// placement and is never touched again until drained. Retransmission
+// timers never reach the wheel at all: they come due in arming order, so
+// each shard keeps them in its pending ring and merges the ring's head
+// with the wheel (see popBefore). Only far timers (stabilization,
+// pre-scheduled lifecycles and lookups) park in the upper levels, wheelSpanUp slots each, a level-k
 // slot spanning a whole level-(k−1) window; they are re-placed once per
 // level as the cursor enters their slot's span. Events beyond the top
 // level's horizon (2^wheelHorizonBits slots = 131072 lookaheads ≈ 1.8
@@ -60,7 +62,7 @@ const nilChunk = int32(-1)
 
 // wheelSlot heads one slot's chunk chain. min is the least event time in
 // the chain (+Inf when empty): it answers minTime without a scan and tells
-// popBefore whether the slot holds anything below the epoch boundary. n
+// popBefore whether the slot can hold anything below its bound. n
 // counts the chain's events, so load can size its buffers up front.
 type wheelSlot struct {
 	min        float64
@@ -270,11 +272,11 @@ func (w *wheelQueue) insertDrain(e ev) {
 	w.drain = slices.Insert(w.drain, i, e)
 }
 
-func (w *wheelQueue) popBefore(end float64) (ev, bool) {
+func (w *wheelQueue) popBefore(t float64, seq uint64) (ev, bool) {
 	for {
 		if w.drainPos < len(w.drain) {
 			e := w.drain[w.drainPos]
-			if e.t >= end {
+			if !keyLess(e.t, e.seq, t, seq) {
 				return ev{}, false
 			}
 			w.drainPos++
@@ -284,8 +286,9 @@ func (w *wheelQueue) popBefore(end float64) (ev, bool) {
 		// The first occupied slot holds the earliest pending event; if even
 		// that is not due, nothing is, and the cursor stays where it is
 		// rather than being walked to the boundary one empty slot at a time.
+		// The least key the slot can hold is (min, 0).
 		i := w.first()
-		if i < 0 || w.slots[i].min >= end {
+		if i < 0 || !keyLess(w.slots[i].min, 0, t, seq) {
 			return ev{}, false
 		}
 		if i < wheelSpan0 {

@@ -41,9 +41,9 @@ func (q *heapQueue) push(e ev) {
 	}
 }
 
-func (q *heapQueue) popBefore(end float64) (ev, bool) {
+func (q *heapQueue) popBefore(t float64, seq uint64) (ev, bool) {
 	h := q.h
-	if len(h) == 0 || h[0].t >= end {
+	if len(h) == 0 || !keyLess(h[0].t, h[0].seq, t, seq) {
 		return ev{}, false
 	}
 	top := h[0]
@@ -137,11 +137,18 @@ func (p *queuePair) minTime() (float64, bool) {
 // caller can schedule from inside the drain loop, as handlers do.
 func (p *queuePair) drain(end float64, onPop func(ev)) int {
 	p.t.Helper()
+	return p.drainKey(end, 0, onPop)
+}
+
+// drainKey is drain up to the (t, seq) bound: the events ordered before
+// it, as runEpoch pops them ahead of a due retransmission deadline.
+func (p *queuePair) drainKey(end float64, seq uint64, onPop func(ev)) int {
+	p.t.Helper()
 	for n := 0; ; n++ {
-		we, wok := p.wheel.popBefore(end)
-		he, hok := p.heap.popBefore(end)
+		we, wok := p.wheel.popBefore(end, seq)
+		he, hok := p.heap.popBefore(end, seq)
 		if wok != hok {
-			p.t.Fatalf("%s: popBefore(%v) diverged: wheel ok=%v heap ok=%v", p.name, end, wok, hok)
+			p.t.Fatalf("%s: popBefore(%v, %d) diverged: wheel ok=%v heap ok=%v", p.name, end, seq, wok, hok)
 		}
 		if !wok {
 			return n
@@ -309,7 +316,7 @@ func TestWheelLateInsertion(t *testing.T) {
 	for i, tt := range []float64{0.2, 0.5, 0.8} {
 		w.push(ev{t: tt, seq: uint64(i)})
 	}
-	e, ok := w.popBefore(1)
+	e, ok := w.popBefore(1, 0)
 	if !ok || e.t != 0.2 {
 		t.Fatalf("first pop = %+v, %v", e, ok)
 	}
@@ -320,7 +327,7 @@ func TestWheelLateInsertion(t *testing.T) {
 	var got []float64
 	var seqs []uint64
 	for {
-		e, ok := w.popBefore(1)
+		e, ok := w.popBefore(1, 0)
 		if !ok {
 			break
 		}
@@ -334,6 +341,38 @@ func TestWheelLateInsertion(t *testing.T) {
 	}
 	if w.size() != 0 {
 		t.Fatalf("size %d after drain", w.size())
+	}
+}
+
+// TestWheelSeqBound covers popBefore's (t, seq) bound, the way runEpoch
+// uses it to stop the queue at a due retransmission deadline: the bound
+// can fall inside a group of equal times, on a slot not yet opened whose
+// least time equals the bound's, or between slots, and each pop must emit
+// exactly the events ordered before it, as the heap reference does.
+func TestWheelSeqBound(t *testing.T) {
+	p := newQueuePair(t, "seq bound", 32) // slot width 0.25
+	for _, tt := range []float64{0.5, 0.5, 0.5, 1.5, 1.5, 2.75, 40} {
+		p.push(tt)
+	}
+	for _, b := range []struct {
+		t    float64
+		seq  uint64
+		pops int
+	}{
+		{0.5, 0, 0},  // the bound's time is the slot's least: nothing before it
+		{0.5, 2, 2},  // inside the equal-time group
+		{0.5, 2, 0},  // the same bound again
+		{1.5, 4, 2},  // across the rest of the group and into the next slot's
+		{2.75, 5, 1}, // the next slot's remainder, then a slot held back whole
+		{2.75, 6, 1},
+		{40, 6, 0}, // an earlier sequence number at a later time
+	} {
+		if n := p.drainKey(b.t, b.seq, nil); n != b.pops {
+			t.Fatalf("popBefore(%v, %d) emitted %d events, want %d", b.t, b.seq, n, b.pops)
+		}
+	}
+	if n := p.drain(math.Inf(1), nil); n != 1 {
+		t.Fatalf("final drain emitted %d events, want 1", n)
 	}
 }
 
@@ -355,7 +394,7 @@ func TestWheelOverflowCascades(t *testing.T) {
 	end := width
 	for w.size() > 0 {
 		for {
-			e, ok := w.popBefore(end)
+			e, ok := w.popBefore(end, 0)
 			if !ok {
 				break
 			}
@@ -458,7 +497,7 @@ func TestWheelSteadyStateAllocs(t *testing.T) {
 		}
 		now += 4 * width
 		for {
-			if _, ok := w.popBefore(now); !ok {
+			if _, ok := w.popBefore(now, 0); !ok {
 				break
 			}
 		}

@@ -90,8 +90,8 @@ type Result struct {
 func (r Result) OK() bool { return r.Err == nil && r.Status == StatusOK }
 
 // pendingFwd is one in-flight forward attempt awaiting its hop
-// acknowledgement — the live counterpart of eventsim's pending arena slot,
-// and like it a pooled record (reqtable.go).
+// acknowledgement — the live counterpart of eventsim's pending ring
+// record, and like it a pooled record (reqtable.go).
 type pendingFwd struct {
 	id       uint32        // index in the forward pool
 	msg      message       // the request as this holder forwards it: one hop's budget spent, Deadline set per attempt
