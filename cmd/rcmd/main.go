@@ -173,9 +173,6 @@ func parseFlags(args []string) (options, error) {
 			return o, fmt.Errorf("-cluster %d: population must be a power of two", o.clusterN)
 		}
 	}
-	// Interactive clusters run the plan against wall time since boot:
-	// windowed clauses fire while you type.
-	d.FaultWallClock = true
 	return o, nil
 }
 

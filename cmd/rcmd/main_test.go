@@ -216,15 +216,14 @@ func leaves(prefix string, v any, out map[string]any) {
 // by field, against the default command line's.
 func TestEveryKnobHasOneFlag(t *testing.T) {
 	flagless := map[string]string{
-		"cluster.Transport":      "the interactive cluster is in-memory; a UDP deployment is daemons",
-		"cluster.FaultHorizon":   "stall placement horizon; node.WrapFault's default (3600 s) outlasts a session",
-		"cluster.FaultWallClock": "always true: nothing advances a schedule clock while you type",
-		"node.Protocol":          "built by startDaemon from -protocol -bits -seed",
-		"node.Transport":         "the socket startDaemon opens on -listen",
-		"node.AddrOf":            "the directory startDaemon loads from -peers",
-		"node.Store":             "a fresh store startDaemon parses from -store",
-		"client.Bind":            "the default 127.0.0.1:0 suits a client on the daemons' host; elsewhere use the Go API",
-		"client.Transport":       "in-process tests only",
+		"cluster.Transport":    "the interactive cluster is in-memory; a UDP deployment is daemons",
+		"cluster.FaultHorizon": "stall placement horizon; node.WrapFault's default (3600 s) outlasts a session",
+		"node.Protocol":        "built by startDaemon from -protocol -bits -seed",
+		"node.Transport":       "the socket startDaemon opens on -listen",
+		"node.AddrOf":          "the directory startDaemon loads from -peers",
+		"node.Store":           "a fresh store startDaemon parses from -store",
+		"client.Bind":          "the default 127.0.0.1:0 suits a client on the daemons' host; elsewhere use the Go API",
+		"client.Transport":     "in-process tests only",
 	}
 	// Fields two flags legitimately reach: -cluster N is the population,
 	// from which the identifier length follows; -timeout caps -deadline.

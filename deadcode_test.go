@@ -29,6 +29,7 @@ var testOnlyExports = map[string]string{
 	"internal/core.Tree.ClosedFormRoutability":            "TestTreeClosedFormMatchesPipeline",
 	"internal/core.GeneralizedTree.ClosedFormRoutability": "TestGeneralizedTreeClosedFormMatchesPipeline",
 	"internal/markov.Chain.AbsorptionProbLinear":          "TestLinearSolverMatchesForwardOnDAG",
+	"internal/markov.Chain.Simulate":                      "TestSimulateMatchesExact",
 	"internal/markov.PhaseSuccess":                        "TestXORChainProductForm",
 	"internal/numeric.BigEval.QPow":                       "TestBigEvalQPow",
 	"internal/numeric.BigEval.ProductOneMinus":            "TestBigEvalProductOneMinus",
@@ -72,7 +73,8 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	}
 
 	// refsOf collects every name n mentions: alias.Name for an imported
-	// rcm/internal package, bare identifiers as names of pkg, and
+	// package of this module (rcm.Simulate names a function of rcm, not
+	// every method called Simulate), bare identifiers as names of pkg, and
 	// selector / interface method names as method references.
 	refsOf := func(n ast.Node, pkg string, imports map[string]string) []key {
 		var out []key
@@ -133,7 +135,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		imports := map[string]string{}
 		for _, im := range f.Imports {
 			p, _ := strconv.Unquote(im.Path.Value)
-			if !strings.HasPrefix(p, "rcm/internal/") {
+			if p != "rcm" && !strings.HasPrefix(p, "rcm/") {
 				continue
 			}
 			alias := p[strings.LastIndex(p, "/")+1:]
@@ -258,13 +260,14 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 // stays a field.
 var unsetConfigFields = map[string]string{
 	"cluster.Config.FaultHorizon": "the fault-conformance suite binds stall placement to its schedule's duration",
+	"node.FaultConfig.Horizon":    "the fault-conformance suite binds stall placement to its schedule's duration",
 	"node.ClientConfig.Bind":      "a deployment address: the default 127.0.0.1:0 only suits a client on the daemons' host",
 	"node.ClientConfig.Transport": "the in-process fake a client dials through instead of a UDP socket",
 }
 
-// TestConfigFieldsHaveSetters: every exported field of the four run
-// configs (eventsim.Config, node.Config, node.ClientConfig,
-// cluster.Config) is set by some non-test file outside examples/ and
+// TestConfigFieldsHaveSetters: every exported field of the run configs
+// and the sim↔live seam structs (eventsim.Config and Params, node.Config,
+// ClientConfig and FaultConfig, cluster.Config) is set by some non-test file outside examples/ and
 // outside the struct's own package, whose writes are its defaults —
 // benchmark/ counts — or is in unsetConfigFields. A field whose only
 // non-test value is its default is a constant: inline it. Setting is a
@@ -283,8 +286,8 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 		t.Fatal(err)
 	}
 	targets := map[string][]string{
-		"rcm/eventsim":     {"Config"},
-		"rcm/node":         {"Config", "ClientConfig"},
+		"rcm/eventsim":     {"Config", "Params"},
+		"rcm/node":         {"Config", "ClientConfig", "FaultConfig"},
 		"rcm/node/cluster": {"Config"},
 	}
 	// structKey names a target struct as "node.ClientConfig"; "" for any
@@ -315,7 +318,7 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 		}
 	}
 	if len(fields) == 0 {
-		t.Fatal("found none of the four config structs")
+		t.Fatal("found none of the config structs")
 	}
 
 	set := map[string]bool{}

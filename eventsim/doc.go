@@ -30,7 +30,8 @@
 // per-attempt datum lives in its owner shard's own allocations rather
 // than in globally interleaved arrays, so two shards never write the same
 // cache line; the only shared mutable engine state — the alive-snapshot
-// bitset and the lookup table — is written exclusively between epochs.
+// bitset — is written exclusively between epochs, and the program's
+// lookups and the replica placement table are read-only for the run.
 //
 // Virtual time advances in epochs of one "lookahead" — the transport's
 // minimum latency. Worker goroutines are spawned once per run and parked

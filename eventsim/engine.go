@@ -54,19 +54,6 @@ type ev struct {
 	prior uint16 // hops spent by earlier failed attempts (replication failover)
 }
 
-// lookupMeta is the schedule-time identity of one lookup: endpoints, start
-// time and the accounting bucket. It is written once while the program is
-// pre-scheduled (single-threaded, before the clock starts) and read-only
-// for the whole run, so every shard can read it freely — read-shared cache
-// lines are never invalidated. The mutable part of a lookup is split off:
-// its hop count travels inside the evReq events (see ev), and its
-// started-at-most-once latch lives in the source shard's own bitset.
-type lookupMeta struct {
-	src, dst    uint32
-	startBucket int32
-	start       float64
-}
-
 // pendingHop is a forward attempt awaiting acknowledgement at the
 // sender: one record of the shard's pending ring. (t, seq) is the
 // attempt's retransmission deadline and its place in the shard's total
@@ -243,13 +230,18 @@ type engine struct {
 	snapshot    *overlay.Bitset
 	onlineCount int
 
-	// meta is the read-only lookup table; see lookupMeta.
-	meta []lookupMeta
+	// lookups is the program's workload (Schedule.Lookups), indexed by
+	// lookup id. It is read-only for the whole run, so every shard reads
+	// it freely — read-shared cache lines are never invalidated. The
+	// mutable part of a lookup is split off: its hop count travels inside
+	// the evReq events (see ev), and its started-at-most-once latch lives
+	// in the source shard's own bitset.
+	lookups []Lookup
 
 	// k is the effective replication factor (1 = off) and repl the
 	// precomputed placement table: repl[root*k+i] is the i-th owner of
 	// the key rooted at root (root itself first). Built once before the
-	// clock starts and read-only for the whole run, like meta, so every
+	// clock starts and read-only for the whole run, like lookups, so every
 	// shard reads it freely. Empty when k == 1 — the unreplicated path
 	// never touches it.
 	k    int
@@ -407,7 +399,7 @@ func (sh *shard) handleStart(e ev) {
 		return // defensive: a lookup starts at most once
 	}
 	sh.started.Set(int(e.lk))
-	m := &eng.meta[e.lk]
+	l := &eng.lookups[e.lk]
 	// Condition on surviving endpoints, as the static model does: the
 	// source authoritatively (it is local), the destination through the
 	// epoch snapshot (the freshest view any node could have of a remote).
@@ -416,12 +408,12 @@ func (sh *shard) handleStart(e ev) {
 	// the surviving set is frozen into a bitmask the lookup carries — the
 	// failover order is decided at start time, exactly the information a
 	// live client holds when it issues the request.
-	viable := eng.snapshot.Get(int(m.dst))
+	viable := eng.snapshot.Get(l.Dst)
 	ri, mask := uint8(0), uint8(1)
 	if eng.k > 1 {
 		mask = 0
 		for i := 0; i < eng.k; i++ {
-			if eng.snapshot.Get(int(eng.repl[int(m.dst)*eng.k+i])) {
+			if eng.snapshot.Get(int(eng.repl[l.Dst*eng.k+i])) {
 				mask |= 1 << uint(i)
 			}
 		}
@@ -430,27 +422,27 @@ func (sh *shard) handleStart(e ev) {
 			ri++
 		}
 	}
-	if !sh.online[m.src] || !viable {
-		sh.acc[m.startBucket].Skipped++
+	if !sh.online[l.Src] || !viable {
+		sh.acc[eng.bucketOf(l.T)].Skipped++
 		if eng.traced(e.lk) {
-			sh.recordTrace(e.lk, TraceEvent{T: e.t, Kind: TraceSkip, Node: int(m.src)})
+			sh.recordTrace(e.lk, TraceEvent{T: e.t, Kind: TraceSkip, Node: l.Src})
 		}
 		return
 	}
-	sh.acc[m.startBucket].Started++
+	sh.acc[eng.bucketOf(l.T)].Started++
 	if eng.traced(e.lk) {
-		sh.recordTrace(e.lk, TraceEvent{T: e.t, Kind: TraceStart, Node: int(m.src)})
+		sh.recordTrace(e.lk, TraceEvent{T: e.t, Kind: TraceStart, Node: l.Src})
 	}
-	sh.forward(e.t, e.lk, m.src, 0, ri, mask, 0)
+	sh.forward(e.t, e.lk, uint32(l.Src), 0, ri, mask, 0)
 }
 
 // owner returns the ri-th replica owner of the key rooted at root (the
 // root itself when replication is off).
-func (e *engine) owner(root uint32, ri uint8) uint32 {
+func (e *engine) owner(root int, ri uint8) uint32 {
 	if e.k <= 1 {
-		return root
+		return uint32(root)
 	}
-	return uint32(e.repl[int(root)*e.k+int(ri)])
+	return uint32(e.repl[root*e.k+int(ri)])
 }
 
 // forward advances the lookup held at cur: complete it at the current
@@ -460,15 +452,15 @@ func (e *engine) owner(root uint32, ri uint8) uint32 {
 // the completed tally is the total work a live origin would observe.
 func (sh *shard) forward(t float64, lk uint32, cur uint32, hops uint16, ri, mask uint8, prior uint16) {
 	eng := sh.eng
-	m := &eng.meta[lk]
-	if cur == eng.owner(m.dst, ri) {
-		acc := &sh.acc[m.startBucket]
+	l := &eng.lookups[lk]
+	if cur == eng.owner(l.Dst, ri) {
+		acc := &sh.acc[eng.bucketOf(l.T)]
 		total := hops + prior
 		acc.Completed++
 		acc.SumHops += float64(total)
-		acc.SumLatency += t - m.start
+		acc.SumLatency += t - l.T
 		acc.hops.Observe(int64(total))
-		acc.lat.Observe(latencyMicros(t - m.start))
+		acc.lat.Observe(latencyMicros(t - l.T))
 		if eng.traced(lk) {
 			sh.recordTrace(lk, TraceEvent{T: t, Kind: TraceDone, Node: int(cur), Hops: int(total)})
 		}
@@ -493,8 +485,7 @@ func latencyMicros(lat float64) int64 {
 // the pending slot (see handleTimeout) and skip the Forwarder entirely.
 func (sh *shard) attempt(t float64, lk uint32, cur uint32, ci int, hops uint16, ri, mask uint8, prior uint16) {
 	eng := sh.eng
-	m := &eng.meta[lk]
-	cands := eng.fwd.AppendCandidateHops(sh.candBuf[:0], overlay.ID(cur), overlay.ID(eng.owner(m.dst, ri)))
+	cands := eng.fwd.AppendCandidateHops(sh.candBuf[:0], overlay.ID(cur), overlay.ID(eng.owner(eng.lookups[lk].Dst, ri)))
 	sh.candBuf = cands[:0]
 	if ci >= len(cands) {
 		sh.failAttempt(t, lk, cur, hops, ri, mask, prior)
@@ -512,20 +503,20 @@ func (sh *shard) attempt(t float64, lk uint32, cur uint32, ci int, hops uint16, 
 // replication, or with the mask exhausted, the lookup fails for good.
 func (sh *shard) failAttempt(t float64, lk uint32, cur uint32, hops uint16, ri, mask uint8, prior uint16) {
 	eng := sh.eng
-	m := &eng.meta[lk]
+	l := &eng.lookups[lk]
 	if eng.k > 1 {
 		for next := ri + 1; next < uint8(eng.k); next++ {
 			if mask&(1<<next) == 0 {
 				continue
 			}
 			if eng.traced(lk) {
-				sh.recordTrace(lk, TraceEvent{T: t, Kind: TraceRetry, Node: int(cur), To: int(eng.owner(m.dst, next)), Hops: int(hops + prior)})
+				sh.recordTrace(lk, TraceEvent{T: t, Kind: TraceRetry, Node: int(cur), To: int(eng.owner(l.Dst, next)), Hops: int(hops + prior)})
 			}
-			sh.send(ev{t: t + eng.sampleLatency(sh.rng), kind: evRetry, node: m.src, lk: lk, ri: next, mask: mask, prior: hops + prior})
+			sh.send(ev{t: t + eng.sampleLatency(sh.rng), kind: evRetry, node: uint32(l.Src), lk: lk, ri: next, mask: mask, prior: hops + prior})
 			return
 		}
 	}
-	sh.acc[m.startBucket].Failed++
+	sh.acc[eng.bucketOf(l.T)].Failed++
 	if eng.traced(lk) {
 		sh.recordTrace(lk, TraceEvent{T: t, Kind: TraceFail, Node: int(cur), Hops: int(hops + prior)})
 	}
@@ -537,15 +528,15 @@ func (sh *shard) failAttempt(t float64, lk uint32, cur uint32, hops uint16, ri, 
 // like the k = 1 path's destination conditioning.
 func (sh *shard) handleRetry(e ev) {
 	eng := sh.eng
-	m := &eng.meta[e.lk]
-	if !sh.online[m.src] {
-		sh.acc[m.startBucket].Failed++
+	l := &eng.lookups[e.lk]
+	if !sh.online[l.Src] {
+		sh.acc[eng.bucketOf(l.T)].Failed++
 		if eng.traced(e.lk) {
-			sh.recordTrace(e.lk, TraceEvent{T: e.t, Kind: TraceFail, Node: int(m.src), Hops: int(e.prior)})
+			sh.recordTrace(e.lk, TraceEvent{T: e.t, Kind: TraceFail, Node: l.Src, Hops: int(e.prior)})
 		}
 		return
 	}
-	sh.forward(e.t, e.lk, m.src, 0, e.ri, e.mask, e.prior)
+	sh.forward(e.t, e.lk, uint32(l.Src), 0, e.ri, e.mask, e.prior)
 }
 
 // dispatch sends the request for an already-chosen next hop: charge the

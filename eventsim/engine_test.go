@@ -248,7 +248,7 @@ func TestZipfSkew(t *testing.T) {
 // TestZipfTargetsSkewed checks the sampler itself: under s = 1.2, the most
 // popular target must receive far more than the uniform share.
 func TestZipfTargetsSkewed(t *testing.T) {
-	env := &Env{nodes: 256, duration: 1, rng: overlay.NewRNG(5), initialOffline: make([]bool, 256)}
+	env := &Env{s: &Schedule{Nodes: 256, Duration: 1, InitialOffline: make([]bool, 256)}, rng: overlay.NewRNG(5)}
 	sample := env.ZipfTargets(1.2)
 	counts := make(map[int]int)
 	rng := overlay.NewRNG(6)

@@ -249,8 +249,8 @@ type Result struct {
 	// HopDist and LatDist are the per-bucket hop-count and latency
 	// distributions over each bucket's completed cohort, indexed like
 	// Buckets (lookups attribute to the bucket they started in).
-	// Latencies are recorded in microseconds of simulated time. Both
-	// Like every Result field they are bit-identical across (Seed,
+	// Latencies are recorded in microseconds of simulated time. Like
+	// every Result field they are bit-identical across (Seed,
 	// Shards).
 	HopDist, LatDist []obs.Histogram
 	// Traces holds the sampled per-lookup hop traces, ascending by
@@ -324,13 +324,13 @@ func mergeWindow(buckets []Bucket, dists []obs.Histogram, from, to float64) obs.
 }
 
 // programScenario resolves and programs the configured scenario for a
-// population of n nodes, reproducing the exact deterministic RNG stream Run
-// executes: the root stream is seeded cfg.Seed ^ "EVENT" and the scenario
-// consumes the first Split. The returned root has the scenario's split
+// population of n nodes into a Schedule, reproducing the exact
+// deterministic RNG stream Run executes: the root stream is seeded
+// cfg.Seed ^ "EVENT" and the scenario consumes the first Split. The returned root has the scenario's split
 // already consumed, so RunOverlay's subsequent per-shard splits see the
 // same stream whether or not a schedule was built separately. cfg must
 // already have defaults applied.
-func programScenario(cfg Config, n int) (*Env, Scenario, *overlay.RNG, error) {
+func programScenario(cfg Config, n int) (*Schedule, Scenario, *overlay.RNG, error) {
 	factory, ok := LookupScenario(cfg.Scenario)
 	if !ok {
 		return nil, nil, nil, fmt.Errorf("eventsim: unknown scenario %q", cfg.Scenario)
@@ -342,11 +342,8 @@ func programScenario(cfg Config, n int) (*Env, Scenario, *overlay.RNG, error) {
 
 	root := overlay.NewRNG(cfg.Seed ^ 0x4556454e54) // "EVENT"
 	env := &Env{
-		nodes:          n,
-		duration:       cfg.Duration,
-		params:         cfg.Params,
-		rng:            root.Split(),
-		initialOffline: make([]bool, n),
+		s:   &Schedule{Nodes: n, Duration: cfg.Duration, Params: cfg.Params, InitialOffline: make([]bool, n)},
+		rng: root.Split(),
 	}
 	if err := scen.Program(env); err != nil {
 		return nil, nil, nil, fmt.Errorf("eventsim: scenario %q: %w", cfg.Scenario, err)
@@ -354,7 +351,7 @@ func programScenario(cfg Config, n int) (*Env, Scenario, *overlay.RNG, error) {
 	if env.err != nil {
 		return nil, nil, nil, fmt.Errorf("eventsim: scenario %q: %w", cfg.Scenario, env.err)
 	}
-	return env, scen, root, nil
+	return env.s, scen, root, nil
 }
 
 // Run builds the named overlay through the shared registry and simulates
@@ -401,26 +398,19 @@ func runOverlay(p registry.Protocol, cfg Config, newQueue func(delta float64) ev
 		shards = n
 	}
 
-	env, scen, root, err := programScenario(cfg, n)
+	sched, scen, root, err := programScenario(cfg, n)
 	if err != nil {
 		return nil, err
 	}
 
-	// Replication: precompute the whole placement table before the clock
-	// starts — repl[root*k+i] is the i-th owner of root's key — so the hot
-	// path reads it like meta (read-shared, never invalidated) and a buggy
-	// Replicator opt-in fails here, loudly, not mid-run. k <= 1 leaves the
-	// table empty and the engine on the exact unreplicated code path.
-	k := 1
-	var repl []overlay.ID
-	if cfg.Params.Replicas > 1 {
-		for root := 0; root < n; root++ {
-			repl, err = replica.For(p, p.Space(), repl, overlay.ID(root), cfg.Params.Replicas)
-			if err != nil {
-				return nil, fmt.Errorf("eventsim: %w", err)
-			}
-		}
-		k = len(repl) / n
+	// Replication: the whole placement table is built before the clock
+	// starts, so the hot path reads it like the lookups (read-shared,
+	// never invalidated) and a buggy Replicator opt-in fails here, loudly,
+	// not mid-run. k == 1 leaves the table empty and the engine on the
+	// exact unreplicated code path.
+	repl, k, err := replica.Table(p, p.Space(), cfg.Params.Replicas)
+	if err != nil {
+		return nil, fmt.Errorf("eventsim: %w", err)
 	}
 
 	e := &engine{
@@ -428,7 +418,7 @@ func runOverlay(p registry.Protocol, cfg Config, newQueue func(delta float64) ev
 		fwd:        fwd,
 		n:          n,
 		snapshot:   overlay.NewBitset(n),
-		meta:       make([]lookupMeta, len(env.lookups)),
+		lookups:    sched.Lookups,
 		k:          k,
 		repl:       repl,
 		width:      cfg.Duration / float64(cfg.Buckets),
@@ -460,7 +450,7 @@ func runOverlay(p registry.Protocol, cfg Config, newQueue func(delta float64) ev
 			q:       newQueue(e.delta),
 			rng:     root.Split(),
 			online:  make([]bool, n),
-			started: overlay.NewBitset(len(env.lookups)),
+			started: overlay.NewBitset(len(sched.Lookups)),
 			outbox:  make([][]ev, shards),
 			inbox:   make([][]ev, shards),
 			ackOut:  make([][]uint32, shards),
@@ -473,7 +463,7 @@ func runOverlay(p registry.Protocol, cfg Config, newQueue func(delta float64) ev
 	// Initial population state: each owner shard's online array plus the
 	// shared snapshot.
 	for i := 0; i < n; i++ {
-		if !env.initialOffline[i] {
+		if !sched.InitialOffline[i] {
 			e.shards[i%shards].online[i] = true
 			e.snapshot.Set(i)
 			e.onlineCount++
@@ -482,19 +472,17 @@ func runOverlay(p registry.Protocol, cfg Config, newQueue func(delta float64) ev
 
 	// Pre-schedule the scenario's program, in deterministic order: the
 	// workload, then lifecycle toggles, then stabilization timers.
-	for li, sl := range env.lookups {
-		lk := uint32(li)
-		e.meta[li] = lookupMeta{src: sl.src, dst: sl.dst, start: sl.t, startBucket: e.bucketOf(sl.t)}
-		sh := e.shards[e.shardOf(sl.src)]
-		sh.push(ev{t: sl.t, kind: evStart, node: sl.src, lk: lk})
+	for li, l := range sched.Lookups {
+		src := uint32(l.Src)
+		e.shards[e.shardOf(src)].push(ev{t: l.T, kind: evStart, node: src, lk: uint32(li)})
 	}
-	for _, tg := range env.toggles {
+	for _, tg := range sched.Toggles {
 		kind := evDown
-		if tg.up {
+		if tg.Up {
 			kind = evUp
 		}
-		sh := e.shards[e.shardOf(tg.node)]
-		sh.push(ev{t: tg.t, kind: kind, node: tg.node})
+		node := uint32(tg.Node)
+		e.shards[e.shardOf(node)].push(ev{t: tg.T, kind: kind, node: node})
 	}
 	if e.mnt != nil {
 		for i := 0; i < n; i++ {
@@ -518,7 +506,7 @@ func runOverlay(p registry.Protocol, cfg Config, newQueue func(delta float64) ev
 		Buckets:   make([]Bucket, cfg.Buckets),
 		HopDist:   make([]obs.Histogram, cfg.Buckets),
 		LatDist:   make([]obs.Histogram, cfg.Buckets),
-		Lookups:   len(env.lookups),
+		Lookups:   len(sched.Lookups),
 	}
 	for bi := range res.Buckets {
 		b := &res.Buckets[bi]

@@ -227,55 +227,39 @@ func (p Params) EffectiveOffline(scenario string, duration float64) float64 {
 
 // Env is the scheduling surface a Scenario programs against: node
 // lifecycle (initial state, failures, joins, churn processes) and workload
-// (lookups). All methods must be called from Program, before the run
-// starts; events scheduled outside [0, Duration] are rejected with an
-// error from Run. The RNG is the scenario's own deterministic stream.
+// (lookups), written straight into the Schedule the run executes. All
+// methods must be called from Program, before the run starts; events
+// scheduled outside [0, Duration] are rejected with an error from Run.
+// The RNG is the scenario's own deterministic stream.
 type Env struct {
-	nodes    int
-	duration float64
-	params   Params
-	rng      *overlay.RNG
-
-	initialOffline []bool
-	toggles        []scheduledToggle
-	lookups        []scheduledLookup
-	err            error
-}
-
-type scheduledToggle struct {
-	t    float64
-	node uint32
-	up   bool
-}
-
-type scheduledLookup struct {
-	t        float64
-	src, dst uint32
+	s   *Schedule // the program being written
+	rng *overlay.RNG
+	err error
 }
 
 // Nodes returns the overlay population N = 2^bits.
-func (env *Env) Nodes() int { return env.nodes }
+func (env *Env) Nodes() int { return env.s.Nodes }
 
 // Duration returns the total simulated time.
-func (env *Env) Duration() float64 { return env.duration }
+func (env *Env) Duration() float64 { return env.s.Duration }
 
 // Params returns the run's scenario parameters with defaults applied.
-func (env *Env) Params() Params { return env.params }
+func (env *Env) Params() Params { return env.s.Params }
 
 // RNG returns the scenario's deterministic random stream.
 func (env *Env) RNG() *overlay.RNG { return env.rng }
 
 func (env *Env) checkNode(node int) bool {
-	if node < 0 || node >= env.nodes {
-		env.fail(fmt.Errorf("node %d out of [0,%d)", node, env.nodes))
+	if node < 0 || node >= env.s.Nodes {
+		env.fail(fmt.Errorf("node %d out of [0,%d)", node, env.s.Nodes))
 		return false
 	}
 	return true
 }
 
 func (env *Env) checkTime(t float64) bool {
-	if t < 0 || t > env.duration || math.IsNaN(t) {
-		env.fail(fmt.Errorf("event time %v out of [0,%v]", t, env.duration))
+	if t < 0 || t > env.s.Duration || math.IsNaN(t) {
+		env.fail(fmt.Errorf("event time %v out of [0,%v]", t, env.s.Duration))
 		return false
 	}
 	return true
@@ -291,14 +275,14 @@ func (env *Env) fail(err error) {
 // default).
 func (env *Env) SetOffline(node int) {
 	if env.checkNode(node) {
-		env.initialOffline[node] = true
+		env.s.InitialOffline[node] = true
 	}
 }
 
 // FailAt schedules node to go offline at time t.
 func (env *Env) FailAt(t float64, node int) {
 	if env.checkTime(t) && env.checkNode(node) {
-		env.toggles = append(env.toggles, scheduledToggle{t: t, node: uint32(node), up: false})
+		env.s.Toggles = append(env.s.Toggles, Toggle{T: t, Node: node, Up: false})
 	}
 }
 
@@ -306,7 +290,7 @@ func (env *Env) FailAt(t float64, node int) {
 // join maintenance when the run has maintenance enabled).
 func (env *Env) JoinAt(t float64, node int) {
 	if env.checkTime(t) && env.checkNode(node) {
-		env.toggles = append(env.toggles, scheduledToggle{t: t, node: uint32(node), up: true})
+		env.s.Toggles = append(env.s.Toggles, Toggle{T: t, Node: node, Up: true})
 	}
 }
 
@@ -380,14 +364,14 @@ func (env *Env) ChurnNodeDist(node int, online, offline lifetime.Dist) {
 // or silently truncating the node's lifecycle.
 func (env *Env) churnSchedule(node int, on bool, draw func(on bool, t float64) (float64, string)) {
 	t := 0.0
-	for t <= env.duration {
+	for t <= env.s.Duration {
 		d, name := draw(on, t)
 		if !(d > 0) || math.IsNaN(d) || math.IsInf(d, 0) {
 			env.fail(fmt.Errorf("lifetime %s sampled a non-positive duration %v for node %d", name, d, node))
 			return
 		}
 		t += d
-		if t > env.duration {
+		if t > env.s.Duration {
 			break
 		}
 		if on {
@@ -409,7 +393,7 @@ func (env *Env) LookupAt(t float64, src, dst int) {
 			env.fail(fmt.Errorf("lookup src == dst == %d", src))
 			return
 		}
-		env.lookups = append(env.lookups, scheduledLookup{t: t, src: uint32(src), dst: uint32(dst)})
+		env.s.Lookups = append(env.s.Lookups, Lookup{T: t, Src: src, Dst: dst})
 	}
 }
 
@@ -422,12 +406,12 @@ func (env *Env) PoissonLookups(from, to, rate float64, targetOf func(rng *overla
 		return
 	}
 	for t := from + env.rng.Exp(1/rate); t < to; t += env.rng.Exp(1 / rate) {
-		src := env.rng.Intn(env.nodes)
+		src := env.rng.Intn(env.s.Nodes)
 		var dst int
 		if targetOf != nil {
 			dst = targetOf(env.rng)
 		} else {
-			dst = env.rng.Intn(env.nodes)
+			dst = env.rng.Intn(env.s.Nodes)
 		}
 		// Redraw a src==dst collision from the same target distribution,
 		// so skewed workloads stay skewed; fall back to uniform after a
@@ -436,7 +420,7 @@ func (env *Env) PoissonLookups(from, to, rate float64, targetOf func(rng *overla
 			if targetOf != nil && tries < 16 {
 				dst = targetOf(env.rng)
 			} else {
-				dst = env.rng.Intn(env.nodes)
+				dst = env.rng.Intn(env.s.Nodes)
 			}
 		}
 		env.LookupAt(t, src, dst)
@@ -451,18 +435,18 @@ func (env *Env) ZipfTargets(s float64) func(rng *overlay.RNG) int {
 	if s <= 0 {
 		return nil
 	}
-	perm := make([]int32, env.nodes)
+	perm := make([]int32, env.s.Nodes)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	for i := env.nodes - 1; i > 0; i-- {
+	for i := env.s.Nodes - 1; i > 0; i-- {
 		j := env.rng.Intn(i + 1)
 		perm[i], perm[j] = perm[j], perm[i]
 	}
 	// Cumulative rank weights 1/(r+1)^s, normalized.
-	cdf := make([]float64, env.nodes)
+	cdf := make([]float64, env.s.Nodes)
 	sum := 0.0
-	for r := 0; r < env.nodes; r++ {
+	for r := 0; r < env.s.Nodes; r++ {
 		sum += math.Pow(float64(r+1), -s)
 		cdf[r] = sum
 	}
@@ -472,8 +456,8 @@ func (env *Env) ZipfTargets(s float64) func(rng *overlay.RNG) int {
 	return func(rng *overlay.RNG) int {
 		u := rng.Float64()
 		r := sort.SearchFloat64s(cdf, u)
-		if r >= env.nodes {
-			r = env.nodes - 1
+		if r >= env.s.Nodes {
+			r = env.s.Nodes - 1
 		}
 		return int(perm[r])
 	}

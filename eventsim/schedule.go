@@ -19,13 +19,14 @@ type Lookup struct {
 	Src, Dst int
 }
 
-// Schedule is a fully-materialized scenario program: the exact node
-// lifecycle and lookup workload eventsim.Run would execute for a Config,
-// with the same deterministic seeding. It exists so other executors — the
-// live-node cluster harness in rcm/node, most importantly — can replay the
-// *identical* event sequence against a different substrate and compare
-// outcomes, turning eventsim into a prediction the conformance suite pins
-// real processes against.
+// Schedule is a scenario program: the node lifecycle and lookup workload
+// of one run, as Env writes it. It is the engine's only program — Run
+// pre-schedules its events from exactly this value — and BuildSchedule
+// hands the same value out, so other executors (the live-node cluster
+// harness in rcm/node, most importantly) can replay the *identical* event
+// sequence against a different substrate and compare outcomes, turning
+// eventsim into a prediction the conformance suite pins real processes
+// against.
 type Schedule struct {
 	// Nodes is the population N = 2^Overlay.Bits.
 	Nodes int
@@ -45,12 +46,11 @@ type Schedule struct {
 }
 
 // BuildSchedule programs the configured scenario and returns its
-// materialized schedule without running the simulation. The schedule is a
-// pure function of (Scenario, Params, Seed, Duration, Overlay.Bits): it
-// reproduces bit-for-bit the event sequence Run executes for the same
-// Config, because both paths share one scenario-programming helper and the
-// engine's RNG layout (root = Seed ^ "EVENT", scenario stream = first
-// split).
+// schedule without running the simulation. The schedule is a pure
+// function of (Scenario, Params, Seed, Duration, Overlay.Bits), and it is
+// the very program Run executes for the same Config: both call one
+// scenario-programming helper under the engine's RNG layout (root = Seed
+// ^ "EVENT", scenario stream = first split).
 func BuildSchedule(cfg Config) (*Schedule, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -60,28 +60,8 @@ func BuildSchedule(cfg Config) (*Schedule, error) {
 	if bits < 1 || bits > 30 {
 		return nil, fmt.Errorf("eventsim: Overlay.Bits = %d out of [1,30]", bits)
 	}
-	n := 1 << bits
-
-	env, _, _, err := programScenario(cfg, n)
-	if err != nil {
-		return nil, err
-	}
-
-	s := &Schedule{
-		Nodes:          n,
-		Duration:       cfg.Duration,
-		Params:         cfg.Params,
-		InitialOffline: env.initialOffline,
-		Toggles:        make([]Toggle, len(env.toggles)),
-		Lookups:        make([]Lookup, len(env.lookups)),
-	}
-	for i, tg := range env.toggles {
-		s.Toggles[i] = Toggle{T: tg.t, Node: int(tg.node), Up: tg.up}
-	}
-	for i, lk := range env.lookups {
-		s.Lookups[i] = Lookup{T: lk.t, Src: int(lk.src), Dst: int(lk.dst)}
-	}
-	return s, nil
+	s, _, _, err := programScenario(cfg, 1<<bits)
+	return s, err
 }
 
 // OfflineAt reports whether node is offline at time t under the schedule —

@@ -84,9 +84,9 @@ func (e *engine) mergeTraces() []Trace {
 	for _, lk := range order {
 		evs := byLookup[lk]
 		sort.SliceStable(evs, func(i, j int) bool { return evs[i].T < evs[j].T })
-		m := &e.meta[lk]
+		l := &e.lookups[lk]
 		traces = append(traces, Trace{
-			Lookup: int(lk), Src: int(m.src), Dst: int(m.dst),
+			Lookup: int(lk), Src: l.Src, Dst: l.Dst,
 			Events: evs,
 		})
 	}

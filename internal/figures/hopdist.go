@@ -103,7 +103,7 @@ func HopDistribution(opt Options) ([]*table.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			report, err := c.Replay(sched, cluster.ReplayOptions{})
+			report, err := c.Replay(sched)
 			c.Close()
 			if err != nil {
 				return nil, err

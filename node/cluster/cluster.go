@@ -2,10 +2,10 @@
 // rcm/node DHT nodes — every identifier in the space backed by a running
 // node, over in-memory datagrams (one process, no sockets; on the wall
 // clock or on virtual time) or real UDP loopback sockets. Its centerpiece
-// is Replay: executing an eventsim
-// schedule (the exact lifecycle and workload eventsim.Run would simulate)
-// against the live cluster, so the conformance suite can pin live lookup
-// outcomes to the simulator's predictions.
+// is Replay: executing an eventsim schedule (the very lifecycle and
+// workload program eventsim.Run executes) against the live cluster, so
+// the conformance suite can pin live lookup outcomes to the simulator's
+// predictions.
 package cluster
 
 import (
@@ -57,28 +57,22 @@ type Config struct {
 	// Fault is an optional rcm/fault plan ("partition:2@1-3,dup:0.2",
 	// ...); when set, every node's transport is wrapped in a
 	// node.FaultTransport running the plan against the cluster's shared
-	// plan clock, which Replay advances in schedule time — so the live
-	// cluster suffers the same fault schedule an eventsim run of the
-	// fault-wrapped transport simulates.
+	// plan clock. Replay advances that clock in schedule time — so the
+	// live cluster suffers the same fault schedule an eventsim run of the
+	// fault-wrapped transport simulates — and before any Replay it reads
+	// the network's seconds since boot (virtual on "sim"), so an
+	// interactive cluster's windowed clauses fire on its own time.
 	Fault string
 	// FaultHorizon is the plan's time horizon in schedule seconds
 	// (stall-episode placement); use the schedule duration for
 	// conformance. Zero selects node.FaultConfig's default.
 	FaultHorizon float64
-	// FaultWallClock evaluates the plan against the network's clock —
-	// seconds since boot, virtual on "sim" — instead of the
-	// replay-driven schedule clock: for interactive clusters, where
-	// nothing advances the schedule clock.
-	FaultWallClock bool
 }
 
-// planClock is the cluster-wide fault-plan clock: Replay advances it to
-// each event's schedule time, so windowed fault clauses fire in schedule
-// time exactly as they do in simulated time.
-type planClock struct{ bits atomic.Uint64 }
-
-func (c *planClock) set(t float64) { c.bits.Store(math.Float64bits(t)) }
-func (c *planClock) now() float64  { return math.Float64frombits(c.bits.Load()) }
+// replayConcurrency bounds a Replay's simultaneously in-flight lookups
+// on the wall-clock transports; a "sim" cluster issues them one at a
+// time.
+const replayConcurrency = 64
 
 // Cluster is a running population of live nodes, one per identifier.
 type Cluster struct {
@@ -86,9 +80,24 @@ type Cluster struct {
 	nodes  []*node.Node
 	addrs  []string
 	faults []*node.FaultTransport
-	plan   planClock
-	bounds []float64   // fault-plan window edges, ascending
-	clk    clock.Clock // the network's: times a replayed lookup
+	bounds []float64     // fault-plan window edges, ascending
+	clk    clock.Clock   // the network's: times a replayed lookup
+	boot   time.Duration // clk's reading at boot
+
+	// replayed and schedT (float64 bits) are the schedule clock: Replay
+	// advances it to each event's instant, so windowed fault clauses fire
+	// in schedule time exactly as they do in simulated time.
+	replayed atomic.Bool
+	schedT   atomic.Uint64
+}
+
+// planNow is the fault plan's clock: schedule time once a Replay has set
+// it, and the network's seconds since boot before that.
+func (c *Cluster) planNow() float64 {
+	if c.replayed.Load() {
+		return math.Float64frombits(c.schedT.Load())
+	}
+	return (c.clk.Now() - c.boot).Seconds()
 }
 
 // New builds the overlay, boots one node per identifier and starts them
@@ -132,6 +141,7 @@ func New(cfg Config) (*Cluster, error) {
 		c.addrs[i] = tr.Addr()
 	}
 	c.clk = clock.Of(transports[0])
+	c.boot = c.clk.Now()
 
 	if cfg.Fault != "" {
 		plan, err := fault.Parse(cfg.Fault)
@@ -143,10 +153,6 @@ func New(cfg Config) (*Cluster, error) {
 		for i, a := range c.addrs {
 			addrToID[a] = uint64(i)
 		}
-		now := c.plan.now
-		if cfg.FaultWallClock {
-			now = nil // node.WrapFault defaults to the network's time since creation
-		}
 		c.faults = make([]*node.FaultTransport, n)
 		for i := 0; i < n; i++ {
 			ft, err := node.WrapFault(transports[i], node.FaultConfig{
@@ -155,12 +161,7 @@ func New(cfg Config) (*Cluster, error) {
 				Horizon: cfg.FaultHorizon,
 				Self:    uint64(i),
 				IDOf:    func(addr string) (uint64, bool) { id, ok := addrToID[addr]; return id, ok },
-				Now:     now,
-				// The in-memory (or loopback) substrate delivers in
-				// microseconds, the simulated one in a millisecond; a small
-				// hold budget keeps reordering well under any sane RTO,
-				// mirroring the engine's inner-MaxLatency scaling.
-				Latency: 2 * time.Millisecond,
+				Now:     c.planNow,
 			})
 			if err != nil {
 				c.closeTransports(transports)
@@ -345,9 +346,13 @@ func (r *Report) WindowHopDist(from, to float64) obs.Histogram {
 	return h
 }
 
-// WindowLatency returns the lookup latency distribution (Outcome.Latency),
-// in microseconds, over issued lookups scheduled in [from, to] — every
-// verdict, not just successes, mirroring eventsim's latency histogram.
+// WindowLatency returns the issue-to-verdict latency distribution
+// (Outcome.Latency), in microseconds, over every lookup issued in
+// [from, to]: failures count as well as successes. eventsim's
+// Result.WindowLatencyDist counts less — the completed cohort only, since
+// the engine observes a latency when a lookup completes and never when
+// it fails — so the two agree only on a window where every issued lookup
+// completes.
 func (r *Report) WindowLatency(from, to float64) obs.Histogram {
 	var h obs.Histogram
 	for _, o := range r.Outcomes {
@@ -357,13 +362,6 @@ func (r *Report) WindowLatency(from, to float64) obs.Histogram {
 		h.Observe(o.Latency.Microseconds())
 	}
 	return h
-}
-
-// ReplayOptions tunes Replay.
-type ReplayOptions struct {
-	// Concurrency bounds simultaneously in-flight lookups (default 64).
-	// A "sim" cluster issues them one at a time.
-	Concurrency int
 }
 
 // replayEvent is one schedule entry in the merged timeline.
@@ -395,25 +393,13 @@ type replayEvent struct {
 // over across it in placement order, folding every attempt's route cost
 // into the one Outcome, exactly as the engine folds prior hops into a
 // replicated lookup's total.
-func (c *Cluster) Replay(sched *eventsim.Schedule, opt ReplayOptions) (*Report, error) {
+func (c *Cluster) Replay(sched *eventsim.Schedule) (*Report, error) {
 	if sched.Nodes != len(c.nodes) {
 		return nil, fmt.Errorf("cluster: schedule population %d != cluster population %d", sched.Nodes, len(c.nodes))
 	}
-	conc := opt.Concurrency
-	if conc <= 0 {
-		conc = 64
-	}
-	k := sched.Params.Replicas
-	var repl []overlay.ID
-	if k > 1 {
-		var err error
-		for root := 0; root < len(c.nodes); root++ {
-			repl, err = replica.For(c.proto, c.proto.Space(), repl, overlay.ID(root), k)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: %w", err)
-			}
-		}
-		k = len(repl) / len(c.nodes)
+	repl, k, err := replica.Table(c.proto, c.proto.Space(), sched.Params.Replicas)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 
 	offline := make([]bool, len(c.nodes))
@@ -451,7 +437,7 @@ func (c *Cluster) Replay(sched *eventsim.Schedule, opt ReplayOptions) (*Report, 
 	}
 	_, serial := c.clk.(*clock.Virtual)
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, conc)
+	sem := make(chan struct{}, replayConcurrency)
 	drained := true
 
 	bi := 0
@@ -468,7 +454,8 @@ func (c *Cluster) Replay(sched *eventsim.Schedule, opt ReplayOptions) (*Report, 
 			}
 			bi++
 		}
-		c.plan.set(ev.t)
+		c.schedT.Store(math.Float64bits(ev.t))
+		c.replayed.Store(true)
 
 		if ev.toggle >= 0 {
 			if !drained {

@@ -119,7 +119,7 @@ func checkConformance(t *testing.T, name string, cfg eventsim.Config, c *Cluster
 	if err != nil {
 		t.Fatalf("%s: BuildSchedule: %v", name, err)
 	}
-	report, err := c.Replay(sched, ReplayOptions{})
+	report, err := c.Replay(sched)
 	if err != nil {
 		t.Fatalf("%s: replay: %v", name, err)
 	}
@@ -215,7 +215,7 @@ func TestReplayChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := liveCluster(t, cfg)
-	report, err := c.Replay(sched, ReplayOptions{Concurrency: 16})
+	report, err := c.Replay(sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestReplayRestartWindowNoDoubleCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := liveCluster(t, cfg)
-	report, err := c.Replay(sched, ReplayOptions{})
+	report, err := c.Replay(sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestReplayRejectsMismatchedPopulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := liveCluster(t, conformanceConfig("chord", 3, 0, 1))
-	if _, err := small.Replay(sched, ReplayOptions{}); err == nil {
+	if _, err := small.Replay(sched); err == nil {
 		t.Error("mismatched population accepted")
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"rcm/eventsim"
 	"rcm/fault"
+	"rcm/overlay"
 )
 
 // registerGuardedLookups registers (once) the scenario the partition
@@ -140,7 +141,7 @@ func TestFaultConformanceLiveVsEventsim(t *testing.T) {
 			t.Fatalf("%s: BuildSchedule: %v", name, err)
 		}
 		c := faultLiveCluster(t, cfg, cell.plan)
-		report, err := c.Replay(sched, ReplayOptions{})
+		report, err := c.Replay(sched)
 		if err != nil {
 			t.Fatalf("%s: replay: %v", name, err)
 		}
@@ -220,7 +221,7 @@ func TestChaosSmoke(t *testing.T) {
 		t.Fatalf("BuildSchedule: %v", err)
 	}
 	c := faultLiveCluster(t, cfg, plan)
-	report, err := c.Replay(sched, ReplayOptions{})
+	report, err := c.Replay(sched)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -265,7 +266,7 @@ func TestSimReplayDeterministic(t *testing.T) {
 	}
 	replay := func() run {
 		c := faultLiveCluster(t, cfg, plan)
-		report, err := c.Replay(sched, ReplayOptions{})
+		report, err := c.Replay(sched)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,5 +296,52 @@ func TestSimReplayDeterministic(t *testing.T) {
 			}
 		}
 		t.Fatal("reports differ")
+	}
+}
+
+// TestPlanClockBeforeReplay: a cluster no Replay has driven runs its
+// fault plan on the network's seconds since boot. A partition whose
+// window opens after boot lets a cross-group lookup through before its
+// edge and blackholes it once the network has passed the edge; a plan
+// clock pinned at schedule time 0 would let both through.
+func TestPlanClockBeforeReplay(t *testing.T) {
+	const (
+		plan = "partition:2@0.5-3600"
+		edge = 0.5
+		seed = 5
+	)
+	c, err := New(Config{
+		Protocol: "chord", Bits: 4, Seed: seed, Transport: "mem", Fault: plan,
+		RTO: 20 * time.Millisecond, Retransmits: -1, Deadline: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	pl, err := fault.Parse(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := pl.Bind(seed, 3600) // the wrappers' default horizon
+	dst := 1
+	for dst < c.Len() && !inj.CrossPartition(0, uint64(dst), edge) {
+		dst++
+	}
+	if dst == c.Len() {
+		t.Fatal("the cut put every node in node 0's group")
+	}
+
+	if r := c.Node(0).Lookup(overlay.ID(dst)); !r.OK() {
+		t.Fatalf("lookup 0→%d before the edge: %+v, want delivered", dst, r)
+	}
+	if now := c.planNow(); now >= edge {
+		t.Fatalf("boot and one lookup took %.3f s of network time, past the edge at %v s", now, edge)
+	}
+	time.Sleep(time.Duration((edge + 0.1) * float64(time.Second)))
+	if r := c.Node(0).Lookup(overlay.ID(dst)); r.OK() {
+		t.Fatalf("lookup 0→%d after the edge delivered: the plan clock did not follow network time", dst)
+	}
+	if c.FaultCounts().PartitionDrops == 0 {
+		t.Error("the partition dropped nothing")
 	}
 }

@@ -30,7 +30,7 @@ func TestClusterSmoke(t *testing.T) {
 			t.Fatalf("%s k=%d: BuildSchedule: %v", cell.protocol, cell.replicas, err)
 		}
 		c := liveCluster(t, cfg)
-		report, err := c.Replay(sched, ReplayOptions{})
+		report, err := c.Replay(sched)
 		if err != nil {
 			t.Fatalf("%s k=%d: replay: %v", cell.protocol, cell.replicas, err)
 		}

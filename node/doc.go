@@ -108,10 +108,11 @@
 // # Conformance with eventsim
 //
 // The point of the layer is cross-validation: eventsim.BuildSchedule
-// reifies a scenario's exact lifecycle toggles and lookup workload as
-// data, cluster.Replay executes that schedule against live nodes, and
-// the conformance suite in node/cluster compares windowed success rate
-// and mean hops between the two executors. With the overlay seed
+// hands out the program eventsim.Run executes — a scenario's lifecycle
+// toggles and lookup workload, as data — cluster.Replay executes that
+// schedule against live nodes, both place replicas through
+// replica.Table, and the conformance suite in node/cluster compares
+// windowed success rate and mean hops between the two executors. With the overlay seed
 // pinned, both walk the same candidate lists over the same tables
 // against the same failed set, so they agree exactly — making eventsim
 // a calibrated model of a deployable system rather than a fourth

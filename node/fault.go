@@ -39,12 +39,15 @@ type FaultConfig struct {
 	// Defaults to the time on the inner transport's clock since the
 	// wrapper was created: wall time, or a virtual network's time.
 	Now func() float64
-	// Latency is the one-way latency bound of the underlying network —
-	// the hold-back budget reordering and delay spikes are scaled by,
-	// mirroring eventsim's use of the inner transport's MaxLatency
-	// (default 10ms).
-	Latency time.Duration
 }
+
+// faultLatency is the one-way latency bound the wrapper assumes of the
+// underlying network: the hold-back budget reordering and delay spikes
+// are scaled by, mirroring eventsim's use of the inner transport's
+// MaxLatency. The in-memory (or loopback) substrate delivers in
+// microseconds, the simulated one in a millisecond; a small budget keeps
+// reordering well under any sane RTO.
+const faultLatency = 2 * time.Millisecond
 
 // FaultTransport wraps a Transport with deterministic fault injection.
 // Like the simulator — and for the same reason — every clause faults
@@ -86,9 +89,6 @@ func WrapFault(inner Transport, fc FaultConfig) (*FaultTransport, error) {
 	}
 	if fc.Horizon <= 0 {
 		fc.Horizon = 3600
-	}
-	if fc.Latency <= 0 {
-		fc.Latency = 10 * time.Millisecond
 	}
 	clk := clockOf(inner)
 	ft := &FaultTransport{
@@ -159,7 +159,7 @@ func (ft *FaultTransport) Send(addr string, pkt []byte) error {
 	}
 	hold := reorderHold
 	if f := ft.inj.DelayFactor(t); f > 1 {
-		hold += time.Duration((f - 1) * float64(ft.cfg.Latency))
+		hold += time.Duration((f - 1) * float64(faultLatency))
 	}
 	out := pkt
 	if corrupt {
@@ -219,7 +219,7 @@ func (ft *FaultTransport) coins(pl fault.Plan) (corrupt bool, hold time.Duration
 		corrupt = ft.rng.Bernoulli(pl.Corrupt)
 	}
 	if pl.Reorder > 0 && ft.rng.Bernoulli(pl.Reorder) {
-		hold = time.Duration(ft.rng.Float64() * float64(ft.cfg.Latency))
+		hold = time.Duration(ft.rng.Float64() * float64(faultLatency))
 		if hold <= 0 {
 			hold = time.Millisecond
 		}

@@ -166,7 +166,6 @@ func TestFaultTransportDupReorder(t *testing.T) {
 	sender, receiver := mem.Endpoint(), mem.Endpoint()
 	ft, err := WrapFault(sender, FaultConfig{
 		Plan: mustPlan(t, "dup:1,reorder:1"), Seed: 9, Self: 1,
-		Latency: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -303,8 +302,7 @@ func bootFaultNet(t *testing.T, mem *MemNetwork, protocol string, bits int, plan
 		for i := range transports {
 			ft, err := WrapFault(transports[i], FaultConfig{
 				Plan: pl, Seed: 7, Horizon: 3600, Self: uint64(i),
-				IDOf:    func(addr string) (uint64, bool) { id, ok := addrToID[addr]; return id, ok },
-				Latency: 2 * time.Millisecond,
+				IDOf: func(addr string) (uint64, bool) { id, ok := addrToID[addr]; return id, ok },
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -95,6 +95,27 @@ func For(p any, space overlay.Space, buf []overlay.ID, root overlay.ID, k int) (
 	return buf, nil
 }
 
+// Table resolves the replica set of every root in the space into one
+// placement table, table[root*k+i] being the i-th owner of root's key,
+// and returns it with its effective factor k (the requested one clamped
+// to the space size). Every executor places replicas through it, so sim
+// and live agree on ownership by construction. A requested k <= 1 yields
+// an empty table and k = 1: the unreplicated path never reads it.
+func Table(p any, space overlay.Space, k int) ([]overlay.ID, int, error) {
+	if k <= 1 {
+		return nil, 1, nil
+	}
+	n := space.Size()
+	table := make([]overlay.ID, 0, n*uint64(clampK(space, k)))
+	for root := uint64(0); root < n; root++ {
+		var err error
+		if table, err = For(p, space, table, overlay.ID(root), k); err != nil {
+			return nil, 0, err
+		}
+	}
+	return table, len(table) / int(n), nil
+}
+
 // clampK folds the "no replication" spellings to one copy and caps k at
 // the space size (a 1-bit space cannot hold 3 distinct owners).
 func clampK(space overlay.Space, k int) int {

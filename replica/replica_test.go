@@ -99,3 +99,33 @@ func TestForDispatch(t *testing.T) {
 		}
 	}
 }
+
+// TestTable: the placement table is For of every root, laid out
+// root-major with the effective (clamped) k; k <= 1 builds nothing; a
+// contract violation fails the whole table.
+func TestTable(t *testing.T) {
+	for _, k := range []int{0, 1} {
+		if tab, got, err := Table(xorPlacer{}, overlay.MustSpace(4), k); tab != nil || got != 1 || err != nil {
+			t.Errorf("Table(k=%d) = %v, %d, %v; want nil, 1, nil", k, tab, got, err)
+		}
+	}
+	space := overlay.MustSpace(4)
+	tab, k, err := Table(xorPlacer{}, space, 3)
+	if err != nil || k != 3 || len(tab) != 16*3 {
+		t.Fatalf("Table(k=3) = %d entries, k=%d, %v; want 48, 3", len(tab), k, err)
+	}
+	for root := overlay.ID(0); root < 16; root++ {
+		want, _ := For(xorPlacer{}, space, nil, root, 3)
+		for i, id := range want {
+			if tab[int(root)*k+i] != id {
+				t.Fatalf("root %d: table row %v, want %v", root, tab[int(root)*k:int(root+1)*k], want)
+			}
+		}
+	}
+	if _, k, err := Table(struct{}{}, overlay.MustSpace(1), 5); err != nil || k != 2 {
+		t.Errorf("Table in a 1-bit space: k=%d, %v; want k clamped to 2", k, err)
+	}
+	if _, _, err := Table(xorPlacer{bad: "dup"}, space, 2); err == nil {
+		t.Error("Table accepted a placement that names an owner twice")
+	}
+}
