@@ -1,15 +1,15 @@
 // Command dhtsim runs the static-resilience experiment on a concrete DHT
 // overlay: build routing tables for 2^bits nodes, fail nodes independently
 // with probability q, route sampled pairs greedily with static tables and
-// no back-tracking, and report the surviving routability. With -compare the
-// matching RCM analytic prediction is printed alongside. The sweep is a
-// declarative experiment plan executed by the parallel runner in
-// rcm/exp.
+// no back-tracking, and report the surviving routability. With -mode
+// analytic+sim the matching RCM analytic prediction is printed alongside.
+// The sweep is a declarative experiment plan executed by the parallel
+// runner in rcm/exp.
 //
 // Examples:
 //
 //	dhtsim -protocol chord -bits 16 -q 0.3
-//	dhtsim -protocol kademlia -bits 14 -sweep -compare
+//	dhtsim -protocol kademlia -bits 14 -sweep -mode analytic+sim
 //	dhtsim -protocol symphony -bits 12 -ks 3 -q 0.1
 package main
 
@@ -45,7 +45,6 @@ func run(args []string, out io.Writer) error {
 		kn       = fs.Int("kn", 1, "symphony near neighbors")
 		ks       = fs.Int("ks", 1, "symphony shortcuts")
 		sweep    = fs.Bool("sweep", false, "sweep q over 0..0.9 instead of a single point")
-		compare  = fs.Bool("compare", false, "print the analytic RCM prediction alongside (shorthand for -mode sim+analytic)")
 		modeFlag = fs.String("mode", "sim", `measurements to run, "+"-joined: sim|analytic+sim`)
 	)
 	if err := fs.Parse(args); err != nil {
@@ -74,9 +73,6 @@ func run(args []string, out io.Writer) error {
 	mode, err := exp.ParseMode(*modeFlag)
 	if err != nil {
 		return err
-	}
-	if *compare {
-		mode |= exp.ModeAnalytic
 	}
 	// dhtsim builds no event settings and its table is shaped around the
 	// static measurement; point users at the dedicated CLI.

@@ -37,7 +37,7 @@ func TestSinglePoint(t *testing.T) {
 
 func TestCompareColumnPresent(t *testing.T) {
 	out := runCapture(t, "-protocol", "kademlia", "-bits", "10", "-q", "0.2",
-		"-pairs", "2000", "-trials", "2", "-compare")
+		"-pairs", "2000", "-trials", "2", "-mode", "analytic+sim")
 	if !strings.Contains(out, "analytic r%") {
 		t.Errorf("missing analytic column:\n%s", out)
 	}
@@ -54,7 +54,7 @@ func TestSweepRowCount(t *testing.T) {
 
 func TestSymphonyFlags(t *testing.T) {
 	out := runCapture(t, "-protocol", "symphony", "-bits", "10", "-q", "0.1",
-		"-pairs", "2000", "-trials", "2", "-ks", "3", "-compare")
+		"-pairs", "2000", "-trials", "2", "-ks", "3", "-mode", "analytic+sim")
 	if !strings.Contains(out, "symphony") {
 		t.Errorf("missing protocol name:\n%s", out)
 	}
@@ -94,25 +94,20 @@ func TestNonPositiveCountsRejected(t *testing.T) {
 func TestMatchingGeometryCoversAll(t *testing.T) {
 	for _, name := range []string{"plaxton", "can", "kademlia", "chord", "symphony"} {
 		out := runCapture(t, "-protocol", name, "-bits", "8", "-q", "0.1",
-			"-pairs", "500", "-trials", "1", "-compare")
+			"-pairs", "500", "-trials", "1", "-mode", "analytic+sim")
 		if !strings.Contains(out, "analytic") {
 			t.Errorf("%s: compare output missing analytic column:\n%s", name, out)
 		}
 	}
 }
 
-// TestModeFlag: -mode is parsed by exp.ParseMode, so "analytic+sim" is
-// equivalent to -compare and bad spellings are rejected.
+// TestModeFlag: -mode is parsed by exp.ParseMode, so "analytic+sim" adds
+// the analytic columns and bad spellings are rejected.
 func TestModeFlag(t *testing.T) {
 	withMode := runCapture(t, "-protocol", "chord", "-bits", "8", "-q", "0.1",
 		"-pairs", "500", "-trials", "1", "-mode", "analytic+sim")
 	if !strings.Contains(withMode, "analytic") {
 		t.Errorf("-mode analytic+sim output missing analytic column:\n%s", withMode)
-	}
-	withCompare := runCapture(t, "-protocol", "chord", "-bits", "8", "-q", "0.1",
-		"-pairs", "500", "-trials", "1", "-compare")
-	if withMode != withCompare {
-		t.Errorf("-mode analytic+sim differs from -compare:\n%s\nvs\n%s", withMode, withCompare)
 	}
 	var sb strings.Builder
 	if err := run([]string{"-mode", "warp"}, &sb); err == nil {

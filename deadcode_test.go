@@ -2,29 +2,36 @@ package rcm
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"rcm/internal/lint"
 )
 
+// loadModule type-checks the module and benchmark/ once for every scan
+// in this file: one load from benchmark/, whose module requires this one,
+// sees both.
+var loadModule = sync.OnceValues(func() ([]*lint.Package, error) {
+	return lint.Load("benchmark", "./...", "rcm/...")
+})
+
 // testOnlyExports is the allowlist of TestInternalExportsHaveCallers:
-// declarations of internal/ packages that no non-test file reaches, each with the test that needs it — as a reference
+// declarations outside the root facade that no binary, example or
+// benchmark reaches, each with the test that needs it — as a reference
 // implementation the shipping one is compared against, or as an
 // accessor the test reads state through. Anything else without a caller
 // is deleted, not listed.
 var testOnlyExports = map[string]string{
 	// Reference implementations the shipping pipeline is compared against.
+	"eventsim.Schedule.OfflineAt":                         "TestBuildScheduleMatchesRun",
 	"internal/core.RoutabilityBig":                        "TestRoutabilityBigOracleAgreement",
 	"internal/core.Tree.ClosedFormRoutability":            "TestTreeClosedFormMatchesPipeline",
 	"internal/core.GeneralizedTree.ClosedFormRoutability": "TestGeneralizedTreeClosedFormMatchesPipeline",
@@ -35,215 +42,207 @@ var testOnlyExports = map[string]string{
 	"internal/numeric.BigEval.ProductOneMinus":            "TestBigEvalProductOneMinus",
 	"internal/numeric.RelDiff":                            "TestTreeClosedFormMatchesPipeline",
 	"internal/sim.Sweep":                                  "TestGridMatchesSweep",
+	"overlay.Space.HammingDist":                           "TestHammingDist",
+	// Renderers the parse → render → parse round trips are checked with.
+	"eventsim.TransportSpec": "TestTransportSpecRoundTrip",
+	"eventsim/lifetime.Spec": "TestLifetimeSpecRoundTrip",
 	// Accessors a test reads built state through.
+	"eventsim.Result.WindowLatencyDist":        "TestWindowDistAccessors",
+	"eventsim/lifetime.Lookup":                 "TestDocsNameOnlyWhatExists",
+	"eventsim/lifetime.Names":                  "TestRegistryContract",
 	"internal/dht.Symphony.NearNeighbors":      "TestSymphonyLinkStructure",
 	"internal/dht.Symphony.Shortcuts":          "TestSymphonyLinkStructure",
 	"internal/markov.Chain.Edges":              "TestBuilderDropsZeroEdges",
 	"internal/percolation.UnionFind.Connected": "TestUnionFindBasics",
+	"node.Node.ID":                             "TestRequestTableDrains",
+	"node.Node.Store":                          "TestLivePutGetUDP",
+	"node/cluster.Report.WindowLatency":        "TestWindowAccessorsFullRun",
+	"node/cluster.Report.WindowMeanHops":       "TestWindowAccessorsFullRun",
+	"node/cluster.Report.WindowSuccess":        "TestWindowAccessorsFullRun",
+	"obs.Histogram.Sum":                        "TestExactSmallQuantiles",
+	"overlay.Bitset.Count":                     "TestBitsetCount",
+	"overlay.MustSpace":                        "TestMustSpacePanics",
+	// The hook the suite registers a misbehaving lifetime family through.
+	"eventsim/lifetime.Register": "TestNonPositiveSamplesFailAllChurnScenarios",
 }
 
-// interfaceMethods are method names called through standard-library
-// interfaces (fmt.Stringer, error, sort.Interface, flag.Value, ...), so
-// no selector in this module names them.
-var interfaceMethods = map[string]bool{
-	"String": true, "Error": true, "Len": true, "Less": true, "Swap": true, "Set": true,
-}
-
-// TestInternalExportsHaveCallers: every top-level func, method, type, var
-// or const of an internal/ package — the exported ones the compiler
-// cannot flag, and the unexported ones it does not — is reachable from
-// some non-test file outside internal/ (cmd/, the public packages,
-// benchmark/, examples/), or is in testOnlyExports. Reachability is by
-// name: a declaration is live when a live declaration, or any file
-// outside internal/, mentions it — pkg.Name through that file's import
-// of the package, a bare Name inside the package, or .Name for a method
-// of a live type. Public packages are API and exempt.
+// TestInternalExportsHaveCallers: every declaration outside the roots —
+// top-level func, method, type, var or const, and interface method —
+// is reachable from a root, or is in testOnlyExports. The roots are
+// every declaration of a main package (cmd/, examples/, benchmark/), of
+// the root package rcm (the documented facade), init functions and
+// blank declarations. A declaration reaches the objects its syntax uses,
+// generic instances resolved to their origin. A method is live when its
+// receiver type is live and it is called directly, or a method of the
+// same name is called through an interface, or it satisfies a standard
+// library interface (error, fmt.Stringer, sort.Interface, flag.Value,
+// json.Marshaler).
 func TestInternalExportsHaveCallers(t *testing.T) {
-	type key struct{ pkg, name string } // pkg "" = a method name, matched across packages
+	pkgs, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
 	type unit struct {
+		obj   types.Object
 		label string // "internal/sim.Sweep", "internal/markov.Chain.Edges"
-		key   key
-		recv  key // a method's receiver type; zero for everything else
-		refs  []key
+		root  bool
+		recv  types.Object // a method's receiver type; nil for everything else
+		std   bool         // a method a standard-library interface calls
+		uses  []types.Object
 	}
-	var units []*unit
-	referenced := map[key]bool{}
-	for name := range interfaceMethods {
-		referenced[key{"", name}] = true
-	}
+	units := map[types.Object]*unit{}
+	var order []*unit
 
-	// refsOf collects every name n mentions: alias.Name for an imported
-	// package of this module (rcm.Simulate names a function of rcm, not
-	// every method called Simulate), bare identifiers as names of pkg, and
-	// selector / interface method names as method references.
-	refsOf := func(n ast.Node, pkg string, imports map[string]string) []key {
-		var out []key
-		var visit func(ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.SelectorExpr:
-				if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
-					out = append(out, key{imports[id.Name], x.Sel.Name})
-					return false
-				}
-				out = append(out, key{"", x.Sel.Name})
-				ast.Inspect(x.X, visit)
-				return false
-			case *ast.InterfaceType:
-				for _, m := range x.Methods.List {
-					for _, name := range m.Names {
-						out = append(out, key{"", name.Name})
-					}
-				}
-			case *ast.Ident:
-				out = append(out, key{pkg, x.Name})
-			}
-			return true
+	stdIfaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	imported := map[string]*types.Package{}
+	for _, pkg := range pkgs {
+		for _, imp := range pkg.Types.Imports() {
+			imported[imp.Path()] = imp
 		}
-		ast.Inspect(n, visit)
-		return out
+	}
+	for _, name := range [][2]string{{"fmt", "Stringer"}, {"sort", "Interface"}, {"flag", "Value"}, {"encoding/json", "Marshaler"}} {
+		if p := imported[name[0]]; p != nil {
+			stdIfaces = append(stdIfaces, p.Scope().Lookup(name[1]).Type().Underlying().(*types.Interface))
+		}
+	}
+	satisfiesStd := func(recv types.Type, method string) bool {
+		for _, iface := range stdIfaces {
+			if obj, _, _ := types.LookupFieldOrMethod(iface, false, nil, method); obj == nil {
+				continue
+			}
+			if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
+				return true
+			}
+		}
+		return false
 	}
 
 	testFuncs := map[string]bool{}
 	testDecl := regexp.MustCompile(`(?m)^func (Test\w+)\(`)
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (name[0] == '.' || name == "testdata" || path == "benchmark/out") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		if strings.HasSuffix(path, "_test.go") {
+	for _, pkg := range pkgs {
+		root := pkg.Types.Name() == "main" || pkg.Path == "rcm"
+		tests, _ := filepath.Glob(filepath.Join(pkg.Dir, "*_test.go"))
+		for _, path := range tests {
 			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, m := range testDecl.FindAllSubmatch(src, -1) {
 				testFuncs[string(m[1])] = true
 			}
-			return err
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		pkg := filepath.ToSlash(filepath.Dir(path))
-		imports := map[string]string{}
-		for _, im := range f.Imports {
-			p, _ := strconv.Unquote(im.Path.Value)
-			if p != "rcm" && !strings.HasPrefix(p, "rcm/") {
-				continue
-			}
-			alias := p[strings.LastIndex(p, "/")+1:]
-			if im.Name != nil {
-				alias = im.Name.Name
-			}
-			imports[alias] = strings.TrimPrefix(p, "rcm/")
-		}
-		if !strings.HasPrefix(pkg, "internal/") {
-			for _, k := range refsOf(f, pkg, imports) {
-				referenced[k] = true
-			}
-			return nil
-		}
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				// The declared name is not a use of itself: scan the
-				// signature and body only.
-				u := &unit{label: pkg + "." + d.Name.Name, key: key{pkg, d.Name.Name}, refs: refsOf(d.Type, pkg, imports)}
-				if d.Body != nil {
-					u.refs = append(u.refs, refsOf(d.Body, pkg, imports)...)
-				}
-				if d.Recv != nil {
-					recv := d.Recv.List[0].Type
-					for done := false; !done; {
-						switch x := recv.(type) {
-						case *ast.StarExpr:
-							recv = x.X
-						case *ast.IndexExpr:
-							recv = x.X
-						case *ast.IndexListExpr:
-							recv = x.X
-						default:
-							done = true
-						}
+		prefix := strings.TrimPrefix(pkg.Path, "rcm/") + "."
+		// add makes obj a unit reaching the objects n uses.
+		add := func(obj types.Object, n ast.Node, label string) *unit {
+			u := &unit{obj: obj, label: prefix + label, root: root || obj.Name() == "_" || obj.Name() == "init"}
+			ast.Inspect(n, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					switch o := pkg.Info.Uses[id].(type) {
+					case *types.Func:
+						u.uses = append(u.uses, o.Origin())
+					case nil, *types.PkgName:
+					default:
+						u.uses = append(u.uses, o)
 					}
-					u.recv = key{pkg, recv.(*ast.Ident).Name}
-					u.key.pkg = ""
-					u.label = pkg + "." + u.recv.name + "." + d.Name.Name
 				}
-				if d.Name.Name == "init" {
-					referenced[u.key] = true
-				}
-				units = append(units, u)
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						units = append(units, &unit{label: pkg + "." + s.Name.Name, key: key{pkg, s.Name.Name}, refs: refsOf(s.Type, pkg, imports)})
-					case *ast.ValueSpec:
-						var refs []key
-						if s.Type != nil {
-							refs = refsOf(s.Type, pkg, imports)
-						}
-						for _, v := range s.Values {
-							refs = append(refs, refsOf(v, pkg, imports)...)
-						}
-						for _, name := range s.Names {
-							units = append(units, &unit{label: pkg + "." + name.Name, key: key{pkg, name.Name}, refs: refs})
-							if name.Name == "_" {
-								referenced[key{pkg, "_"}] = true
+				return true
+			})
+			units[obj] = u
+			order = append(order, u)
+			return u
+		}
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					obj := pkg.Info.Defs[d.Name]
+					if d.Recv == nil {
+						add(obj, d, d.Name.Name)
+						continue
+					}
+					recv := obj.Type().(*types.Signature).Recv().Type()
+					if p, ok := recv.(*types.Pointer); ok {
+						recv = p.Elem()
+					}
+					named := recv.(*types.Named)
+					u := add(obj, d, named.Obj().Name()+"."+d.Name.Name)
+					u.recv, u.std = named.Obj(), satisfiesStd(named, d.Name.Name)
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							obj := pkg.Info.Defs[s.Name]
+							add(obj, s, s.Name.Name)
+							if it, ok := s.Type.(*ast.InterfaceType); ok {
+								for _, m := range it.Methods.List {
+									for _, name := range m.Names {
+										add(pkg.Info.Defs[name], m, s.Name.Name+"."+name.Name).recv = obj
+									}
+								}
+							}
+						case *ast.ValueSpec:
+							for _, name := range s.Names {
+								add(pkg.Info.Defs[name], s, name.Name)
 							}
 						}
 					}
 				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 
-	// Two passes: the first finds what non-test code reaches; the second
-	// adds the allowlisted declarations as roots, so what only a
-	// reference implementation calls (the math/big evaluator under
-	// RoutabilityBig) is not reported beside it.
+	// Two passes: the first finds what the roots reach; the second adds
+	// the allowlisted declarations as roots, so what only a reference
+	// implementation calls (the math/big evaluator under RoutabilityBig)
+	// is not reported beside it.
 	live := map[*unit]bool{}
+	referenced := map[types.Object]bool{}
+	calledThroughInterface := map[string]bool{}
 	reach := func() {
 		for changed := true; changed; {
 			changed = false
-			for _, u := range units {
-				if live[u] || !referenced[u.key] || (u.recv != key{} && !referenced[u.recv]) {
+			for _, u := range order {
+				if live[u] {
+					continue
+				}
+				ok := u.root || referenced[u.obj]
+				if u.recv != nil && !u.root {
+					ok = live[units[u.recv]] && (ok || u.std || calledThroughInterface[u.obj.Name()])
+				}
+				if !ok {
 					continue
 				}
 				live[u], changed = true, true
-				for _, r := range u.refs {
-					referenced[r] = true
+				for _, o := range u.uses {
+					referenced[o] = true
+					if f, ok := o.(*types.Func); ok {
+						if recv := f.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+							calledThroughInterface[f.Name()] = true
+						}
+					}
 				}
 			}
 		}
 	}
 	reach()
 	listed := map[string]bool{}
-	for _, u := range units {
+	for _, u := range order {
 		if !live[u] && testOnlyExports[u.label] != "" {
 			listed[u.label] = true
-			referenced[u.key], referenced[u.recv] = true, true
+			u.root = true
 		}
 	}
 	reach()
 
-	sort.Slice(units, func(i, j int) bool { return units[i].label < units[j].label })
-	for _, u := range units {
+	var dead []string
+	for _, u := range order {
 		if !live[u] {
-			t.Errorf("%s has no caller outside tests: delete it, or list it in testOnlyExports with the test that needs it", u.label)
+			dead = append(dead, u.label)
 		}
+	}
+	sort.Strings(dead)
+	for _, label := range dead {
+		t.Errorf("%s has no caller outside tests: delete it, or list it in testOnlyExports with the test that needs it", label)
 	}
 	for label, test := range testOnlyExports {
 		if !listed[label] {
@@ -280,8 +279,7 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the module and benchmark/; skipped in -short runs")
 	}
-	// One load from benchmark/, whose module requires this one, sees both.
-	pkgs, err := lint.Load("benchmark", "./...", "rcm/...")
+	pkgs, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}

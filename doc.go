@@ -47,8 +47,8 @@
 // churn engine: its churn scenarios measure how the static model's
 // predictions transfer to dynamic node populations, with and without
 // maintenance, and what the maintenance costs in messages. Protocols opt
-// in through two optional capabilities (eventsim.Forwarder,
-// eventsim.Maintainer); all five built-ins implement Forwarder.
+// in through two optional capabilities (rcm.Forwarder,
+// rcm.Maintainer); all five built-ins implement Forwarder.
 //
 // Grid-shaped studies — geometry × size × failure-probability sweeps and
 // event runs — belong to the public experiment runner in rcm/exp:

@@ -274,17 +274,16 @@ func TestZipfTargetsSkewed(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	ok := Config{Protocol: "chord", Overlay: OverlayConfig{Bits: 6}, Scenario: "massfail"}
 	for name, mutate := range map[string]func(*Config){
-		"unknown scenario":    func(c *Config) { c.Scenario = "nope" },
-		"unknown protocol":    func(c *Config) { c.Protocol = "nope" },
-		"rto overflows":       func(c *Config) { c.Transport = Constant{Latency: 1e308} },
-		"negative fail":       func(c *Config) { c.Params.FailFraction = -1 },
-		"fail above one":      func(c *Config) { c.Params.FailFraction = 1.5 },
-		"nan rate":            func(c *Config) { c.Params.Rate = math.NaN() },
-		"loss rate above 1":   func(c *Config) { c.Transport = Lossy{Rate: 1.5} },
-		"lossy over faulty":   func(c *Config) { c.Transport = Lossy{Rate: 0.1, Inner: Faulty{Plan: fault.Plan{Dup: 0.1}}} },
-		"bad empirical order": func(c *Config) { c.Transport = Empirical{Quantiles: []float64{2, 1}} },
-		"too many shards":     func(c *Config) { c.Shards = 1000 },
-		"zero bits":           func(c *Config) { c.Overlay.Bits = 0 },
+		"unknown scenario":  func(c *Config) { c.Scenario = "nope" },
+		"unknown protocol":  func(c *Config) { c.Protocol = "nope" },
+		"rto overflows":     func(c *Config) { c.Transport = Constant{Latency: 1e308} },
+		"negative fail":     func(c *Config) { c.Params.FailFraction = -1 },
+		"fail above one":    func(c *Config) { c.Params.FailFraction = 1.5 },
+		"nan rate":          func(c *Config) { c.Params.Rate = math.NaN() },
+		"loss rate above 1": func(c *Config) { c.Transport = Lossy{Rate: 1.5} },
+		"lossy over faulty": func(c *Config) { c.Transport = Lossy{Rate: 0.1, Inner: Faulty{Plan: fault.Plan{Dup: 0.1}}} },
+		"too many shards":   func(c *Config) { c.Shards = 1000 },
+		"zero bits":         func(c *Config) { c.Overlay.Bits = 0 },
 	} {
 		cfg := ok
 		mutate(&cfg)

@@ -16,16 +16,6 @@ import (
 // same type as rcm.Config — re-exported for building Config.Overlay.
 type OverlayConfig = registry.Config
 
-// Forwarder is the per-hop candidate-enumeration capability a protocol
-// must implement to run under eventsim (the same type as the canonical
-// definition shared with rcm.Protocol registrants). All five built-in
-// protocols implement it.
-type Forwarder = registry.Forwarder
-
-// Maintainer is the optional join/stabilize maintenance capability; see
-// Config.Maintain. The four table-based built-ins implement it.
-type Maintainer = registry.Maintainer
-
 // Config configures one event-simulation run. Protocol, Overlay.Bits and
 // Scenario are required; every other field has a documented default.
 type Config struct {

@@ -3,7 +3,6 @@ package eventsim
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -59,59 +58,40 @@ func (c Constant) MaxLatency() float64 { return c.latency() }
 // Sample implements Transport.
 func (c Constant) Sample(*overlay.RNG) (float64, bool) { return c.latency(), true }
 
-// Empirical samples latencies from a fixed quantile table — by default a
-// King-style wide-area RTT profile — scaled so its median matches Median.
-// Sampling inverts the empirical CDF with linear interpolation between
-// quantile knots, so the distribution is continuous, bounded, and cheap.
+// Empirical samples latencies from a King-style wide-area RTT profile
+// (kingProfile) scaled so its median matches Median. Sampling inverts the
+// empirical CDF with linear interpolation between quantile knots, so the
+// distribution is continuous, bounded, and cheap.
 type Empirical struct {
 	// Median scales the profile; zero selects DefaultLatency.
 	Median float64
-	// Quantiles optionally replaces the built-in profile: ascending
-	// latencies at evenly-spaced CDF knots from 0 to 1 (at least two, all
-	// positive). The slice is normalized so its median knot equals 1.
-	Quantiles []float64
 }
 
-// kingProfile is the built-in wide-area latency shape, normalized to a
-// median of 1: a fast same-continent floor, a wide middle, and a heavy
+// kingProfile is the wide-area latency shape, normalized to a median of
+// 1: a fast same-continent floor, a wide middle, and a heavy
 // intercontinental tail (11 knots at CDF 0, 0.1, …, 1).
 var kingProfile = []float64{0.3, 0.5, 0.65, 0.8, 0.9, 1, 1.15, 1.35, 1.7, 2.4, 4}
 
-func (e Empirical) profile() []float64 {
-	if len(e.Quantiles) >= 2 {
-		return e.Quantiles
-	}
-	return kingProfile
-}
-
+// scale maps kingProfile, whose median knot is 1, onto Median.
 func (e Empirical) scale() float64 {
-	med := e.Median
-	if med <= 0 {
-		med = DefaultLatency
+	if e.Median <= 0 {
+		return DefaultLatency
 	}
-	p := e.profile()
-	mid := p[len(p)/2]
-	if len(p)%2 == 0 {
-		mid = (p[len(p)/2-1] + p[len(p)/2]) / 2
-	}
-	return med / mid
+	return e.Median
 }
 
 // Name implements Transport.
 func (e Empirical) Name() string { return "empirical" }
 
 // MinLatency implements Transport.
-func (e Empirical) MinLatency() float64 { return e.scale() * e.profile()[0] }
+func (e Empirical) MinLatency() float64 { return e.scale() * kingProfile[0] }
 
 // MaxLatency implements Transport.
-func (e Empirical) MaxLatency() float64 {
-	p := e.profile()
-	return e.scale() * p[len(p)-1]
-}
+func (e Empirical) MaxLatency() float64 { return e.scale() * kingProfile[len(kingProfile)-1] }
 
 // Sample implements Transport: inverse-CDF with linear interpolation.
 func (e Empirical) Sample(rng *overlay.RNG) (float64, bool) {
-	p := e.profile()
+	p := kingProfile
 	u := rng.Float64() * float64(len(p)-1)
 	i := int(u)
 	if i >= len(p)-1 {
@@ -121,19 +101,10 @@ func (e Empirical) Sample(rng *overlay.RNG) (float64, bool) {
 	return e.scale() * (p[i] + frac*(p[i+1]-p[i])), true
 }
 
-// validateEmpirical rejects profiles the engine cannot bound.
+// validateEmpirical rejects medians the engine cannot bound.
 func validateEmpirical(e Empirical) error {
 	if e.Median < 0 || math.IsNaN(e.Median) || math.IsInf(e.Median, 0) {
 		return fmt.Errorf("eventsim: empirical median %v must be a finite value >= 0 (zero selects the default)", e.Median)
-	}
-	p := e.profile()
-	if !sort.Float64sAreSorted(p) {
-		return fmt.Errorf("eventsim: empirical quantiles %v must be ascending", p)
-	}
-	for _, v := range p {
-		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("eventsim: empirical quantile %v must be a positive finite value", v)
-		}
 	}
 	return nil
 }
@@ -276,28 +247,13 @@ func init() {
 	}
 }
 
-// RegisterTransport adds a transport factory under a canonical name plus
-// optional aliases, with the same naming rules as every other registry in
-// the module. The factory receives the argument text after the first ':'
-// and must validate its result (validateTransport is applied to whatever
-// the factory returns before the engine runs it). Registered transports
-// resolve through ParseTransport everywhere the built-ins do, including
-// the cmd/eventsim -transport flag and exp event settings.
-func RegisterTransport(name string, f func(arg string) (Transport, error), aliases ...string) error {
-	return transports.Register(name, f, aliases...)
-}
-
-// TransportNames returns the canonical transport names in registration
-// order (the built-in three first, user registrations after).
-func TransportNames() []string { return transports.Names() }
-
 // ParseTransport builds a transport from its CLI spelling:
 //
 //	constant[:latency]
 //	empirical[:median]
 //	lossy[:rate[:inner]]       e.g. lossy:0.05:empirical:0.08
 //
-// plus anything added through RegisterTransport. Numbers are in the
+// Numbers are in the
 // engine's time unit (seconds); the empty spec selects the default
 // constant model.
 func ParseTransport(s string) (Transport, error) {

@@ -139,14 +139,8 @@ func newProtocol(cfg rcm.Config) (rcm.Protocol, error) {
 // Name implements rcm.Protocol.
 func (p *protocol) Name() string { return "randchord" }
 
-// GeometryName implements rcm.Protocol.
-func (p *protocol) GeometryName() string { return "randchord" }
-
 // Space implements rcm.Protocol.
 func (p *protocol) Space() overlay.Space { return p.space }
-
-// Degree implements rcm.Protocol.
-func (p *protocol) Degree() int { return p.space.Bits() * p.r }
 
 // Route implements rcm.Protocol: take the alive finger that lands closest
 // to dst without passing it; fail when no alive finger makes clockwise

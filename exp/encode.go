@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"bytes"
 	"io"
 	"iter"
 	"math"
@@ -28,7 +27,7 @@ func Header() []string {
 }
 
 // appendCells appends the row's cells to b in Header order, joined by
-// commas: the one spelling of the column order, which both encoders read.
+// commas: the one spelling of the column order.
 // NaN and ±Inf become empty cells; floats carry full round-trip precision
 // so golden files are exact.
 func (r Row) appendCells(b []byte) []byte {
@@ -125,55 +124,4 @@ func StreamCSV(w io.Writer, rows iter.Seq2[Row, error]) error {
 		}
 	}
 	return nil
-}
-
-// WriteJSON streams rows as a JSON array of objects with a fixed key
-// order, one Write per row. Unmeasured (NaN/Inf) numbers encode as null.
-func WriteJSON(w io.Writer, rows []Row) error {
-	header := Header()
-	keys := make([]string, len(header))
-	for j, name := range header {
-		keys[j] = strconv.Quote(name) + ": "
-	}
-	b := []byte("[\n")
-	var cells []byte
-	for i, r := range rows {
-		if i > 0 {
-			b = append(b, ",\n"...)
-		}
-		b = append(b, "  {"...)
-		// Cells never contain commas, so the appender's output splits
-		// back into Header's columns.
-		cells = r.appendCells(cells[:0])
-		rest := cells
-		for j, name := range header {
-			if j > 0 {
-				b = append(b, ", "...)
-			}
-			var cell []byte
-			cell, rest, _ = bytes.Cut(rest, []byte{','})
-			b = jsonValue(append(b, keys[j]...), name, cell)
-		}
-		b = append(b, '}')
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-		b = b[:0]
-	}
-	_, err := w.Write(append(b, "\n]\n"...))
-	return err
-}
-
-// jsonValue appends a cell by column name: identity columns are strings,
-// everything else numeric (null when empty).
-func jsonValue(b []byte, name string, cell []byte) []byte {
-	switch name {
-	case "plan", "kind", "geometry", "system", "protocol", "scenario":
-		return strconv.AppendQuote(b, string(cell))
-	default:
-		if len(cell) == 0 {
-			return append(b, "null"...)
-		}
-		return append(b, cell...)
-	}
 }

@@ -25,7 +25,7 @@
 // yield one Row per time bucket); absent measurements are NaN. Rows
 // arrive in plan order (spec-major, then bits, then q; event cells after
 // the grid) regardless of how many workers executed them,
-// so golden-file tests of the CSV/JSON encodings are stable and a parallel
+// so golden-file tests of the CSV encoding are stable and a parallel
 // run is byte-identical to a serial one. Only a bounded reorder window of
 // 64 × workers cells is in flight at any moment — finished rows waiting
 // for their turn, plus at most one computing cell per worker — so a
@@ -67,10 +67,6 @@ import (
 // Geometry is the analytic extension point: the RCM description of a DHT
 // routing geometry. It is the same type as rcm.Geometry.
 type Geometry = registry.Geometry
-
-// Protocol is the simulation extension point: a concrete DHT overlay with
-// static routing tables. It is the same type as rcm.Protocol.
-type Protocol = registry.Protocol
 
 // Config is the canonical overlay-construction configuration, shared with
 // dht.New and the rcm facade. Within a Plan the runner overrides Bits (from

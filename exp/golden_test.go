@@ -3,7 +3,6 @@ package exp
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -73,40 +72,4 @@ func TestGoldenCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "golden.csv", b.Bytes())
-}
-
-// TestGoldenJSON locks the JSON encoding and checks it is valid JSON with
-// the expected shape.
-func TestGoldenJSON(t *testing.T) {
-	rows, err := Run(context.Background(), goldenPlan(), goldenOpts()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b bytes.Buffer
-	if err := WriteJSON(&b, rows); err != nil {
-		t.Fatal(err)
-	}
-	var decoded []map[string]any
-	if err := json.Unmarshal(b.Bytes(), &decoded); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, b.String())
-	}
-	if len(decoded) != len(rows) {
-		t.Fatalf("decoded %d objects, want %d", len(decoded), len(rows))
-	}
-	first := decoded[0]
-	if first["plan"] != "golden" || first["kind"] != "grid" {
-		t.Errorf("first object identity: %v", first)
-	}
-	if first["q"] != 0.0 || first["analytic_routability"] != 1.0 {
-		t.Errorf("first object values: %v", first)
-	}
-	// Grid rows carry no event fields.
-	if first["event_success"] != nil {
-		t.Errorf("grid row event_success = %v, want null", first["event_success"])
-	}
-	last := decoded[len(decoded)-1]
-	if last["kind"] != "event" || last["scenario"] != "massfail" || last["time"] != 2.0 {
-		t.Errorf("last object should be the final massfail bucket: %v", last)
-	}
-	checkGolden(t, "golden.json", b.Bytes())
 }

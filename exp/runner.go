@@ -26,7 +26,7 @@ const windowPerWorker = 64
 
 // Row is one result of a plan: a grid cell, or one time bucket of an event
 // cell. Measurements a cell did not perform are NaN (encoded as empty CSV
-// cells / JSON nulls).
+// cells).
 type Row struct {
 	// Plan is the plan name.
 	Plan string

@@ -269,12 +269,6 @@ type Injector struct {
 // Plan returns the bound plan.
 func (in *Injector) Plan() Plan { return in.plan }
 
-// Seed returns the seed the plan was bound with.
-func (in *Injector) Seed() uint64 { return in.seed }
-
-// Horizon returns the stall-placement horizon the plan was bound with.
-func (in *Injector) Horizon() float64 { return in.horizon }
-
 const (
 	partitionSalt = 0x504152544954 // "PARTIT"
 	stallSalt     = 0x5354414c4c   // "STALL"
@@ -363,11 +357,6 @@ func (c *Counts) Add(o Counts) {
 	c.Reorders += o.Reorders
 	c.Corrupts += o.Corrupts
 	c.StallDrops += o.StallDrops
-}
-
-// Total returns the sum over every kind.
-func (c Counts) Total() uint64 {
-	return c.PartitionDrops + c.Dups + c.Reorders + c.Corrupts + c.StallDrops
 }
 
 // String renders the non-zero tallies in a fixed order ("none" when all

@@ -275,31 +275,27 @@ func TestStallEpisodes(t *testing.T) {
 
 func TestCounts(t *testing.T) {
 	var c Counts
-	if c.String() != "none" || c.Total() != 0 {
-		t.Errorf("zero Counts = %q / %d", c.String(), c.Total())
+	if c.String() != "none" {
+		t.Errorf("zero Counts = %q", c.String())
 	}
 	c.Add(Counts{PartitionDrops: 2, Dups: 1})
 	c.Add(Counts{Dups: 1, StallDrops: 3})
-	if c.Total() != 7 {
-		t.Errorf("Total = %d, want 7", c.Total())
-	}
 	if got, want := c.String(), "partition=2 dup=2 stall=3"; got != want {
 		t.Errorf("String = %q, want %q", got, want)
 	}
 }
 
-// TestCountsAreFieldwise: Add, Total and String each spell every fault
-// kind out. With random tallies, Add sums every field, Total is the sum
-// over every field, and String renders one name=value pair per non-zero
-// field — so a kind added to Counts and forgotten in one of the three
-// fails here.
+// TestCountsAreFieldwise: Add and String each spell every fault kind
+// out. With random tallies, Add sums every field and String renders one
+// name=value pair per non-zero field — so a kind added to Counts and
+// forgotten in either fails here.
 func TestCountsAreFieldwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	fill := func(c *Counts) {
 		v := reflect.ValueOf(c).Elem()
 		for f := 0; f < v.NumField(); f++ {
 			if v.Field(f).Kind() != reflect.Uint64 {
-				t.Fatalf("Counts.%s has type %s: teach this test (and Add, Total, String) about it", v.Type().Field(f).Name, v.Field(f).Type())
+				t.Fatalf("Counts.%s has type %s: teach this test (and Add, String) about it", v.Type().Field(f).Name, v.Field(f).Type())
 			}
 			v.Field(f).SetUint(1 + uint64(rng.Intn(1000)))
 		}
@@ -310,17 +306,12 @@ func TestCountsAreFieldwise(t *testing.T) {
 	sum := a
 	sum.Add(b)
 
-	var total uint64
 	sv, av, bv := reflect.ValueOf(sum), reflect.ValueOf(a), reflect.ValueOf(b)
 	for f := 0; f < sv.NumField(); f++ {
 		want := av.Field(f).Uint() + bv.Field(f).Uint()
 		if got := sv.Field(f).Uint(); got != want {
 			t.Errorf("after Add, Counts.%s = %d, want %d", sv.Type().Field(f).Name, got, want)
 		}
-		total += want
-	}
-	if got := sum.Total(); got != total {
-		t.Errorf("Total() = %d, want the sum over every field %d", got, total)
 	}
 	pairs := strings.Fields(sum.String())
 	if len(pairs) != sv.NumField() {

@@ -50,14 +50,8 @@ func NewChord(cfg Config) (*Chord, error) {
 // Name implements Protocol.
 func (c *Chord) Name() string { return "chord" }
 
-// GeometryName implements Protocol.
-func (c *Chord) GeometryName() string { return "ring" }
-
 // Space implements Protocol.
 func (c *Chord) Space() overlay.Space { return c.space }
-
-// Degree implements Protocol.
-func (c *Chord) Degree() int { return c.space.Bits() }
 
 // eligible returns the fingers of x that do not overshoot dst, in finger
 // order. With 2^{m−1} ≤ remaining < 2^m the window invariant decides all

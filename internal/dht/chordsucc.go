@@ -53,14 +53,8 @@ func NewChordWithSuccessors(cfg Config, s int) (*ChordWithSuccessors, error) {
 // Name implements Protocol.
 func (c *ChordWithSuccessors) Name() string { return "chord+succ" }
 
-// GeometryName implements Protocol.
-func (c *ChordWithSuccessors) GeometryName() string { return "ring" }
-
 // Space implements Protocol.
 func (c *ChordWithSuccessors) Space() overlay.Space { return c.space }
-
-// Degree implements Protocol.
-func (c *ChordWithSuccessors) Degree() int { return c.successors + c.space.Bits() }
 
 // Route implements Protocol: greedy clockwise over alive successors and
 // fingers without overshooting.

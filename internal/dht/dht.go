@@ -36,7 +36,7 @@ type Populated interface {
 
 // Forwarder is the per-hop candidate-enumeration capability used by the
 // message-level event simulator (canonical definition in internal/registry,
-// re-exported publicly as rcm/eventsim.Forwarder). All five built-in
+// re-exported publicly as rcm.Forwarder). All five built-in
 // protocols implement it.
 type Forwarder = registry.Forwarder
 

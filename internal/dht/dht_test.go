@@ -70,22 +70,6 @@ func TestNewBadBits(t *testing.T) {
 	}
 }
 
-func TestGeometryNameMapping(t *testing.T) {
-	want := map[string]string{
-		"plaxton":   "tree",
-		"can":       "hypercube",
-		"kademlia":  "xor",
-		"chord":     "ring",
-		"symphony":  "symphony",
-		"singlehop": "singlehop",
-	}
-	for _, p := range buildAll(t, 4) {
-		if got := p.GeometryName(); got != want[p.Name()] {
-			t.Errorf("%s: geometry %q, want %q", p.Name(), got, want[p.Name()])
-		}
-	}
-}
-
 func TestRouteToSelf(t *testing.T) {
 	for _, p := range buildAll(t, 6) {
 		alive := allAlive(p.Space())
@@ -152,20 +136,6 @@ func TestHopBoundsWithoutFailures(t *testing.T) {
 		}
 		if maxSeen > bounds[p.Name()] {
 			t.Errorf("%s: max hops %d exceeds bound %d", p.Name(), maxSeen, bounds[p.Name()])
-		}
-	}
-}
-
-func TestDegreeAndNeighborCount(t *testing.T) {
-	for _, p := range buildAll(t, 8) {
-		nbs := p.Neighbors(3)
-		if len(nbs) != p.Degree() {
-			t.Errorf("%s: %d neighbors, degree %d", p.Name(), len(nbs), p.Degree())
-		}
-		for _, nb := range nbs {
-			if !p.Space().Contains(nb) {
-				t.Errorf("%s: neighbor %d outside space", p.Name(), nb)
-			}
 		}
 	}
 }

@@ -44,14 +44,14 @@ var forwarderProtocols = []string{"plaxton", "can", "kademlia", "chord", "sympho
 // strictly decrease.
 func routeMetric(p Protocol) func(a, b overlay.ID) uint64 {
 	s := p.Space()
-	switch p.GeometryName() {
-	case "ring", "symphony":
+	switch p.Name() {
+	case "chord", "symphony":
 		return func(a, b overlay.ID) uint64 { return s.RingDist(a, b) }
-	case "xor":
+	case "kademlia":
 		return func(a, b overlay.ID) uint64 { return s.XORDist(a, b) }
-	case "hypercube":
+	case "can":
 		return func(a, b overlay.ID) uint64 { return uint64(s.HammingDist(a, b)) }
-	case "tree":
+	case "plaxton":
 		// Leftmost-differing-bit depth: correcting digit i moves the
 		// first differing bit right, shrinking d+1-i monotonically.
 		return func(a, b overlay.ID) uint64 {

@@ -35,14 +35,8 @@ func NewHypercubeCAN(cfg Config) (*HypercubeCAN, error) {
 // Name implements Protocol.
 func (h *HypercubeCAN) Name() string { return "can" }
 
-// GeometryName implements Protocol.
-func (h *HypercubeCAN) GeometryName() string { return "hypercube" }
-
 // Space implements Protocol.
 func (h *HypercubeCAN) Space() overlay.Space { return h.space }
-
-// Degree implements Protocol.
-func (h *HypercubeCAN) Degree() int { return h.space.Bits() }
 
 // Route implements Protocol: correct the leftmost differing bit whose
 // flip-neighbor is alive; fail when every differing bit's neighbor is dead.

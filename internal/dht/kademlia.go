@@ -47,14 +47,8 @@ func NewKademlia(cfg Config) (*Kademlia, error) {
 // Name implements Protocol.
 func (k *Kademlia) Name() string { return "kademlia" }
 
-// GeometryName implements Protocol.
-func (k *Kademlia) GeometryName() string { return "xor" }
-
 // Space implements Protocol.
 func (k *Kademlia) Space() overlay.Space { return k.space }
-
-// Degree implements Protocol.
-func (k *Kademlia) Degree() int { return k.space.Bits() }
 
 // Route implements Protocol: greedy descent in XOR distance over alive
 // contacts; fail when no alive contact is strictly closer to dst.

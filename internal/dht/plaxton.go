@@ -35,14 +35,8 @@ func NewPlaxton(cfg Config) (*Plaxton, error) {
 // Name implements Protocol.
 func (p *Plaxton) Name() string { return "plaxton" }
 
-// GeometryName implements Protocol.
-func (p *Plaxton) GeometryName() string { return "tree" }
-
 // Space implements Protocol.
 func (p *Plaxton) Space() overlay.Space { return p.space }
-
-// Degree implements Protocol.
-func (p *Plaxton) Degree() int { return p.space.Bits() }
 
 // Route implements Protocol. Each hop must correct the current leftmost
 // differing bit; the unique neighbor able to do so being dead is fatal.

@@ -247,8 +247,8 @@ func TestSymphonyLinkStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sy.NearNeighbors() != 2 || sy.Shortcuts() != 3 || sy.Degree() != 5 {
-		t.Fatalf("kn=%d ks=%d degree=%d", sy.NearNeighbors(), sy.Shortcuts(), sy.Degree())
+	if sy.NearNeighbors() != 2 || sy.Shortcuts() != 3 || len(sy.Neighbors(0)) != 5 {
+		t.Fatalf("kn=%d ks=%d links=%d", sy.NearNeighbors(), sy.Shortcuts(), len(sy.Neighbors(0)))
 	}
 	s := sy.Space()
 	for _, x := range []overlay.ID{0, 77, 4095} {

@@ -72,14 +72,8 @@ func NewSingleHop(cfg Config) (*SingleHop, error) {
 // Name implements Protocol.
 func (p *SingleHop) Name() string { return "singlehop" }
 
-// GeometryName implements Protocol.
-func (p *SingleHop) GeometryName() string { return "singlehop" }
-
 // Space implements Protocol.
 func (p *SingleHop) Space() overlay.Space { return p.space }
-
-// Degree implements Protocol: the full membership view.
-func (p *SingleHop) Degree() int { return int(p.space.Size()) - 1 }
 
 // Route implements Protocol: one hop to dst when the source's view still
 // lists it and it is alive; otherwise the route fails immediately —

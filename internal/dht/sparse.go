@@ -95,14 +95,8 @@ func NewSparseChord(cfg Config, n int) (*SparseChord, error) {
 // Name implements Protocol.
 func (c *SparseChord) Name() string { return "sparse-chord" }
 
-// GeometryName implements Protocol.
-func (c *SparseChord) GeometryName() string { return "ring" }
-
 // Space implements Protocol.
 func (c *SparseChord) Space() overlay.Space { return c.space }
-
-// Degree implements Protocol.
-func (c *SparseChord) Degree() int { return c.space.Bits() }
 
 // Nodes implements Populated.
 func (c *SparseChord) Nodes() []overlay.ID { return c.nodes }
@@ -202,14 +196,8 @@ func xorClosest(s overlay.Space, nodes []overlay.ID, target overlay.ID) overlay.
 // Name implements Protocol.
 func (k *SparseKademlia) Name() string { return "sparse-kademlia" }
 
-// GeometryName implements Protocol.
-func (k *SparseKademlia) GeometryName() string { return "xor" }
-
 // Space implements Protocol.
 func (k *SparseKademlia) Space() overlay.Space { return k.space }
-
-// Degree implements Protocol.
-func (k *SparseKademlia) Degree() int { return k.space.Bits() }
 
 // Nodes implements Populated.
 func (k *SparseKademlia) Nodes() []overlay.ID { return k.nodes }

@@ -57,14 +57,8 @@ func NewSymphony(cfg Config) (*Symphony, error) {
 // Name implements Protocol.
 func (sy *Symphony) Name() string { return "symphony" }
 
-// GeometryName implements Protocol.
-func (sy *Symphony) GeometryName() string { return "symphony" }
-
 // Space implements Protocol.
 func (sy *Symphony) Space() overlay.Space { return sy.space }
-
-// Degree implements Protocol.
-func (sy *Symphony) Degree() int { return sy.kn + sy.ks }
 
 // NearNeighbors returns kn.
 func (sy *Symphony) NearNeighbors() int { return sy.kn }

@@ -33,7 +33,7 @@ func SuccessorAblation(opt Options) ([]*table.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := []string{table.I(s), table.I(p.Degree())}
+		row := []string{table.I(s), table.I(len(p.Neighbors(0)))}
 		for i, q := range qs {
 			res, err := sim.MeasureStaticResilience(p, q, sim.Options{
 				Pairs:  opt.Pairs / 2,

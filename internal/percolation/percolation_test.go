@@ -9,8 +9,8 @@ import (
 
 func TestUnionFindBasics(t *testing.T) {
 	u := NewUnionFind(5)
-	if u.Count() != 5 {
-		t.Fatalf("initial count = %d", u.Count())
+	if components(u) != 5 {
+		t.Fatalf("initial count = %d", components(u))
 	}
 	if !u.Union(0, 1) {
 		t.Error("first union reported no-op")
@@ -26,8 +26,8 @@ func TestUnionFindBasics(t *testing.T) {
 	}
 	u.Union(2, 3)
 	u.Union(0, 3)
-	if u.Count() != 2 { // {0,1,2,3} and {4}
-		t.Errorf("count = %d, want 2", u.Count())
+	if components(u) != 2 { // {0,1,2,3} and {4}
+		t.Errorf("count = %d, want 2", components(u))
 	}
 	if got := u.ComponentSize(1); got != 4 {
 		t.Errorf("component size = %d, want 4", got)
@@ -43,8 +43,8 @@ func TestUnionFindChainCollapse(t *testing.T) {
 	for i := 1; i < n; i++ {
 		u.Union(i-1, i)
 	}
-	if u.Count() != 1 {
-		t.Fatalf("chain count = %d, want 1", u.Count())
+	if components(u) != 1 {
+		t.Fatalf("chain count = %d, want 1", components(u))
 	}
 	if u.ComponentSize(0) != n {
 		t.Fatalf("chain size = %d, want %d", u.ComponentSize(0), n)

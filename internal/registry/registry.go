@@ -18,10 +18,11 @@
 // event layer (rcm/eventsim) discovers by type assertion: Forwarder
 // (per-hop candidate enumeration; required to run under eventsim) and
 // Maintainer (join/stabilize maintenance). The two tables here, eventsim's
-// scenario registry (RegisterScenario) and every "name[:arg]" parser table
-// (transports, lifetime families, stores, modes) are all instances of the
-// one name registry in rcm/spec, so the registration rules cannot differ
-// between them.
+// scenario registry (RegisterScenario) and the lifetime family table
+// (lifetime.Register) take user registrants; the "name[:arg]" parser tables
+// of transports, stores and modes are closed, built-ins only. All are
+// instances of the one name registry in rcm/spec, so the naming rules
+// cannot differ between them.
 package registry
 
 import (
@@ -62,13 +63,8 @@ type Geometry interface {
 type Protocol interface {
 	// Name returns the protocol name (e.g. "chord").
 	Name() string
-	// GeometryName returns the paper's geometry term for the protocol
-	// (e.g. "ring" for Chord), linking simulators to analytic models.
-	GeometryName() string
 	// Space returns the identifier space the overlay populates.
 	Space() overlay.Space
-	// Degree returns the number of routing-table entries per node.
-	Degree() int
 	// Route attempts to deliver a message from src to dst using only alive
 	// nodes. src and dst are assumed alive (the static-resilience harness
 	// conditions on surviving pairs). It reports the number of hops taken

@@ -133,7 +133,7 @@ func TestFaultConformanceLiveVsEventsim(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: eventsim: %v", name, err)
 		}
-		if res.Faults.Total() == 0 {
+		if res.Faults == (fault.Counts{}) {
 			t.Fatalf("%s: simulator injected no faults", name)
 		}
 		sched, err := eventsim.BuildSchedule(cfg)
@@ -145,7 +145,7 @@ func TestFaultConformanceLiveVsEventsim(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: replay: %v", name, err)
 		}
-		if c.FaultCounts().Total() == 0 {
+		if c.FaultCounts() == (fault.Counts{}) {
 			t.Fatalf("%s: live wrappers injected no faults", name)
 		}
 

@@ -62,8 +62,7 @@
 // Requests travel in a compact binary wire format (versioned header;
 // request/ack/response kinds; hop budgets and millisecond deadlines
 // carried in every message), and the get/put key-value API stores values
-// at each key's owner through a pluggable Store (in-memory map, bounded
-// LRU, or anything registered with RegisterStore).
+// at each key's owner through a Store (in-memory map or bounded LRU).
 //
 // # Launching a cluster
 //

@@ -114,9 +114,6 @@ func (s *LRUStore) Len() int {
 	return s.ll.Len()
 }
 
-// Cap returns the configured capacity.
-func (s *LRUStore) Cap() int { return s.cap }
-
 // Evictions returns the number of keys evicted since creation. It is the
 // optional store capability behind Metrics.StoreEvictions: any Store
 // with an Evictions() uint64 method reports through node metrics.
@@ -153,14 +150,6 @@ func init() {
 	}
 }
 
-// RegisterStore adds a store factory under a canonical name plus optional
-// aliases, with the same naming rules as every other registry in the
-// module. Registered stores resolve through ParseStore everywhere the
-// built-ins do, including the cmd/rcmd -store flag.
-func RegisterStore(name string, f func(arg string) (Store, error), aliases ...string) error {
-	return stores.Register(name, f, aliases...)
-}
-
 // StoreNames returns the canonical store names in registration order.
 func StoreNames() []string { return stores.Names() }
 
@@ -169,6 +158,5 @@ func StoreNames() []string { return stores.Names() }
 //	mem          the unbounded map store (also the empty spec's default)
 //	lru:<cap>    a bounded LRU store, e.g. lru:1024
 //
-// plus anything added through RegisterStore. Each call constructs a new
-// store: specs are configurations, not handles.
+// Each call constructs a new store: specs are configurations, not handles.
 func ParseStore(s string) (Store, error) { return stores.Parse(s) }

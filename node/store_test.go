@@ -146,8 +146,8 @@ func TestParseStore(t *testing.T) {
 		t.Fatalf("lru:1024: %v", err)
 	}
 	lru, ok := s.(*LRUStore)
-	if !ok || lru.Cap() != 1024 {
-		t.Errorf("lru:1024 = %T cap %d", s, lru.Cap())
+	if !ok || lru.cap != 1024 {
+		t.Errorf("lru:1024 = %T cap %d", s, lru.cap)
 	}
 	// Fresh store per parse: specs are configurations, not handles.
 	s2, _ := ParseStore("lru:1024")

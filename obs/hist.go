@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"strconv"
@@ -254,38 +253,6 @@ func appendFloat(buf []byte, f float64) []byte {
 	}
 	return strconv.AppendFloat(buf, f, 'g', -1, 64)
 }
-
-// WriteText writes a multi-line human-readable rendering: the summary
-// line followed by one row per non-empty bucket with a proportional
-// bar. Used by the rcmd stats command and trace dumps.
-func (h *Histogram) WriteText(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "%s\n", h.String()); err != nil {
-		return err
-	}
-	if h.n == 0 {
-		return nil
-	}
-	var peak uint64
-	h.Buckets(func(_ int64, c uint64) {
-		if c > peak {
-			peak = c
-		}
-	})
-	var err error
-	h.Buckets(func(upper int64, c uint64) {
-		if err != nil {
-			return
-		}
-		bar := int(c * 40 / peak)
-		if bar == 0 {
-			bar = 1
-		}
-		_, err = fmt.Fprintf(w, "  %12d %8d %s\n", upper, c, bars[:bar])
-	})
-	return err
-}
-
-const bars = "########################################"
 
 // compile-time check: Histogram must stay directly comparable so value
 // equality (and reflect.DeepEqual on Result) keeps working.

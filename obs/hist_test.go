@@ -170,13 +170,8 @@ func TestJSONAndText(t *testing.T) {
 		t.Fatalf("output is not valid JSON: %v", err)
 	}
 
-	var sb strings.Builder
-	if err := h.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "n=3 mean=3.00 p50=3") || !strings.Contains(out, "#") {
-		t.Errorf("WriteText output unexpected:\n%s", out)
+	if out := h.String(); !strings.Contains(out, "n=3 mean=3.00 p50=3") {
+		t.Errorf("String = %q", out)
 	}
 }
 

@@ -60,26 +60,6 @@ func (b *Bitset) Count() int {
 	return total
 }
 
-// Clone returns a deep copy.
-func (b *Bitset) Clone() *Bitset {
-	w := make([]uint64, len(b.words))
-	copy(w, b.words)
-	return &Bitset{words: w, n: b.n}
-}
-
-// SetIndices returns the indices of all set bits in ascending order.
-func (b *Bitset) SetIndices() []int {
-	out := make([]int, 0, b.Count())
-	for wi, w := range b.words {
-		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			out = append(out, wi*64+tz)
-			w &= w - 1
-		}
-	}
-	return out
-}
-
 // FillRandomAlive sets each bit independently with probability 1-q (the
 // static-resilience failure model: each node fails with probability q).
 func (b *Bitset) FillRandomAlive(q float64, rng *RNG) {

@@ -3,7 +3,6 @@ package overlay
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestBitsetSetGetClear(t *testing.T) {
@@ -48,62 +47,6 @@ func TestBitsetSetAllTrims(t *testing.T) {
 		if got := b.Count(); got != n {
 			t.Errorf("n=%d: SetAll count = %d", n, got)
 		}
-	}
-}
-
-func TestBitsetClone(t *testing.T) {
-	b := NewBitset(70)
-	b.Set(3)
-	b.Set(69)
-	c := b.Clone()
-	c.Clear(3)
-	if !b.Get(3) {
-		t.Error("mutating clone affected original")
-	}
-	if c.Get(3) || !c.Get(69) {
-		t.Error("clone content wrong")
-	}
-}
-
-func TestBitsetSetIndices(t *testing.T) {
-	b := NewBitset(150)
-	want := []int{0, 64, 65, 127, 149}
-	for _, i := range want {
-		b.Set(i)
-	}
-	got := b.SetIndices()
-	if len(got) != len(want) {
-		t.Fatalf("SetIndices len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("SetIndices[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
-func TestBitsetSetIndicesMatchesGet(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := NewRNG(seed)
-		b := NewBitset(137)
-		for i := 0; i < 137; i++ {
-			if rng.Bernoulli(0.3) {
-				b.Set(i)
-			}
-		}
-		indices := b.SetIndices()
-		if len(indices) != b.Count() {
-			return false
-		}
-		for _, i := range indices {
-			if !b.Get(i) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -89,16 +89,6 @@ func (s Space) FirstDifferingBit(a, b ID) int {
 	return lz + 1
 }
 
-// CommonPrefixLen returns the number of leading bits shared by a and b
-// (0..d).
-func (s Space) CommonPrefixLen(a, b ID) int {
-	i := s.FirstDifferingBit(a, b)
-	if i == 0 {
-		return s.bits
-	}
-	return i - 1
-}
-
 // RingDist returns the clockwise ring distance from a to b: (b - a) mod 2^d.
 // Note it is asymmetric, matching Chord/Symphony's unidirectional rings.
 func (s Space) RingDist(a, b ID) uint64 {
@@ -114,16 +104,6 @@ func (s Space) XORDist(a, b ID) uint64 {
 // hop-count metric of the hypercube (CAN) geometry.
 func (s Space) HammingDist(a, b ID) int {
 	return bits.OnesCount64(uint64(a^b) & s.mask)
-}
-
-// Phase returns the routing phase of a numeric or XOR distance per the
-// paper's phase notation (§3): the process is in phase j when the distance
-// is in [2^j, 2^{j+1}). Phase(0) is defined as -1 (arrived).
-func Phase(dist uint64) int {
-	if dist == 0 {
-		return -1
-	}
-	return bits.Len64(dist) - 1
 }
 
 // RandomTail returns an identifier that matches x on the first i bits

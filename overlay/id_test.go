@@ -95,19 +95,6 @@ func TestFirstDifferingBit(t *testing.T) {
 	}
 }
 
-func TestCommonPrefixLen(t *testing.T) {
-	s := MustSpace(4)
-	if got := s.CommonPrefixLen(0b1010, 0b1010); got != 4 {
-		t.Errorf("identical prefix = %d, want 4", got)
-	}
-	if got := s.CommonPrefixLen(0b1010, 0b1001); got != 2 {
-		t.Errorf("prefix(1010,1001) = %d, want 2", got)
-	}
-	if got := s.CommonPrefixLen(0b1010, 0b0010); got != 0 {
-		t.Errorf("prefix(1010,0010) = %d, want 0", got)
-	}
-}
-
 func TestRingDist(t *testing.T) {
 	s := MustSpace(4) // N=16
 	tests := []struct {
@@ -186,27 +173,6 @@ func TestHammingDist(t *testing.T) {
 	}
 }
 
-func TestPhase(t *testing.T) {
-	tests := []struct {
-		dist uint64
-		want int
-	}{
-		{0, -1},
-		{1, 0},
-		{2, 1},
-		{3, 1},
-		{4, 2},
-		{7, 2},
-		{8, 3},
-		{1 << 20, 20},
-	}
-	for _, tt := range tests {
-		if got := Phase(tt.dist); got != tt.want {
-			t.Errorf("Phase(%d) = %d, want %d", tt.dist, got, tt.want)
-		}
-	}
-}
-
 func TestRandomTailPreservesPrefix(t *testing.T) {
 	s := MustSpace(16)
 	rng := NewRNG(42)
@@ -217,8 +183,8 @@ func TestRandomTailPreservesPrefix(t *testing.T) {
 			if !s.Contains(y) {
 				t.Fatalf("RandomTail out of space: %d", y)
 			}
-			if got := s.CommonPrefixLen(x, y); got < i {
-				t.Fatalf("RandomTail(i=%d) shares only %d prefix bits", i, got)
+			if got := s.FirstDifferingBit(x, y); got != 0 && got <= i {
+				t.Fatalf("RandomTail(i=%d) differs at bit %d", i, got)
 			}
 		}
 	}

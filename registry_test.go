@@ -2,6 +2,7 @@ package rcm_test
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -95,9 +96,7 @@ func TestRegisteredGeometryFlowsThroughModel(t *testing.T) {
 type toyProtocol struct{ space overlay.Space }
 
 func (p *toyProtocol) Name() string         { return "toyproto" }
-func (p *toyProtocol) GeometryName() string { return "toy" }
 func (p *toyProtocol) Space() overlay.Space { return p.space }
-func (p *toyProtocol) Degree() int          { return 1 }
 func (p *toyProtocol) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bool) {
 	cur := src
 	hops := 0
@@ -258,16 +257,9 @@ func nameTables() []nameTable {
 			names: eventsim.ScenarioNames,
 		},
 		{
-			noun: "transport",
-			register: func(name string, built func(), aliases ...string) error {
-				var f func(string) (eventsim.Transport, error)
-				if built != nil {
-					f = func(string) (eventsim.Transport, error) { built(); return eventsim.Constant{}, nil }
-				}
-				return eventsim.RegisterTransport(name, f, aliases...)
-			},
-			resolve: func(s string) (any, error) { _, err := eventsim.ParseTransport(s); return nil, err },
-			names:   eventsim.TransportNames,
+			noun:    "transport",
+			resolve: func(s string) (any, error) { return eventsim.ParseTransport(s) },
+			known:   [2]string{"constant", "const"},
 		},
 		{
 			noun: "family",
@@ -283,15 +275,15 @@ func nameTables() []nameTable {
 		},
 		{
 			noun: "store",
-			register: func(name string, built func(), aliases ...string) error {
-				var f func(string) (node.Store, error)
-				if built != nil {
-					f = func(string) (node.Store, error) { built(); return node.NewMemStore(), nil }
+			// Every parse builds a new store: the registrant is its type.
+			resolve: func(s string) (any, error) {
+				st, err := node.ParseStore(s)
+				if err != nil {
+					return nil, err
 				}
-				return node.RegisterStore(name, f, aliases...)
+				return reflect.TypeOf(st), nil
 			},
-			resolve: func(s string) (any, error) { _, err := node.ParseStore(s); return nil, err },
-			names:   node.StoreNames,
+			known: [2]string{"mem", "map"},
 		},
 		{
 			noun:    "mode flag",
