@@ -64,13 +64,13 @@ profile:
 cluster-smoke:
 	go test -run TestClusterSmoke -count=1 -timeout 60s -v ./node/cluster/
 
-# chaos-smoke replays a lookup schedule against a live 64-node "sim"
-# cluster while every node's transport runs a partition+duplication
-# fault plan (rcm/fault), under the race detector. The pin is recovery:
-# every lookup scheduled after the partition heals succeeds, and both
-# fault kinds demonstrably fired.
+# chaos-smoke runs the conformance grid under the race detector: the six
+# forwarders × q × k × every fault clause (rcm/fault) at 128 nodes, one
+# fault-free 4096-node cell per forwarder and one retransmitting corrupt
+# cell, each replayed on a live "sim" cluster and held to eventsim per
+# lookup (outcome and hops) and per cell (fault tallies).
 chaos-smoke:
-	go test -race -run TestChaosSmoke -count=1 -timeout 60s -v ./node/cluster/
+	go test -race -run TestConformanceLiveVsEventsim -count=1 -timeout 60s ./node/cluster/
 
 fmt:
 	gofmt -l .

@@ -56,9 +56,6 @@ var testOnlyExports = map[string]string{
 	"internal/percolation.UnionFind.Connected": "TestUnionFindBasics",
 	"node.Node.ID":                             "TestRequestTableDrains",
 	"node.Node.Store":                          "TestLivePutGetUDP",
-	"node/cluster.Report.WindowLatency":        "TestWindowAccessorsFullRun",
-	"node/cluster.Report.WindowMeanHops":       "TestWindowAccessorsFullRun",
-	"node/cluster.Report.WindowSuccess":        "TestWindowAccessorsFullRun",
 	"obs.Histogram.Sum":                        "TestExactSmallQuantiles",
 	"overlay.Bitset.Count":                     "TestBitsetCount",
 	"overlay.MustSpace":                        "TestMustSpacePanics",

@@ -292,11 +292,14 @@
 // timed partitions and delay spikes, duplication, reordering, corruption
 // and per-node stall episodes. Every clause faults requests only — acks
 // stay reliable, like the lossy transport, and for the same reason: it
-// is the model a live wrapper can reproduce exactly. Injected faults are
-// billed per kind into Result.Faults, and runs stay bit-identical across
-// (Seed, Shards) pairs; without a plan the engine draws
-// no extra randomness, so fault-free runs are bit-identical to builds
-// that predate the capability. The faultstorm scenario (a stable
+// is the model a live wrapper can reproduce exactly. Each request's
+// decision is fault.Injector.Coins of a key a live replay derives too
+// (fault.Hop), and stalls are read at the lookup's scheduled instant, so
+// node.FaultTransport decides alike; only a duplicate's latency comes
+// from the shard's stream. Faults are billed into Result.Faults by the
+// rule on fault.Counts, and runs stay bit-identical across (Seed,
+// Shards); without a plan, runs are bit-identical to builds that
+// predate the capability. The faultstorm scenario (a stable
 // population under steady uniform load) is the intended substrate:
 // under it, every deviation from the lossless baseline is the plan's.
 //

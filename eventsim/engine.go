@@ -31,7 +31,8 @@ const (
 //	evStart:   node=src, lk=lookup
 //	evReq:     node=receiver, lk=lookup, a=attempt id, b=sender, hops=count so far
 //	evRetry:   node=src, lk=lookup, ri=next owner, prior=hops already spent
-//	evDown/evUp/evStab/evDup: node
+//	evDup:     node=receiver, lk=lookup
+//	evDown/evUp/evStab: node
 //
 // The lookup's mutable progress (its hop count, and under replication its
 // current owner index, start-time eligibility mask and hops spent by
@@ -257,12 +258,11 @@ type engine struct {
 	trace int // sample every trace-th lookup's hop trace (0 = off)
 
 	// inj is the bound fault plan when Config.Transport is a Faulty
-	// (nil otherwise — the no-plan hot path draws no extra coins and is
+	// (nil otherwise — the no-plan hot path consults no plan and is
 	// bit-identical to builds without fault injection). innerMax caches
-	// the unwrapped transport's MaxLatency, the bound reorder holds a
-	// request back by.
+	// the unwrapped transport's MaxLatency, the bound a reorder's hold
+	// fraction is scaled by.
 	inj      *fault.Injector
-	plan     fault.Plan // inj.Plan(), hoisted off the dispatch hot path
 	innerMax float64
 }
 
@@ -550,29 +550,34 @@ func (sh *shard) dispatch(t float64, lk, cur, next uint32, ci, try int, hops uin
 	dupDelivered := false
 	if inj := eng.inj; inj != nil {
 		// Fault clauses apply to the request only (acks stay pure, like the
-		// lossy transport), in a fixed coin order — corrupt, reorder, dup —
-		// so every shard's stream is deterministic; the partition check is
-		// coin-free.
-		pl := &eng.plan
-		if pl.Corrupt > 0 && sh.rng.Bernoulli(pl.Corrupt) {
-			// The receiver's wire codec rejects the mangled packet: a drop.
+		// lossy transport), in fault.Counts' order and by its tally rule:
+		// the coin-free partition first, then the transmission's coins,
+		// which a live node flips from the same key (fault.Hop). Only a
+		// duplicate's latency comes from the shard's stream.
+		if inj.CrossPartition(uint64(cur), uint64(next), t) {
 			if delivered {
-				sh.faults.Corrupts++
+				sh.faults.PartitionDrops++
 			}
 			delivered = false
-		}
-		if pl.Reorder > 0 && sh.rng.Bernoulli(pl.Reorder) {
-			lat += sh.rng.Float64() * eng.innerMax
-			if delivered {
-				sh.faults.Reorders++
+		} else {
+			l := &eng.lookups[lk]
+			c := inj.Coins(fault.Hop{T: l.T, From: uint64(cur), To: uint64(next), Owner: uint64(eng.owner(l.Dst, ri)), Hops: hops, Try: uint8(try)})
+			if c.Corrupt {
+				// The receiver's wire codec rejects the mangled packet: a drop.
+				if delivered {
+					sh.faults.Corrupts++
+				}
+				delivered = false
 			}
-		}
-		if pl.Dup > 0 && sh.rng.Bernoulli(pl.Dup) {
-			dupLat, dupDelivered = eng.cfg.Transport.Sample(sh.rng)
-		}
-		if (delivered || dupDelivered) && inj.CrossPartition(uint64(cur), uint64(next), t) {
-			sh.faults.PartitionDrops++
-			delivered, dupDelivered = false, false
+			if c.Reorder {
+				lat += c.Hold * eng.innerMax
+				if delivered {
+					sh.faults.Reorders++
+				}
+			}
+			if c.Dup {
+				dupLat, dupDelivered = eng.cfg.Transport.Sample(sh.rng)
+			}
 		}
 		if f := inj.DelayFactor(t); f > 1 {
 			lat *= f
@@ -611,7 +616,7 @@ func (sh *shard) dispatch(t float64, lk, cur, next uint32, ci, try int, hops uin
 				first, second = second, first
 			}
 			req.t = t + first
-			sh.send(ev{t: t + second, kind: evDup, node: next})
+			sh.send(ev{t: t + second, kind: evDup, node: next, lk: lk})
 		}
 	}
 	if delivered {
@@ -625,14 +630,15 @@ func (sh *shard) dispatch(t float64, lk, cur, next uint32, ci, try int, hops uin
 func (sh *shard) handleReq(e ev) {
 	eng := sh.eng
 	y := e.node
-	if !sh.online[y] {
-		return // dead receiver: the sender's timeout will fire
-	}
-	if eng.inj != nil && eng.inj.Stalled(uint64(y), e.t) {
-		// Alive but unresponsive: no ack, no forwarding — the sender's
-		// timeout fires exactly as if the request had been lost.
+	if eng.inj != nil && eng.inj.Stalled(uint64(y), eng.lookups[e.lk].T) {
+		// Unresponsive at the lookup's scheduled instant, a live replay's
+		// plan clock: no ack, no forwarding — the sender's timeout fires
+		// exactly as if the request had been lost (fault.Counts).
 		sh.faults.StallDrops++
 		return
+	}
+	if !sh.online[y] {
+		return // dead receiver: the sender's timeout will fire
 	}
 	// Acknowledge (reliable, latency-only) so the sender retires the
 	// attempt, then keep forwarding — ownership of the lookup has just
@@ -671,11 +677,11 @@ func (sh *shard) handleReq(e ev) {
 // inner transport.
 func (sh *shard) handleDup(e ev) {
 	eng := sh.eng
-	if !sh.online[e.node] {
+	if eng.inj != nil && eng.inj.Stalled(uint64(e.node), eng.lookups[e.lk].T) {
+		sh.faults.StallDrops++
 		return
 	}
-	if eng.inj != nil && eng.inj.Stalled(uint64(e.node), e.t) {
-		sh.faults.StallDrops++
+	if !sh.online[e.node] {
 		return
 	}
 	sh.acc[eng.bucketOf(e.t)].LookupMessages++

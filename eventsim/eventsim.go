@@ -424,7 +424,6 @@ func runOverlay(p registry.Protocol, cfg Config, newQueue func(delta float64) ev
 		// sees the same schedule. innerMax is the unwrapped bound the
 		// reorder clause holds requests back by.
 		e.inj = ft.Plan.Bind(cfg.Seed, cfg.Duration)
-		e.plan = e.inj.Plan()
 		e.innerMax = ft.inner().MaxLatency()
 	}
 	if cfg.Maintain {

@@ -33,15 +33,14 @@
 // (seed, node), so the simulator and a live cluster bound to the same
 // seed agree exactly on who is cut from whom and who stalls when; the
 // Injector is stateless and safe for concurrent use. The probabilistic
-// clauses (dup, reorder, corrupt) deliberately stay coin-free in the
-// Injector: each executor draws those coins from its own deterministic
-// stream — eventsim from the owning shard's splitmix64 stream, the node
-// wrapper from a seeded per-transport stream — and only the probability
-// is shared. Coin-free clauses (partition) therefore produce exactly
-// equal outcomes in sim and live, and coin-driven but outcome-invariant
-// clauses (dup, reorder over a lossless inner transport) produce
-// exactly equal lookup outcomes too, which is what the conformance
-// fault cells pin histogram for histogram.
+// clauses (dup, reorder, corrupt) are decided there too: Injector.Coins
+// flips them as mix64 outputs of the seed and the transmission's key
+// (Hop: the lookup's scheduled instant, sender, receiver, owner, hop
+// count and try), which eventsim derives from its schedule and a live
+// node from the request header and its replay clock. Both executors
+// therefore make the same decision for the same transmission and count
+// it by the one rule on Counts, which is what the conformance grid in
+// node/cluster pins per lookup and per tally.
 //
 // # Writing a custom plan
 //
@@ -59,9 +58,10 @@
 // An executor integrating a new clause kind follows three rules: fault
 // requests only; report the worst-case delivered latency through
 // Plan.InflateMax so retransmission-timeout validation stays safe; and
-// derive every choice either from (seed, node) via the Injector or from
-// the executor's own seeded stream — never from the wall clock (the
-// package is lint-enforced wall-clock-free, see internal/lint).
+// derive every choice from the seed via the Injector — (seed, node) or
+// (seed, Hop) — so the other executor can make it too, never from a
+// private stream or the wall clock (the package is lint-enforced
+// wall-clock-free, see internal/lint).
 //
 // To extend the grammar itself, register a clause factory in this
 // package (see fault.go's init) — the name then resolves everywhere

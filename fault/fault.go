@@ -256,22 +256,22 @@ func (p Plan) Bind(seed uint64, horizon float64) *Injector {
 
 // Injector answers fault-plan queries as pure functions of
 // (plan, seed, node identifiers, time): no internal state, no wall
-// clock, safe for concurrent use. Probabilistic clauses (dup, reorder,
-// corrupt) deliberately take no RNG here — each executor draws those
-// coins from its own deterministic stream and only the *distribution*
-// is shared.
+// clock, safe for concurrent use. That holds for the probabilistic
+// clauses too: Coins flips the dup, reorder and corrupt coins of one
+// request transmission from the seed and a key both executors derive
+// from the schedule (Hop), so eventsim and a live replay make the same
+// decision for the same transmission, not merely draw from the same
+// distribution.
 type Injector struct {
 	plan    Plan
 	seed    uint64
 	horizon float64
 }
 
-// Plan returns the bound plan.
-func (in *Injector) Plan() Plan { return in.plan }
-
 const (
 	partitionSalt = 0x504152544954 // "PARTIT"
 	stallSalt     = 0x5354414c4c   // "STALL"
+	coinSalt      = 0x434f494e     // "COIN"
 )
 
 // mix64 is one stateless splitmix64 output step — the same mixer
@@ -338,10 +338,63 @@ func (in *Injector) Stalled(node uint64, t float64) bool {
 	return ok && w.Contains(t)
 }
 
-// Counts tallies injected faults by kind. Executors accumulate one (per
-// shard, per transport) and sum with Add; only faults that changed an
-// actually-deliverable message are counted, so a partition drop of a
-// packet the inner transport lost anyway is not double-billed.
+// Hop keys one transmission of a request by what both executors know of
+// it: the scheduled instant of its lookup, this hop's endpoints, the
+// owner it is routed to, its hop count and this hop's try.
+type Hop struct {
+	T               float64
+	From, To, Owner uint64
+	Hops            uint16
+	Try             uint8
+}
+
+// Coins is one transmission's fault decision. A corrupted request has
+// Mask (non-zero) XORed into wire byte Byte (0–2: magic or version), a
+// reordered one is held back by Hold ∈ [0, 1) of the executor's latency
+// bound, and a duplicated one gets a second, faithful copy.
+type Coins struct {
+	Corrupt, Reorder, Dup bool
+	Byte                  int
+	Mask                  byte
+	Hold                  float64
+}
+
+// Coins flips the plan's corrupt, reorder and dup coins for h, each its
+// own mix64 output of the seed and h; a plan without those clauses
+// returns the zero decision.
+func (in *Injector) Coins(h Hop) Coins {
+	pl, c := &in.plan, Coins{}
+	if pl.Corrupt == 0 && pl.Reorder == 0 && pl.Dup == 0 {
+		return c
+	}
+	k := in.seed + coinSalt
+	for _, x := range [...]uint64{math.Float64bits(h.T), h.From, h.To, h.Owner, uint64(h.Hops)<<8 | uint64(h.Try)} {
+		k = mix64(k ^ x)
+	}
+	coin := func(i uint64) uint64 { return mix64(k + i*0x9e3779b97f4a7c15) }
+	unit := func(i uint64) float64 { return float64(coin(i)>>11) * 0x1p-53 }
+	if c.Corrupt = unit(1) < pl.Corrupt; c.Corrupt {
+		r := coin(2)
+		c.Byte, c.Mask = int(r%3), byte(1+(r>>8)%255)
+	}
+	if c.Reorder = unit(3) < pl.Reorder; c.Reorder {
+		c.Hold = unit(4)
+	}
+	c.Dup = unit(5) < pl.Dup
+	return c
+}
+
+// Counts tallies injected faults by kind; executors accumulate one (per
+// shard, per transport) and sum with Add. Both follow one tally rule, in
+// the order a request meets the plan, counting a fault only on a copy
+// the inner transport would have delivered: a request across the cut of
+// an open partition window is dropped, duplicate and all, before any
+// coin (PartitionDrops); then a corrupted copy (Corrupts), an intact
+// copy held back (Reorders — a corrupted one is lost, not late), a
+// duplicate (Dups); and at the receiver, at the lookup's scheduled
+// instant, each intact copy ignored inside a stall episode, whether or
+// not the node is up: the stall sits in front of its liveness
+// (StallDrops).
 type Counts struct {
 	PartitionDrops uint64 // requests blackholed by the partition clause
 	Dups           uint64 // duplicate copies delivered

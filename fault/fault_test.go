@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -324,5 +325,113 @@ func TestCountsAreFieldwise(t *testing.T) {
 	}
 	if got := (Counts{}).String(); got != "none" {
 		t.Errorf("zero Counts renders %q, want none", got)
+	}
+}
+
+// coinHop is the i-th of a family of distinct transmission keys, every
+// field varying.
+func coinHop(i int) Hop {
+	return Hop{
+		T: float64(i) * 1e-3, From: uint64(i % 128), To: uint64(i*7) % 128,
+		Owner: uint64(i % 97), Hops: uint16(i % 11), Try: uint8(i % 3),
+	}
+}
+
+// TestCoinsDeterministic: two injectors bound to one seed — the two
+// executors' — make equal decisions for every transmission, and another
+// seed makes different ones.
+func TestCoinsDeterministic(t *testing.T) {
+	plan := Plan{Dup: 0.3, Reorder: 0.3, Corrupt: 0.3}
+	a, b, other := plan.Bind(9, 10), plan.Bind(9, 10), plan.Bind(10, 10)
+	same := 0
+	for i := 0; i < 1000; i++ {
+		h := coinHop(i)
+		if a.Coins(h) != b.Coins(h) {
+			t.Fatalf("hop %+v: %+v vs %+v under one seed", h, a.Coins(h), b.Coins(h))
+		}
+		if a.Coins(h) == other.Coins(h) {
+			same++
+		}
+	}
+	if same > 500 {
+		t.Errorf("seeds 9 and 10 agree on %d of 1000 decisions", same)
+	}
+}
+
+// TestCoinsKeyEveryField: changing any one field of the key — the try of
+// a retransmission, the receiver of a failover, and every other — flips
+// fresh coins. A reorder:1 plan draws a hold fraction for every
+// transmission, so a re-draw shows as a different fraction.
+func TestCoinsKeyEveryField(t *testing.T) {
+	inj := Plan{Reorder: 1}.Bind(5, 10)
+	for name, change := range map[string]func(*Hop){
+		"T":     func(h *Hop) { h.T += 1e-3 },
+		"From":  func(h *Hop) { h.From++ },
+		"To":    func(h *Hop) { h.To++ },
+		"Owner": func(h *Hop) { h.Owner++ },
+		"Hops":  func(h *Hop) { h.Hops++ },
+		"Try":   func(h *Hop) { h.Try++ },
+	} {
+		for i := 0; i < 100; i++ {
+			h := coinHop(i)
+			h2 := h
+			change(&h2)
+			if inj.Coins(h).Hold == inj.Coins(h2).Hold {
+				t.Errorf("changing %s alone kept hop %+v's hold %v", name, h, inj.Coins(h).Hold)
+			}
+		}
+	}
+}
+
+// TestCoinsRates: over n = 10^5 distinct transmissions each clause fires
+// at its probability p ∈ {0.1, 0.3}: the count lies within 5 binomial
+// standard deviations of n·p, a two-sided band that a fair coin leaves
+// with probability α ≈ 5.7·10⁻⁷ per check. The decisions' payloads stay
+// in range: a corrupt byte among the first three with a non-zero mask, a
+// hold fraction in [0, 1).
+func TestCoinsRates(t *testing.T) {
+	const n = 100000
+	for _, p := range []float64{0.1, 0.3} {
+		inj := Plan{Dup: p, Reorder: p, Corrupt: p}.Bind(21, 10)
+		var dups, reorders, corrupts float64
+		for i := 0; i < n; i++ {
+			c := inj.Coins(coinHop(i))
+			if c.Dup {
+				dups++
+			}
+			if c.Reorder {
+				reorders++
+				if c.Hold < 0 || c.Hold >= 1 {
+					t.Fatalf("hold fraction %v outside [0, 1)", c.Hold)
+				}
+			}
+			if c.Corrupt {
+				corrupts++
+				if c.Byte < 0 || c.Byte > 2 || c.Mask == 0 {
+					t.Fatalf("corrupt byte %d mask %#x: want byte 0..2 and a non-zero mask", c.Byte, c.Mask)
+				}
+			}
+		}
+		band := 5 * math.Sqrt(n*p*(1-p))
+		for name, got := range map[string]float64{"dup": dups, "reorder": reorders, "corrupt": corrupts} {
+			if math.Abs(got-n*p) > band {
+				t.Errorf("%s at p=%v: %v of %d, outside %v ± %.0f", name, p, got, n, n*p, band)
+			}
+		}
+	}
+}
+
+// TestCoinsWithoutCoinClauses: a plan of partition, delay spike and
+// stall flips no coin — the zero decision for every transmission.
+func TestCoinsWithoutCoinClauses(t *testing.T) {
+	plan, err := Parse("partition:2@1-2,delayspike:3@1-2,stall:1:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := plan.Bind(3, 10)
+	for i := 0; i < 1000; i++ {
+		if c := inj.Coins(coinHop(i)); c != (Coins{}) {
+			t.Fatalf("hop %+v: %+v, want the zero decision", coinHop(i), c)
+		}
 	}
 }

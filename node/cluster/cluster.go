@@ -285,49 +285,11 @@ type Outcome struct {
 	Latency time.Duration
 }
 
-// Report aggregates a replay, window-compatible with eventsim.Result.
+// Report is a replay's verdicts, one per scheduled lookup: the live side
+// of the per-lookup comparison with eventsim's traces.
 type Report struct {
-	// Duration is the schedule's horizon.
-	Duration float64
 	// Outcomes has one entry per scheduled lookup.
 	Outcomes []Outcome
-}
-
-// WindowSuccess returns completed/started over lookups scheduled in
-// [from, to] — the live counterpart of eventsim's Result.WindowSuccess.
-// NaN when the window started no lookups.
-func (r *Report) WindowSuccess(from, to float64) float64 {
-	started, completed := 0, 0
-	for _, o := range r.Outcomes {
-		if o.Skipped || o.T < from || o.T > to {
-			continue
-		}
-		started++
-		if o.OK {
-			completed++
-		}
-	}
-	if started == 0 {
-		return math.NaN()
-	}
-	return float64(completed) / float64(started)
-}
-
-// WindowMeanHops returns the mean hop count over completed lookups
-// scheduled in [from, to] (NaN when none completed).
-func (r *Report) WindowMeanHops(from, to float64) float64 {
-	sum, completed := 0.0, 0
-	for _, o := range r.Outcomes {
-		if o.Skipped || !o.OK || o.T < from || o.T > to {
-			continue
-		}
-		completed++
-		sum += float64(o.Hops)
-	}
-	if completed == 0 {
-		return math.NaN()
-	}
-	return sum / float64(completed)
 }
 
 // WindowHopDist returns the hop-count distribution over completed
@@ -342,24 +304,6 @@ func (r *Report) WindowHopDist(from, to float64) obs.Histogram {
 			continue
 		}
 		h.Observe(int64(o.Hops))
-	}
-	return h
-}
-
-// WindowLatency returns the issue-to-verdict latency distribution
-// (Outcome.Latency), in microseconds, over every lookup issued in
-// [from, to]: failures count as well as successes. eventsim's
-// Result.WindowLatencyDist counts less — the completed cohort only, since
-// the engine observes a latency when a lookup completes and never when
-// it fails — so the two agree only on a window where every issued lookup
-// completes.
-func (r *Report) WindowLatency(from, to float64) obs.Histogram {
-	var h obs.Histogram
-	for _, o := range r.Outcomes {
-		if o.Skipped || o.T < from || o.T > to {
-			continue
-		}
-		h.Observe(o.Latency.Microseconds())
 	}
 	return h
 }
@@ -383,9 +327,12 @@ type replayEvent struct {
 // before the next is issued, so the whole replay is a function of the
 // schedule: run twice, it gives equal Reports, latencies included.
 //
-// The report's windows are in schedule time, directly comparable to the
-// eventsim.Result of the same Config — which is precisely what the
-// conformance suite does.
+// The report's outcomes are index-aligned with the schedule's lookups,
+// so each compares directly with eventsim's trace of the same lookup
+// under the same Config — which is precisely what the conformance suite
+// does. During a "sim" Replay the fault-plan clock reads each lookup's
+// scheduled instant for the lookup's whole flight, the instant eventsim
+// keys the lookup's fault coins and stalls by.
 //
 // When the schedule's Params carry Replicas k > 1, each lookup freezes
 // the live subset of its key's k-owner replica set at issue time — the
@@ -419,10 +366,7 @@ func (c *Cluster) Replay(sched *eventsim.Schedule) (*Report, error) {
 	}
 	sort.SliceStable(events, func(a, b int) bool { return events[a].t < events[b].t })
 
-	report := &Report{
-		Duration: sched.Duration,
-		Outcomes: make([]Outcome, len(sched.Lookups)),
-	}
+	report := &Report{Outcomes: make([]Outcome, len(sched.Lookups))}
 	lookup := func(src int, owners []overlay.ID, out *Outcome) {
 		start := c.clk.Now()
 		for _, o := range owners {

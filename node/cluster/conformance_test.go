@@ -2,54 +2,145 @@ package cluster
 
 import (
 	"fmt"
-	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"rcm/eventsim"
+	"rcm/fault"
+	"rcm/overlay"
 )
 
-// conformanceConfig is the shared eventsim configuration of the live
-// conformance suite: a 2^bits-node massfail run whose post-failure window
-// [2, 4] is the steady state both executors are compared over. The
-// overlay seed is pinned explicitly so the simulator and the live cluster
-// construct the *same* routing tables — agreement is then structural
-// (identical first-alive-candidate walks), not statistical.
-func conformanceConfig(protocol string, bits int, q float64, seed uint64) eventsim.Config {
-	return eventsim.Config{
-		Protocol: protocol,
-		Overlay:  eventsim.OverlayConfig{Bits: bits, Seed: seed},
-		Scenario: "massfail",
-		Params:   eventsim.Params{FailFraction: q, FailTime: 1, Rate: 200},
-		Duration: 4,
-		Seed:     seed,
-		// Lossless transports never benefit from same-candidate
-		// retransmission, so disable it on both sides: dead-candidate
-		// failover then costs one RTO instead of three without changing
-		// any outcome.
-		Retransmits: -1,
+// The conformance suite holds the live node to eventsim per lookup: an
+// eventsim run with every lookup traced and a live replay of the very
+// schedule must agree, lookup for lookup, on whether it was skipped,
+// whether it reached its owner and in how many hops, and, cell for cell,
+// on the faults injected. Both executors walk the same Forwarder
+// candidate lists over the same seed-pinned tables against the same
+// failed set, fail over across the same frozen owner sets in the same
+// placement order, and flip the same fault coins (fault.Injector.Coins),
+// so any inequality is a divergence, not noise.
+
+// conformanceScenario is the schedule the grid replays: the q·N failed
+// nodes (Params.FailFraction) are offline from the start — no toggle, so
+// the population never changes under a lookup — and uniform Poisson
+// lookups run in [0, 0.4], [2, 2.4] and [5, 6]. The gaps before the plan
+// edges at t = 2 and t = 5 (gridPlans) are long enough for every route,
+// timeouts and replica failovers included, to conclude inside one fault
+// regime: a k = 3 failover chain at q = 0.5 under a delay spike takes
+// up to 2.3 s. checkLookups asserts that they were.
+const conformanceScenario = "test-conformance"
+
+func init() {
+	for name, prog := range map[string]func(env *eventsim.Env){
+		conformanceScenario: func(env *eventsim.Env) {
+			n, rng := env.Nodes(), env.RNG()
+			ids := make([]int, n)
+			for i := range ids {
+				ids[i] = i
+			}
+			for i := 0; i < int(env.Params().FailFraction*float64(n)); i++ {
+				j := i + rng.Intn(n-i)
+				ids[i], ids[j] = ids[j], ids[i]
+				env.SetOffline(ids[i])
+			}
+			rate := env.Params().Rate
+			env.PoissonLookups(0, 0.4, rate, nil)
+			env.PoissonLookups(2, 2.4, rate, nil)
+			env.PoissonLookups(5, env.Duration(), rate, nil)
+		},
+		// A quarter of the population fails at t = 1 and returns at t = 3;
+		// lookups keep guard gaps around both toggles.
+		killReviveScenario: func(env *eventsim.Env) {
+			for i := 0; i < env.Nodes()/4; i++ {
+				env.FailAt(1, i)
+				env.JoinAt(3, i)
+			}
+			rate := env.Params().Rate
+			env.PoissonLookups(0, 0.9, rate, nil)
+			env.PoissonLookups(1.1, 1.5, rate, nil)
+			env.PoissonLookups(3.1, env.Duration(), rate, nil)
+		},
+	} {
+		err := eventsim.RegisterScenario(name, func(eventsim.Params) (eventsim.Scenario, error) {
+			return progScenario{name: name, prog: func(env *eventsim.Env) error { prog(env); return nil }}, nil
+		})
+		if err != nil {
+			panic(err)
+		}
 	}
 }
 
-// liveCluster boots the matching live cluster for a conformance config,
-// on virtual time.
-func liveCluster(t *testing.T, cfg eventsim.Config) *Cluster {
-	t.Helper()
-	return bootCluster(t, cfg, "sim", 15*time.Millisecond)
+const killReviveScenario = "test-kill-revive"
+
+// gridPlans are the fault plans of the grid: none, then every clause on
+// its own. The windowed clauses open at t = 2 and close at t = 5.
+var gridPlans = []string{"", "partition:2@2-5", "delayspike:3@2-5", "stall:0.2:1", "dup:0.2", "reorder:0.3", "corrupt:0.1"}
+
+// cell is one conformance configuration.
+type cell struct {
+	protocol    string
+	bits        int
+	q           float64
+	replicas    int
+	plan        string // fault plan; "" for none
+	retransmits int    // same-candidate retransmissions on both sides (-1: none)
 }
 
-// bootCluster boots cfg's live cluster on the given transport and RTO.
-func bootCluster(t *testing.T, cfg eventsim.Config, transport string, rto time.Duration) *Cluster {
+func (c cell) name() string {
+	plan := c.plan
+	if plan == "" {
+		plan = "noplan"
+	}
+	return fmt.Sprintf("%s/2^%d/q=%v/k=%d/%s/retx=%d", c.protocol, c.bits, c.q, c.replicas, plan, c.retransmits)
+}
+
+// config is the cell's eventsim run: the conformance scenario over a
+// constant 10 ms transport, fault-wrapped when the cell has a plan, with
+// every lookup traced. The overlay and the run share one seed, which is
+// also the live cluster's: the tables and the plan's choices match.
+func (c cell) config(t *testing.T) eventsim.Config {
+	t.Helper()
+	const seed = 11
+	spec := "constant:0.01"
+	if c.plan != "" {
+		spec = "fault:" + c.plan + "/" + spec
+	}
+	tr, err := eventsim.ParseTransport(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eventsim.Config{
+		Protocol:    c.protocol,
+		Overlay:     eventsim.OverlayConfig{Bits: c.bits, Seed: seed},
+		Scenario:    conformanceScenario,
+		Params:      eventsim.Params{FailFraction: c.q, Rate: 200, Replicas: c.replicas},
+		Duration:    6,
+		Seed:        seed,
+		Transport:   tr,
+		Retransmits: c.retransmits,
+		Trace:       1,
+	}
+}
+
+// bootCluster boots cfg's live cluster, running plan, on the given
+// transport and RTO. On "sim" the RTO is virtual time: 15 ms is above the
+// longest live round trip (two 1 ms deliveries plus the fault wrapper's
+// hold-back, at most 6 ms under delayspike:3 with a reorder), so no
+// timeout fires spuriously.
+func bootCluster(t *testing.T, cfg eventsim.Config, plan, transport string, rto time.Duration) *Cluster {
 	t.Helper()
 	c, err := New(Config{
-		Protocol:    cfg.Protocol,
-		Bits:        cfg.Overlay.Bits,
-		Seed:        cfg.Overlay.Seed,
-		Transport:   transport,
-		RTO:         rto,
-		Retransmits: -1,
-		Deadline:    3 * time.Second,
-		Replicas:    cfg.Params.Replicas,
+		Protocol:     cfg.Protocol,
+		Bits:         cfg.Overlay.Bits,
+		Seed:         cfg.Seed,
+		Transport:    transport,
+		RTO:          rto,
+		Retransmits:  cfg.Retransmits,
+		Deadline:     3 * time.Second,
+		Replicas:     cfg.Params.Replicas,
+		Fault:        plan,
+		FaultHorizon: cfg.Duration,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,142 +149,134 @@ func bootCluster(t *testing.T, cfg eventsim.Config, transport string, rto time.D
 	return c
 }
 
-// TestConformanceLiveVsEventsim is the acceptance gate of the live-node
-// layer: replay the massfail schedule on a 128-node in-process cluster
-// for chord, kademlia, singlehop and 3-replicated chord at q = 0 and
-// q = 0.2, and require the live steady-state lookup success within
-// ±0.05 and the live mean hop count within ±0.5 of eventsim's
-// prediction for the identical configuration. Both executors walk the
-// same Forwarder candidate lists over the same overlay tables against
-// the same failed set — and, replicated, the same frozen owner masks in
-// the same placement order — so the comparison pins the whole live
-// stack — wire protocol, RTO machinery, candidate failover, replica
-// failover, kill semantics — to the simulator's routing discipline. The
-// cluster runs on virtual time ("sim"), so a timeout costs no wall clock
-// and cannot fire spuriously.
-func TestConformanceLiveVsEventsim(t *testing.T) {
-	const (
-		bits = 7 // 128 nodes
-		seed = 11
-	)
-	cells := []struct {
-		protocol string
-		replicas int
-	}{
-		{"chord", 0},
-		{"kademlia", 0},
-		{"singlehop", 0},
-		{"chord", 3},
+// verdict is what the suite compares per lookup.
+type verdict struct {
+	skipped, ok bool
+	hops        int
+}
+
+// checkLookups runs cfg (which must trace every lookup) in eventsim,
+// replays its schedule on c, requires equal verdicts for every lookup and
+// equal fault tallies, and returns the eventsim result. It first asserts the suite's
+// precondition rather than assuming it: no traced route spans a regime
+// change — a fault-plan edge or a lifecycle toggle, across which the
+// simulator's clock moves on mid-route while the live replay holds a
+// lookup to one regime — and no live lookup expired.
+func checkLookups(t *testing.T, cfg eventsim.Config, c *Cluster) *eventsim.Result {
+	t.Helper()
+	res, err := eventsim.Run(cfg)
+	if err != nil {
+		t.Fatalf("eventsim: %v", err)
 	}
-	for _, cell := range cells {
-		for _, q := range []float64{0, 0.2} {
-			cfg := conformanceConfig(cell.protocol, bits, q, seed)
-			cfg.Params.Replicas = cell.replicas
-			name := fmt.Sprintf("%s/k=%d q=%v", cell.protocol, cell.replicas, q)
-			checkConformance(t, name, cfg, liveCluster(t, cfg))
+	sched, err := eventsim.BuildSchedule(cfg)
+	if err != nil {
+		t.Fatalf("BuildSchedule: %v", err)
+	}
+	report, err := c.Replay(sched)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+
+	edges := append([]float64(nil), c.bounds...)
+	for _, tg := range sched.Toggles {
+		edges = append(edges, tg.T)
+	}
+	for _, tr := range res.Traces {
+		from, to := tr.Events[0].T, tr.Events[len(tr.Events)-1].T
+		for _, e := range edges {
+			if from < e && to >= e {
+				t.Fatalf("precondition: lookup %d's route runs from %v to %v, across the regime change at %v", tr.Lookup, from, to, e)
+			}
 		}
+	}
+	if m := c.Metrics(); m.Expired != 0 {
+		t.Fatalf("precondition: %d live lookups expired", m.Expired)
+	}
+
+	if len(res.Traces) != len(report.Outcomes) {
+		t.Fatalf("eventsim traced %d lookups, the replay reports %d", len(res.Traces), len(report.Outcomes))
+	}
+	diverged := 0
+	for i, tr := range res.Traces {
+		if tr.Lookup != i {
+			t.Fatalf("trace %d is of lookup %d", i, tr.Lookup)
+		}
+		var sim verdict
+		for _, ev := range tr.Events {
+			switch ev.Kind {
+			case eventsim.TraceSkip, eventsim.TraceDone, eventsim.TraceFail:
+				sim = verdict{skipped: ev.Kind == eventsim.TraceSkip, ok: ev.Kind == eventsim.TraceDone, hops: ev.Hops}
+			}
+		}
+		o := report.Outcomes[i]
+		if live := (verdict{o.Skipped, o.OK, o.Hops}); live != sim {
+			if diverged < 5 {
+				t.Errorf("lookup %d at t=%v: live %+v, eventsim %+v", i, o.T, live, sim)
+			}
+			diverged++
+		}
+	}
+	if diverged > 0 {
+		t.Errorf("%d of %d lookups diverge", diverged, len(report.Outcomes))
+	}
+	if live := c.FaultCounts(); live != res.Faults {
+		t.Errorf("fault tallies: live %s, eventsim %s", live, res.Faults)
+	}
+	return res
+}
+
+// TestConformanceLiveVsEventsim is the acceptance gate of the live-node
+// layer and of fault injection, and `make chaos-smoke` runs it under the
+// race detector. The grid: the six built-in forwarders × q ∈ {0, 0.2,
+// 0.5} × k ∈ {1, 3} × every plan of gridPlans at 2^7 nodes; one
+// fault-free cell per forwarder at 2^12; and one corrupt cell that
+// retransmits on both sides, so the coins' try key is exercised. Every
+// live cluster runs on virtual time ("sim"), so a timeout costs no wall
+// clock and cannot fire spuriously.
+func TestConformanceLiveVsEventsim(t *testing.T) {
+	protocols := []string{"chord", "can", "kademlia", "plaxton", "symphony", "singlehop"}
+	var cells []cell
+	for _, p := range protocols {
+		for _, q := range []float64{0, 0.2, 0.5} {
+			for _, k := range []int{1, 3} {
+				for _, plan := range gridPlans {
+					cells = append(cells, cell{p, 7, q, k, plan, -1})
+				}
+			}
+		}
+	}
+	for _, p := range protocols {
+		cells = append(cells, cell{p, 12, 0.2, 1, "", -1})
+	}
+	cells = append(cells, cell{"chord", 7, 0.2, 1, "corrupt:0.1", 2})
+
+	for _, cl := range cells {
+		t.Run(cl.name(), func(t *testing.T) {
+			cfg := cl.config(t)
+			c := bootCluster(t, cfg, cl.plan, "sim", 15*time.Millisecond)
+			checkLookups(t, cfg, c)
+			// A clause that never fired proves nothing; a delay spike
+			// leaves no tally.
+			if cl.plan != "" && cl.plan != gridPlans[2] && c.FaultCounts() == (fault.Counts{}) {
+				t.Errorf("plan %s injected nothing", cl.plan)
+			}
+		})
 	}
 }
 
 // TestConformanceWallClock keeps one cell per protocol on the wall clock
 // ("mem"), so the runtime timer that wakes a node's loop — the path a
-// "sim" cluster replaces with virtual time — stays held to eventsim. The
-// RTO is generous because a timeout that fires spuriously on a loaded
-// host changes a hop count; a genuine failover pays it in wall time.
+// "sim" cluster replaces with virtual time — stays held to eventsim per
+// lookup. The RTO is generous because a timeout that fires spuriously on
+// a loaded host changes a hop count; a genuine failover pays it in wall
+// time.
 func TestConformanceWallClock(t *testing.T) {
 	for _, protocol := range []string{"chord", "kademlia", "singlehop"} {
-		cfg := conformanceConfig(protocol, 7, 0.2, 11)
-		checkConformance(t, protocol+" q=0.2 on mem", cfg, bootCluster(t, cfg, "mem", 100*time.Millisecond))
+		t.Run(protocol, func(t *testing.T) {
+			cfg := cell{protocol, 7, 0.2, 1, "", -1}.config(t)
+			checkLookups(t, cfg, bootCluster(t, cfg, "", "mem", 100*time.Millisecond))
+		})
 	}
-}
-
-// checkConformance replays cfg's schedule on c and holds the report to
-// eventsim's run of cfg over the steady-state window [2, Duration].
-func checkConformance(t *testing.T, name string, cfg eventsim.Config, c *Cluster) {
-	t.Helper()
-	res, err := eventsim.Run(cfg)
-	if err != nil {
-		t.Fatalf("%s: eventsim: %v", name, err)
-	}
-	sched, err := eventsim.BuildSchedule(cfg)
-	if err != nil {
-		t.Fatalf("%s: BuildSchedule: %v", name, err)
-	}
-	report, err := c.Replay(sched)
-	if err != nil {
-		t.Fatalf("%s: replay: %v", name, err)
-	}
-
-	// Steady state: well after the t = 1 failure.
-	simSucc := res.WindowSuccess(2, cfg.Duration)
-	liveSucc := report.WindowSuccess(2, cfg.Duration)
-	if math.IsNaN(simSucc) || math.IsNaN(liveSucc) {
-		t.Fatalf("%s: empty window (sim %v, live %v)", name, simSucc, liveSucc)
-	}
-	if d := math.Abs(simSucc - liveSucc); d > 0.05 {
-		t.Errorf("%s: live success %.4f vs eventsim %.4f (|Δ| = %.4f > 0.05)",
-			name, liveSucc, simSucc, d)
-	}
-
-	simHops := windowMeanHops(res, 2, cfg.Duration)
-	liveHops := report.WindowMeanHops(2, cfg.Duration)
-	if d := math.Abs(simHops - liveHops); d > 0.5 {
-		t.Errorf("%s: live mean hops %.3f vs eventsim %.3f (|Δ| = %.3f > 0.5)",
-			name, liveHops, simHops, d)
-	}
-
-	// The strongest pin: the steady-state hop *distributions* are
-	// identical histogram values, bucket for bucket — not just close in
-	// the mean. Both sides walk the same candidate lists over the same
-	// seed-pinned tables against the same failed set, observe integer hop
-	// counts into the same obs bucket layout, and the window cohort
-	// (lookups scheduled in [2, 4]) is closed well after the t = 1
-	// failure, so any inequality here is a routing divergence, not noise.
-	simDist := res.WindowHopDist(2, cfg.Duration)
-	liveDist := report.WindowHopDist(2, cfg.Duration)
-	if simDist != liveDist {
-		t.Errorf("%s: live hop distribution diverges from eventsim:\nlive: %s\nsim:  %s",
-			name, liveDist.String(), simDist.String())
-	}
-	if simDist.Count() == 0 {
-		t.Errorf("%s: empty steady-state hop distribution", name)
-	}
-
-	// Live latency runs on the network's clock, not eventsim's transport
-	// model, so only sanity is pinned: one observation per issued (not
-	// skipped) window lookup, and a positive tail.
-	liveLat := report.WindowLatency(2, cfg.Duration)
-	if liveLat.Count() < liveDist.Count() {
-		t.Errorf("%s: latency histogram n=%d below completed n=%d",
-			name, liveLat.Count(), liveDist.Count())
-	}
-	if liveLat.Count() > 0 && liveLat.Max() <= 0 {
-		t.Errorf("%s: non-positive live latency tail", name)
-	}
-
-	// q = 0 is an identity, not an approximation: nothing failed, so
-	// every lookup must succeed on both substrates.
-	if cfg.Params.FailFraction == 0 && (liveSucc != 1 || simSucc != 1) {
-		t.Errorf("%s: success live %.4f, sim %.4f (want exactly 1)", name, liveSucc, simSucc)
-	}
-	t.Logf("%s: success live %.4f sim %.4f; hops live %.3f sim %.3f",
-		name, liveSucc, simSucc, liveHops, simHops)
-}
-
-// windowMeanHops mirrors Report.WindowMeanHops for an eventsim result:
-// mean hop count over buckets fully inside [from, to].
-func windowMeanHops(r *eventsim.Result, from, to float64) float64 {
-	sum, completed := 0.0, 0
-	for _, b := range r.Buckets {
-		if b.Start >= from && b.End <= to {
-			sum += b.SumHops
-			completed += b.Completed
-		}
-	}
-	if completed == 0 {
-		return math.NaN()
-	}
-	return sum / float64(completed)
 }
 
 // TestReplayChurn exercises the Restart path: a small churn schedule with
@@ -214,7 +297,7 @@ func TestReplayChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := liveCluster(t, cfg)
+	c := bootCluster(t, cfg, "", "sim", 15*time.Millisecond)
 	report, err := c.Replay(sched)
 	if err != nil {
 		t.Fatal(err)
@@ -250,100 +333,150 @@ type progScenario struct {
 func (s progScenario) Name() string                    { return s.name }
 func (s progScenario) Program(env *eventsim.Env) error { return s.prog(env) }
 
-// TestReplayRestartWindowNoDoubleCount pins the report's windows on a
-// kill-then-restart schedule with replication: during the outage,
-// replicated lookups to dead roots fail over — the live replay re-issues
-// the request toward the next owner — and those re-issued attempts must
-// fold into their one scheduled lookup's Outcome, never inflate the
-// window histograms. The pin is eventsim equality: the outage and
-// post-restart windows' hop distributions match the simulator bucket for
-// bucket, and the latency histogram holds exactly one observation per
-// issued lookup.
+// TestReplayRestartWindowNoDoubleCount pins replication across a kill
+// and a restart: during the outage, replicated lookups to dead roots
+// fail over — the live replay re-issues the request toward the next
+// owner — and those re-issued attempts must fold into their one
+// scheduled lookup's Outcome. The pin is eventsim equality per lookup,
+// over a schedule whose guard gaps keep every route inside one
+// population regime (checkLookups asserts it).
 func TestReplayRestartWindowNoDoubleCount(t *testing.T) {
-	err := eventsim.RegisterScenario("test-kill-revive", func(p eventsim.Params) (eventsim.Scenario, error) {
-		return progScenario{name: "test-kill-revive", prog: func(env *eventsim.Env) error {
-			n := env.Nodes()
-			for i := 0; i < n/4; i++ {
-				env.FailAt(1, i)
-				env.JoinAt(3, i)
-			}
-			// Guard gaps around each toggle instant keep every lookup's
-			// flight inside one population regime: the live replay drains
-			// in-flight lookups before applying a toggle, the simulator
-			// does not, and lookups crossing a toggle are the one place
-			// the two executors may legitimately diverge. Timeout chains
-			// cost one RTO per dead candidate, so the run uses a fast
-			// transport (tight RTO) and a wide gap before the revival.
-			rate := env.Params().Rate
-			env.PoissonLookups(0, 0.9, rate, nil)
-			env.PoissonLookups(1.1, 1.5, rate, nil)
-			env.PoissonLookups(3.1, env.Duration(), rate, nil)
-			return nil
-		}}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := eventsim.Config{
-		Protocol: "chord",
-		Overlay:  eventsim.OverlayConfig{Bits: 6, Seed: 9},
-		Scenario: "test-kill-revive",
-		Params:   eventsim.Params{Rate: 200, Replicas: 3},
-		Duration: 4,
-		// Unit-width buckets align the simulator's windows with the
-		// report's scheduled-time windows below.
-		Buckets:     4,
+		Protocol:    "chord",
+		Overlay:     eventsim.OverlayConfig{Bits: 6, Seed: 9},
+		Scenario:    killReviveScenario,
+		Params:      eventsim.Params{Rate: 200, Replicas: 3},
+		Duration:    4,
 		Seed:        9,
 		Transport:   eventsim.Constant{Latency: 0.01},
 		Retransmits: -1,
+		Trace:       1,
 	}
-	res, err := eventsim.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := eventsim.BuildSchedule(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := liveCluster(t, cfg)
-	report, err := c.Replay(sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, w := range [][2]float64{{1, 2}, {3, 4}} {
-		simDist := res.WindowHopDist(w[0], w[1])
-		liveDist := report.WindowHopDist(w[0], w[1])
-		if simDist != liveDist {
-			t.Errorf("window [%v, %v]: live hop distribution diverges from eventsim:\nlive: %s\nsim:  %s",
-				w[0], w[1], liveDist.String(), simDist.String())
-		}
-		if simDist.Count() == 0 {
-			t.Errorf("window [%v, %v]: empty hop distribution", w[0], w[1])
-		}
-		issued := 0
-		for _, o := range report.Outcomes {
-			if !o.Skipped && o.T >= w[0] && o.T <= w[1] {
-				issued++
+	res := checkLookups(t, cfg, bootCluster(t, cfg, "", "sim", 15*time.Millisecond))
+	failedOver := 0
+	for _, tr := range res.Traces {
+		for _, ev := range tr.Events {
+			if ev.Kind == eventsim.TraceRetry {
+				failedOver++
+				break
 			}
 		}
-		if liveLat := report.WindowLatency(w[0], w[1]); liveLat.Count() != uint64(issued) {
-			t.Errorf("window [%v, %v]: latency histogram n=%d != issued lookups %d (re-issued attempts double-counted?)",
-				w[0], w[1], liveLat.Count(), issued)
-		}
+	}
+	if failedOver == 0 {
+		t.Error("no lookup failed over to another owner: the outage did not bite")
 	}
 }
 
 // TestReplayRejectsMismatchedPopulation: a schedule built for a different
 // population is refused, not misapplied.
 func TestReplayRejectsMismatchedPopulation(t *testing.T) {
-	cfg := conformanceConfig("chord", 4, 0, 1)
+	cfg := cell{"chord", 4, 0, 1, "", -1}.config(t)
 	sched, err := eventsim.BuildSchedule(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	small := liveCluster(t, conformanceConfig("chord", 3, 0, 1))
+	small := bootCluster(t, cell{"chord", 3, 0, 1, "", -1}.config(t), "", "sim", 15*time.Millisecond)
 	if _, err := small.Replay(sched); err == nil {
 		t.Error("mismatched population accepted")
+	}
+}
+
+// TestSimReplayDeterministic: on virtual time a replay is a function of
+// its schedule. One fault plan replayed twice against fresh 128-node
+// kademlia clusters gives reflect.DeepEqual Reports, latencies included,
+// and equal fault and message counts — while the plan demonstrably
+// partitions, duplicates and reorders, and failovers make latencies
+// differ from lookup to lookup.
+func TestSimReplayDeterministic(t *testing.T) {
+	const plan = "partition:2@2-5,dup:0.3,reorder:0.3"
+	cfg := cell{"kademlia", 7, 0, 1, plan, -1}.config(t)
+	sched, err := eventsim.BuildSchedule(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type run struct {
+		report *Report
+		faults fault.Counts
+		msgs   uint64
+	}
+	replay := func() run {
+		c := bootCluster(t, cfg, plan, "sim", 15*time.Millisecond)
+		report, err := c.Replay(sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := c.Metrics()
+		return run{report, c.FaultCounts(), m.ReqsOut + m.AcksOut + m.RespsOut}
+	}
+	a, b := replay(), replay()
+	if a.faults.PartitionDrops == 0 || a.faults.Dups == 0 || a.faults.Reorders == 0 {
+		t.Fatalf("plan did not bite: %s", a.faults)
+	}
+	latencies := map[time.Duration]bool{}
+	for _, o := range a.report.Outcomes {
+		if !o.Skipped {
+			latencies[o.Latency] = true
+		}
+	}
+	if len(latencies) < 2 {
+		t.Fatalf("%d distinct latencies: the replay did not exercise timeouts", len(latencies))
+	}
+	if a.faults != b.faults || a.msgs != b.msgs {
+		t.Errorf("runs differ: faults %s vs %s, messages %d vs %d", a.faults, b.faults, a.msgs, b.msgs)
+	}
+	if !reflect.DeepEqual(a.report, b.report) {
+		for i := range a.report.Outcomes {
+			if x, y := a.report.Outcomes[i], b.report.Outcomes[i]; x != y {
+				t.Fatalf("reports differ, first at lookup %d: %+v vs %+v", i, x, y)
+			}
+		}
+		t.Fatal("reports differ")
+	}
+}
+
+// TestPlanClockBeforeReplay: a cluster no Replay has driven runs its
+// fault plan on the network's seconds since boot. A partition whose
+// window opens after boot lets a cross-group lookup through before its
+// edge and blackholes it once the network has passed the edge; a plan
+// clock pinned at schedule time 0 would let both through.
+func TestPlanClockBeforeReplay(t *testing.T) {
+	const (
+		plan = "partition:2@0.5-3600"
+		edge = 0.5
+		seed = 5
+	)
+	c, err := New(Config{
+		Protocol: "chord", Bits: 4, Seed: seed, Transport: "mem", Fault: plan,
+		RTO: 20 * time.Millisecond, Retransmits: -1, Deadline: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	pl, err := fault.Parse(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := pl.Bind(seed, 3600) // the wrappers' default horizon
+	dst := 1
+	for dst < c.Len() && !inj.CrossPartition(0, uint64(dst), edge) {
+		dst++
+	}
+	if dst == c.Len() {
+		t.Fatal("the cut put every node in node 0's group")
+	}
+
+	if r := c.Node(0).Lookup(overlay.ID(dst)); !r.OK() {
+		t.Fatalf("lookup 0→%d before the edge: %+v, want delivered", dst, r)
+	}
+	if now := c.planNow(); now >= edge {
+		t.Fatalf("boot and one lookup took %.3f s of network time, past the edge at %v s", now, edge)
+	}
+	time.Sleep(time.Duration((edge + 0.1) * float64(time.Second)))
+	if r := c.Node(0).Lookup(overlay.ID(dst)); r.OK() {
+		t.Fatalf("lookup 0→%d after the edge delivered: the plan clock did not follow network time", dst)
+	}
+	if c.FaultCounts().PartitionDrops == 0 {
+		t.Error("the partition dropped nothing")
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"os"
 	"testing"
+	"time"
 
 	"rcm/eventsim"
 )
@@ -12,8 +13,8 @@ import (
 // 3-replicated chord — replay a massfail schedule against each, and
 // require a nonzero lookup success. It is the cheap always-on signal
 // that the live stack boots, routes, kills, fails over (across
-// candidates and across replica owners); the full tolerance comparison
-// lives in TestConformanceLiveVsEventsim.
+// candidates and across replica owners); the per-lookup comparison with
+// eventsim lives in TestConformanceLiveVsEventsim.
 func TestClusterSmoke(t *testing.T) {
 	for _, cell := range []struct {
 		protocol string
@@ -23,23 +24,35 @@ func TestClusterSmoke(t *testing.T) {
 		{"singlehop", 0},
 		{"chord", 3},
 	} {
-		cfg := conformanceConfig(cell.protocol, 6, 0.2, 5) // 64 nodes
-		cfg.Params.Replicas = cell.replicas
+		cfg := eventsim.Config{
+			Protocol:    cell.protocol,
+			Overlay:     eventsim.OverlayConfig{Bits: 6, Seed: 5}, // 64 nodes
+			Scenario:    "massfail",
+			Params:      eventsim.Params{FailFraction: 0.2, FailTime: 1, Rate: 200, Replicas: cell.replicas},
+			Duration:    4,
+			Seed:        5,
+			Retransmits: -1,
+		}
 		sched, err := eventsim.BuildSchedule(cfg)
 		if err != nil {
 			t.Fatalf("%s k=%d: BuildSchedule: %v", cell.protocol, cell.replicas, err)
 		}
-		c := liveCluster(t, cfg)
+		c := bootCluster(t, cfg, "", "sim", 15*time.Millisecond)
 		report, err := c.Replay(sched)
 		if err != nil {
 			t.Fatalf("%s k=%d: replay: %v", cell.protocol, cell.replicas, err)
 		}
-		succ := report.WindowSuccess(0, cfg.Duration)
-		if !(succ > 0) {
-			t.Fatalf("%s k=%d: smoke replay success %v, want > 0", cell.protocol, cell.replicas, succ)
+		ok := 0
+		for _, o := range report.Outcomes {
+			if o.OK {
+				ok++
+			}
 		}
-		t.Logf("smoke: %s k=%d, 64 nodes, %d lookups, success %.4f",
-			cell.protocol, cell.replicas, len(report.Outcomes), succ)
+		if ok == 0 {
+			t.Fatalf("%s k=%d: no lookup of %d succeeded", cell.protocol, cell.replicas, len(report.Outcomes))
+		}
+		t.Logf("smoke: %s k=%d, 64 nodes, %d of %d lookups succeeded",
+			cell.protocol, cell.replicas, ok, len(report.Outcomes))
 
 		// CI artifact: when CLUSTER_METRICS_OUT names a file, write the
 		// first (plain chord) cell's cluster-wide metrics snapshot

@@ -110,10 +110,12 @@
 // hands out the program eventsim.Run executes — a scenario's lifecycle
 // toggles and lookup workload, as data — cluster.Replay executes that
 // schedule against live nodes, both place replicas through
-// replica.Table, and the conformance suite in node/cluster compares
-// windowed success rate and mean hops between the two executors. With the overlay seed
-// pinned, both walk the same candidate lists over the same tables
-// against the same failed set, so they agree exactly — making eventsim
+// replica.Table, and the conformance suite in node/cluster requires
+// every scheduled lookup's outcome and hop count, and every fault tally,
+// to be equal between the two executors. With the overlay seed pinned,
+// both walk the same candidate lists over the same tables against the
+// same failed set and flip the same fault coins, so they agree exactly —
+// making eventsim
 // a calibrated model of a deployable system rather than a fourth
 // abstraction layer, and the live stack a tested implementation of the
 // simulator's semantics.

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -8,7 +9,6 @@ import (
 
 	"rcm/fault"
 	"rcm/node/internal/clock"
-	"rcm/overlay"
 )
 
 // FaultConfig binds an rcm/fault plan to a live transport. The wrapper
@@ -20,7 +20,7 @@ type FaultConfig struct {
 	// Plan is the fault schedule; it must be valid and non-empty.
 	Plan fault.Plan
 	// Seed fixes the plan's derived choices (partition cut, stall
-	// episodes, clause coins). Use the simulation seed for conformance.
+	// episodes, fault.Injector.Coins). Use the simulation seed for conformance.
 	Seed uint64
 	// Horizon is the plan's time horizon in seconds — stall episodes are
 	// placed inside [0, Horizon). Use the simulated duration for
@@ -31,7 +31,8 @@ type FaultConfig struct {
 	Self uint64
 	// IDOf resolves a transport address to its overlay identifier —
 	// the inverse of Config.AddrOf, needed to group the receiver of an
-	// outbound request. Required when the plan has a partition clause.
+	// outbound request and to key its coins (as 0 without IDOf).
+	// Required when the plan has a partition clause.
 	IDOf func(addr string) (uint64, bool)
 	// Now is the plan clock in seconds; windowed clauses (partition,
 	// delayspike) and stall episodes are evaluated against it. A cluster
@@ -56,16 +57,13 @@ const faultLatency = 2 * time.Millisecond
 // blackholed (partition), mangled (corrupt — the receiver's wire codec
 // rejects them), duplicated, held back (reorder, delayspike); inbound
 // requests are dropped while this node is inside its stall episode.
-// Injected faults are tallied per kind (Counts).
+// Injected faults are tallied per kind, by fault.Counts' rule (Counts).
 type FaultTransport struct {
 	inner Transport
 	inj   *fault.Injector
 	cfg   FaultConfig
 	clk   clock.Clock // the inner transport's: times hold-backs and the default plan clock
 	start time.Duration
-
-	mu  sync.Mutex
-	rng *overlay.RNG // clause coins; guarded by mu
 
 	done chan struct{}
 	once sync.Once
@@ -97,10 +95,7 @@ func WrapFault(inner Transport, fc FaultConfig) (*FaultTransport, error) {
 		cfg:   fc,
 		clk:   clk,
 		start: clk.Now(),
-		// A per-endpoint coin stream, derived from (seed, self) so two
-		// endpoints never share coins.
-		rng:  overlay.NewRNG(fc.Seed ^ (fc.Self+1)*0x9e3779b97f4a7c15),
-		done: make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 	return ft, nil
 }
@@ -133,56 +128,64 @@ func (ft *FaultTransport) Close() error {
 	return ft.inner.Close()
 }
 
-// isReq reports whether pkt is a request datagram — the only kind the
-// plan applies to.
-func isReq(pkt []byte) bool { return len(pkt) > 3 && pkt[3] == msgReq }
+// isReq reports whether pkt is an intact request datagram — the only
+// kind the plan applies to (a corrupted one is the codec's to reject).
+func isReq(pkt []byte) bool {
+	return len(pkt) >= headerLen && binary.BigEndian.Uint16(pkt) == wireMagic &&
+		pkt[2] == wireVersion && pkt[3] == msgReq
+}
 
-// Send implements Transport, applying the plan to request packets.
+// Send implements Transport, applying the plan to request packets by
+// fault.Counts' rule. The coins are eventsim's for the same transmission:
+// the header gives hops, owner (Dst) and try (status byte), and a replay
+// pins the plan clock to the lookup's scheduled instant.
 func (ft *FaultTransport) Send(addr string, pkt []byte) error {
 	if !isReq(pkt) {
 		return ft.inner.Send(addr, pkt)
 	}
 	t := ft.now()
-	pl := ft.inj.Plan()
-	// Partition first: a blackholed request never arrives, duplicated,
-	// corrupted or otherwise — matching the engine, which drops both
-	// copies of a cross-partition request.
-	if pl.Partition != nil {
-		if dst, ok := ft.cfg.IDOf(addr); ok && ft.inj.CrossPartition(ft.cfg.Self, dst, t) {
-			ft.partitionDrops.Add(1)
-			return nil
+	to, known := uint64(0), false
+	if ft.cfg.IDOf != nil {
+		to, known = ft.cfg.IDOf(addr)
+	}
+	if known && ft.inj.CrossPartition(ft.cfg.Self, to, t) {
+		ft.partitionDrops.Add(1)
+		return nil
+	}
+	c := ft.inj.Coins(fault.Hop{
+		T: t, From: ft.cfg.Self, To: to,
+		Owner: binary.BigEndian.Uint64(pkt[18:26]),
+		Hops:  binary.BigEndian.Uint16(pkt[6:8]),
+		Try:   pkt[5],
+	})
+	var hold time.Duration
+	if c.Reorder {
+		hold = time.Duration(c.Hold * float64(faultLatency))
+		if !c.Corrupt {
+			ft.reorders.Add(1)
 		}
 	}
-	corrupt, reorderHold, dup := ft.coins(pl)
-	if reorderHold > 0 {
-		ft.reorders.Add(1)
-	}
-	hold := reorderHold
 	if f := ft.inj.DelayFactor(t); f > 1 {
 		hold += time.Duration((f - 1) * float64(faultLatency))
 	}
 	out := pkt
-	if corrupt {
+	if c.Corrupt {
 		// Mangle a copy (the caller reuses its buffer) in the magic or
 		// version bytes, which the receiving codec rejects
 		// unconditionally — never the kind byte, whose bit-flips could
 		// alias another valid kind.
 		out = append([]byte(nil), pkt...)
-		ft.mu.Lock()
-		i := ft.rng.Intn(3)
-		mask := byte(1 + ft.rng.Intn(255))
-		ft.mu.Unlock()
-		out[i] ^= mask
+		out[c.Byte] ^= c.Mask
 		ft.corrupts.Add(1)
 	}
-	if dup {
+	if c.Dup {
 		// The duplicate is a faithful copy: the receiver's dedupe window
 		// absorbs it (or the corrupt primary's loss is papered over).
 		ft.dups.Add(1)
 		ft.sendHeld(addr, append([]byte(nil), pkt...), hold)
 	}
 	if hold > 0 {
-		if !corrupt {
+		if !c.Corrupt {
 			out = append([]byte(nil), pkt...) // held past the caller's buffer reuse
 		}
 		ft.sendHeld(addr, out, hold)
@@ -207,33 +210,12 @@ func (ft *FaultTransport) sendHeld(addr string, pkt []byte, delay time.Duration)
 	})
 }
 
-// coins draws the clause coins for one outbound request under the
-// wrapper's private stream.
-func (ft *FaultTransport) coins(pl fault.Plan) (corrupt bool, hold time.Duration, dup bool) {
-	if pl.Corrupt == 0 && pl.Reorder == 0 && pl.Dup == 0 {
-		return false, 0, false
-	}
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	if pl.Corrupt > 0 {
-		corrupt = ft.rng.Bernoulli(pl.Corrupt)
-	}
-	if pl.Reorder > 0 && ft.rng.Bernoulli(pl.Reorder) {
-		hold = time.Duration(ft.rng.Float64() * float64(faultLatency))
-		if hold <= 0 {
-			hold = time.Millisecond
-		}
-	}
-	if pl.Dup > 0 {
-		dup = ft.rng.Bernoulli(pl.Dup)
-	}
-	return corrupt, hold, dup
-}
-
 // stalled is the inbound half of the plan, shared by both receive
-// paths: a request arriving while this node is inside its stall episode
-// is dropped (and counted) — alive but unresponsive, exactly the engine's
-// model (no ack, so the sender's RTO machinery takes over).
+// paths: an intact request arriving while this node is inside its stall
+// episode is dropped (and counted) — unresponsive, exactly the engine's
+// model (no ack, so the sender's RTO machinery takes over). The filter
+// sits below the node, so it counts whether or not the node is killed,
+// as fault.Counts' rule says.
 func (ft *FaultTransport) stalled(pkt []byte) bool {
 	if isReq(pkt) && ft.inj.Stalled(ft.cfg.Self, ft.now()) {
 		ft.stallDrops.Add(1)

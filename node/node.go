@@ -697,6 +697,7 @@ func (n *Node) dispatch(st *pendingFwd) {
 		return
 	}
 	st.msg.Deadline = uint32(remaining / time.Millisecond)
+	st.msg.Status = Status(st.try) // a request's status byte carries its try (wire.go)
 	n.sendMsg(n.cfg.AddrOf(st.cands[st.ci]), &st.msg)
 	n.arm(&st.rto, st.id<<1, n.clock()+n.cfg.RTO)
 }
