@@ -65,7 +65,8 @@ cluster-smoke:
 	go test -run TestClusterSmoke -count=1 -timeout 60s -v ./node/cluster/
 
 # chaos-smoke runs the conformance grid under the race detector: the six
-# forwarders × q × k × every fault clause (rcm/fault) at 128 nodes, one
+# forwarders × q × k × every fault clause (rcm/fault), alone and
+# together, at 128 nodes, one
 # fault-free 4096-node cell per forwarder and one retransmitting corrupt
 # cell, each replayed on a live "sim" cluster and held to eventsim per
 # lookup (outcome and hops) and per cell (fault tallies).
