@@ -19,16 +19,18 @@ type pinnedCase struct {
 }
 
 // pinnedCases is the matrix TestResultsPinned holds to fixed digests:
-// both routing-table protocols, over the three plain transports and two
+// both routing-table protocols, over the three plain transports and three
 // fault plans, at one, three and four shards under massfail; replicated
 // churn with maintenance; and one traced run, so WriteTraces' text is
-// part of what is pinned.
+// part of what is pinned. Each lossy case has a corrupt-plan twin at the
+// same loss rate.
 func pinnedCases(tb testing.TB) []pinnedCase {
 	tb.Helper()
 	transports := []string{
 		"constant",
 		"empirical",
 		"lossy:0.1:empirical",
+		"fault:corrupt:0.1/empirical",
 		"fault:partition:2@1-2,dup:0.1/empirical",
 		"fault:delayspike:3@1-3,reorder:0.2,corrupt:0.05,stall:0.1:0.3/empirical",
 	}
@@ -57,38 +59,50 @@ func pinnedCases(tb testing.TB) []pinnedCase {
 			}
 		}
 		for _, shards := range []int{1, 3} {
-			cases = append(cases, pinnedCase{
-				name: fmt.Sprintf("%s/churn/replicas=3/lossy:0.05:empirical/shards=%d", proto, shards),
-				cfg: Config{
-					Protocol:  proto,
-					Overlay:   OverlayConfig{Bits: 8},
-					Scenario:  "churn",
-					Params:    Params{MeanOnline: 1, MeanOffline: 0.25, Rate: 400, Replicas: 3},
-					Transport: Lossy{Rate: 0.05, Inner: Empirical{}},
-					Shards:    shards,
-					Duration:  3,
-					Buckets:   3,
-					Seed:      11,
-					Maintain:  true,
-				},
-			})
+			for _, spec := range []string{"lossy:0.05:empirical", "fault:corrupt:0.05/empirical"} {
+				tr, err := ParseTransport(spec)
+				if err != nil {
+					tb.Fatal(err)
+				}
+				cases = append(cases, pinnedCase{
+					name: fmt.Sprintf("%s/churn/replicas=3/%s/shards=%d", proto, spec, shards),
+					cfg: Config{
+						Protocol:  proto,
+						Overlay:   OverlayConfig{Bits: 8},
+						Scenario:  "churn",
+						Params:    Params{MeanOnline: 1, MeanOffline: 0.25, Rate: 400, Replicas: 3},
+						Transport: tr,
+						Shards:    shards,
+						Duration:  3,
+						Buckets:   3,
+						Seed:      11,
+						Maintain:  true,
+					},
+				})
+			}
 		}
 	}
-	cases = append(cases, pinnedCase{
-		name: "chord/massfail/lossy:0.1:empirical/shards=3/trace=5",
-		cfg: Config{
-			Protocol:  "chord",
-			Overlay:   OverlayConfig{Bits: 7},
-			Scenario:  "massfail",
-			Params:    Params{FailFraction: 0.3, FailTime: 1, Rate: 200},
-			Transport: Lossy{Rate: 0.1, Inner: Empirical{}},
-			Shards:    3,
-			Duration:  2,
-			Buckets:   2,
-			Seed:      3,
-			Trace:     5,
-		},
-	})
+	for _, spec := range []string{"lossy:0.1:empirical", "fault:corrupt:0.1/empirical"} {
+		tr, err := ParseTransport(spec)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cases = append(cases, pinnedCase{
+			name: fmt.Sprintf("chord/massfail/%s/shards=3/trace=5", spec),
+			cfg: Config{
+				Protocol:  "chord",
+				Overlay:   OverlayConfig{Bits: 7},
+				Scenario:  "massfail",
+				Params:    Params{FailFraction: 0.3, FailTime: 1, Rate: 200},
+				Transport: tr,
+				Shards:    3,
+				Duration:  2,
+				Buckets:   2,
+				Seed:      3,
+				Trace:     5,
+			},
+		})
+	}
 	return cases
 }
 
