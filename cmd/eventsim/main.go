@@ -14,7 +14,7 @@
 //	eventsim -protocol kademlia -bits 10 -scenario churn -maintain
 //	eventsim -protocol chord -scenario heavytail -lifetime pareto:1.5
 //	eventsim -protocol chord -scenario tracechurn -lifetime trace:sessions.txt
-//	eventsim -protocol chord -scenario flashcrowd -transport lossy:0.05:empirical
+//	eventsim -protocol chord -scenario flashcrowd -transport empirical -fault corrupt:0.05
 //	eventsim -protocol symphony -scenario zipf -zipf 1.2 -format csv
 //
 // For performance work, -cpuprofile and -memprofile write pprof profiles
@@ -60,10 +60,10 @@ func main() {
 type options struct {
 	// cfg is the run. Every flag that describes the run is bound straight
 	// into the field it sets, so the flag set cannot drift from
-	// eventsim.Config; -transport and -fault compose one spelling that is
-	// parsed once into cfg.Transport.
+	// eventsim.Config; -transport and -fault are parsed once, into
+	// cfg.Transport and cfg.Fault.
 	cfg eventsim.Config
-	// transport is the composed transport spelling, echoed in the title.
+	// transport and fault are those two spellings, echoed in the title.
 	transport, fault string
 
 	modeFlag, format       string
@@ -100,8 +100,8 @@ func newFlags(o *options) *flag.FlagSet {
 	fs.Float64Var(&p.CrowdDuration, "crowd-duration", 0, "flashcrowd: crowd length (0: 20% of duration)")
 	fs.Float64Var(&p.CrowdFactor, "crowd-factor", 0, "flashcrowd: rate multiplier (0: default 10)")
 
-	fs.StringVar(&o.transport, "transport", "constant", "transport: constant[:lat] | empirical[:median] | lossy[:rate[:inner]]")
-	fs.StringVar(&o.fault, "fault", "", `fault plan wrapped around the transport, e.g. "partition:2@2-4,dup:0.1" (see rcm/fault; clauses: `+strings.Join(fault.ClauseNames(), "|")+`)`)
+	fs.StringVar(&o.transport, "transport", "constant", "latency model: constant[:lat] | empirical[:median]")
+	fs.StringVar(&o.fault, "fault", "", `fault plan on request traffic, e.g. "partition:2@2-4,dup:0.1"; loss is "corrupt:<p>" (see rcm/fault; clauses: `+strings.Join(fault.ClauseNames(), "|")+`)`)
 	fs.IntVar(&p.Replicas, "replicas", 0, "replicate each key across k successive owners with failover reads (0 or 1: no replication)")
 	fs.BoolVar(&cfg.Maintain, "maintain", false, "enable join/stabilize maintenance")
 	fs.Float64Var(&cfg.StabilizeEvery, "stabilize-every", 0, "per-node stabilization period (0: default 1)")
@@ -146,9 +146,9 @@ func parseFlags(args []string) (options, error) {
 		return o, fmt.Errorf("-trace mixes trace text into the output; use -format ascii")
 	}
 	if o.fault != "" {
-		// -fault composes with -transport: the plan wraps whatever inner
-		// transport was picked, in the same spec grammar the engine parses.
-		o.transport = "fault:" + o.fault + "/" + o.transport
+		if o.cfg.Fault, err = fault.Parse(o.fault); err != nil {
+			return o, err
+		}
 	}
 	o.cfg.Transport, err = eventsim.ParseTransport(o.transport)
 	return o, err
@@ -267,8 +267,12 @@ func renderASCII(out io.Writer, o options, rows []exp.Row) error {
 	if replicated {
 		cols = append(cols, "repair/node/s")
 	}
-	title := fmt.Sprintf("%s · %s scenario, N=2^%d, transport %s, q_eff=%.3g",
-		first.Protocol, first.Scenario, first.Bits, o.transport, first.Q)
+	network := "transport " + o.transport
+	if o.fault != "" {
+		network += ", fault " + o.fault
+	}
+	title := fmt.Sprintf("%s · %s scenario, N=2^%d, %s, q_eff=%.3g",
+		first.Protocol, first.Scenario, first.Bits, network, first.Q)
 	if replicated {
 		title += fmt.Sprintf(", k=%d", replicas)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"compress/gzip"
 	"flag"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -15,6 +14,7 @@ import (
 
 	"rcm"
 	"rcm/eventsim"
+	"rcm/fault"
 )
 
 func runCapture(t *testing.T, args ...string) string {
@@ -77,10 +77,12 @@ func TestDeterministicOutput(t *testing.T) {
 	}
 }
 
+// TestLossyEmpiricalTransport: loss is a fault plan over a latency
+// model, and the title names both.
 func TestLossyEmpiricalTransport(t *testing.T) {
-	out := runCapture(t, append([]string{"-transport", "lossy:0.05:empirical:0.08", "-mode", "event"}, quick...)...)
-	if !strings.Contains(out, "transport lossy:0.05:empirical:0.08") {
-		t.Errorf("missing transport in title:\n%s", out)
+	out := runCapture(t, append([]string{"-transport", "empirical:0.08", "-fault", "corrupt:0.05", "-mode", "event"}, quick...)...)
+	if !strings.Contains(out, "transport empirical:0.08, fault corrupt:0.05") {
+		t.Errorf("missing transport and fault plan in title:\n%s", out)
 	}
 }
 
@@ -231,13 +233,14 @@ func TestDiurnalScenario(t *testing.T) {
 	}
 }
 
-// TestFaultFlag: -fault composes a fault plan over the -transport spec
-// (visible in the title), stays deterministic, and rejects bad plans.
+// TestFaultFlag: -fault runs a fault plan over the -transport latency
+// model (both visible in the title), stays deterministic, and rejects bad
+// plans.
 func TestFaultFlag(t *testing.T) {
 	args := append([]string{"-protocol", "chord", "-fault", "partition:2@1-2", "-seed", "4", "-mode", "event"}, quick...)
 	out := runCapture(t, args...)
-	if !strings.Contains(out, "transport fault:partition:2@1-2/constant") {
-		t.Errorf("title missing composed fault transport:\n%s", out)
+	if !strings.Contains(out, "transport constant, fault partition:2@1-2") {
+		t.Errorf("title missing the fault plan:\n%s", out)
 	}
 	if again := runCapture(t, args...); again != out {
 		t.Errorf("faulted run not deterministic:\n%s\nvs\n%s", out, again)
@@ -249,9 +252,10 @@ func TestFaultFlag(t *testing.T) {
 
 // leaves flattens a run description into path → value, descending into
 // nested structs (Overlay, Params) and stopping at everything else — a
-// Transport is one leaf however it is composed.
+// Transport is one leaf however it is composed, and so is a fault plan,
+// which one spelling sets whole.
 func leaves(prefix string, v reflect.Value, out map[string]any) {
-	if v.Kind() != reflect.Struct {
+	if v.Kind() != reflect.Struct || v.Type() == reflect.TypeOf(fault.Plan{}) {
 		out[prefix] = v.Interface()
 		return
 	}
@@ -278,7 +282,7 @@ func TestEveryKnobHasOneFlag(t *testing.T) {
 	// get a generic non-default one.
 	sample := map[string]string{
 		"protocol": "kademlia", "scenario": "churn", "lifetime": "pareto:2", "downtime": "weibull:0.5",
-		"transport": "lossy:0.5", "fault": "dup:0.5", "mode": "event", "format": "csv",
+		"transport": "empirical", "fault": "dup:0.5", "mode": "event", "format": "csv",
 		"cpuprofile": "cpu.prof", "memprofile": "mem.prof",
 	}
 
@@ -328,11 +332,6 @@ func TestEveryKnobHasOneFlag(t *testing.T) {
 		flags := boundBy[path]
 		sort.Strings(flags)
 		switch {
-		case path == "Transport":
-			// The one composed field: -fault wraps what -transport picked.
-			if fmt.Sprint(flags) != "[fault transport]" {
-				t.Errorf("Transport is bound by %v, want [fault transport]", flags)
-			}
 		case flagless[path] != "":
 			if len(flags) != 0 {
 				t.Errorf("%s is listed as flagless but is bound by %v", path, flags)
@@ -379,8 +378,8 @@ func TestDocumentedExamplesParse(t *testing.T) {
 		"-protocol chord -scenario tracechurn -lifetime trace:sessions.txt": with(func(c *eventsim.Config) {
 			c.Scenario, c.Params.Lifetime = "tracechurn", "trace:sessions.txt"
 		}),
-		"-protocol chord -scenario flashcrowd -transport lossy:0.05:empirical": with(func(c *eventsim.Config) {
-			c.Scenario, c.Transport = "flashcrowd", eventsim.Lossy{Rate: 0.05, Inner: eventsim.Empirical{}}
+		"-protocol chord -scenario flashcrowd -transport empirical -fault corrupt:0.05": with(func(c *eventsim.Config) {
+			c.Scenario, c.Transport, c.Fault = "flashcrowd", eventsim.Empirical{}, fault.Plan{Corrupt: 0.05}
 		}),
 		"-protocol symphony -scenario zipf -zipf 1.2 -format csv": with(func(c *eventsim.Config) {
 			c.Protocol, c.Scenario, c.Params.ZipfS = "symphony", "zipf", 1.2

@@ -1,6 +1,10 @@
 package eventsim
 
-import "testing"
+import (
+	"testing"
+
+	"rcm/fault"
+)
 
 // The engine's throughput, shard scaling and the 2^20 run are measured
 // by the repository benchmark (bash benchmark/run.sh); the two
@@ -21,17 +25,16 @@ func benchEvents(b *testing.B, cfg Config, run func(testing.TB, Config) *Result)
 	b.ReportAllocs()
 }
 
-// BenchmarkEventSimFault measures the fault middleware's cost to runs
-// that do not use it: /off is the plain transport, /noop wraps the same
-// transport in a Faulty whose only clause is a partition windowed past
-// the horizon — the injector is installed and consulted on every
-// dispatch but never fires a coin or drops a request, so the event
-// sequence is identical.
+// BenchmarkEventSimFault measures the fault injector's cost to runs that
+// do not use it: /off has no plan, /noop a plan whose only clause is a
+// partition windowed past the horizon — the injector is installed and
+// consulted on every dispatch but never fires a coin or drops a request,
+// so the event sequence is identical.
 func BenchmarkEventSimFault(b *testing.B) {
 	for _, mode := range []struct {
-		name      string
-		transport string
-	}{{"off", "constant"}, {"noop", "fault:partition:2@100-101/constant"}} {
+		name string
+		plan fault.Plan
+	}{{"off", fault.Plan{}}, {"noop", fault.Plan{Partition: &fault.Partition{Groups: 2, Window: fault.Window{From: 100, To: 101}}}}} {
 		b.Run(mode.name, func(b *testing.B) {
 			// 4096 nodes, a massive failure mid-run, a dense lookup
 			// workload and maintenance on — every event kind on the
@@ -45,12 +48,8 @@ func BenchmarkEventSimFault(b *testing.B) {
 				Shards:   4,
 				Maintain: true,
 				Seed:     1,
+				Fault:    mode.plan,
 			}
-			tr, err := ParseTransport(mode.transport)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg.Transport = tr
 			benchEvents(b, cfg, mustRun)
 		})
 	}

@@ -11,7 +11,7 @@
 // its own routing table and the evidence of timeouts. A forwarding node
 // picks its best candidate (registry.Forwarder order), waits for an
 // acknowledgement, and falls through to the next candidate when the
-// timeout fires. With churn disabled and a lossless transport, the set of
+// timeout fires. With churn disabled and no fault plan, the set of
 // pairs that complete is exactly the set the static greedy model routes —
 // the cross-validation test in crossvalidate_test.go enforces agreement —
 // so everything the event layer adds (latency, loss, churn races,
@@ -287,25 +287,27 @@
 //
 // # Fault injection
 //
-// Wrapping the transport in a Faulty (spec: fault:<plan>[/<inner>],
-// plans from rcm/fault) injects network faults beyond the lossy model:
-// timed partitions and delay spikes, duplication, reordering, corruption
-// and per-node stall episodes. Every clause faults requests only — acks
-// stay reliable, like the lossy transport, and for the same reason: it
+// Config.Fault takes a fault plan (rcm/fault) — the one way to inject
+// network faults, loss included: timed partitions and delay spikes,
+// duplication, reordering, corruption (a dropped request: this is loss)
+// and per-node stall episodes. The Transport stays a latency model.
+// Every clause faults requests only — acks stay reliable, because that
 // is the model a live wrapper can reproduce exactly. Each request's
 // decision is fault.Injector.Coins of a key a live replay derives too
 // (fault.Hop), and stalls are read at the lookup's scheduled instant, so
-// node.FaultTransport decides alike; only a duplicate's latency comes
-// from the shard's stream. Faults are billed into Result.Faults by the
-// rule on fault.Counts, and runs stay bit-identical across (Seed,
-// Shards); without a plan, runs are bit-identical to builds that
-// predate the capability. The faultstorm scenario (a stable
-// population under steady uniform load) is the intended substrate:
-// under it, every deviation from the lossless baseline is the plan's.
+// node.FaultTransport, given the same plan, decides alike; only a
+// duplicate's latency comes from the shard's stream. Faults are billed
+// into Result.Faults by the rule on fault.Counts, and runs stay
+// bit-identical across (Seed, Shards); without a plan, runs are
+// bit-identical to builds that predate the capability. The faultstorm
+// scenario (a stable population under steady uniform load) is the
+// intended substrate: under it, every deviation from the fault-free
+// baseline is the plan's.
 //
-// The retransmission timeout is fixed: 2×MaxLatency + MinLatency of
-// the transport, and a Faulty reports the plan-inflated MaxLatency, so
-// the invariant the pending ring relies on, RTO > 2×MaxLatency, holds
+// The retransmission timeout is fixed: 2×MaxLatency + MinLatency, with
+// MaxLatency the transport's bound inflated by the plan
+// (fault.Plan.InflateMax), so the invariant the pending ring relies on,
+// RTO > 2×MaxLatency, holds
 // under every plan. The forwarding model is the paper's — greedy, no backtracking,
 // independently failed nodes — and has no retransmission timer of its
 // own to adapt.

@@ -257,13 +257,10 @@ type engine struct {
 
 	trace int // sample every trace-th lookup's hop trace (0 = off)
 
-	// inj is the bound fault plan when Config.Transport is a Faulty
-	// (nil otherwise — the no-plan hot path consults no plan and is
-	// bit-identical to builds without fault injection). innerMax caches
-	// the unwrapped transport's MaxLatency, the bound a reorder's hold
-	// fraction is scaled by.
-	inj      *fault.Injector
-	innerMax float64
+	// inj is Config.Fault bound to the run (nil for the zero Plan — the
+	// no-plan hot path consults no plan and is bit-identical to builds
+	// without fault injection).
+	inj *fault.Injector
 }
 
 // traced reports whether lookup lk's path is being recorded. The
@@ -311,11 +308,11 @@ func (sh *shard) send(e ev) {
 	}
 }
 
-// sampleLatency draws a latency ignoring the delivery verdict — the path
-// failover notices take (modeled reliable like acknowledgements; see
+// sampleLatency draws an unfaulted latency, at least one lookahead — the
+// path failover notices take (modeled reliable like acknowledgements; see
 // doc.go).
 func (e *engine) sampleLatency(rng *overlay.RNG) float64 {
-	lat, _ := e.cfg.Transport.Sample(rng)
+	lat := e.cfg.Transport.Sample(rng)
 	if lat < e.delta {
 		lat = e.delta
 	}
@@ -545,38 +542,34 @@ func (sh *shard) handleRetry(e ev) {
 func (sh *shard) dispatch(t float64, lk, cur, next uint32, ci, try int, hops uint16, ri, mask uint8, prior uint16) {
 	eng := sh.eng
 	sh.acc[eng.bucketOf(t)].LookupMessages++
-	lat, delivered := eng.cfg.Transport.Sample(sh.rng)
+	lat := eng.cfg.Transport.Sample(sh.rng)
 	var dupLat float64
-	dupDelivered := false
+	lost, dup := false, false
 	if inj := eng.inj; inj != nil {
-		// Fault clauses apply to the request only (acks stay pure, like the
-		// lossy transport), in fault.Counts' order and by its tally rule:
-		// the coin-free partition first, then the transmission's coins,
-		// which a live node flips from the same key (fault.Hop). Only a
-		// duplicate's latency comes from the shard's stream.
+		// Fault clauses apply to the request only (acks stay pure), in
+		// fault.Counts' order and by its tally rule: the coin-free
+		// partition first, then the transmission's coins, which a live
+		// node flips from the same key (fault.Hop). Only a duplicate's
+		// latency comes from the shard's stream.
 		if inj.CrossPartition(uint64(cur), uint64(next), t) {
-			if delivered {
-				sh.faults.PartitionDrops++
-			}
-			delivered = false
+			sh.faults.PartitionDrops++
+			lost = true
 		} else {
 			l := &eng.lookups[lk]
 			c := inj.Coins(fault.Hop{T: l.T, From: uint64(cur), To: uint64(next), Owner: uint64(eng.owner(l.Dst, ri)), Hops: hops, Try: uint8(try)})
 			if c.Corrupt {
 				// The receiver's wire codec rejects the mangled packet: a drop.
-				if delivered {
-					sh.faults.Corrupts++
-				}
-				delivered = false
+				sh.faults.Corrupts++
+				lost = true
 			}
 			if c.Reorder {
-				lat += c.Hold * eng.innerMax
-				if delivered {
+				lat += c.Hold * eng.cfg.Transport.MaxLatency()
+				if !lost {
 					sh.faults.Reorders++
 				}
 			}
 			if c.Dup {
-				dupLat, dupDelivered = eng.cfg.Transport.Sample(sh.rng)
+				dupLat, dup = eng.cfg.Transport.Sample(sh.rng), true
 			}
 		}
 		if f := inj.DelayFactor(t); f > 1 {
@@ -598,15 +591,15 @@ func (sh *shard) dispatch(t float64, lk, cur, next uint32, ci, try int, hops uin
 		sh.recordTrace(lk, TraceEvent{T: t, Kind: TraceSend, Node: int(cur), To: int(next), Hops: int(hops + prior), Cand: ci, Try: try})
 	}
 	req := ev{t: t + lat, kind: evReq, node: next, lk: lk, a: id, b: cur, hops: hops, ri: ri, mask: mask, prior: prior}
-	if dupDelivered {
+	if dup {
 		if dupLat < eng.delta {
 			dupLat = eng.delta
 		}
 		sh.faults.Dups++
-		if !delivered {
+		if lost {
 			// Only the duplicate survived: it carries the request.
 			req.t = t + dupLat
-			delivered = true
+			lost = false
 		} else {
 			// Both copies arrive. The earlier one carries the request; the
 			// later one is absorbed by the receiver's dedupe window (one
@@ -619,7 +612,7 @@ func (sh *shard) dispatch(t float64, lk, cur, next uint32, ci, try int, hops uin
 			sh.send(ev{t: t + second, kind: evDup, node: next, lk: lk})
 		}
 	}
-	if delivered {
+	if !lost {
 		sh.send(req)
 	}
 	// The deadline is sequenced after the request and its duplicate.
@@ -673,8 +666,8 @@ func (sh *shard) handleReq(e ev) {
 // unstalled receiver re-acknowledges out of its dedupe window and drops
 // the payload — one extra message charged, no second forwarding. This
 // mirrors the live node's seen-map exactly, which is what keeps dup
-// plans outcome-invariant (and so conformance-pinnable) over a lossless
-// inner transport.
+// plans outcome-invariant (and so conformance-pinnable) when the plan
+// holds no loss.
 func (sh *shard) handleDup(e ev) {
 	eng := sh.eng
 	if eng.inj != nil && eng.inj.Stalled(uint64(e.node), eng.lookups[e.lk].T) {

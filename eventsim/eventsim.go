@@ -30,8 +30,13 @@ type Config struct {
 	Scenario string
 	// Params tunes the scenario; see Params for the defaults.
 	Params Params
-	// Transport models the network (default Constant{} — 50 ms, lossless).
+	// Transport models the network's latency (default Constant{} — 50 ms).
 	Transport Transport
+	// Fault is the run's fault plan (rcm/fault): loss (corrupt), partition,
+	// delay spike, duplication, reordering and stalls, injected into
+	// request traffic exactly as a live node injects the same plan. The
+	// zero Plan injects nothing.
+	Fault fault.Plan
 	// Seed drives every random stream of the run (default 1).
 	Seed uint64
 	// Shards is the number of event wheels the population is interleaved
@@ -57,9 +62,10 @@ type Config struct {
 	// *same* candidate after a timeout before failing over to the next
 	// one (default 2; negative disables retransmission). Without it a
 	// single lost request would permanently skip the best next hop. The
-	// timeout itself is not a knob: it is 2×Transport.MaxLatency() +
-	// MinLatency(), the tightest value that exceeds the worst-case round
-	// trip, so an acknowledged hop is never duplicated.
+	// timeout itself is not a knob: it is 2×MaxLatency + MinLatency, with
+	// MaxLatency the transport's bound inflated by the fault plan
+	// (fault.Plan.InflateMax) — the tightest value that exceeds the
+	// worst-case round trip, so an acknowledged hop is never duplicated.
 	Retransmits int
 	// Trace samples per-lookup hop traces: every Trace-th scheduled
 	// lookup (by schedule index; 1 records all) has its full path —
@@ -102,12 +108,19 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
+// maxLatency is the worst-case delivered request latency: the
+// transport's bound inflated by the fault plan's reorder hold-back and
+// delay-spike factor.
+func (cfg Config) maxLatency() float64 {
+	return cfg.Fault.InflateMax(cfg.Transport.MaxLatency())
+}
+
 // rto is the retransmission timeout a forwarding node waits before
 // trying again: 2×max + min, the tightest value above the worst-case
 // round trip. Validate still checks it, because a user Transport's
 // bounds are outside input (2×max can overflow, or swallow min).
 func (cfg Config) rto() float64 {
-	return 2*cfg.Transport.MaxLatency() + cfg.Transport.MinLatency()
+	return 2*cfg.maxLatency() + cfg.Transport.MinLatency()
 }
 
 // Validate rejects configurations the engine cannot run soundly. It is
@@ -118,6 +131,9 @@ func (cfg Config) Validate() error {
 		return scenarios.Unknown(cfg.Scenario)
 	}
 	if err := validateTransport(cfg.Transport); err != nil {
+		return err
+	}
+	if err := cfg.Fault.Validate(); err != nil {
 		return err
 	}
 	if err := cfg.Params.Validate(); err != nil {
@@ -132,7 +148,7 @@ func (cfg Config) Validate() error {
 			return fmt.Errorf("eventsim: %s = %v must be positive and finite", f.name, f.v)
 		}
 	}
-	if min := 2 * cfg.Transport.MaxLatency(); rto <= min {
+	if min := 2 * cfg.maxLatency(); rto <= min {
 		return fmt.Errorf("eventsim: RTO (2×MaxLatency + MinLatency) = %v must exceed the worst-case round trip %v — a shorter timeout would duplicate acknowledged hops", rto, min)
 	}
 	if cfg.Shards > 256 {
@@ -251,9 +267,8 @@ type Result struct {
 	// deadline counted as one event.
 	Lookups int
 	Events  uint64
-	// Faults tallies the injected faults when Config.Transport is a
-	// Faulty (all zero otherwise), per kind; deterministic like every
-	// other Result field.
+	// Faults tallies the faults Config.Fault injected (all zero without a
+	// plan), per kind; deterministic like every other Result field.
 	Faults fault.Counts
 }
 
@@ -418,13 +433,11 @@ func runOverlay(p registry.Protocol, cfg Config, newQueue func(delta float64) ev
 		onlineFrac: make([]float64, cfg.Buckets),
 		trace:      cfg.Trace,
 	}
-	if ft, ok := cfg.Transport.(Faulty); ok {
+	if !cfg.Fault.Empty() {
 		// Bind the fault plan to the run: seed-derived partition groups and
 		// stall episodes are fixed here, once, so every shard and scheduler
-		// sees the same schedule. innerMax is the unwrapped bound the
-		// reorder clause holds requests back by.
-		e.inj = ft.Plan.Bind(cfg.Seed, cfg.Duration)
-		e.innerMax = ft.inner().MaxLatency()
+		// sees the same schedule.
+		e.inj = cfg.Fault.Bind(cfg.Seed, cfg.Duration)
 	}
 	if cfg.Maintain {
 		if mnt, ok := p.(registry.Maintainer); ok {

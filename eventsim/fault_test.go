@@ -9,22 +9,26 @@ import (
 )
 
 // faultCfg is the shared fault-test substrate: a stable population
-// (faultstorm) over a constant transport, so every deviation from the
-// lossless baseline is attributable to the plan under test.
-func faultCfg(transport string) Config {
-	tr, err := ParseTransport(transport)
-	if err != nil {
-		panic(err)
+// (faultstorm) over a constant transport, running the fault plan spelled
+// plan ("" for none), so every deviation from the fault-free baseline is
+// attributable to the plan under test.
+func faultCfg(plan string) Config {
+	cfg := Config{
+		Protocol: "chord",
+		Overlay:  OverlayConfig{Bits: 8},
+		Scenario: "faultstorm",
+		Params:   Params{Rate: 500},
+		Duration: 4,
+		Seed:     42,
 	}
-	return Config{
-		Protocol:  "chord",
-		Overlay:   OverlayConfig{Bits: 8},
-		Scenario:  "faultstorm",
-		Params:    Params{Rate: 500},
-		Transport: tr,
-		Duration:  4,
-		Seed:      42,
+	if plan != "" {
+		p, err := fault.Parse(plan)
+		if err != nil {
+			panic(err)
+		}
+		cfg.Fault = p
 	}
+	return cfg
 }
 
 // TestFaultDeterministic locks the tentpole reproducibility contract for
@@ -34,7 +38,7 @@ func faultCfg(transport string) Config {
 func TestFaultDeterministic(t *testing.T) {
 	const plan = "partition:2@1-2,delayspike:3@2-3,dup:0.2,reorder:0.2,corrupt:0.1,stall:0.1:0.3"
 	for _, shards := range []int{1, 4} {
-		cfg := faultCfg("fault:" + plan + "/constant")
+		cfg := faultCfg(plan)
 		cfg.Shards = shards
 		a := mustRun(t, cfg)
 		b := mustRun(t, cfg)
@@ -57,7 +61,7 @@ func TestFaultDeterministic(t *testing.T) {
 // exactly 1 for lookups issued after the heal — the property figure E21
 // plots against the static model's prediction.
 func TestPartitionWindowRoutability(t *testing.T) {
-	cfg := faultCfg("fault:partition:2@2-4/constant")
+	cfg := faultCfg("partition:2@2-4")
 	cfg.Duration = 8
 	cfg.Buckets = 8
 	res := mustRun(t, cfg)
@@ -75,15 +79,15 @@ func TestPartitionWindowRoutability(t *testing.T) {
 	}
 }
 
-// TestDupReorderOutcomeInvariant: over a lossless inner transport,
+// TestDupReorderOutcomeInvariant: with no loss in the plan,
 // duplication and reordering change message counts and latencies but not
 // outcomes — per-bucket Started/Completed/SumHops and the hop-count
 // histograms equal the fault-free baseline exactly. This is the property
 // that makes dup/reorder cells conformance-pinnable histogram for
 // histogram against the live cluster.
 func TestDupReorderOutcomeInvariant(t *testing.T) {
-	base := mustRun(t, faultCfg("constant"))
-	res := mustRun(t, faultCfg("fault:dup:0.3,reorder:0.3/constant"))
+	base := mustRun(t, faultCfg(""))
+	res := mustRun(t, faultCfg("dup:0.3,reorder:0.3"))
 	if res.Faults.Dups == 0 || res.Faults.Reorders == 0 {
 		t.Fatalf("plan never fired: %s", res.Faults.String())
 	}
@@ -106,7 +110,7 @@ func TestDupReorderOutcomeInvariant(t *testing.T) {
 // occur, and success stays high because retransmission and candidate
 // failover absorb the damage.
 func TestCorruptAndStallRecoverable(t *testing.T) {
-	res := mustRun(t, faultCfg("fault:corrupt:0.1,stall:0.1:0.3/constant"))
+	res := mustRun(t, faultCfg("corrupt:0.1,stall:0.1:0.3"))
 	if res.Faults.Corrupts == 0 || res.Faults.StallDrops == 0 {
 		t.Fatalf("plan never fired: %s", res.Faults.String())
 	}
@@ -122,11 +126,11 @@ func TestCorruptAndStallRecoverable(t *testing.T) {
 	}
 }
 
-// TestLossyTotalBlackhole (the lossy:1.0 edge case): with every request
+// TestLossyTotalBlackhole (the corrupt:1 edge case): with every request
 // dropped, every started lookup fails — and the run still terminates with
 // the pending ring intact (no panic, every attempt retired once).
 func TestLossyTotalBlackhole(t *testing.T) {
-	cfg := faultCfg("lossy:1.0")
+	cfg := faultCfg("corrupt:1")
 	cfg.Overlay.Bits = 6
 	cfg.Params.Rate = 100
 	cfg.Duration = 2
@@ -144,48 +148,40 @@ func TestLossyTotalBlackhole(t *testing.T) {
 	}
 }
 
-// TestFaultSpecRoundTrip (nested grammar): fault plans compose over lossy
-// inner transports and round-trip through TransportSpec to a canonical
-// fixed point, aliases and default inners included.
+// TestFaultSpecRoundTrip: a plan spelled with aliases, in any clause
+// order, is the plan its canonical spelling (Plan.String) names — the
+// spelling cmd/eventsim's -fault flag and the conformance grid hand to
+// Config.Fault — and runs the same.
 func TestFaultSpecRoundTrip(t *testing.T) {
 	for in, canonical := range map[string]string{
-		"fault:dup:0.1/lossy:0.3:empirical:0.08": "fault:dup:0.1/lossy:0.3:empirical:0.08",
-		"FAULTS:part:2@1-2,dup:0.1":              "fault:partition:2@1-2,dup:0.1/constant:0.05",
-		"fault:stall:0.1:0.5/constant:0.02":      "fault:stall:0.1:0.5/constant:0.02",
+		" DUP:0.1 ":                  "dup:0.1",
+		"dup:0.1,part:2@1-2":         "partition:2@1-2,dup:0.1",
+		"stall:0.1:0.5,corrupt:0.05": "corrupt:0.05,stall:0.1:0.5",
 	} {
-		tr, err := ParseTransport(in)
-		if err != nil {
-			t.Errorf("ParseTransport(%q): %v", in, err)
-			continue
+		cfg := faultCfg(in)
+		if s := cfg.Fault.String(); s != canonical {
+			t.Errorf("fault.Parse(%q).String() = %q, want %q", in, s, canonical)
 		}
-		s := TransportSpec(tr)
-		if s != canonical {
-			t.Errorf("TransportSpec(ParseTransport(%q)) = %q, want %q", in, s, canonical)
-		}
-		again, err := ParseTransport(s)
-		if err != nil {
-			t.Errorf("ParseTransport(%q) (canonical respelling): %v", s, err)
-			continue
-		}
-		if TransportSpec(again) != s {
-			t.Errorf("canonical spelling not a fixed point: %q -> %q", s, TransportSpec(again))
+		again := faultCfg(canonical)
+		if !reflect.DeepEqual(mustRun(t, cfg), mustRun(t, again)) {
+			t.Errorf("%q and its canonical spelling %q ran differently", in, canonical)
 		}
 	}
 }
 
-// TestFaultPlanValidatedInConfig: a hand-built Faulty with a bad or empty
-// plan is rejected by Config.Validate, not silently run.
+// TestFaultPlanValidatedInConfig: a hand-built plan out of range is
+// rejected by Config.Validate, not silently run.
 func TestFaultPlanValidatedInConfig(t *testing.T) {
-	for name, tr := range map[string]Transport{
-		"empty plan": Faulty{},
-		"bad plan":   Faulty{Plan: fault.Plan{Dup: 1.5}},
+	for name, plan := range map[string]fault.Plan{
+		"bad probability": {Dup: 1.5},
+		"one group":       {Partition: &fault.Partition{Groups: 1, Window: fault.Window{From: 1, To: 2}}},
 	} {
-		cfg := faultCfg("constant")
-		cfg.Transport = tr
+		cfg := faultCfg("")
+		cfg.Fault = plan
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: Config.Validate accepted", name)
 		} else if !strings.Contains(err.Error(), "fault") {
-			t.Errorf("%s: error %q does not mention the fault transport", name, err)
+			t.Errorf("%s: error %q does not mention the fault plan", name, err)
 		}
 	}
 }

@@ -230,32 +230,39 @@ func TestParseSpellings(t *testing.T) {
 	}
 }
 
-// TestParseErrors is the table-driven error-path suite for ParseLifetime
-// specs: every rejected spelling must carry a descriptive message.
+// TestParseErrors is the table-driven error-path suite for Parse: every
+// rejected spelling must fail with a package-prefixed message naming what
+// is wrong, never a degenerate family.
 func TestParseErrors(t *testing.T) {
-	cases := map[string]string{
-		"unknown family":        "zipfian",
-		"bare colon":            ":1.5",
-		"exp with argument":     "exp:2",
-		"pareto junk arg":       "pareto:xyz",
-		"pareto alpha 1":        "pareto:1",
-		"pareto alpha 0.5":      "pareto:0.5",
-		"pareto alpha negative": "pareto:-3",
-		"weibull junk arg":      "weibull:k",
-		"weibull zero shape":    "weibull:-0.5",
-		"lognormal junk":        "lognormal:??",
-		"lognormal negative":    "lognormal:-1",
-		"trace no path":         "trace",
-		"trace missing file":    "trace:/definitely/not/a/file.txt",
+	cases := map[string]struct {
+		spec    string
+		wantSub string
+	}{
+		"unknown family":        {"zipfian", "unknown family"},
+		"bare colon":            {":1.5", "no family name"},
+		"exp with argument":     {"exp:2", "takes no argument"},
+		"pareto junk arg":       {"pareto:xyz", "argument"},
+		"pareto alpha 1":        {"pareto:1", "infinite mean"},
+		"pareto alpha 0.5":      {"pareto:0.5", "infinite mean"},
+		"pareto alpha negative": {"pareto:-3", "infinite mean"},
+		"weibull junk arg":      {"weibull:k", "argument"},
+		"weibull zero shape":    {"weibull:-0.5", "must be positive"},
+		"lognormal junk":        {"lognormal:??", "argument"},
+		"lognormal negative":    {"lognormal:-1", "must be positive"},
+		"trace no path":         {"trace", "file path"},
+		"trace missing file":    {"trace:/definitely/not/a/file.txt", "definitely/not/a/file.txt"},
 	}
-	for name, spec := range cases {
-		_, err := Parse(spec)
+	for name, tc := range cases {
+		fam, err := Parse(tc.spec)
 		if err == nil {
-			t.Errorf("%s: Parse(%q) accepted", name, spec)
+			t.Errorf("%s: Parse(%q) accepted (-> %v)", name, tc.spec, fam)
 			continue
 		}
 		if !strings.Contains(err.Error(), "lifetime:") {
 			t.Errorf("%s: error %q lacks package context", name, err)
+		}
+		if !strings.Contains(err.Error(), tc.wantSub) {
+			t.Errorf("%s: error %q does not mention %q", name, err, tc.wantSub)
 		}
 	}
 }

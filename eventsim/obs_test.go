@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// obsConfig is a small lossy churn run that exercises retransmission,
-// failover and failure paths, so distributions and traces see every
-// event kind.
+// obsConfig is a small lossless massfail run: the mid-run failure
+// exercises retransmission, failover and failure paths, so distributions
+// and traces see every event kind.
 func obsConfig() Config {
 	return Config{
 		Protocol: "chord",

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"rcm/fault"
 )
 
 // TestDeterministicAcrossGOMAXPROCS locks the persistent-worker engine's
@@ -13,8 +15,9 @@ import (
 // goroutines entirely) or by persistent workers racing on however many
 // cores the host offers. The scenario turns on every contention-prone
 // subsystem at once — churn lifecycles, maintenance (concurrent
-// routing-table reads and owner-row writes), a lossy empirical transport
-// (retransmissions, cross-shard acknowledgements) — and CI runs this
+// routing-table reads and owner-row writes), an empirical transport under
+// a corrupt plan (retransmissions, cross-shard acknowledgements) — and CI
+// runs this
 // under -race, so the test is simultaneously the bit-identity and the
 // data-race check for the worker/barrier architecture.
 func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
@@ -23,7 +26,8 @@ func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		Overlay:        OverlayConfig{Bits: 8},
 		Scenario:       "churn",
 		Params:         Params{MeanOnline: 1, MeanOffline: 0.25, Rate: 1500},
-		Transport:      Lossy{Rate: 0.05, Inner: Empirical{Median: 0.06}},
+		Transport:      Empirical{Median: 0.06},
+		Fault:          fault.Plan{Corrupt: 0.05},
 		Duration:       4,
 		Shards:         4,
 		Seed:           21,

@@ -63,7 +63,7 @@ func TestPendingRingWrapAndGrow(t *testing.T) {
 	}
 }
 
-// TestAckedAttemptsNeverTimeOut: on a lossless transport with no node
+// TestAckedAttemptsNeverTimeOut: with no loss and no node
 // failures every request is accepted, so every attempt is acknowledged
 // before its deadline — including acknowledgements that cross shards and
 // are applied only at the next epoch — and no retransmission timer may
@@ -72,19 +72,20 @@ func TestPendingRingWrapAndGrow(t *testing.T) {
 // Constant latency leaves the narrowest margin: its deadline falls
 // between one and two epochs after the epoch that acknowledged it.
 func TestAckedAttemptsNeverTimeOut(t *testing.T) {
-	for _, spec := range []string{"constant", "empirical", "fault:delayspike:3@1-3,reorder:0.2/empirical"} {
-		tr, err := ParseTransport(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, nw := range []network{
+		parseNetwork(t, "", "constant"),
+		parseNetwork(t, "", "empirical"),
+		parseNetwork(t, "delayspike:3@1-3,reorder:0.2", "empirical"),
+	} {
 		for shards := 1; shards <= 5; shards++ {
-			t.Run(fmt.Sprintf("%s/shards=%d", spec, shards), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/shards=%d", nw.label, shards), func(t *testing.T) {
 				res := mustRun(t, Config{
 					Protocol:  "chord",
 					Overlay:   OverlayConfig{Bits: 8},
 					Scenario:  "faultstorm",
 					Params:    Params{Rate: 500},
-					Transport: tr,
+					Transport: nw.transport,
+					Fault:     nw.plan,
 					Shards:    shards,
 					Duration:  4,
 					Seed:      5,

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"rcm/fault"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -18,38 +20,60 @@ type pinnedCase struct {
 	cfg  Config
 }
 
+// network is a run's transport and fault plan, parsed from their
+// spellings. Its label names it in test and golden-file rows: the
+// transport spelling alone, or fault:<plan>/<transport> under a plan.
+type network struct {
+	label     string
+	transport Transport
+	plan      fault.Plan
+}
+
+func parseNetwork(tb testing.TB, plan, transport string) network {
+	tb.Helper()
+	tr, err := ParseTransport(transport)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n := network{label: transport, transport: tr}
+	if plan != "" {
+		if n.plan, err = fault.Parse(plan); err != nil {
+			tb.Fatal(err)
+		}
+		n.label = "fault:" + plan + "/" + transport
+	}
+	return n
+}
+
 // pinnedCases is the matrix TestResultsPinned holds to fixed digests:
-// both routing-table protocols, over the three plain transports and three
-// fault plans, at one, three and four shards under massfail; replicated
-// churn with maintenance; and one traced run, so WriteTraces' text is
-// part of what is pinned. Each lossy case has a corrupt-plan twin at the
-// same loss rate.
+// both routing-table protocols, over the two transports alone and under
+// three fault plans, at one, three and four shards under massfail;
+// replicated churn with maintenance under loss; and one traced run under
+// loss, so WriteTraces' text is part of what is pinned.
 func pinnedCases(tb testing.TB) []pinnedCase {
 	tb.Helper()
-	transports := []string{
-		"constant",
-		"empirical",
-		"lossy:0.1:empirical",
-		"fault:corrupt:0.1/empirical",
-		"fault:partition:2@1-2,dup:0.1/empirical",
-		"fault:delayspike:3@1-3,reorder:0.2,corrupt:0.05,stall:0.1:0.3/empirical",
+	networks := []network{
+		parseNetwork(tb, "", "constant"),
+		parseNetwork(tb, "", "empirical"),
+		parseNetwork(tb, "corrupt:0.1", "empirical"),
+		parseNetwork(tb, "partition:2@1-2,dup:0.1", "empirical"),
+		parseNetwork(tb, "delayspike:3@1-3,reorder:0.2,corrupt:0.05,stall:0.1:0.3", "empirical"),
 	}
+	lossy := parseNetwork(tb, "corrupt:0.05", "empirical")
+	traced := parseNetwork(tb, "corrupt:0.1", "empirical")
 	var cases []pinnedCase
 	for _, proto := range []string{"chord", "kademlia"} {
-		for _, spec := range transports {
-			tr, err := ParseTransport(spec)
-			if err != nil {
-				tb.Fatal(err)
-			}
+		for _, nw := range networks {
 			for _, shards := range []int{1, 3, 4} {
 				cases = append(cases, pinnedCase{
-					name: fmt.Sprintf("%s/massfail/%s/shards=%d", proto, spec, shards),
+					name: fmt.Sprintf("%s/massfail/%s/shards=%d", proto, nw.label, shards),
 					cfg: Config{
 						Protocol:  proto,
 						Overlay:   OverlayConfig{Bits: 8},
 						Scenario:  "massfail",
 						Params:    Params{FailFraction: 0.3, FailTime: 1, Rate: 400},
-						Transport: tr,
+						Transport: nw.transport,
+						Fault:     nw.plan,
 						Shards:    shards,
 						Duration:  3,
 						Buckets:   3,
@@ -59,50 +83,40 @@ func pinnedCases(tb testing.TB) []pinnedCase {
 			}
 		}
 		for _, shards := range []int{1, 3} {
-			for _, spec := range []string{"lossy:0.05:empirical", "fault:corrupt:0.05/empirical"} {
-				tr, err := ParseTransport(spec)
-				if err != nil {
-					tb.Fatal(err)
-				}
-				cases = append(cases, pinnedCase{
-					name: fmt.Sprintf("%s/churn/replicas=3/%s/shards=%d", proto, spec, shards),
-					cfg: Config{
-						Protocol:  proto,
-						Overlay:   OverlayConfig{Bits: 8},
-						Scenario:  "churn",
-						Params:    Params{MeanOnline: 1, MeanOffline: 0.25, Rate: 400, Replicas: 3},
-						Transport: tr,
-						Shards:    shards,
-						Duration:  3,
-						Buckets:   3,
-						Seed:      11,
-						Maintain:  true,
-					},
-				})
-			}
+			cases = append(cases, pinnedCase{
+				name: fmt.Sprintf("%s/churn/replicas=3/%s/shards=%d", proto, lossy.label, shards),
+				cfg: Config{
+					Protocol:  proto,
+					Overlay:   OverlayConfig{Bits: 8},
+					Scenario:  "churn",
+					Params:    Params{MeanOnline: 1, MeanOffline: 0.25, Rate: 400, Replicas: 3},
+					Transport: lossy.transport,
+					Fault:     lossy.plan,
+					Shards:    shards,
+					Duration:  3,
+					Buckets:   3,
+					Seed:      11,
+					Maintain:  true,
+				},
+			})
 		}
 	}
-	for _, spec := range []string{"lossy:0.1:empirical", "fault:corrupt:0.1/empirical"} {
-		tr, err := ParseTransport(spec)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		cases = append(cases, pinnedCase{
-			name: fmt.Sprintf("chord/massfail/%s/shards=3/trace=5", spec),
-			cfg: Config{
-				Protocol:  "chord",
-				Overlay:   OverlayConfig{Bits: 7},
-				Scenario:  "massfail",
-				Params:    Params{FailFraction: 0.3, FailTime: 1, Rate: 200},
-				Transport: tr,
-				Shards:    3,
-				Duration:  2,
-				Buckets:   2,
-				Seed:      3,
-				Trace:     5,
-			},
-		})
-	}
+	cases = append(cases, pinnedCase{
+		name: fmt.Sprintf("chord/massfail/%s/shards=3/trace=5", traced.label),
+		cfg: Config{
+			Protocol:  "chord",
+			Overlay:   OverlayConfig{Bits: 7},
+			Scenario:  "massfail",
+			Params:    Params{FailFraction: 0.3, FailTime: 1, Rate: 200},
+			Transport: traced.transport,
+			Fault:     traced.plan,
+			Shards:    3,
+			Duration:  2,
+			Buckets:   2,
+			Seed:      3,
+			Trace:     5,
+		},
+	})
 	return cases
 }
 

@@ -164,7 +164,7 @@ func (p Params) Validate() error {
 			}
 			continue
 		}
-		if _, err := ParseLifetime(f.spec); err != nil {
+		if _, err := lifetime.Parse(f.spec); err != nil {
 			return fmt.Errorf("eventsim: %s: %w", f.name, err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"rcm/eventsim/lifetime"
 	"rcm/overlay"
 )
 
@@ -138,10 +139,10 @@ func (correlated) Program(env *Env) error {
 // faultstorm is the fault-injection substrate: the whole population stays
 // online for the whole run with uniform Poisson lookups throughout, so
 // every success dip, hop inflation or timeout burst is attributable to
-// the transport's fault plan alone — pair it with a fault:<plan>/...
-// transport (rcm/fault) rather than a churn scenario, which would
-// confound node lifecycle with injected network faults. With a lossless
-// plain transport it degenerates to the uniform baseline.
+// the run's fault plan alone — pair it with Config.Fault (rcm/fault)
+// rather than a churn scenario, which would confound node lifecycle with
+// injected network faults. Without a plan it degenerates to the uniform
+// baseline.
 type faultstorm struct{}
 
 func (faultstorm) Name() string { return "faultstorm" }
@@ -159,7 +160,36 @@ func (faultstorm) Program(env *Env) error {
 // lifetime *shape*. The two registrants differ in where on comes from.
 type renewal struct {
 	name    string
-	on, off Lifetime
+	on, off lifetime.Dist
+}
+
+// lifetimeDists resolves the (Lifetime, Downtime) spec pair of a Params
+// against the (MeanOnline, MeanOffline) means — the shared constructor of
+// the lifetime-model scenarios. Empty specs select the given defaults.
+// Both the parsed families and the mean-pinned distributions are
+// returned: heavytail/tracechurn sample the distributions directly, the
+// diurnal scenario re-pins the families at modulated means per session.
+func lifetimeDists(p Params, defaultOn, defaultOff string) (onFam, offFam lifetime.Family, on, off lifetime.Dist, err error) {
+	onSpec, offSpec := p.Lifetime, p.Downtime
+	if onSpec == "" {
+		onSpec = defaultOn
+	}
+	if offSpec == "" {
+		offSpec = defaultOff
+	}
+	if onFam, err = lifetime.Parse(onSpec); err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("eventsim: Lifetime: %w", err)
+	}
+	if offFam, err = lifetime.Parse(offSpec); err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("eventsim: Downtime: %w", err)
+	}
+	if on, err = onFam.Dist(p.MeanOnline); err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("eventsim: Lifetime at MeanOnline: %w", err)
+	}
+	if off, err = offFam.Dist(p.MeanOffline); err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("eventsim: Downtime at MeanOffline: %w", err)
+	}
+	return onFam, offFam, on, off, nil
 }
 
 // newHeavytail defaults the online family to Pareto α = 1.5 and the
@@ -210,7 +240,7 @@ func (s renewal) Program(env *Env) error {
 // long-run q_eff with period DiurnalPeriod and amplitude set by
 // DiurnalAmplitude.
 type diurnal struct {
-	onF, offF LifetimeFamily
+	onF, offF lifetime.Family
 }
 
 func newDiurnal(p Params) (Scenario, error) {

@@ -2,7 +2,6 @@ package eventsim
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"rcm/eventsim/lifetime"
@@ -12,7 +11,7 @@ import (
 // TestTransportSpecRoundTrip: TransportSpec is a parseable rendering —
 // ParseTransport(TransportSpec(tr)) reconstructs an equivalent transport
 // for every value the spec grammar can produce, across a generated corpus
-// of latencies, medians, rates and nestings.
+// of latencies and medians.
 func TestTransportSpecRoundTrip(t *testing.T) {
 	rng := overlay.NewRNG(42)
 	corpus := []Transport{
@@ -20,19 +19,11 @@ func TestTransportSpecRoundTrip(t *testing.T) {
 		Constant{Latency: 0.05},
 		Empirical{},
 		Empirical{Median: 0.08},
-		Lossy{},
-		Lossy{Rate: 0.05},
-		Lossy{Rate: 0.1, Inner: Empirical{Median: 0.2}},
 	}
 	for i := 0; i < 50; i++ {
 		lat := 0.001 + rng.Float64()
 		med := 0.001 + rng.Float64()
-		rate := rng.Float64() * 0.99
-		var inner Transport = Constant{Latency: lat}
-		if rng.Bernoulli(0.5) {
-			inner = Empirical{Median: med}
-		}
-		corpus = append(corpus, Constant{Latency: lat}, Empirical{Median: med}, Lossy{Rate: rate, Inner: inner})
+		corpus = append(corpus, Constant{Latency: lat}, Empirical{Median: med})
 	}
 	for _, tr := range corpus {
 		s := TransportSpec(tr)
@@ -54,65 +45,6 @@ func TestTransportSpecRoundTrip(t *testing.T) {
 		// And the re-rendered spec is a fixed point.
 		if again := TransportSpec(got); again != s {
 			t.Errorf("TransportSpec not idempotent: %q -> %q", s, again)
-		}
-	}
-}
-
-// TestNestedLossySpecStrings: the spelled-out nested grammar — a lossy
-// spec whose argument is itself a full transport spec — parses, renders
-// back to a canonical spelling through TransportSpec, and that spelling is
-// a fixed point of parse∘render. Aliases and case fold away in the
-// canonical rendering.
-func TestNestedLossySpecStrings(t *testing.T) {
-	for in, canonical := range map[string]string{
-		"lossy:0.05:empirical:0.08": "lossy:0.05:empirical:0.08",
-		"lossy:0.1:constant:0.02":   "lossy:0.1:constant:0.02",
-		" LOSSY:0.2:King:0.06 ":     "lossy:0.2:empirical:0.06",
-		"lossy:0.3:const:0.01":      "lossy:0.3:constant:0.01",
-	} {
-		tr, err := ParseTransport(in)
-		if err != nil {
-			t.Errorf("ParseTransport(%q): %v", in, err)
-			continue
-		}
-		s := TransportSpec(tr)
-		if s != canonical {
-			t.Errorf("TransportSpec(ParseTransport(%q)) = %q, want %q", in, s, canonical)
-		}
-		again, err := ParseTransport(s)
-		if err != nil {
-			t.Errorf("ParseTransport(%q) (canonical respelling): %v", s, err)
-			continue
-		}
-		if TransportSpec(again) != s {
-			t.Errorf("canonical spelling not a fixed point: %q -> %q", s, TransportSpec(again))
-		}
-	}
-}
-
-// TestNestedLossySpecErrors: the nested grammar's failure modes are
-// descriptive errors, not silent defaults — a doubly-nested lossy, an
-// out-of-range or unparseable rate, and an unknown inner transport all
-// reject with the offending part named.
-func TestNestedLossySpecErrors(t *testing.T) {
-	for name, tc := range map[string]struct {
-		spec    string
-		wantSub string
-	}{
-		"double nesting":   {"lossy:0.1:lossy:0.05:constant", "cannot nest another lossy"},
-		"rate too high":    {"lossy:1.5", "out of [0,1]"},
-		"negative rate":    {"lossy:-0.1", "out of [0,1]"},
-		"unparseable rate": {"lossy:fast", `loss rate "fast"`},
-		"unknown inner":    {"lossy:0.05:warp", `unknown transport "warp"`},
-		"nameless inner":   {"lossy:0.05::0.1", "argument but no transport name"},
-	} {
-		_, err := ParseTransport(tc.spec)
-		if err == nil {
-			t.Errorf("%s: ParseTransport(%q) accepted", name, tc.spec)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.wantSub) {
-			t.Errorf("%s: error %q does not mention %q", name, err, tc.wantSub)
 		}
 	}
 }

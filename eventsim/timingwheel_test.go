@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rcm/fault"
 	"rcm/internal/dht"
 	"rcm/overlay"
 )
@@ -517,7 +518,8 @@ func TestWheelSteadyStateAllocs(t *testing.T) {
 // hierarchical timing wheels must be bit-identical to the binary-heap
 // reference — same buckets, counters, hop sums, online fractions and
 // event totals — across every built-in scenario, with maintenance on and
-// a lossy empirical transport so all event kinds and retry paths fire.
+// an empirical transport under a 5% corrupt plan, so all event kinds and
+// retry paths fire.
 func TestSchedulersBitIdentical(t *testing.T) {
 	trace := testTracePath(t)
 	for _, scenario := range ScenarioNames() {
@@ -526,7 +528,8 @@ func TestSchedulersBitIdentical(t *testing.T) {
 			Overlay:   OverlayConfig{Bits: 8},
 			Scenario:  scenario,
 			Params:    Params{FailFraction: 0.3, Rate: 800, ZipfS: 1.1, MeanOnline: 1, MeanOffline: 0.25},
-			Transport: Lossy{Rate: 0.05, Inner: Empirical{Median: 0.06}},
+			Transport: Empirical{Median: 0.06},
+			Fault:     fault.Plan{Corrupt: 0.05},
 			Duration:  5,
 			Shards:    3,
 			Seed:      99,

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rcm/eventsim"
+	"rcm/fault"
 )
 
 // TestParseModeRoundTrip: ParseMode is the exact inverse of Mode.String
@@ -190,9 +191,15 @@ func TestEventPlanValidation(t *testing.T) {
 	}
 
 	badTransport := base
-	badTransport.Events = []eventsim.Config{{Scenario: "massfail", Transport: eventsim.Lossy{Rate: 2}}}
+	badTransport.Events = []eventsim.Config{{Scenario: "massfail", Transport: eventsim.Empirical{Median: -1}}}
 	if err := badTransport.Validate(ModeEvent); err == nil {
 		t.Error("out-of-domain transport accepted")
+	}
+
+	badFault := base
+	badFault.Events = []eventsim.Config{{Scenario: "massfail", Fault: fault.Plan{Corrupt: 2}}}
+	if err := badFault.Validate(ModeEvent); err == nil {
+		t.Error("out-of-domain fault plan accepted")
 	}
 
 	badParams := base

@@ -14,15 +14,16 @@
 //	corrupt:<p>                    corrupt a request with prob. p
 //	stall:<p>:<mean>               node alive but ignoring requests
 //
-// for example "partition:2@1-2,dup:0.1". Plans compose into transport
-// specs as fault:<plan>/<inner-transport> (eventsim.ParseTransport) and
-// into live clusters through cluster.Config.Fault; Plan.String renders
-// the canonical spelling, so plans round-trip through TransportSpec.
+// for example "partition:2@1-2,dup:0.1". A plan is the one way to inject
+// faults, loss ("corrupt") included, in both executors: eventsim takes it
+// as eventsim.Config.Fault, live clusters as cluster.Config.Fault and
+// single nodes as node.FaultConfig.Plan. Plan.String renders the
+// canonical spelling, and Parse(p.String()) reproduces p.
 //
 // # Determinism contract
 //
-// Every clause applies to forward (request) traffic only, mirroring the
-// lossy transport: acknowledgements and responses are never faulted.
+// Every clause applies to forward (request) traffic only:
+// acknowledgements and responses are never faulted.
 // That keeps eventsim's ACK-ownership invariant intact and means a
 // partition never needs to fault a response — a request only ever
 // reaches a holder inside the sender's own group, so replies never
@@ -65,6 +66,6 @@
 //
 // To extend the grammar itself, register a clause factory in this
 // package (see fault.go's init) — the name then resolves everywhere
-// plans parse: transport specs, cluster configs and the -fault flags of
-// cmd/eventsim and cmd/rcmd.
+// plans parse: Parse itself, cluster.Config.Fault and the -fault flags
+// of cmd/eventsim and cmd/rcmd.
 package fault

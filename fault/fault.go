@@ -47,8 +47,9 @@ type Stall struct {
 
 // Plan is one composed fault schedule: at most one clause of each kind.
 // The zero Plan injects nothing. Dup, Reorder and Corrupt are per-request
-// probabilities; like the lossy transport, every clause applies to
-// forward (request) traffic only — acknowledgements and responses are
+// probabilities, Corrupt being loss: the receiver drops the mangled
+// request. Every clause applies to forward (request) traffic only —
+// acknowledgements and responses are
 // never faulted, which keeps the ACK-ownership invariant intact and is
 // what a live FaultTransport wrapper can reproduce exactly.
 type Plan struct {
@@ -124,8 +125,8 @@ func Parse(s string) (Plan, error) {
 }
 
 // String renders the plan in canonical clause order; Parse(p.String())
-// reproduces p exactly, which is what lets a plan ride inside a
-// transport spec round trip. The empty plan renders as "".
+// reproduces p exactly, so a run's output can name its plan by this
+// spelling. The empty plan renders as "".
 func (p Plan) String() string {
 	var parts []string
 	if pt := p.Partition; pt != nil {
@@ -207,8 +208,9 @@ func validWindow(name string, w Window) error {
 // InflateMax returns the worst-case delivered latency under the plan for
 // a message whose fault-free latency is at most max: reorder can hold a
 // request for up to one extra max, and a delay spike multiplies the
-// total. Transport wrappers report this as their MaxLatency so the
-// engine's RTO floor (RTO > 2 x MaxLatency) stays safe automatically.
+// total. eventsim bounds its retransmission timeout by this (RTO >
+// 2 x InflateMax of the transport's MaxLatency), so the RTO floor stays
+// safe under every plan automatically.
 func (p Plan) InflateMax(max float64) float64 {
 	out := max
 	if p.Reorder > 0 {

@@ -5,6 +5,7 @@ import (
 
 	"rcm/eventsim"
 	"rcm/exp"
+	"rcm/fault"
 	"rcm/internal/core"
 	"rcm/internal/table"
 )
@@ -16,7 +17,7 @@ func init() {
 // Partition is experiment E21: routability through a network partition,
 // scored against the static framework's prediction. A 2-way partition
 // splits the population down a deterministic cut for the middle third of
-// the run (rcm/fault's partition clause, injected at the transport);
+// the run (rcm/fault's partition clause, cutting request traffic);
 // from any source's viewpoint the other half of the population is
 // unreachable, which the static model summarizes as a failed fraction
 // q = 1/2. The predicted lookup success is then (1−q)·r(N,q) — the
@@ -39,16 +40,14 @@ func Partition(opt Options) ([]*table.Table, error) {
 		from, to = 2.0, 4.0
 		q        = 0.5 // a 2-way cut hides half the population from any source
 	)
-	transport, err := eventsim.ParseTransport(fmt.Sprintf("fault:partition:2@%g-%g/constant:0.01", from, to))
-	if err != nil {
-		return nil, err
-	}
+	cut := fault.Plan{Partition: &fault.Partition{Groups: 2, Window: fault.Window{From: from, To: to}}}
 	ks := []int{1, 3}
 	settings := make([]eventsim.Config, 0, len(ks))
 	for _, k := range ks {
 		settings = append(settings, eventsim.Config{
 			Scenario:  "faultstorm",
-			Transport: transport,
+			Transport: eventsim.Constant{Latency: 0.01},
+			Fault:     cut,
 			Params: eventsim.Params{
 				Rate:     float64(opt.Pairs),
 				Replicas: k,

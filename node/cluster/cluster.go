@@ -58,8 +58,8 @@ type Config struct {
 	// ...); when set, every node's transport is wrapped in a
 	// node.FaultTransport running the plan against the cluster's shared
 	// plan clock. Replay advances that clock in schedule time — so the
-	// live cluster suffers the same fault schedule an eventsim run of the
-	// fault-wrapped transport simulates — and before any Replay it reads
+	// live cluster suffers the same fault schedule an eventsim run with
+	// the same Config.Fault simulates — and before any Replay it reads
 	// the network's seconds since boot (virtual on "sim"), so an
 	// interactive cluster's windowed clauses fire on its own time.
 	Fault string

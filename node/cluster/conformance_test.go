@@ -100,19 +100,18 @@ func (c cell) name() string {
 }
 
 // config is the cell's eventsim run: the conformance scenario over a
-// constant 10 ms transport, fault-wrapped when the cell has a plan, with
-// every lookup traced. The overlay and the run share one seed, which is
-// also the live cluster's: the tables and the plan's choices match.
+// constant 10 ms transport, under the cell's plan, with every lookup
+// traced. The overlay and the run share one seed, which is also the live
+// cluster's: the tables and the plan's choices match.
 func (c cell) config(t *testing.T) eventsim.Config {
 	t.Helper()
 	const seed = 11
-	spec := "constant:0.01"
+	var plan fault.Plan
 	if c.plan != "" {
-		spec = "fault:" + c.plan + "/" + spec
-	}
-	tr, err := eventsim.ParseTransport(spec)
-	if err != nil {
-		t.Fatal(err)
+		var err error
+		if plan, err = fault.Parse(c.plan); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return eventsim.Config{
 		Protocol:    c.protocol,
@@ -121,18 +120,19 @@ func (c cell) config(t *testing.T) eventsim.Config {
 		Params:      eventsim.Params{FailFraction: c.q, Rate: 200, Replicas: c.replicas},
 		Duration:    6,
 		Seed:        seed,
-		Transport:   tr,
+		Transport:   eventsim.Constant{Latency: 0.01},
+		Fault:       plan,
 		Retransmits: c.retransmits,
 		Trace:       1,
 	}
 }
 
-// bootCluster boots cfg's live cluster, running plan, on the given
-// transport and RTO. On "sim" the RTO is virtual time: 15 ms is above the
+// bootCluster boots cfg's live cluster, running cfg's fault plan, on the
+// given transport and RTO. On "sim" the RTO is virtual time: 15 ms is above the
 // longest live round trip (two 1 ms deliveries plus the fault wrapper's
 // hold-back, at most 6 ms under delayspike:3 with a reorder), so no
 // timeout fires spuriously.
-func bootCluster(t *testing.T, cfg eventsim.Config, plan, transport string, rto time.Duration) *Cluster {
+func bootCluster(t *testing.T, cfg eventsim.Config, transport string, rto time.Duration) *Cluster {
 	t.Helper()
 	c, err := New(Config{
 		Protocol:     cfg.Protocol,
@@ -143,7 +143,7 @@ func bootCluster(t *testing.T, cfg eventsim.Config, plan, transport string, rto 
 		Retransmits:  cfg.Retransmits,
 		Deadline:     3 * time.Second,
 		Replicas:     cfg.Params.Replicas,
-		Fault:        plan,
+		Fault:        cfg.Fault.String(),
 		FaultHorizon: cfg.Duration,
 	})
 	if err != nil {
@@ -258,7 +258,7 @@ func TestConformanceLiveVsEventsim(t *testing.T) {
 		t.Run(cl.name(), func(t *testing.T) {
 			t.Parallel() // cells share nothing: each boots its own network
 			cfg := cl.config(t)
-			c := bootCluster(t, cfg, cl.plan, "sim", 15*time.Millisecond)
+			c := bootCluster(t, cfg, "sim", 15*time.Millisecond)
 			checkLookups(t, cfg, c)
 			// A clause that never fired proves nothing; a delay spike
 			// leaves no tally.
@@ -279,7 +279,7 @@ func TestConformanceWallClock(t *testing.T) {
 	for _, protocol := range []string{"chord", "kademlia", "singlehop"} {
 		t.Run(protocol, func(t *testing.T) {
 			cfg := cell{protocol, 7, 0.2, 1, "", -1}.config(t)
-			checkLookups(t, cfg, bootCluster(t, cfg, "", "mem", 100*time.Millisecond))
+			checkLookups(t, cfg, bootCluster(t, cfg, "mem", 100*time.Millisecond))
 		})
 	}
 }
@@ -302,7 +302,7 @@ func TestReplayChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := bootCluster(t, cfg, "", "sim", 15*time.Millisecond)
+	c := bootCluster(t, cfg, "sim", 15*time.Millisecond)
 	report, err := c.Replay(sched)
 	if err != nil {
 		t.Fatal(err)
@@ -357,7 +357,7 @@ func TestReplayRestartWindowNoDoubleCount(t *testing.T) {
 		Retransmits: -1,
 		Trace:       1,
 	}
-	res := checkLookups(t, cfg, bootCluster(t, cfg, "", "sim", 15*time.Millisecond))
+	res := checkLookups(t, cfg, bootCluster(t, cfg, "sim", 15*time.Millisecond))
 	failedOver := 0
 	for _, tr := range res.Traces {
 		for _, ev := range tr.Events {
@@ -380,7 +380,7 @@ func TestReplayRejectsMismatchedPopulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small := bootCluster(t, cell{"chord", 3, 0, 1, "", -1}.config(t), "", "sim", 15*time.Millisecond)
+	small := bootCluster(t, cell{"chord", 3, 0, 1, "", -1}.config(t), "sim", 15*time.Millisecond)
 	if _, err := small.Replay(sched); err == nil {
 		t.Error("mismatched population accepted")
 	}
@@ -405,7 +405,7 @@ func TestSimReplayDeterministic(t *testing.T) {
 		msgs   uint64
 	}
 	replay := func() run {
-		c := bootCluster(t, cfg, plan, "sim", 15*time.Millisecond)
+		c := bootCluster(t, cfg, "sim", 15*time.Millisecond)
 		report, err := c.Replay(sched)
 		if err != nil {
 			t.Fatal(err)

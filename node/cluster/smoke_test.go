@@ -37,7 +37,7 @@ func TestClusterSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s k=%d: BuildSchedule: %v", cell.protocol, cell.replicas, err)
 		}
-		c := bootCluster(t, cfg, "", "sim", 15*time.Millisecond)
+		c := bootCluster(t, cfg, "sim", 15*time.Millisecond)
 		report, err := c.Replay(sched)
 		if err != nil {
 			t.Fatalf("%s k=%d: replay: %v", cell.protocol, cell.replicas, err)

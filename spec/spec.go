@@ -64,7 +64,7 @@ type registrant[E any] struct {
 // NewRegistry returns an empty registry. prefix is the error-message
 // package prefix ("eventsim"), noun is the vocabulary word used in errors
 // ("transport" — producing e.g. `eventsim: unknown transport "warp" (have
-// constant, empirical, lossy)`).
+// constant, empirical)`).
 func NewRegistry[E any](prefix, noun string) *Registry[E] {
 	return &Registry[E]{prefix: prefix, noun: noun, index: map[string]registrant[E]{}}
 }
@@ -230,8 +230,8 @@ func (t *Table[T]) Parse(s string) (T, error) {
 }
 
 // Split separates a spec into its name and argument parts at the first
-// ':' — "pareto:1.5" is ("pareto", "1.5"), "lossy:0.05:empirical" is
-// ("lossy", "0.05:empirical"), "exp" is ("exp", ""). The name is trimmed;
+// ':' — "pareto:1.5" is ("pareto", "1.5"), "stall:0.1:0.5" is
+// ("stall", "0.1:0.5"), "exp" is ("exp", ""). The name is trimmed;
 // the argument is passed through verbatim (factories own its grammar).
 func Split(s string) (name, arg string) {
 	name, arg, _ = strings.Cut(strings.TrimSpace(s), ":")

@@ -154,7 +154,7 @@ func TestSplit(t *testing.T) {
 	for s, want := range map[string][2]string{
 		"exp":                  {"exp", ""},
 		"pareto:1.5":           {"pareto", "1.5"},
-		" lossy:0.05:king ":    {"lossy", "0.05:king"},
+		" stall:0.1:0.5 ":      {"stall", "0.1:0.5"},
 		"":                     {"", ""},
 		"lru:1024":             {"lru", "1024"},
 		"trace:/tmp/a b.txt":   {"trace", "/tmp/a b.txt"},
