@@ -1,6 +1,8 @@
 package rcm_test
 
 import (
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -10,6 +12,7 @@ import (
 
 	"rcm/eventsim"
 	"rcm/eventsim/lifetime"
+	"rcm/fault"
 	"rcm/internal/figures"
 	"rcm/internal/registry"
 	"rcm/node"
@@ -24,6 +27,7 @@ var flagValues = map[string]func(value string) bool{
 	"scenario":  func(v string) bool { _, ok := eventsim.LookupScenario(v); return ok },
 	"fig":       func(v string) bool { return v == "all" || slices.Contains(figures.Names(), v) },
 	"transport": func(v string) bool { _, err := eventsim.ParseTransport(v); return err == nil },
+	"fault":     func(v string) bool { _, err := fault.Parse(v); return err == nil },
 	"store":     func(v string) bool { _, err := node.ParseStore(v); return err == nil },
 	"lifetime": func(v string) bool {
 		name, _ := spec.Split(v) // a trace:<file> value names a family, not a file that exists here
@@ -34,8 +38,9 @@ var flagValues = map[string]func(value string) bool{
 
 // TestDocsNameOnlyWhatExists: every cmd/<name>, scripts/<file> and
 // bench/<file> path the instructions mention must exist, so deleting a
-// tool cannot leave a README, Makefile, CI or skill line pointing at
-// nothing; and every -flag on a command line that starts with a cmd/
+// tool cannot leave a README, Makefile, CI or skill line, or a command's
+// package doc, pointing at nothing; and every -flag on a command line
+// that starts with a cmd/
 // binary's name — a whole line, or a backticked span — must be declared
 // (as a "flag" literal) in that binary's source; and the value after a
 // flag that names a registrant (flagValues) must resolve in its registry,
@@ -55,12 +60,25 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 			sources[filepath.Base(filepath.Dir(f))] += string(src)
 		}
 	}
+	docs := map[string]string{}
 	for _, doc := range []string{"README.md", "Makefile", ".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"} {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		text := string(raw)
+		docs[doc] = string(raw)
+	}
+	for _, f := range mains {
+		if filepath.Base(f) != "main.go" {
+			continue
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.PackageClauseOnly|parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[f] = file.Doc.Text()
+	}
+	for doc, text := range docs {
 		for _, m := range ref.FindAllStringSubmatch(text, -1) {
 			if _, err := os.Stat(strings.TrimRight(m[1], ".")); err != nil {
 				t.Errorf("%s names %s: %v", doc, m[1], err)
