@@ -119,10 +119,10 @@ type Plan struct {
 	Qs []float64
 	// Events lists the message-level runs executed under ModeEvent, each
 	// in the event engine's own vocabulary: an eventsim.Config names the
-	// scenario, its Params, the Transport and every engine knob, and
-	// yields Buckets rows per (spec, bits) cell. The runner pins Protocol,
-	// Overlay and Seed per cell (from the Spec, Plan.Bits and WithSeed),
-	// so whatever a plan sets there is ignored.
+	// scenario, its Params, the Transport, the Fault plan and every engine
+	// knob, and yields Buckets rows per (spec, bits) cell. The runner pins
+	// Protocol, Overlay and Seed per cell (from the Spec, Plan.Bits and
+	// WithSeed), so whatever a plan sets there is ignored.
 	Events []eventsim.Config
 }
 
