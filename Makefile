@@ -95,8 +95,8 @@ lint:
 # fuzz-smoke gives each fuzz target (wire codec; request table against
 # its map oracle; closed-form forwarding against its scan oracle; the
 # shared q-powers walk of internal/core against each geometry's own
-# PhaseFailure; the fault-plan grammar's round trip through its canonical
-# spelling) a short budget; the targets are build-tagged so they stay out
+# PhaseFailure; the fault-plan and lifetime-family grammars' round trips
+# through their canonical spellings) a short budget; the targets are build-tagged so they stay out
 # of ordinary test runs.
 fuzz-smoke:
 	go test -tags fuzz -fuzz FuzzParseMessage -fuzztime 10s -run '^$$' ./node
@@ -104,3 +104,4 @@ fuzz-smoke:
 	go test -tags fuzz -fuzz FuzzForwarderOracle -fuzztime 10s -run '^$$' ./internal/dht
 	go test -tags fuzz -fuzz FuzzPhaseWalk -fuzztime 10s -run '^$$' ./internal/core
 	go test -tags fuzz -fuzz FuzzFaultPlan -fuzztime 10s -run '^$$' ./fault
+	go test -tags fuzz -fuzz FuzzLifetimeSpec -fuzztime 10s -run '^$$' ./eventsim/lifetime

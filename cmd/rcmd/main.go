@@ -123,7 +123,7 @@ func newFlags(o *options) *flag.FlagSet {
 	fs.DurationVar(&o.timeout, "timeout", 0, "client: bound the whole operation — an unreachable or dead deployment fails within this instead of the -deadline default (0: use -deadline)")
 
 	fs.IntVar(&o.clusterN, "cluster", 0, "interactive: boot an in-process cluster of N nodes (power of two)")
-	fs.StringVar(&d.Fault, "fault", "", `cluster: fault plan every node's transport runs, e.g. "partition:2@10-20,dup:0.1" (see rcm/fault; windows in seconds since boot)`)
+	fs.StringVar(&d.Fault, "fault", "", `cluster: fault plan every node applies to its requests, e.g. "partition:2@10-20,dup:0.1" (see rcm/fault; windows in seconds since boot)`)
 
 	fs.IntVar(&d.Replicas, "replicas", 0, "daemon/cluster: replicate each key across k owners with failover reads (0 or 1: single-owner; every node of a deployment must agree). Not for -op: a client operation reaches the key's root owner only, replicated operations are issued by a daemon")
 

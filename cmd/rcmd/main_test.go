@@ -217,7 +217,9 @@ func leaves(prefix string, v any, out map[string]any) {
 func TestEveryKnobHasOneFlag(t *testing.T) {
 	flagless := map[string]string{
 		"cluster.Transport":    "the interactive cluster is in-memory; a UDP deployment is daemons",
-		"cluster.FaultHorizon": "stall placement horizon; node.WrapFault's default (3600 s) outlasts a session",
+		"cluster.FaultHorizon": "stall placement horizon; cluster.New's default (3600 s) outlasts a session",
+		"node.Fault":           "bound by cluster.New from -fault and -seed; a daemon runs no plan",
+		"node.FaultClock":      "bound by cluster.New from -fault and -seed; a daemon runs no plan",
 		"node.Protocol":        "built by startDaemon from -protocol -bits -seed",
 		"node.Transport":       "the socket startDaemon opens on -listen",
 		"node.AddrOf":          "the directory startDaemon loads from -peers",
@@ -330,7 +332,7 @@ func TestClientTimeoutUnreachable(t *testing.T) {
 	}
 }
 
-// TestClusterFaultInteractive: -fault arms every node's transport in
+// TestClusterFaultInteractive: -fault arms every node's plan in
 // cluster mode and the faults command reports what fired.
 func TestClusterFaultInteractive(t *testing.T) {
 	in := strings.NewReader(strings.Join([]string{

@@ -23,6 +23,10 @@ var loadModule = sync.OnceValues(func() ([]*lint.Package, error) {
 	return lint.Load("benchmark", "./...", "rcm/...")
 })
 
+// LoadModule is loadModule for the external test package, whose docs
+// test resolves the identifiers the documentation names through it.
+var LoadModule = loadModule
+
 // testOnlyExports is the allowlist of TestInternalExportsHaveCallers:
 // declarations outside the root facade that no binary, example or
 // benchmark reaches, each with the test that needs it — as a reference
@@ -256,14 +260,13 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 // stays a field.
 var unsetConfigFields = map[string]string{
 	"cluster.Config.FaultHorizon": "the fault-conformance suite binds stall placement to its schedule's duration",
-	"node.FaultConfig.Horizon":    "the fault-conformance suite binds stall placement to its schedule's duration",
 	"node.ClientConfig.Bind":      "a deployment address: the default 127.0.0.1:0 only suits a client on the daemons' host",
 	"node.ClientConfig.Transport": "the in-process fake a client dials through instead of a UDP socket",
 }
 
 // TestConfigFieldsHaveSetters: every exported field of the run configs
-// and the sim↔live seam structs (eventsim.Config and Params, node.Config,
-// ClientConfig and FaultConfig, cluster.Config) is set by some non-test file outside examples/ and
+// and the sim↔live seam structs (eventsim.Config and Params, node.Config
+// and ClientConfig, cluster.Config) is set by some non-test file outside examples/ and
 // outside the struct's own package, whose writes are its defaults —
 // benchmark/ counts — or is in unsetConfigFields. A field whose only
 // non-test value is its default is a constant: inline it. Setting is a
@@ -282,7 +285,7 @@ func TestConfigFieldsHaveSetters(t *testing.T) {
 	}
 	targets := map[string][]string{
 		"rcm/eventsim":     {"Config", "Params"},
-		"rcm/node":         {"Config", "ClientConfig", "FaultConfig"},
+		"rcm/node":         {"Config", "ClientConfig"},
 		"rcm/node/cluster": {"Config"},
 	}
 	// structKey names a target struct as "node.ClientConfig"; "" for any

@@ -3,6 +3,7 @@ package rcm_test
 import (
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"rcm"
 	"rcm/eventsim"
 	"rcm/eventsim/lifetime"
 	"rcm/fault"
@@ -45,7 +47,11 @@ var flagValues = map[string]func(value string) bool{
 // (as a "flag" literal) in that binary's source; and the value after a
 // flag that names a registrant (flagValues) must resolve in its registry,
 // so renaming a protocol, scenario or figure fails here instead of
-// leaving a documented command line that exits 1.
+// leaving a documented command line that exits 1. Outside -short runs,
+// every pkg.Name and pkg.Name.Field that README.md or a package doc
+// comment names, qualified by a package of this module (benchmark/
+// aside), must resolve to an exported declaration, field or method, so
+// deleting one cannot leave the prose describing it.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	ref := regexp.MustCompile(`(?m)(?:^|[^\w/.])(?:\./)?((?:cmd|scripts|bench)/[\w.-]+)`)
 	span := regexp.MustCompile("`[^`]+`")
@@ -124,6 +130,55 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				if resolves := flagValues[m[1]]; resolves != nil && !resolves(value) {
 					t.Errorf("%s: `%s` passes -%s %s, which no registrant answers to", doc, strings.Join(toks, " "), m[1], value)
 				}
+			}
+		}
+	}
+
+	if !testing.Short() {
+		checkDocIdentifiers(t, docs["README.md"])
+	}
+}
+
+// checkDocIdentifiers is TestDocsNameOnlyWhatExists' identifier scan of
+// readme and every package doc comment of the module.
+func checkDocIdentifiers(t *testing.T, readme string) {
+	pkgs, err := rcm.LoadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ours := map[string][]*types.Package{} // package name → the module's packages of that name
+	texts := map[string]string{"README.md": readme}
+	for _, p := range pkgs {
+		if p.Path == "rcm/benchmark" || strings.HasPrefix(p.Path, "rcm/benchmark/") {
+			continue
+		}
+		ours[p.Types.Name()] = append(ours[p.Types.Name()], p.Types)
+		for _, f := range p.Files {
+			if f.Doc != nil {
+				texts[p.Path+" doc"] += f.Doc.Text()
+			}
+		}
+	}
+	resolves := func(qual, name, sel string) bool {
+		for _, p := range ours[qual] {
+			obj := p.Scope().Lookup(name)
+			if obj == nil || !obj.Exported() {
+				continue
+			}
+			if sel == "" {
+				return true
+			}
+			if o, _, _ := types.LookupFieldOrMethod(obj.Type(), true, p, sel); o != nil {
+				return true
+			}
+		}
+		return false
+	}
+	ident := regexp.MustCompile(`(?:^|[^\w.])([a-z]\w*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
+	for doc, text := range texts {
+		for _, m := range ident.FindAllStringSubmatch(text, -1) {
+			if _, ok := ours[m[1]]; ok && !resolves(m[1], m[2], m[3]) {
+				t.Errorf("%s names %s, which does not exist", doc, strings.TrimRight(m[1]+"."+m[2]+"."+m[3], "."))
 			}
 		}
 	}

@@ -292,10 +292,10 @@
 // duplication, reordering, corruption (a dropped request: this is loss)
 // and per-node stall episodes. The Transport stays a latency model.
 // Every clause faults requests only — acks stay reliable, because that
-// is the model a live wrapper can reproduce exactly. Each request's
+// is the model a live node can reproduce exactly. Each request's
 // decision is fault.Injector.Coins of a key a live replay derives too
 // (fault.Hop), and stalls are read at the lookup's scheduled instant, so
-// node.FaultTransport, given the same plan, decides alike; only a
+// a live node given the same plan (node.Config.Fault) decides alike; only a
 // duplicate's latency comes from the shard's stream. Faults are billed
 // into Result.Faults by the rule on fault.Counts, and runs stay
 // bit-identical across (Seed, Shards); without a plan, runs are

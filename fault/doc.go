@@ -17,7 +17,7 @@
 // for example "partition:2@1-2,dup:0.1". A plan is the one way to inject
 // faults, loss ("corrupt") included, in both executors: eventsim takes it
 // as eventsim.Config.Fault, live clusters as cluster.Config.Fault and
-// single nodes as node.FaultConfig.Plan. Plan.String renders the
+// single nodes as node.Config.Fault. Plan.String renders the
 // canonical spelling, and Parse(p.String()) reproduces p.
 //
 // # Determinism contract

@@ -51,7 +51,7 @@ type Stall struct {
 // request. Every clause applies to forward (request) traffic only —
 // acknowledgements and responses are
 // never faulted, which keeps the ACK-ownership invariant intact and is
-// what a live FaultTransport wrapper can reproduce exactly.
+// what a live node's forwarding step can reproduce exactly.
 type Plan struct {
 	Partition  *Partition
 	DelaySpike *DelaySpike

@@ -55,17 +55,17 @@ type Config struct {
 	// (see node.Config.Replicas); 0 and 1 both mean no replication.
 	Replicas int
 	// Fault is an optional rcm/fault plan ("partition:2@1-3,dup:0.2",
-	// ...); when set, every node's transport is wrapped in a
-	// node.FaultTransport running the plan against the cluster's shared
-	// plan clock. Replay advances that clock in schedule time — so the
-	// live cluster suffers the same fault schedule an eventsim run with
-	// the same Config.Fault simulates — and before any Replay it reads
-	// the network's seconds since boot (virtual on "sim"), so an
+	// ...); when set, the cluster binds it once (Seed, FaultHorizon) and
+	// every node applies it (node.Config.Fault) against the cluster's
+	// shared plan clock. Replay advances that clock in schedule time — so
+	// the live cluster suffers the same fault schedule an eventsim run
+	// with the same Config.Fault simulates — and before any Replay it
+	// reads the network's seconds since boot (virtual on "sim"), so an
 	// interactive cluster's windowed clauses fire on its own time.
 	Fault string
 	// FaultHorizon is the plan's time horizon in schedule seconds
 	// (stall-episode placement); use the schedule duration for
-	// conformance. Zero selects node.FaultConfig's default.
+	// conformance. Zero selects 3600 s.
 	FaultHorizon float64
 }
 
@@ -79,7 +79,6 @@ type Cluster struct {
 	proto  rcm.Protocol
 	nodes  []*node.Node
 	addrs  []string
-	faults []*node.FaultTransport
 	bounds []float64     // fault-plan window edges, ascending
 	clk    clock.Clock   // the network's: times a replayed lookup
 	boot   time.Duration // clk's reading at boot
@@ -113,6 +112,23 @@ func New(cfg Config) (*Cluster, error) {
 		nodes: make([]*node.Node, n),
 		addrs: make([]string, n),
 	}
+	var (
+		inj       *fault.Injector
+		planClock func() float64
+	)
+	if cfg.Fault != "" {
+		plan, err := fault.Parse(cfg.Fault)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: %w", err)
+		}
+		horizon := cfg.FaultHorizon
+		if horizon <= 0 {
+			horizon = 3600
+		}
+		inj, planClock = plan.Bind(cfg.Seed, horizon), c.planNow
+		c.bounds = plan.Boundaries()
+		sort.Float64s(c.bounds)
+	}
 
 	var mem *node.MemNetwork
 	switch cfg.Transport {
@@ -143,37 +159,6 @@ func New(cfg Config) (*Cluster, error) {
 	c.clk = clock.Of(transports[0])
 	c.boot = c.clk.Now()
 
-	if cfg.Fault != "" {
-		plan, err := fault.Parse(cfg.Fault)
-		if err != nil {
-			c.closeTransports(transports)
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		addrToID := make(map[string]uint64, n)
-		for i, a := range c.addrs {
-			addrToID[a] = uint64(i)
-		}
-		c.faults = make([]*node.FaultTransport, n)
-		for i := 0; i < n; i++ {
-			ft, err := node.WrapFault(transports[i], node.FaultConfig{
-				Plan:    plan,
-				Seed:    cfg.Seed,
-				Horizon: cfg.FaultHorizon,
-				Self:    uint64(i),
-				IDOf:    func(addr string) (uint64, bool) { id, ok := addrToID[addr]; return id, ok },
-				Now:     c.planNow,
-			})
-			if err != nil {
-				c.closeTransports(transports)
-				return nil, fmt.Errorf("cluster: %w", err)
-			}
-			transports[i] = ft
-			c.faults[i] = ft
-		}
-		c.bounds = plan.Boundaries()
-		sort.Float64s(c.bounds)
-	}
-
 	addrOf := func(id overlay.ID) string { return c.addrs[id] }
 	for i := 0; i < n; i++ {
 		store, err := node.ParseStore(cfg.Store)
@@ -192,6 +177,8 @@ func New(cfg Config) (*Cluster, error) {
 			Retransmits: cfg.Retransmits,
 			Deadline:    cfg.Deadline,
 			Replicas:    cfg.Replicas,
+			Fault:       inj,
+			FaultClock:  planClock,
 		})
 		if err != nil {
 			c.closeTransports(transports)
@@ -235,15 +222,9 @@ func (c *Cluster) Kill(i int) { c.nodes[i].Kill() }
 // Restart revives node i (idempotent).
 func (c *Cluster) Restart(i int) { c.nodes[i].Restart() }
 
-// FaultCounts sums the faults injected so far across every node's
-// wrapper (all zero when the cluster runs without a fault plan).
-func (c *Cluster) FaultCounts() fault.Counts {
-	var out fault.Counts
-	for _, ft := range c.faults {
-		out.Add(ft.Counts())
-	}
-	return out
-}
+// FaultCounts sums the faults injected so far across every node (all
+// zero when the cluster runs without a fault plan).
+func (c *Cluster) FaultCounts() fault.Counts { return c.Metrics().Faults }
 
 // Metrics snapshots every node's instrumentation and merges it into a
 // cluster-wide aggregate (counters sum, histograms merge).

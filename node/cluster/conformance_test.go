@@ -129,7 +129,7 @@ func (c cell) config(t *testing.T) eventsim.Config {
 
 // bootCluster boots cfg's live cluster, running cfg's fault plan, on the
 // given transport and RTO. On "sim" the RTO is virtual time: 15 ms is above the
-// longest live round trip (two 1 ms deliveries plus the fault wrapper's
+// longest live round trip (two 1 ms deliveries plus the fault plan's
 // hold-back, at most 6 ms under delayspike:3 with a reorder), so no
 // timeout fires spuriously.
 func bootCluster(t *testing.T, cfg eventsim.Config, transport string, rto time.Duration) *Cluster {
@@ -462,7 +462,7 @@ func TestPlanClockBeforeReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := pl.Bind(seed, 3600) // the wrappers' default horizon
+	inj := pl.Bind(seed, 3600) // cluster.New's default horizon
 	dst := 1
 	for dst < c.Len() && !inj.CrossPartition(0, uint64(dst), edge) {
 		dst++

@@ -22,11 +22,9 @@
 // across Close or Kill.
 //
 // How datagrams reach the inbox depends on the transport. An in-memory
-// endpoint attached to a node (fault-wrapped or not — the wrapper applies
-// the stall filter of its Recv to the pushed datagram) delivers from the
-// sender's goroutine straight into the destination's inbox: a mem cluster
-// of N nodes is N goroutines and an endpoint carries no mailbox of its
-// own. A UDP socket, or any other Transport, gets a pump goroutine whose
+// endpoint attached to a node delivers from the sender's goroutine
+// straight into the destination's inbox: a mem cluster of N nodes is N
+// goroutines and an endpoint carries no mailbox of its own. A UDP socket, or any other Transport, gets a pump goroutine whose
 // body is Recv → inbox, the only place a system call has to block.
 //
 // What the loop knows about requests sits in one request table, keyed by
@@ -52,7 +50,7 @@
 // clock, or the virtual clock of a NewSimNetwork network. On the virtual
 // network a node has no goroutine. Every datagram delivery (a fixed
 // millisecond after its send), posted function, timer wake-up and
-// fault-held re-send is one entry of the network's single (time, arming
+// request held back by a fault plan is one entry of the network's single (time, arming
 // order) queue, and a caller blocked in Lookup, Get, Put, Kill, Restart,
 // Metrics or Close steps that queue, one entry at a time, until its own
 // reply is in. The node code is the same; a timeout costs no wall-clock
@@ -108,15 +106,22 @@
 //
 // The point of the layer is cross-validation: eventsim.BuildSchedule
 // hands out the program eventsim.Run executes — a scenario's lifecycle
-// toggles and lookup workload, as data — cluster.Replay executes that
-// schedule against live nodes, both place replicas through
+// toggles and lookup workload, as data — cluster.Cluster.Replay executes
+// that schedule against live nodes, both place replicas through
 // replica.Table, and the conformance suite in node/cluster requires
 // every scheduled lookup's outcome and hop count, and every fault tally,
 // to be equal between the two executors. With the overlay seed pinned,
 // both walk the same candidate lists over the same tables against the
 // same failed set and flip the same fault coins, so they agree exactly —
-// making eventsim
-// a calibrated model of a deployable system rather than a fourth
-// abstraction layer, and the live stack a tested implementation of the
-// simulator's semantics.
+// making eventsim a calibrated model of a deployable system rather than
+// a fourth abstraction layer, and the live stack a tested implementation
+// of the simulator's semantics.
+//
+// Faults are one step of that shared state machine. A node given a
+// bound fault plan (Config.Fault, read against Config.FaultClock)
+// applies it where the engine does: a request it sends meets the
+// partition and the transmission's coins in its forwarding step, and a
+// request it receives inside its stall episode is dropped before its
+// liveness is checked. The transport stays a plain datagram pipe, and
+// the tallies land in Metrics.Faults.
 package node

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"rcm"
 	"rcm/fault"
+	"rcm/node/internal/clock"
 	"rcm/overlay"
 )
 
@@ -22,12 +22,6 @@ func mustPlan(t *testing.T, s string) fault.Plan {
 	}
 	return p
 }
-
-// fakeClock is a settable plan clock for transport-level tests.
-type fakeClock struct{ t atomic.Uint64 }
-
-func (c *fakeClock) set(t float64) { c.t.Store(uint64(t * 1000)) }
-func (c *fakeClock) now() float64  { return float64(c.t.Load()) / 1000 }
 
 // recvOne pulls one packet from tr, failing the test if none arrives in
 // time.
@@ -54,234 +48,170 @@ func recvOne(t *testing.T, tr Transport, within time.Duration) []byte {
 	}
 }
 
-// reqPacket encodes a minimal request datagram.
-func reqPacket(t *testing.T, reqID, dst uint64, origin string) []byte {
+// faultPair boots the two nodes of a 1-bit chord on a virtual network,
+// both applying plan, bound to seed and a 100 s horizon, on the plan
+// clock *now. Retransmission is off, so a lookup from node 0 to node 1
+// sends exactly one request.
+func faultPair(t *testing.T, plan string, seed uint64, now *float64) (sender, receiver *Node) {
 	t.Helper()
-	pkt, err := appendWire(nil, &message{
-		Kind: msgReq, Op: OpLookup, Budget: 16,
-		ReqID: reqID, Dst: dst, Deadline: 2000, Origin: origin,
-	})
+	proto, err := rcm.NewProtocol("chord", rcm.Config{Bits: 1, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pkt
-}
-
-// ackPacket encodes an ack datagram (never faulted).
-func ackPacket(t *testing.T, reqID uint64) []byte {
-	t.Helper()
-	pkt, err := appendWire(nil, &message{Kind: msgAck, ReqID: reqID})
-	if err != nil {
-		t.Fatal(err)
+	sim := NewSimNetwork()
+	trs := []Transport{sim.Endpoint(), sim.Endpoint()}
+	inj := mustPlan(t, plan).Bind(seed, 100)
+	var nodes [2]*Node
+	for i := range nodes {
+		nodes[i], err = New(Config{
+			Protocol:    proto,
+			ID:          overlay.ID(i),
+			Transport:   trs[i],
+			AddrOf:      func(id overlay.ID) string { return trs[id].Addr() },
+			Retransmits: -1,
+			Fault:       inj,
+			FaultClock:  func() float64 { return *now },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i].Start()
+		t.Cleanup(nodes[i].Close)
 	}
-	return pkt
+	return nodes[0], nodes[1]
 }
 
-// TestFaultTransportPartition: cross-partition requests are blackholed
-// during the window — in order, so a following (unfaulted) ack overtakes
-// nothing — and pass once the window closes. The wrapper's grouping must
-// agree with the plan's own injector: that is the sim↔live contract.
-func TestFaultTransportPartition(t *testing.T) {
-	plan := mustPlan(t, "partition:2@10-20")
-	inj := plan.Bind(7, 100)
-	// Find two identifiers the cut separates.
-	var a, b uint64
-	found := false
-	for i := uint64(1); i < 64 && !found; i++ {
-		if inj.Group(i) != inj.Group(0) {
-			a, b, found = 0, i, true
+// pairLookup issues a lookup from node 0 to node 1 of a faultPair and
+// fails the test unless its delivery is want.
+func pairLookup(t *testing.T, sender *Node, want bool) {
+	t.Helper()
+	if r := sender.Lookup(1); r.OK() != want {
+		t.Fatalf("lookup 0→1: %+v, want delivered %v", r, want)
+	}
+}
+
+// TestNodeFaultPlan holds each clause of a node's fault plan to what it
+// does to a request from node 0 to node 1, on the receiver and on the
+// counts: a request across the cut of an open partition is blackholed; a
+// corrupted one fails the receiver's codec, so it never reaches ReqsIn; a
+// duplicated, reordered one arrives as two decodable copies, the second
+// absorbed as a DupReqs; and a stalled receiver drops requests, counted
+// while it is killed too.
+func TestNodeFaultPlan(t *testing.T) {
+	const partition = "partition:2@10-20"
+	cut := uint64(1) // a seed whose two groups part node 0 from node 1
+	for pl := mustPlan(t, partition); ; cut++ {
+		if inj := pl.Bind(cut, 100); inj.Group(0) != inj.Group(1) {
+			break
 		}
 	}
-	if !found {
-		t.Fatal("partition:2 left 64 ids in one group")
-	}
-	mem := NewMemNetwork()
-	sender, receiver := mem.Endpoint(), mem.Endpoint()
-	clk := &fakeClock{}
-	ft, err := WrapFault(sender, FaultConfig{
-		Plan: plan, Seed: 7, Horizon: 100, Self: a,
-		IDOf: func(addr string) (uint64, bool) { return b, addr == receiver.Addr() },
-		Now:  clk.now,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ft.Close() })
-
-	clk.set(15) // inside the window
-	if err := ft.Send(receiver.Addr(), reqPacket(t, 1, b, ft.Addr())); err != nil {
-		t.Fatal(err)
-	}
-	if err := ft.Send(receiver.Addr(), ackPacket(t, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if m, err := decodeWire(recvOne(t, receiver, time.Second)); err != nil || m.Kind != msgAck {
-		t.Fatalf("first delivery should be the ack (req blackholed), got kind=%d err=%v", m.Kind, err)
-	}
-	if c := ft.Counts(); c.PartitionDrops != 1 {
-		t.Fatalf("partition drops = %d, want 1: %s", c.PartitionDrops, c)
-	}
-
-	clk.set(25) // window closed: the partition healed
-	if err := ft.Send(receiver.Addr(), reqPacket(t, 2, b, ft.Addr())); err != nil {
-		t.Fatal(err)
-	}
-	if m, err := decodeWire(recvOne(t, receiver, time.Second)); err != nil || m.Kind != msgReq || m.ReqID != 2 {
-		t.Fatalf("post-heal request not delivered: kind=%d reqID=%d err=%v", m.Kind, m.ReqID, err)
-	}
-}
-
-// TestFaultTransportCorrupt: corrupt:1 mangles every request into
-// something the wire codec rejects, while acks pass untouched.
-func TestFaultTransportCorrupt(t *testing.T) {
-	mem := NewMemNetwork()
-	sender, receiver := mem.Endpoint(), mem.Endpoint()
-	ft, err := WrapFault(sender, FaultConfig{Plan: mustPlan(t, "corrupt:1"), Seed: 3, Self: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ft.Close() })
-
-	if err := ft.Send(receiver.Addr(), reqPacket(t, 1, 5, ft.Addr())); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeWire(recvOne(t, receiver, time.Second)); err == nil {
-		t.Fatal("corrupted request decoded cleanly")
-	}
-	if err := ft.Send(receiver.Addr(), ackPacket(t, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if m, err := decodeWire(recvOne(t, receiver, time.Second)); err != nil || m.Kind != msgAck {
-		t.Fatalf("ack should pass untouched: kind=%d err=%v", m.Kind, err)
-	}
-	if c := ft.Counts(); c.Corrupts != 1 {
-		t.Fatalf("corrupts = %d, want 1", c.Corrupts)
-	}
-}
-
-// TestFaultTransportDupReorder: dup:1 delivers two decodable copies of
-// every request; reorder:1 holds them back but loses nothing.
-func TestFaultTransportDupReorder(t *testing.T) {
-	mem := NewMemNetwork()
-	sender, receiver := mem.Endpoint(), mem.Endpoint()
-	ft, err := WrapFault(sender, FaultConfig{
-		Plan: mustPlan(t, "dup:1,reorder:1"), Seed: 9, Self: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ft.Close() })
-
-	if err := ft.Send(receiver.Addr(), reqPacket(t, 42, 5, ft.Addr())); err != nil {
-		t.Fatal(err)
-	}
-	for copies := 0; copies < 2; copies++ {
-		m, err := decodeWire(recvOne(t, receiver, time.Second))
-		if err != nil || m.Kind != msgReq || m.ReqID != 42 {
-			t.Fatalf("copy %d: kind=%d reqID=%d err=%v", copies, m.Kind, m.ReqID, err)
-		}
-	}
-	if c := ft.Counts(); c.Dups != 1 || c.Reorders != 1 {
-		t.Fatalf("counts = %s, want dup=1 reorder=1", c)
-	}
-}
-
-// TestFaultTransportStall: during its stall episode a node's wrapper
-// swallows inbound requests (no ack ever forms — the sender's RTO takes
-// over) but still delivers acks and responses; outside the episode it is
-// transparent. Both ways in are held to it: Recv, and the push path an
-// attached node is fed by.
-func TestFaultTransportStall(t *testing.T) {
-	const self = 5
-	plan := mustPlan(t, "stall:1:10")
-	win, ok := plan.Bind(11, 100).StallWindow(self)
-	if !ok {
-		t.Fatal("stall:1 placed no episode")
-	}
-	for _, path := range []string{"recv", "push"} {
-		t.Run(path, func(t *testing.T) {
-			mem := NewMemNetwork()
-			sender, receiver := mem.Endpoint(), mem.Endpoint()
-			clk := &fakeClock{}
-			ft, err := WrapFault(receiver, FaultConfig{
-				Plan: plan, Seed: 11, Horizon: 100, Self: self, Now: clk.now,
-			})
-			if err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		name, plan string
+		seed       uint64
+		run        func(t *testing.T, sender, receiver *Node, now *float64, inj *fault.Injector)
+	}{
+		{"partition", partition, cut, func(t *testing.T, sender, receiver *Node, now *float64, _ *fault.Injector) {
+			*now = 15 // inside the window
+			pairLookup(t, sender, false)
+			if got := receiver.Metrics().ReqsIn; got != 0 {
+				t.Errorf("the receiver took %d requests across the cut", got)
 			}
-			t.Cleanup(func() { ft.Close() })
-			next := func() []byte { return recvOne(t, ft, time.Second) }
-			if path == "push" {
-				pushed := make(chan []byte, 4)
-				if !ft.attach(func(pkt []byte, _ string) { pushed <- pkt }) {
-					t.Fatal("a fault wrapper around a mem endpoint cannot push")
-				}
-				next = func() []byte {
-					select {
-					case pkt := <-pushed:
-						return pkt
-					case <-time.After(time.Second):
-						t.Fatal("nothing pushed within 1s")
-						return nil
-					}
+			if c := sender.Metrics().Faults; c != (fault.Counts{PartitionDrops: 1}) {
+				t.Errorf("sender counts %s, want partition=1", c)
+			}
+			*now = 25 // the partition healed
+			pairLookup(t, sender, true)
+			if got := receiver.Metrics().ReqsIn; got != 1 {
+				t.Errorf("the receiver took %d requests after the heal, want 1", got)
+			}
+		}},
+		{"corrupt", "corrupt:1", 3, func(t *testing.T, sender, receiver *Node, _ *float64, _ *fault.Injector) {
+			pairLookup(t, sender, false)
+			if got := receiver.Metrics().ReqsIn; got != 0 {
+				t.Errorf("a corrupted request decoded: the receiver took %d", got)
+			}
+			if c := sender.Metrics().Faults; c != (fault.Counts{Corrupts: 1}) {
+				t.Errorf("sender counts %s, want corrupt=1", c)
+			}
+		}},
+		{"dup+reorder", "dup:1,reorder:1", 9, func(t *testing.T, sender, receiver *Node, _ *float64, _ *fault.Injector) {
+			pairLookup(t, sender, true)
+			if m := receiver.Metrics(); m.ReqsIn != 2 || m.DupReqs != 1 {
+				t.Errorf("the receiver took %d requests, %d of them duplicates; want 2 copies, 1 duplicate", m.ReqsIn, m.DupReqs)
+			}
+			if m := sender.Metrics(); m.Faults != (fault.Counts{Dups: 1, Reorders: 1}) || m.AcksIn != 2 {
+				t.Errorf("sender counts %s and %d acks, want dup=1 reorder=1 and an ack per copy", m.Faults, m.AcksIn)
+			}
+		}},
+		{"stall", "stall:1:10", 11, func(t *testing.T, sender, receiver *Node, now *float64, inj *fault.Injector) {
+			win, ok := inj.StallWindow(1)
+			if !ok {
+				t.Fatal("stall:1 placed no episode")
+			}
+			received := func(stalls, reqs uint64) {
+				t.Helper()
+				if m := receiver.Metrics(); m.Faults != (fault.Counts{StallDrops: stalls}) || m.ReqsIn != reqs {
+					t.Errorf("receiver counts %s and took %d requests, want stall=%d and %d", m.Faults, m.ReqsIn, stalls, reqs)
 				}
 			}
-
-			clk.set((win.From + win.To) / 2) // mid-episode
-			if err := sender.Send(ft.Addr(), reqPacket(t, 1, self, sender.Addr())); err != nil {
-				t.Fatal(err)
-			}
-			if err := sender.Send(ft.Addr(), ackPacket(t, 1)); err != nil {
-				t.Fatal(err)
-			}
-			if m, err := decodeWire(next()); err != nil || m.Kind != msgAck {
-				t.Fatalf("stalled node should still see the ack first, got kind=%d err=%v", m.Kind, err)
-			}
-			if c := ft.Counts(); c.StallDrops != 1 {
-				t.Fatalf("stall drops = %d, want 1", c.StallDrops)
-			}
-
-			clk.set(win.To + 1) // episode over
-			if err := sender.Send(ft.Addr(), reqPacket(t, 2, self, sender.Addr())); err != nil {
-				t.Fatal(err)
-			}
-			if m, err := decodeWire(next()); err != nil || m.Kind != msgReq || m.ReqID != 2 {
-				t.Fatalf("post-episode request not delivered: kind=%d reqID=%d err=%v", m.Kind, m.ReqID, err)
-			}
+			*now = (win.From + win.To) / 2 // mid-episode
+			pairLookup(t, sender, false)
+			received(1, 0)
+			receiver.Kill() // the stall sits in front of liveness
+			pairLookup(t, sender, false)
+			received(2, 0)
+			receiver.Restart()
+			*now = win.To + 1 // episode over
+			pairLookup(t, sender, true)
+			received(2, 1)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var now float64
+			sender, receiver := faultPair(t, tc.plan, tc.seed, &now)
+			tc.run(t, sender, receiver, &now, mustPlan(t, tc.plan).Bind(tc.seed, 100))
 		})
 	}
 }
 
-// TestWrapFaultValidation: the constructor rejects unusable configs.
+// TestWrapFaultValidation: New takes a fault plan only with its plan
+// clock, and a plan clock only with a plan. An empty or invalid plan
+// never reaches a node: fault.Parse rejects both (TestParseErrors), and
+// cluster.New fails with its error (TestClusterFaultInteractive).
 func TestWrapFaultValidation(t *testing.T) {
-	mem := NewMemNetwork()
-	tr := mem.Endpoint()
-	t.Cleanup(func() { tr.Close() })
-	cases := map[string]struct {
-		inner Transport
-		fc    FaultConfig
-	}{
-		"nil inner":            {nil, FaultConfig{Plan: mustPlan(t, "dup:0.5")}},
-		"empty plan":           {tr, FaultConfig{}},
-		"invalid plan":         {tr, FaultConfig{Plan: fault.Plan{Dup: 1.5}}},
-		"partition needs IDOf": {tr, FaultConfig{Plan: mustPlan(t, "partition:2@1-2")}},
+	proto, err := rcm.NewProtocol("chord", rcm.Config{Bits: 1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, tc := range cases {
-		if _, err := WrapFault(tc.inner, tc.fc); err == nil {
+	tr := NewMemNetwork().Endpoint()
+	t.Cleanup(func() { tr.Close() })
+	base := Config{Protocol: proto, Transport: tr, AddrOf: func(overlay.ID) string { return "" }}
+	if _, err := New(base); err != nil {
+		t.Fatalf("a config without a plan: %v", err)
+	}
+	for name, tweak := range map[string]func(*Config){
+		"plan without clock": func(c *Config) { c.Fault = mustPlan(t, "dup:0.5").Bind(1, 100) },
+		"clock without plan": func(c *Config) { c.FaultClock = func() float64 { return 0 } },
+	} {
+		cfg := base
+		tweak(&cfg)
+		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 }
 
-// bootFaultCluster is bootCluster with per-node config tweaks and fault
-// wrapping: plan == "" runs plain transports.
-func bootFaultCluster(t *testing.T, protocol string, bits int, plan string, tweak func(*Config)) ([]*Node, []*FaultTransport) {
+// bootFaultCluster is bootCluster with per-node config tweaks and a
+// fault plan: plan == "" runs none.
+func bootFaultCluster(t *testing.T, protocol string, bits int, plan string, tweak func(*Config)) []*Node {
 	t.Helper()
 	return bootFaultNet(t, NewMemNetwork(), protocol, bits, plan, tweak)
 }
 
-// bootFaultNet is bootFaultCluster on the given network.
-func bootFaultNet(t *testing.T, mem *MemNetwork, protocol string, bits int, plan string, tweak func(*Config)) ([]*Node, []*FaultTransport) {
+// bootFaultNet is bootFaultCluster on the given network. Every node
+// applies the plan, bound once (seed 7, a 3600 s horizon), on the
+// network's seconds since boot.
+func bootFaultNet(t *testing.T, mem *MemNetwork, protocol string, bits int, plan string, tweak func(*Config)) []*Node {
 	t.Helper()
 	proto, err := rcm.NewProtocol(protocol, rcm.Config{Bits: bits, Seed: 7})
 	if err != nil {
@@ -290,36 +220,31 @@ func bootFaultNet(t *testing.T, mem *MemNetwork, protocol string, bits int, plan
 	n := int(proto.Space().Size())
 	addrs := make([]string, n)
 	transports := make([]Transport, n)
-	var wrappers []*FaultTransport
-	addrToID := make(map[string]uint64, n)
 	for i := range transports {
 		transports[i] = mem.Endpoint()
 		addrs[i] = transports[i].Addr()
-		addrToID[addrs[i]] = uint64(i)
 	}
+	var (
+		inj       *fault.Injector
+		planClock func() float64
+	)
 	if plan != "" {
-		pl := mustPlan(t, plan)
-		for i := range transports {
-			ft, err := WrapFault(transports[i], FaultConfig{
-				Plan: pl, Seed: 7, Horizon: 3600, Self: uint64(i),
-				IDOf: func(addr string) (uint64, bool) { id, ok := addrToID[addr]; return id, ok },
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			transports[i] = ft
-			wrappers = append(wrappers, ft)
-		}
+		clk := clock.Of(transports[0])
+		boot := clk.Now()
+		inj = mustPlan(t, plan).Bind(7, 3600)
+		planClock = func() float64 { return (clk.Now() - boot).Seconds() }
 	}
 	nodes := make([]*Node, n)
 	for i := range nodes {
 		cfg := Config{
-			Protocol:  proto,
-			ID:        overlay.ID(i),
-			Transport: transports[i],
-			AddrOf:    func(id overlay.ID) string { return addrs[id] },
-			RTO:       20 * time.Millisecond,
-			Deadline:  3 * time.Second,
+			Protocol:   proto,
+			ID:         overlay.ID(i),
+			Transport:  transports[i],
+			AddrOf:     func(id overlay.ID) string { return addrs[id] },
+			RTO:        20 * time.Millisecond,
+			Deadline:   3 * time.Second,
+			Fault:      inj,
+			FaultClock: planClock,
 		}
 		if tweak != nil {
 			tweak(&cfg)
@@ -339,15 +264,24 @@ func bootFaultNet(t *testing.T, mem *MemNetwork, protocol string, bits int, plan
 		}
 		wg.Wait()
 	})
-	return nodes, wrappers
+	return nodes
 }
 
-// TestFaultClusterDupReorder: a live cluster whose every link duplicates
-// and reorders half its requests still completes all-pairs lookups —
-// the dedupe window absorbs the copies (visible as DupReqs) and held
-// packets are merely late, never lost.
+// mergedMetrics merges every node's snapshot, fault tallies included.
+func mergedMetrics(nodes []*Node) Metrics {
+	all := make([]Metrics, len(nodes))
+	for i, nd := range nodes {
+		all[i] = nd.Metrics()
+	}
+	return MergeMetrics(all...)
+}
+
+// TestFaultClusterDupReorder: a live cluster whose every node duplicates
+// and reorders half the requests it sends still completes all-pairs
+// lookups — the dedupe window absorbs the copies (visible as DupReqs) and
+// held packets are merely late, never lost.
 func TestFaultClusterDupReorder(t *testing.T) {
-	nodes, wrappers := bootFaultCluster(t, "chord", 3, "dup:0.5,reorder:0.5", nil)
+	nodes := bootFaultCluster(t, "chord", 3, "dup:0.5,reorder:0.5", nil)
 	for src := range nodes {
 		for dst := range nodes {
 			if src == dst {
@@ -358,19 +292,12 @@ func TestFaultClusterDupReorder(t *testing.T) {
 			}
 		}
 	}
-	var c fault.Counts
-	for _, ft := range wrappers {
-		c.Add(ft.Counts())
-	}
-	if c.Dups == 0 || c.Reorders == 0 {
+	agg := mergedMetrics(nodes)
+	if c := agg.Faults; c.Dups == 0 || c.Reorders == 0 {
 		t.Fatalf("dup:0.5,reorder:0.5 over 56 lookups injected nothing: %s", c)
 	}
-	all := make([]Metrics, len(nodes))
-	for i, nd := range nodes {
-		all[i] = nd.Metrics()
-	}
-	if agg := MergeMetrics(all...); agg.DupReqs == 0 {
-		t.Errorf("injected %d dups but no node counted a duplicate delivery", c.Dups)
+	if agg.DupReqs == 0 {
+		t.Errorf("injected %d dups but no node counted a duplicate delivery", agg.Faults.Dups)
 	}
 }
 
@@ -428,7 +355,7 @@ func TestShedUnderOverload(t *testing.T) {
 // must find nothing — then restart it, serve traffic, and Close it with
 // the queue empty.
 func TestKillWithInFlightRTOs(t *testing.T) {
-	nodes, _ := bootFaultCluster(t, "chord", 4, "", func(cfg *Config) {
+	nodes := bootFaultCluster(t, "chord", 4, "", func(cfg *Config) {
 		cfg.RTO = 10 * time.Millisecond
 		cfg.Deadline = time.Second
 	})
@@ -513,7 +440,7 @@ func checkDrained(t *testing.T, when string, nd *Node) {
 // fails here.
 func TestRequestTableDrains(t *testing.T) {
 	sim := NewSimNetwork()
-	nodes, wrappers := bootFaultNet(t, sim, "chord", 6, "dup:0.3,reorder:0.3,partition:2@1-3", nil)
+	nodes := bootFaultNet(t, sim, "chord", 6, "dup:0.3,reorder:0.3,partition:2@1-3", nil)
 	rng := overlay.NewRNG(11)
 	ops := 0
 	for ; ops < 1000 || sim.vt.Now() < 4*time.Second; ops++ {
@@ -528,10 +455,7 @@ func TestRequestTableDrains(t *testing.T) {
 		}
 	}
 	sim.vt.Run(func() bool { return false }) // every retransmission, held copy and late ack
-	var c fault.Counts
-	for _, ft := range wrappers {
-		c.Add(ft.Counts())
-	}
+	c := mergedMetrics(nodes).Faults
 	if c.Dups == 0 || c.Reorders == 0 || c.PartitionDrops == 0 {
 		t.Fatalf("%d operations over %v injected too little: %s", ops, sim.vt.Now(), c)
 	}

@@ -196,15 +196,18 @@ func waitGoroutines(t *testing.T, want int, what string) {
 
 // TestMemClusterGoroutines: a node on an in-memory endpoint is one
 // goroutine — senders push into its inbox, so there is no receive pump —
-// a fault-wrapped endpoint included, and Close leaves none behind. A node
-// on a virtual network is none: the callers step it. A UDP node keeps its
-// pump, and so does a fault wrapper around a socket, which cannot push.
+// and Close leaves none behind, not even for the requests a fault plan
+// still holds back. A node on a virtual network is none: the callers
+// step it. A UDP node keeps its pump, fault plan and all: a socket
+// cannot push.
 func TestMemClusterGoroutines(t *testing.T) {
 	proto, err := rcm.NewProtocol("chord", rcm.Config{Bits: 7, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 128
+	// reorder:1 holds back every request its node sends.
+	held, planClock := mustPlan(t, "reorder:1").Bind(1, 100), func() float64 { return 0 }
 	base := settledGoroutines()
 	for _, net := range []struct {
 		name  string
@@ -214,20 +217,18 @@ func TestMemClusterGoroutines(t *testing.T) {
 		addrs := make([]string, n)
 		nodes := make([]*Node, n)
 		for i := range nodes {
-			var tr Transport = net.mem.Endpoint()
+			tr := net.mem.Endpoint()
 			addrs[i] = tr.Addr()
-			if i%2 == 1 {
-				tr, err = WrapFault(tr, FaultConfig{Plan: mustPlan(t, "dup:0.1"), Self: uint64(i)})
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			nodes[i], err = New(Config{
+			cfg := Config{
 				Protocol:  proto,
 				ID:        overlay.ID(i),
 				Transport: tr,
 				AddrOf:    func(id overlay.ID) string { return addrs[id] },
-			})
+			}
+			if i%2 == 1 {
+				cfg.Fault, cfg.FaultClock = held, planClock
+			}
+			nodes[i], err = New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,32 +241,34 @@ func TestMemClusterGoroutines(t *testing.T) {
 			}
 		}
 		waitGoroutines(t, base+n*net.perNd, net.name+" after traffic")
+		// Leave a request held back at every planned node as Close runs.
+		for i := 1; i < n; i += 2 {
+			if !nodes[i].originate(make(chan Result, 1), OpLookup, overlay.ID((i+77)%n), 0, nil) {
+				t.Fatalf("%s node %d refused a lookup", net.name, i)
+			}
+		}
 		for _, nd := range nodes {
 			nd.Close()
 		}
 		waitGoroutines(t, base, net.name+" after Close")
 	}
 
-	for _, wrapped := range []bool{false, true} {
-		udp, err := ListenUDP("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wrapped {
-			if udp, err = WrapFault(udp, FaultConfig{Plan: mustPlan(t, "dup:0.1"), Self: 1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		nd, err := New(Config{Protocol: proto, ID: 1, Transport: udp, AddrOf: func(overlay.ID) string { return udp.Addr() }})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nd.Start()
-		waitGoroutines(t, base+2, "one started UDP node")
-		if res := nd.Lookup(1); !res.OK() {
-			t.Errorf("self-lookup on UDP (fault-wrapped: %v): %+v", wrapped, res)
-		}
-		nd.Close()
-		waitGoroutines(t, base, "after UDP Close")
+	udp, err := ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
+	nd, err := New(Config{
+		Protocol: proto, ID: 1, Transport: udp, AddrOf: func(overlay.ID) string { return udp.Addr() },
+		Fault: held, FaultClock: planClock,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd.Start()
+	waitGoroutines(t, base+2, "one started UDP node")
+	if res := nd.Lookup(1); !res.OK() {
+		t.Errorf("self-lookup on UDP: %+v", res)
+	}
+	nd.Close()
+	waitGoroutines(t, base, "after UDP Close")
 }

@@ -3,6 +3,7 @@ package node
 import (
 	"time"
 
+	"rcm/fault"
 	"rcm/obs"
 )
 
@@ -53,6 +54,12 @@ type Metrics struct {
 	// are issue-to-verdict latency distributions in microseconds.
 	Hops                                  obs.Histogram
 	LookupLatency, GetLatency, PutLatency obs.Histogram
+	// Faults tallies what the node's fault plan injected (Config.Fault)
+	// by fault.Counts' rule: the partition drops, corruptions, hold-backs
+	// and duplicates of the requests it sent, and the requests it ignored
+	// inside its stall episode. It is summed by MergeMetrics but not
+	// rendered by Snapshot.
+	Faults fault.Counts
 }
 
 // evictionCounter is the optional store capability behind
@@ -161,7 +168,7 @@ var metricHists = []struct {
 }
 
 // MergeMetrics folds per-node snapshots into a cluster-wide aggregate:
-// counters and gauges sum, histograms merge.
+// counters, gauges and fault tallies sum, histograms merge.
 func MergeMetrics(ms ...Metrics) Metrics {
 	var out Metrics
 	for i := range ms {
@@ -172,6 +179,7 @@ func MergeMetrics(ms ...Metrics) Metrics {
 		for _, h := range metricHists {
 			h.field(&out).Merge(h.field(m))
 		}
+		out.Faults.Add(m.Faults)
 		out.StoreLen += m.StoreLen
 		out.InFlight += m.InFlight
 		out.Waiting += m.Waiting

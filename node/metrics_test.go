@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rcm"
+	"rcm/fault"
 	"rcm/obs"
 	"rcm/overlay"
 )
@@ -230,13 +231,14 @@ func TestMetricsSnapshotShape(t *testing.T) {
 }
 
 // TestMergeMetricsIsFieldwise: merging random per-node Metrics equals
-// field-wise sums and histogram merges, and every uint64 and
+// field-wise sums (the fault tallies' fields included) and histogram
+// merges, and every uint64 and
 // obs.Histogram field of Metrics has its row in metricCounters or
 // metricHists — so a counter added later cannot be forgotten in the
 // merge or the rendered document.
 func TestMergeMetricsIsFieldwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	uint64T, histT := reflect.TypeOf(uint64(0)), reflect.TypeOf(obs.Histogram{})
+	uint64T, histT, faultsT := reflect.TypeOf(uint64(0)), reflect.TypeOf(obs.Histogram{}), reflect.TypeOf(fault.Counts{})
 	ms := make([]Metrics, 5)
 	for i := range ms {
 		v := reflect.ValueOf(&ms[i]).Elem()
@@ -248,6 +250,10 @@ func TestMergeMetricsIsFieldwise(t *testing.T) {
 				h := fv.Addr().Interface().(*obs.Histogram)
 				for n := rng.Intn(20); n > 0; n-- {
 					h.Observe(int64(rng.Intn(5000)))
+				}
+			case faultsT:
+				for k := 0; k < fv.NumField(); k++ {
+					fv.Field(k).SetUint(uint64(rng.Intn(1000)))
 				}
 			case reflect.TypeOf(0):
 				fv.SetInt(int64(rng.Intn(50)))
@@ -270,6 +276,10 @@ func TestMergeMetricsIsFieldwise(t *testing.T) {
 				wf.SetUint(wf.Uint() + fv.Uint())
 			case histT:
 				wf.Addr().Interface().(*obs.Histogram).Merge(fv.Addr().Interface().(*obs.Histogram))
+			case faultsT:
+				for k := 0; k < fv.NumField(); k++ {
+					wf.Field(k).SetUint(wf.Field(k).Uint() + fv.Field(k).Uint())
+				}
 			case reflect.TypeOf(0):
 				wf.SetInt(wf.Int() + fv.Int())
 			default:

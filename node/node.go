@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"rcm"
+	"rcm/fault"
 	"rcm/node/internal/clock"
 	"rcm/overlay"
 	"rcm/replica"
@@ -51,6 +52,16 @@ type Config struct {
 	// until the last owner has answered. 0 and 1 both mean single-owner
 	// operation; every node of a cluster must agree on the value.
 	Replicas int
+	// Fault is the bound fault plan (rcm/fault) the node applies to the
+	// requests it sends and receives, as eventsim's engine applies
+	// eventsim.Config.Fault; nil injects nothing. The Injector is
+	// stateless, so every node of a cluster shares one.
+	Fault *fault.Injector
+	// FaultClock is the plan clock in seconds, against which windowed
+	// clauses, stall episodes and each transmission's coins are read;
+	// required with Fault and only with it. A cluster replaying a
+	// schedule supplies its schedule clock here.
+	FaultClock func() float64
 }
 
 func (cfg Config) withDefaults() Config {
@@ -189,6 +200,9 @@ func New(cfg Config) (*Node, error) {
 	if err := replica.ValidateK(cfg.Replicas); err != nil {
 		return nil, fmt.Errorf("node: %w", err)
 	}
+	if (cfg.Fault == nil) != (cfg.FaultClock == nil) {
+		return nil, fmt.Errorf("node: Fault and FaultClock are set together: a fault plan is read against its plan clock")
+	}
 	cfg = cfg.withDefaults()
 	n := &Node{
 		cfg:    cfg,
@@ -196,7 +210,7 @@ func New(cfg Config) (*Node, error) {
 		space:  space,
 		tr:     cfg.Transport,
 		store:  cfg.Store,
-		clk:    clockOf(cfg.Transport),
+		clk:    clock.Of(cfg.Transport),
 		in:     newInbox(),
 		reqs:   reqTable{window: seenCap},
 		wakeAt: noWake,
@@ -215,9 +229,9 @@ func (n *Node) Addr() string { return n.tr.Addr() }
 func (n *Node) Store() Store { return n.store }
 
 // Start launches the event loop. A transport that can push (in-memory
-// endpoints, fault-wrapped or not) delivers into the inbox from the
-// sender's goroutine, so the loop is the node's only goroutine; any other
-// transport gets a pump goroutine blocking in Recv on the loop's behalf.
+// endpoints) delivers into the inbox from the sender's goroutine, so the
+// loop is the node's only goroutine; any other transport gets a pump
+// goroutine blocking in Recv on the loop's behalf.
 // On a virtual network the node has no goroutine at all: the network's
 // steps run it (simDeliver, simAfter).
 func (n *Node) Start() {
@@ -227,7 +241,8 @@ func (n *Node) Start() {
 	}
 	n.wg.Add(1)
 	go n.loop()
-	if p, ok := n.tr.(pushTransport); ok && p.attach(n.deliver) {
+	if p, ok := n.tr.(pushTransport); ok {
+		p.attach(n.deliver)
 		return
 	}
 	n.wg.Add(1)
@@ -601,12 +616,20 @@ func (n *Node) expire(w *originWait) {
 // handle decodes and dispatches one datagram. The decoded message is
 // passed by pointer from here on; a forward record takes the one copy.
 func (n *Node) handle(pkt []byte, from string) {
-	if n.downNow.Load() {
-		return // a dead node neither acknowledges nor routes
-	}
 	var m message
 	if m.decode(pkt) != nil {
-		return // malformed datagram: drop, like any UDP service
+		return // malformed datagram (a corrupted request too): drop, like any UDP service
+	}
+	if m.Kind == msgReq && n.cfg.Fault != nil && n.cfg.Fault.Stalled(uint64(n.cfg.ID), n.cfg.FaultClock()) {
+		// Inside its stall episode the node ignores requests — no ack, so
+		// the sender's RTO machinery takes over — as eventsim's handleReq
+		// does. The stall sits in front of liveness, so the drop counts
+		// whether or not the node is killed (fault.Counts).
+		n.stats.Faults.StallDrops++
+		return
+	}
+	if n.downNow.Load() {
+		return // a dead node neither acknowledges nor routes
 	}
 	n.stats.countIn(m.Kind)
 	switch m.Kind {
@@ -697,9 +720,66 @@ func (n *Node) dispatch(st *pendingFwd) {
 		return
 	}
 	st.msg.Deadline = uint32(remaining / time.Millisecond)
-	st.msg.Status = Status(st.try) // a request's status byte carries its try (wire.go)
-	n.sendMsg(n.cfg.AddrOf(st.cands[st.ci]), &st.msg)
+	n.sendReq(st)
 	n.arm(&st.rto, st.id<<1, n.clock()+n.cfg.RTO)
+}
+
+// faultLatency is the one-way latency bound the fault plan's hold-backs
+// are scaled by, as eventsim scales them by its transport's MaxLatency.
+// The in-memory (or loopback) network delivers in microseconds, the
+// simulated one in a millisecond; a small budget keeps a held request
+// well under any sane RTO.
+const faultLatency = 2 * time.Millisecond
+
+// sendReq transmits st's request to its current candidate through the
+// node's fault plan — the fault step of eventsim's dispatch, in
+// fault.Counts' order. A request across an open partition's cut is
+// dropped; then the transmission's coins, keyed as eventsim keys them
+// (fault.Hop), corrupt it, hold it back or add a faithful duplicate.
+// Acknowledgements and responses never meet the plan. The request counts
+// once in ReqsOut, whatever the plan does to it.
+func (n *Node) sendReq(st *pendingFwd) {
+	to := st.cands[st.ci]
+	addr := n.cfg.AddrOf(to)
+	pkt := n.encode(addr, &st.msg)
+	inj := n.cfg.Fault
+	if pkt == nil || inj == nil {
+		n.send(addr, pkt, 0)
+		return
+	}
+	t := n.cfg.FaultClock()
+	if inj.CrossPartition(uint64(n.cfg.ID), uint64(to), t) {
+		n.stats.Faults.PartitionDrops++
+		return
+	}
+	c := inj.Coins(fault.Hop{
+		T: t, From: uint64(n.cfg.ID), To: uint64(to),
+		Owner: st.msg.Dst, Hops: st.msg.Hops, Try: uint8(st.try),
+	})
+	var hold time.Duration
+	if c.Reorder {
+		hold = time.Duration(c.Hold * float64(faultLatency))
+		if !c.Corrupt {
+			n.stats.Faults.Reorders++ // a corrupted request is lost, not late
+		}
+	}
+	if f := inj.DelayFactor(t); f > 1 {
+		hold += time.Duration((f - 1) * float64(faultLatency))
+	}
+	if c.Dup {
+		// The receiver's dedupe window absorbs the copy, or it carries
+		// the request a corrupted primary lost.
+		n.stats.Faults.Dups++
+		n.send(addr, pkt, hold)
+	}
+	if c.Corrupt {
+		// Mangle the magic or version bytes, which the receiving codec
+		// rejects unconditionally — never the kind byte, whose bit flips
+		// could alias another valid kind.
+		n.stats.Faults.Corrupts++
+		pkt[c.Byte] ^= c.Mask
+	}
+	n.send(addr, pkt, hold)
 }
 
 // retire ends st's forward attempt, whose RTO is not queued.
@@ -804,14 +884,34 @@ func (n *Node) handleResp(m *message) {
 
 // sendMsg encodes and transmits one message, best-effort.
 func (n *Node) sendMsg(addr string, m *message) {
+	n.send(addr, n.encode(addr, m), 0)
+}
+
+// encode renders m into the node's reused buffer and counts it as sent;
+// nil when there is nothing to send.
+func (n *Node) encode(addr string, m *message) []byte {
 	if addr == "" {
-		return
+		return nil
 	}
 	buf, err := appendWire(n.encBuf[:0], m)
 	if err != nil {
-		return // oversized value: callers validate, so only corrupt state lands here
+		return nil // oversized value: callers validate, so only corrupt state lands here
 	}
 	n.encBuf = buf[:0]
 	n.stats.countOut(m.Kind)
-	n.tr.Send(addr, buf)
+	return buf
+}
+
+// send transmits pkt to addr after delay, best-effort. A held packet is
+// copied past the buffer's reuse and goes out on the network's clock; if
+// the node closes first it meets a closed transport and is dropped.
+func (n *Node) send(addr string, pkt []byte, delay time.Duration) {
+	switch {
+	case pkt == nil:
+	case delay <= 0:
+		n.tr.Send(addr, pkt)
+	default:
+		pkt = append([]byte(nil), pkt...)
+		n.clk.AfterFunc(delay, func() { n.tr.Send(addr, pkt) })
+	}
 }

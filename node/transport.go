@@ -34,20 +34,8 @@ type Transport interface {
 // pushTransport is the capability of a transport that needs no goroutine
 // blocked in Recv: once attached, it calls deliver for every arriving
 // datagram, on the sender's goroutine, handing over ownership of pkt.
-// attach reports false when the transport cannot push after all (a fault
-// wrapper around a socket); its Recv then remains the way in.
 type pushTransport interface {
-	attach(deliver func(pkt []byte, from string)) bool
-}
-
-// clockOf is the clock tr's network runs on: a virtual network's for one
-// of its endpoints, fault-wrapped or not, the wall clock for anything
-// else.
-func clockOf(tr Transport) clock.Clock {
-	if ft, ok := tr.(*FaultTransport); ok {
-		return clockOf(ft.inner)
-	}
-	return clock.Of(tr)
+	attach(deliver func(pkt []byte, from string))
 }
 
 // errClosed is returned by transport operations after Close.
@@ -175,8 +163,8 @@ func NewMemNetwork() *MemNetwork {
 
 // NewSimNetwork returns an empty network on virtual time. A datagram
 // arrives simLatency after it is sent; its delivery, every function
-// posted to a node, every node's timer wake-up and every re-send a
-// FaultTransport holds back is one entry of the network's single
+// posted to a node, every node's timer wake-up and every request a
+// node's fault plan holds back is one entry of the network's single
 // (time, arming order) queue. Nodes on it run no goroutine: a caller
 // blocked in Lookup, Get, Put, Kill, Restart, Metrics or Close steps the
 // queue, one entry at a time, until its own reply is in, and time
@@ -284,11 +272,10 @@ func (e *memEndpoint) mailbox() chan memPacket {
 
 // attach implements pushTransport. Packets that reached the mailbox
 // before the attachment stay there for Recv.
-func (e *memEndpoint) attach(deliver func(pkt []byte, from string)) bool {
+func (e *memEndpoint) attach(deliver func(pkt []byte, from string)) {
 	e.net.mu.Lock()
 	e.deliver = deliver
 	e.net.mu.Unlock()
-	return true
 }
 
 func (e *memEndpoint) Recv() ([]byte, string, error) {

@@ -14,8 +14,7 @@ import (
 //	version uint8   1
 //	kind    uint8   msgReq | msgAck | msgResp
 //	op      uint8   OpLookup | OpGet | OpPut (requests and responses)
-//	status  uint8   StatusOK | Status... (responses); this hop's
-//	                retransmission count, its try (requests); 0 in acks
+//	status  uint8   StatusOK | Status... (responses); 0 otherwise
 //	hops    uint16  hops taken so far (requests) / total (responses)
 //	budget  uint16  remaining hop budget (requests)
 //	reqID   uint64  request identity, allocated by the origin
