@@ -2,8 +2,10 @@ package node
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -170,6 +172,97 @@ func TestNodeFaultPlan(t *testing.T) {
 			var now float64
 			sender, receiver := faultPair(t, tc.plan, tc.seed, &now)
 			tc.run(t, sender, receiver, &now, mustPlan(t, tc.plan).Bind(tc.seed, 100))
+		})
+	}
+}
+
+// pullOnly hides a transport's push capability, so a node started on it
+// runs a pump goroutine blocking in Recv, as it does on a socket.
+type pullOnly struct{ Transport }
+
+// TestFaultTransportStall: during its stall episode a node swallows
+// inbound requests (no ack ever forms — the sender's RTO takes over) but
+// still takes acks; outside the episode the plan is transparent. Both
+// ways a transport feeds a node are held to it: the pump blocking in
+// Recv, and the push path an in-memory endpoint delivers by.
+func TestFaultTransportStall(t *testing.T) {
+	const self = 1 // owns key 1 in a 1-bit chord
+	inj := mustPlan(t, "stall:1:10").Bind(11, 100)
+	win, ok := inj.StallWindow(self)
+	if !ok {
+		t.Fatal("stall:1 placed no episode")
+	}
+	proto, err := rcm.NewProtocol("chord", rcm.Config{Bits: 1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"recv", "push"} {
+		t.Run(path, func(t *testing.T) {
+			mem := NewMemNetwork()
+			probe := mem.Endpoint()
+			var tr Transport = mem.Endpoint()
+			if path == "recv" {
+				tr = pullOnly{tr}
+			}
+			var now atomic.Uint64 // the plan clock's float64 bits
+			nd, err := New(Config{
+				Protocol:   proto,
+				ID:         self,
+				Transport:  tr,
+				AddrOf:     func(overlay.ID) string { return "" },
+				Fault:      inj,
+				FaultClock: func() float64 { return math.Float64frombits(now.Load()) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nd.Start()
+			t.Cleanup(func() { nd.Close(); probe.Close() })
+			giveUp := time.AfterFunc(5*time.Second, func() { probe.Close() })
+			defer giveUp.Stop()
+			send := func(m *message) {
+				t.Helper()
+				pkt, err := appendWire(nil, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := probe.Send(nd.Addr(), pkt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			req := func(reqID uint64) *message {
+				return &message{Kind: msgReq, Op: OpLookup, Budget: 16, ReqID: reqID, Dst: self, Deadline: 3000, Origin: probe.Addr()}
+			}
+
+			now.Store(math.Float64bits((win.From + win.To) / 2)) // mid-episode
+			send(req(1))
+			send(&message{Kind: msgAck, ReqID: 7})
+			m := nd.Metrics()
+			for deadline := time.Now().Add(5 * time.Second); m.AcksIn == 0 && time.Now().Before(deadline); m = nd.Metrics() {
+				time.Sleep(time.Millisecond)
+			}
+			if m.AcksIn != 1 {
+				t.Fatalf("stalled node took %d acks, want the ack sent after the request", m.AcksIn)
+			}
+			if m.Faults != (fault.Counts{StallDrops: 1}) || m.ReqsIn != 0 {
+				t.Fatalf("stalled node counts %s and took %d requests, want stall=1 and none", m.Faults, m.ReqsIn)
+			}
+
+			now.Store(math.Float64bits(win.To + 1)) // episode over
+			send(req(2))
+			for _, want := range []uint8{msgAck, msgResp} {
+				reply, _, err := probe.Recv()
+				if err != nil {
+					t.Fatalf("waiting for kind %d: %v", want, err)
+				}
+				// An ack for request 1 here would mean the stalled request formed one.
+				if m, err := decodeWire(reply); err != nil || m.Kind != want || m.ReqID != 2 {
+					t.Fatalf("post-episode reply kind=%d reqID=%d (err %v), want kind %d for request 2", m.Kind, m.ReqID, err, want)
+				}
+			}
+			if m := nd.Metrics(); m.Faults != (fault.Counts{StallDrops: 1}) || m.ReqsIn != 1 {
+				t.Errorf("after the episode: counts %s and %d requests taken, want stall=1 and 1", m.Faults, m.ReqsIn)
+			}
 		})
 	}
 }
