@@ -69,9 +69,14 @@ cluster-smoke:
 # together, at 128 nodes, one
 # fault-free 4096-node cell per forwarder and one retransmitting corrupt
 # cell, each replayed on a live "sim" cluster and held to eventsim per
-# lookup (outcome and hops) and per cell (fault tallies).
+# lookup (outcome and hops) and per cell (fault tallies). Those replay
+# on virtual time, so it then runs, five times each, the only tests that
+# drive the wall-clock path where a sender runs its receiver's turns:
+# the wall-clock conformance cells and the inbox hand-off stress tests.
 chaos-smoke:
 	go test -race -run TestConformanceLiveVsEventsim -count=1 -timeout 60s ./node/cluster/
+	go test -race -run TestConformanceWallClock -count=5 -timeout 120s ./node/cluster/
+	go test -race -run 'TestInbox|TestCloseUnstarted|TestControlConcurrentWithClose' -count=5 -timeout 120s ./node/
 
 fmt:
 	gofmt -l .

@@ -4,8 +4,9 @@
 //	detsource          no wall clocks, global math/rand, env reads or
 //	                   order-sensitive map iteration in
 //	                   determinism-critical packages
-//	loopowner          rcm:loop-owned node state is touched only by the
-//	                   event-loop goroutine
+//	loopowner          rcm:loop-owned node state is touched only in
+//	                   the node's turns, run by the holder of its
+//	                   inbox's runner role
 //	registrydiscipline Register* calls complete during package init
 //	boundary           imports respect the module's layer contract
 //

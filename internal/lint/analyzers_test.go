@@ -68,15 +68,18 @@ func TestBoundaryFaultLeaf(t *testing.T) {
 }
 
 // TestLoopOwnerBad: exported-entry-point reads, timer-callback and
-// goroutine writes, and laundering via a method call are all caught.
+// goroutine writes, laundering via a method call, and a call or `go`
+// launch of the drain root by a function without the rcm:loop-claim
+// marker are all caught; the marker sanctions the drain call alone.
 func TestLoopOwnerBad(t *testing.T) {
 	runGolden(t, "loopowner/bad", "rcm/node", LoopOwner)
 }
 
 // TestLoopOwnerClean: the dispatch root draining an inbox of packets and
 // posted functions, closures handed to the rcm:loop-post helper,
-// loop-reachable handlers, the go-launch of the root, and unannotated
-// types are all silent.
+// loop-reachable handlers, rcm:loop-claim functions calling the root
+// once their put claimed the runner role, and unannotated types are all
+// silent.
 func TestLoopOwnerClean(t *testing.T) {
 	runGolden(t, "loopowner/clean", "rcm/node", LoopOwner)
 }

@@ -3,9 +3,10 @@
 // the runtime conformance suites can only sample. The simulator's
 // headline guarantee — a fixed spec and seed reproduce every figure
 // bit-for-bit — and the live node's single-writer concurrency model are
-// whole-program properties; one stray wall-clock read or off-loop state
-// write silently voids them. These analyzers make the contracts
-// machine-checked at the source level, in CI and in `make lint`.
+// whole-program properties; one stray wall-clock read or state write
+// outside a node's turns silently voids them. These analyzers make the
+// contracts machine-checked at the source level, in CI and in `make
+// lint`.
 //
 // # Analyzers
 //
@@ -19,11 +20,15 @@
 // them before use is the sanctioned idiom and passes.
 //
 // loopowner guards the node's ownership discipline. Struct fields
-// marked `// rcm:loop-owned` may be touched only by code reachable from
-// the event-loop dispatch: the function marked `rcm:event-loop` (the
-// node's inbox drain) and closures handed to a `rcm:loop-post` helper.
-// Goroutine bodies, timer callbacks and exported entry points must
-// instead post a closure into the loop. The
+// marked `// rcm:loop-owned` may be touched only in a node's turns: code
+// reachable from the function marked `rcm:event-loop` (the node's inbox
+// drain) and closures handed to a `rcm:loop-post` helper. A node has no
+// loop goroutine — whoever puts an entry into its idle inbox is handed
+// the runner role and drains it — so the drain has callers, and the only
+// sanctioned ones are functions marked `rcm:loop-claim`, which call it
+// once the inbox has handed them the role; any other call of it, `go`
+// launches included, is a finding. Goroutine bodies, timer callbacks and
+// exported entry points must instead post a closure into the loop. The
 // analyzer also flags laundering — calling a loop-only helper from
 // outside the loop.
 //

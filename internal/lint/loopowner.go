@@ -7,27 +7,36 @@ import (
 
 // Marker comments recognized by LoopOwner.
 const (
-	// MarkerLoopOwned on a struct field: only the event-loop goroutine
-	// may touch this field.
+	// MarkerLoopOwned on a struct field: only the loop — whichever
+	// goroutine holds the runner role — may touch this field.
 	MarkerLoopOwned = "rcm:loop-owned"
-	// MarkerEventLoop on a method: this is the event-loop dispatch root;
-	// its body (and everything it calls) runs on the loop goroutine.
+	// MarkerEventLoop on a method: this is the event-loop dispatch root
+	// (the inbox drain); its body, and everything it calls, runs as the
+	// loop.
 	MarkerEventLoop = "rcm:event-loop"
 	// MarkerLoopPost on a function/method: function-literal arguments
-	// passed to it are executed on the loop goroutine (it posts them
-	// into the loop's inbox).
+	// passed to it are executed as the loop (it posts them into the
+	// loop's inbox).
 	MarkerLoopPost = "rcm:loop-post"
+	// MarkerLoopClaim on a function/method: it calls the rcm:event-loop
+	// drain only after the inbox handed it the runner role, so those
+	// calls run as the loop. Its own body is not loop code.
+	MarkerLoopClaim = "rcm:loop-claim"
 )
 
-// LoopOwner enforces the single-event-loop ownership discipline that
-// lets rcm/node route without locks: struct fields marked
+// LoopOwner enforces the single-runner ownership discipline that lets
+// rcm/node route without locks: struct fields marked
 // "// rcm:loop-owned" may be read or written only from code that
-// provably runs on the event-loop goroutine — the method marked
+// provably runs as the node's loop — the drain marked
 // "// rcm:event-loop", function literals posted into the loop (passed to
-// a "// rcm:loop-post" method), and methods reachable from those.
-// Accesses from goroutines spawned with `go`, from time.AfterFunc
-// callbacks, or from exported entry points are data races waiting for a
-// scheduler change; they must post a closure into the loop instead.
+// a "// rcm:loop-post" method), and methods reachable from those. The
+// loop is a role, not a goroutine: a function marked
+// "// rcm:loop-claim" calls the drain only once the inbox has handed it
+// the role, and those are the only sanctioned calls of the drain from
+// outside the loop. Accesses from goroutines spawned with `go`, from
+// time.AfterFunc callbacks, or from exported entry points are data races
+// waiting for a scheduler change; they must post a closure into the loop
+// instead.
 var LoopOwner = &Analyzer{
 	Name: "loopowner",
 	Doc:  "restrict rcm:loop-owned struct fields to code reachable from the rcm:event-loop dispatch (posted closures included)",
@@ -125,7 +134,7 @@ func (c *loopContext) build() {
 			// Function literals handed to a loop-post method are
 			// executed on the loop.
 			if fn := calleeFunc(info, n); fn != nil {
-				if decl, ok := c.declOf[fn]; ok && c.markedLoopPost(decl) {
+				if decl, ok := c.declOf[fn]; ok && isMarked(decl, MarkerLoopPost) {
 					for _, arg := range n.Args {
 						if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
 							c.loop[lit] = true
@@ -136,12 +145,6 @@ func (c *loopContext) build() {
 		}
 		return true
 	})
-}
-
-// markedLoopPost reports whether decl carries the rcm:loop-post marker.
-func (c *loopContext) markedLoopPost(decl ast.Node) bool {
-	fd, ok := decl.(*ast.FuncDecl)
-	return ok && commentHasMarker([]*ast.CommentGroup{fd.Doc}, MarkerLoopPost)
 }
 
 // propagate closes the loop set over direct calls: a function called
@@ -162,7 +165,7 @@ func (c *loopContext) propagate() {
 			return true
 		}
 		if fn := calleeFunc(info, call); fn != nil {
-			if decl, ok := c.declOf[fn]; ok && c.markedLoopPost(decl) {
+			if decl, ok := c.declOf[fn]; ok && isMarked(decl, MarkerLoopPost) {
 				for _, arg := range call.Args {
 					if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
 						c.loop[lit] = true
@@ -219,8 +222,8 @@ func (c *loopContext) report() {
 // reportLaunderedCalls closes the other escape hatch: a non-loop
 // function calling a loop-reachable method that touches owned state
 // runs that method on the wrong goroutine, even though the field access
-// itself sits in blessed code. The only legitimate such call is the
-// `go` launch of the rcm:event-loop root itself.
+// itself sits in blessed code. The only legitimate such call is an
+// rcm:loop-claim function's call of the rcm:event-loop drain.
 func (c *loopContext) reportLaunderedCalls() {
 	touchers := c.stateTouchers()
 	info := c.pass.Pkg.Info
@@ -241,17 +244,20 @@ func (c *loopContext) reportLaunderedCalls() {
 		if encl == nil || c.loop[encl] {
 			return true
 		}
-		// Allow the launch site: `go n.loop()` on the marked root.
-		if fd, isDecl := decl.(*ast.FuncDecl); isDecl && commentHasMarker([]*ast.CommentGroup{fd.Doc}, MarkerEventLoop) {
-			if len(stack) > 0 {
-				if g, isGo := stack[len(stack)-1].(*ast.GoStmt); isGo && g.Call == call {
-					return true
-				}
-			}
+		// Allow the drain's call by a function that claimed the role.
+		if isMarked(encl, MarkerLoopClaim) && isMarked(decl, MarkerEventLoop) {
+			return true
 		}
 		c.pass.Reportf(call.Pos(), "call to %s, which touches loop-owned state, from outside the event loop; post a closure into the loop instead", fn.Name())
 		return true
 	})
+}
+
+// isMarked reports whether decl is a function declaration whose doc
+// comment carries marker.
+func isMarked(decl ast.Node, marker string) bool {
+	fd, ok := decl.(*ast.FuncDecl)
+	return ok && commentHasMarker([]*ast.CommentGroup{fd.Doc}, marker)
 }
 
 // stateTouchers returns the function nodes that access a loop-owned

@@ -1,7 +1,8 @@
 // Package bad seeds every ownership violation loopowner must catch:
 // direct reads from exported entry points, writes from timer callbacks
-// and goroutines, and laundering loop-state access through a method
-// call from the wrong goroutine.
+// and goroutines, laundering loop-state access through a method call
+// from the wrong goroutine, and calls of the drain root by functions
+// that never claimed the runner role.
 package bad
 
 import "time"
@@ -12,9 +13,10 @@ type server struct {
 	seq     int         // rcm:loop-owned
 }
 
-// run dispatches posted commands. rcm:event-loop
+// run dispatches posted commands, counting them. rcm:event-loop
 func (s *server) run() {
 	for f := range s.cmds {
+		s.seq++
 		f()
 	}
 }
@@ -53,4 +55,25 @@ func (s *server) postBump() { s.post(func() { s.bump() }) }
 // from an exported entry point runs it on the caller's goroutine.
 func (s *server) Direct() {
 	s.bump() // want `call to bump, which touches loop-owned state, from outside the event loop`
+}
+
+// Kick runs the drain with no claim marker: nothing says its goroutine
+// holds the role.
+func (s *server) Kick() {
+	s.run() // want `call to run, which touches loop-owned state, from outside the event loop`
+}
+
+// Spawn launches the drain on a goroutine of its own, unmarked: a second
+// runner beside whoever holds the role.
+func (s *server) Spawn() {
+	go s.run() // want `call to run, which touches loop-owned state, from outside the event loop`
+}
+
+// claimed carries the marker, but it sanctions only the drain: a call
+// of any other loop method from it is still laundering, and so is a
+// field access in its own body. rcm:loop-claim
+func (s *server) claimed() {
+	s.run()
+	s.bump()  // want `call to bump, which touches loop-owned state, from outside the event loop`
+	s.seq = 0 // want `loop-owned field seq accessed from claimed, which is not reachable from the event-loop dispatch`
 }

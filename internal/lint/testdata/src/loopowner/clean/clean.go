@@ -1,9 +1,9 @@
 // Package clean exercises every sanctioned access path to loop-owned
-// state: the dispatch root itself draining an inbox of packets and
-// posted functions, closures handed to the rcm:loop-post helper,
-// methods reachable from those, the `go`-launch of the root, and — in a
-// second type — fields with no marker at all. loopowner must stay
-// silent.
+// state: the drain root itself running an inbox of packets and posted
+// functions, closures handed to the rcm:loop-post helper, methods
+// reachable from those, the drain's calls by rcm:loop-claim functions
+// that the inbox handed the runner role, and — in a second type — fields
+// with no marker at all. loopowner must stay silent.
 package clean
 
 import (
@@ -18,27 +18,27 @@ type entry struct {
 }
 
 type worker struct {
-	mu    sync.Mutex
-	q     []entry
-	wake  chan struct{}
-	state map[int]int // rcm:loop-owned
-	buf   []byte      // rcm:loop-owned
+	mu      sync.Mutex
+	q       []entry
+	running bool
+	state   map[int]int // rcm:loop-owned
+	buf     []byte      // rcm:loop-owned
 }
 
-// Start launches the dispatch — the one sanctioned non-loop call site
-// of a loop-reachable method.
-func (w *worker) Start() {
-	go w.run()
-}
-
-// run drains the inbox; the root may touch state freely, and so may
-// what it calls. rcm:event-loop
+// run drains the inbox while its caller holds the role; the root may
+// touch state freely, and so may what it calls. rcm:event-loop
 func (w *worker) run() {
-	for range w.wake {
+	for {
 		w.mu.Lock()
 		batch := w.q
 		w.q = nil
+		if len(batch) == 0 {
+			w.running = false
+		}
 		w.mu.Unlock()
+		if len(batch) == 0 {
+			return
+		}
 		for _, e := range batch {
 			if e.fn != nil {
 				e.fn()
@@ -50,21 +50,33 @@ func (w *worker) run() {
 	w.state = nil
 }
 
-func (w *worker) put(e entry) {
+// put queues e, reporting whether the caller claimed the runner role.
+func (w *worker) put(e entry) (claimed bool) {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	w.q = append(w.q, e)
-	w.mu.Unlock()
-	select {
-	case w.wake <- struct{}{}:
-	default:
+	if w.running {
+		return false
+	}
+	w.running = true
+	return true
+}
+
+// post schedules f on the loop, running it if the put claimed the role.
+// rcm:loop-post rcm:loop-claim
+func (w *worker) post(f func()) {
+	if w.put(entry{fn: f}) {
+		w.run()
 	}
 }
 
-// post schedules f on the loop. rcm:loop-post
-func (w *worker) post(f func()) { w.put(entry{fn: f}) }
-
-// Deliver queues a packet from any goroutine; it touches no state.
-func (w *worker) Deliver(pkt int) { w.put(entry{pkt: pkt}) }
+// Deliver queues a packet from any goroutine and drains if it claimed
+// the role; it touches no state itself. rcm:loop-claim
+func (w *worker) Deliver(pkt int) {
+	if w.put(entry{pkt: pkt}) {
+		w.run()
+	}
+}
 
 // Set posts a closure through the helper — the canonical entry point.
 func (w *worker) Set(k, v int) {

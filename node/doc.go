@@ -8,26 +8,41 @@
 //
 // # Anatomy of a node
 //
-// A Node is one event-loop goroutine that owns every piece of routing
-// state (so handlers never lock) and one way into it: the inbox, a
-// mutex-guarded queue the loop swaps out whole and runs a batch at a
-// time. An entry is either a raw datagram with its sender — decoded on
-// the loop — or a posted function: a local request, Kill/Restart, a
-// Metrics snapshot, a timer wake-up. Producers touch the inbox's one-slot
-// wake channel only when the loop has gone to sleep on an empty queue,
-// so a datagram costs one lock and at most one goroutine wake-up. At
-// most 4096 datagrams wait in an inbox, the rest are dropped as a full
-// socket buffer would drop them; posted functions are never dropped, and
-// one the inbox accepted always runs, which is why no caller can hang
-// across Close or Kill.
+// A Node's routing state is touched only in its turns, and one
+// goroutine at a time runs them, so handlers never lock. There is one
+// way in: the inbox, a mutex-guarded queue of turns. An entry is either
+// a raw datagram with its sender — decoded in its turn — or a posted
+// function: a local request, Kill/Restart, a Metrics snapshot, a timer
+// wake-up. A node has no goroutine of its own waiting on the inbox.
+// Whoever puts an entry into an idle inbox claims the runner role and
+// drains the queue on its own goroutine, a batch at a time, until it is
+// empty; a put into a busy inbox only enqueues. The holder releases the
+// role under the same mutex put takes, so an entry put as the role is
+// released lands either in a batch the holder still takes or in an idle
+// inbox its own producer claims: none is stranded. A goroutine that is
+// not the node's own — a caller, a timer, another node's sender — runs
+// at most 256 turns of one node before handing the rest of the queue to
+// a fresh goroutine, so a busy node cannot capture it for long. At most
+// 4096 datagrams wait in an inbox, the rest are dropped as a full socket
+// buffer would drop them; posted functions are never dropped, and one
+// the inbox accepted always runs, which is why no caller can hang across
+// Close or Kill. Start opens the inbox and runs whatever was posted
+// before it; Close waits for the final drop of every waiting request,
+// run by whoever holds the role, and runs it itself when nobody does —
+// on a node that was never started too.
 //
 // How datagrams reach the inbox depends on the transport. An in-memory
 // endpoint attached to a node delivers from the sender's goroutine
-// straight into the destination's inbox: a mem cluster of N nodes is N
-// goroutines and an endpoint carries no mailbox of its own. A UDP socket, or any other Transport, gets a pump goroutine whose
-// body is Recv → inbox, the only place a system call has to block.
+// straight into the destination's inbox, and that goroutine runs the
+// destination's turns when its inbox is idle: a mem node is no goroutine
+// at all, and an uncontended lookup runs hop by hop — request,
+// acknowledgement, response — on its caller's goroutine with no
+// wake-up. A UDP socket, or any other Transport, gets a pump goroutine
+// whose body is Recv → inbox, the only place a system call has to
+// block, and the pump runs the turns of what it receives: a UDP node is
+// that one goroutine.
 //
-// What the loop knows about requests sits in one request table, keyed by
+// What a node knows about requests sits in one request table, keyed by
 // request id, with up to three roles per entry: a forward attempt
 // awaiting its hop acknowledgement, a request this node originated
 // awaiting its verdict, and membership of the dedupe window, the last
@@ -37,7 +52,7 @@
 // slices, so a hop allocates no routing state in steady state; an entry
 // is freed when its last role ends.
 //
-// Timers are loop state too. Each node keeps one timer queue, an
+// Timers are turn state too. Each node keeps one timer queue, an
 // index-tracked 4-ary heap holding every per-hop retransmission timeout
 // and every per-request response guard, each naming its pooled record by
 // index; an acknowledgement, a response, Kill or Close removes its
@@ -48,7 +63,7 @@
 //
 // All time comes from one clock (rcm/node/internal/clock): the wall
 // clock, or the virtual clock of a NewSimNetwork network. On the virtual
-// network a node has no goroutine. Every datagram delivery (a fixed
+// network the inbox's role is never claimed. Every datagram delivery (a fixed
 // millisecond after its send), posted function, timer wake-up and
 // request held back by a fault plan is one entry of the network's single (time, arming
 // order) queue, and a caller blocked in Lookup, Get, Put, Kill, Restart,

@@ -1,9 +1,10 @@
 package node
 
 import (
-	"encoding/binary"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,110 +12,121 @@ import (
 	"rcm/overlay"
 )
 
-// TestInboxPerSenderFIFO: entries of one producer reach the loop in the
-// order it put them, whatever the interleaving with other producers and
-// however the consumer's batches fall.
+// settle returns once every turn posted to nd before the call has run:
+// the inbox is one FIFO queue, so a post queued behind them runs last.
+func settle(t *testing.T, nd *Node) {
+	t.Helper()
+	ran := make(chan struct{})
+	if !nd.post(func() { close(ran) }) {
+		t.Fatal("post refused by an open node")
+	}
+	within(t, 10*time.Second, "the turns queued before a final post", func() { <-ran })
+}
+
+// goid is the calling goroutine's id, read from its stack header.
+func goid() string {
+	var buf [64]byte
+	f := strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))
+	return f[1] // "goroutine <id> [running]:"
+}
+
+// TestInboxPerSenderFIFO: turns posted by one producer run in the order
+// it posted them, whatever the interleaving with other producers, which
+// goroutine holds the role, and where a capped holder hands the rest on.
+// The log is appended to inside turns without a lock, so under -race
+// this also checks that turns of one node never overlap.
 func TestInboxPerSenderFIFO(t *testing.T) {
-	const producers, each = 8, 500 // 4000 packets: under the bound, so none may drop
-	in := newInbox()
+	const producers, each = 8, 1000
+	nd := soloNode(t)
+	var log [][2]int // turn-owned
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
-		go func(p int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				pkt := binary.BigEndian.AppendUint32([]byte{byte(p)}, uint32(i))
-				if !in.put(inboxEntry{pkt: pkt}) {
-					t.Errorf("producer %d: put %d refused by an open inbox", p, i)
+				if !nd.post(func() { log = append(log, [2]int{p, i}) }) {
+					t.Errorf("producer %d: post %d refused by an open node", p, i)
 					return
 				}
 			}
-		}(p)
+		}()
 	}
-	go func() { wg.Wait(); in.close() }()
-
-	next := make([]uint32, producers)
-	var batch []inboxEntry
-	for open := true; open; {
-		batch, open = in.take(batch)
-		for _, e := range batch {
-			p, i := e.pkt[0], binary.BigEndian.Uint32(e.pkt[1:])
-			if i != next[p] {
-				t.Fatalf("producer %d: entry %d arrived where %d was due", p, i, next[p])
-			}
-			next[p]++
+	wg.Wait()
+	settle(t, nd)
+	next := make([]int, producers)
+	for _, e := range log {
+		p, i := e[0], e[1]
+		if i != next[p] {
+			t.Fatalf("producer %d: turn %d ran where %d was due", p, i, next[p])
 		}
+		next[p]++
 	}
 	for p, n := range next {
 		if n != each {
-			t.Errorf("producer %d: %d of %d entries arrived", p, n, each)
+			t.Errorf("producer %d: %d of %d turns ran", p, n, each)
 		}
 	}
 }
 
 // TestInboxPacketBound: the inbox drops datagrams exactly at
-// inboxPacketCap, keeps accepting posts past it, and has room again once
-// the loop has taken the queue.
+// inboxPacketCap, keeps accepting posts past it, and hands all it holds
+// to the first claim, in order; a closed inbox refuses everything, and
+// its holder runs out what it took before keeping the role for the final
+// drop.
 func TestInboxPacketBound(t *testing.T) {
 	in := newInbox()
 	for i := 0; i < inboxPacketCap+10; i++ {
-		if !in.put(inboxEntry{pkt: []byte{1}}) {
-			t.Fatalf("put %d refused by an open inbox", i)
+		if ok, claimed := in.put(inboxEntry{pkt: []byte{1}}); !ok || claimed {
+			t.Fatalf("put %d into an unstarted inbox: accepted %v, claimed %v; want queued", i, ok, claimed)
 		}
 	}
 	ran := false
-	if !in.put(inboxEntry{fn: func() { ran = true }}) {
+	if ok, _ := in.put(inboxEntry{fn: func() { ran = true }}); !ok {
 		t.Fatal("post refused by an open inbox")
 	}
-	batch, open := in.take(nil)
-	if !open {
-		t.Fatal("take reports an open inbox closed")
+	if claimed, open := in.start(); !claimed || !open {
+		t.Fatalf("start with work queued: claimed %v, open %v; want the role", claimed, open)
 	}
-	if want := inboxPacketCap + 1; len(batch) != want {
-		t.Fatalf("took %d entries, want %d packets and the post = %d", len(batch), inboxPacketCap, want)
-	}
-	for i, e := range batch[:inboxPacketCap] {
-		if e.fn != nil {
-			t.Fatalf("entry %d is a post, want a packet", i)
+	for i := 0; i < inboxPacketCap; i++ {
+		if e, open := in.take(); e == nil || e.fn != nil || !open {
+			t.Fatalf("entry %d: %+v (open %v), want a packet of the open inbox", i, e, open)
 		}
 	}
-	batch[inboxPacketCap].fn()
-	if !ran {
-		t.Error("the post queued behind a full inbox is not the last entry")
+	e, _ := in.take()
+	if e == nil || e.fn == nil {
+		t.Fatal("the post queued behind a full inbox is not the last entry")
 	}
-	in.put(inboxEntry{pkt: []byte{2}})
-	in.close()
-	if in.put(inboxEntry{fn: func() {}}) {
+	e.fn()
+	if !ran {
+		t.Error("the post queued behind a full inbox did not run")
+	}
+	if ok, claimed := in.put(inboxEntry{pkt: []byte{2}}); !ok || claimed {
+		t.Fatalf("put into a held inbox: accepted %v, claimed %v; want queued", ok, claimed)
+	}
+	if in.close() {
+		t.Fatal("close claimed a held role")
+	}
+	if ok, _ := in.put(inboxEntry{fn: func() {}}); ok {
 		t.Error("post accepted by a closed inbox")
 	}
-	if batch, open = in.take(batch[:0]); open || len(batch) != 1 {
-		t.Errorf("after close: took %d entries, open=%v; want the 1 packet queued before it, closed", len(batch), open)
+	if e, open := in.take(); e == nil || e.fn != nil || open {
+		t.Errorf("after close: %+v (open %v), want the packet queued before it, closed", e, open)
+	}
+	if e, open := in.take(); e != nil || open {
+		t.Errorf("closed and empty: %+v (open %v), want nothing and the role kept", e, open)
 	}
 }
 
-// TestInboxNoLostWakeup: producers that each wait for their entry to run
-// before putting the next, against a loop that dawdles between batches so
-// it is forever falling asleep as entries arrive. A wake-up lost in that
-// window leaves a queued entry with a sleeping loop, and the test hangs.
-func TestInboxNoLostWakeup(t *testing.T) {
+// TestInboxNoLostRun: producers that each wait for their turn to run
+// before posting the next, against turns that dawdle (yield, sleep) so
+// the role is forever being released as posts arrive. A post stranded in
+// that window leaves its producer waiting and the test hangs; one run
+// twice shows in the tally.
+func TestInboxNoLostRun(t *testing.T) {
 	const producers, each = 16, 400
-	in := newInbox()
-	loopDone := make(chan struct{})
-	go func() {
-		defer close(loopDone)
-		var batch []inboxEntry
-		for open, n := true, 0; open; n++ {
-			batch, open = in.take(batch)
-			for _, e := range batch {
-				e.fn()
-			}
-			if n%3 == 0 {
-				runtime.Gosched()
-			} else if n%64 == 1 {
-				time.Sleep(50 * time.Microsecond)
-			}
-		}
-	}()
+	nd := soloNode(t)
+	var runs [producers][each]int // turn-owned
 	within(t, 30*time.Second, "closed-loop producers", func() {
 		var wg sync.WaitGroup
 		for p := 0; p < producers; p++ {
@@ -123,8 +135,16 @@ func TestInboxNoLostWakeup(t *testing.T) {
 				defer wg.Done()
 				ran := make(chan struct{}, 1)
 				for i := 0; i < each; i++ {
-					if !in.put(inboxEntry{fn: func() { ran <- struct{}{} }}) {
-						t.Error("post refused by an open inbox")
+					if !nd.post(func() {
+						runs[p][i]++
+						if i%3 == 0 {
+							runtime.Gosched()
+						} else if i%64 == 1 {
+							time.Sleep(50 * time.Microsecond)
+						}
+						ran <- struct{}{}
+					}) {
+						t.Error("post refused by an open node")
 						return
 					}
 					<-ran
@@ -133,8 +153,127 @@ func TestInboxNoLostWakeup(t *testing.T) {
 		}
 		wg.Wait()
 	})
-	in.close()
-	within(t, 5*time.Second, "loop exit after close", func() { <-loopDone })
+	settle(t, nd)
+	for p := range runs {
+		for i, n := range runs[p] {
+			if n != 1 {
+				t.Fatalf("producer %d: turn %d ran %d times", p, i, n)
+			}
+		}
+	}
+}
+
+// TestInboxOneRunner: no two goroutines are ever inside one node's turn,
+// whoever claims the role — waiting callers, fire-and-forget posters
+// whose capped drains hand off to fresh goroutines, senders delivering
+// datagrams — while Kill, Restart and Metrics ride along.
+func TestInboxOneRunner(t *testing.T) {
+	nd := soloNode(t)
+	peer := nd.tr.(*memEndpoint).net.Endpoint()
+	t.Cleanup(func() { peer.Close() })
+	ack, err := appendWire(nil, &message{Kind: msgAck, ReqID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inside, overlaps, turns atomic.Int64
+	turn := func() {
+		if inside.Add(1) != 1 {
+			overlaps.Add(1)
+		}
+		turns.Add(1)
+		runtime.Gosched()
+		inside.Add(-1)
+	}
+	const goroutines, each = 8, 600
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				switch (g + i) % 4 {
+				case 0:
+					done := make(chan struct{}, 1)
+					nd.post(func() { turn(); done <- struct{}{} })
+					<-done
+				case 1:
+					nd.post(turn)
+				case 2:
+					peer.Send(nd.Addr(), ack)
+					nd.post(turn)
+				default:
+					if i%50 == 3 {
+						nd.Kill()
+						nd.Restart()
+					}
+					nd.Metrics()
+					nd.post(turn)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	settle(t, nd)
+	if n := overlaps.Load(); n > 0 {
+		t.Errorf("%d turns began while another goroutine was inside one", n)
+	}
+	if want := int64(goroutines * each); turns.Load() != want {
+		t.Errorf("%d instrumented turns ran, want %d", turns.Load(), want)
+	}
+}
+
+// TestInboxCaptureCap: a goroutine that claims the role runs at most
+// drainCap turns and hands the rest, in order, to one fresh goroutine.
+// Here Start's caller claims a queue three caps long.
+func TestInboxCaptureCap(t *testing.T) {
+	nd := unstartedSolo(t)
+	const queued = 3*drainCap + 5
+	ranOn := make([]string, queued) // turn-owned
+	done := make(chan struct{})
+	for i := 0; i < queued; i++ {
+		if !nd.post(func() {
+			ranOn[i] = goid()
+			if i == queued-1 {
+				close(done)
+			}
+		}) {
+			t.Fatal("post refused by an open node")
+		}
+	}
+	caller := goid()
+	nd.Start()
+	within(t, 10*time.Second, "the queued turns", func() { <-done })
+	for i, g := range ranOn {
+		if own := g == caller; own != (i < drainCap) {
+			t.Fatalf("turn %d ran on the claiming goroutine: %v; want exactly the first %d there", i, own, drainCap)
+		}
+		if i > drainCap && g != ranOn[drainCap] {
+			t.Fatalf("turns %d and %d ran on different fresh goroutines: the hand-off is one goroutine", drainCap, i)
+		}
+	}
+}
+
+// TestCloseUnstartedAnswersCallers: a request posted to a node that was
+// never started waits in its inbox; Close runs it and fails it, rather
+// than leaving its caller blocked.
+func TestCloseUnstartedAnswersCallers(t *testing.T) {
+	nd := unstartedSolo(t)
+	res := make(chan Result, 1)
+	go func() { res <- nd.Lookup(5) }()
+	for queued := false; !queued; time.Sleep(time.Millisecond) {
+		nd.in.mu.Lock()
+		queued = len(nd.in.q) > 0
+		nd.in.mu.Unlock()
+	}
+	within(t, 2*time.Second, "Close of an unstarted node", nd.Close)
+	select {
+	case r := <-res:
+		if r.Err == nil || !strings.Contains(r.Err.Error(), "closed") {
+			t.Errorf("lookup posted before Start, then Close: %+v, want a closed error", r)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("lookup posted before Start still blocked 2 s after Close")
+	}
 }
 
 // TestSeenWindow: the dedupe window holds exactly the last seenCap
@@ -194,12 +333,12 @@ func waitGoroutines(t *testing.T, want int, what string) {
 	t.Errorf("%s: %d goroutines, want %d", what, got, want)
 }
 
-// TestMemClusterGoroutines: a node on an in-memory endpoint is one
-// goroutine — senders push into its inbox, so there is no receive pump —
-// and Close leaves none behind, not even for the requests a fault plan
-// still holds back. A node on a virtual network is none: the callers
-// step it. A UDP node keeps its pump, fault plan and all: a socket
-// cannot push.
+// TestMemClusterGoroutines: a node on an in-memory endpoint has no
+// goroutine — senders push into its inbox and run its turns, so there is
+// neither a loop nor a receive pump — and Close leaves none behind, not
+// even for the requests a fault plan still holds back. A node on a
+// virtual network has none either: the callers step it. A UDP node is
+// its pump alone, fault plan and all: a socket cannot push.
 func TestMemClusterGoroutines(t *testing.T) {
 	proto, err := rcm.NewProtocol("chord", rcm.Config{Bits: 7, Seed: 7})
 	if err != nil {
@@ -213,7 +352,7 @@ func TestMemClusterGoroutines(t *testing.T) {
 		name  string
 		mem   *MemNetwork
 		perNd int
-	}{{"mem", NewMemNetwork(), 1}, {"sim", NewSimNetwork(), 0}} {
+	}{{"mem", NewMemNetwork(), 0}, {"sim", NewSimNetwork(), 0}} {
 		addrs := make([]string, n)
 		nodes := make([]*Node, n)
 		for i := range nodes {
@@ -265,7 +404,7 @@ func TestMemClusterGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	nd.Start()
-	waitGoroutines(t, base+2, "one started UDP node")
+	waitGoroutines(t, base+1, "one started UDP node")
 	if res := nd.Lookup(1); !res.OK() {
 		t.Errorf("self-lookup on UDP: %+v", res)
 	}

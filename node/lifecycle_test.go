@@ -14,12 +14,20 @@ import (
 // need no peers.
 func soloNode(t *testing.T) *Node {
 	t.Helper()
+	nd := unstartedSolo(t)
+	nd.Start()
+	return nd
+}
+
+// unstartedSolo is soloNode before Start: its inbox queues what is put
+// and nobody runs it yet. The test closes it on cleanup.
+func unstartedSolo(t *testing.T) *Node {
+	t.Helper()
 	proto, err := rcm.NewProtocol("chord", rcm.Config{Bits: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := NewMemNetwork()
-	tr := mem.Endpoint()
+	tr := NewMemNetwork().Endpoint()
 	nd, err := New(Config{
 		Protocol:  proto,
 		ID:        3,
@@ -31,7 +39,7 @@ func soloNode(t *testing.T) *Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd.Start()
+	t.Cleanup(nd.Close)
 	return nd
 }
 

@@ -11,7 +11,7 @@ import (
 // (Node.stats) is loop-owned like the rest of the routing state —
 // handlers increment plain fields with no atomics or locks — so observing
 // a node costs the hot path nothing beyond the increments themselves;
-// Node.Metrics copies it on the event loop, so a snapshot is internally
+// Node.Metrics copies it in a turn of the node, so a snapshot is internally
 // consistent. Histograms are value copies and merge freely across nodes
 // (cluster stats, the rcmd metrics endpoint).
 //
@@ -67,7 +67,7 @@ type Metrics struct {
 type evictionCounter interface{ Evictions() uint64 }
 
 // Metrics snapshots the node's instrumentation. The snapshot is taken
-// by the event loop between events, so counters and histograms are
+// in a turn of the node, between events, so counters and histograms are
 // mutually consistent. A closed node returns the zero Metrics.
 func (n *Node) Metrics() Metrics {
 	ch := make(chan Metrics, 1)
@@ -78,7 +78,7 @@ func (n *Node) Metrics() Metrics {
 }
 
 // snapshotMetrics copies the loop-owned record and fills in the gauges
-// read from live state; loop goroutine only.
+// read from live state; in a turn only.
 func (n *Node) snapshotMetrics() Metrics {
 	m := n.stats
 	m.StoreLen = n.store.Len()
@@ -91,7 +91,7 @@ func (n *Node) snapshotMetrics() Metrics {
 	return m
 }
 
-// countIn tallies a received message by kind; loop goroutine only.
+// countIn tallies a received message by kind; in a turn only.
 func (m *Metrics) countIn(kind uint8) {
 	switch kind {
 	case msgReq:
@@ -103,7 +103,7 @@ func (m *Metrics) countIn(kind uint8) {
 	}
 }
 
-// countOut tallies a sent message by kind; loop goroutine only.
+// countOut tallies a sent message by kind; in a turn only.
 func (m *Metrics) countOut(kind uint8) {
 	switch kind {
 	case msgReq:
@@ -115,8 +115,8 @@ func (m *Metrics) countOut(kind uint8) {
 	}
 }
 
-// recordVerdict records a locally-originated request's outcome; loop
-// goroutine only.
+// recordVerdict records a locally-originated request's outcome; in a
+// turn only.
 func (m *Metrics) recordVerdict(op Op, status Status, hops int, elapsed time.Duration) {
 	if status == StatusOK {
 		m.Hops.Observe(int64(hops))

@@ -127,9 +127,10 @@ type originWait struct {
 	guard clock.Handle
 }
 
-// Node is one live DHT node: an event loop owning all routing state, fed
-// through one inbox by arriving datagrams, local callers and its timer
-// wake-up. The public methods are safe for concurrent use.
+// Node is one live DHT node: routing state touched only in the node's
+// turns, fed through one inbox by arriving datagrams, local callers and
+// its timer wake-up, and run by whichever goroutine holds the inbox's
+// runner role. The public methods are safe for concurrent use.
 type Node struct {
 	cfg   Config
 	fwd   rcm.Forwarder
@@ -147,9 +148,10 @@ type Node struct {
 	once sync.Once
 
 	reqSeq  atomic.Uint64
-	downNow atomic.Bool // read by fast paths; written only by the loop
+	downNow atomic.Bool // read by fast paths; written only in a turn
 
-	// Loop-owned state (no locking: only the event loop touches it).
+	// Loop-owned state (no locking: only the node's turns touch it, and
+	// one goroutine at a time runs them).
 	// The rcm:loop-owned markers are enforced by rcmlint's loopowner
 	// analyzer: any read or write outside code reachable from the
 	// rcm:event-loop dispatch is a lint error, not a latent race.
@@ -228,47 +230,66 @@ func (n *Node) Addr() string { return n.tr.Addr() }
 // Store returns the node's key-value backend.
 func (n *Node) Store() Store { return n.store }
 
-// Start launches the event loop. A transport that can push (in-memory
-// endpoints) delivers into the inbox from the sender's goroutine, so the
-// loop is the node's only goroutine; any other transport gets a pump
-// goroutine blocking in Recv on the loop's behalf.
-// On a virtual network the node has no goroutine at all: the network's
-// steps run it (simDeliver, simAfter).
+// Start opens the node's inbox and runs whatever was posted to it
+// before. The node has no goroutine of its own: whoever puts an entry
+// into its idle inbox runs its turns (drain). A transport that can push
+// (in-memory endpoints) delivers from the sender's goroutine, so an
+// uncontended request runs hop by hop on its caller's goroutine; any
+// other transport gets a pump goroutine blocking in Recv, which runs the
+// turns of what it receives. On a virtual network the network's steps
+// run the node (simDeliver, simAfter). rcm:loop-claim
 func (n *Node) Start() {
 	if n.sim != nil {
 		n.tr.(pushTransport).attach(n.simDeliver)
 		return
 	}
-	n.wg.Add(1)
-	go n.loop()
-	if p, ok := n.tr.(pushTransport); ok {
-		p.attach(n.deliver)
+	claimed, open := n.in.start()
+	if !open {
 		return
 	}
-	n.wg.Add(1)
-	go n.pump()
+	if p, ok := n.tr.(pushTransport); ok {
+		p.attach(n.deliver)
+	} else {
+		n.wg.Add(1)
+		go n.pump()
+	}
+	if claimed {
+		n.drain(drainCap)
+	}
 }
 
 // Close stops the node permanently, failing callers blocked on requests.
+// It returns once the final drop has run — on the goroutine holding the
+// runner role, or on this one when nobody holds it — and the node's
+// goroutines have exited.
 func (n *Node) Close() {
-	n.once.Do(func() {
-		n.in.close()
-		n.tr.Close()
-		if n.sim != nil {
-			// What the wall-clock loop does once its last batch has run.
-			done := make(chan struct{}, 1)
-			n.simAfter(0, func() { n.drop("closed"); done <- struct{}{} })
-			await(n, done)
-		}
-	})
+	n.once.Do(n.shutdown)
+	<-n.in.drained
 	n.wg.Wait()
+}
+
+// shutdown is Close's one run: it closes the inbox and the transport and,
+// if nobody holds the runner role, claims it to run the rest and the
+// final drop. rcm:loop-claim
+func (n *Node) shutdown() {
+	claimed := n.in.close()
+	n.tr.Close()
+	if n.sim != nil {
+		// What a wall-clock node's final drain does.
+		done := make(chan struct{}, 1)
+		n.simAfter(0, func() { n.drop("closed"); done <- struct{}{} })
+		await(n, done)
+		close(n.in.drained)
+	} else if claimed {
+		n.drain(-1)
+	}
 }
 
 // Kill simulates a crash: the node stops accepting, forwarding and
 // responding, in-flight state is dropped, and local callers get an error.
 // The transport stays open (packets arrive and are ignored), matching a
-// live process whose DHT layer died. Kill blocks until the loop has
-// applied it.
+// live process whose DHT layer died. Kill blocks until a turn of the
+// node has applied it.
 func (n *Node) Kill() { n.control(true) }
 
 // Restart brings a killed node back (with its store intact).
@@ -277,7 +298,7 @@ func (n *Node) Restart() { n.control(false) }
 // Down reports whether the node is currently killed.
 func (n *Node) Down() bool { return n.downNow.Load() }
 
-// control applies Kill/Restart on the loop and waits for it. After Close
+// control applies Kill/Restart in a turn and waits for it. After Close
 // it is a rejected no-op: the inbox refuses the post, so a closed node's
 // downNow is never re-armed.
 func (n *Node) control(down bool) {
@@ -295,27 +316,51 @@ func (n *Node) control(down bool) {
 	}
 }
 
-// loop is the event loop: every piece of routing state is owned by this
-// goroutine, so handlers never lock. It drains the inbox a batch at a
-// time. rcm:event-loop (the loopowner dispatch root: code reachable from
+// drainCap bounds the turns a borrowed goroutine — a caller's, a
+// timer's, a sender's — runs for one node before it hands the rest of
+// the queue to a fresh goroutine, so a busy node cannot capture a
+// goroutine that is not its own for long.
+const drainCap = 256
+
+// drain runs the node's turns while its goroutine holds the runner role:
+// every piece of routing state is touched only inside a turn, and one
+// goroutine at a time holds the role, so handlers never lock. It returns
+// once the inbox is empty and the role released, or after budget turns
+// (negative: no bound), handing the role on to a fresh goroutine if work
+// remains. On a closed inbox the last holder fails whoever still waits:
+// the inbox accepted every post it reported true for and they have run,
+// so every waiter is registered, and nothing reaches the node from now
+// on. rcm:event-loop (the loopowner dispatch root: code reachable from
 // here may touch rcm:loop-owned fields).
-func (n *Node) loop() {
-	defer n.wg.Done()
-	var batch []inboxEntry
-	for open := true; open; {
-		batch, open = n.in.take(batch)
-		for i := range batch {
-			n.run(&batch[i], open)
+func (n *Node) drain(budget int) {
+	for ; ; budget-- {
+		e, open := n.in.take()
+		if e == nil {
+			if !open {
+				n.drop("closed")
+				close(n.in.drained)
+			}
+			return
 		}
-		clear(batch) // it is the next spare: keep no packet or closure alive through it
+		if budget == 0 {
+			n.in.untake()
+			n.wg.Add(1)
+			go n.handOff()
+			return
+		}
+		n.run(e, open)
 	}
-	// The inbox accepted every post it reported true for and the final
-	// batch has run them, so whoever is still waiting is registered here:
-	// fail them, since nothing reaches the loop from now on.
-	n.drop("closed")
 }
 
-// run is one turn of the loop: a posted function, or a datagram — which
+// handOff drains on a fresh goroutine the queue a borrowed goroutine
+// left when its budget ran out; it holds the role from its launch.
+// rcm:loop-claim
+func (n *Node) handOff() {
+	defer n.wg.Done()
+	n.drain(-1)
+}
+
+// run is one turn of the node: a posted function, or a datagram — which
 // a closed node does not answer, serving only its blocked callers.
 func (n *Node) run(e *inboxEntry, open bool) {
 	n.now = -1
@@ -340,9 +385,9 @@ func (n *Node) simAfter(d time.Duration, f func()) {
 	n.sim.AfterFunc(d, f)
 }
 
-// await returns the value the loop sends on ch. On a virtual network
-// nothing else steps the network, so the waiting caller does, until the
-// value is there.
+// await returns the value a turn of the node sends on ch. On a virtual
+// network nothing else steps the network, so the waiting caller does,
+// until the value is there.
 func await[T any](n *Node, ch chan T) T {
 	if n.sim != nil && !n.sim.Run(func() bool { return len(ch) > 0 }) {
 		panic("node: the virtual network ran dry while a caller waited on it")
@@ -350,7 +395,7 @@ func await[T any](n *Node, ch chan T) T {
 	return <-ch
 }
 
-// clock returns the time at which the running loop turn first asked for
+// clock returns the time at which the running turn first asked for
 // it: a turn reads the clock at most once, and one that needs no time (an
 // acknowledgement) not at all.
 func (n *Node) clock() time.Duration {
@@ -381,7 +426,7 @@ func (n *Node) wakeBy(at time.Duration) {
 	}
 }
 
-// tick is the clock timer's turn of the loop: fire every timer now due,
+// tick is the clock timer's turn of the node: fire every timer now due,
 // earliest first, then re-arm for the next.
 func (n *Node) tick() {
 	n.wakeAt = noWake
@@ -417,31 +462,44 @@ func (n *Node) drop(why string) {
 }
 
 // pump feeds the inbox from a transport that can only be read by
-// blocking in Recv (a socket).
+// blocking in Recv (a socket), and runs the turns of what it receives:
+// it is the node's own goroutine, so its drains are unbounded.
 func (n *Node) pump() {
 	defer n.wg.Done()
 	for {
 		pkt, from, err := n.tr.Recv()
-		if err != nil || !n.in.put(inboxEntry{pkt: pkt, from: from}) {
+		if err != nil || !n.enter(inboxEntry{pkt: pkt, from: from}, -1) {
 			return
 		}
 	}
 }
 
-// deliver hands one arriving datagram to the loop; the node owns pkt from
+// deliver hands one arriving datagram to the node, which owns pkt from
 // here on. It is the push transports' entry, called on the sender's
 // goroutine.
 func (n *Node) deliver(pkt []byte, from string) {
-	n.in.put(inboxEntry{pkt: pkt, from: from})
+	n.enter(inboxEntry{pkt: pkt, from: from}, drainCap)
 }
 
-// post schedules f on the loop — on a virtual network, as a step of its
-// own — reporting false if the node is closed; an accepted f always
-// runs. rcm:loop-post (loopowner: function literals passed here run on
-// the event-loop goroutine).
+// enter puts e into the inbox, reporting false once the node is closed,
+// and runs the node's turns, up to budget of them, if the put claimed
+// the runner role. rcm:loop-claim
+func (n *Node) enter(e inboxEntry, budget int) bool {
+	accepted, claimed := n.in.put(e)
+	if claimed {
+		n.drain(budget)
+	}
+	return accepted
+}
+
+// post schedules f as a turn of the node — on a virtual network, as a
+// step of its own — reporting false if the node is closed; an accepted f
+// always runs, on the caller's goroutine if it claims the role.
+// rcm:loop-post (loopowner: function literals passed here run as turns
+// of the node).
 func (n *Node) post(f func()) bool {
 	if n.sim == nil {
-		return n.in.put(inboxEntry{fn: f})
+		return n.enter(inboxEntry{fn: f}, drainCap)
 	}
 	if n.in.isClosed() {
 		return false
@@ -505,9 +563,11 @@ func (n *Node) Get(key string) Result {
 }
 
 // Put stores value under key. With replication it writes every owner in
-// the key's replica set, best-effort: the result is OK if any replica
-// stored the value (the first success's verdict), and Hops totals the
-// route cost of all attempts.
+// the key's replica set, best-effort: it issues every write before it
+// awaits any, so the owners are written concurrently and the Put takes
+// as long as its slowest write. The result is OK if any replica stored
+// the value (the first success's verdict, in placement order), and Hops
+// totals the route cost of all attempts.
 func (n *Node) Put(key string, value []byte) Result {
 	if len(value) > MaxValueLen {
 		return Result{Err: fmt.Errorf("node: value of %d bytes exceeds the %d-byte wire limit", len(value), MaxValueLen)}
@@ -517,10 +577,14 @@ func (n *Node) Put(key string, value []byte) Result {
 		return Result{Err: err}
 	}
 	hash := KeyHash(key)
+	writes := make([]chan Result, len(owners))
+	for i, o := range owners {
+		writes[i] = n.begin(OpPut, o, hash, value)
+	}
 	var out Result
 	stored, total := false, 0
-	for _, o := range owners {
-		r := n.issue(OpPut, o, hash, value)
+	for _, w := range writes {
+		r := await(n, w)
 		total += r.Hops
 		if r.OK() && !stored {
 			out, stored = r, true
@@ -549,19 +613,24 @@ func (n *Node) owners(root overlay.ID) ([]overlay.ID, error) {
 
 // issue originates a request at this node and blocks for its verdict.
 func (n *Node) issue(op Op, dst overlay.ID, key uint64, value []byte) Result {
-	if n.downNow.Load() {
-		return Result{Err: fmt.Errorf("node %d: down", n.cfg.ID)}
-	}
-	if !n.space.Contains(dst) {
-		return Result{Status: StatusNoRoute, Err: fmt.Errorf("node %d: destination %d outside the %d-bit identifier space", n.cfg.ID, dst, n.space.Bits())}
-	}
+	return await(n, n.begin(op, dst, key, value))
+}
+
+// begin originates a request at this node without waiting: its verdict
+// arrives on the returned channel, at once for a request refused here.
+// An accepted post runs and registers the channel, and a registered
+// origin always concludes: by its response, its guard, Kill, or Close.
+func (n *Node) begin(op Op, dst overlay.ID, key uint64, value []byte) chan Result {
 	ch := make(chan Result, 1)
-	if !n.originate(ch, op, dst, key, value) {
-		return Result{Err: fmt.Errorf("node %d: closed", n.cfg.ID)}
+	switch {
+	case n.downNow.Load():
+		ch <- Result{Err: fmt.Errorf("node %d: down", n.cfg.ID)}
+	case !n.space.Contains(dst):
+		ch <- Result{Status: StatusNoRoute, Err: fmt.Errorf("node %d: destination %d outside the %d-bit identifier space", n.cfg.ID, dst, n.space.Bits())}
+	case !n.originate(ch, op, dst, key, value):
+		ch <- Result{Err: fmt.Errorf("node %d: closed", n.cfg.ID)}
 	}
-	// The accepted post runs and registers ch, and a registered origin
-	// always concludes: by its response, its guard, Kill, or Close.
-	return await(n, ch)
+	return ch
 }
 
 // originate posts a request issued at this node, whose verdict arrives on
@@ -611,7 +680,7 @@ func (n *Node) expire(w *originWait) {
 	n.reqs.dropWait(n.reqs.lookup(w.reqID))
 }
 
-// ---- Event handlers (loop goroutine only) ------------------------------
+// ---- Event handlers (in a turn only) -----------------------------------
 
 // handle decodes and dispatches one datagram. The decoded message is
 // passed by pointer from here on; a forward record takes the one copy.

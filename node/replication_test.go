@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -156,5 +157,48 @@ func TestReplicasConfigValidation(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("Replicas above the cap accepted")
+	}
+}
+
+// TestReplicatedPutWritesConcurrently: a k = 3 Put issues its three
+// writes before it awaits any, so on virtual time it takes as long as its
+// slowest owner's write alone — not the sum of the three — and its
+// verdict and hop total are those of the writes made one at a time.
+func TestReplicatedPutWritesConcurrently(t *testing.T) {
+	const k = 3
+	nodes := bootFaultNet(t, NewSimNetwork(), "chord", 5, "", func(cfg *Config) { cfg.Replicas = k })
+	key, value := "beta", []byte("v2")
+	hash := KeyHash(key)
+	owners, err := nodes[0].owners(KeyID(nodes[0].space, key))
+	if err != nil || len(owners) != k {
+		t.Fatalf("replica set %v (err %v), want %d owners", owners, err, k)
+	}
+	var src *Node
+	for _, nd := range nodes {
+		if !slices.Contains(owners, nd.ID()) {
+			src = nd
+			break
+		}
+	}
+	timed := func(f func() Result) (Result, time.Duration) {
+		start := src.clk.Now()
+		r := f()
+		return r, src.clk.Now() - start
+	}
+	var slowest, sum time.Duration
+	hops := 0
+	for _, o := range owners {
+		r, d := timed(func() Result { return src.issue(OpPut, o, hash, value) })
+		if !r.OK() || d <= 0 {
+			t.Fatalf("write to owner %d alone: %+v in %v", o, r, d)
+		}
+		slowest, sum, hops = max(slowest, d), sum+d, hops+r.Hops
+	}
+	r, d := timed(func() Result { return src.Put(key, value) })
+	if !r.OK() || r.Hops != hops {
+		t.Errorf("replicated put: %+v, want OK with the writes' %d hops", r, hops)
+	}
+	if d != slowest {
+		t.Errorf("replicated put took %v of virtual time, want its slowest owner's %v (the three one at a time take %v)", d, slowest, sum)
 	}
 }

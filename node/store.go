@@ -10,7 +10,7 @@ import (
 
 // Store is the pluggable key-value backend a node applies owner operations
 // against. Implementations must be safe for concurrent use: the node's
-// event loop and test harnesses may call from different goroutines. Values
+// turns and test harnesses may call from different goroutines. Values
 // are stored as given; callers must not mutate a value after Put or the
 // slice returned by Get.
 type Store interface {

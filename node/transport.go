@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rcm/node/internal/clock"
@@ -147,18 +150,27 @@ func (t *udpTransport) Close() error { return t.conn.Close() }
 // sockets. It is the substrate the conformance and smoke tests replay
 // eventsim schedules on.
 type MemNetwork struct {
-	mu   sync.RWMutex
-	next int
-	eps  map[string]*memEndpoint
+	mu sync.Mutex // serializes Endpoint and Close, the writers of eps
+	// eps holds the open endpoints by address number ("mem:<i>" is
+	// entry i), nil once closed. A datagram resolves its destination
+	// with atomic loads alone, so concurrent senders share no written
+	// cache line; Endpoint grows the table by doubling.
+	eps  atomic.Pointer[[]atomic.Pointer[memEndpoint]]
+	made int // endpoints made so far: the next address's number
 	// vt is the virtual clock of a NewSimNetwork network, nil on the
 	// wall clock.
 	vt *clock.Virtual
 }
 
+// memAddrPrefix starts every MemNetwork address; the endpoint's number
+// follows.
+const memAddrPrefix = "mem:"
+
 // NewMemNetwork returns an empty network on the wall clock: a datagram
-// is delivered as it is sent, and nodes run their own goroutines.
+// is delivered as it is sent, on the sender's goroutine, which runs the
+// destination node's turns if nobody else is running them.
 func NewMemNetwork() *MemNetwork {
-	return &MemNetwork{eps: make(map[string]*memEndpoint)}
+	return &MemNetwork{}
 }
 
 // NewSimNetwork returns an empty network on virtual time. A datagram
@@ -172,7 +184,7 @@ func NewMemNetwork() *MemNetwork {
 // and with one caller at a time a run is a function of the calls made —
 // Recv on an endpoint is for the test that steps the network itself.
 func NewSimNetwork() *MemNetwork {
-	return &MemNetwork{eps: make(map[string]*memEndpoint), vt: new(clock.Virtual)}
+	return &MemNetwork{vt: new(clock.Virtual)}
 }
 
 // simLatency is the one-way latency of every datagram on a
@@ -194,7 +206,8 @@ type memPacket struct {
 type memEndpoint struct {
 	net     *MemNetwork
 	addr    string
-	deliver func(pkt []byte, from string) // guarded by net.mu
+	num     int                                           // addr's number, its entry in net.eps
+	deliver atomic.Pointer[func(pkt []byte, from string)] // set by attach
 	boxOnce sync.Once
 	box     chan memPacket
 	once    sync.Once
@@ -205,15 +218,45 @@ type memEndpoint struct {
 func (n *MemNetwork) Endpoint() Transport {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	addr := fmt.Sprintf("mem:%d", n.next)
-	n.next++
+	i := n.made
+	n.made++
 	ep := &memEndpoint{
 		net:  n,
-		addr: addr,
+		addr: memAddrPrefix + strconv.Itoa(i),
+		num:  i,
 		done: make(chan struct{}),
 	}
-	n.eps[addr] = ep
+	tab := n.table()
+	if i == len(tab) {
+		grown := make([]atomic.Pointer[memEndpoint], max(64, 2*len(tab)))
+		for j := range tab {
+			grown[j].Store(tab[j].Load())
+		}
+		n.eps.Store(&grown)
+		tab = grown
+	}
+	tab[i].Store(ep)
 	return ep
+}
+
+// table is the current endpoint table.
+func (n *MemNetwork) table() []atomic.Pointer[memEndpoint] {
+	if tab := n.eps.Load(); tab != nil {
+		return *tab
+	}
+	return nil
+}
+
+// lookup returns the open endpoint at addr, nil if there is none.
+func (n *MemNetwork) lookup(addr string) *memEndpoint {
+	num, ok := strings.CutPrefix(addr, memAddrPrefix)
+	i, err := strconv.Atoi(num)
+	if tab := n.table(); ok && err == nil && i >= 0 && i < len(tab) {
+		if ep := tab[i].Load(); ep != nil && ep.addr == addr {
+			return ep
+		}
+	}
+	return nil
 }
 
 func (e *memEndpoint) Addr() string { return e.addr }
@@ -244,18 +287,12 @@ func (e *memEndpoint) Send(addr string, pkt []byte) error {
 // arrive hands data to whoever holds addr now: the attached node, else
 // the mailbox.
 func (n *MemNetwork) arrive(addr string, data []byte, from string) {
-	n.mu.RLock()
-	dst, ok := n.eps[addr]
-	var deliver func([]byte, string)
-	if ok {
-		deliver = dst.deliver
-	}
-	n.mu.RUnlock()
-	if !ok {
+	dst := n.lookup(addr)
+	if dst == nil {
 		return // unknown destination: dropped, like an unroutable datagram
 	}
-	if deliver != nil {
-		deliver(data, from)
+	if deliver := dst.deliver.Load(); deliver != nil {
+		(*deliver)(data, from)
 		return
 	}
 	select {
@@ -273,9 +310,7 @@ func (e *memEndpoint) mailbox() chan memPacket {
 // attach implements pushTransport. Packets that reached the mailbox
 // before the attachment stay there for Recv.
 func (e *memEndpoint) attach(deliver func(pkt []byte, from string)) {
-	e.net.mu.Lock()
-	e.deliver = deliver
-	e.net.mu.Unlock()
+	e.deliver.Store(&deliver)
 }
 
 func (e *memEndpoint) Recv() ([]byte, string, error) {
@@ -299,7 +334,7 @@ func (e *memEndpoint) Close() error {
 	e.once.Do(func() {
 		close(e.done)
 		e.net.mu.Lock()
-		delete(e.net.eps, e.addr)
+		e.net.table()[e.num].Store(nil)
 		e.net.mu.Unlock()
 	})
 	return nil

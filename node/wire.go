@@ -120,7 +120,7 @@ type message struct {
 	Value    []byte
 }
 
-// appendWire encodes m into buf (reused across calls by the node loop).
+// appendWire encodes m into buf (reused across a node's turns).
 func appendWire(buf []byte, m *message) ([]byte, error) {
 	if len(m.Origin) > 255 {
 		return nil, fmt.Errorf("node: origin address %q longer than 255 bytes", m.Origin)
