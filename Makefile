@@ -18,9 +18,9 @@ race:
 # instead of waiting for someone to compare two machines. The root
 # package is not in the list: it pins no golden, and its registry tests
 # register process-global names, so they cannot run twice in one process.
-# eventsim's pinned digests run at both counts too: one core drains the
-# shards inline, four drain them on worker goroutines, and the two must
-# reproduce the same recorded results.
+# eventsim's pinned digests run at both counts too: its shard workers
+# take turns on one core and race on four, and the two must reproduce
+# the same recorded results.
 cpu-sweep:
 	go test -cpu 1,4 ./exp ./internal/sim ./internal/figures ./cmd/dhtsim ./cmd/figures
 	go test -cpu 1,4 -run TestResultsPinned ./eventsim
@@ -101,12 +101,14 @@ lint:
 # its map oracle; closed-form forwarding against its scan oracle; the
 # shared q-powers walk of internal/core against each geometry's own
 # PhaseFailure; the fault-plan and lifetime-family grammars' round trips
-# through their canonical spellings) a short budget; the targets are build-tagged so they stay out
-# of ordinary test runs.
+# through their canonical spellings; the fault step's tallies against the
+# fate it returns) a short budget; the targets are build-tagged so they
+# stay out of ordinary test runs.
 fuzz-smoke:
 	go test -tags fuzz -fuzz FuzzParseMessage -fuzztime 10s -run '^$$' ./node
 	go test -tags fuzz -fuzz FuzzRequestTable -fuzztime 10s -run '^$$' ./node
 	go test -tags fuzz -fuzz FuzzForwarderOracle -fuzztime 10s -run '^$$' ./internal/dht
 	go test -tags fuzz -fuzz FuzzPhaseWalk -fuzztime 10s -run '^$$' ./internal/core
 	go test -tags fuzz -fuzz FuzzFaultPlan -fuzztime 10s -run '^$$' ./fault
+	go test -tags fuzz -fuzz FuzzSendTally -fuzztime 10s -run '^$$' ./fault
 	go test -tags fuzz -fuzz FuzzLifetimeSpec -fuzztime 10s -run '^$$' ./eventsim/lifetime

@@ -38,9 +38,10 @@
 // on a channel barrier: each epoch the coordinator releases every worker
 // with the epoch boundary, the workers drain their local queues
 // concurrently, and the coordinator joins them before running the
-// barrier. (With one shard, or GOMAXPROCS=1, the shards are drained
-// inline in shard order instead — bit-identical by construction, since
-// shards touch disjoint mutable state within an epoch.) At the barrier,
+// barrier. (With one shard, the shard is drained inline instead; on
+// any core count the workers' results are bit-identical by
+// construction, since shards touch disjoint mutable state within an
+// epoch.) At the barrier,
 // node lifecycle changes are folded into the global alive-snapshot
 // bitset, and cross-shard messages (which always carry at least one
 // lookahead of latency, so they can never arrive inside the epoch that
@@ -292,12 +293,15 @@
 // duplication, reordering, corruption (a dropped request: this is loss)
 // and per-node stall episodes. The Transport stays a latency model.
 // Every clause faults requests only — acks stay reliable, because that
-// is the model a live node can reproduce exactly. Each request's
-// decision is fault.Injector.Coins of a key a live replay derives too
-// (fault.Hop), and stalls are read at the lookup's scheduled instant, so
-// a live node given the same plan (node.Config.Fault) decides alike; only a
-// duplicate's latency comes from the shard's stream. Faults are billed
-// into Result.Faults by the rule on fault.Counts, and runs stay
+// is the model a live node can reproduce exactly. rcm/fault decides and
+// tallies each request's fate: fault.Injector.Send in dispatch, from a
+// key a live replay derives too (fault.Hop), and fault.Injector.Receive
+// in the request and duplicate handlers, at the lookup's scheduled
+// instant. A live node given the same plan (node.Config.Fault) calls the
+// same two, so it decides and counts alike. The engine only applies the
+// fate: a hold-back adds Hold × the transport's MaxLatency, a delay
+// spike scales the sampled latencies, and a duplicate's latency comes
+// from the shard's stream. The tallies land in Result.Faults, and runs stay
 // bit-identical across (Seed, Shards); without a plan, runs are
 // bit-identical to builds that predate the capability. The faultstorm
 // scenario (a stable population under steady uniform load) is the

@@ -2,7 +2,6 @@ package eventsim
 
 import (
 	"math"
-	"runtime"
 
 	"rcm/fault"
 	"rcm/internal/registry"
@@ -546,36 +545,18 @@ func (sh *shard) dispatch(t float64, lk, cur, next uint32, ci, try int, hops uin
 	var dupLat float64
 	lost, dup := false, false
 	if inj := eng.inj; inj != nil {
-		// Fault clauses apply to the request only (acks stay pure), in
-		// fault.Counts' order and by its tally rule: the coin-free
-		// partition first, then the transmission's coins, which a live
-		// node flips from the same key (fault.Hop). Only a duplicate's
-		// latency comes from the shard's stream.
-		if inj.CrossPartition(uint64(cur), uint64(next), t) {
-			sh.faults.PartitionDrops++
-			lost = true
-		} else {
-			l := &eng.lookups[lk]
-			c := inj.Coins(fault.Hop{T: l.T, From: uint64(cur), To: uint64(next), Owner: uint64(eng.owner(l.Dst, ri)), Hops: hops, Try: uint8(try)})
-			if c.Corrupt {
-				// The receiver's wire codec rejects the mangled packet: a drop.
-				sh.faults.Corrupts++
-				lost = true
-			}
-			if c.Reorder {
-				lat += c.Hold * eng.cfg.Transport.MaxLatency()
-				if !lost {
-					sh.faults.Reorders++
-				}
-			}
-			if c.Dup {
-				dupLat, dup = eng.cfg.Transport.Sample(sh.rng), true
-			}
+		// Fault clauses apply to the request only (acks stay pure), decided
+		// and tallied by fault.Injector.Send from the key a live node
+		// derives too (fault.Hop). Only a duplicate's latency comes from
+		// the shard's stream.
+		l := &eng.lookups[lk]
+		f := inj.Send(t, fault.Hop{T: l.T, From: uint64(cur), To: uint64(next), Owner: uint64(eng.owner(l.Dst, ri)), Hops: hops, Try: uint8(try)}, &sh.faults)
+		lost, dup = f.Cut || f.Corrupt, f.Dup // the receiver's codec rejects a corrupted copy
+		lat += f.Hold * eng.cfg.Transport.MaxLatency()
+		if dup {
+			dupLat = eng.cfg.Transport.Sample(sh.rng) * f.Delay
 		}
-		if f := inj.DelayFactor(t); f > 1 {
-			lat *= f
-			dupLat *= f
-		}
+		lat *= f.Delay
 	}
 	if lat < eng.delta {
 		lat = eng.delta
@@ -595,7 +576,6 @@ func (sh *shard) dispatch(t float64, lk, cur, next uint32, ci, try int, hops uin
 		if dupLat < eng.delta {
 			dupLat = eng.delta
 		}
-		sh.faults.Dups++
 		if lost {
 			// Only the duplicate survived: it carries the request.
 			req.t = t + dupLat
@@ -623,11 +603,10 @@ func (sh *shard) dispatch(t float64, lk, cur, next uint32, ci, try int, hops uin
 func (sh *shard) handleReq(e ev) {
 	eng := sh.eng
 	y := e.node
-	if eng.inj != nil && eng.inj.Stalled(uint64(y), eng.lookups[e.lk].T) {
-		// Unresponsive at the lookup's scheduled instant, a live replay's
-		// plan clock: no ack, no forwarding — the sender's timeout fires
-		// exactly as if the request had been lost (fault.Counts).
-		sh.faults.StallDrops++
+	if eng.inj != nil && !eng.inj.Receive(uint64(y), eng.lookups[e.lk].T, &sh.faults) {
+		// Stalled at the lookup's scheduled instant, a live replay's plan
+		// clock: no ack, no forwarding — the sender's timeout fires
+		// exactly as if the request had been lost.
 		return
 	}
 	if !sh.online[y] {
@@ -670,8 +649,7 @@ func (sh *shard) handleReq(e ev) {
 // holds no loss.
 func (sh *shard) handleDup(e ev) {
 	eng := sh.eng
-	if eng.inj != nil && eng.inj.Stalled(uint64(e.node), eng.lookups[e.lk].T) {
-		sh.faults.StallDrops++
+	if eng.inj != nil && !eng.inj.Receive(uint64(e.node), eng.lookups[e.lk].T, &sh.faults) {
 		return
 	}
 	if !sh.online[e.node] {
@@ -759,20 +737,17 @@ func (sh *shard) handleStab(e ev) {
 // with a barrier between epochs that applies lifecycle deltas to the
 // alive snapshot, hands each shard's cross-shard sends to their
 // destinations (which push them themselves, first thing next epoch), and
-// samples per-bucket online fractions. With more than one
-// shard and parallel hardware, each shard is drained by a persistent
-// worker goroutine released and joined through a channel barrier; on a
-// single shard, or when GOMAXPROCS is 1 and goroutines could only add
-// scheduling overhead, the shards run inline. The two execution paths are
-// bit-identical by construction — within an epoch shards touch disjoint
-// mutable state, so the order (or concurrency) of their draining cannot
-// be observed.
+// samples per-bucket online fractions. With more than one shard, each
+// shard is drained by a persistent worker goroutine released and joined
+// through a channel barrier; a single shard runs inline. The result is
+// the same however the host schedules the workers: within an epoch
+// shards touch disjoint mutable state, so the order (or concurrency) of
+// their draining cannot be observed.
 func (e *engine) run() {
 	e.onlineFrac[0] = float64(e.onlineCount) / float64(e.n)
 	e.nextBucket = 1
 
-	//lint:allow detsource picks inline vs goroutine drain only; TestDeterministicAcrossGOMAXPROCS pins the two bit-identical
-	parallel := len(e.shards) > 1 && runtime.GOMAXPROCS(0) > 1
+	parallel := len(e.shards) > 1
 	var done chan struct{}
 	if parallel {
 		done = make(chan struct{}, len(e.shards))

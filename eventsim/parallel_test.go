@@ -9,11 +9,10 @@ import (
 )
 
 // TestDeterministicAcrossGOMAXPROCS locks the persistent-worker engine's
-// execution-strategy independence: for a fixed (Seed, Shards) pair the
-// result must be byte-identical whether the shards are drained inline
-// (GOMAXPROCS=1 — the engine detects serial hardware and skips the worker
-// goroutines entirely) or by persistent workers racing on however many
-// cores the host offers. The scenario turns on every contention-prone
+// scheduling independence: for a fixed (Seed, Shards) pair the result
+// must be byte-identical whether the workers take turns on one core
+// (GOMAXPROCS=1) or race on however many cores the host offers. The
+// scenario turns on every contention-prone
 // subsystem at once — churn lifecycles, maintenance (concurrent
 // routing-table reads and owner-row writes), an empirical transport under
 // a corrupt plan (retransmissions, cross-shard acknowledgements) — and CI
@@ -57,8 +56,9 @@ func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // per-shard-count results legitimately differ — the shard count is part
 // of the sampling plan): a lossless churn-free run completes every lookup
 // at Shards=1 and Shards=4 alike, under whatever parallelism the host
-// gives the workers. A sparse run then pins the two paths, and the heap
-// reference, to exact agreement where deferred delivery is most exposed.
+// gives the workers. A sparse run then pins the workers on one core and
+// on many, and the heap reference, to exact agreement where deferred
+// delivery is most exposed.
 func TestInlineMatchesWorkers(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		res := mustRun(t, Config{
@@ -84,7 +84,7 @@ func TestInlineMatchesWorkers(t *testing.T) {
 	// work there is, with every queue empty (across these seeds that
 	// happens at every shard count; 7 and 15 hit it at all three). The run
 	// must neither end under the notice nor idle-skip past its arrival,
-	// however the shards are executed and whichever queue they run on.
+	// on one core or many, and whichever queue the shards run on.
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	for seed := uint64(1); seed <= 16; seed++ {
@@ -104,6 +104,7 @@ func TestInlineMatchesWorkers(t *testing.T) {
 				t.Errorf("seed=%d shards=%d: %d lookups started, %d completed + %d failed: a message was stranded",
 					seed, shards, total.Started, total.Completed, total.Failed)
 			}
+			// The same workers, taking turns on one core.
 			runtime.GOMAXPROCS(1)
 			inline := mustRun(t, cfg)
 			runtime.GOMAXPROCS(prev)

@@ -33,15 +33,19 @@
 // group membership and stall episodes are pure functions of
 // (seed, node), so the simulator and a live cluster bound to the same
 // seed agree exactly on who is cut from whom and who stalls when; the
-// Injector is stateless and safe for concurrent use. The probabilistic
-// clauses (dup, reorder, corrupt) are decided there too: Injector.Coins
-// flips them as mix64 outputs of the seed and the transmission's key
-// (Hop: the lookup's scheduled instant, sender, receiver, owner, hop
-// count and try), which eventsim derives from its schedule and a live
-// node from the request header and its replay clock. Both executors
-// therefore make the same decision for the same transmission and count
-// it by the one rule on Counts, which is what the conformance grid in
-// node/cluster pins per lookup and per tally.
+// Injector is stateless and safe for concurrent use. It is also the one
+// fault step of both executors. Injector.Send decides a request
+// transmission's Fate: the coin-free partition cut first, then the dup,
+// reorder and corrupt coins, flipped as mix64 outputs of the seed and
+// the transmission's key (Hop: the lookup's scheduled instant, sender,
+// receiver, owner, hop count and try), and the delay-spike factor.
+// Injector.Receive decides whether a stall drops a request at its
+// receiver. Both tally what they decide by the one rule on Counts.
+// eventsim derives the key from its schedule and a live node from the
+// request header and its replay clock, and each only applies the fate:
+// the same decision for the same transmission, counted the same way,
+// which is what the conformance grid in node/cluster pins per lookup and
+// per tally.
 //
 // # Writing a custom plan
 //
@@ -54,7 +58,9 @@
 //	}
 //	if err := plan.Validate(); err != nil { ... }
 //	inj := plan.Bind(seed, duration)
-//	if inj.CrossPartition(src, dst, t) { /* drop the request */ }
+//	var tally fault.Counts
+//	f := inj.Send(now, fault.Hop{T: t, From: src, To: dst, Owner: owner}, &tally)
+//	if f.Cut || f.Corrupt { /* the primary copy is lost */ }
 //
 // An executor integrating a new clause kind follows three rules: fault
 // requests only; report the worst-case delivered latency through

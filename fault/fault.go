@@ -259,7 +259,7 @@ func (p Plan) Bind(seed uint64, horizon float64) *Injector {
 // Injector answers fault-plan queries as pure functions of
 // (plan, seed, node identifiers, time): no internal state, no wall
 // clock, safe for concurrent use. That holds for the probabilistic
-// clauses too: Coins flips the dup, reorder and corrupt coins of one
+// clauses too: Send flips the dup, reorder and corrupt coins of one
 // request transmission from the seed and a key both executors derive
 // from the schedule (Hop), so eventsim and a live replay make the same
 // decision for the same transmission, not merely draw from the same
@@ -296,27 +296,6 @@ func (in *Injector) Group(node uint64) uint64 {
 	return mix64((in.seed+partitionSalt)^(node*0x9e3779b97f4a7c15)) % uint64(pt.Groups)
 }
 
-// CrossPartition reports whether a request from src to dst at time t is
-// blackholed by the partition clause. It is coin-free: both executors
-// compute the identical answer from (seed, src, dst, t).
-func (in *Injector) CrossPartition(src, dst uint64, t float64) bool {
-	pt := in.plan.Partition
-	if pt == nil || !pt.Contains(t) {
-		return false
-	}
-	return in.Group(src) != in.Group(dst)
-}
-
-// DelayFactor returns the latency multiplier at time t (1 outside the
-// delay-spike window or without the clause).
-func (in *Injector) DelayFactor(t float64) float64 {
-	ds := in.plan.DelaySpike
-	if ds == nil || !ds.Contains(t) {
-		return 1
-	}
-	return ds.Factor
-}
-
 // StallWindow returns node's stall episode, if the stall clause selected
 // it: the Bernoulli(P) pick, the uniform start in [0, horizon) and the
 // Exp(Mean) duration all come from a seed-derived per-node stream, so
@@ -334,12 +313,6 @@ func (in *Injector) StallWindow(node uint64) (Window, bool) {
 	return Window{From: from, To: from + r.Exp(st.Mean)}, true
 }
 
-// Stalled reports whether node is inside its stall episode at time t.
-func (in *Injector) Stalled(node uint64, t float64) bool {
-	w, ok := in.StallWindow(node)
-	return ok && w.Contains(t)
-}
-
 // Hop keys one transmission of a request by what both executors know of
 // it: the scheduled instant of its lookup, this hop's endpoints, the
 // owner it is routed to, its hop count and this hop's try.
@@ -350,24 +323,36 @@ type Hop struct {
 	Try             uint8
 }
 
-// Coins is one transmission's fault decision. A corrupted request has
-// Mask (non-zero) XORed into wire byte Byte (0–2: magic or version), a
-// reordered one is held back by Hold ∈ [0, 1) of the executor's latency
-// bound, and a duplicated one gets a second, faithful copy.
-type Coins struct {
-	Corrupt, Reorder, Dup bool
-	Byte                  int
-	Mask                  byte
-	Hold                  float64
+// Fate is one transmission's fault decision (Send). A request across the
+// cut of an open partition window is Cut, and meets no other clause. A
+// corrupted request has Mask (non-zero) XORed into wire byte Byte (0–2:
+// magic or version), a reordered one is held back by Hold ∈ [0, 1) of the
+// executor's latency bound (0 when not reordered), and a duplicated one
+// gets a second, faithful copy. Delay multiplies the delivered latency:
+// the delay-spike factor inside its window, 1 outside it.
+type Fate struct {
+	Cut, Corrupt, Reorder, Dup bool
+	Byte                       int
+	Mask                       byte
+	Hold, Delay                float64
 }
 
-// Coins flips the plan's corrupt, reorder and dup coins for h, each its
-// own mix64 output of the seed and h; a plan without those clauses
-// returns the zero decision.
-func (in *Injector) Coins(h Hop) Coins {
-	pl, c := &in.plan, Coins{}
+// Send decides the fate of the request transmission h, sent at plan time
+// now, and tallies it into n by Counts' rule. The partition is coin-free;
+// then the corrupt, reorder and dup coins are each their own mix64
+// output of the seed and h, so a plan without those clauses flips none.
+func (in *Injector) Send(now float64, h Hop, n *Counts) Fate {
+	pl, f := &in.plan, Fate{Delay: 1}
+	if pt := pl.Partition; pt != nil && pt.Contains(now) && in.Group(h.From) != in.Group(h.To) {
+		n.PartitionDrops++
+		f.Cut = true
+		return f
+	}
+	if ds := pl.DelaySpike; ds != nil && ds.Contains(now) {
+		f.Delay = ds.Factor
+	}
 	if pl.Corrupt == 0 && pl.Reorder == 0 && pl.Dup == 0 {
-		return c
+		return f
 	}
 	k := in.seed + coinSalt
 	for _, x := range [...]uint64{math.Float64bits(h.T), h.From, h.To, h.Owner, uint64(h.Hops)<<8 | uint64(h.Try)} {
@@ -375,28 +360,45 @@ func (in *Injector) Coins(h Hop) Coins {
 	}
 	coin := func(i uint64) uint64 { return mix64(k + i*0x9e3779b97f4a7c15) }
 	unit := func(i uint64) float64 { return float64(coin(i)>>11) * 0x1p-53 }
-	if c.Corrupt = unit(1) < pl.Corrupt; c.Corrupt {
+	if f.Corrupt = unit(1) < pl.Corrupt; f.Corrupt {
+		n.Corrupts++
 		r := coin(2)
-		c.Byte, c.Mask = int(r%3), byte(1+(r>>8)%255)
+		f.Byte, f.Mask = int(r%3), byte(1+(r>>8)%255)
 	}
-	if c.Reorder = unit(3) < pl.Reorder; c.Reorder {
-		c.Hold = unit(4)
+	if f.Reorder = unit(3) < pl.Reorder; f.Reorder {
+		f.Hold = unit(4)
+		if !f.Corrupt {
+			n.Reorders++ // a corrupted copy is lost, not late
+		}
 	}
-	c.Dup = unit(5) < pl.Dup
-	return c
+	if f.Dup = unit(5) < pl.Dup; f.Dup {
+		n.Dups++
+	}
+	return f
+}
+
+// Receive reports whether node takes in a request at plan time t: false
+// inside its stall episode, whether or not the node is up, and the drop
+// is tallied into n.
+func (in *Injector) Receive(node uint64, t float64, n *Counts) bool {
+	if w, ok := in.StallWindow(node); ok && w.Contains(t) {
+		n.StallDrops++
+		return false
+	}
+	return true
 }
 
 // Counts tallies injected faults by kind; executors accumulate one (per
-// shard, per transport) and sum with Add. Both follow one tally rule, in
-// the order a request meets the plan, counting a fault only on a copy
-// the inner transport would have delivered: a request across the cut of
-// an open partition window is dropped, duplicate and all, before any
-// coin (PartitionDrops); then a corrupted copy (Corrupts), an intact
-// copy held back (Reorders — a corrupted one is lost, not late), a
-// duplicate (Dups); and at the receiver, at the lookup's scheduled
-// instant, each intact copy ignored inside a stall episode, whether or
-// not the node is up: the stall sits in front of its liveness
-// (StallDrops).
+// shard, per node) and sum with Add. Send and Receive are the one
+// implementation of its tally rule, in the order a request meets the
+// plan, counting a fault only on a copy the inner transport would have
+// delivered: a request across the cut of an open partition window is
+// dropped, duplicate and all, before any coin (PartitionDrops); then a
+// corrupted copy (Corrupts), an intact copy held back (Reorders — a
+// corrupted one is lost, not late), a duplicate (Dups); and at the
+// receiver, at the lookup's scheduled instant, each intact copy ignored
+// inside a stall episode, whether or not the node is up: the stall sits
+// in front of its liveness (StallDrops).
 type Counts struct {
 	PartitionDrops uint64 // requests blackholed by the partition clause
 	Dups           uint64 // duplicate copies delivered

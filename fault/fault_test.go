@@ -204,16 +204,19 @@ func TestCrossPartitionWindowed(t *testing.T) {
 	if !found {
 		t.Fatal("no cross-group pair in the first 256 ids")
 	}
-	if inj.CrossPartition(src, dst, 0.5) {
+	cut := func(from, to uint64, now float64) bool {
+		return inj.Send(now, Hop{From: from, To: to}, &Counts{}).Cut
+	}
+	if cut(src, dst, 0.5) {
 		t.Error("partition active before its window")
 	}
-	if !inj.CrossPartition(src, dst, 1.5) {
+	if !cut(src, dst, 1.5) {
 		t.Error("cross-group pair not cut inside the window")
 	}
-	if inj.CrossPartition(src, dst, 2.0) {
+	if cut(src, dst, 2.0) {
 		t.Error("partition active at the half-open window end")
 	}
-	if inj.CrossPartition(src, src, 1.5) {
+	if cut(src, src, 1.5) {
 		t.Error("same-group pair cut")
 	}
 }
@@ -224,11 +227,11 @@ func TestDelayFactor(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := plan.Bind(1, 10)
-	if got := inj.DelayFactor(0.5); got != 1 {
-		t.Errorf("DelayFactor outside window = %v, want 1", got)
+	if got := inj.Send(0.5, Hop{}, &Counts{}).Delay; got != 1 {
+		t.Errorf("Delay outside window = %v, want 1", got)
 	}
-	if got := inj.DelayFactor(1.5); got != 4 {
-		t.Errorf("DelayFactor inside window = %v, want 4", got)
+	if got := inj.Send(1.5, Hop{}, &Counts{}).Delay; got != 4 {
+		t.Errorf("Delay inside window = %v, want 4", got)
 	}
 }
 
@@ -239,6 +242,7 @@ func TestStallEpisodes(t *testing.T) {
 	}
 	const horizon = 10.0
 	inj := plan.Bind(3, horizon)
+	stalledAt := func(inj *Injector, node uint64, t float64) bool { return !inj.Receive(node, t, &Counts{}) }
 	stalled := 0
 	const n = 2048
 	for node := uint64(0); node < n; node++ {
@@ -247,7 +251,7 @@ func TestStallEpisodes(t *testing.T) {
 			t.Fatalf("StallWindow(%d) not deterministic", node)
 		}
 		if !ok {
-			if inj.Stalled(node, 5) {
+			if stalledAt(inj, node, 5) {
 				t.Fatalf("node %d stalled without an episode", node)
 			}
 			continue
@@ -259,8 +263,8 @@ func TestStallEpisodes(t *testing.T) {
 		if w.To <= w.From {
 			t.Fatalf("node %d episode %v-%v empty", node, w.From, w.To)
 		}
-		if !inj.Stalled(node, w.From) || inj.Stalled(node, w.To) {
-			t.Fatalf("node %d Stalled disagrees with its own window", node)
+		if !stalledAt(inj, node, w.From) || stalledAt(inj, node, w.To) {
+			t.Fatalf("node %d Receive disagrees with its own window", node)
 		}
 	}
 	// Bernoulli(0.5) over 2048 nodes: 4 sigma is ±91.
@@ -269,7 +273,7 @@ func TestStallEpisodes(t *testing.T) {
 	}
 	// No stall clause: nothing stalls.
 	none := Plan{Dup: 0.1}.Bind(3, horizon)
-	if none.Stalled(1, 5) {
+	if stalledAt(none, 1, 5) {
 		t.Error("plan without stall clause stalled a node")
 	}
 }
@@ -337,6 +341,9 @@ func coinHop(i int) Hop {
 	}
 }
 
+// send is the fate of h sent at its lookup's instant, tallied nowhere.
+func send(in *Injector, h Hop) Fate { return in.Send(h.T, h, &Counts{}) }
+
 // TestCoinsDeterministic: two injectors bound to one seed — the two
 // executors' — make equal decisions for every transmission, and another
 // seed makes different ones.
@@ -346,10 +353,10 @@ func TestCoinsDeterministic(t *testing.T) {
 	same := 0
 	for i := 0; i < 1000; i++ {
 		h := coinHop(i)
-		if a.Coins(h) != b.Coins(h) {
-			t.Fatalf("hop %+v: %+v vs %+v under one seed", h, a.Coins(h), b.Coins(h))
+		if send(a, h) != send(b, h) {
+			t.Fatalf("hop %+v: %+v vs %+v under one seed", h, send(a, h), send(b, h))
 		}
-		if a.Coins(h) == other.Coins(h) {
+		if send(a, h) == send(other, h) {
 			same++
 		}
 	}
@@ -376,8 +383,8 @@ func TestCoinsKeyEveryField(t *testing.T) {
 			h := coinHop(i)
 			h2 := h
 			change(&h2)
-			if inj.Coins(h).Hold == inj.Coins(h2).Hold {
-				t.Errorf("changing %s alone kept hop %+v's hold %v", name, h, inj.Coins(h).Hold)
+			if send(inj, h).Hold == send(inj, h2).Hold {
+				t.Errorf("changing %s alone kept hop %+v's hold %v", name, h, send(inj, h).Hold)
 			}
 		}
 	}
@@ -395,7 +402,7 @@ func TestCoinsRates(t *testing.T) {
 		inj := Plan{Dup: p, Reorder: p, Corrupt: p}.Bind(21, 10)
 		var dups, reorders, corrupts float64
 		for i := 0; i < n; i++ {
-			c := inj.Coins(coinHop(i))
+			c := send(inj, coinHop(i))
 			if c.Dup {
 				dups++
 			}
@@ -422,7 +429,8 @@ func TestCoinsRates(t *testing.T) {
 }
 
 // TestCoinsWithoutCoinClauses: a plan of partition, delay spike and
-// stall flips no coin — the zero decision for every transmission.
+// stall flips no coin — outside both windows, the fault-free fate for
+// every transmission.
 func TestCoinsWithoutCoinClauses(t *testing.T) {
 	plan, err := Parse("partition:2@1-2,delayspike:3@1-2,stall:1:1")
 	if err != nil {
@@ -430,8 +438,65 @@ func TestCoinsWithoutCoinClauses(t *testing.T) {
 	}
 	inj := plan.Bind(3, 10)
 	for i := 0; i < 1000; i++ {
-		if c := inj.Coins(coinHop(i)); c != (Coins{}) {
+		if c := send(inj, coinHop(i)); c != (Fate{Delay: 1}) {
 			t.Fatalf("hop %+v: %+v, want the zero decision", coinHop(i), c)
 		}
+	}
+}
+
+// TestSendTallyRule holds Send and Receive to the rule on Counts: what one
+// transmission tallies and what fate it returns, for plans that set the
+// rule's orderings against each other. A cut carries no coin even where
+// every coin would fire; a corrupted copy is lost, not late; a duplicate
+// of a corrupted primary counts both; the delay factor is 1 outside its
+// window.
+func TestSendTallyRule(t *testing.T) {
+	for _, tc := range []struct {
+		name, plan string
+		now        float64
+		want       Counts
+		fate       Fate // compared without its coin payloads (Byte, Mask, Hold)
+	}{
+		{"cut carries no coin", "partition:2@1-2,corrupt:1,dup:1", 1.5, Counts{PartitionDrops: 1}, Fate{Cut: true, Delay: 1}},
+		{"closed cut flips coins", "partition:2@1-2,corrupt:1,dup:1", 2.5, Counts{Corrupts: 1, Dups: 1}, Fate{Corrupt: true, Dup: true, Delay: 1}},
+		{"corrupt is not late", "corrupt:1,reorder:1", 0, Counts{Corrupts: 1}, Fate{Corrupt: true, Reorder: true, Delay: 1}},
+		{"intact copy is late", "reorder:1", 0, Counts{Reorders: 1}, Fate{Reorder: true, Delay: 1}},
+		{"dup of a corrupt primary", "corrupt:1,dup:1", 0, Counts{Corrupts: 1, Dups: 1}, Fate{Corrupt: true, Dup: true, Delay: 1}},
+		{"delay outside window", "delayspike:3@1-2,dup:1", 0.5, Counts{Dups: 1}, Fate{Dup: true, Delay: 1}},
+		{"delay inside window", "delayspike:3@1-2,dup:1", 1.5, Counts{Dups: 1}, Fate{Dup: true, Delay: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pl, err := Parse(tc.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inj := pl.Bind(1, 10)
+			to := uint64(1)
+			for pl.Partition != nil && inj.Group(0) == inj.Group(to) {
+				to++ // a pair across the cut
+			}
+			var n Counts
+			got := inj.Send(tc.now, Hop{T: 0.25, From: 0, To: to, Owner: to}, &n)
+			if n != tc.want {
+				t.Errorf("tallied %+v, want %+v", n, tc.want)
+			}
+			got.Byte, got.Mask, got.Hold = 0, 0, 0
+			if got != tc.fate {
+				t.Errorf("fate %+v, want %+v", got, tc.fate)
+			}
+		})
+	}
+
+	inj := Plan{Stall: &Stall{P: 1, Mean: 1}}.Bind(3, 10)
+	w, ok := inj.StallWindow(0)
+	if !ok {
+		t.Fatal("stall:1 left node 0 without an episode")
+	}
+	var n Counts
+	if inj.Receive(0, w.From, &n) || n != (Counts{StallDrops: 1}) {
+		t.Errorf("inside the episode: tallied %+v, want one stall drop", n)
+	}
+	if !inj.Receive(0, w.To, &n) || n != (Counts{StallDrops: 1}) {
+		t.Errorf("after the episode: tallied %+v, want nothing more", n)
 	}
 }

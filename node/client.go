@@ -73,18 +73,7 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	if cfg.Space.Size() == 0 {
 		return nil, fmt.Errorf("node: client: zero identifier space")
 	}
-	if cfg.RTO <= 0 {
-		cfg.RTO = 50 * time.Millisecond
-	}
-	switch {
-	case cfg.Retransmits == 0:
-		cfg.Retransmits = 2
-	case cfg.Retransmits < 0:
-		cfg.Retransmits = 0
-	}
-	if cfg.Deadline <= 0 {
-		cfg.Deadline = 5 * time.Second
-	}
+	cfg.RTO, cfg.Retransmits, cfg.Deadline = timingDefaults(cfg.RTO, cfg.Retransmits, cfg.Deadline)
 	tr := cfg.Transport
 	if tr == nil {
 		bind := cfg.Bind

@@ -464,7 +464,7 @@ func TestPlanClockBeforeReplay(t *testing.T) {
 	}
 	inj := pl.Bind(seed, 3600) // cluster.New's default horizon
 	dst := 1
-	for dst < c.Len() && !inj.CrossPartition(0, uint64(dst), edge) {
+	for dst < c.Len() && inj.Group(0) == inj.Group(uint64(dst)) {
 		dst++
 	}
 	if dst == c.Len() {

@@ -132,11 +132,14 @@
 // a fourth abstraction layer, and the live stack a tested implementation
 // of the simulator's semantics.
 //
-// Faults are one step of that shared state machine. A node given a
-// bound fault plan (Config.Fault, read against Config.FaultClock)
-// applies it where the engine does: a request it sends meets the
-// partition and the transmission's coins in its forwarding step, and a
-// request it receives inside its stall episode is dropped before its
-// liveness is checked. The transport stays a plain datagram pipe, and
-// the tallies land in Metrics.Faults.
+// Faults are one step of that shared state machine, and rcm/fault owns
+// it. A node given a bound fault plan (Config.Fault, read against
+// Config.FaultClock) calls it where the engine does: each request it
+// sends gets its fate from fault.Injector.Send in the forwarding step,
+// and each request it receives passes fault.Injector.Receive, which
+// drops it inside the node's stall episode, before its liveness is
+// checked. Both tally into Metrics.Faults. The node only applies the
+// fate: it turns a hold-back or delay spike into a delivery timer, sends
+// a duplicate twice and mangles a corrupted request's wire bytes. The
+// transport stays a plain datagram pipe.
 package node

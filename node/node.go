@@ -68,19 +68,26 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Store == nil {
 		cfg.Store = NewMemStore()
 	}
-	if cfg.RTO <= 0 {
-		cfg.RTO = 50 * time.Millisecond
+	cfg.RTO, cfg.Retransmits, cfg.Deadline = timingDefaults(cfg.RTO, cfg.Retransmits, cfg.Deadline)
+	return cfg
+}
+
+// timingDefaults applies the request timing defaults a node and a client
+// share: RTO 50 ms, Retransmits 2 (negative: none) and Deadline 5 s.
+func timingDefaults(rto time.Duration, retransmits int, deadline time.Duration) (time.Duration, int, time.Duration) {
+	if rto <= 0 {
+		rto = 50 * time.Millisecond
 	}
 	switch {
-	case cfg.Retransmits == 0:
-		cfg.Retransmits = 2
-	case cfg.Retransmits < 0:
-		cfg.Retransmits = 0
+	case retransmits == 0:
+		retransmits = 2
+	case retransmits < 0:
+		retransmits = 0
 	}
-	if cfg.Deadline <= 0 {
-		cfg.Deadline = 5 * time.Second
+	if deadline <= 0 {
+		deadline = 5 * time.Second
 	}
-	return cfg
+	return rto, retransmits, deadline
 }
 
 // Result is the outcome of one request issued through a node.
@@ -689,12 +696,10 @@ func (n *Node) handle(pkt []byte, from string) {
 	if m.decode(pkt) != nil {
 		return // malformed datagram (a corrupted request too): drop, like any UDP service
 	}
-	if m.Kind == msgReq && n.cfg.Fault != nil && n.cfg.Fault.Stalled(uint64(n.cfg.ID), n.cfg.FaultClock()) {
+	if m.Kind == msgReq && n.cfg.Fault != nil && !n.cfg.Fault.Receive(uint64(n.cfg.ID), n.cfg.FaultClock(), &n.stats.Faults) {
 		// Inside its stall episode the node ignores requests — no ack, so
 		// the sender's RTO machinery takes over — as eventsim's handleReq
-		// does. The stall sits in front of liveness, so the drop counts
-		// whether or not the node is killed (fault.Counts).
-		n.stats.Faults.StallDrops++
+		// does. The stall sits in front of liveness.
 		return
 	}
 	if n.downNow.Load() {
@@ -801,12 +806,13 @@ func (n *Node) dispatch(st *pendingFwd) {
 const faultLatency = 2 * time.Millisecond
 
 // sendReq transmits st's request to its current candidate through the
-// node's fault plan — the fault step of eventsim's dispatch, in
-// fault.Counts' order. A request across an open partition's cut is
-// dropped; then the transmission's coins, keyed as eventsim keys them
-// (fault.Hop), corrupt it, hold it back or add a faithful duplicate.
-// Acknowledgements and responses never meet the plan. The request counts
-// once in ReqsOut, whatever the plan does to it.
+// node's fault plan — the fault step of eventsim's dispatch. The plan
+// decides and tallies the transmission (fault.Injector.Send, keyed as
+// eventsim keys it); the node applies the fate: a cut request is dropped,
+// a hold-back or delay spike becomes a delivery timer, a duplicate a
+// second send, and a corruption mangled wire bytes. Acknowledgements and
+// responses never meet the plan. The request counts once in ReqsOut,
+// whatever the plan does to it.
 func (n *Node) sendReq(st *pendingFwd) {
 	to := st.cands[st.ci]
 	addr := n.cfg.AddrOf(to)
@@ -817,36 +823,24 @@ func (n *Node) sendReq(st *pendingFwd) {
 		return
 	}
 	t := n.cfg.FaultClock()
-	if inj.CrossPartition(uint64(n.cfg.ID), uint64(to), t) {
-		n.stats.Faults.PartitionDrops++
-		return
-	}
-	c := inj.Coins(fault.Hop{
+	f := inj.Send(t, fault.Hop{
 		T: t, From: uint64(n.cfg.ID), To: uint64(to),
 		Owner: st.msg.Dst, Hops: st.msg.Hops, Try: uint8(st.try),
-	})
-	var hold time.Duration
-	if c.Reorder {
-		hold = time.Duration(c.Hold * float64(faultLatency))
-		if !c.Corrupt {
-			n.stats.Faults.Reorders++ // a corrupted request is lost, not late
-		}
+	}, &n.stats.Faults)
+	if f.Cut {
+		return
 	}
-	if f := inj.DelayFactor(t); f > 1 {
-		hold += time.Duration((f - 1) * float64(faultLatency))
-	}
-	if c.Dup {
+	hold := time.Duration(f.Hold*float64(faultLatency)) + time.Duration((f.Delay-1)*float64(faultLatency))
+	if f.Dup {
 		// The receiver's dedupe window absorbs the copy, or it carries
 		// the request a corrupted primary lost.
-		n.stats.Faults.Dups++
 		n.send(addr, pkt, hold)
 	}
-	if c.Corrupt {
+	if f.Corrupt {
 		// Mangle the magic or version bytes, which the receiving codec
 		// rejects unconditionally — never the kind byte, whose bit flips
 		// could alias another valid kind.
-		n.stats.Faults.Corrupts++
-		pkt[c.Byte] ^= c.Mask
+		pkt[f.Byte] ^= f.Mask
 	}
 	n.send(addr, pkt, hold)
 }
