@@ -72,7 +72,8 @@ cluster-smoke:
 # lookup (outcome and hops) and per cell (fault tallies). Those replay
 # on virtual time, so it then runs, five times each, the only tests that
 # drive the wall-clock path where a sender runs its receiver's turns:
-# the wall-clock conformance cells and the inbox hand-off stress tests.
+# the wall-clock conformance cells and the inbox hand-off stress tests,
+# among them the datagram a sender lends for the length of its Send.
 chaos-smoke:
 	go test -race -run TestConformanceLiveVsEventsim -count=1 -timeout 60s ./node/cluster/
 	go test -race -run TestConformanceWallClock -count=5 -timeout 120s ./node/cluster/
@@ -97,8 +98,8 @@ examples:
 lint:
 	go run ./cmd/rcmlint ./...
 
-# fuzz-smoke gives each fuzz target (wire codec; request table against
-# its map oracle; closed-form forwarding against its scan oracle; the
+# fuzz-smoke gives each fuzz target (wire codec; request table and
+# dedupe window against their map oracle; closed-form forwarding against its scan oracle; the
 # shared q-powers walk of internal/core against each geometry's own
 # PhaseFailure; the fault-plan and lifetime-family grammars' round trips
 # through their canonical spellings; the fault step's tallies against the

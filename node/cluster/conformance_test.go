@@ -237,6 +237,12 @@ func checkLookups(t *testing.T, cfg eventsim.Config, c *Cluster) *eventsim.Resul
 // retransmits on both sides, so the coins' try key is exercised. Every
 // live cluster runs on virtual time ("sim"), so a timeout costs no wall
 // clock and cannot fire spuriously.
+//
+// The grid checks that sim and live agree, and only that: both
+// executors call the one fault step (fault.Injector.Send and Receive),
+// so a fault inside it moves them alike and passes here. The step itself
+// is held by fault's TestSendTallyRule and FuzzSendTally, and its effect
+// on recorded results by eventsim's TestResultsPinned.
 func TestConformanceLiveVsEventsim(t *testing.T) {
 	protocols := []string{"chord", "can", "kademlia", "plaxton", "symphony", "singlehop"}
 	var cells []cell

@@ -494,25 +494,33 @@ func TestKillWithInFlightRTOs(t *testing.T) {
 
 // checkDrained fails unless nd's request table holds nothing but its
 // dedupe window — no forward or origin role, no entry without a role, at
-// most seenCap seen ids — its timer queue is empty, and every pooled
-// record is back on its free list. Call it while nothing steps nd.
+// most seenCap seen ids, one index slot for each — its timer queue is
+// empty, and every pooled record is back on its free list. Call it while
+// nothing steps nd.
 func checkDrained(t *testing.T, when string, nd *Node) {
 	t.Helper()
 	tb := &nd.reqs
-	seen := 0
+	entries := 0
 	for i := range tb.slots {
 		if tb.slots[i].empty() {
 			continue
 		}
+		entries++
 		if st, w := tb.fwdAt(i), tb.waitAt(i); st != nil || w != nil {
 			t.Errorf("%s: node %d still holds request %#x (forward %v, origin %v)", when, nd.ID(), tb.slots[i].key, st != nil, w != nil)
 		}
-		if tb.seen(i) {
+	}
+	if entries != 0 || tb.used != 0 {
+		t.Errorf("%s: node %d has %d entries (%d counted used); want none", when, nd.ID(), entries, tb.used)
+	}
+	seen := 0
+	for _, s := range tb.seen.index {
+		if s != 0 {
 			seen++
 		}
 	}
-	if seen > seenCap || seen != len(tb.ring) || tb.used != seen {
-		t.Errorf("%s: node %d has %d seen ids, a window of %d and %d entries; want equal and at most %d", when, nd.ID(), seen, len(tb.ring), tb.used, seenCap)
+	if seen > seenCap || seen != len(tb.seen.ring) {
+		t.Errorf("%s: node %d has %d seen ids and a window of %d; want equal and at most %d", when, nd.ID(), seen, len(tb.seen.ring), seenCap)
 	}
 	if n := nd.timers.Len(); n != 0 {
 		t.Errorf("%s: node %d has %d timers queued", when, nd.ID(), n)

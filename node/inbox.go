@@ -59,7 +59,13 @@ func newInbox() *inbox {
 // arriving at a full inbox is dropped and still accepted (the inbox is
 // open, the network is merely lossy). claimed reports that the caller
 // now holds the runner role and must drain.
-func (in *inbox) put(e inboxEntry) (accepted, claimed bool) {
+//
+// With lent, e's datagram is borrowed for the caller's call: put copies
+// it only if it must wait — the inbox is busy or not started. A started
+// inbox whose role is free is empty, so a datagram whose put claims the
+// role is the first turn the caller's drain runs, decoded before the
+// caller returns.
+func (in *inbox) put(e inboxEntry, lent bool) (accepted, claimed bool) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.closed {
@@ -71,8 +77,11 @@ func (in *inbox) put(e inboxEntry) (accepted, claimed bool) {
 		}
 		in.packets++
 	}
+	if claimed = in.claim(); lent && !claimed {
+		e.pkt = append([]byte(nil), e.pkt...)
+	}
 	in.q = append(in.q, e)
-	return true, in.claim()
+	return true, claimed
 }
 
 // claim takes the runner role if it is free and the inbox started.

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"runtime"
 	"strings"
 	"sync"
@@ -77,12 +78,12 @@ func TestInboxPerSenderFIFO(t *testing.T) {
 func TestInboxPacketBound(t *testing.T) {
 	in := newInbox()
 	for i := 0; i < inboxPacketCap+10; i++ {
-		if ok, claimed := in.put(inboxEntry{pkt: []byte{1}}); !ok || claimed {
+		if ok, claimed := in.put(inboxEntry{pkt: []byte{1}}, false); !ok || claimed {
 			t.Fatalf("put %d into an unstarted inbox: accepted %v, claimed %v; want queued", i, ok, claimed)
 		}
 	}
 	ran := false
-	if ok, _ := in.put(inboxEntry{fn: func() { ran = true }}); !ok {
+	if ok, _ := in.put(inboxEntry{fn: func() { ran = true }}, false); !ok {
 		t.Fatal("post refused by an open inbox")
 	}
 	if claimed, open := in.start(); !claimed || !open {
@@ -101,13 +102,13 @@ func TestInboxPacketBound(t *testing.T) {
 	if !ran {
 		t.Error("the post queued behind a full inbox did not run")
 	}
-	if ok, claimed := in.put(inboxEntry{pkt: []byte{2}}); !ok || claimed {
+	if ok, claimed := in.put(inboxEntry{pkt: []byte{2}}, false); !ok || claimed {
 		t.Fatalf("put into a held inbox: accepted %v, claimed %v; want queued", ok, claimed)
 	}
 	if in.close() {
 		t.Fatal("close claimed a held role")
 	}
-	if ok, _ := in.put(inboxEntry{fn: func() {}}); ok {
+	if ok, _ := in.put(inboxEntry{fn: func() {}}, false); ok {
 		t.Error("post accepted by a closed inbox")
 	}
 	if e, open := in.take(); e == nil || e.fn != nil || open {
@@ -253,6 +254,84 @@ func TestInboxCaptureCap(t *testing.T) {
 	}
 }
 
+// TestInboxBorrowedPacket: an in-memory sender lends its buffer for the
+// length of Send, and may overwrite it the moment Send returns. A
+// datagram that reaches a busy receiver waits as a copy, so it still
+// decodes to the original bytes; one that reaches an idle receiver is
+// decoded, and answered, before Send returns.
+func TestInboxBorrowedPacket(t *testing.T) {
+	nd := soloNode(t)
+	peer := nd.tr.(*memEndpoint).net.Endpoint()
+	t.Cleanup(func() { peer.Close() })
+	box := peer.(*memEndpoint).mailbox()
+	req := func(id uint64) message {
+		return message{Kind: msgReq, Op: OpLookup, Budget: 4, ReqID: id, Dst: uint64(nd.ID()), Deadline: 1000, Origin: peer.Addr()}
+	}
+	// answered reads the owner's acknowledgement and response to id.
+	answered := func(id uint64) {
+		t.Helper()
+		for _, kind := range []uint8{msgAck, msgResp} {
+			var pkt []byte
+			within(t, 5*time.Second, "the owner's answer", func() { pkt, _, _ = peer.Recv() })
+			m, err := decodeWire(pkt)
+			if err != nil || m.Kind != kind || m.ReqID != id {
+				t.Fatalf("answer to request %#x: %+v (%v), want kind %d", id, m, err, kind)
+			}
+		}
+	}
+	var buf []byte
+	var sent [][]byte // what each send lent, as it was
+	send := func(m message) {
+		t.Helper()
+		var err error
+		if buf, err = appendWire(buf[:0], &m); err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, bytes.Clone(buf))
+		if err := peer.Send(nd.Addr(), buf); err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 0xff // the sender's next message
+		}
+	}
+
+	// Busy: the role is held by a turn waiting to be released.
+	inside, release := make(chan struct{}), make(chan struct{})
+	go nd.post(func() { close(inside); <-release })
+	<-inside
+	const queued = 5
+	for id := uint64(1); id <= queued; id++ {
+		send(req(id))
+	}
+	nd.in.mu.Lock()
+	if len(nd.in.q) != queued {
+		t.Errorf("%d datagrams queued behind the held role, want %d", len(nd.in.q), queued)
+	}
+	for j, e := range nd.in.q {
+		if !bytes.Equal(e.pkt, sent[j]) {
+			t.Errorf("queued datagram %d is % x, want the % x its sender lent", j, e.pkt, sent[j])
+		}
+	}
+	nd.in.mu.Unlock()
+	close(release)
+	for id := uint64(1); id <= queued; id++ {
+		answered(id)
+	}
+
+	// Idle: the sender runs the receiver's turn inside Send.
+	for idle := false; !idle; runtime.Gosched() {
+		nd.in.mu.Lock()
+		idle = !nd.in.running
+		nd.in.mu.Unlock()
+	}
+	send(req(queued + 1))
+	if len(box) != 2 {
+		t.Fatalf("%d answers queued when Send to an idle node returned, want its ack and response", len(box))
+	}
+	answered(queued + 1)
+}
+
 // TestCloseUnstartedAnswersCallers: a request posted to a node that was
 // never started waits in its inbox; Close runs it and fails it, rather
 // than leaving its caller blocked.
@@ -279,30 +358,33 @@ func TestCloseUnstartedAnswersCallers(t *testing.T) {
 // TestSeenWindow: the dedupe window holds exactly the last seenCap
 // request ids, evicting in arrival order.
 func TestSeenWindow(t *testing.T) {
-	tb := reqTable{window: seenCap}
-	held := func(id uint64) bool {
-		i := tb.lookup(id)
-		return i >= 0 && tb.seen(i)
+	w := seenWindow{limit: seenCap}
+	indexed := func() int {
+		n := 0
+		for _, s := range w.index {
+			if s != 0 {
+				n++
+			}
+		}
+		return n
 	}
 	const total = 2*seenCap + 37
 	for id := uint64(1); id <= total; id++ {
-		if evicted, full := tb.see(tb.entry(id)); full {
-			tb.unsee(evicted)
-		}
-		if tb.used > seenCap || len(tb.ring) > seenCap {
-			t.Fatalf("after %d ids the window holds %d (ring %d), cap %d", id, tb.used, len(tb.ring), seenCap)
+		w.add(id)
+		if n := indexed(); n > seenCap || len(w.ring) > seenCap {
+			t.Fatalf("after %d ids the window holds %d (ring %d), cap %d", id, n, len(w.ring), seenCap)
 		}
 		if oldest := id - seenCap; id > seenCap {
-			if held(oldest) {
+			if w.has(oldest) {
 				t.Fatalf("id %d still held after %d newer ones", oldest, seenCap)
 			}
-			if !held(oldest + 1) {
+			if !w.has(oldest + 1) {
 				t.Fatalf("id %d evicted with only %d newer ones", oldest+1, seenCap-1)
 			}
 		}
 	}
-	if tb.used != seenCap {
-		t.Errorf("window holds %d ids, want %d", tb.used, seenCap)
+	if n := indexed(); n != seenCap {
+		t.Errorf("window holds %d ids, want %d", n, seenCap)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // Metrics is one node's instrumentation. The node's own record
-// (Node.stats) is loop-owned like the rest of the routing state —
+// (Node.stats, a stats) is loop-owned like the rest of the routing state —
 // handlers increment plain fields with no atomics or locks — so observing
 // a node costs the hot path nothing beyond the increments themselves;
 // Node.Metrics copies it in a turn of the node, so a snapshot is internally
@@ -80,7 +80,17 @@ func (n *Node) Metrics() Metrics {
 // snapshotMetrics copies the loop-owned record and fills in the gauges
 // read from live state; in a turn only.
 func (n *Node) snapshotMetrics() Metrics {
-	m := n.stats
+	s := &n.stats
+	m := Metrics{
+		ReqsIn: s.ReqsIn, AcksIn: s.AcksIn, RespsIn: s.RespsIn,
+		ReqsOut: s.ReqsOut, AcksOut: s.AcksOut, RespsOut: s.RespsOut,
+		DupReqs: s.DupReqs, Shed: s.Shed, Expired: s.Expired,
+		Timeouts: s.Timeouts, Retransmits: s.Retransmits, Failovers: s.Failovers,
+		StoreGets: s.StoreGets, StoreHits: s.StoreHits, StorePuts: s.StorePuts,
+		Hops: histOf(s.hops), LookupLatency: histOf(s.lookupLatency),
+		GetLatency: histOf(s.getLatency), PutLatency: histOf(s.putLatency),
+		Faults: s.Faults,
+	}
 	m.StoreLen = n.store.Len()
 	m.InFlight = n.reqs.fwds.inUse()
 	m.Waiting = n.reqs.waits.inUse()
@@ -91,45 +101,75 @@ func (n *Node) snapshotMetrics() Metrics {
 	return m
 }
 
+// stats is a node's loop-owned record: Metrics' counters and fault
+// tallies, and its four histograms behind pointers, each made by its first
+// observation — an idle node carries none of their ≈ 5.3 KiB apiece, and a
+// relay that originates nothing none at all.
+type stats struct {
+	ReqsIn, AcksIn, RespsIn                     uint64
+	ReqsOut, AcksOut, RespsOut                  uint64
+	DupReqs, Shed, Expired                      uint64
+	Timeouts, Retransmits, Failovers            uint64
+	StoreGets, StoreHits, StorePuts             uint64
+	Faults                                      fault.Counts
+	hops, lookupLatency, getLatency, putLatency *obs.Histogram
+}
+
 // countIn tallies a received message by kind; in a turn only.
-func (m *Metrics) countIn(kind uint8) {
+func (s *stats) countIn(kind uint8) {
 	switch kind {
 	case msgReq:
-		m.ReqsIn++
+		s.ReqsIn++
 	case msgAck:
-		m.AcksIn++
+		s.AcksIn++
 	case msgResp:
-		m.RespsIn++
+		s.RespsIn++
 	}
 }
 
 // countOut tallies a sent message by kind; in a turn only.
-func (m *Metrics) countOut(kind uint8) {
+func (s *stats) countOut(kind uint8) {
 	switch kind {
 	case msgReq:
-		m.ReqsOut++
+		s.ReqsOut++
 	case msgAck:
-		m.AcksOut++
+		s.AcksOut++
 	case msgResp:
-		m.RespsOut++
+		s.RespsOut++
 	}
 }
 
 // recordVerdict records a locally-originated request's outcome; in a
 // turn only.
-func (m *Metrics) recordVerdict(op Op, status Status, hops int, elapsed time.Duration) {
+func (s *stats) recordVerdict(op Op, status Status, hops int, elapsed time.Duration) {
 	if status == StatusOK {
-		m.Hops.Observe(int64(hops))
+		observe(&s.hops, int64(hops))
 	}
 	us := elapsed.Microseconds()
 	switch op {
 	case OpGet:
-		m.GetLatency.Observe(us)
+		observe(&s.getLatency, us)
 	case OpPut:
-		m.PutLatency.Observe(us)
+		observe(&s.putLatency, us)
 	default:
-		m.LookupLatency.Observe(us)
+		observe(&s.lookupLatency, us)
 	}
+}
+
+// histOf is the histogram h points at; empty while h is nil.
+func histOf(h *obs.Histogram) obs.Histogram {
+	if h == nil {
+		return obs.Histogram{}
+	}
+	return *h
+}
+
+// observe records v in *h, making the histogram on its first observation.
+func observe(h **obs.Histogram, v int64) {
+	if *h == nil {
+		*h = new(obs.Histogram)
+	}
+	(*h).Observe(v)
 }
 
 // metricCounters and metricHists name every counter and histogram of a

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"rcm"
 	"rcm/fault"
@@ -308,5 +309,44 @@ func TestMergeMetricsIsFieldwise(t *testing.T) {
 		if n := rows[pv.Field(f).Addr().Pointer()]; n != 1 {
 			t.Errorf("Metrics.%s has %d rows in metricCounters/metricHists, want 1", pv.Type().Field(f).Name, n)
 		}
+	}
+}
+
+// TestSnapshotCopiesEveryCounter: the node's loop-owned record has a
+// field for every counter and fault tally of Metrics, and a snapshot
+// copies each one and each histogram made so far — so a counter added
+// to Metrics later cannot be forgotten in the record.
+func TestSnapshotCopiesEveryCounter(t *testing.T) {
+	nd := unstartedSolo(t)
+	sv := reflect.ValueOf(&nd.stats).Elem()
+	var want Metrics
+	wv := reflect.ValueOf(&want).Elem()
+	for f := 0; f < wv.NumField(); f++ {
+		name := wv.Type().Field(f).Name
+		switch fv := wv.Field(f); fv.Kind() {
+		case reflect.Uint64:
+			if name == "StoreEvictions" {
+				continue // read from the store, not the record
+			}
+			rf := sv.FieldByName(name)
+			if !rf.IsValid() {
+				t.Fatalf("Metrics.%s has no field in the node's record", name)
+			}
+			rf.SetUint(uint64(f + 1))
+			fv.SetUint(uint64(f + 1))
+		case reflect.Struct:
+			if fv.Type() == reflect.TypeOf(fault.Counts{}) {
+				for k := 0; k < fv.NumField(); k++ {
+					sv.FieldByName(name).Field(k).SetUint(uint64(100 + k))
+					fv.Field(k).SetUint(uint64(100 + k))
+				}
+			}
+		}
+	}
+	nd.stats.recordVerdict(OpGet, StatusOK, 3, 7*time.Microsecond)
+	want.Hops.Observe(3)
+	want.GetLatency.Observe(7)
+	if got := nd.snapshotMetrics(); got != want {
+		t.Errorf("snapshot\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -162,13 +162,13 @@ type Node struct {
 	// The rcm:loop-owned markers are enforced by rcmlint's loopowner
 	// analyzer: any read or write outside code reachable from the
 	// rcm:event-loop dispatch is a lint error, not a latent race.
-	reqs   reqTable            // rcm:loop-owned — forward attempts, waiting origins and the dedupe window, one entry per request id
+	reqs   reqTable            // rcm:loop-owned — forward attempts and waiting origins by request id, and the dedupe window
 	timers clock.Queue[uint32] // rcm:loop-owned — record id<<1: a forward attempt's RTO; id<<1 | 1: an origin's response guard
 	wake   clock.Timer         // rcm:loop-owned — the one clock timer, due at wakeAt; made on first use
 	wakeAt time.Duration       // rcm:loop-owned — noWake while the wake is not armed
 	now    time.Duration       // rcm:loop-owned — see clock
 	encBuf []byte              // rcm:loop-owned
-	stats  Metrics             // rcm:loop-owned — counters and histograms (see metrics.go)
+	stats  stats               // rcm:loop-owned — Metrics' counters; its histograms made on first use (see metrics.go)
 }
 
 // seenCap bounds the dedupe window.
@@ -221,7 +221,7 @@ func New(cfg Config) (*Node, error) {
 		store:  cfg.Store,
 		clk:    clock.Of(cfg.Transport),
 		in:     newInbox(),
-		reqs:   reqTable{window: seenCap},
+		reqs:   reqTable{seen: seenWindow{limit: seenCap}},
 		wakeAt: noWake,
 	}
 	n.sim, _ = n.clk.(*clock.Virtual)
@@ -475,24 +475,25 @@ func (n *Node) pump() {
 	defer n.wg.Done()
 	for {
 		pkt, from, err := n.tr.Recv()
-		if err != nil || !n.enter(inboxEntry{pkt: pkt, from: from}, -1) {
+		if err != nil || !n.enter(inboxEntry{pkt: pkt, from: from}, false, -1) {
 			return
 		}
 	}
 }
 
-// deliver hands one arriving datagram to the node, which owns pkt from
-// here on. It is the push transports' entry, called on the sender's
-// goroutine.
+// deliver hands one arriving datagram to the node. It is the push
+// transports' entry, called on the sender's goroutine, and borrows pkt
+// until it returns: the inbox copies a datagram that has to wait, and an
+// idle node decodes it in a turn run before deliver returns.
 func (n *Node) deliver(pkt []byte, from string) {
-	n.enter(inboxEntry{pkt: pkt, from: from}, drainCap)
+	n.enter(inboxEntry{pkt: pkt, from: from}, true, drainCap)
 }
 
 // enter puts e into the inbox, reporting false once the node is closed,
 // and runs the node's turns, up to budget of them, if the put claimed
-// the runner role. rcm:loop-claim
-func (n *Node) enter(e inboxEntry, budget int) bool {
-	accepted, claimed := n.in.put(e)
+// the runner role; lent is put's. rcm:loop-claim
+func (n *Node) enter(e inboxEntry, lent bool, budget int) bool {
+	accepted, claimed := n.in.put(e, lent)
 	if claimed {
 		n.drain(budget)
 	}
@@ -506,7 +507,7 @@ func (n *Node) enter(e inboxEntry, budget int) bool {
 // of the node).
 func (n *Node) post(f func()) bool {
 	if n.sim == nil {
-		return n.enter(inboxEntry{fn: f}, drainCap)
+		return n.enter(inboxEntry{fn: f}, false, drainCap)
 	}
 	if n.in.isClosed() {
 		return false
@@ -649,14 +650,12 @@ func (n *Node) originate(ch chan Result, op Op, dst overlay.ID, key uint64, valu
 			return
 		}
 		// A request id is fresh unless a datagram forged it; then take the
-		// next, so an entry's roles always belong to one request.
-		var reqID uint64
-		i := -1
-		for i < 0 || !n.reqs.slots[i].empty() {
+		// next.
+		reqID := uint64(n.cfg.ID)<<32 | (n.reqSeq.Add(1) & 0xffffffff)
+		for !n.reqs.fresh(reqID) {
 			reqID = uint64(n.cfg.ID)<<32 | (n.reqSeq.Add(1) & 0xffffffff)
-			i = n.reqs.entry(reqID)
 		}
-		w := n.reqs.addWait(i)
+		w := n.reqs.addWait(n.reqs.entry(reqID))
 		w.ch, w.op, w.reqID, w.start = ch, op, reqID, n.clock()
 		// Local response deadline: if every downstream holder dies or the
 		// response datagram is lost, the origin still concludes.
@@ -672,7 +671,7 @@ func (n *Node) originate(ch chan Result, op Op, dst overlay.ID, key uint64, valu
 			Origin:   n.tr.Addr(),
 			Value:    value,
 		}
-		n.hold(&m, i)
+		n.hold(&m)
 	})
 }
 
@@ -721,8 +720,7 @@ func (n *Node) handle(pkt []byte, from string) {
 // message — then apply or keep forwarding. Duplicates are acknowledged
 // and dropped; a fresh request that would overflow the forward table is
 // shed *without* an acknowledgement, so the sender's RTO machinery
-// routes around the overload exactly as it would a lost request. One
-// table probe finds or makes the request's entry.
+// routes around the overload exactly as it would a lost request.
 func (n *Node) handleReq(m *message, from string) {
 	if !n.space.Contains(overlay.ID(m.Dst)) {
 		// Malformed outside input: no node owns it, and since every
@@ -733,8 +731,8 @@ func (n *Node) handleReq(m *message, from string) {
 		n.respond(m, StatusNoRoute, nil)
 		return
 	}
-	i := n.reqs.entry(m.ReqID)
-	if n.reqs.seen(i) || n.reqs.fwdAt(i) != nil {
+	i := n.reqs.lookup(m.ReqID)
+	if n.reqs.seen.has(m.ReqID) || i >= 0 && n.reqs.fwdAt(i) != nil {
 		// A duplicate delivery (our ACK was lost) or a retransmission of
 		// an attempt we accepted moments ago: already handled.
 		n.sendMsg(from, &message{Kind: msgAck, ReqID: m.ReqID})
@@ -746,23 +744,19 @@ func (n *Node) handleReq(m *message, from string) {
 		// responsibility for relayed work (requests we own are always
 		// served — they never enter the table). Deterministic, silent,
 		// counted.
-		n.reqs.release(i)
 		n.stats.Shed++
 		return
 	}
 	n.sendMsg(from, &message{Kind: msgAck, ReqID: m.ReqID})
-	evicted, full := n.reqs.see(i)
+	n.reqs.seen.add(m.ReqID)
 	m.Hops++
-	n.hold(m, i)
-	if full {
-		n.reqs.unsee(evicted)
-	}
+	n.hold(m)
 }
 
 // hold is the holder state machine shared by origination and receipt:
 // complete the request at its owner, or pick the first candidate and
-// dispatch. i is the request's table slot.
-func (n *Node) hold(m *message, i int) {
+// dispatch.
+func (n *Node) hold(m *message) {
 	if overlay.ID(m.Dst) == n.cfg.ID {
 		n.applyOwner(m)
 		return
@@ -771,6 +765,7 @@ func (n *Node) hold(m *message, i int) {
 		n.respond(m, StatusHopBudget, nil)
 		return
 	}
+	i := n.reqs.entry(m.ReqID)
 	st := n.reqs.addFwd(i)
 	st.cands = n.fwd.AppendCandidateHops(st.cands, n.cfg.ID, overlay.ID(m.Dst))
 	if len(st.cands) == 0 {

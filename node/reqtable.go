@@ -6,25 +6,24 @@ import (
 	"slices"
 )
 
-// reqTable is a node's request table: one entry per request id the node
-// holds any role for, so a datagram costs one probe whatever it asks of
-// the node. An entry has up to three roles — a forward attempt awaiting
-// its hop acknowledgement, a locally-originated request awaiting its
-// verdict, and membership of the dedupe window — and is freed when its
-// last role ends. The first two are records from pools that recycle them,
-// so a request in steady state allocates none; the window is a FIFO of
-// the last window ids marked seen.
+// reqTable is what a node knows about requests: one entry per request id
+// it holds a record for — a forward attempt awaiting its hop
+// acknowledgement, a locally-originated request awaiting its verdict, or
+// both — and, beside the entries, the dedupe window of the ids it
+// accepted (seenWindow). An entry is freed when its last role ends, so
+// the slots hold only the requests in flight. Both roles are records
+// from pools that recycle them, so a request in steady state allocates
+// none.
 //
 // The slots are open-addressed by Fibonacci hashing of the id with linear
-// probing and backward-shift deletion, so no tombstones build up under
-// the window's steady churn. A slot with no role is empty: no key value
-// is reserved, since any 64-bit id can arrive in a datagram. The capacity
-// is a power of two that starts at minReqSlots and doubles past ¾ load,
-// which puts a full window plus a few requests in flight at half load in
-// 16-byte slots; the slots hold no pointers, so the collector skips them.
+// probing and backward-shift deletion, so no tombstones build up as
+// requests come and go. A slot with no role is empty: no key value is
+// reserved, since any 64-bit id can arrive in a datagram. The capacity is
+// a power of two that starts at minReqSlots and doubles past ¾ load; the
+// 16-byte slots hold no pointers, so the collector skips them.
 //
 // Slot indexes are valid until the next call that inserts or frees an
-// entry: entry, release, dropFwd, dropWait, unsee and clearRoles.
+// entry: entry, release, dropFwd, dropWait and clearRoles.
 type reqTable struct {
 	slots []reqSlot // nil until the first entry
 	shift uint      // 64 - log2(len(slots)): an id's home slot is the top bits of its hash
@@ -33,21 +32,17 @@ type reqTable struct {
 	fwds  pool[pendingFwd]
 	waits pool[originWait]
 
-	window int      // dedupe window length (seenCap on a node)
-	ring   []uint64 // ids in the window in arrival order; a ring once window long
-	head   int      // the oldest ring slot once the ring is full
+	seen seenWindow
 }
 
-// reqSlot is one slot of a reqTable.
+// reqSlot is one slot of a reqTable. A role is 1 + the record's index in
+// its pool; 0 if none.
 type reqSlot struct {
-	key uint64
-	fwd uint32 // forward role: 1 + the record's index in the forward pool; 0 if none
-	// orig holds the origin role above bit 0 (1 + the record's index in the
-	// origin pool; 0 if none) and the seen role in bit 0.
-	orig uint32
+	key       uint64
+	fwd, wait uint32
 }
 
-func (s *reqSlot) empty() bool { return s.fwd|s.orig == 0 }
+func (s *reqSlot) empty() bool { return s.fwd|s.wait == 0 }
 
 // minReqSlots is a table's capacity once it holds an entry.
 const minReqSlots = 8
@@ -168,7 +163,7 @@ func (t *reqTable) recycleFwd(f uint32) {
 
 // waitAt returns the origin record of slot i's entry, or nil.
 func (t *reqTable) waitAt(i int) *originWait {
-	if w := t.slots[i].orig >> 1; w != 0 {
+	if w := t.slots[i].wait; w != 0 {
 		return t.waits.recs[w-1]
 	}
 	return nil
@@ -178,15 +173,15 @@ func (t *reqTable) waitAt(i int) *originWait {
 func (t *reqTable) addWait(i int) *originWait {
 	id, w := t.waits.get()
 	w.id = id
-	t.slots[i].orig |= (id + 1) << 1
+	t.slots[i].wait = id + 1
 	return w
 }
 
 // dropWait ends slot i's origin role and recycles its record, whose guard
 // the caller has stopped or popped.
 func (t *reqTable) dropWait(i int) {
-	t.recycleWait(t.slots[i].orig >> 1)
-	t.slots[i].orig &= 1
+	t.recycleWait(t.slots[i].wait)
+	t.slots[i].wait = 0
 	t.release(i)
 }
 
@@ -197,57 +192,32 @@ func (t *reqTable) recycleWait(w uint32) {
 	t.waits.put(rec.id)
 }
 
-// seen reports whether slot i's entry is in the dedupe window.
-func (t *reqTable) seen(i int) bool { return t.slots[i].orig&1 != 0 }
-
-// see puts slot i's entry, which is not in it, into the dedupe window.
-// Once the window is full the oldest id leaves it: see returns that id,
-// and the caller ends its seen role with unsee when done with slot i.
-func (t *reqTable) see(i int) (evicted uint64, full bool) {
-	t.slots[i].orig |= 1
-	key := t.slots[i].key
-	if len(t.ring) < t.window {
-		t.ring = append(t.ring, key)
-		return 0, false
-	}
-	evicted = t.ring[t.head]
-	t.ring[t.head] = key
-	t.head = (t.head + 1) % t.window
-	return evicted, true
-}
-
-// unsee ends the seen role of key's entry, which see has evicted.
-func (t *reqTable) unsee(key uint64) {
-	if i := t.lookup(key); i >= 0 {
-		t.slots[i].orig &^= 1
-		t.release(i)
-	}
-}
+// fresh reports whether id is free for a request this node originates:
+// no entry and not in the dedupe window, so an entry's roles and a
+// window's id always belong to one request.
+func (t *reqTable) fresh(id uint64) bool { return t.lookup(id) < 0 && !t.seen.has(id) }
 
 // clearRoles ends every forward and origin role, as a crash does, and
 // recycles the records; fail sees each origin record first, in ascending
-// request-id order. The dedupe window stays.
+// request-id order. Every entry is freed; the dedupe window stays.
 func (t *reqTable) clearRoles(fail func(*originWait)) {
 	var waits []int
 	for i := range t.slots {
 		s := &t.slots[i]
 		if s.fwd != 0 {
 			t.recycleFwd(s.fwd)
-			s.fwd = 0
 		}
-		if s.orig>>1 != 0 {
+		if s.wait != 0 {
 			waits = append(waits, i)
 		}
 	}
 	slices.SortFunc(waits, func(a, b int) int { return cmp.Compare(t.slots[a].key, t.slots[b].key) })
 	for _, i := range waits {
 		fail(t.waitAt(i))
-		t.recycleWait(t.slots[i].orig >> 1)
-		t.slots[i].orig &= 1
+		t.recycleWait(t.slots[i].wait)
 	}
-	if t.used > 0 {
-		t.resize(len(t.slots)) // drop the entries left with no role
-	}
+	clear(t.slots)
+	t.used = 0
 }
 
 // pool recycles the records of one role: recs[i] is record i, allocated

@@ -10,14 +10,16 @@ import (
 // tableRoles is the oracle's record of one request table entry.
 type tableRoles struct{ fwd, wait, seen bool }
 
-// tableModelWindow is the dedupe window of the modelled table: short, so
-// evictions are frequent.
-const tableModelWindow = 5
+// tableModelWindows are the dedupe windows of the modelled table: short,
+// so evictions are frequent, and of several lengths, so the ring and the
+// index grow on demand (the longest to 13 ids and 32 index slots).
+var tableModelWindows = []int{1, 2, 5, 13}
 
 // tableModelKeys are the ids the model draws from: 0 and 2^64−1, which a
 // malformed datagram can carry, twelve ids whose home slots crowd the top
-// of every table up to 32 slots, so probe runs collide and wrap around,
-// and a few ids shaped like real ones.
+// of every table and window index up to 32 slots, so probe runs collide
+// and wrap around and ids of one run share a window tag, and a few ids
+// shaped like real ones.
 func tableModelKeys() []uint64 {
 	keys := []uint64{0, math.MaxUint64}
 	for k := uint64(1); len(keys) < 14; k++ {
@@ -31,17 +33,18 @@ func tableModelKeys() []uint64 {
 	return keys
 }
 
-// runTableOps drives a reqTable and a map oracle through the operations
-// ops encodes, two bytes each (operation, key), and holds the table to
-// the oracle after every one: which ids have entries, each entry's roles,
-// that each record belongs to its id, the window's order, the occupancy
-// and the pools' counts.
-func runTableOps(t testing.TB, ops []byte) {
+// runTableOps drives a reqTable with a dedupe window of the given length
+// and a map oracle through the operations ops encodes, two bytes each
+// (operation, key), and holds the table to the oracle after every one:
+// which ids have entries, each entry's roles, that each record belongs
+// to its id, the occupancy and the pools' counts; the window's members,
+// order, length and index; and which ids the origin may take as fresh.
+func runTableOps(t testing.TB, window int, ops []byte) {
 	t.Helper()
 	keys := tableModelKeys()
-	tb := reqTable{window: tableModelWindow}
+	tb := reqTable{seen: seenWindow{limit: window}}
 	oracle := make(map[uint64]tableRoles)
-	var window []uint64 // the oracle's window, oldest first
+	var seen []uint64 // the oracle's window, oldest first
 	for n := 0; n+1 < len(ops); n += 2 {
 		key := keys[int(ops[n+1])%len(keys)]
 		r := oracle[key]
@@ -57,22 +60,15 @@ func runTableOps(t testing.TB, ops []byte) {
 				tb.addWait(tb.entry(key)).reqID = key
 				r.wait = true
 			}
-		case 3: // set the seen role, evicting the oldest once the window is full
+		case 3: // accept into the window, evicting the oldest once it is full
 			if r.seen {
 				break
 			}
-			evicted, full := tb.see(tb.entry(key))
+			tb.seen.add(key)
 			r.seen = true
-			window = append(window, key)
-			if full != (len(window) > tableModelWindow) {
-				t.Fatalf("op %d: see(%#x) full=%v with %d ids in the window", n/2, key, full, len(window)-1)
-			}
-			if full {
-				if evicted != window[0] {
-					t.Fatalf("op %d: see(%#x) evicted %#x, want the oldest %#x", n/2, key, evicted, window[0])
-				}
-				tb.unsee(evicted)
-				window = window[1:]
+			if seen = append(seen, key); len(seen) > window {
+				evicted := seen[0]
+				seen = seen[1:]
 				old := oracle[evicted]
 				old.seen = false
 				setRoles(oracle, evicted, old)
@@ -114,7 +110,7 @@ func runTableOps(t testing.TB, ops []byte) {
 			r.fwd, r.wait = false, false
 		}
 		setRoles(oracle, key, r)
-		checkTable(t, n/2, &tb, keys, oracle, window)
+		checkTable(t, n/2, &tb, keys, oracle, seen)
 	}
 }
 
@@ -126,24 +122,31 @@ func setRoles(oracle map[uint64]tableRoles, key uint64, r tableRoles) {
 	}
 }
 
-func checkTable(t testing.TB, op int, tb *reqTable, keys []uint64, oracle map[uint64]tableRoles, window []uint64) {
+func checkTable(t testing.TB, op int, tb *reqTable, keys []uint64, oracle map[uint64]tableRoles, seen []uint64) {
 	t.Helper()
-	fwds, waits := 0, 0
+	fwds, waits, entries := 0, 0, 0
 	for _, key := range keys {
 		want, ok := oracle[key]
+		if tb.fresh(key) == ok {
+			t.Fatalf("op %d: id %#x fresh %v with roles %+v", op, key, !ok, want)
+		}
+		if tb.seen.has(key) != want.seen {
+			t.Fatalf("op %d: id %#x in the window %v, want roles %+v", op, key, !want.seen, want)
+		}
 		i := tb.lookup(key)
 		if i < 0 {
-			if ok {
+			if want.fwd || want.wait {
 				t.Fatalf("op %d: id %#x lost; want roles %+v", op, key, want)
 			}
 			continue
 		}
-		if !ok {
+		if !want.fwd && !want.wait {
 			t.Fatalf("op %d: id %#x has an entry the oracle does not", op, key)
 		}
+		entries++
 		st, w := tb.fwdAt(i), tb.waitAt(i)
-		if got := (tableRoles{fwd: st != nil, wait: w != nil, seen: tb.seen(i)}); got != want {
-			t.Fatalf("op %d: id %#x roles %+v, want %+v", op, key, got, want)
+		if (st != nil) != want.fwd || (w != nil) != want.wait {
+			t.Fatalf("op %d: id %#x has forward %v and origin %v, want roles %+v", op, key, st != nil, w != nil, want)
 		}
 		if st != nil && st.msg.ReqID != key || w != nil && w.reqID != key {
 			t.Fatalf("op %d: id %#x holds another id's record", op, key)
@@ -155,29 +158,60 @@ func checkTable(t testing.TB, op int, tb *reqTable, keys []uint64, oracle map[ui
 			waits++
 		}
 	}
-	if tb.used != len(oracle) {
-		t.Fatalf("op %d: %d slots used, oracle holds %d ids", op, tb.used, len(oracle))
+	if tb.used != entries {
+		t.Fatalf("op %d: %d slots used, %d ids have an entry", op, tb.used, entries)
 	}
 	if tb.fwds.inUse() != fwds || tb.waits.inUse() != waits {
 		t.Fatalf("op %d: %d forward and %d origin records in use, want %d and %d", op, tb.fwds.inUse(), tb.waits.inUse(), fwds, waits)
 	}
-	if len(tb.ring) != len(window) {
-		t.Fatalf("op %d: window of %d ids, want %d", op, len(tb.ring), len(window))
+	checkWindow(t, op, &tb.seen, seen)
+}
+
+// checkWindow holds a dedupe window to want, its ids oldest first: the
+// ring in arrival order from head, no longer than the window, and an
+// index with one slot per ring position, tagged with the id it holds.
+func checkWindow(t testing.TB, op int, w *seenWindow, want []uint64) {
+	t.Helper()
+	if len(w.ring) != len(want) || len(want) > w.limit {
+		t.Fatalf("op %d: window of %d ids (limit %d), want %d", op, len(w.ring), w.limit, len(want))
 	}
-	for j, key := range window {
-		if got := tb.ring[(tb.head+j)%len(tb.ring)]; got != key {
+	for j, key := range want {
+		if got := w.ring[(w.head+j)%len(w.ring)]; got != key {
 			t.Fatalf("op %d: window position %d holds %#x, want %#x", op, j, got, key)
+		}
+		if !w.has(key) {
+			t.Fatalf("op %d: window id %#x not found", op, key)
+		}
+	}
+	indexed := make([]bool, len(w.ring))
+	for i, s := range w.index {
+		if s == 0 {
+			continue
+		}
+		pos := int(s&seenPosMask) - 1
+		if pos >= len(w.ring) || indexed[pos] {
+			t.Fatalf("op %d: index slot %d names ring position %d of %d twice or out of range", op, i, pos, len(w.ring))
+		}
+		indexed[pos] = true
+		if s&^seenPosMask != seenTag(reqHash(w.ring[pos])) {
+			t.Fatalf("op %d: index slot %d tags ring position %d with %#x, not its id's tag", op, i, pos, s>>seenPosBits)
+		}
+	}
+	for pos, ok := range indexed {
+		if !ok {
+			t.Fatalf("op %d: ring position %d (%#x) has no index slot", op, pos, w.ring[pos])
 		}
 	}
 }
 
-// TestRequestTableAgainstMap drives the request table with random
-// insert, role-set, role-clear, get, delete, seen-evict and crash
-// sequences and holds it to a map oracle after every operation. The ids
-// include 0 and 2^64−1 and a cluster homed at the top of the table, and
-// the table never outgrows 32 slots, so collisions, wrap-around and
-// backward-shift deletes across the end of the array are the common
-// case.
+// TestRequestTableAgainstMap drives the request table and its dedupe
+// window with random insert, role-set, role-clear, get, delete,
+// window-accept and crash sequences and holds them to a map oracle after
+// every operation. The ids include 0 and 2^64−1 and a cluster homed at
+// the top of the table and of the window's index, neither of which
+// outgrows 32 slots, and windows of 1 to 13 ids grow from empty, so
+// collisions, shared tags, wrap-around, growth and backward-shift
+// deletes across the end of either array are the common case.
 func TestRequestTableAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for round := 0; round < 40; round++ {
@@ -188,6 +222,6 @@ func TestRequestTableAgainstMap(t *testing.T) {
 				ops[i] %= 8 // no crash: let the table fill
 			}
 		}
-		runTableOps(t, ops)
+		runTableOps(t, tableModelWindows[round/2%len(tableModelWindows)], ops)
 	}
 }

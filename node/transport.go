@@ -36,7 +36,9 @@ type Transport interface {
 
 // pushTransport is the capability of a transport that needs no goroutine
 // blocked in Recv: once attached, it calls deliver for every arriving
-// datagram, on the sender's goroutine, handing over ownership of pkt.
+// datagram, on the sender's goroutine. deliver borrows pkt for the length
+// of the call: the sender may reuse it once deliver returns, so whatever
+// deliver keeps past that it copies.
 type pushTransport interface {
 	attach(deliver func(pkt []byte, from string))
 }
@@ -275,17 +277,17 @@ func (e *memEndpoint) Send(addr string, pkt []byte) error {
 		return errClosed
 	default:
 	}
-	data := append([]byte(nil), pkt...) // the caller reuses pkt
 	if vt := e.net.vt; vt != nil {
+		data := append([]byte(nil), pkt...) // delivered later, and the caller reuses pkt
 		vt.AfterFunc(simLatency, func() { e.net.arrive(addr, data, e.addr) })
 		return nil
 	}
-	e.net.arrive(addr, data, e.addr)
+	e.net.arrive(addr, pkt, e.addr)
 	return nil
 }
 
-// arrive hands data to whoever holds addr now: the attached node, else
-// the mailbox.
+// arrive hands data, borrowed for the call, to whoever holds addr now:
+// the attached node, else the mailbox, which keeps a copy.
 func (n *MemNetwork) arrive(addr string, data []byte, from string) {
 	dst := n.lookup(addr)
 	if dst == nil {
@@ -296,7 +298,7 @@ func (n *MemNetwork) arrive(addr string, data []byte, from string) {
 		return
 	}
 	select {
-	case dst.mailbox() <- memPacket{data: data, from: from}:
+	case dst.mailbox() <- memPacket{data: append([]byte(nil), data...), from: from}:
 	case <-dst.done:
 	default: // full mailbox: dropped, like a full socket buffer
 	}
