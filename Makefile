@@ -73,7 +73,11 @@ cluster-smoke:
 # on virtual time, so it then runs, five times each, the only tests that
 # drive the wall-clock path where a sender runs its receiver's turns:
 # the wall-clock conformance cells and the inbox hand-off stress tests,
-# among them the datagram a sender lends for the length of its Send.
+# among them the datagram a sender lends for the length of its Send,
+# the entry a claiming put runs at once without queueing it
+# (TestInboxClaimedEntryNotQueued), and a verdict sent from the goroutine
+# holding a busy relay's role to a caller that yields, then blocks
+# (TestInboxVerdictElsewhere).
 chaos-smoke:
 	go test -race -run TestConformanceLiveVsEventsim -count=1 -timeout 60s ./node/cluster/
 	go test -race -run TestConformanceWallClock -count=5 -timeout 120s ./node/cluster/

@@ -15,21 +15,24 @@
 // function: a local request, Kill/Restart, a Metrics snapshot, a timer
 // wake-up. A node has no goroutine of its own waiting on the inbox.
 // Whoever puts an entry into an idle inbox claims the runner role and
-// drains the queue on its own goroutine, a batch at a time, until it is
-// empty; a put into a busy inbox only enqueues. The holder releases the
-// role under the same mutex put takes, so an entry put as the role is
-// released lands either in a batch the holder still takes or in an idle
-// inbox its own producer claims: none is stranded. A goroutine that is
-// not the node's own — a caller, a timer, another node's sender — runs
-// at most 256 turns of one node before handing the rest of the queue to
-// a fresh goroutine, so a busy node cannot capture it for long. At most
-// 4096 datagrams wait in an inbox, the rest are dropped as a full socket
-// buffer would drop them; posted functions are never dropped, and one
-// the inbox accepted always runs, which is why no caller can hang across
-// Close or Kill. Start opens the inbox and runs whatever was posted
-// before it; Close waits for the final drop of every waiting request,
-// run by whoever holds the role, and runs it itself when nobody does —
-// on a node that was never started too.
+// runs that entry at once, as its first turn: a started inbox whose role
+// is free is empty, so the entry is next in order anyway, and put does
+// not queue it. The claimer then drains the queue on its own goroutine,
+// a batch at a time, until it is empty; a put into a busy inbox only
+// enqueues. The holder releases the role under the same mutex put takes,
+// so an entry put as the role is released lands either in a batch the
+// holder still takes or in an idle inbox its own producer claims: none
+// is stranded. A goroutine that is not the node's own — a caller, a
+// timer, another node's sender — runs at most 256 turns of one node
+// before handing the rest of the queue to a fresh goroutine, so a busy
+// node cannot capture it for long. At most 4096 datagrams wait in an
+// inbox, the rest are dropped as a full socket buffer would drop them;
+// posted functions are never dropped, and one the inbox accepted always
+// runs, which is why no caller can hang across Close or Kill. Start
+// opens the inbox and runs whatever was posted before it; Close waits
+// for the final drop of every waiting request, run by whoever holds the
+// role, and runs it itself when nobody does — on a node that was never
+// started too.
 //
 // How datagrams reach the inbox depends on the transport. An in-memory
 // endpoint attached to a node delivers from the sender's goroutine
@@ -45,6 +48,26 @@
 // whose body is Recv → inbox, the only place a system call has to
 // block, and the pump runs the turns of what it receives: a UDP node is
 // that one goroutine.
+//
+// A caller — Lookup, Get, Put, Kill, Restart, Metrics — waits on a
+// channel that a turn of the node sends its verdict on. On a mem network
+// that turn often runs on another goroutine: a lookup that reaches a
+// node whose role another caller holds is finished by that caller. A
+// receiver parked on a channel is made runnable by the send, queued on
+// the sender's processor, and waits there until the sender blocks or is
+// preempted; a caller that finishes other callers' lookups never blocks.
+// On a two-core host, two closed-loop callers on one 128-node chord
+// cluster took 3.5 µs a lookup, more than one caller alone (3.0 µs) and
+// twice two callers on two clusters (1.67 µs); a runtime trace showed
+// 3 % of lookups parking, each for 50–65 ms. So a caller of a node on a
+// wall-clock push transport yields its processor up to 256 times while
+// its verdict is not in (about 35 µs on an idle processor), staying
+// runnable on the runtime's global queue, and blocks only then. That cut
+// the benchmark's two-caller mem lookup time by a quarter and its
+// 99th-percentile latency by two thirds. A UDP node's verdicts are sent
+// by its pump, which blocks in Recv and so hands its processor over, and
+// yielding there slowed the UDP benchmark by 12 %: its callers block at
+// once, and a virtual network's callers step the network.
 //
 // What a node knows about requests sits in one request table, keyed by
 // request id, with up to two roles per entry: a forward attempt awaiting

@@ -20,13 +20,14 @@ type inboxEntry struct {
 // inbox is the one way into a node's turns: a multi-producer queue
 // whose consumer is whichever goroutine holds the runner role. The node
 // has no goroutine of its own waiting on it. A put into an idle inbox
-// claims the role for its caller, who runs the queued turns on its own
-// goroutine (Node.drain) until the queue is empty; a put into a busy
-// inbox only enqueues. The holder takes the queue a batch at a time
-// under the mutex, runs the batch unlocked, and releases the role under
-// the same mutex put takes, so an entry put as the role is released
-// either lands in a batch the holder still takes or claims the role for
-// its own producer: it is never stranded.
+// claims the role for its caller, who runs the entry it put at once and
+// then the queued turns on its own goroutine (Node.drain) until the
+// queue is empty; a put into a busy inbox only enqueues. The holder
+// takes the queue a batch at a time under the mutex, runs the batch
+// unlocked, and releases the role under the same mutex put takes, so an
+// entry put as the role is released either lands in a batch the holder
+// still takes or claims the role for its own producer: it is never
+// stranded.
 //
 // Until start the role cannot be claimed, so what is put waits. Once the
 // inbox is closed put refuses everything; the holder then runs what is
@@ -55,33 +56,39 @@ func newInbox() *inbox {
 	return &inbox{drained: make(chan struct{})}
 }
 
-// put enqueues e. accepted is false once the inbox is closed; a datagram
-// arriving at a full inbox is dropped and still accepted (the inbox is
-// open, the network is merely lossy). claimed reports that the caller
-// now holds the runner role and must drain.
+// put hands e to the node. accepted is false once the inbox is closed.
+// claimed reports that the role was free, so the caller now holds it and
+// must drain with e as the first turn: put does not queue an entry that
+// claims the role, since a started inbox whose role is free is empty and
+// the claimer's drain runs e before anything put after it. This spares
+// the claimer the lock round trip of taking e back from the queue. An
+// entry that must wait — the inbox is busy or not started — is queued;
+// a datagram arriving at a full queue is dropped and still accepted (the
+// inbox is open, the network is merely lossy).
 //
 // With lent, e's datagram is borrowed for the caller's call: put copies
-// it only if it must wait — the inbox is busy or not started. A started
-// inbox whose role is free is empty, so a datagram whose put claims the
-// role is the first turn the caller's drain runs, decoded before the
-// caller returns.
+// it only if it queues it. A datagram whose put claims the role is
+// decoded by the caller's drain before the caller returns.
 func (in *inbox) put(e inboxEntry, lent bool) (accepted, claimed bool) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.closed {
 		return false, false
 	}
+	if in.claim() {
+		return true, true
+	}
 	if e.fn == nil {
 		if in.packets >= inboxPacketCap {
 			return true, false
 		}
 		in.packets++
-	}
-	if claimed = in.claim(); lent && !claimed {
-		e.pkt = append([]byte(nil), e.pkt...)
+		if lent {
+			e.pkt = append([]byte(nil), e.pkt...)
+		}
 	}
 	in.q = append(in.q, e)
-	return true, claimed
+	return true, false
 }
 
 // claim takes the runner role if it is free and the inbox started.

@@ -332,6 +332,135 @@ func TestInboxBorrowedPacket(t *testing.T) {
 	answered(queued + 1)
 }
 
+// TestInboxClaimedEntryNotQueued: a put that claims the role queues
+// nothing — its entry is the claimer's first turn — so the queue stays
+// empty and no datagram is counted or copied. A datagram put while the
+// role is held waits as a copy and counts against inboxPacketCap; a post
+// waits uncounted. Once the holder has taken those and released the
+// role, the next put claims it again.
+func TestInboxClaimedEntryNotQueued(t *testing.T) {
+	in := newInbox()
+	if claimed, open := in.start(); claimed || !open {
+		t.Fatalf("start of an empty inbox: claimed %v, open %v; want open and unclaimed", claimed, open)
+	}
+	pkt := []byte{1, 2, 3}
+	if ok, claimed := in.put(inboxEntry{pkt: pkt}, true); !ok || !claimed {
+		t.Fatalf("datagram put into an idle inbox: accepted %v, claimed %v; want the role", ok, claimed)
+	}
+	if len(in.q) != 0 || in.packets != 0 {
+		t.Errorf("after a claiming put: %d queued, %d datagrams counted; want none", len(in.q), in.packets)
+	}
+	if ok, claimed := in.put(inboxEntry{pkt: pkt}, true); !ok || claimed {
+		t.Fatalf("datagram put into a held inbox: accepted %v, claimed %v; want queued", ok, claimed)
+	}
+	if ok, claimed := in.put(inboxEntry{fn: func() {}}, false); !ok || claimed {
+		t.Fatalf("post into a held inbox: accepted %v, claimed %v; want queued", ok, claimed)
+	}
+	pkt[0] = 9 // the sender's next message
+	if len(in.q) != 2 || in.packets != 1 {
+		t.Fatalf("held inbox: %d queued, %d datagrams counted; want 2 and 1", len(in.q), in.packets)
+	}
+	if !bytes.Equal(in.q[0].pkt, []byte{1, 2, 3}) {
+		t.Errorf("queued datagram is % x, want the 01 02 03 its sender lent", in.q[0].pkt)
+	}
+	if e, _ := in.take(); e == nil || e.fn != nil {
+		t.Fatalf("first queued entry: %+v, want the datagram", e)
+	}
+	if e, _ := in.take(); e == nil || e.fn == nil {
+		t.Fatalf("second queued entry: %+v, want the post", e)
+	}
+	if e, open := in.take(); e != nil || !open {
+		t.Fatalf("drained inbox: %+v (open %v), want nothing and the role released", e, open)
+	}
+	if ok, claimed := in.put(inboxEntry{fn: func() {}}, false); !ok || !claimed || len(in.q) != 0 {
+		t.Errorf("post into the released inbox: accepted %v, claimed %v, %d queued; want the role and nothing queued", ok, claimed, len(in.q))
+	}
+}
+
+// TestInboxVerdictElsewhere: a lookup whose relay is busy is finished on
+// the goroutine that holds the relay's role, not on its caller's, so the
+// caller's verdict is sent from another goroutine. Released at once, the
+// relay answers while the caller still yields; held for 20 ms, the wait
+// outlasts awaitYields and the caller blocks on its channel. Either way
+// the caller gets the route's own verdict, and Close leaves no goroutine
+// behind.
+func TestInboxVerdictElsewhere(t *testing.T) {
+	proto, err := rcm.NewProtocol("chord", rcm.Config{Bits: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, origin, dst = 16, 0, 15
+	base := settledGoroutines()
+	mem := NewMemNetwork()
+	addrs := make([]string, n)
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		tr := mem.Endpoint()
+		addrs[i] = tr.Addr()
+		// An RTO past the hold: the origin never retransmits to the relay.
+		nodes[i], err = New(Config{
+			Protocol:  proto,
+			ID:        overlay.ID(i),
+			Transport: tr,
+			AddrOf:    func(id overlay.ID) string { return addrs[id] },
+			RTO:       time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i].Start()
+	}
+	hop := proto.(rcm.Forwarder).AppendCandidateHops(nil, origin, dst)[0]
+	relay := nodes[hop]
+	want := nodes[origin].Lookup(dst)
+	if !want.OK() || want.Hops < 2 || hop == dst {
+		t.Fatalf("idle route %d → %d via %d: %+v; want a relay between origin and owner", origin, dst, hop, want)
+	}
+	for _, hold := range []time.Duration{0, 20 * time.Millisecond} {
+		inside, release := make(chan struct{}), make(chan struct{})
+		go relay.post(func() { close(inside); <-release })
+		<-inside
+		res := make(chan Result, 1)
+		go func() { res <- nodes[origin].Lookup(dst) }()
+		for queued := false; !queued; runtime.Gosched() {
+			relay.in.mu.Lock()
+			queued = len(relay.in.q) > 0
+			relay.in.mu.Unlock()
+		}
+		if hold > 0 {
+			time.Sleep(hold)
+			for deadline := time.Now().Add(5 * time.Second); !blockedInAwait(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Errorf("held %v and 5 s more: no caller blocked in await, want the wait to outlast %d yields", hold, awaitYields)
+					break
+				}
+			}
+		}
+		close(release)
+		var got Result
+		within(t, 5*time.Second, "the verdict of a lookup through a held relay", func() { got = <-res })
+		if got.Err != nil || got.Status != want.Status || got.Hops != want.Hops {
+			t.Errorf("held %v: %+v, want %+v", hold, got, want)
+		}
+	}
+	for _, nd := range nodes {
+		nd.Close()
+	}
+	waitGoroutines(t, base, "a mem cluster after Close")
+}
+
+// blockedInAwait reports whether some goroutine is blocked on a channel
+// receive inside await.
+func blockedInAwait() bool {
+	buf := make([]byte, 1<<20)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "[chan receive") && strings.Contains(g, "rcm/node.await[") {
+			return true
+		}
+	}
+	return false
+}
+
 // TestCloseUnstartedAnswersCallers: a request posted to a node that was
 // never started waits in its inbox; Close runs it and fails it, rather
 // than leaving its caller blocked.

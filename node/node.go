@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -150,9 +151,10 @@ type Node struct {
 	clk clock.Clock
 	sim *clock.Virtual
 
-	in   *inbox
-	wg   sync.WaitGroup
-	once sync.Once
+	in     *inbox
+	wg     sync.WaitGroup
+	once   sync.Once
+	yields bool // a wall-clock push transport: await yields before it blocks
 
 	reqSeq  atomic.Uint64
 	downNow atomic.Bool // read by fast paths; written only in a turn
@@ -225,6 +227,8 @@ func New(cfg Config) (*Node, error) {
 		wakeAt: noWake,
 	}
 	n.sim, _ = n.clk.(*clock.Virtual)
+	_, push := cfg.Transport.(pushTransport)
+	n.yields = push && n.sim == nil
 	return n, nil
 }
 
@@ -261,7 +265,7 @@ func (n *Node) Start() {
 		go n.pump()
 	}
 	if claimed {
-		n.drain(drainCap)
+		n.drain(nil, drainCap)
 	}
 }
 
@@ -288,7 +292,7 @@ func (n *Node) shutdown() {
 		await(n, done)
 		close(n.in.drained)
 	} else if claimed {
-		n.drain(-1)
+		n.drain(nil, -1)
 	}
 }
 
@@ -331,15 +335,22 @@ const drainCap = 256
 
 // drain runs the node's turns while its goroutine holds the runner role:
 // every piece of routing state is touched only inside a turn, and one
-// goroutine at a time holds the role, so handlers never lock. It returns
-// once the inbox is empty and the role released, or after budget turns
-// (negative: no bound), handing the role on to a fresh goroutine if work
-// remains. On a closed inbox the last holder fails whoever still waits:
-// the inbox accepted every post it reported true for and they have run,
-// so every waiter is registered, and nothing reaches the node from now
-// on. rcm:event-loop (the loopowner dispatch root: code reachable from
-// here may touch rcm:loop-owned fields).
-func (n *Node) drain(budget int) {
+// goroutine at a time holds the role, so handlers never lock. first, if
+// not nil, is the entry whose put claimed the role: put never queued it,
+// so drain runs it at once, as the first of its turns, and only then
+// takes from the queue. It returns once the inbox is empty and the role
+// released, or after budget turns (negative: no bound), handing the role
+// on to a fresh goroutine if work remains. On a closed inbox the last
+// holder fails whoever still waits: the inbox accepted every post it
+// reported true for and they have run, so every waiter is registered,
+// and nothing reaches the node from now on. rcm:event-loop (the
+// loopowner dispatch root: code reachable from here may touch
+// rcm:loop-owned fields).
+func (n *Node) drain(first *inboxEntry, budget int) {
+	if first != nil {
+		n.run(first, true) // put accepted it into an open inbox
+		budget--
+	}
 	for ; ; budget-- {
 		e, open := n.in.take()
 		if e == nil {
@@ -364,7 +375,7 @@ func (n *Node) drain(budget int) {
 // rcm:loop-claim
 func (n *Node) handOff() {
 	defer n.wg.Done()
-	n.drain(-1)
+	n.drain(nil, -1)
 }
 
 // run is one turn of the node: a posted function, or a datagram — which
@@ -392,12 +403,33 @@ func (n *Node) simAfter(d time.Duration, f func()) {
 	n.sim.AfterFunc(d, f)
 }
 
+// awaitYields bounds how many times a caller of a node on a wall-clock
+// push transport yields its processor (runtime.Gosched) while the value
+// it awaits is not in, before it blocks on the channel. The value is sent
+// by whichever goroutine holds the node's runner role, often another
+// caller that never blocks; a receiver parked on the channel is queued
+// by that send on the sender's processor, behind a goroutine that keeps
+// running (see the package doc). A yielding caller stays runnable on the
+// global queue and sees the value within a scheduling round. 256 yields
+// take about 35 µs on an idle processor, several lookups' worth: on a
+// two-core host 64 left the two-caller benchmark's 99th-percentile
+// latency at 64–83 µs against 31 µs for 256, and 1024 did no better. A
+// verdict that takes longer — a retransmission timeout, a node holding
+// its role for long — finds its caller blocked.
+const awaitYields = 256
+
 // await returns the value a turn of the node sends on ch. On a virtual
 // network nothing else steps the network, so the waiting caller does,
-// until the value is there.
+// until the value is there. On a wall-clock push transport the caller
+// yields up to awaitYields times before it blocks; a UDP node's verdicts
+// are sent by its pump, whose own Recv blocks, so its callers block at
+// once.
 func await[T any](n *Node, ch chan T) T {
 	if n.sim != nil && !n.sim.Run(func() bool { return len(ch) > 0 }) {
 		panic("node: the virtual network ran dry while a caller waited on it")
+	}
+	for i := 0; n.yields && i < awaitYields && len(ch) == 0; i++ {
+		runtime.Gosched()
 	}
 	return <-ch
 }
@@ -489,13 +521,13 @@ func (n *Node) deliver(pkt []byte, from string) {
 	n.enter(inboxEntry{pkt: pkt, from: from}, true, drainCap)
 }
 
-// enter puts e into the inbox, reporting false once the node is closed,
-// and runs the node's turns, up to budget of them, if the put claimed
-// the runner role; lent is put's. rcm:loop-claim
+// enter puts e into the inbox, reporting false once the node is closed.
+// If the put claimed the runner role, e was not queued: enter drains,
+// e first, up to budget turns in all. lent is put's. rcm:loop-claim
 func (n *Node) enter(e inboxEntry, lent bool, budget int) bool {
 	accepted, claimed := n.in.put(e, lent)
 	if claimed {
-		n.drain(budget)
+		n.drain(&e, budget)
 	}
 	return accepted
 }
