@@ -108,12 +108,15 @@ lint:
 # PhaseFailure; the fault-plan and lifetime-family grammars' round trips
 # through their canonical spellings; the fault step's tallies against the
 # fate it returns) a short budget; the targets are build-tagged so they
-# stay out of ordinary test runs.
+# stay out of ordinary test runs. -fuzzminimizetime 1s caps the time spent
+# shrinking each new interesting input (60 s by default), so a target
+# whose inputs grow often, as FuzzRequestTable's do, spends its budget
+# executing new inputs instead of minimizing old ones.
 fuzz-smoke:
-	go test -tags fuzz -fuzz FuzzParseMessage -fuzztime 10s -run '^$$' ./node
-	go test -tags fuzz -fuzz FuzzRequestTable -fuzztime 10s -run '^$$' ./node
-	go test -tags fuzz -fuzz FuzzForwarderOracle -fuzztime 10s -run '^$$' ./internal/dht
-	go test -tags fuzz -fuzz FuzzPhaseWalk -fuzztime 10s -run '^$$' ./internal/core
-	go test -tags fuzz -fuzz FuzzFaultPlan -fuzztime 10s -run '^$$' ./fault
-	go test -tags fuzz -fuzz FuzzSendTally -fuzztime 10s -run '^$$' ./fault
-	go test -tags fuzz -fuzz FuzzLifetimeSpec -fuzztime 10s -run '^$$' ./eventsim/lifetime
+	go test -tags fuzz -fuzz FuzzParseMessage -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./node
+	go test -tags fuzz -fuzz FuzzRequestTable -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./node
+	go test -tags fuzz -fuzz FuzzForwarderOracle -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/dht
+	go test -tags fuzz -fuzz FuzzPhaseWalk -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/core
+	go test -tags fuzz -fuzz FuzzFaultPlan -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./fault
+	go test -tags fuzz -fuzz FuzzSendTally -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./fault
+	go test -tags fuzz -fuzz FuzzLifetimeSpec -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./eventsim/lifetime

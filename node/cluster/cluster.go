@@ -226,14 +226,15 @@ func (c *Cluster) Restart(i int) { c.nodes[i].Restart() }
 // zero when the cluster runs without a fault plan).
 func (c *Cluster) FaultCounts() fault.Counts { return c.Metrics().Faults }
 
-// Metrics snapshots every node's instrumentation and merges it into a
-// cluster-wide aggregate (counters sum, histograms merge).
+// Metrics folds every node's instrumentation, one node at a time, into
+// one cluster-wide record (node.Node.AddMetrics): counters, gauges and
+// fault tallies sum, histograms merge.
 func (c *Cluster) Metrics() node.Metrics {
-	ms := make([]node.Metrics, len(c.nodes))
-	for i, nd := range c.nodes {
-		ms[i] = nd.Metrics()
+	var m node.Metrics
+	for _, nd := range c.nodes {
+		nd.AddMetrics(&m)
 	}
-	return node.MergeMetrics(ms...)
+	return m
 }
 
 // Close stops every node.

@@ -275,6 +275,35 @@ func TestConformanceLiveVsEventsim(t *testing.T) {
 	}
 }
 
+// TestConformancePaperN holds the live node to eventsim per lookup at the
+// paper's N: one fault-free cell per forwarder at q = 0.2 and k = 1, at
+// 2^16 nodes (Fig. 6's size), singlehop at 2^14, the size dht caps it at
+// because its views are O(N²). The cells take about 3 s in all; under
+// the race detector each takes several times that, so the test skips
+// there, as it does under -short.
+func TestConformancePaperN(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-size cells skipped under -short")
+	}
+	if raceEnabled {
+		t.Skip("paper-size cells skipped under the race detector")
+	}
+	for _, cl := range []cell{
+		{"chord", 16, 0.2, 1, "", -1},
+		{"can", 16, 0.2, 1, "", -1},
+		{"kademlia", 16, 0.2, 1, "", -1},
+		{"plaxton", 16, 0.2, 1, "", -1},
+		{"symphony", 16, 0.2, 1, "", -1},
+		{"singlehop", 14, 0.2, 1, "", -1},
+	} {
+		t.Run(cl.name(), func(t *testing.T) {
+			t.Parallel()
+			cfg := cl.config(t)
+			checkLookups(t, cfg, bootCluster(t, cfg, "sim", 15*time.Millisecond))
+		})
+	}
+}
+
 // TestConformanceWallClock keeps one cell per protocol on the wall clock
 // ("mem"), so the runtime timer that wakes a node's loop — the path a
 // "sim" cluster replaces with virtual time — stays held to eventsim per

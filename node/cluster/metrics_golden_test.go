@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
+	"rcm/node"
 	"rcm/obs"
 )
 
@@ -98,5 +101,32 @@ func TestMetricsDocumentGolden(t *testing.T) {
 	}
 	if want := slices.Concat(wantCounters, wantGauges, wantHists); !slices.Equal(lineNames, want) {
 		t.Errorf("text lines\n got %v\nwant %v", lineNames, want)
+	}
+}
+
+// TestClusterMetricsOneRecord bounds what a cluster snapshot allocates:
+// Cluster.Metrics folds every node into one record, so on a 2^10-node
+// cluster one call, after a warm one, allocates well under 64 records —
+// where a copy of each node's record would cost 2^10 of them.
+func TestClusterMetricsOneRecord(t *testing.T) {
+	c, err := New(Config{Protocol: "chord", Bits: 10, Seed: 1, Transport: "sim"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if !c.Node(0).Lookup(700).OK() {
+		t.Fatal("lookup failed")
+	}
+	c.Metrics()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := c.Metrics()
+	runtime.ReadMemStats(&after)
+	if m.LookupLatency.Count() != 1 {
+		t.Fatalf("the snapshot holds %d lookups, want 1", m.LookupLatency.Count())
+	}
+	limit := 64 * uint64(unsafe.Sizeof(node.Metrics{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Errorf("Cluster.Metrics on %d nodes allocated %d B, want < %d B (64 records)", c.Len(), got, limit)
 	}
 }

@@ -12,7 +12,7 @@
 // goroutine at a time runs them, so handlers never lock. There is one
 // way in: the inbox, a mutex-guarded queue of turns. An entry is either
 // a raw datagram with its sender — decoded in its turn — or a posted
-// function: a local request, Kill/Restart, a Metrics snapshot, a timer
+// function: a local request, Kill/Restart, a metrics fold, a timer
 // wake-up. A node has no goroutine of its own waiting on the inbox.
 // Whoever puts an entry into an idle inbox claims the runner role and
 // runs that entry at once, as its first turn: a started inbox whose role
@@ -49,7 +49,7 @@
 // block, and the pump runs the turns of what it receives: a UDP node is
 // that one goroutine.
 //
-// A caller — Lookup, Get, Put, Kill, Restart, Metrics — waits on a
+// A caller — Lookup, Get, Put, Kill, Restart, AddMetrics — waits on a
 // channel that a turn of the node sends its verdict on. On a mem network
 // that turn often runs on another goroutine: a lookup that reaches a
 // node whose role another caller holds is finished by that caller. A
@@ -83,7 +83,10 @@
 // that has accepted few requests little. The node's counters are plain
 // fields of its turns' record; its four histograms are made by their
 // first observation, so an idle node on a virtual network costs about
-// 1.3 KiB of heap, its endpoint and store included.
+// 1.3 KiB of heap, its endpoint and store included. A node's snapshot and
+// a cluster's aggregate are one fold: AddMetrics adds the record into the
+// caller's Metrics in a turn of the node, so an aggregate over N nodes
+// costs one record, not N copies of it.
 //
 // Timers are turn state too. Each node keeps one timer queue, an
 // index-tracked 4-ary heap holding every per-hop retransmission timeout
@@ -100,7 +103,7 @@
 // millisecond after its send), posted function, timer wake-up and
 // request held back by a fault plan is one entry of the network's single (time, arming
 // order) queue, and a caller blocked in Lookup, Get, Put, Kill, Restart,
-// Metrics or Close steps that queue, one entry at a time, until its own
+// AddMetrics or Close steps that queue, one entry at a time, until its own
 // reply is in. The node code is the same; a timeout costs no wall-clock
 // time and cannot fire spuriously, and a cluster that issues one request
 // at a time (cluster.Config{Transport: "sim"}) replays deterministically.

@@ -360,13 +360,13 @@ func bootFaultNet(t *testing.T, mem *MemNetwork, protocol string, bits int, plan
 	return nodes
 }
 
-// mergedMetrics merges every node's snapshot, fault tallies included.
+// mergedMetrics folds every node's metrics, fault tallies included.
 func mergedMetrics(nodes []*Node) Metrics {
-	all := make([]Metrics, len(nodes))
-	for i, nd := range nodes {
-		all[i] = nd.Metrics()
+	var m Metrics
+	for _, nd := range nodes {
+		nd.AddMetrics(&m)
 	}
-	return MergeMetrics(all...)
+	return m
 }
 
 // TestFaultClusterDupReorder: a live cluster whose every node duplicates

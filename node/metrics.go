@@ -7,17 +7,41 @@ import (
 	"rcm/obs"
 )
 
-// Metrics is one node's instrumentation. The node's own record
-// (Node.stats, a stats) is loop-owned like the rest of the routing state —
-// handlers increment plain fields with no atomics or locks — so observing
-// a node costs the hot path nothing beyond the increments themselves;
-// Node.Metrics copies it in a turn of the node, so a snapshot is internally
-// consistent. Histograms are value copies and merge freely across nodes
-// (cluster stats, the rcmd metrics endpoint).
+// Metrics is the instrumentation of one node or the sum of several. The
+// node's own record (Node.stats, a stats) is loop-owned like the rest of
+// the routing state — handlers increment plain fields with no atomics or
+// locks — so observing a node costs the hot path nothing beyond the
+// increments themselves. Node.AddMetrics folds it into a Metrics in a
+// turn of the node; a node's snapshot and a cluster's aggregate (the
+// cluster stats, the rcmd metrics endpoint) are both such folds.
 //
-// Every uint64 and obs.Histogram field has one row in metricCounters or
-// metricHists, which is what names, merges and renders it.
+// Every Counters field has one row in metricCounters, and every histogram
+// one in metricHists, which is what names, sums and renders it.
 type Metrics struct {
+	Counters
+	// StoreLen is the store backend's current entry count.
+	StoreLen int
+	// InFlight is the number of forward attempts awaiting a hop ACK;
+	// Waiting the number of locally-originated requests awaiting a
+	// verdict. Down reports the kill switch.
+	InFlight, Waiting int
+	Down              bool
+	// Hops is the hop-count distribution of locally-originated
+	// requests that completed OK. LookupLatency/GetLatency/PutLatency
+	// are issue-to-verdict latency distributions in microseconds.
+	Hops                                  obs.Histogram
+	LookupLatency, GetLatency, PutLatency obs.Histogram
+	// Faults tallies what the node's fault plan injected (Config.Fault)
+	// by fault.Counts' rule: the partition drops, corruptions, hold-backs
+	// and duplicates of the requests it sent, and the requests it ignored
+	// inside its stall episode. AddMetrics sums it; Snapshot does not
+	// render it.
+	Faults fault.Counts
+}
+
+// Counters are a node's event counts, spelled once for Metrics and for
+// the node's loop-owned record, which both embed them.
+type Counters struct {
 	// ReqsIn/AcksIn/RespsIn count messages received while alive, by
 	// kind; the Out counters count messages sent.
 	ReqsIn, AcksIn, RespsIn    uint64
@@ -37,68 +61,63 @@ type Metrics struct {
 	// Expired counts locally-originated requests concluded by the
 	// origin's response guard instead of a verdict.
 	Expired uint64
-	// StoreGets/StoreHits/StorePuts count owner-side store operations;
-	// StoreLen is the backend's current entry count and StoreEvictions
-	// its eviction total (0 unless the backend reports evictions, as
-	// the LRU store does).
+	// StoreGets/StoreHits/StorePuts count owner-side store operations.
 	StoreGets, StoreHits, StorePuts uint64
-	StoreLen                        int
-	StoreEvictions                  uint64
-	// InFlight is the number of forward attempts awaiting a hop ACK;
-	// Waiting the number of locally-originated requests awaiting a
-	// verdict. Down reports the kill switch.
-	InFlight, Waiting int
-	Down              bool
-	// Hops is the hop-count distribution of locally-originated
-	// requests that completed OK. LookupLatency/GetLatency/PutLatency
-	// are issue-to-verdict latency distributions in microseconds.
-	Hops                                  obs.Histogram
-	LookupLatency, GetLatency, PutLatency obs.Histogram
-	// Faults tallies what the node's fault plan injected (Config.Fault)
-	// by fault.Counts' rule: the partition drops, corruptions, hold-backs
-	// and duplicates of the requests it sent, and the requests it ignored
-	// inside its stall episode. It is summed by MergeMetrics but not
-	// rendered by Snapshot.
-	Faults fault.Counts
+	// StoreEvictions is the store backend's eviction total (0 unless the
+	// backend reports evictions, as the LRU store does). The fold reads
+	// it from the store, so the node's record leaves it zero.
+	StoreEvictions uint64
 }
 
 // evictionCounter is the optional store capability behind
 // Metrics.StoreEvictions.
 type evictionCounter interface{ Evictions() uint64 }
 
-// Metrics snapshots the node's instrumentation. The snapshot is taken
-// in a turn of the node, between events, so counters and histograms are
-// mutually consistent. A closed node returns the zero Metrics.
+// Metrics snapshots the node's instrumentation: a zero record plus
+// AddMetrics. A closed node returns the zero Metrics.
 func (n *Node) Metrics() Metrics {
-	ch := make(chan Metrics, 1)
-	if !n.post(func() { ch <- n.snapshotMetrics() }) {
-		return Metrics{}
-	}
-	return await(n, ch)
+	var m Metrics
+	n.AddMetrics(&m)
+	return m
 }
 
-// snapshotMetrics copies the loop-owned record and fills in the gauges
-// read from live state; in a turn only.
-func (n *Node) snapshotMetrics() Metrics {
+// AddMetrics adds the node's instrumentation into *m in a turn of the
+// node, between events, so what it adds is mutually consistent: counters,
+// gauges and fault tallies sum, Down is or-ed, and the histograms the
+// node has made merge. A closed node adds nothing. The caller must not
+// touch *m until AddMetrics returns.
+func (n *Node) AddMetrics(m *Metrics) {
+	done := make(chan struct{}, 1)
+	if n.post(func() { n.addMetrics(m); done <- struct{}{} }) {
+		await(n, done)
+	}
+}
+
+// addMetrics is AddMetrics' turn.
+func (n *Node) addMetrics(m *Metrics) {
 	s := &n.stats
-	m := Metrics{
-		ReqsIn: s.ReqsIn, AcksIn: s.AcksIn, RespsIn: s.RespsIn,
-		ReqsOut: s.ReqsOut, AcksOut: s.AcksOut, RespsOut: s.RespsOut,
-		DupReqs: s.DupReqs, Shed: s.Shed, Expired: s.Expired,
-		Timeouts: s.Timeouts, Retransmits: s.Retransmits, Failovers: s.Failovers,
-		StoreGets: s.StoreGets, StoreHits: s.StoreHits, StorePuts: s.StorePuts,
-		Hops: histOf(s.hops), LookupLatency: histOf(s.lookupLatency),
-		GetLatency: histOf(s.getLatency), PutLatency: histOf(s.putLatency),
-		Faults: s.Faults,
+	for _, c := range metricCounters {
+		*c.field(&m.Counters) += *c.field(&s.Counters)
 	}
-	m.StoreLen = n.store.Len()
-	m.InFlight = n.reqs.fwds.inUse()
-	m.Waiting = n.reqs.waits.inUse()
-	m.Down = n.downNow.Load()
+	m.Faults.Add(s.Faults)
+	mergeMade(&m.Hops, s.hops)
+	mergeMade(&m.LookupLatency, s.lookupLatency)
+	mergeMade(&m.GetLatency, s.getLatency)
+	mergeMade(&m.PutLatency, s.putLatency)
+	m.StoreLen += n.store.Len()
+	m.InFlight += n.reqs.fwds.inUse()
+	m.Waiting += n.reqs.waits.inUse()
+	m.Down = m.Down || n.downNow.Load()
 	if ec, ok := n.store.(evictionCounter); ok {
-		m.StoreEvictions = ec.Evictions()
+		m.StoreEvictions += ec.Evictions()
 	}
-	return m
+}
+
+// mergeMade merges h into dst unless h has not been made.
+func mergeMade(dst, h *obs.Histogram) {
+	if h != nil {
+		dst.Merge(h)
+	}
 }
 
 // stats is a node's loop-owned record: Metrics' counters and fault
@@ -106,11 +125,7 @@ func (n *Node) snapshotMetrics() Metrics {
 // observation — an idle node carries none of their ≈ 5.3 KiB apiece, and a
 // relay that originates nothing none at all.
 type stats struct {
-	ReqsIn, AcksIn, RespsIn                     uint64
-	ReqsOut, AcksOut, RespsOut                  uint64
-	DupReqs, Shed, Expired                      uint64
-	Timeouts, Retransmits, Failovers            uint64
-	StoreGets, StoreHits, StorePuts             uint64
+	Counters
 	Faults                                      fault.Counts
 	hops, lookupLatency, getLatency, putLatency *obs.Histogram
 }
@@ -156,14 +171,6 @@ func (s *stats) recordVerdict(op Op, status Status, hops int, elapsed time.Durat
 	}
 }
 
-// histOf is the histogram h points at; empty while h is nil.
-func histOf(h *obs.Histogram) obs.Histogram {
-	if h == nil {
-		return obs.Histogram{}
-	}
-	return *h
-}
-
 // observe records v in *h, making the histogram on its first observation.
 func observe(h **obs.Histogram, v int64) {
 	if *h == nil {
@@ -174,27 +181,27 @@ func observe(h **obs.Histogram, v int64) {
 
 // metricCounters and metricHists name every counter and histogram of a
 // Metrics once, in the (name-sorted) order the document renders them;
-// MergeMetrics and Snapshot both walk them.
+// Snapshot walks both, and AddMetrics sums the counters by metricCounters.
 var metricCounters = []struct {
 	name  string
-	field func(*Metrics) *uint64
+	field func(*Counters) *uint64
 }{
-	{"acks_in", func(m *Metrics) *uint64 { return &m.AcksIn }},
-	{"acks_out", func(m *Metrics) *uint64 { return &m.AcksOut }},
-	{"dup_reqs", func(m *Metrics) *uint64 { return &m.DupReqs }},
-	{"expired", func(m *Metrics) *uint64 { return &m.Expired }},
-	{"failovers", func(m *Metrics) *uint64 { return &m.Failovers }},
-	{"reqs_in", func(m *Metrics) *uint64 { return &m.ReqsIn }},
-	{"reqs_out", func(m *Metrics) *uint64 { return &m.ReqsOut }},
-	{"resps_in", func(m *Metrics) *uint64 { return &m.RespsIn }},
-	{"resps_out", func(m *Metrics) *uint64 { return &m.RespsOut }},
-	{"retransmits", func(m *Metrics) *uint64 { return &m.Retransmits }},
-	{"rto_timeouts", func(m *Metrics) *uint64 { return &m.Timeouts }},
-	{"shed", func(m *Metrics) *uint64 { return &m.Shed }},
-	{"store_evictions", func(m *Metrics) *uint64 { return &m.StoreEvictions }},
-	{"store_gets", func(m *Metrics) *uint64 { return &m.StoreGets }},
-	{"store_hits", func(m *Metrics) *uint64 { return &m.StoreHits }},
-	{"store_puts", func(m *Metrics) *uint64 { return &m.StorePuts }},
+	{"acks_in", func(c *Counters) *uint64 { return &c.AcksIn }},
+	{"acks_out", func(c *Counters) *uint64 { return &c.AcksOut }},
+	{"dup_reqs", func(c *Counters) *uint64 { return &c.DupReqs }},
+	{"expired", func(c *Counters) *uint64 { return &c.Expired }},
+	{"failovers", func(c *Counters) *uint64 { return &c.Failovers }},
+	{"reqs_in", func(c *Counters) *uint64 { return &c.ReqsIn }},
+	{"reqs_out", func(c *Counters) *uint64 { return &c.ReqsOut }},
+	{"resps_in", func(c *Counters) *uint64 { return &c.RespsIn }},
+	{"resps_out", func(c *Counters) *uint64 { return &c.RespsOut }},
+	{"retransmits", func(c *Counters) *uint64 { return &c.Retransmits }},
+	{"rto_timeouts", func(c *Counters) *uint64 { return &c.Timeouts }},
+	{"shed", func(c *Counters) *uint64 { return &c.Shed }},
+	{"store_evictions", func(c *Counters) *uint64 { return &c.StoreEvictions }},
+	{"store_gets", func(c *Counters) *uint64 { return &c.StoreGets }},
+	{"store_hits", func(c *Counters) *uint64 { return &c.StoreHits }},
+	{"store_puts", func(c *Counters) *uint64 { return &c.StorePuts }},
 }
 
 var metricHists = []struct {
@@ -207,27 +214,6 @@ var metricHists = []struct {
 	{"put_latency_us", func(m *Metrics) *obs.Histogram { return &m.PutLatency }},
 }
 
-// MergeMetrics folds per-node snapshots into a cluster-wide aggregate:
-// counters, gauges and fault tallies sum, histograms merge.
-func MergeMetrics(ms ...Metrics) Metrics {
-	var out Metrics
-	for i := range ms {
-		m := &ms[i]
-		for _, c := range metricCounters {
-			*c.field(&out) += *c.field(m)
-		}
-		for _, h := range metricHists {
-			h.field(&out).Merge(h.field(m))
-		}
-		out.Faults.Add(m.Faults)
-		out.StoreLen += m.StoreLen
-		out.InFlight += m.InFlight
-		out.Waiting += m.Waiting
-		out.Down = out.Down || m.Down
-	}
-	return out
-}
-
 // Snapshot renders a Metrics as an obs.Snapshot — counters, gauges and
 // the four histograms under the given name prefix, each section sorted
 // by name — so cluster aggregates and single daemons serve the same
@@ -238,7 +224,7 @@ func (m Metrics) Snapshot(prefix string) obs.Snapshot {
 		Hists:    make([]obs.NamedHist, 0, len(metricHists)),
 	}
 	for _, c := range metricCounters {
-		s.Counters = append(s.Counters, obs.NamedValue{Name: prefix + "_" + c.name, Value: int64(*c.field(&m))})
+		s.Counters = append(s.Counters, obs.NamedValue{Name: prefix + "_" + c.name, Value: int64(*c.field(&m.Counters))})
 	}
 	down := int64(0)
 	if m.Down {

@@ -45,11 +45,10 @@ func TestMetricsCounters(t *testing.T) {
 	}
 	gets++
 
-	all := make([]Metrics, len(nodes))
-	for i, nd := range nodes {
-		all[i] = nd.Metrics()
+	var agg Metrics
+	for _, nd := range nodes {
+		nd.AddMetrics(&agg)
 	}
-	agg := MergeMetrics(all...)
 
 	// The in-memory transport is lossless and nobody is down, so
 	// every sent message is received.
@@ -208,7 +207,10 @@ func TestMetricsSnapshotShape(t *testing.T) {
 	for dst := range nodes {
 		nodes[0].Lookup(overlay.ID(dst))
 	}
-	snap := MergeMetrics(nodes[0].Metrics(), nodes[1].Metrics()).Snapshot("node")
+	var m Metrics
+	nodes[0].AddMetrics(&m)
+	nodes[1].AddMetrics(&m)
+	snap := m.Snapshot("node")
 	var sb strings.Builder
 	if err := snap.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
@@ -231,122 +233,132 @@ func TestMetricsSnapshotShape(t *testing.T) {
 	}
 }
 
-// TestMergeMetricsIsFieldwise: merging random per-node Metrics equals
-// field-wise sums (the fault tallies' fields included) and histogram
-// merges, and every uint64 and
-// obs.Histogram field of Metrics has its row in metricCounters or
-// metricHists — so a counter added later cannot be forgotten in the
-// merge or the rendered document.
-func TestMergeMetricsIsFieldwise(t *testing.T) {
+// TestAddMetricsIsFieldwise: folding a node into a Metrics that already
+// holds other nodes' sums adds every counter, fault tally and gauge of
+// the node field by field, ors Down and merges each histogram the node
+// has made; and every Counters field has exactly one metricCounters row
+// and every histogram of Metrics and of the node's record one
+// metricHists row — so a counter or histogram added later cannot be
+// forgotten in the fold or the rendered document.
+func TestAddMetricsIsFieldwise(t *testing.T) {
+	nd := unstartedSolo(t)
 	rng := rand.New(rand.NewSource(1))
 	uint64T, histT, faultsT := reflect.TypeOf(uint64(0)), reflect.TypeOf(obs.Histogram{}), reflect.TypeOf(fault.Counts{})
-	ms := make([]Metrics, 5)
-	for i := range ms {
-		v := reflect.ValueOf(&ms[i]).Elem()
+
+	// The node's side: distinct counters and tallies, every histogram
+	// made, every gauge off its zero.
+	sv := reflect.ValueOf(&nd.stats).Elem()
+	sc := sv.FieldByName("Counters")
+	for f := 0; f < sc.NumField(); f++ {
+		if sc.Type().Field(f).Name != "StoreEvictions" { // read from the store, not the record
+			sc.Field(f).SetUint(uint64(f + 1))
+		}
+	}
+	sf := sv.FieldByName("Faults")
+	for k := 0; k < sf.NumField(); k++ {
+		sf.Field(k).SetUint(uint64(100 + k))
+	}
+	for _, op := range []Op{OpLookup, OpGet, OpPut} {
+		nd.stats.recordVerdict(op, StatusOK, int(op)+2, time.Duration(op+7)*time.Microsecond)
+	}
+	nd.store.Put(1, []byte("v"))
+	nd.store.Put(2, []byte("v"))
+	fwd, _ := nd.reqs.fwds.get()
+	defer nd.reqs.fwds.put(fwd)
+	for range 2 {
+		wait, _ := nd.reqs.waits.get()
+		defer nd.reqs.waits.put(wait)
+	}
+	nd.downNow.Store(true)
+	nodeSide := Metrics{StoreLen: 2, InFlight: 1, Waiting: 2, Down: true, Faults: nd.stats.Faults}
+	nodeSide.Counters = nd.stats.Counters
+	for _, op := range []Op{OpLookup, OpGet, OpPut} {
+		nodeSide.Hops.Observe(int64(op) + 2)
+	}
+	nodeSide.LookupLatency.Observe(int64(OpLookup) + 7)
+	nodeSide.GetLatency.Observe(int64(OpGet) + 7)
+	nodeSide.PutLatency.Observe(int64(OpPut) + 7)
+
+	// The record's side: random sums of other nodes.
+	var got Metrics
+	gv := reflect.ValueOf(&got).Elem()
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
 		for f := 0; f < v.NumField(); f++ {
 			switch fv := v.Field(f); fv.Type() {
 			case uint64T:
 				fv.SetUint(uint64(rng.Intn(1000)))
 			case histT:
 				h := fv.Addr().Interface().(*obs.Histogram)
-				for n := rng.Intn(20); n > 0; n-- {
+				for n := rng.Intn(20) + 1; n > 0; n-- {
 					h.Observe(int64(rng.Intn(5000)))
 				}
-			case faultsT:
-				for k := 0; k < fv.NumField(); k++ {
-					fv.Field(k).SetUint(uint64(rng.Intn(1000)))
-				}
+			case faultsT, reflect.TypeOf(Counters{}):
+				fill(fv)
 			case reflect.TypeOf(0):
-				fv.SetInt(int64(rng.Intn(50)))
-			case reflect.TypeOf(false):
-				fv.SetBool(i == 3)
+				fv.SetInt(int64(rng.Intn(50)) + 1)
+			case reflect.TypeOf(false): // left false: only the node's Down can set it
 			default:
-				t.Fatalf("Metrics.%s has type %s: teach this test (and MergeMetrics) about it", v.Type().Field(f).Name, fv.Type())
+				t.Fatalf("Metrics has a field of type %s: teach this test (and AddMetrics) about it", fv.Type())
 			}
 		}
 	}
-	got := MergeMetrics(ms...)
+	fill(gv)
 
-	var want Metrics
-	wv := reflect.ValueOf(&want).Elem()
-	for i := range ms {
-		v := reflect.ValueOf(&ms[i]).Elem()
-		for f := 0; f < v.NumField(); f++ {
-			switch fv, wf := v.Field(f), wv.Field(f); fv.Type() {
-			case uint64T:
-				wf.SetUint(wf.Uint() + fv.Uint())
-			case histT:
-				wf.Addr().Interface().(*obs.Histogram).Merge(fv.Addr().Interface().(*obs.Histogram))
-			case faultsT:
-				for k := 0; k < fv.NumField(); k++ {
-					wf.Field(k).SetUint(wf.Field(k).Uint() + fv.Field(k).Uint())
-				}
-			case reflect.TypeOf(0):
-				wf.SetInt(wf.Int() + fv.Int())
+	// want is got plus the node's side, field by field.
+	want := got
+	var sum func(w, o reflect.Value)
+	sum = func(w, o reflect.Value) {
+		for f := 0; f < w.NumField(); f++ {
+			switch wf, of := w.Field(f), o.Field(f); wf.Kind() {
+			case reflect.Uint64:
+				wf.SetUint(wf.Uint() + of.Uint())
+			case reflect.Int:
+				wf.SetInt(wf.Int() + of.Int())
+			case reflect.Bool:
+				wf.SetBool(wf.Bool() || of.Bool())
 			default:
-				wf.SetBool(wf.Bool() || fv.Bool())
+				if h, ok := wf.Addr().Interface().(*obs.Histogram); ok {
+					h.Merge(of.Addr().Interface().(*obs.Histogram))
+				} else {
+					sum(wf, of)
+				}
 			}
 		}
 	}
+	sum(reflect.ValueOf(&want).Elem(), reflect.ValueOf(&nodeSide).Elem())
+	nd.addMetrics(&got)
 	if got != want {
-		t.Errorf("MergeMetrics\n got %+v\nwant %+v", got, want)
+		t.Errorf("AddMetrics\n got %+v\nwant %+v", got, want)
 	}
 
 	// Every counter and histogram field is in exactly one table row.
 	rows := map[uintptr]int{}
 	var probe Metrics
 	for _, c := range metricCounters {
-		rows[reflect.ValueOf(c.field(&probe)).Pointer()]++
+		rows[reflect.ValueOf(c.field(&probe.Counters)).Pointer()]++
 	}
 	for _, h := range metricHists {
 		rows[reflect.ValueOf(h.field(&probe)).Pointer()]++
 	}
 	pv := reflect.ValueOf(&probe).Elem()
-	for f := 0; f < pv.NumField(); f++ {
-		if ft := pv.Field(f).Type(); ft != uint64T && ft != histT {
-			continue
-		}
-		if n := rows[pv.Field(f).Addr().Pointer()]; n != 1 {
-			t.Errorf("Metrics.%s has %d rows in metricCounters/metricHists, want 1", pv.Type().Field(f).Name, n)
-		}
-	}
-}
-
-// TestSnapshotCopiesEveryCounter: the node's loop-owned record has a
-// field for every counter and fault tally of Metrics, and a snapshot
-// copies each one and each histogram made so far — so a counter added
-// to Metrics later cannot be forgotten in the record.
-func TestSnapshotCopiesEveryCounter(t *testing.T) {
-	nd := unstartedSolo(t)
-	sv := reflect.ValueOf(&nd.stats).Elem()
-	var want Metrics
-	wv := reflect.ValueOf(&want).Elem()
-	for f := 0; f < wv.NumField(); f++ {
-		name := wv.Type().Field(f).Name
-		switch fv := wv.Field(f); fv.Kind() {
-		case reflect.Uint64:
-			if name == "StoreEvictions" {
-				continue // read from the store, not the record
+	for _, v := range []reflect.Value{pv.FieldByName("Counters"), pv} {
+		for f := 0; f < v.NumField(); f++ {
+			if ft := v.Field(f).Type(); ft != uint64T && ft != histT {
+				continue
 			}
-			rf := sv.FieldByName(name)
-			if !rf.IsValid() {
-				t.Fatalf("Metrics.%s has no field in the node's record", name)
-			}
-			rf.SetUint(uint64(f + 1))
-			fv.SetUint(uint64(f + 1))
-		case reflect.Struct:
-			if fv.Type() == reflect.TypeOf(fault.Counts{}) {
-				for k := 0; k < fv.NumField(); k++ {
-					sv.FieldByName(name).Field(k).SetUint(uint64(100 + k))
-					fv.Field(k).SetUint(uint64(100 + k))
-				}
+			if n := rows[v.Field(f).Addr().Pointer()]; n != 1 {
+				t.Errorf("Metrics.%s has %d rows in metricCounters/metricHists, want 1", v.Type().Field(f).Name, n)
 			}
 		}
 	}
-	nd.stats.recordVerdict(OpGet, StatusOK, 3, 7*time.Microsecond)
-	want.Hops.Observe(3)
-	want.GetLatency.Observe(7)
-	if got := nd.snapshotMetrics(); got != want {
-		t.Errorf("snapshot\n got %+v\nwant %+v", got, want)
+	made := 0
+	for f := 0; f < sv.NumField(); f++ {
+		if sv.Field(f).Type() == reflect.TypeOf((*obs.Histogram)(nil)) {
+			made++
+		}
+	}
+	if made != len(metricHists) {
+		t.Errorf("the node's record makes %d histograms, metricHists renders %d", made, len(metricHists))
 	}
 }

@@ -39,8 +39,8 @@
 //
 // Snapshot.WriteJSON and WriteText are what rcmd's -metrics-addr endpoint
 // and the interactive cluster's stats command serve; node.Metrics (its
-// counter table, MergeMetrics and Snapshot) is the in-repo instance of
-// the pattern.
+// counter table, the Node.AddMetrics fold and Snapshot) is the in-repo
+// instance of the pattern.
 //
 // Because bucket boundaries are fixed, histograms from different
 // owners Merge commutatively: fold shard copies in any order and the
