@@ -233,14 +233,14 @@ func TestMetricsSnapshotShape(t *testing.T) {
 	}
 }
 
-// TestAddMetricsIsFieldwise: folding a node into a Metrics that already
+// TestMergeMetricsIsFieldwise: folding a node into a Metrics that already
 // holds other nodes' sums adds every counter, fault tally and gauge of
 // the node field by field, ors Down and merges each histogram the node
 // has made; and every Counters field has exactly one metricCounters row
 // and every histogram of Metrics and of the node's record one
 // metricHists row — so a counter or histogram added later cannot be
 // forgotten in the fold or the rendered document.
-func TestAddMetricsIsFieldwise(t *testing.T) {
+func TestMergeMetricsIsFieldwise(t *testing.T) {
 	nd := unstartedSolo(t)
 	rng := rand.New(rand.NewSource(1))
 	uint64T, histT, faultsT := reflect.TypeOf(uint64(0)), reflect.TypeOf(obs.Histogram{}), reflect.TypeOf(fault.Counts{})
@@ -360,5 +360,37 @@ func TestAddMetricsIsFieldwise(t *testing.T) {
 	}
 	if made != len(metricHists) {
 		t.Errorf("the node's record makes %d histograms, metricHists renders %d", made, len(metricHists))
+	}
+}
+
+// TestSnapshotCopiesEveryCounter: a node's snapshot (Node.Metrics: the
+// fold's turn run on a zero record) copies every counter and fault tally of the
+// node's loop-owned record and each histogram made so far, and leaves the
+// histograms the node has not made empty — so a counter added to Counters
+// later cannot be forgotten in the snapshot.
+func TestSnapshotCopiesEveryCounter(t *testing.T) {
+	nd := unstartedSolo(t)
+	sv := reflect.ValueOf(&nd.stats).Elem()
+	var want Metrics
+	wc, sc := reflect.ValueOf(&want.Counters).Elem(), sv.FieldByName("Counters")
+	for f := 0; f < wc.NumField(); f++ {
+		if wc.Type().Field(f).Name == "StoreEvictions" {
+			continue // read from the store, not the record
+		}
+		sc.Field(f).SetUint(uint64(f + 1))
+		wc.Field(f).SetUint(uint64(f + 1))
+	}
+	wf, sf := reflect.ValueOf(&want.Faults).Elem(), sv.FieldByName("Faults")
+	for k := 0; k < wf.NumField(); k++ {
+		sf.Field(k).SetUint(uint64(100 + k))
+		wf.Field(k).SetUint(uint64(100 + k))
+	}
+	nd.stats.recordVerdict(OpGet, StatusOK, 3, 7*time.Microsecond)
+	want.Hops.Observe(3)
+	want.GetLatency.Observe(7)
+	var got Metrics
+	nd.addMetrics(&got)
+	if got != want {
+		t.Errorf("snapshot\n got %+v\nwant %+v", got, want)
 	}
 }
