@@ -233,10 +233,13 @@ func checkLookups(t *testing.T, cfg eventsim.Config, c *Cluster) *eventsim.Resul
 // layer and of fault injection, and `make chaos-smoke` runs it under the
 // race detector. The grid: the six built-in forwarders × q ∈ {0, 0.2,
 // 0.5} × k ∈ {1, 3} × every plan of gridPlans at 2^7 nodes; one
-// fault-free cell per forwarder at 2^12; and one corrupt cell that
-// retransmits on both sides, so the coins' try key is exercised. Every
-// live cluster runs on virtual time ("sim"), so a timeout costs no wall
-// clock and cannot fire spuriously.
+// fault-free cell per forwarder at 2^12; one corrupt cell that
+// retransmits on both sides, so the coins' try key is exercised; and one
+// fault-free cell per forwarder at the paper's N, 2^16 (singlehop at
+// 2^14). Every live cluster runs on virtual time ("sim"), so a timeout
+// costs no wall clock and cannot fire spuriously. The paper-size cells
+// take ≈ 0.7 GB and ≈ 0.5 s each, several times that under the race
+// detector, so they run one at a time and skip under -short and -race.
 //
 // The grid checks that sim and live agree, and only that: both
 // executors call the one fault step (fault.Injector.Send and Receive),
@@ -259,10 +262,21 @@ func TestConformanceLiveVsEventsim(t *testing.T) {
 		cells = append(cells, cell{p, 12, 0.2, 1, "", -1})
 	}
 	cells = append(cells, cell{"chord", 7, 0.2, 1, "corrupt:0.1", 2})
+	for _, p := range protocols {
+		bits := 16
+		if p == "singlehop" {
+			bits = 14 // dht's cap: its views are O(N²)
+		}
+		cells = append(cells, cell{p, bits, 0.2, 1, "", -1})
+	}
 
 	for _, cl := range cells {
 		t.Run(cl.name(), func(t *testing.T) {
-			t.Parallel() // cells share nothing: each boots its own network
+			if cl.bits <= 12 {
+				t.Parallel() // cells share nothing: each boots its own network
+			} else if testing.Short() || raceEnabled {
+				t.Skip("paper-size cell skipped under -short and the race detector")
+			}
 			cfg := cl.config(t)
 			c := bootCluster(t, cfg, "sim", 15*time.Millisecond)
 			checkLookups(t, cfg, c)
@@ -271,35 +285,6 @@ func TestConformanceLiveVsEventsim(t *testing.T) {
 			if cl.plan != "" && cl.plan != gridPlans[2] && c.FaultCounts() == (fault.Counts{}) {
 				t.Errorf("plan %s injected nothing", cl.plan)
 			}
-		})
-	}
-}
-
-// TestConformancePaperN holds the live node to eventsim per lookup at the
-// paper's N: one fault-free cell per forwarder at q = 0.2 and k = 1, at
-// 2^16 nodes (Fig. 6's size), singlehop at 2^14, the size dht caps it at
-// because its views are O(N²). The cells take about 3 s in all; under
-// the race detector each takes several times that, so the test skips
-// there, as it does under -short.
-func TestConformancePaperN(t *testing.T) {
-	if testing.Short() {
-		t.Skip("paper-size cells skipped under -short")
-	}
-	if raceEnabled {
-		t.Skip("paper-size cells skipped under the race detector")
-	}
-	for _, cl := range []cell{
-		{"chord", 16, 0.2, 1, "", -1},
-		{"can", 16, 0.2, 1, "", -1},
-		{"kademlia", 16, 0.2, 1, "", -1},
-		{"plaxton", 16, 0.2, 1, "", -1},
-		{"symphony", 16, 0.2, 1, "", -1},
-		{"singlehop", 14, 0.2, 1, "", -1},
-	} {
-		t.Run(cl.name(), func(t *testing.T) {
-			t.Parallel()
-			cfg := cl.config(t)
-			checkLookups(t, cfg, bootCluster(t, cfg, "sim", 15*time.Millisecond))
 		})
 	}
 }

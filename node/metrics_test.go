@@ -235,8 +235,8 @@ func TestMetricsSnapshotShape(t *testing.T) {
 
 // TestMergeMetricsIsFieldwise: folding a node into a Metrics that already
 // holds other nodes' sums adds every counter, fault tally and gauge of
-// the node field by field, ors Down and merges each histogram the node
-// has made; and every Counters field has exactly one metricCounters row
+// the node field by field, ors Down (a down node sets it, an up node
+// leaves it set) and merges each histogram the node has made; and every Counters field has exactly one metricCounters row
 // and every histogram of Metrics and of the node's record one
 // metricHists row — so a counter or histogram added later cannot be
 // forgotten in the fold or the rendered document.
@@ -330,6 +330,12 @@ func TestMergeMetricsIsFieldwise(t *testing.T) {
 	nd.addMetrics(&got)
 	if got != want {
 		t.Errorf("AddMetrics\n got %+v\nwant %+v", got, want)
+	}
+	// Or-ed, not assigned: a node that is up leaves a set Down set.
+	nd.downNow.Store(false)
+	nd.addMetrics(&got)
+	if !got.Down {
+		t.Error("folding an up node cleared the record's Down")
 	}
 
 	// Every counter and histogram field is in exactly one table row.
