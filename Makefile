@@ -77,11 +77,16 @@ cluster-smoke:
 # the entry a claiming put runs at once without queueing it
 # (TestInboxClaimedEntryNotQueued), and a verdict sent from the goroutine
 # holding a busy relay's role to a caller that yields, then blocks
-# (TestInboxVerdictElsewhere).
+# (TestInboxVerdictElsewhere). Last, five times each, rcm/exp's Stream
+# tests: a cell's result passes from its worker to the consumer through a
+# reused window slot, an atomic flag and a token, with no channel per
+# cell to order the two, so the race detector is the check that a slot
+# is never written while it is read, on every way the iterator ends.
 chaos-smoke:
 	go test -race -run TestConformanceLiveVsEventsim -count=1 -timeout 60s ./node/cluster/
 	go test -race -run TestConformanceWallClock -count=5 -timeout 120s ./node/cluster/
 	go test -race -run 'TestInbox|TestCloseUnstarted|TestControlConcurrentWithClose' -count=5 -timeout 120s ./node/
+	go test -race -run 'TestStream' -count=5 -timeout 120s ./exp
 
 fmt:
 	gofmt -l .

@@ -6,6 +6,7 @@ import (
 	"iter"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"rcm/eventsim"
 	"rcm/internal/core"
@@ -18,10 +19,11 @@ import (
 const seedStride = 0x9e37
 
 // windowPerWorker sizes Stream's reorder window: windowPerWorker × workers
-// cells may be queued ahead of the consumer, so a consumer that pauses (an
-// encoder's Write, a slow cell at the head of the window) does not idle
-// the pool. Only finished rows wait in the window and at most `workers`
-// cells compute at once, so memory stays constant per worker.
+// result slots, reused in turn, so a consumer that pauses (an encoder's
+// Write, a slow cell at the head of the window) does not idle the pool.
+// A worker claims a cell only with one of the window's tokens, so at most
+// that many cells are begun ahead of the consumer and memory stays
+// constant per worker.
 const windowPerWorker = 64
 
 // Row is one result of a plan: a grid cell, or one time bucket of an event
@@ -189,11 +191,20 @@ func (r *run) overlay(key overlayKey) (dht.Protocol, error) {
 	return r.overlays.get(key, func() (dht.Protocol, error) { return build(key) })
 }
 
-// result is one computed cell, delivered through its promise channel. A
-// grid cell carries one row; an event cell one row per bucket.
+// result is one computed cell, left in its window slot for the consumer:
+// a grid cell's one row, or an event cell's row per time bucket.
 type result struct {
-	rows []Row
+	grid bool  // set for a grid cell, whose one row is row
+	row  Row   // a grid cell's row
+	rows []Row // an event cell's rows
 	err  error
+}
+
+// slot is one entry of Stream's reorder window. A worker writes res and
+// then sets done; the consumer copies res out and clears done.
+type slot struct {
+	res  result
+	done atomic.Bool
 }
 
 // Stream executes the plan and yields one Row per cell, in plan order, as
@@ -218,93 +229,95 @@ func Stream(ctx context.Context, plan Plan, opts ...Option) iter.Seq2[Row, error
 		if total == 0 {
 			return
 		}
-		workers := st.workers
-		if workers > total {
-			workers = total
-		}
+		workers := min(st.workers, total)
+		window := min(windowPerWorker*workers, total)
 
 		r := &run{plan: plan, st: st}
 
-		type job struct {
-			idx     int
-			promise chan result
+		// Cell i is computed into slots[i%window]. A worker claims the next
+		// cell only holding one of the window's tokens, and the consumer
+		// returns a token once it has copied a cell's result out, so the
+		// cells claimed but not yet consumed never outnumber the slots and
+		// no two of them share one. wake holds at most one signal: a worker
+		// that finishes a cell leaves one, and the consumer, waiting for
+		// the slot at the head of the window, rechecks that slot on each.
+		slots := make([]slot, window)
+		tokens := make(chan struct{}, window)
+		for range window {
+			tokens <- struct{}{}
 		}
-		jobs := make(chan job)
-		// order carries each cell's promise in submission (= plan) order;
-		// its capacity, windowPerWorker × workers, is the reorder window
-		// and bounds the cells in flight, which is what keeps memory
-		// constant on huge grids. The consumer checks ctx before each
-		// cell, so a canceled run stops even when the window is full of
-		// finished cells.
-		order := make(chan chan result, windowPerWorker*workers)
+		wake := make(chan struct{}, 1)
+		var next atomic.Int64
 
-		// Unwind order matters: cancel releases the producer (and through
-		// it the workers) before wg.Wait collects them.
+		// Unwind order matters: cancel releases the workers waiting for a
+		// token before wg.Wait collects them, so no worker outlives the
+		// iterator.
 		var wg sync.WaitGroup
 		defer wg.Wait()
 		runCtx, cancel := context.WithCancel(ctx)
 		defer cancel()
 
-		for w := 0; w < workers; w++ {
+		for range workers {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for j := range jobs {
-					if err := runCtx.Err(); err != nil {
-						j.promise <- result{err: err}
-						continue
+				for {
+					select {
+					case <-tokens:
+					case <-runCtx.Done():
+						return
 					}
-					rows, err := r.runCell(plan.cellAt(st.mode, j.idx))
-					j.promise <- result{rows: rows, err: err}
+					i := int(next.Add(1) - 1)
+					if i >= total || runCtx.Err() != nil {
+						return
+					}
+					s := &slots[i%window]
+					r.runCell(plan.cellAt(st.mode, i), &s.res)
+					s.done.Store(true)
+					select {
+					case wake <- struct{}{}:
+					default: // a signal is already pending
+					}
 				}
 			}()
 		}
-		go func() {
-			defer close(jobs)
-			defer close(order)
-			for i := 0; i < total; i++ {
-				promise := make(chan result, 1)
+
+		// The consumer waits on ctx as well as on cell i's slot, since once
+		// the run is canceled no worker claims another cell. It returns the
+		// slot's token before it yields, so a consumer paused inside yield
+		// still leaves the whole window to the workers.
+		for i := range total {
+			s := &slots[i%window]
+			for !s.done.Load() {
 				select {
-				case order <- promise:
-				case <-runCtx.Done():
-					return
-				}
-				select {
-				case jobs <- job{idx: i, promise: promise}:
-				case <-runCtx.Done():
-					// The promise was queued but will never be fulfilled;
-					// fulfill it here so the consumer observes the
-					// cancellation instead of deadlocking.
-					promise <- result{err: runCtx.Err()}
+				case <-wake:
+				case <-ctx.Done():
+					yield(Row{}, ctx.Err())
 					return
 				}
 			}
-		}()
-
-		done := 0
-		for promise := range order {
-			res := <-promise
+			res := s.res
+			s.res.rows = nil // the slot holds no event rows for the GC to keep
+			s.done.Store(false)
+			tokens <- struct{}{}
 			if res.err == nil {
 				res.err = ctx.Err()
 			}
 			if res.err != nil {
-				cancel()
 				yield(Row{}, res.err)
 				return
 			}
+			if res.grid {
+				if !yield(res.row, nil) {
+					return
+				}
+				continue
+			}
 			for _, row := range res.rows {
 				if !yield(row, nil) {
-					cancel()
 					return
 				}
 			}
-			done++
-		}
-		// The producer shut the window down because the context was
-		// canceled (rather than the grid finishing): surface the
-		// cancellation even when every in-flight cell completed as a row.
-		if err := ctx.Err(); err != nil && done < total {
-			yield(Row{}, err)
 		}
 	}
 }
@@ -324,22 +337,23 @@ func Run(ctx context.Context, plan Plan, opts ...Option) ([]Row, error) {
 	return rows, nil
 }
 
-// runCell executes one cell, returning its rows in plan order.
-func (r *run) runCell(c cell) ([]Row, error) {
+// runCell executes one cell into res, which it overwrites.
+func (r *run) runCell(c cell, res *result) {
 	if c.kind == eventCell {
 		rows, err := r.fillEvent(c)
 		if err != nil {
 			err = fmt.Errorf("exp: event cell %s d=%d %s: %w", c.spec.Geometry.Name(), c.bits, c.event.Scenario, err)
 		}
-		return rows, err
+		*res = result{rows: rows, err: err}
+		return
 	}
-	row := newRow(r.plan.Name, c)
-	row.Kind = "grid"
-	err := r.fillGrid(&row, c)
-	if err != nil {
-		err = fmt.Errorf("exp: grid cell %s d=%d q=%v: %w", c.spec.Geometry.Name(), c.bits, c.q, err)
+	res.grid, res.rows = true, nil
+	res.row = newRow(r.plan.Name, c)
+	res.row.Kind = "grid"
+	res.err = r.fillGrid(&res.row, c)
+	if res.err != nil {
+		res.err = fmt.Errorf("exp: grid cell %s d=%d q=%v: %w", c.spec.Geometry.Name(), c.bits, c.q, res.err)
 	}
-	return []Row{row}, err
 }
 
 // fillAnalytic computes the closed forms at (g, d, q) through the memo

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rcm/internal/core"
 )
@@ -267,6 +268,124 @@ func TestStreamConstantMemory(t *testing.T) {
 	if large > small*1.5+1 {
 		t.Errorf("per-cell allocs grew with grid size: %.2f at 200 cells vs %.2f at 4000", small, large)
 	}
+}
+
+// analyticGridPlan is the benchmark's analytic plan: every built-in spec
+// at the 14 sizes 10…200 over the paper's q grid, 1,330 rows.
+func analyticGridPlan() Plan {
+	return Plan{
+		Name:  "analytic_grid",
+		Specs: AllSpecs(),
+		Bits:  []int{10, 14, 17, 20, 24, 27, 30, 34, 40, 50, 70, 100, 140, 200},
+		Qs:    PaperQGrid(),
+	}
+}
+
+// TestAnalyticRowAllocs bounds what one memoized pass of the analytic
+// grid allocates per row: the window's slots, the memo's series, maps and
+// power tables, and no per-cell channel, row slice or term buffer.
+func TestAnalyticRowAllocs(t *testing.T) {
+	plan := analyticGridPlan()
+	rows := plan.cellCount(ModeAnalytic)
+	allocs := testing.AllocsPerRun(5, func() {
+		for _, err := range Stream(context.Background(), plan) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if perRow := allocs / float64(rows); perRow > 2.5 {
+		t.Errorf("a memoized pass makes %.2f heap objects per row (%v over %d rows), want ≤ 2.5", perRow, allocs, rows)
+	}
+}
+
+// TestStreamLeavesNoGoroutines: however the iterator ends — an early
+// break, a cancel with the window full, a context canceled up front, a
+// failing cell — every worker has finished by the time the range loop
+// returns. A worker's deferred wg.Done runs a few instructions before its
+// goroutine is gone, so the count is given a moment to fall back; a
+// worker still blocked or computing never lets it.
+func TestStreamLeavesNoGoroutines(t *testing.T) {
+	exits := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"early break", func(t *testing.T) {
+			for row, err := range Stream(context.Background(), analyticPlan(5000), WithWorkers(4)) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if row.Q != 0 {
+					break
+				}
+			}
+		}},
+		{"cancel with full window", func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			plan, began := beganPlan(20 * windowPerWorker)
+			rows := 0
+			for _, err := range Stream(ctx, plan, WithWorkers(1), WithoutMemo()) {
+				if err != nil {
+					break
+				}
+				if rows++; rows == 5 {
+					for began.Load() < 5+windowPerWorker {
+						runtime.Gosched()
+					}
+					cancel()
+				}
+			}
+		}},
+		{"pre-canceled", func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			for range Stream(ctx, analyticPlan(100), WithWorkers(4)) {
+			}
+		}},
+		{"failing cell", func(t *testing.T) {
+			plan := Plan{Specs: []Spec{MustSpec("chord")}, Bits: []int{30}, Qs: PaperQGrid()}
+			var sawErr error
+			for _, err := range Stream(context.Background(), plan, WithModes(ModeSim), WithPairs(10), WithTrials(1), WithWorkers(4)) {
+				if err != nil {
+					sawErr = err
+				}
+			}
+			if sawErr == nil {
+				t.Fatal("the failing plan yielded no error")
+			}
+		}},
+	}
+	for _, exit := range exits {
+		t.Run(exit.name, func(t *testing.T) {
+			before := quietGoroutines()
+			exit.run(t)
+			after := runtime.NumGoroutine()
+			for deadline := time.Now().Add(time.Second); after != before && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+				after = runtime.NumGoroutine()
+			}
+			if after != before {
+				t.Errorf("%d goroutines after the range loop, %d before", after, before)
+			}
+		})
+	}
+}
+
+// quietGoroutines returns runtime.NumGoroutine once it has held still for
+// a few milliseconds: the goroutine that ran the test before may still be
+// on its way out when the next one starts.
+func quietGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still := 0; still < 5; {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
 }
 
 func ExampleStream() {

@@ -55,12 +55,15 @@ type nodesKey struct {
 	dim  int
 }
 
-// phaseSeries holds cum[h-1] = Σ_{m=1..h} ln(1 − Q(m)), grown lazily. Each
-// series has its own lock so concurrent workers extending different grid
-// columns do not serialize on the Evaluator.
+// phaseSeries holds cum[h-1] = Σ_{m=1..h} ln(1 − Q(m)), grown lazily, and
+// pw, the table of powers of q its walks have read (see powers), so that
+// extending the series computes only the powers it lacks. Each series has
+// its own lock so concurrent workers extending different grid columns do
+// not serialize on the Evaluator.
 type phaseSeries struct {
 	mu  sync.Mutex
 	cum []float64
+	pw  []float64
 }
 
 // NewEvaluator returns an empty memoizing evaluator.
@@ -113,13 +116,16 @@ func phaseDependsOnD(g Geometry) bool {
 // modified.
 func (e *Evaluator) prefix(g Geometry, id string, d, h int, q float64) []float64 {
 	key := seriesKey{geom: id, q: q}
+	// A d-dependent series is only ever asked for its own MaxDistance;
+	// a d-invariant one is sized for every d of the paper's grids.
+	size := max(h, powBufLen)
 	if phaseDependsOnD(g) {
-		key.dim = d
+		key.dim, size = d, h
 	}
 	e.mu.Lock()
 	s, ok := e.series[key]
 	if !ok {
-		s = &phaseSeries{}
+		s = &phaseSeries{cum: make([]float64, 0, size)}
 		e.series[key] = s
 	}
 	e.mu.Unlock()
@@ -130,7 +136,7 @@ func (e *Evaluator) prefix(g Geometry, id string, d, h int, q float64) []float64
 		// A Q equal to the last phase's (tree and Symphony every phase,
 		// the others once q^m underflows) reuses its log.
 		lastQ, inc := math.NaN(), 0.0
-		walkPhases(g, d, q, len(s.cum)+1, h, func(m int, Q float64) bool {
+		s.pw = walkPhasesTable(s.pw, g, d, q, len(s.cum)+1, h, func(m int, Q float64) bool {
 			if Q != lastQ {
 				lastQ, inc = Q, math.Log1p(-Q)
 			}
@@ -185,7 +191,11 @@ func (e *Evaluator) LogExpectedReach(g Geometry, d int, q float64) (float64, err
 	maxH := g.MaxDistance(d)
 	cum := e.prefix(g, id, d, maxH, q)
 	logN := e.logNodes(g, id, d, maxH)
-	terms := make([]float64, 0, maxH)
+	var buf [powBufLen]float64
+	terms := buf[:0]
+	if maxH > len(buf) {
+		terms = make([]float64, 0, maxH)
+	}
 	for h := 1; h <= maxH; h++ {
 		terms = append(terms, logN[h-1]+cum[h-1])
 	}

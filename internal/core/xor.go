@@ -46,7 +46,11 @@ func (XOR) LogNodesAt(d, h int) float64 {
 // product.
 func (XOR) PhaseFailure(_, m int, q float64) float64 {
 	var buf [powBufLen]float64
-	return xorPhase(powers(buf[:], q, m+1, m), 0, q) // an unfilled table
+	pw := buf[:]
+	if m >= len(buf) {
+		pw = make([]float64, m+1)
+	}
+	return xorPhase(pw[:m+1], 0, q) // an unfilled table
 }
 
 // xorPhase is Eq. 6 at phase m = len(pw)−1 over pw[j] = q^j. Entries from

@@ -40,35 +40,16 @@ type Stats struct {
 // ComponentStats computes connected components among alive members of
 // nodes, linking each alive node to its alive routing-table neighbors.
 func ComponentStats(o Overlay, nodes []overlay.ID, alive *overlay.Bitset) Stats {
-	idx := make(map[overlay.ID]int, len(nodes))
-	aliveNodes := make([]overlay.ID, 0, len(nodes))
-	for _, id := range nodes {
-		if alive.Get(int(id)) {
-			idx[id] = len(aliveNodes)
-			aliveNodes = append(aliveNodes, id)
-		}
-	}
+	aliveNodes := survivors(nodes, alive)
 	if len(aliveNodes) == 0 {
 		return Stats{}
 	}
-	u := NewUnionFind(len(aliveNodes))
-	for i, id := range aliveNodes {
-		for _, nb := range o.Neighbors(id) {
-			if nb == id || !alive.Get(int(nb)) {
-				continue
-			}
-			if j, ok := idx[nb]; ok {
-				u.Union(i, j)
-			}
-		}
-	}
-	seen := make(map[int]int)
+	u := connect(o, aliveNodes)
+	var sizes []int
 	for i := range aliveNodes {
-		seen[u.Find(i)]++
-	}
-	sizes := make([]int, 0, len(seen))
-	for _, s := range seen {
-		sizes = append(sizes, s)
+		if u.Find(i) == i {
+			sizes = append(sizes, u.ComponentSize(i))
+		}
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
 	st := Stats{
@@ -138,28 +119,11 @@ func ThresholdScan(o Overlay, nodes []overlay.ID, qs []float64, opt ScanOptions)
 // paper's §4.1 observation — reachable ⊆ connected — manifests as
 // meanReachable ≤ meanConnected.
 func ReachableVsConnected(o RoutedOverlay, nodes []overlay.ID, alive *overlay.Bitset, roots int, rng *overlay.RNG) (meanReachable, meanConnected float64) {
-	aliveNodes := make([]overlay.ID, 0, len(nodes))
-	for _, id := range nodes {
-		if alive.Get(int(id)) {
-			aliveNodes = append(aliveNodes, id)
-		}
-	}
+	aliveNodes := survivors(nodes, alive)
 	if len(aliveNodes) < 2 || roots <= 0 {
 		return 0, 0
 	}
-	// Connected components once per failure pattern.
-	idx := make(map[overlay.ID]int, len(aliveNodes))
-	for i, id := range aliveNodes {
-		idx[id] = i
-	}
-	u := NewUnionFind(len(aliveNodes))
-	for i, id := range aliveNodes {
-		for _, nb := range o.Neighbors(id) {
-			if j, ok := idx[nb]; ok && nb != id {
-				u.Union(i, j)
-			}
-		}
-	}
+	u := connect(o, aliveNodes) // once per failure pattern
 	var reachSum, connSum float64
 	for r := 0; r < roots; r++ {
 		ri := rng.Intn(len(aliveNodes))
@@ -177,4 +141,38 @@ func ReachableVsConnected(o RoutedOverlay, nodes []overlay.ID, alive *overlay.Bi
 		connSum += float64(u.ComponentSize(ri) - 1) // exclude the root itself
 	}
 	return reachSum / float64(roots), connSum / float64(roots)
+}
+
+// survivors returns the members of nodes alive in alive, in order.
+func survivors(nodes []overlay.ID, alive *overlay.Bitset) []overlay.ID {
+	out := make([]overlay.ID, 0, len(nodes))
+	for _, id := range nodes {
+		if alive.Get(int(id)) {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// connect links each of aliveNodes to those of its routing-table
+// neighbors that are aliveNodes too, and returns the union-find over
+// their positions. A survivor's position is read from a dense index over
+// the identifier space, -1 where no survivor is.
+func connect(o Overlay, aliveNodes []overlay.ID) *UnionFind {
+	idx := make([]int32, o.Space().Size())
+	for i := range idx {
+		idx[i] = -1
+	}
+	for i, id := range aliveNodes {
+		idx[id] = int32(i)
+	}
+	u := NewUnionFind(len(aliveNodes))
+	for i, id := range aliveNodes {
+		for _, nb := range o.Neighbors(id) {
+			if j := idx[nb]; j >= 0 && nb != id {
+				u.Union(i, int(j))
+			}
+		}
+	}
+	return u
 }

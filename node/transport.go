@@ -249,11 +249,24 @@ func (n *MemNetwork) table() []atomic.Pointer[memEndpoint] {
 	return nil
 }
 
-// lookup returns the open endpoint at addr, nil if there is none.
+// lookup returns the open endpoint at addr, nil if there is none. The
+// number is read digit by digit and stops at the table's end; an address
+// spelled other than its endpoint's own ("mem:01", say) matches nothing.
 func (n *MemNetwork) lookup(addr string) *memEndpoint {
 	num, ok := strings.CutPrefix(addr, memAddrPrefix)
-	i, err := strconv.Atoi(num)
-	if tab := n.table(); ok && err == nil && i >= 0 && i < len(tab) {
+	if !ok {
+		return nil
+	}
+	tab := n.table()
+	i := 0
+	for k := 0; k < len(num); k++ {
+		c := num[k]
+		if c < '0' || c > '9' || i >= len(tab) {
+			return nil
+		}
+		i = 10*i + int(c-'0')
+	}
+	if i < len(tab) {
 		if ep := tab[i].Load(); ep != nil && ep.addr == addr {
 			return ep
 		}

@@ -37,3 +37,29 @@ func TestUDPSendResolvesOnce(t *testing.T) {
 		b.Close()
 	}
 }
+
+// TestMemNetworkLookupSpellings: a mem address resolves only as its
+// endpoint spells it, and a closed endpoint resolves to nothing.
+func TestMemNetworkLookupSpellings(t *testing.T) {
+	n := NewMemNetwork()
+	eps := make([]Transport, 129)
+	for i := range eps {
+		eps[i] = n.Endpoint()
+	}
+	defer func() {
+		for _, ep := range eps {
+			ep.Close()
+		}
+	}()
+	for _, addr := range []string{"mem:0", "mem:127"} {
+		if ep := n.lookup(addr); ep == nil || ep.Addr() != addr {
+			t.Errorf("lookup(%q) = %v, want its endpoint", addr, ep)
+		}
+	}
+	eps[128].Close()
+	for _, addr := range []string{"mem:", "mem:+1", "mem:-1", "mem:01", "mem:18446744073709551616", "udp:1", "mem:128"} {
+		if ep := n.lookup(addr); ep != nil {
+			t.Errorf("lookup(%q) = %s, want nothing", addr, ep.Addr())
+		}
+	}
+}
