@@ -40,10 +40,14 @@ type Config struct {
 	// Seed drives every random stream of the run (default 1).
 	Seed uint64
 	// Shards is the number of event wheels the population is interleaved
-	// across (node % Shards). The default is 4. Results are deterministic
-	// for a fixed (Seed, Shards) pair: each shard owns its nodes' random
-	// streams, so the shard count is part of what a run computes, not a
-	// free performance knob.
+	// across (node % Shards). The default is 1: one event queue, drained
+	// inline on the caller's goroutine. More than one shard runs the
+	// shards on persistent worker goroutines, which pays only for one
+	// large run that has the cores to itself; a caller that already runs
+	// many simulations in parallel (rcm/exp's cell pool) gains nothing
+	// from it. Results are deterministic for a fixed (Seed, Shards) pair:
+	// each shard owns its nodes' random streams, so the shard count is
+	// part of what a run computes, not a free performance knob.
 	Shards int
 	// Duration is the total simulated time (default 10; in-flight lookups
 	// are drained to completion past it).
@@ -87,7 +91,7 @@ func (cfg Config) withDefaults() Config {
 		cfg.Overlay.Seed = cfg.Seed
 	}
 	if cfg.Shards <= 0 {
-		cfg.Shards = 4
+		cfg.Shards = 1
 	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = 10
