@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rcm/fault"
+	"rcm/internal/dht"
 )
 
 // TestDeterministicAcrossGOMAXPROCS locks the persistent-worker engine's
@@ -48,6 +49,48 @@ func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			t.Errorf("GOMAXPROCS %d vs %d diverged:\n%+v\nvs\n%+v",
 				procs[0], procs[i], results[0], results[i])
 		}
+	}
+}
+
+// TestDefaultIsOneShard: a zero Shards is one event queue drained inline,
+// the very run an explicit Shards 1 computes. The config draws from the
+// shards' random streams (churn lifecycles, maintenance jitter, empirical
+// latencies, corrupt-plan fates), so any other default shard count
+// changes the Result.
+func TestDefaultIsOneShard(t *testing.T) {
+	cfg := Config{
+		Protocol:       "chord",
+		Overlay:        OverlayConfig{Bits: 8},
+		Scenario:       "churn",
+		Params:         Params{MeanOnline: 1, MeanOffline: 0.25, Rate: 1500},
+		Transport:      Empirical{Median: 0.06},
+		Fault:          fault.Plan{Corrupt: 0.05},
+		Duration:       4,
+		Seed:           21,
+		Maintain:       true,
+		StabilizeEvery: 0.5,
+	}
+	run := func(shards int) *Result {
+		t.Helper()
+		// Maintenance writes routing tables in place: one overlay a run.
+		p, err := dht.New(cfg.Protocol, cfg.withDefaults().Overlay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cfg
+		c.Shards = shards
+		res, err := RunOverlay(p, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	def := run(0)
+	if def.Shards != 1 {
+		t.Errorf("default run reports Shards = %d, want 1", def.Shards)
+	}
+	if one := run(1); !reflect.DeepEqual(def, one) {
+		t.Errorf("default and Shards 1 runs diverged:\n%+v\nvs\n%+v", def, one)
 	}
 }
 

@@ -3,6 +3,7 @@ package eventsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -404,6 +405,11 @@ func (env *Env) LookupAt(t float64, src, dst int) {
 func (env *Env) PoissonLookups(from, to, rate float64, targetOf func(rng *overlay.RNG) int) {
 	if rate <= 0 || to <= from {
 		return
+	}
+	// Reserve the expected count plus four standard deviations, so a long
+	// workload lands in one allocation instead of growing append by append.
+	if m := rate * (to - from); m < 1<<30 {
+		env.s.Lookups = slices.Grow(env.s.Lookups, int(m+4*math.Sqrt(m))+1)
 	}
 	for t := from + env.rng.Exp(1/rate); t < to; t += env.rng.Exp(1 / rate) {
 		src := env.rng.Intn(env.s.Nodes)
