@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"sync"
 
 	"rcm/internal/numeric"
@@ -19,9 +18,11 @@ import (
 // (d, q) grid of a sweep: for the d-invariant geometries (tree, hypercube,
 // XOR, ring) the series at a given q is the same for every system size, so
 // a d-sweep pays the XOR phase cost — O(maxD) Pow calls plus O(maxD²)
-// multiply-adds, see walkPhases — once instead of once per d. The
-// final ln E[S] per cell is cached too, so Routability and ExpectedReach at
-// the same grid point share a single pass.
+// multiply-adds, see walkPhases — once instead of once per d. A
+// d-dependent geometry's series (Symphony's) is read by one (d, q) cell
+// only, so it is summed as it is walked and not kept. The final ln E[S]
+// per cell is cached, so Routability and ExpectedReach at the same grid
+// point share a single pass.
 //
 // An Evaluator is safe for concurrent use; the zero value is NOT usable,
 // call NewEvaluator. Results are bit-identical to the package-level
@@ -33,17 +34,35 @@ type Evaluator struct {
 	nodes  map[nodesKey][]float64
 }
 
-// seriesKey identifies one cached prefix-product series. dim is 0 for
-// geometries whose PhaseFailure is independent of d.
+// geomKey identifies a geometry in the memo. Geometries are immutable
+// values, so the value itself is a faithful key (Symphony kn/ks
+// configurations key separately). The built-in geometries are small
+// comparable structs and key as themselves, with no formatting per call;
+// any other geometry, whose value need not be comparable, keys by its
+// formatted type and fields.
+type geomKey struct {
+	g  Geometry
+	id string
+}
+
+func keyOf(g Geometry) geomKey {
+	switch g.(type) {
+	case Tree, Hypercube, XOR, Ring, SingleHop, Symphony, GeneralizedTree:
+		return geomKey{g: g}
+	}
+	return geomKey{id: fmt.Sprintf("%T%+v", g, g)}
+}
+
+// seriesKey identifies one cached prefix-product series. Only geometries
+// whose PhaseFailure is independent of d have one; see LogExpectedReach.
 type seriesKey struct {
-	geom string
-	dim  int
+	geom geomKey
 	q    float64
 }
 
 // reachKey identifies one cached ln E[S] value.
 type reachKey struct {
-	geom string
+	geom geomKey
 	dim  int
 	q    float64
 }
@@ -51,7 +70,7 @@ type reachKey struct {
 // nodesKey identifies one cached ln n(h) vector; the distance distribution
 // is independent of q, so it is shared across a plan's whole q-grid.
 type nodesKey struct {
-	geom string
+	geom geomKey
 	dim  int
 }
 
@@ -66,6 +85,22 @@ type phaseSeries struct {
 	pw  []float64
 }
 
+// logSum accumulates Σ ln(1 − Q(m)) over a walk's phases. A Q equal to the
+// last phase's (tree and Symphony every phase, the others once q^m
+// underflows) reuses its log.
+type logSum struct {
+	sum, lastQ, inc float64
+}
+
+// add adds ln(1 − Q) and returns the running sum.
+func (c *logSum) add(Q float64) float64 {
+	if Q != c.lastQ {
+		c.lastQ, c.inc = Q, math.Log1p(-Q)
+	}
+	c.sum += c.inc
+	return c.sum
+}
+
 // NewEvaluator returns an empty memoizing evaluator.
 func NewEvaluator() *Evaluator {
 	return &Evaluator{
@@ -73,31 +108,6 @@ func NewEvaluator() *Evaluator {
 		reach:  make(map[reachKey]float64),
 		nodes:  make(map[nodesKey][]float64),
 	}
-}
-
-// geomID returns a stable identity string for a geometry value. Geometries
-// are immutable value types, so the formatted type+fields pair is a faithful
-// cache key (e.g. Symphony kn/ks configurations key separately). The
-// built-in geometries spell fmt's "%T%+v" out without fmt, since every
-// memoized evaluation computes the key; any other geometry formats it.
-func geomID(g Geometry) string {
-	switch g := g.(type) {
-	case Tree:
-		return "core.Tree{}"
-	case Hypercube:
-		return "core.Hypercube{}"
-	case XOR:
-		return "core.XOR{}"
-	case Ring:
-		return "core.Ring{}"
-	case SingleHop:
-		return "core.SingleHop{}"
-	case Symphony:
-		return "core.Symphony{KN:" + strconv.Itoa(g.KN) + " KS:" + strconv.Itoa(g.KS) + "}"
-	case GeneralizedTree:
-		return "core.GeneralizedTree{Base:" + strconv.Itoa(g.Base) + "}"
-	}
-	return fmt.Sprintf("%T%+v", g, g)
 }
 
 // phaseDependsOnD reports whether g's Q(m) depends on the identifier
@@ -111,40 +121,29 @@ func phaseDependsOnD(g Geometry) bool {
 	return true
 }
 
-// prefix returns cum(1..h) for the geometry g, identified by id, at (d, q),
-// extending the cached series as needed. The returned slice must not be
+// prefix returns cum(1..h) for the d-invariant geometry g, keyed by key,
+// at (d, q), extending the cached series as needed. The series is sized
+// for every d of the paper's grids. The returned slice must not be
 // modified.
-func (e *Evaluator) prefix(g Geometry, id string, d, h int, q float64) []float64 {
-	key := seriesKey{geom: id, q: q}
-	// A d-dependent series is only ever asked for its own MaxDistance;
-	// a d-invariant one is sized for every d of the paper's grids.
-	size := max(h, powBufLen)
-	if phaseDependsOnD(g) {
-		key.dim, size = d, h
-	}
+func (e *Evaluator) prefix(g Geometry, key geomKey, d, h int, q float64) []float64 {
+	sk := seriesKey{geom: key, q: q}
 	e.mu.Lock()
-	s, ok := e.series[key]
+	s, ok := e.series[sk]
 	if !ok {
-		s = &phaseSeries{cum: make([]float64, 0, size)}
-		e.series[key] = s
+		s = &phaseSeries{cum: make([]float64, 0, max(h, powBufLen))}
+		e.series[sk] = s
 	}
 	e.mu.Unlock()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.cum) < h {
-		// A Q equal to the last phase's (tree and Symphony every phase,
-		// the others once q^m underflows) reuses its log.
-		lastQ, inc := math.NaN(), 0.0
-		s.pw = walkPhasesTable(s.pw, g, d, q, len(s.cum)+1, h, func(m int, Q float64) bool {
-			if Q != lastQ {
-				lastQ, inc = Q, math.Log1p(-Q)
-			}
-			prev := 0.0
-			if m > 1 {
-				prev = s.cum[m-2]
-			}
-			s.cum = append(s.cum, prev+inc)
+	if n := len(s.cum); n < h {
+		acc := logSum{lastQ: math.NaN()}
+		if n > 0 {
+			acc.sum = s.cum[n-1]
+		}
+		s.pw = walkPhasesTable(s.pw, g, d, q, n+1, h, func(_ int, Q float64) bool {
+			s.cum = append(s.cum, acc.add(Q))
 			return true
 		})
 	}
@@ -154,8 +153,8 @@ func (e *Evaluator) prefix(g Geometry, id string, d, h int, q float64) []float64
 // logNodes returns ln n(h) for h = 1..maxH, cached per (geometry, d): the
 // distance distribution does not depend on q, so one vector serves the
 // whole q-grid. The returned slice must not be modified.
-func (e *Evaluator) logNodes(g Geometry, id string, d, maxH int) []float64 {
-	key := nodesKey{geom: id, dim: d}
+func (e *Evaluator) logNodes(g Geometry, gk geomKey, d, maxH int) []float64 {
+	key := nodesKey{geom: gk, dim: d}
 	e.mu.Lock()
 	if v, ok := e.nodes[key]; ok {
 		e.mu.Unlock()
@@ -179,8 +178,8 @@ func (e *Evaluator) LogExpectedReach(g Geometry, d int, q float64) (float64, err
 	if err := validateDQ(d, q); err != nil {
 		return 0, err
 	}
-	id := geomID(g)
-	key := reachKey{geom: id, dim: d, q: q}
+	gk := keyOf(g)
+	key := reachKey{geom: gk, dim: d, q: q}
 	e.mu.Lock()
 	if v, ok := e.reach[key]; ok {
 		e.mu.Unlock()
@@ -189,15 +188,25 @@ func (e *Evaluator) LogExpectedReach(g Geometry, d int, q float64) (float64, err
 	e.mu.Unlock()
 
 	maxH := g.MaxDistance(d)
-	cum := e.prefix(g, id, d, maxH, q)
-	logN := e.logNodes(g, id, d, maxH)
+	logN := e.logNodes(g, gk, d, maxH)
 	var buf [powBufLen]float64
 	terms := buf[:0]
 	if maxH > len(buf) {
 		terms = make([]float64, 0, maxH)
 	}
-	for h := 1; h <= maxH; h++ {
-		terms = append(terms, logN[h-1]+cum[h-1])
+	if phaseDependsOnD(g) {
+		// A d-dependent series is read by this (d, q) alone, whose result
+		// reach keeps, so it is summed straight into the terms, not stored.
+		acc := logSum{lastQ: math.NaN()}
+		walkPhases(g, d, q, 1, maxH, func(m int, Q float64) bool {
+			terms = append(terms, logN[m-1]+acc.add(Q))
+			return true
+		})
+	} else {
+		cum := e.prefix(g, gk, d, maxH, q)
+		for h := 1; h <= maxH; h++ {
+			terms = append(terms, logN[h-1]+cum[h-1])
+		}
 	}
 	v := numeric.LogSumExp(terms)
 

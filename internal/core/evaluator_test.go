@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -53,24 +52,51 @@ func TestEvaluatorMatchesDirect(t *testing.T) {
 	}
 }
 
-// stubGeometry is a geometry geomID has no case for; it embeds Hypercube,
+// stubGeometry is a geometry keyOf has no case for; it embeds Hypercube,
 // whose case it must not take.
 type stubGeometry struct {
 	Hypercube
 	Tag int
 }
 
-// TestGeomIDMatchesSprintf holds geomID's spelled-out keys to the fmt
-// spelling they replace, and checks that any other geometry keeps fmt's.
-func TestGeomIDMatchesSprintf(t *testing.T) {
-	geoms := append(AllGeometries(), SingleHop{}, Symphony{KN: 2, KS: 3}, GeneralizedTree{Base: 3}, stubGeometry{Tag: 7})
-	for _, g := range geoms {
-		if got, want := geomID(g), fmt.Sprintf("%T%+v", g, g); got != want {
-			t.Errorf("geomID(%#v) = %q, want %q", g, got, want)
+// sliceGeometry is a geometry whose value is not comparable.
+type sliceGeometry struct {
+	Hypercube
+	Tags []int
+}
+
+// TestMemoKeyDistinguishesGeometries: two geometries share a memo key
+// exactly when their values are equal — Symphony and GeneralizedTree
+// configurations key apart, and a geometry embedding Hypercube keys apart
+// from Hypercube — and a geometry whose value is not comparable keys by
+// its formatted value rather than panicking in the memo's maps.
+func TestMemoKeyDistinguishesGeometries(t *testing.T) {
+	geoms := append(AllGeometries(), SingleHop{},
+		Symphony{KN: 2, KS: 3}, Symphony{KN: 3, KS: 2},
+		GeneralizedTree{Base: 3}, GeneralizedTree{Base: 4},
+		stubGeometry{Tag: 7}, stubGeometry{Tag: 8},
+		sliceGeometry{Tags: []int{1}}, sliceGeometry{Tags: []int{2}})
+	for i, a := range geoms {
+		for j, b := range geoms {
+			if same := keyOf(a) == keyOf(b); same != (i == j) {
+				t.Errorf("keyOf(%#v) == keyOf(%#v) is %v", a, b, same)
+			}
 		}
 	}
-	if geomID(stubGeometry{}) == geomID(Hypercube{}) {
-		t.Error("a geometry embedding Hypercube shares Hypercube's memo key")
+	if keyOf(Symphony{KN: 2, KS: 3}) != keyOf(Symphony{KN: 2, KS: 3}) {
+		t.Error("equal Symphony values key apart")
+	}
+
+	g := sliceGeometry{Tags: []int{1}}
+	want, err := Routability(g, 16, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEvaluator()
+	for range 2 {
+		if got, err := e.Routability(g, 16, 0.1); err != nil || got != want {
+			t.Errorf("evaluator on a non-comparable geometry: %v, %v; want %v", got, err, want)
+		}
 	}
 }
 
