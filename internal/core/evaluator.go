@@ -34,35 +34,30 @@ type Evaluator struct {
 	nodes  map[nodesKey][]float64
 }
 
-// geomKey identifies a geometry in the memo. Geometries are immutable
-// values, so the value itself is a faithful key (Symphony kn/ks
-// configurations key separately). The built-in geometries are small
-// comparable structs and key as themselves, with no formatting per call;
-// any other geometry, whose value need not be comparable, keys by its
-// formatted type and fields.
-type geomKey struct {
-	g  Geometry
-	id string
-}
-
-func keyOf(g Geometry) geomKey {
+// keyOf returns g's identity in the memo. Geometries are immutable values,
+// so the value itself is a faithful key (Symphony kn/ks configurations key
+// separately). The built-in geometries are small comparable structs and
+// key as themselves, with no formatting per call; any other geometry,
+// whose value need not be comparable, keys by its formatted type and
+// fields.
+func keyOf(g Geometry) any {
 	switch g.(type) {
 	case Tree, Hypercube, XOR, Ring, SingleHop, Symphony, GeneralizedTree:
-		return geomKey{g: g}
+		return g
 	}
-	return geomKey{id: fmt.Sprintf("%T%+v", g, g)}
+	return fmt.Sprintf("%T%+v", g, g)
 }
 
 // seriesKey identifies one cached prefix-product series. Only geometries
 // whose PhaseFailure is independent of d have one; see LogExpectedReach.
 type seriesKey struct {
-	geom geomKey
+	geom any
 	q    float64
 }
 
 // reachKey identifies one cached ln E[S] value.
 type reachKey struct {
-	geom geomKey
+	geom any
 	dim  int
 	q    float64
 }
@@ -70,7 +65,7 @@ type reachKey struct {
 // nodesKey identifies one cached ln n(h) vector; the distance distribution
 // is independent of q, so it is shared across a plan's whole q-grid.
 type nodesKey struct {
-	geom geomKey
+	geom any
 	dim  int
 }
 
@@ -125,7 +120,7 @@ func phaseDependsOnD(g Geometry) bool {
 // at (d, q), extending the cached series as needed. The series is sized
 // for every d of the paper's grids. The returned slice must not be
 // modified.
-func (e *Evaluator) prefix(g Geometry, key geomKey, d, h int, q float64) []float64 {
+func (e *Evaluator) prefix(g Geometry, key any, d, h int, q float64) []float64 {
 	sk := seriesKey{geom: key, q: q}
 	e.mu.Lock()
 	s, ok := e.series[sk]
@@ -153,7 +148,7 @@ func (e *Evaluator) prefix(g Geometry, key geomKey, d, h int, q float64) []float
 // logNodes returns ln n(h) for h = 1..maxH, cached per (geometry, d): the
 // distance distribution does not depend on q, so one vector serves the
 // whole q-grid. The returned slice must not be modified.
-func (e *Evaluator) logNodes(g Geometry, gk geomKey, d, maxH int) []float64 {
+func (e *Evaluator) logNodes(g Geometry, gk any, d, maxH int) []float64 {
 	key := nodesKey{geom: gk, dim: d}
 	e.mu.Lock()
 	if v, ok := e.nodes[key]; ok {
