@@ -6,22 +6,15 @@ import (
 	"testing"
 
 	"rcm/fault"
-	"rcm/internal/dht"
 )
 
-// TestDeterministicAcrossGOMAXPROCS locks the persistent-worker engine's
-// scheduling independence: for a fixed (Seed, Shards) pair the result
-// must be byte-identical whether the workers take turns on one core
-// (GOMAXPROCS=1) or race on however many cores the host offers. The
-// scenario turns on every contention-prone
-// subsystem at once — churn lifecycles, maintenance (concurrent
-// routing-table reads and owner-row writes), an empirical transport under
-// a corrupt plan (retransmissions, cross-shard acknowledgements) — and CI
-// runs this
-// under -race, so the test is simultaneously the bit-identity and the
-// data-race check for the worker/barrier architecture.
-func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	cfg := Config{
+// contentionConfig turns on every contention-prone subsystem at once —
+// churn lifecycles, maintenance (concurrent routing-table reads and
+// owner-row writes), an empirical transport under a corrupt plan
+// (retransmissions, cross-shard acknowledgements) — and so draws from
+// every one of a shard's random streams.
+func contentionConfig(shards int) Config {
+	return Config{
 		Protocol:       "chord",
 		Overlay:        OverlayConfig{Bits: 8},
 		Scenario:       "churn",
@@ -29,11 +22,22 @@ func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		Transport:      Empirical{Median: 0.06},
 		Fault:          fault.Plan{Corrupt: 0.05},
 		Duration:       4,
-		Shards:         4,
+		Shards:         shards,
 		Seed:           21,
 		Maintain:       true,
 		StabilizeEvery: 0.5,
 	}
+}
+
+// TestDeterministicAcrossGOMAXPROCS locks the persistent-worker engine's
+// scheduling independence: for a fixed (Seed, Shards) pair the result
+// must be byte-identical whether the workers take turns on one core
+// (GOMAXPROCS=1) or race on however many cores the host offers. CI runs
+// this under -race, so on contentionConfig the test is simultaneously the
+// bit-identity and the data-race check for the worker/barrier
+// architecture.
+func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	cfg := contentionConfig(4)
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 
@@ -53,43 +57,15 @@ func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // TestDefaultIsOneShard: a zero Shards is one event queue drained inline,
-// the very run an explicit Shards 1 computes. The config draws from the
-// shards' random streams (churn lifecycles, maintenance jitter, empirical
-// latencies, corrupt-plan fates), so any other default shard count
-// changes the Result.
+// the very run an explicit Shards 1 computes. contentionConfig draws from
+// the shards' random streams, so any other default shard count changes
+// the Result.
 func TestDefaultIsOneShard(t *testing.T) {
-	cfg := Config{
-		Protocol:       "chord",
-		Overlay:        OverlayConfig{Bits: 8},
-		Scenario:       "churn",
-		Params:         Params{MeanOnline: 1, MeanOffline: 0.25, Rate: 1500},
-		Transport:      Empirical{Median: 0.06},
-		Fault:          fault.Plan{Corrupt: 0.05},
-		Duration:       4,
-		Seed:           21,
-		Maintain:       true,
-		StabilizeEvery: 0.5,
-	}
-	run := func(shards int) *Result {
-		t.Helper()
-		// Maintenance writes routing tables in place: one overlay a run.
-		p, err := dht.New(cfg.Protocol, cfg.withDefaults().Overlay)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := cfg
-		c.Shards = shards
-		res, err := RunOverlay(p, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	def := run(0)
+	def := mustRun(t, contentionConfig(0))
 	if def.Shards != 1 {
 		t.Errorf("default run reports Shards = %d, want 1", def.Shards)
 	}
-	if one := run(1); !reflect.DeepEqual(def, one) {
+	if one := mustRun(t, contentionConfig(1)); !reflect.DeepEqual(def, one) {
 		t.Errorf("default and Shards 1 runs diverged:\n%+v\nvs\n%+v", def, one)
 	}
 }
