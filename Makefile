@@ -18,9 +18,12 @@ race:
 # instead of waiting for someone to compare two machines. The root
 # package is not in the list: it pins no golden, and its registry tests
 # register process-global names, so they cannot run twice in one process.
-# eventsim's pinned digests run at both counts too: its shard workers
-# take turns on one core and race on four, and the two must reproduce
-# the same recorded results.
+# Figures' event cells run eventsim's default of one event queue each,
+# inline in exp's cell pool, so the packages above no longer exercise the
+# shard workers. The eventsim line keeps them pinned: TestResultsPinned's
+# matrix runs configurations at 3 and 4 shards, whose workers take turns
+# on one core and race on four, and the two must reproduce the same
+# recorded results.
 cpu-sweep:
 	go test -cpu 1,4 ./exp ./internal/sim ./internal/figures ./cmd/dhtsim ./cmd/figures
 	go test -cpu 1,4 -run TestResultsPinned ./eventsim
@@ -44,7 +47,9 @@ lines:
 # with pprof enabled, so perf investigations start from cpu.prof/mem.prof
 # (go tool pprof cpu.prof) instead of guesses. BITS, RATE and DURATION
 # resize it: `make profile BITS=20 RATE=200000` is the
-# million-node run.
+# million-node run. It profiles the engine's default of one event queue
+# run inline; to profile the sharded engine, run the command below with
+# -shards N added.
 BITS ?= 12
 RATE ?= 20000
 DURATION ?= 2

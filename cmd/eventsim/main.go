@@ -105,7 +105,7 @@ func newFlags(o *options) *flag.FlagSet {
 	fs.IntVar(&p.Replicas, "replicas", 0, "replicate each key across k successive owners with failover reads (0 or 1: no replication)")
 	fs.BoolVar(&cfg.Maintain, "maintain", false, "enable join/stabilize maintenance")
 	fs.Float64Var(&cfg.StabilizeEvery, "stabilize-every", 0, "per-node stabilization period (0: default 1)")
-	fs.IntVar(&cfg.Shards, "shards", 0, "event wheels to shard the population across (0: default 4)")
+	fs.IntVar(&cfg.Shards, "shards", 0, "event wheels to shard the population across (0: default 1, one queue run inline)")
 	fs.Uint64Var(&cfg.Seed, "seed", 1, "deterministic seed")
 	fs.IntVar(&cfg.Overlay.SymphonyNear, "kn", 1, "symphony near neighbors")
 	fs.IntVar(&cfg.Overlay.SymphonyShortcuts, "ks", 1, "symphony shortcuts")

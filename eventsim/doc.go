@@ -20,13 +20,19 @@
 // # Engine design
 //
 // The engine is goroutine-frugal at the simulation level: no goroutine
-// per node or per message — one persistent worker per shard, and none at
-// all on serial hardware. The population is interleaved across a small
-// number of shards (node % Shards), each owning an event queue (a
-// hierarchical timing wheel; see queue.go and timingwheel.go), a
-// deterministic splitmix64 RNG stream, its nodes' online flags and
-// routing-table rows, a FIFO ring of in-flight forward attempts, and
-// per-bucket metric accumulators. Every mutable per-node or
+// per node or per message. By default a run is one shard: one event
+// queue, drained inline on the caller's goroutine, with no worker, no
+// epoch hand-off between shards and no cross-shard acknowledgement list.
+// That is the right shape wherever many runs go at once — rcm/exp's cell
+// pool runs figures' and grids' event cells in parallel — and the shard
+// workers below are opt-in (Config.Shards > 1, cmd/eventsim -shards) for
+// one large run that has the cores to itself.
+//
+// The population is interleaved across Shards shards (node % Shards),
+// each owning an event queue (a hierarchical timing wheel; see queue.go
+// and timingwheel.go), a deterministic splitmix64 RNG stream, its nodes'
+// online flags and routing-table rows, a FIFO ring of in-flight forward
+// attempts, and per-bucket metric accumulators. Every mutable per-node or
 // per-attempt datum lives in its owner shard's own allocations rather
 // than in globally interleaved arrays, so two shards never write the same
 // cache line; the only shared mutable engine state — the alive-snapshot
@@ -34,14 +40,13 @@
 // lookups and the replica placement table are read-only for the run.
 //
 // Virtual time advances in epochs of one "lookahead" — the transport's
-// minimum latency. Worker goroutines are spawned once per run and parked
-// on a channel barrier: each epoch the coordinator releases every worker
-// with the epoch boundary, the workers drain their local queues
-// concurrently, and the coordinator joins them before running the
-// barrier. (With one shard, the shard is drained inline instead; on
-// any core count the workers' results are bit-identical by
-// construction, since shards touch disjoint mutable state within an
-// epoch.) At the barrier,
+// minimum latency. One shard is drained inline, epoch after epoch. With
+// more, worker goroutines are spawned once per run and parked on a
+// channel barrier: each epoch the coordinator releases every worker with
+// the epoch boundary, the workers drain their local queues concurrently,
+// and the coordinator joins them before running the barrier. On any core
+// count the workers' results are bit-identical by construction, since
+// shards touch disjoint mutable state within an epoch. At the barrier,
 // node lifecycle changes are folded into the global alive-snapshot
 // bitset, and cross-shard messages (which always carry at least one
 // lookahead of latency, so they can never arrive inside the epoch that
