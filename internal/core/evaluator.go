@@ -116,17 +116,17 @@ func phaseDependsOnD(g Geometry) bool {
 	return true
 }
 
-// prefix returns cum(1..h) for the d-invariant geometry g, keyed by key,
+// prefix returns cum(1..h) for the d-invariant geometry g, keyed by gk,
 // at (d, q), extending the cached series as needed. The series is sized
 // for every d of the paper's grids. The returned slice must not be
 // modified.
-func (e *Evaluator) prefix(g Geometry, key any, d, h int, q float64) []float64 {
-	sk := seriesKey{geom: key, q: q}
+func (e *Evaluator) prefix(g Geometry, gk any, d, h int, q float64) []float64 {
+	key := seriesKey{geom: gk, q: q}
 	e.mu.Lock()
-	s, ok := e.series[sk]
+	s, ok := e.series[key]
 	if !ok {
 		s = &phaseSeries{cum: make([]float64, 0, max(h, powBufLen))}
-		e.series[sk] = s
+		e.series[key] = s
 	}
 	e.mu.Unlock()
 
