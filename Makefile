@@ -74,7 +74,8 @@ cluster-smoke:
 # together, at 128 nodes, one
 # fault-free 4096-node cell per forwarder and one retransmitting corrupt
 # cell, each replayed on a live "sim" cluster and held to eventsim per
-# lookup (outcome and hops) and per cell (fault tallies). Those replay
+# lookup (outcome and hops) and per cell (fault tallies); the fault-free
+# cells also hold both to the static simulator's Route. Those replay
 # on virtual time, so it then runs, five times each, the only tests that
 # drive the wall-clock path where a sender runs its receiver's turns:
 # the wall-clock conformance cells and the inbox hand-off stress tests,

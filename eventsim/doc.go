@@ -11,11 +11,12 @@
 // its own routing table and the evidence of timeouts. A forwarding node
 // picks its best candidate (registry.Forwarder order), waits for an
 // acknowledgement, and falls through to the next candidate when the
-// timeout fires. With churn disabled and no fault plan, the set of
-// pairs that complete is exactly the set the static greedy model routes —
-// the cross-validation test in crossvalidate_test.go enforces agreement —
-// so everything the event layer adds (latency, loss, churn races,
-// maintenance traffic) is measured against a validated baseline.
+// timeout fires. With churn disabled and no fault plan, every lookup
+// ends as the static simulator's Route ends on the same failed set, in
+// outcome and in hops, under the one hop budget Space.MaxHops —
+// TestRouteIdentity holds it per lookup — so everything the event layer
+// adds (latency, loss, churn races, maintenance traffic) is measured
+// against a validated baseline.
 //
 // # Engine design
 //

@@ -149,7 +149,7 @@ func (p *protocol) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bool)
 	d := p.space.Bits()
 	cur := src
 	hops := 0
-	for maxHops := int(p.space.Size()) + 1; hops < maxHops; {
+	for maxHops := p.space.MaxHops(); hops <= maxHops; {
 		if cur == dst {
 			return hops, true
 		}

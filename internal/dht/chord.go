@@ -78,7 +78,7 @@ func (c *Chord) eligible(x, dst overlay.ID) []uint32 {
 func (c *Chord) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bool) {
 	cur := src
 	hops := 0
-	for maxHops := hopCap(c.space); hops < maxHops; hops++ {
+	for maxHops := c.space.MaxHops(); hops <= maxHops; hops++ {
 		if cur == dst {
 			return hops, true
 		}

@@ -61,7 +61,7 @@ func (c *ChordWithSuccessors) Space() overlay.Space { return c.space }
 func (c *ChordWithSuccessors) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bool) {
 	cur := src
 	hops := 0
-	for maxHops := hopCap(c.space); hops < maxHops; hops++ {
+	for maxHops := c.space.MaxHops(); hops <= maxHops; hops++ {
 		if cur == dst {
 			return hops, true
 		}

@@ -141,10 +141,3 @@ func New(name string, cfg Config) (Protocol, error) {
 func ProtocolNames() []string {
 	return registry.Protocols.Names()
 }
-
-// hopCap bounds route lengths defensively. Every protocol here makes strict
-// progress per hop, so the cap is unreachable in correct operation; it
-// guards against latent bugs turning into infinite loops.
-func hopCap(s overlay.Space) int {
-	return int(s.Size()) + 1
-}

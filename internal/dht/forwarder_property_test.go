@@ -229,30 +229,48 @@ func TestFirstAliveWalkReplaysRoute(t *testing.T) {
 // halve the remaining ring distance) per hop, so hops never exceed
 // MaxDistance(d) = d; Symphony's probabilistic routing has no d bound,
 // but strict ring progress bounds its hops by the initial clockwise
-// distance (and therefore by N − 1).
+// distance (and therefore by N − 1). Every route must also fit the one
+// hop budget, Space.MaxHops, that Route, eventsim and the live node
+// enforce. Symphony at 2^12 and 2^16 rides along: its routes grow as
+// log²N, so there a budget of a few times d would cut routes short.
 func TestHopCountsRespectAnalyticBound(t *testing.T) {
+	type input struct {
+		name string
+		bits int
+		seed uint64
+	}
+	var inputs []input
 	for _, name := range forwarderProtocols {
 		for _, c := range forwarderCorpus {
-			p, fwd := mustForwarder(t, name, c.bits, c.seed)
-			size := p.Space().Size()
-			alive := overlay.NewBitset(int(size))
-			alive.SetAll()
-			rng := overlay.NewRNG(c.seed ^ 0xD15C)
-			for trial := 0; trial < 200; trial++ {
-				src := overlay.ID(rng.Uint64n(size))
-				dst := overlay.ID(rng.Uint64n(size))
-				hops, ok, sound := firstAliveWalk(p, fwd, src, dst, alive)
-				if !ok || !sound {
-					t.Fatalf("%s bits=%d: failure-free route src=%d dst=%d failed", name, c.bits, src, dst)
-				}
-				bound := c.bits
-				if name == "symphony" {
-					bound = int(p.Space().RingDist(src, dst))
-				}
-				if hops > bound {
-					t.Fatalf("%s bits=%d: %d hops exceed the analytic bound %d (src=%d dst=%d)",
-						name, c.bits, hops, bound, src, dst)
-				}
+			inputs = append(inputs, input{name, c.bits, c.seed})
+		}
+	}
+	inputs = append(inputs, input{"symphony", 12, 13}, input{"symphony", 16, 17})
+	for _, in := range inputs {
+		name := in.name
+		p, fwd := mustForwarder(t, name, in.bits, in.seed)
+		size := p.Space().Size()
+		alive := overlay.NewBitset(int(size))
+		alive.SetAll()
+		rng := overlay.NewRNG(in.seed ^ 0xD15C)
+		for trial := 0; trial < 200; trial++ {
+			src := overlay.ID(rng.Uint64n(size))
+			dst := overlay.ID(rng.Uint64n(size))
+			hops, ok, sound := firstAliveWalk(p, fwd, src, dst, alive)
+			if !ok || !sound {
+				t.Fatalf("%s bits=%d: failure-free route src=%d dst=%d failed", name, in.bits, src, dst)
+			}
+			bound := in.bits
+			if name == "symphony" {
+				bound = int(p.Space().RingDist(src, dst))
+			}
+			if hops > bound {
+				t.Fatalf("%s bits=%d: %d hops exceed the analytic bound %d (src=%d dst=%d)",
+					name, in.bits, hops, bound, src, dst)
+			}
+			if budget := p.Space().MaxHops(); hops > budget {
+				t.Fatalf("%s bits=%d: %d hops exceed the hop budget %d (src=%d dst=%d)",
+					name, in.bits, hops, budget, src, dst)
 			}
 		}
 	}
@@ -296,7 +314,7 @@ func referenceRoute(p Protocol, src, dst overlay.ID, alive *overlay.Bitset) (int
 	metric := routeMetric(p)
 	cur := src
 	hops := 0
-	for maxHops := hopCap(p.Space()); hops < maxHops; hops++ {
+	for maxHops := p.Space().MaxHops(); hops <= maxHops; hops++ {
 		if cur == dst {
 			return hops, true
 		}

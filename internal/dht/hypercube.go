@@ -44,7 +44,7 @@ func (h *HypercubeCAN) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, b
 	d := h.space.Bits()
 	cur := src
 	hops := 0
-	for maxHops := hopCap(h.space); hops < maxHops; {
+	for maxHops := h.space.MaxHops(); hops <= maxHops; {
 		if cur == dst {
 			return hops, true
 		}

@@ -56,7 +56,7 @@ func (k *Kademlia) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bool)
 	cur := src
 	hops := 0
 hop:
-	for maxHops := hopCap(k.space); hops < maxHops; hops++ {
+	for maxHops := k.space.MaxHops(); hops <= maxHops; hops++ {
 		if cur == dst {
 			return hops, true
 		}

@@ -43,7 +43,7 @@ func (p *Plaxton) Space() overlay.Space { return p.space }
 func (p *Plaxton) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bool) {
 	cur := src
 	hops := 0
-	for maxHops := hopCap(p.space); hops < maxHops; hops++ {
+	for maxHops := p.space.MaxHops(); hops <= maxHops; hops++ {
 		i := p.space.FirstDifferingBit(cur, dst)
 		if i == 0 {
 			return hops, cur == dst // an out-of-space dst is never reached

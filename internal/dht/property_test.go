@@ -10,6 +10,8 @@ import (
 // Property-based tests (testing/quick) over random failure patterns and
 // random pairs: structural invariants every protocol must uphold.
 
+// TestRouteNeverExceedsHopCap: a Route stops by MaxHops + 1 hops, the
+// first count over the shared budget.
 func TestRouteNeverExceedsHopCap(t *testing.T) {
 	for _, name := range ProtocolNames() {
 		p, err := New(name, Config{Bits: 9, Seed: 3})
@@ -17,7 +19,7 @@ func TestRouteNeverExceedsHopCap(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := p.Space()
-		capHops := int(s.Size()) + 1
+		capHops := s.MaxHops() + 1
 		f := func(seed uint64, a, b uint16) bool {
 			alive := overlay.NewBitset(int(s.Size()))
 			alive.FillRandomAlive(0.4, overlay.NewRNG(seed))

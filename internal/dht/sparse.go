@@ -106,7 +106,7 @@ func (c *SparseChord) Nodes() []overlay.ID { return c.nodes }
 func (c *SparseChord) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bool) {
 	cur := src
 	hops := 0
-	for maxHops := hopCap(c.space); hops < maxHops; hops++ {
+	for maxHops := c.space.MaxHops(); hops <= maxHops; hops++ {
 		if cur == dst {
 			return hops, true
 		}
@@ -206,7 +206,7 @@ func (k *SparseKademlia) Nodes() []overlay.ID { return k.nodes }
 func (k *SparseKademlia) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bool) {
 	cur := src
 	hops := 0
-	for maxHops := hopCap(k.space); hops < maxHops; {
+	for maxHops := k.space.MaxHops(); hops <= maxHops; {
 		if cur == dst {
 			return hops, true
 		}

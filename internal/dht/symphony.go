@@ -71,7 +71,7 @@ func (sy *Symphony) Shortcuts() int { return sy.ks }
 func (sy *Symphony) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bool) {
 	cur := src
 	hops := 0
-	for maxHops := hopCap(sy.space); hops < maxHops; hops++ {
+	for maxHops := sy.space.MaxHops(); hops <= maxHops; hops++ {
 		if cur == dst {
 			return hops, true
 		}

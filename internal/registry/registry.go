@@ -103,7 +103,11 @@ type Config struct {
 // toward dst under the protocol's distance metric (so retry chains
 // terminate), and the first *alive* candidate in the returned order must be
 // exactly the hop Route would take against the same alive set. dst itself
-// is a legal candidate; x and non-progressing entries are not.
+// is a legal candidate; x and non-progressing entries are not. Route,
+// eventsim and the live node share one hop budget, Space.MaxHops, so a
+// route succeeds on one exactly when it succeeds on the others:
+// eventsim's TestRouteIdentity and the live conformance grid hold the
+// three to one verdict per lookup.
 type Forwarder interface {
 	AppendCandidateHops(buf []overlay.ID, x, dst overlay.ID) []overlay.ID
 }

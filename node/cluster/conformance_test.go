@@ -6,9 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"rcm"
 	"rcm/eventsim"
 	"rcm/fault"
 	"rcm/overlay"
+	"rcm/replica"
 )
 
 // The conformance suite holds the live node to eventsim per lookup: an
@@ -19,7 +21,10 @@ import (
 // candidate lists over the same seed-pinned tables against the same
 // failed set, fail over across the same frozen owner sets in the same
 // placement order, and flip the same fault coins (fault.Injector.Coins),
-// so any inequality is a divergence, not noise.
+// so any inequality is a divergence, not noise. Where no fault plan and no
+// toggle can move a route, the static simulator's Route walks the same
+// candidates under the same hop budget (Space.MaxHops) and is held to the
+// same verdict, the paper-size cells included.
 
 // conformanceScenario is the schedule the grid replays: the q·N failed
 // nodes (Params.FailFraction) are offline from the start — no toggle, so
@@ -159,9 +164,39 @@ type verdict struct {
 	hops        int
 }
 
+// routeVerdict is the static simulator's verdict on one lookup: skipped
+// unless src and at least one of dst's k owners are alive, otherwise
+// p.Route folded over the alive owners in placement order, hops summed,
+// up to the first owner reached — the failover Replay runs.
+func routeVerdict(t *testing.T, p rcm.Protocol, alive *overlay.Bitset, k, src, dst int) verdict {
+	t.Helper()
+	owners, err := replica.For(p, p.Space(), nil, overlay.ID(dst), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !alive.Get(src) {
+		return verdict{skipped: true}
+	}
+	v := verdict{skipped: true}
+	for _, o := range owners {
+		if !alive.Get(int(o)) {
+			continue
+		}
+		hops, ok := p.Route(overlay.ID(src), o, alive)
+		v = verdict{ok: ok, hops: v.hops + hops}
+		if ok {
+			break
+		}
+	}
+	return v
+}
+
 // checkLookups runs cfg (which must trace every lookup) in eventsim,
 // replays its schedule on c, requires equal verdicts for every lookup and
-// equal fault tallies, and returns the eventsim result. It first asserts the suite's
+// equal fault tallies, and returns the eventsim result. With no fault
+// plan and no toggle every lookup sees the schedule's initial failed set,
+// and the static simulator's Route is held to the same verdicts as a
+// third executor. It first asserts the suite's
 // precondition rather than assuming it: no traced route spans a regime
 // change — a fault-plan edge or a lifecycle toggle, across which the
 // simulator's clock moves on mid-route while the live replay holds a
@@ -200,6 +235,16 @@ func checkLookups(t *testing.T, cfg eventsim.Config, c *Cluster) *eventsim.Resul
 	if len(res.Traces) != len(report.Outcomes) {
 		t.Fatalf("eventsim traced %d lookups, the replay reports %d", len(res.Traces), len(report.Outcomes))
 	}
+	var alive *overlay.Bitset
+	if cfg.Fault.Empty() && len(sched.Toggles) == 0 {
+		alive = overlay.NewBitset(sched.Nodes)
+		alive.SetAll()
+		for i, off := range sched.InitialOffline {
+			if off {
+				alive.Clear(i)
+			}
+		}
+	}
 	diverged := 0
 	for i, tr := range res.Traces {
 		if tr.Lookup != i {
@@ -213,9 +258,14 @@ func checkLookups(t *testing.T, cfg eventsim.Config, c *Cluster) *eventsim.Resul
 			}
 		}
 		o := report.Outcomes[i]
-		if live := (verdict{o.Skipped, o.OK, o.Hops}); live != sim {
+		live := verdict{o.Skipped, o.OK, o.Hops}
+		static := sim
+		if alive != nil {
+			static = routeVerdict(t, c.Protocol(), alive, cfg.Params.Replicas, tr.Src, tr.Dst)
+		}
+		if live != sim || static != sim {
 			if diverged < 5 {
-				t.Errorf("lookup %d at t=%v: live %+v, eventsim %+v", i, o.T, live, sim)
+				t.Errorf("lookup %d at t=%v: live %+v, eventsim %+v, Route %+v", i, o.T, live, sim, static)
 			}
 			diverged++
 		}
@@ -241,7 +291,7 @@ func checkLookups(t *testing.T, cfg eventsim.Config, c *Cluster) *eventsim.Resul
 // take ≈ 0.7 GB and ≈ 0.5 s each, several times that under the race
 // detector, so they run one at a time and skip under -short and -race.
 //
-// The grid checks that sim and live agree, and only that: both
+// The grid checks that the executors agree, and only that: both
 // executors call the one fault step (fault.Injector.Send and Receive),
 // so a fault inside it moves them alike and passes here. The step itself
 // is held by fault's TestSendTallyRule and FuzzSendTally, and its effect

@@ -57,10 +57,14 @@ func (s Space) Bits() int { return s.bits }
 // Size returns N = 2^d.
 func (s Space) Size() uint64 { return s.size }
 
-// MaxHops is the route-length bound every executor enforces, eventsim
-// and the live node alike: 4·d + 16, far above any greedy route in a
-// d-bit space, so it only ever stops a routing loop.
-func (s Space) MaxHops() int { return 4*s.bits + 16 }
+// MaxHops is the one route-length bound: a route of at most MaxHops hops
+// succeeds, in every Route, in eventsim and on the live node alike. A
+// route that strictly progresses under a metric with N values takes at
+// most N−1 hops, so the bound never cuts one short (Symphony's greedy
+// routes grow as log²N, past any multiple of d). The 1<<15 cap keeps it
+// inside the uint16 hop counters of eventsim and the wire's budget, so a
+// Forwarder that does not progress still stops.
+func (s Space) MaxHops() int { return int(min(s.size-1, 1<<15)) }
 
 // Contains reports whether x is a valid identifier in this space.
 func (s Space) Contains(x ID) bool { return uint64(x) <= s.mask }
