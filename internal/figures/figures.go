@@ -24,7 +24,6 @@
 //	E13 successors  §1         Chord successor-list ablation
 //	E14 sparse      §6         non-fully-populated identifier spaces vs d_eff predictions
 //	E15 base        §3         tree radix ablation at equal N, and base-16 decay with size
-//	E17 eventcmp    §1/§6      analytic vs static-sim vs message-level event simulation
 //	E18 lifetimecmp §1/§6      lookup performance vs lifetime family at equal q_eff
 //	E19 hopdist     §4.3       hop-count distribution: Markov mixture vs eventsim vs
 //	                           live cluster, chord and kademlia
@@ -33,7 +32,7 @@
 //	E21 partition   §1/§4      routability during/after a deterministic 2-way partition
 //	                           vs the static model at q=1/2, per protocol × k∈{1,3}
 //
-// The grid-shaped experiments (E3–E6, E11, E17–E21) construct declarative
+// The grid-shaped experiments (E3–E6, E11, E18–E21) construct declarative
 // experiment plans and delegate execution to the public streaming runner
 // in rcm/exp.
 package figures

@@ -38,7 +38,7 @@ func cellF(t *testing.T, tb *table.Table, row int, col string) float64 {
 }
 
 func TestNamesComplete(t *testing.T) {
-	want := []string{"3", "6a", "6b", "7a", "7b", "base", "chains", "churn", "eventcmp", "frontier", "hopdist", "lifetimecmp", "partition", "pathlen", "percolation", "qxor", "scalability", "sparse", "successors", "symphony"}
+	want := []string{"3", "6a", "6b", "7a", "7b", "base", "chains", "churn", "frontier", "hopdist", "lifetimecmp", "partition", "pathlen", "percolation", "qxor", "scalability", "sparse", "successors", "symphony"}
 	got := Names()
 	if len(got) != len(want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
