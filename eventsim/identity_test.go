@@ -51,12 +51,12 @@ type verdict struct {
 // Cluster.Replay run.
 func routeVerdict(t *testing.T, p registry.Protocol, alive *overlay.Bitset, k, src, dst int) verdict {
 	t.Helper()
+	if !alive.Get(src) {
+		return verdict{skipped: true}
+	}
 	owners, err := replica.For(p, p.Space(), nil, overlay.ID(dst), k)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !alive.Get(src) {
-		return verdict{skipped: true}
 	}
 	v := verdict{skipped: true}
 	for _, o := range owners {
@@ -119,6 +119,8 @@ func TestRouteIdentity(t *testing.T) {
 	}
 }
 
+// checkRouteIdentity runs cfg on p with every lookup traced and holds each
+// lookup's verdict to routeVerdict on the schedule's failed set.
 func checkRouteIdentity(t *testing.T, p registry.Protocol, cfg Config) {
 	res, err := RunOverlay(p, cfg)
 	if err != nil {

@@ -170,12 +170,12 @@ type verdict struct {
 // up to the first owner reached — the failover Replay runs.
 func routeVerdict(t *testing.T, p rcm.Protocol, alive *overlay.Bitset, k, src, dst int) verdict {
 	t.Helper()
+	if !alive.Get(src) {
+		return verdict{skipped: true}
+	}
 	owners, err := replica.For(p, p.Space(), nil, overlay.ID(dst), k)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !alive.Get(src) {
-		return verdict{skipped: true}
 	}
 	v := verdict{skipped: true}
 	for _, o := range owners {
