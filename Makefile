@@ -18,6 +18,9 @@ race:
 # instead of waiting for someone to compare two machines. The root
 # package is not in the list: it pins no golden, and its registry tests
 # register process-global names, so they cannot run twice in one process.
+# ./internal/figures at one core and at four also pins its fan-out: five
+# figures run their independent units one goroutine per core, and
+# TestFiguresPinned must read the same digests either way.
 # Figures' event cells run eventsim's default of one event queue each,
 # inline in exp's cell pool, so the packages above no longer exercise the
 # shard workers. The eventsim line keeps them pinned: TestResultsPinned's
@@ -88,11 +91,15 @@ cluster-smoke:
 # reused window slot, an atomic flag and a token, with no channel per
 # cell to order the two, so the race detector is the check that a slot
 # is never written while it is read, on every way the iterator ends.
+# Last of all, the figures' fan-out: its units run side by side over
+# shared read-only overlays, so the race detector runs every figure
+# (TestFiguresPinned) and the helper's own test.
 chaos-smoke:
 	go test -race -run TestConformanceLiveVsEventsim -count=1 -timeout 60s ./node/cluster/
 	go test -race -run TestConformanceWallClock -count=5 -timeout 120s ./node/cluster/
 	go test -race -run 'TestInbox|TestCloseUnstarted|TestControlConcurrentWithClose' -count=5 -timeout 120s ./node/
 	go test -race -run 'TestStream' -count=5 -timeout 120s ./exp
+	go test -race -run 'TestFiguresPinned|TestFanOut' -count=1 -timeout 120s ./internal/figures
 
 fmt:
 	gofmt -l .

@@ -28,12 +28,19 @@ import (
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+// run's error carries the "figures:" prefix once: internal/figures
+// already begins its own errors with it, and run adds it to the rest.
+func run(args []string, stdout io.Writer) (err error) {
+	defer func() {
+		if err != nil && !strings.HasPrefix(err.Error(), "figures: ") {
+			err = fmt.Errorf("figures: %w", err)
+		}
+	}()
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	var (
 		fig    = fs.String("fig", "all", "figure to regenerate: "+strings.Join(figures.Names(), "|")+"|all")

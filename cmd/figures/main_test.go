@@ -80,10 +80,19 @@ func TestOutDirCSV(t *testing.T) {
 	}
 }
 
+// TestUnknownFigureError also holds the printed error to one "figures:"
+// prefix, both for an error of internal/figures and for one of run's own.
 func TestUnknownFigureError(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-fig", "99z"}, &sb); err == nil {
-		t.Error("unknown figure accepted")
+	for _, args := range [][]string{{"-fig", "99z"}, {"-fig", "7a", "-format", "pdf"}} {
+		var sb strings.Builder
+		err := run(args, &sb)
+		if err == nil {
+			t.Errorf("%v accepted", args)
+			continue
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, "figures: ") || strings.Count(msg, "figures:") != 1 {
+			t.Errorf("%v: error %q, want exactly one leading \"figures:\"", args, msg)
+		}
 	}
 }
 

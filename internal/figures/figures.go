@@ -34,7 +34,14 @@
 //
 // The grid-shaped experiments (E3–E6, E11, E18–E21) construct declarative
 // experiment plans and delegate execution to the public streaming runner
-// in rcm/exp.
+// in rcm/exp, whose cell pool spreads them over the cores. Five of the
+// others run their independent units side by side through fanOut, one
+// goroutine per core, and assemble the rows in unit order: E10 per
+// protocol, E19 per (protocol, q), E14 its three overlay builds and then
+// per q, E13 per successor-list length, E7 per geometry. A unit draws
+// only from seeds of its own and reads shared overlays without writing
+// them, so every table is the same on any number of cores
+// (TestFiguresPinned, which `make cpu-sweep` runs at one and four).
 package figures
 
 import (

@@ -55,67 +55,71 @@ func HopDistribution(opt Options) ([]*table.Table, error) {
 		{"kademlia", core.XOR{}, markov.XORChain},
 	}
 
-	tables := make([]*table.Table, 0, len(protocols))
-	for _, p := range protocols {
-		// dists[qi] = {analytic, event, live} hop pmfs for qs[qi].
-		dists := make([][3][]float64, len(qs))
-		for qi, q := range qs {
-			analytic, err := analyticHopDist(p.geom, p.chain, bits, q)
-			if err != nil {
-				return nil, err
-			}
-
-			cfg := eventsim.Config{
-				Protocol: p.name,
-				Overlay:  eventsim.OverlayConfig{Bits: bits, Seed: opt.Seed},
-				Scenario: "massfail",
-				Params:   eventsim.Params{FailFraction: q, FailTime: 1, Rate: 200},
-				Duration: 4,
-				Seed:     opt.Seed,
-				// Lossless transport on both sides: same-candidate
-				// retransmission never helps.
-				Retransmits: -1,
-			}
-			res, err := eventsim.Run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			simHist := res.WindowHopDist(2, cfg.Duration)
-
-			sched, err := eventsim.BuildSchedule(cfg)
-			if err != nil {
-				return nil, err
-			}
-			// The cluster runs on virtual time ("sim"): no timeout fires
-			// spuriously, however loaded the host, and a genuine
-			// dead-candidate failover costs no wall clock. Any RTO above
-			// the simulated round trip gives the same hops, so the value
-			// is the one the figure has always run with.
-			c, err := cluster.New(cluster.Config{
-				Protocol:    cfg.Protocol,
-				Bits:        cfg.Overlay.Bits,
-				Seed:        cfg.Overlay.Seed,
-				Transport:   "sim",
-				RTO:         75 * time.Millisecond,
-				Retransmits: -1,
-				Deadline:    10 * time.Second,
-			})
-			if err != nil {
-				return nil, err
-			}
-			report, err := c.Replay(sched)
-			c.Close()
-			if err != nil {
-				return nil, err
-			}
-			liveHist := report.WindowHopDist(2, cfg.Duration)
-			if simHist.Count() == 0 || liveHist.Count() == 0 {
-				return nil, fmt.Errorf("figures: hopdist %s q=%v: empty steady-state window", p.name, q)
-			}
-
-			dists[qi] = [3][]float64{analytic, histPMF(simHist), histPMF(liveHist)}
+	// One unit per (protocol, q): its analytic law, eventsim run and live
+	// replay; units[pi·len(qs)+qi] = {analytic, event, live} hop pmfs.
+	units, err := fanOut(len(protocols)*len(qs), func(u int) ([3][]float64, error) {
+		p, q := protocols[u/len(qs)], qs[u%len(qs)]
+		analytic, err := analyticHopDist(p.geom, p.chain, bits, q)
+		if err != nil {
+			return [3][]float64{}, err
 		}
 
+		cfg := eventsim.Config{
+			Protocol: p.name,
+			Overlay:  eventsim.OverlayConfig{Bits: bits, Seed: opt.Seed},
+			Scenario: "massfail",
+			Params:   eventsim.Params{FailFraction: q, FailTime: 1, Rate: 200},
+			Duration: 4,
+			Seed:     opt.Seed,
+			// Lossless transport on both sides: same-candidate
+			// retransmission never helps.
+			Retransmits: -1,
+		}
+		res, err := eventsim.Run(cfg)
+		if err != nil {
+			return [3][]float64{}, err
+		}
+		simHist := res.WindowHopDist(2, cfg.Duration)
+
+		sched, err := eventsim.BuildSchedule(cfg)
+		if err != nil {
+			return [3][]float64{}, err
+		}
+		// The cluster runs on virtual time ("sim"): no timeout fires
+		// spuriously, however loaded the host, and a genuine
+		// dead-candidate failover costs no wall clock. Any RTO above
+		// the simulated round trip gives the same hops, so the value
+		// is the one the figure has always run with.
+		c, err := cluster.New(cluster.Config{
+			Protocol:    cfg.Protocol,
+			Bits:        cfg.Overlay.Bits,
+			Seed:        cfg.Overlay.Seed,
+			Transport:   "sim",
+			RTO:         75 * time.Millisecond,
+			Retransmits: -1,
+			Deadline:    10 * time.Second,
+		})
+		if err != nil {
+			return [3][]float64{}, err
+		}
+		report, err := c.Replay(sched)
+		c.Close()
+		if err != nil {
+			return [3][]float64{}, err
+		}
+		liveHist := report.WindowHopDist(2, cfg.Duration)
+		if simHist.Count() == 0 || liveHist.Count() == 0 {
+			return [3][]float64{}, fmt.Errorf("figures: hopdist %s q=%v: empty steady-state window", p.name, q)
+		}
+		return [3][]float64{analytic, histPMF(simHist), histPMF(liveHist)}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	tables := make([]*table.Table, 0, len(protocols))
+	for pi, p := range protocols {
+		dists := units[pi*len(qs) : (pi+1)*len(qs)]
 		cols := []string{"hops"}
 		maxK := 0
 		for qi, q := range qs {

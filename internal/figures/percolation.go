@@ -32,10 +32,18 @@ func Percolation(opt Options) ([]*table.Table, error) {
 		"protocol", "q", "giant component %", "simulated routability %", "gap %")
 	t2 := table.New("§4.1 — mean reachable vs connected component of surviving roots (q=0.3)",
 		"protocol", "mean reachable", "mean connected", "reachable/connected %")
-	for _, name := range dht.ProtocolNames() {
+	// One unit per protocol: its overlay, scan, simulations and roots
+	// draw only from seeds of their own.
+	type rows struct {
+		scan  [][]string // t1, one per q
+		reach []string   // t2
+	}
+	names := dht.ProtocolNames()
+	units, err := fanOut(len(names), func(pi int) (rows, error) {
+		name := names[pi]
 		p, err := dht.New(name, dht.Config{Bits: bits, Seed: opt.Seed})
 		if err != nil {
-			return nil, err
+			return rows{}, err
 		}
 		n := int(p.Space().Size())
 		nodes := make([]overlay.ID, n)
@@ -43,6 +51,7 @@ func Percolation(opt Options) ([]*table.Table, error) {
 			nodes[i] = overlay.ID(i)
 		}
 		pts := percolation.ThresholdScan(p, nodes, qs, percolation.ScanOptions{Trials: opt.Trials, Seed: opt.Seed})
+		var u rows
 		for i, q := range qs {
 			res, err := sim.MeasureStaticResilience(p, q, sim.Options{
 				Pairs:  opt.Pairs / 2,
@@ -50,16 +59,16 @@ func Percolation(opt Options) ([]*table.Table, error) {
 				Seed:   opt.Seed + uint64(i),
 			})
 			if err != nil {
-				return nil, err
+				return rows{}, err
 			}
 			giant := pts[i].GiantFraction
-			t1.AddRow(
+			u.scan = append(u.scan, []string{
 				name,
 				table.F(q, 1),
 				table.Pct(giant, 2),
 				table.Pct(res.Routability, 2),
 				table.Pct(giant-res.Routability, 2),
-			)
+			})
 		}
 
 		alive := overlay.NewBitset(n)
@@ -70,7 +79,17 @@ func Percolation(opt Options) ([]*table.Table, error) {
 		if conn > 0 {
 			ratio = reach / conn
 		}
-		t2.AddRow(name, table.F(reach, 1), table.F(conn, 1), table.Pct(ratio, 1))
+		u.reach = []string{name, table.F(reach, 1), table.F(conn, 1), table.Pct(ratio, 1)}
+		return u, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, u := range units {
+		for _, row := range u.scan {
+			t1.AddRow(row...)
+		}
+		t2.AddRow(u.reach...)
 	}
 	// Context row: analytic routability of the matching geometries.
 	t3 := table.New("§1 — analytic RCM routability at the same operating points (N=2^"+table.I(bits)+")",

@@ -23,26 +23,37 @@ func Scalability(opt Options) ([]*table.Table, error) {
 		"geometry", "S(64)", "S(256)", "S(1024)", "S(4096)", "p(∞,q)")
 	t2 := table.New("§5 — scalability verdicts",
 		"geometry", "system", "numeric verdict", "paper verdict", "reason")
-	for _, g := range core.AllGeometries() {
+	geoms := core.AllGeometries()
+	rows, err := fanOut(len(geoms), func(gi int) ([2][]string, error) {
+		g := geoms[gi]
 		sums := make([]float64, len(checkpoints))
 		for i, d := range checkpoints {
 			var ok bool
 			if sums[i], ok = core.PhaseFailureSum(g, d, q); !ok {
-				return nil, fmt.Errorf("scalability: %s: Q(m) at d=%d is not a probability", g.Name(), d)
+				return [2][]string{}, fmt.Errorf("scalability: %s: Q(m) at d=%d is not a probability", g.Name(), d)
 			}
 		}
 		limit := core.AsymptoticSuccess(g, q, 4096)
-		t1.AddRow(
-			g.Name(),
-			table.F(sums[0], 4),
-			table.F(sums[1], 4),
-			table.F(sums[2], 4),
-			table.F(sums[3], 4),
-			table.E(limit, 3),
-		)
 		numericVerdict := core.Classify(g, q, core.ClassifyOptions{})
 		paperVerdict, reason := core.TheoreticalVerdict(g)
-		t2.AddRow(g.Name(), g.System(), numericVerdict.String(), paperVerdict.String(), reason)
+		return [2][]string{
+			{
+				g.Name(),
+				table.F(sums[0], 4),
+				table.F(sums[1], 4),
+				table.F(sums[2], 4),
+				table.F(sums[3], 4),
+				table.E(limit, 3),
+			},
+			{g.Name(), g.System(), numericVerdict.String(), paperVerdict.String(), reason},
+		}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range rows {
+		t1.AddRow(r[0]...)
+		t2.AddRow(r[1]...)
 	}
 	return []*table.Table{t1, t2}, nil
 }

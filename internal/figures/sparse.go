@@ -27,34 +27,35 @@ func SparseSpaces(opt Options) ([]*table.Table, error) {
 	const n = 4096 // d_eff = 12
 	dEff := int(math.Round(math.Log2(n)))
 
-	sc, err := dht.NewSparseChord(dht.Config{Bits: spaceBits, Seed: opt.Seed}, n)
-	if err != nil {
-		return nil, err
-	}
-	sk, err := dht.NewSparseKademlia(dht.Config{Bits: spaceBits, Seed: opt.Seed}, n)
-	if err != nil {
-		return nil, err
-	}
-	dense, err := dht.New("chord", dht.Config{Bits: dEff, Seed: opt.Seed})
+	// The three overlay builds run side by side, then one unit per q.
+	sparse := dht.Config{Bits: spaceBits, Seed: opt.Seed}
+	ps, err := fanOut(3, func(i int) (dht.Protocol, error) {
+		switch i {
+		case 0:
+			return dht.NewSparseChord(sparse, n)
+		case 1:
+			return dht.New("chord", dht.Config{Bits: dEff, Seed: opt.Seed})
+		default:
+			return dht.NewSparseKademlia(sparse, n)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
 
 	t := table.New("E14 — non-fully-populated spaces: n=4096 nodes in a 2^16 space vs d_eff=12 predictions",
 		"q", "sparse chord r%", "dense chord r% (d=12)", "ring analytic r% (d=12)", "sparse kademlia r%", "xor analytic r% (d=12)")
-	for i, q := range []float64{0, 0.1, 0.2, 0.3, 0.5, 0.7} {
+	qs := []float64{0, 0.1, 0.2, 0.3, 0.5, 0.7}
+	rows, err := fanOut(len(qs), func(i int) ([]string, error) {
+		q := qs[i]
 		simOpt := sim.Options{Pairs: opt.Pairs / 2, Trials: opt.Trials, Seed: opt.Seed + uint64(i)*17}
-		rsc, err := sim.MeasureStaticResilience(sc, q, simOpt)
-		if err != nil {
-			return nil, err
-		}
-		rdense, err := sim.MeasureStaticResilience(dense, q, simOpt)
-		if err != nil {
-			return nil, err
-		}
-		rsk, err := sim.MeasureStaticResilience(sk, q, simOpt)
-		if err != nil {
-			return nil, err
+		var r [3]float64 // sparse chord, dense chord, sparse kademlia
+		for j, p := range ps {
+			res, err := sim.MeasureStaticResilience(p, q, simOpt)
+			if err != nil {
+				return nil, err
+			}
+			r[j] = res.Routability
 		}
 		aRing, err := core.Routability(core.Ring{}, dEff, q)
 		if err != nil {
@@ -64,14 +65,20 @@ func SparseSpaces(opt Options) ([]*table.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(
+		return []string{
 			table.F(q, 2),
-			table.Pct(rsc.Routability, 2),
-			table.Pct(rdense.Routability, 2),
+			table.Pct(r[0], 2),
+			table.Pct(r[1], 2),
 			table.Pct(aRing, 2),
-			table.Pct(rsk.Routability, 2),
+			table.Pct(r[2], 2),
 			table.Pct(aXOR, 2),
-		)
+		}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range rows {
+		t.AddRow(row...)
 	}
 	return []*table.Table{t}, nil
 }

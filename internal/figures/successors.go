@@ -28,7 +28,9 @@ func SuccessorAblation(opt Options) ([]*table.Table, error) {
 		cols = append(cols, "r% at q="+table.F(q, 2))
 	}
 	t := table.New("E13 — Chord successor-list ablation (N=2^"+table.I(bits)+")", cols...)
-	for _, s := range []int{1, 2, 4, 8, 16} {
+	ss := []int{1, 2, 4, 8, 16}
+	rows, err := fanOut(len(ss), func(si int) ([]string, error) {
+		s := ss[si]
 		p, err := dht.NewChordWithSuccessors(dht.Config{Bits: bits, Seed: opt.Seed}, s)
 		if err != nil {
 			return nil, err
@@ -45,6 +47,12 @@ func SuccessorAblation(opt Options) ([]*table.Table, error) {
 			}
 			row = append(row, table.Pct(res.Routability, 2))
 		}
+		return row, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range rows {
 		t.AddRow(row...)
 	}
 	return []*table.Table{t}, nil

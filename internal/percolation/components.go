@@ -157,7 +157,10 @@ func survivors(nodes []overlay.ID, alive *overlay.Bitset) []overlay.ID {
 // connect links each of aliveNodes to those of its routing-table
 // neighbors that are aliveNodes too, and returns the union-find over
 // their positions. A survivor's position is read from a dense index over
-// the identifier space, -1 where no survivor is.
+// the identifier space, -1 where no survivor is. It stops once every
+// survivor is in one component, which no further edge can change: a
+// single-hop overlay's complete view merges them all at the first
+// survivor, where a full pass would union N² edges.
 func connect(o Overlay, aliveNodes []overlay.ID) *UnionFind {
 	idx := make([]int32, o.Space().Size())
 	for i := range idx {
@@ -167,10 +170,14 @@ func connect(o Overlay, aliveNodes []overlay.ID) *UnionFind {
 		idx[id] = int32(i)
 	}
 	u := NewUnionFind(len(aliveNodes))
+	merges := 0
 	for i, id := range aliveNodes {
+		if merges == len(aliveNodes)-1 {
+			break
+		}
 		for _, nb := range o.Neighbors(id) {
-			if j := idx[nb]; j >= 0 && nb != id {
-				u.Union(i, int(j))
+			if j := idx[nb]; j >= 0 && nb != id && u.Union(i, int(j)) {
+				merges++
 			}
 		}
 	}

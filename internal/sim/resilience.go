@@ -16,7 +16,8 @@ import (
 // Options configures a static-resilience measurement. The zero value is
 // usable: 10 000 sampled pairs, 3 trials. A measurement runs on the calling
 // goroutine and draws every sample from streams derived from Seed; callers
-// that want parallelism run measurements side by side (rcm/exp's cell pool).
+// that want parallelism run measurements side by side (rcm/exp's cell pool,
+// internal/figures' per-unit fan-out), sharing one read-only overlay.
 type Options struct {
 	// Pairs is the number of ordered (src, dst) pairs sampled per trial.
 	// Ignored when AllPairs is set.

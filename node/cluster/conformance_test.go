@@ -291,7 +291,9 @@ func checkLookups(t *testing.T, cfg eventsim.Config, c *Cluster) *eventsim.Resul
 // take ≈ 0.7 GB and ≈ 0.5 s each, several times that under the race
 // detector, so they run one at a time and skip under -short and -race.
 //
-// The grid checks that the executors agree, and only that: both
+// The grid checks that the executors agree and, in its fault-free
+// q = 0 cells, that every lookup succeeds (r(N, 0) = 1), among them a
+// symphony cell at 2^12, whose routes are the grid's longest. Both
 // executors call the one fault step (fault.Injector.Send and Receive),
 // so a fault inside it moves them alike and passes here. The step itself
 // is held by fault's TestSendTallyRule and FuzzSendTally, and its effect
@@ -311,6 +313,10 @@ func TestConformanceLiveVsEventsim(t *testing.T) {
 	for _, p := range protocols {
 		cells = append(cells, cell{p, 12, 0.2, 1, "", -1})
 	}
+	// Symphony's failure-free routes grow as log²N: at q = 0 they are the
+	// longest the grid sees, and r(N, 0) = 1 holds only if no hop budget
+	// cuts them short.
+	cells = append(cells, cell{"symphony", 12, 0, 1, "", -1})
 	cells = append(cells, cell{"chord", 7, 0.2, 1, "corrupt:0.1", 2})
 	for _, p := range protocols {
 		bits := 16
@@ -329,13 +335,34 @@ func TestConformanceLiveVsEventsim(t *testing.T) {
 			}
 			cfg := cl.config(t)
 			c := bootCluster(t, cfg, "sim", 15*time.Millisecond)
-			checkLookups(t, cfg, c)
+			res := checkLookups(t, cfg, c)
+			if cl.q == 0 && cl.plan == "" {
+				checkAllRouted(t, res)
+			}
 			// A clause that never fired proves nothing; a delay spike
 			// leaves no tally.
 			if cl.plan != "" && cl.plan != gridPlans[2] && c.FaultCounts() == (fault.Counts{}) {
 				t.Errorf("plan %s injected nothing", cl.plan)
 			}
 		})
+	}
+}
+
+// checkAllRouted holds a run with no failed node and no fault plan to the
+// paper's r(N, 0) = 1: every lookup reaches its owner.
+func checkAllRouted(t *testing.T, res *eventsim.Result) {
+	t.Helper()
+	failed := 0
+	for _, tr := range res.Traces {
+		if last := tr.Events[len(tr.Events)-1]; last.Kind != eventsim.TraceDone {
+			if failed < 5 {
+				t.Errorf("lookup %d (%d → %d) did not reach its owner (%d hops)", tr.Lookup, tr.Src, tr.Dst, last.Hops)
+			}
+			failed++
+		}
+	}
+	if failed > 0 {
+		t.Errorf("%d of %d lookups failed at q = 0", failed, len(res.Traces))
 	}
 }
 
