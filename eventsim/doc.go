@@ -69,6 +69,22 @@
 // included: nothing else touches a shard's queue between the barrier and
 // the shard's next epoch.
 //
+// The scenario's program — its lookups and lifecycle toggles — stays in
+// the Schedule, which is read-only for the run, and enters the queues an
+// epoch at a time. Before the clock starts each shard indexes its share
+// by time: a counting sort into buckets of whole lookaheads, one uint32
+// per item (the item's place in the program) plus each bucket's offset
+// and earliest time, with no more buckets than items. At the start of an
+// epoch the shard pushes the buckets that can hold an item due before the
+// epoch's end, so its queue holds what is in flight and what comes due
+// next, not the whole run. An item's sequence number is its place in the
+// program (lookup i is i, toggle j is the lookup count plus j) and the
+// shard's own counter starts past the whole program, so equal-time events
+// tie exactly as if the program had been pushed before the clock started.
+// The program not yet pushed is pending work, and its earliest time bounds
+// the idle skip, so epochs — and the online fractions sampled at their
+// barriers — fall where they would with the program queued up front.
+//
 // The snapshot is frozen during an epoch, which makes the one view remote
 // nodes have of the population (used by lookup conditioning and
 // maintenance) both deterministic and realistically stale. A lookup's

@@ -158,6 +158,10 @@ type shard struct {
 	seq uint64
 	rng *overlay.RNG
 
+	// prog is the shard's share of the scenario program that is not in its
+	// queue yet; runEpoch pushes it a bucket at a time.
+	prog program
+
 	// online is the authoritative per-node flag for this shard's nodes,
 	// indexed by global node id; only entries with node % shards == id are
 	// ever touched. Full-length per-shard arrays trade a little memory for
@@ -231,12 +235,14 @@ type engine struct {
 	onlineCount int
 
 	// lookups is the program's workload (Schedule.Lookups), indexed by
-	// lookup id. It is read-only for the whole run, so every shard reads
-	// it freely — read-shared cache lines are never invalidated. The
-	// mutable part of a lookup is split off: its hop count travels inside
-	// the evReq events (see ev), and its started-at-most-once latch lives
-	// in the source shard's own bitset.
+	// lookup id, and toggles its lifecycle (Schedule.Toggles). Both are
+	// read-only for the whole run, so every shard reads them freely —
+	// read-shared cache lines are never invalidated. The mutable part of a
+	// lookup is split off: its hop count travels inside the evReq events
+	// (see ev), and its started-at-most-once latch lives in the source
+	// shard's own bitset.
 	lookups []Lookup
+	toggles []Toggle
 
 	// k is the effective replication factor (1 = off) and repl the
 	// precomputed placement table: repl[root*k+i] is the i-th owner of
@@ -291,6 +297,135 @@ func (sh *shard) push(e ev) {
 	sh.q.push(e)
 }
 
+// program is a shard's index of its share of the scenario program. An
+// item is numbered by its place in the program — lookup li is li, toggle
+// ti is len(lookups) + ti — and that number is also its sequence number,
+// so the shard's own counter starts past the whole program (see
+// runOverlay) and every item keeps the place in the (t, seq) order that
+// pushing the program in this order before the clock started gave it.
+//
+// The items are grouped by time into buckets of a whole number of
+// lookaheads, in program order within a bucket: bucket k holds
+// ids[off[k]:off[k+1]], and least[k] is its earliest time, or, for an
+// empty bucket, the next bucket's. A shard has no more buckets than
+// items — they widen when the program is sparse against its length — so
+// the index costs one uint32 per item plus a table no longer than the
+// share. runEpoch pushes bucket next onward while least[next] is before
+// the epoch's end; the rest of the program is in no queue, and least[next]
+// stands in for it in the engine's idle skip.
+type program struct {
+	ids   []uint32
+	off   []uint32
+	least []float64
+	next  int
+}
+
+// due returns the earliest time of the program not yet pushed, +Inf once
+// all of it is.
+func (p *program) due() float64 {
+	if p.next == len(p.least) {
+		return math.Inf(1)
+	}
+	return p.least[p.next]
+}
+
+// item returns program item id's time and node.
+func (e *engine) item(id int) (float64, uint32) {
+	if id < len(e.lookups) {
+		return e.lookups[id].T, uint32(e.lookups[id].Src)
+	}
+	tg := &e.toggles[id-len(e.lookups)]
+	return tg.T, uint32(tg.Node)
+}
+
+// indexPrograms gives every shard its program index: a counting sort of
+// the shard's items by bucket, stable in program order.
+func (e *engine) indexPrograms() {
+	total := len(e.lookups) + len(e.toggles)
+	share := make([]int, len(e.shards))
+	latest := make([]float64, len(e.shards))
+	for id := 0; id < total; id++ {
+		t, node := e.item(id)
+		s := e.shardOf(node)
+		share[s]++
+		latest[s] = max(latest[s], t)
+	}
+	ids := make([]uint32, total)
+	width := make([]float64, len(e.shards))
+	for s, sh := range e.shards {
+		if share[s] == 0 {
+			continue
+		}
+		per := math.Ceil((latest[s]/e.delta + 1) / float64(share[s])) // lookaheads a bucket
+		width[s] = per * e.delta
+		nb := min(share[s], int(latest[s]/width[s])+1)
+		sh.prog = program{ids: ids[:share[s]:share[s]], off: make([]uint32, nb+1), least: make([]float64, nb)}
+		ids = ids[share[s]:]
+		for k := range sh.prog.least {
+			sh.prog.least[k] = math.Inf(1)
+		}
+	}
+	bucket := func(s int, t float64) int { return min(int(t/width[s]), len(e.shards[s].prog.least)-1) }
+	for id := 0; id < total; id++ {
+		t, node := e.item(id)
+		s := e.shardOf(node)
+		p, k := &e.shards[s].prog, bucket(s, t)
+		p.off[k+1]++
+		p.least[k] = min(p.least[k], t)
+	}
+	for _, sh := range e.shards {
+		off := sh.prog.off
+		for k := 1; k < len(off); k++ {
+			off[k] += off[k-1]
+		}
+	}
+	// Place each item at its bucket's cursor, off[k], which ends at the
+	// bucket's end: shifted up one place, off then holds the starts.
+	for id := 0; id < total; id++ {
+		t, node := e.item(id)
+		s := e.shardOf(node)
+		p, k := &e.shards[s].prog, bucket(s, t)
+		p.ids[p.off[k]] = uint32(id)
+		p.off[k]++
+	}
+	for _, sh := range e.shards {
+		p := &sh.prog
+		if len(p.least) == 0 {
+			continue
+		}
+		copy(p.off[1:], p.off[:len(p.least)])
+		p.off[0] = 0
+		// The last bucket holds the shard's latest item, so every empty
+		// bucket has a non-empty one after it.
+		for k := len(p.least) - 2; k >= 0; k-- {
+			if p.off[k] == p.off[k+1] {
+				p.least[k] = p.least[k+1]
+			}
+		}
+	}
+}
+
+// feed pushes, in bucket and program order, every program bucket that can
+// hold an item due before end. An item's sequence number is its id.
+func (sh *shard) feed(end float64) {
+	p, eng := &sh.prog, sh.eng
+	for ; p.next < len(p.least) && p.least[p.next] < end; p.next++ {
+		for _, id := range p.ids[p.off[p.next]:p.off[p.next+1]] {
+			if int(id) < len(eng.lookups) {
+				l := &eng.lookups[id]
+				sh.q.push(ev{t: l.T, seq: uint64(id), kind: evStart, node: uint32(l.Src), lk: id})
+				continue
+			}
+			tg := &eng.toggles[int(id)-len(eng.lookups)]
+			kind := evDown
+			if tg.Up {
+				kind = evUp
+			}
+			sh.q.push(ev{t: tg.T, seq: uint64(id), kind: kind, node: uint32(tg.Node)})
+		}
+	}
+}
+
 // send schedules an event at another (or the same) node, through the
 // outbox when the destination lives on a different shard. Cross-shard
 // events must carry t at least one lookahead ahead — guaranteed because
@@ -331,11 +466,12 @@ func (sh *shard) worker(done chan<- struct{}) {
 	}
 }
 
-// runEpoch applies the acknowledgements and delivers the messages the
-// other shards sent this one during the previous epoch, then processes
-// every local event and retransmission timeout with t < end, the two
-// merged in (t, seq) order.
+// runEpoch pushes the program buckets due before end, applies the
+// acknowledgements and delivers the messages the other shards sent this
+// one during the previous epoch, then processes every local event and
+// retransmission timeout with t < end, the two merged in (t, seq) order.
 func (sh *shard) runEpoch(end float64) {
+	sh.feed(end)
 	for src, acks := range sh.ackIn {
 		for _, id := range acks {
 			sh.pending.at(id).live = false
@@ -766,7 +902,7 @@ func (e *engine) run() {
 	for {
 		pendingWork := false
 		for _, sh := range e.shards {
-			if sh.q.size() > 0 || sh.pending.size() > 0 || sh.sentMin < math.Inf(1) {
+			if sh.q.size() > 0 || sh.pending.size() > 0 || sh.sentMin < math.Inf(1) || sh.prog.due() < math.Inf(1) {
 				pendingWork = true
 				break
 			}
@@ -847,8 +983,9 @@ func (e *engine) run() {
 		// Advance; skip idle stretches (all queue tops far in the future)
 		// in one hop while staying on lookahead-aligned boundaries. A
 		// message handed over above is in no queue yet: its sender's sentMin
-		// stands in for it, so the skip lands where it would have had the
-		// message been pushed already.
+		// stands in for it, and the program not yet pushed is stood in for
+		// by its earliest time, so the skip lands where it would have had
+		// both been pushed already.
 		minTop := math.Inf(1)
 		for _, sh := range e.shards {
 			if t, ok := sh.q.minTime(); ok && t < minTop {
@@ -857,9 +994,7 @@ func (e *engine) run() {
 			if sh.pending.size() > 0 {
 				minTop = min(minTop, sh.pending.front().t)
 			}
-			if sh.sentMin < minTop {
-				minTop = sh.sentMin
-			}
+			minTop = min(minTop, sh.sentMin, sh.prog.due())
 		}
 		next := end + e.delta
 		if jump := e.delta * math.Floor(minTop/e.delta); jump > next {

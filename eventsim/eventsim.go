@@ -428,6 +428,7 @@ func runOverlay(p registry.Protocol, cfg Config, newQueue func(delta float64) ev
 		n:          n,
 		snapshot:   overlay.NewBitset(n),
 		lookups:    sched.Lookups,
+		toggles:    sched.Toggles,
 		k:          k,
 		repl:       repl,
 		width:      cfg.Duration / float64(cfg.Buckets),
@@ -476,19 +477,14 @@ func runOverlay(p registry.Protocol, cfg Config, newQueue func(delta float64) ev
 		}
 	}
 
-	// Pre-schedule the scenario's program, in deterministic order: the
-	// workload, then lifecycle toggles, then stabilization timers.
-	for li, l := range sched.Lookups {
-		src := uint32(l.Src)
-		e.shards[e.shardOf(src)].push(ev{t: l.T, kind: evStart, node: src, lk: uint32(li)})
-	}
-	for _, tg := range sched.Toggles {
-		kind := evDown
-		if tg.Up {
-			kind = evUp
-		}
-		node := uint32(tg.Node)
-		e.shards[e.shardOf(node)].push(ev{t: tg.T, kind: kind, node: node})
+	// The scenario's program stays in the schedule: each shard indexes its
+	// share by time and pushes it an epoch at a time (program, runEpoch).
+	// Its items are numbered in program order — the workload, then the
+	// lifecycle toggles — and the shards' own pushes, stabilization timers
+	// first, are numbered after all of them.
+	e.indexPrograms()
+	for _, sh := range e.shards {
+		sh.seq = uint64(len(sched.Lookups) + len(sched.Toggles))
 	}
 	if e.mnt != nil {
 		for i := 0; i < n; i++ {

@@ -9,9 +9,12 @@ package eventsim
 // merges the pending ring into the queue's order without the queue ever
 // holding a timer. Sequence numbers are assigned by the shard before push.
 // Implementations must not let push *order* leak into pop order: at the
-// start of every epoch a shard bulk-pushes the cross-shard batches it was
-// handed at the barrier, source by source, in unsorted arrival-time order,
-// and relies on (t, seq) alone to linearize them.
+// start of every epoch a shard bulk-pushes the program items that can come
+// due in it, whose sequence numbers — their places in the program — lie
+// below every number the shard has drawn for its own pushes, and then the
+// cross-shard batches it was handed at the barrier, source by source, in
+// unsorted arrival-time order; it relies on (t, seq) alone to linearize
+// both.
 //
 // The engine runs on the hierarchical timing wheel (timingwheel.go): O(1)
 // schedule into chunked slot buckets, a wide first level so that messages

@@ -21,7 +21,8 @@ type Lookup struct {
 
 // Schedule is a scenario program: the node lifecycle and lookup workload
 // of one run, as Env writes it. It is the engine's only program — Run
-// pre-schedules its events from exactly this value — and BuildSchedule
+// streams its events from exactly this value into the event queues, an
+// epoch at a time, without copying it — and BuildSchedule
 // hands the same value out, so other executors (the live-node cluster
 // harness in rcm/node, most importantly) can replay the *identical* event
 // sequence against a different substrate and compare outcomes, turning

@@ -19,10 +19,13 @@ import (
 // placement and is never touched again until drained. Retransmission
 // timers never reach the wheel at all: they come due in arming order, so
 // each shard keeps them in its pending ring and merges the ring's head
-// with the wheel (see popBefore). Only far timers (stabilization,
-// pre-scheduled lifecycles and lookups) park in the upper levels, wheelSpanUp slots each, a level-k
-// slot spanning a whole level-(k−1) window; they are re-placed once per
-// level as the cursor enters their slot's span. Events beyond the top
+// with the wheel (see popBefore), and the scenario's lookups and lifecycle
+// toggles enter the wheel an epoch before they come due (see program in
+// engine.go), so they too land at level 0 on their first placement. Only
+// far timers — stabilization timers, and a sparse program's items, whose
+// buckets span many lookaheads — park in the upper levels, wheelSpanUp
+// slots each, a level-k slot spanning a whole level-(k−1) window; they are
+// re-placed once per level as the cursor enters their slot's span. Events beyond the top
 // level's horizon (2^wheelHorizonBits slots = 131072 lookaheads ≈ 1.8
 // simulated hours at the default 50 ms) wait in an overflow chain.
 //
@@ -316,9 +319,11 @@ func (w *wheelQueue) first() int {
 // gathered into drain and sorted by (t, seq) — and advances the cursor past
 // it.
 //
-// A chain is in push order — under the engine's ever-increasing sequence
-// numbers, seq order — so what is missing is the time order inside the
-// slot. A slot is narrow, and on a dense one gathering the chunks through
+// A chain is in push order, which is nearly seq order — the engine's
+// sequence numbers increase with every push, except that a program bucket
+// pushed at the start of an epoch carries numbers below the events
+// already waiting — so what is mostly missing is the time order inside
+// the slot. A slot is narrow, and on a dense one gathering the chunks through
 // a stable counting pass over each event's position in the slot, about one
 // bucket per event, leaves every event within a few places of its final
 // one; the insertion pass then finishes in linear time. The position is
