@@ -8,8 +8,8 @@ import (
 	"rcm/overlay"
 )
 
-// FuzzForwarderOracle holds the closed-form forwarding of Chord and
-// Kademlia to the scan they replaced (matchesReference) on an overlay,
+// FuzzForwarderOracle holds the closed-form forwarding of Chord, Kademlia
+// and the hypercube to the scan they replaced (matchesReference) on an overlay,
 // maintenance history, failure pattern and pair the fuzzer chooses: bits
 // folds into 1–10, maint is the number of seeded Join / Stabilize calls
 // applied first, x folds into the space (it must be a node) and dst is
@@ -23,7 +23,7 @@ func FuzzForwarderOracle(f *testing.F) {
 		f.Add(uint8(c.bits-1), c.seed, size/2, size+c.seed, c.seed^0xF0F0, uint16(4*size))
 	}
 	f.Fuzz(func(t *testing.T, bits uint8, seed, x, dst, aliveSeed uint64, maint uint16) {
-		for _, name := range []string{"chord", "kademlia"} {
+		for _, name := range []string{"chord", "kademlia", "can"} {
 			p, _ := mustForwarder(t, name, 1+int(bits)%10, seed)
 			maintain(p, int(maint), seed)
 			s := p.Space()

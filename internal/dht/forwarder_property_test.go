@@ -400,8 +400,10 @@ func matchesReference(t testing.TB, p Protocol, x, dst overlay.ID, alives []*ove
 // TestForwardingMatchesReference is the oracle test: every (x, dst) at
 // Bits 5–8 for all five protocols — each dst also lifted out of the space,
 // which must change nothing but the final arrival — and 20 000 seeded
-// pairs at Bits 10, 12 and 16 for the two protocols whose forwarding is a
-// closed form, on a fresh overlay and again after 4·N maintenance calls.
+// pairs at Bits 10, 12 and 16 for the three protocols whose forwarding is
+// a closed form (a walk over the set bits of a distance, or of cur ⊕ dst
+// for the hypercube), on a fresh overlay and again after 4·N maintenance
+// calls.
 func TestForwardingMatchesReference(t *testing.T) {
 	check := func(name string, bits, sampled int) {
 		p, _ := mustForwarder(t, name, bits, uint64(bits))
@@ -439,7 +441,7 @@ func TestForwardingMatchesReference(t *testing.T) {
 			check(name, bits, 0)
 		}
 	}
-	for _, name := range []string{"chord", "kademlia"} {
+	for _, name := range []string{"chord", "kademlia", "can"} {
 		for _, bits := range []int{10, 12, 16} {
 			check(name, bits, 20000)
 		}

@@ -1,6 +1,8 @@
 package dht
 
 import (
+	"math/bits"
+
 	"rcm/overlay"
 )
 
@@ -40,30 +42,24 @@ func (h *HypercubeCAN) Space() overlay.Space { return h.space }
 
 // Route implements Protocol: correct the leftmost differing bit whose
 // flip-neighbor is alive; fail when every differing bit's neighbor is dead.
+// The differing bits are the set bits of cur ⊕ dst, walked from the top.
 func (h *HypercubeCAN) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, bool) {
-	d := h.space.Bits()
 	cur := src
 	hops := 0
-	for maxHops := h.space.MaxHops(); hops <= maxHops; {
+hop:
+	for maxHops := h.space.MaxHops(); hops <= maxHops; hops++ {
 		if cur == dst {
 			return hops, true
 		}
-		progressed := false
-		for i := 1; i <= d; i++ {
-			if h.space.Bit(cur, i) == h.space.Bit(dst, i) {
-				continue
-			}
-			next := h.space.FlipBit(cur, i)
-			if alive.Get(int(next)) {
+		for diff := h.space.XORDist(cur, dst); diff != 0; {
+			bit := uint64(1) << uint(bits.Len64(diff)-1)
+			if next := cur ^ overlay.ID(bit); alive.Get(int(next)) {
 				cur = next
-				hops++
-				progressed = true
-				break
+				continue hop
 			}
+			diff &^= bit
 		}
-		if !progressed {
-			return hops, false
-		}
+		return hops, false
 	}
 	return hops, false
 }
@@ -73,11 +69,10 @@ func (h *HypercubeCAN) Route(src, dst overlay.ID, alive *overlay.Bitset) (int, b
 // and the first alive candidate is Route's choice. The hypercube's neighbor
 // set is structural (no tables), so there is no Maintainer to implement.
 func (h *HypercubeCAN) AppendCandidateHops(buf []overlay.ID, x, dst overlay.ID) []overlay.ID {
-	d := h.space.Bits()
-	for i := 1; i <= d; i++ {
-		if h.space.Bit(x, i) != h.space.Bit(dst, i) {
-			buf = append(buf, h.space.FlipBit(x, i))
-		}
+	for diff := h.space.XORDist(x, dst); diff != 0; {
+		bit := uint64(1) << uint(bits.Len64(diff)-1)
+		buf = append(buf, x^overlay.ID(bit))
+		diff &^= bit
 	}
 	return buf
 }
