@@ -3,6 +3,7 @@ package eventsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"rcm/eventsim/lifetime"
@@ -47,6 +48,8 @@ func (massfail) Name() string { return "massfail" }
 func (massfail) Program(env *Env) error {
 	p := env.Params()
 	if p.FailTime <= env.Duration() {
+		n := float64(env.Nodes())
+		env.reserveToggles(n*p.FailFraction, n*p.FailFraction*(1-p.FailFraction))
 		rng := env.RNG()
 		for node := 0; node < env.Nodes(); node++ {
 			if rng.Bernoulli(p.FailFraction) {
@@ -67,11 +70,36 @@ func (churn) Name() string { return "churn" }
 
 func (churn) Program(env *Env) error {
 	p := env.Params()
+	// Each node's lifecycle is a stationary alternating renewal process
+	// with cycle mean a+b and variance a²+b², so over the duration D it
+	// makes 2D/(a+b) toggles on average, with variance 4D(a²+b²)/(a+b)³.
+	n, d, a, b := float64(env.Nodes()), env.Duration(), p.MeanOnline, p.MeanOffline
+	env.reserveToggles(n*2*d/(a+b), n*4*d*(a*a+b*b)/((a+b)*(a+b)*(a+b)))
+	// One pair of distributions for every node: ChurnNode builds the same
+	// pair per call, and draws the same samples from it.
+	on, err := lifetime.Exponential{}.Dist(a)
+	if err != nil {
+		return err
+	}
+	off, err := lifetime.Exponential{}.Dist(b)
+	if err != nil {
+		return err
+	}
 	for node := 0; node < env.Nodes(); node++ {
-		env.ChurnNode(node, p.MeanOnline, p.MeanOffline)
+		env.ChurnNodeDist(node, on, off)
 	}
 	env.PoissonLookups(0, env.Duration(), p.Rate, nil)
 	return nil
+}
+
+// reserveToggles grows the program's toggle slice by a count with the
+// given mean and variance plus four standard deviations, as
+// PoissonLookups reserves its lookups, so a lifecycle program lands in one
+// allocation instead of growing append by append.
+func (env *Env) reserveToggles(mean, variance float64) {
+	if m := mean + 4*math.Sqrt(variance); m < 1<<30 {
+		env.s.Toggles = slices.Grow(env.s.Toggles, int(m)+1)
+	}
 }
 
 // flashcrowd models a demand spike: baseline uniform lookups, then during

@@ -127,24 +127,33 @@ func TestBuildScheduleMassfailShape(t *testing.T) {
 // front, so a Poisson workload of ≈ 20,000 lookups fills one allocation
 // of the lookup slice instead of growing it append by append (6
 // allocations in all, against 28 when every lookup was appended to an
-// unreserved slice).
+// unreserved slice). The churn and massfail programs reserve their
+// toggles the same way — the expected count plus four standard
+// deviations — so ≈ 6,500 churn toggles or ≈ 1,200 failures add one
+// allocation each, not one per doubling, and churn builds its two
+// lifetime distributions once, not once per node (9 and 7 allocations,
+// against 2,071 and 18 before).
 func TestBuildScheduleAllocs(t *testing.T) {
-	cfg := Config{
-		Protocol: "chord",
-		Overlay:  OverlayConfig{Bits: 8},
-		Scenario: "faultstorm",
-		Params:   Params{Rate: 5000},
-		Duration: 4,
-	}
-	var n int
-	allocs := testing.AllocsPerRun(5, func() {
-		s, err := BuildSchedule(cfg)
-		if err != nil {
-			t.Fatalf("BuildSchedule: %v", err)
+	for _, c := range []struct {
+		cfg  Config
+		want float64
+	}{
+		{Config{Scenario: "faultstorm", Params: Params{Rate: 5000}, Overlay: OverlayConfig{Bits: 8}}, 8},
+		{Config{Scenario: "churn", Params: Params{Rate: 5000}, Overlay: OverlayConfig{Bits: 10}}, 10},
+		{Config{Scenario: "massfail", Params: Params{Rate: 5000, FailFraction: 0.3}, Overlay: OverlayConfig{Bits: 12}}, 8},
+	} {
+		cfg := c.cfg
+		cfg.Protocol, cfg.Duration = "chord", 4
+		var lookups, toggles int
+		allocs := testing.AllocsPerRun(5, func() {
+			s, err := BuildSchedule(cfg)
+			if err != nil {
+				t.Fatalf("BuildSchedule: %v", err)
+			}
+			lookups, toggles = len(s.Lookups), len(s.Toggles)
+		})
+		if allocs > c.want {
+			t.Errorf("%s: BuildSchedule of %d lookups and %d toggles made %.0f allocations, want ≤ %.0f", cfg.Scenario, lookups, toggles, allocs, c.want)
 		}
-		n = len(s.Lookups)
-	})
-	if allocs > 8 {
-		t.Errorf("BuildSchedule of %d Poisson lookups made %.0f allocations, want ≤ 8", n, allocs)
 	}
 }
