@@ -260,7 +260,8 @@ type Outcome struct {
 	Skipped bool
 	// OK reports the issued lookup reached its owner.
 	OK bool
-	// Hops is the delivered route length (OK only).
+	// Hops is the route length, summed over the attempts of a replicated
+	// lookup, whether or not it reached an owner.
 	Hops int
 	// Latency is the issue-to-verdict time of an issued lookup on the
 	// network's clock — virtual time on "sim" — (zero when skipped).

@@ -113,7 +113,7 @@ func (r Result) OK() bool { return r.Err == nil && r.Status == StatusOK }
 // record, and like it a pooled record (reqtable.go).
 type pendingFwd struct {
 	id       uint32        // index in the forward pool
-	msg      message       // the request as this holder forwards it: one hop's budget spent, Deadline set per attempt
+	msg      message       // the request as this holder forwards it, Deadline set per attempt
 	cands    []overlay.ID  // candidate next hops, best first, enumerated once
 	ci       int           // current candidate index
 	try      int           // retransmissions consumed for this candidate
@@ -782,6 +782,14 @@ func (n *Node) handleReq(m *message, from string) {
 	n.sendMsg(from, &message{Kind: msgAck, ReqID: m.ReqID})
 	n.reqs.seen.add(m.ReqID)
 	m.Hops++
+	if m.Budget == 0 {
+		// This delivery is one past the hop budget (Space.MaxHops): the
+		// request fails here, at its destination too, as in eventsim and
+		// Route.
+		n.respond(m, StatusHopBudget, nil)
+		return
+	}
+	m.Budget--
 	n.hold(m)
 }
 
@@ -793,10 +801,6 @@ func (n *Node) hold(m *message) {
 		n.applyOwner(m)
 		return
 	}
-	if m.Budget == 0 {
-		n.respond(m, StatusHopBudget, nil)
-		return
-	}
 	i := n.reqs.entry(m.ReqID)
 	st := n.reqs.addFwd(i)
 	st.cands = n.fwd.AppendCandidateHops(st.cands, n.cfg.ID, overlay.ID(m.Dst))
@@ -806,7 +810,6 @@ func (n *Node) hold(m *message) {
 		return
 	}
 	st.msg = *m
-	st.msg.Budget--
 	st.deadline = n.clock() + time.Duration(m.Deadline)*time.Millisecond
 	n.dispatch(st)
 }

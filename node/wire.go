@@ -16,7 +16,7 @@ import (
 //	op      uint8   OpLookup | OpGet | OpPut (requests and responses)
 //	status  uint8   StatusOK | Status... (responses); 0 otherwise
 //	hops    uint16  hops taken so far (requests) / total (responses)
-//	budget  uint16  remaining hop budget (requests)
+//	budget  uint16  deliveries left before the one that fails (requests)
 //	reqID   uint64  request identity, allocated by the origin
 //	dst     uint64  destination identifier (requests)
 //	key     uint64  key identifier (get/put)

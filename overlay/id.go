@@ -57,13 +57,16 @@ func (s Space) Bits() int { return s.bits }
 // Size returns N = 2^d.
 func (s Space) Size() uint64 { return s.size }
 
-// MaxHops is the one route-length bound: a route of at most MaxHops hops
-// succeeds, in every Route, in eventsim and on the live node alike. A
-// route that strictly progresses under a metric with N values takes at
-// most N−1 hops, so the bound never cuts one short (Symphony's greedy
-// routes grow as log²N, past any multiple of d). The 1<<15 cap keeps it
-// inside the uint16 hop counters of eventsim and the wire's budget, so a
-// Forwarder that does not progress still stops.
+// MaxHops is the one route-length bound, under one rule in every Route,
+// in eventsim and on the live node alike: a route of at most MaxHops hops
+// succeeds, and a route that has not arrived after MaxHops hops takes one
+// more and fails there, at delivery MaxHops + 1 — a hop counted and
+// acknowledged like any other, and a failure even where it lands on the
+// destination. A route that strictly progresses under a metric with N
+// values takes at most N−1 hops, so the bound never cuts one short
+// (Symphony's greedy routes grow as log²N, past any multiple of d). The
+// 1<<15 cap keeps it inside the uint16 hop counters of eventsim and the
+// wire's budget, so a Forwarder that does not progress still stops.
 func (s Space) MaxHops() int { return int(min(s.size-1, 1<<15)) }
 
 // Contains reports whether x is a valid identifier in this space.
