@@ -91,15 +91,21 @@ cluster-smoke:
 # reused window slot, an atomic flag and a token, with no channel per
 # cell to order the two, so the race detector is the check that a slot
 # is never written while it is read, on every way the iterator ends.
-# Last of all, the figures' fan-out: its units run side by side over
+# Then the figures' fan-out: its units run side by side over
 # shared read-only overlays, so the race detector runs every figure
 # (TestFiguresPinned) and the helper's own test.
+# Last of all, eventsim's shard workers: each pushes its share of the
+# scenario program into its own queue at the top of every epoch, reading
+# the shared schedule while the other workers do the same, so the race
+# detector runs the pinned matrix (shards 1, 3 and 4) and the
+# GOMAXPROCS determinism test (≈ 4 s).
 chaos-smoke:
 	go test -race -run TestConformanceLiveVsEventsim -count=1 -timeout 60s ./node/cluster/
 	go test -race -run TestConformanceWallClock -count=5 -timeout 120s ./node/cluster/
 	go test -race -run 'TestInbox|TestCloseUnstarted|TestControlConcurrentWithClose' -count=5 -timeout 120s ./node/
 	go test -race -run 'TestStream' -count=5 -timeout 120s ./exp
 	go test -race -run 'TestFiguresPinned|TestFanOut' -count=1 -timeout 120s ./internal/figures
+	go test -race -run 'TestResultsPinned|TestDeterministicAcrossGOMAXPROCS' -count=1 -timeout 120s ./eventsim
 
 fmt:
 	gofmt -l .
