@@ -301,24 +301,26 @@ func (env *Env) JoinAt(t float64, node int) {
 // Because the exponential is memoryless, the resulting process is exactly
 // stationary — the equilibrium regime the paper's churn model assumes.
 func (env *Env) ChurnNode(node int, meanOnline, meanOffline float64) {
-	if meanOnline <= 0 || meanOffline <= 0 {
-		env.fail(fmt.Errorf("churn means (%v, %v) must be positive", meanOnline, meanOffline))
+	if !(meanOnline > 0) || !(meanOffline > 0) || math.IsInf(meanOnline, 0) || math.IsInf(meanOffline, 0) {
+		env.fail(fmt.Errorf("churn means (%v, %v) must be positive and finite", meanOnline, meanOffline))
 		return
 	}
-	// The exponential Dist consumes exactly one rng.Exp per session, so
-	// delegating keeps the RNG stream — and therefore every existing churn
-	// run — bit-identical.
-	on, err := lifetime.Exponential{}.Dist(meanOnline)
-	if err != nil {
-		env.fail(err)
+	if !env.checkNode(node) {
 		return
 	}
-	off, err := lifetime.Exponential{}.Dist(meanOffline)
-	if err != nil {
-		env.fail(err)
-		return
+	// ChurnNodeDist over two exponentials, drawing what it draws — the
+	// initial state, then one rng.Exp per session — without boxing a
+	// distribution pair for every node.
+	on := env.rng.Bernoulli(meanOnline / (meanOnline + meanOffline))
+	if !on {
+		env.SetOffline(node)
 	}
-	env.ChurnNodeDist(node, on, off)
+	env.churnSchedule(node, on, func(on bool, _ float64) (float64, string) {
+		if on {
+			return env.rng.Exp(meanOnline), "exp"
+		}
+		return env.rng.Exp(meanOffline), "exp"
+	})
 }
 
 // ChurnNodeDist is ChurnNode generalized over lifetime distributions: an

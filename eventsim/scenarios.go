@@ -75,18 +75,8 @@ func (churn) Program(env *Env) error {
 	// makes 2D/(a+b) toggles on average, with variance 4D(a²+b²)/(a+b)³.
 	n, d, a, b := float64(env.Nodes()), env.Duration(), p.MeanOnline, p.MeanOffline
 	env.reserveToggles(n*2*d/(a+b), n*4*d*(a*a+b*b)/((a+b)*(a+b)*(a+b)))
-	// One pair of distributions for every node: ChurnNode builds the same
-	// pair per call, and draws the same samples from it.
-	on, err := lifetime.Exponential{}.Dist(a)
-	if err != nil {
-		return err
-	}
-	off, err := lifetime.Exponential{}.Dist(b)
-	if err != nil {
-		return err
-	}
 	for node := 0; node < env.Nodes(); node++ {
-		env.ChurnNodeDist(node, on, off)
+		env.ChurnNode(node, a, b)
 	}
 	env.PoissonLookups(0, env.Duration(), p.Rate, nil)
 	return nil

@@ -130,16 +130,16 @@ func TestBuildScheduleMassfailShape(t *testing.T) {
 // unreserved slice). The churn and massfail programs reserve their
 // toggles the same way — the expected count plus four standard
 // deviations — so ≈ 6,500 churn toggles or ≈ 1,200 failures add one
-// allocation each, not one per doubling, and churn builds its two
-// lifetime distributions once, not once per node (9 and 7 allocations,
-// against 2,071 and 18 before).
+// allocation each, not one per doubling, and ChurnNode boxes no
+// lifetime distribution per node (8 and 7 allocations, against 2,071 and
+// 18 before).
 func TestBuildScheduleAllocs(t *testing.T) {
 	for _, c := range []struct {
 		cfg  Config
 		want float64
 	}{
 		{Config{Scenario: "faultstorm", Params: Params{Rate: 5000}, Overlay: OverlayConfig{Bits: 8}}, 8},
-		{Config{Scenario: "churn", Params: Params{Rate: 5000}, Overlay: OverlayConfig{Bits: 10}}, 10},
+		{Config{Scenario: "churn", Params: Params{Rate: 5000}, Overlay: OverlayConfig{Bits: 10}}, 8},
 		{Config{Scenario: "massfail", Params: Params{Rate: 5000, FailFraction: 0.3}, Overlay: OverlayConfig{Bits: 12}}, 8},
 	} {
 		cfg := c.cfg
