@@ -329,26 +329,32 @@ func (p *program) due() float64 {
 	return p.least[p.next]
 }
 
-// item returns program item id's time and node.
-func (e *engine) item(id int) (float64, uint32) {
-	if id < len(e.lookups) {
-		return e.lookups[id].T, uint32(e.lookups[id].Src)
+// programEvent returns program item id as the event it starts, its
+// sequence number the id.
+func (e *engine) programEvent(id uint32) ev {
+	if int(id) < len(e.lookups) {
+		l := &e.lookups[id]
+		return ev{t: l.T, seq: uint64(id), kind: evStart, node: uint32(l.Src), lk: id}
 	}
-	tg := &e.toggles[id-len(e.lookups)]
-	return tg.T, uint32(tg.Node)
+	tg := &e.toggles[int(id)-len(e.lookups)]
+	kind := evDown
+	if tg.Up {
+		kind = evUp
+	}
+	return ev{t: tg.T, seq: uint64(id), kind: kind, node: uint32(tg.Node)}
 }
 
 // indexPrograms gives every shard its program index: a counting sort of
 // the shard's items by bucket, stable in program order.
 func (e *engine) indexPrograms() {
-	total := len(e.lookups) + len(e.toggles)
+	total := uint32(len(e.lookups) + len(e.toggles))
 	share := make([]int, len(e.shards))
 	latest := make([]float64, len(e.shards))
-	for id := 0; id < total; id++ {
-		t, node := e.item(id)
-		s := e.shardOf(node)
+	for id := range total {
+		it := e.programEvent(id)
+		s := e.shardOf(it.node)
 		share[s]++
-		latest[s] = max(latest[s], t)
+		latest[s] = max(latest[s], it.t)
 	}
 	ids := make([]uint32, total)
 	width := make([]float64, len(e.shards))
@@ -366,12 +372,12 @@ func (e *engine) indexPrograms() {
 		}
 	}
 	bucket := func(s int, t float64) int { return min(int(t/width[s]), len(e.shards[s].prog.least)-1) }
-	for id := 0; id < total; id++ {
-		t, node := e.item(id)
-		s := e.shardOf(node)
-		p, k := &e.shards[s].prog, bucket(s, t)
+	for id := range total {
+		it := e.programEvent(id)
+		s := e.shardOf(it.node)
+		p, k := &e.shards[s].prog, bucket(s, it.t)
 		p.off[k+1]++
-		p.least[k] = min(p.least[k], t)
+		p.least[k] = min(p.least[k], it.t)
 	}
 	for _, sh := range e.shards {
 		off := sh.prog.off
@@ -381,11 +387,11 @@ func (e *engine) indexPrograms() {
 	}
 	// Place each item at its bucket's cursor, off[k], which ends at the
 	// bucket's end: shifted up one place, off then holds the starts.
-	for id := 0; id < total; id++ {
-		t, node := e.item(id)
-		s := e.shardOf(node)
-		p, k := &e.shards[s].prog, bucket(s, t)
-		p.ids[p.off[k]] = uint32(id)
+	for id := range total {
+		it := e.programEvent(id)
+		s := e.shardOf(it.node)
+		p, k := &e.shards[s].prog, bucket(s, it.t)
+		p.ids[p.off[k]] = id
 		p.off[k]++
 	}
 	for _, sh := range e.shards {
@@ -406,22 +412,12 @@ func (e *engine) indexPrograms() {
 }
 
 // feed pushes, in bucket and program order, every program bucket that can
-// hold an item due before end. An item's sequence number is its id.
+// hold an item due before end.
 func (sh *shard) feed(end float64) {
-	p, eng := &sh.prog, sh.eng
+	p := &sh.prog
 	for ; p.next < len(p.least) && p.least[p.next] < end; p.next++ {
 		for _, id := range p.ids[p.off[p.next]:p.off[p.next+1]] {
-			if int(id) < len(eng.lookups) {
-				l := &eng.lookups[id]
-				sh.q.push(ev{t: l.T, seq: uint64(id), kind: evStart, node: uint32(l.Src), lk: id})
-				continue
-			}
-			tg := &eng.toggles[int(id)-len(eng.lookups)]
-			kind := evDown
-			if tg.Up {
-				kind = evUp
-			}
-			sh.q.push(ev{t: tg.T, seq: uint64(id), kind: kind, node: uint32(tg.Node)})
+			sh.q.push(sh.eng.programEvent(id))
 		}
 	}
 }

@@ -49,8 +49,9 @@ func TestProgramIndex(t *testing.T) {
 					ids := p.ids[p.off[k]:p.off[k+1]]
 					lo, hi := math.Inf(1), -1.0
 					for i, id := range ids {
-						tm, node := e.item(int(id))
-						if seen[id] || e.shardOf(node) != s || i > 0 && id <= ids[i-1] {
+						it := e.programEvent(id)
+						tm := it.t
+						if seen[id] || e.shardOf(it.node) != s || it.seq != uint64(id) || i > 0 && id <= ids[i-1] {
 							t.Fatalf("%s/shards=%d: item %d misplaced in shard %d bucket %d", c.name, shards, id, s, k)
 						}
 						seen[id] = true
