@@ -71,11 +71,11 @@
 //
 // The scenario's program — its lookups and lifecycle toggles — stays in
 // the Schedule, which is read-only for the run, and enters the queues an
-// epoch at a time. Before the clock starts each shard indexes its share
-// by time: a counting sort into buckets of whole lookaheads, one uint32
-// per item (the item's place in the program) plus each bucket's offset
-// and earliest time, with no more buckets than items. At the start of an
-// epoch the shard pushes the buckets that can hold an item due before the
+// epoch at a time. Before the clock starts one counting sort indexes every
+// shard's share by time, into buckets of whole lookaheads: one uint32 per
+// item (the item's place in the program) plus a table of each bucket's
+// offset and earliest time, no longer than the program. At the start of an
+// epoch each shard pushes its buckets that can hold an item due before the
 // epoch's end, so its queue holds what is in flight and what comes due
 // next, not the whole run. An item's sequence number is its place in the
 // program (lookup i is i, toggle j is the lookup count plus j) and the

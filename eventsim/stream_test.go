@@ -7,8 +7,8 @@ import (
 	"rcm/internal/dht"
 )
 
-// TestProgramIndex checks each shard's program index against the
-// schedule it indexes: every item exactly once, in its node's shard;
+// TestProgramIndex checks the shards' program indexes against the
+// schedule they index: every item exactly once, in its node's shard;
 // buckets in time order, each a whole number of lookaheads wide, with
 // program order inside a bucket and least[k] the earliest time due at
 // bucket k; and no more buckets than items, also for a program far
@@ -19,25 +19,28 @@ func TestProgramIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	sparse := &Schedule{
-		Lookups: []Lookup{{T: 0, Src: 1, Dst: 2}, {T: 999.5, Src: 4, Dst: 0}, {T: 3, Src: 1, Dst: 5}, {T: 3, Src: 7, Dst: 5}, {T: 640, Src: 2, Dst: 1}},
-		Toggles: []Toggle{{T: 3, Node: 1}, {T: 999.5, Node: 4, Up: true}, {T: 0, Node: 6}},
+		Duration: 1000,
+		Lookups:  []Lookup{{T: 0, Src: 1, Dst: 2}, {T: 999.5, Src: 4, Dst: 0}, {T: 3, Src: 1, Dst: 5}, {T: 3, Src: 7, Dst: 5}, {T: 640, Src: 2, Dst: 1}},
+		Toggles:  []Toggle{{T: 3, Node: 1}, {T: 999.5, Node: 4, Up: true}, {T: 0, Node: 6}},
 	}
 	for _, c := range []struct {
 		name  string
 		sched *Schedule
 	}{{"churn", churn}, {"sparse", sparse}} {
 		for _, shards := range []int{1, 3} {
-			e := &engine{lookups: c.sched.Lookups, toggles: c.sched.Toggles, delta: 0.05, shards: make([]*shard, shards)}
+			e := &engine{cfg: Config{Duration: c.sched.Duration}, lookups: c.sched.Lookups, toggles: c.sched.Toggles, delta: 0.05, shards: make([]*shard, shards)}
 			for i := range e.shards {
 				e.shards[i] = &shard{id: i, eng: e}
 			}
 			e.indexPrograms()
 			total := len(e.lookups) + len(e.toggles)
 			seen := make([]bool, total)
+			buckets := 0
 			for s, sh := range e.shards {
 				p := &sh.prog
-				if len(p.least) > len(p.ids) || len(p.ids) > 0 && len(p.off) != len(p.least)+1 {
-					t.Fatalf("%s/shards=%d: shard %d has %d buckets, %d offsets for %d items", c.name, shards, s, len(p.least), len(p.off), len(p.ids))
+				buckets += len(p.least)
+				if len(p.off) != len(p.least)+1 {
+					t.Fatalf("%s/shards=%d: shard %d has %d buckets and %d offsets", c.name, shards, s, len(p.least), len(p.off))
 				}
 				type placed struct {
 					t float64
@@ -50,17 +53,20 @@ func TestProgramIndex(t *testing.T) {
 					lo, hi := math.Inf(1), -1.0
 					for i, id := range ids {
 						it := e.programEvent(id)
-						tm := it.t
 						if seen[id] || e.shardOf(it.node) != s || it.seq != uint64(id) || i > 0 && id <= ids[i-1] {
 							t.Fatalf("%s/shards=%d: item %d misplaced in shard %d bucket %d", c.name, shards, id, s, k)
 						}
 						seen[id] = true
-						lo, hi = min(lo, tm), max(hi, tm)
-						all = append(all, placed{tm, k})
+						lo, hi = min(lo, it.t), max(hi, it.t)
+						all = append(all, placed{it.t, k})
 					}
 					if len(ids) == 0 {
-						if k+1 == len(p.least) || p.least[k] != p.least[k+1] {
-							t.Fatalf("%s/shards=%d: shard %d empty bucket %d is due at %v", c.name, shards, s, k, p.least[k])
+						next := math.Inf(1)
+						if k+1 < len(p.least) {
+							next = p.least[k+1]
+						}
+						if p.least[k] != next {
+							t.Fatalf("%s/shards=%d: shard %d empty bucket %d is due at %v, the next at %v", c.name, shards, s, k, p.least[k], next)
 						}
 						continue
 					}
@@ -69,8 +75,8 @@ func TestProgramIndex(t *testing.T) {
 					}
 					prevMax = hi
 				}
-				// Some whole number of lookaheads m is the shard's bucket
-				// width: every item sits in bucket ⌊t / (m·lookahead)⌋.
+				// Some whole number of lookaheads m is the bucket width:
+				// every item sits in bucket ⌊t / (m·lookahead)⌋.
 				fits := func(m int) bool {
 					for _, a := range all {
 						if int(a.t/(float64(m)*e.delta)) != a.k {
@@ -85,6 +91,9 @@ func TestProgramIndex(t *testing.T) {
 				if len(all) > 0 && !fits(m) {
 					t.Fatalf("%s/shards=%d: shard %d buckets are no whole number of lookaheads wide", c.name, shards, s)
 				}
+			}
+			if buckets > max(total, shards) {
+				t.Fatalf("%s/shards=%d: %d buckets for %d items", c.name, shards, buckets, total)
 			}
 			for id, ok := range seen {
 				if !ok {
