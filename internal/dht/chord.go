@@ -40,8 +40,10 @@ func NewChord(cfg Config) (*Chord, error) {
 	for x := uint64(0); x < n; x++ {
 		row := t.row(int(x))
 		for i := range row {
-			lo := uint64(1) << uint(i) // finger i+1: window [2^i, 2^{i+1}), width 2^i
-			row[i] = uint32((x + lo + rng.Uint64n(lo)) & (n - 1))
+			// Finger i+1: window [2^i, 2^{i+1}), width 2^i. The width is a
+			// power of two, so the mask is the draw Uint64n(lo) makes.
+			lo := uint64(1) << uint(i)
+			row[i] = uint32((x + lo + rng.Uint64()&(lo-1)) & (n - 1))
 		}
 	}
 	return &Chord{space: s, table: t}, nil

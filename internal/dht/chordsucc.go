@@ -43,8 +43,8 @@ func NewChordWithSuccessors(cfg Config, s int) (*ChordWithSuccessors, error) {
 			row[j-1] = uint32((x + uint64(j)) & (n - 1))
 		}
 		for i := 1; i <= d; i++ {
-			lo := uint64(1) << uint(i-1)
-			row[s+i-1] = uint32((x + lo + rng.Uint64n(lo)) & (n - 1))
+			lo := uint64(1) << uint(i-1) // power-of-two width: Uint64n(lo)'s draw
+			row[s+i-1] = uint32((x + lo + rng.Uint64()&(lo-1)) & (n - 1))
 		}
 	}
 	return &ChordWithSuccessors{space: sp, successors: s, table: t}, nil

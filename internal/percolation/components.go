@@ -92,16 +92,22 @@ func ThresholdScan(o Overlay, nodes []overlay.ID, qs []float64, opt ScanOptions)
 	}
 	rng := overlay.NewRNG(opt.Seed ^ 0x50455243) // "PERC"
 	out := make([]ThresholdPoint, 0, len(qs))
+	// The coins fall over population indexes into pop; the survivors,
+	// mapped to identifiers, are the only bits set in alive.
 	alive := overlay.NewBitset(int(o.Space().Size()))
+	pop := overlay.NewBitset(len(nodes))
+	var survived []overlay.ID
 	for _, q := range qs {
 		var sum float64
 		for trial := 0; trial < opt.Trials; trial++ {
-			for _, id := range nodes {
-				if rng.Bernoulli(1 - q) {
-					alive.Set(int(id))
-				} else {
-					alive.Clear(int(id))
-				}
+			for _, id := range survived {
+				alive.Clear(int(id))
+			}
+			pop.FillRandomAlive(q, rng)
+			survived = pop.AppendSet(survived[:0])
+			for k, i := range survived {
+				survived[k] = nodes[i]
+				alive.Set(int(nodes[i]))
 			}
 			st := ComponentStats(o, nodes, alive)
 			if st.Alive > 0 {

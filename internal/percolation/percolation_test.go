@@ -148,6 +148,50 @@ func TestGiantFractionDecreasesWithQ(t *testing.T) {
 	}
 }
 
+// TestThresholdScanMatchesBernoulliLoop holds the scan, which draws its
+// failure pattern over population indexes and maps it to identifiers, to
+// one Bernoulli(1-q) coin per member in list order. The members are a
+// shuffled third of the space, so index and identifier differ and every
+// trial must clear the previous trial's survivors.
+func TestThresholdScanMatchesBernoulliLoop(t *testing.T) {
+	p := buildOverlay(t, "chord", 10)
+	shuffle := overlay.NewRNG(3)
+	var nodes []overlay.ID
+	for _, id := range allNodes(p) {
+		if id%3 == 0 {
+			nodes = append(nodes, id)
+		}
+	}
+	for i := len(nodes) - 1; i > 0; i-- {
+		j := shuffle.Intn(i + 1)
+		nodes[i], nodes[j] = nodes[j], nodes[i]
+	}
+	qs := []float64{0, 0.2, 0.5, 0.8, 1}
+	opt := ScanOptions{Trials: 4, Seed: 9}
+	got := ThresholdScan(p, nodes, qs, opt)
+
+	rng := overlay.NewRNG(opt.Seed ^ 0x50455243)
+	alive := overlay.NewBitset(int(p.Space().Size()))
+	for i, q := range qs {
+		var sum float64
+		for trial := 0; trial < opt.Trials; trial++ {
+			for _, id := range nodes {
+				if rng.Bernoulli(1 - q) {
+					alive.Set(int(id))
+				} else {
+					alive.Clear(int(id))
+				}
+			}
+			if st := ComponentStats(p, nodes, alive); st.Alive > 0 {
+				sum += st.GiantFraction
+			}
+		}
+		if want := sum / float64(opt.Trials); got[i].GiantFraction != want {
+			t.Errorf("q=%v: giant fraction %v, per-member Bernoulli loop %v", q, got[i].GiantFraction, want)
+		}
+	}
+}
+
 func TestConnectivityExceedsRoutability(t *testing.T) {
 	// §1: routability is bounded above by connectivity — pairs in the same
 	// component need not be routable, pairs in different components never

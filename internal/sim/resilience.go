@@ -79,8 +79,9 @@ type Result struct {
 //
 // Pairs are sampled uniformly over distinct surviving nodes. Trials use
 // independent failure patterns: trial t splits its stream off
-// NewRNG(Seed ^ "RESL"), draws one Bernoulli per node in identifier order,
-// then splits the pair stream off what is left.
+// NewRNG(Seed ^ "RESL"), draws one Bernoulli(1 − q) coin per node in
+// population order (Bitset.FillRandomAlive's stream), then splits the pair
+// stream off what is left.
 func MeasureStaticResilience(p dht.Protocol, q float64, opt Options) (Result, error) {
 	if q < 0 || q > 1 || math.IsNaN(q) {
 		return Result{}, fmt.Errorf("sim: q=%v out of [0,1]", q)
@@ -103,22 +104,29 @@ func MeasureStaticResilience(p dht.Protocol, q float64, opt Options) (Result, er
 	perTrial := make([]float64, 0, opt.Trials)
 	var totalPairs, totalSuccess, totalHops, aliveSum int
 	// One failure pattern at a time: every trial rewrites the whole
-	// population's bits, so the set and the list are reused, not reallocated.
+	// population's bits, so the sets and the list are reused, not
+	// reallocated. The coins fall over population indexes: straight into
+	// alive when index and identifier coincide, else into pop, whose
+	// survivors are then mapped to their identifiers in place.
 	alive := overlay.NewBitset(int(p.Space().Size()))
+	pop := alive
+	if nodes != nil {
+		pop = overlay.NewBitset(n)
+	}
 	aliveNodes := make([]overlay.ID, 0, n)
 	for trial := 0; trial < opt.Trials; trial++ {
 		trialRNG := root.Split()
-		aliveNodes = aliveNodes[:0]
-		for i := 0; i < n; i++ {
-			id := overlay.ID(i)
-			if nodes != nil {
-				id = nodes[i]
-			}
-			if trialRNG.Bernoulli(1 - q) {
-				alive.Set(int(id))
-				aliveNodes = append(aliveNodes, id)
-			} else {
+		if nodes != nil {
+			for _, id := range aliveNodes {
 				alive.Clear(int(id))
+			}
+		}
+		pop.FillRandomAlive(q, trialRNG)
+		aliveNodes = pop.AppendSet(aliveNodes[:0])
+		if nodes != nil {
+			for k, i := range aliveNodes {
+				aliveNodes[k] = nodes[i]
+				alive.Set(int(nodes[i]))
 			}
 		}
 		aliveSum += len(aliveNodes)
@@ -166,11 +174,12 @@ func MeasureStaticResilience(p dht.Protocol, q float64, opt Options) (Result, er
 // count and the total hops over successful routes.
 func routePairs(p dht.Protocol, alive *overlay.Bitset, aliveNodes []overlay.ID, pairs int, rng *overlay.RNG) (successes, hops int) {
 	local := rng.Split()
+	m := uint64(len(aliveNodes))
 	for i := 0; i < pairs; i++ {
-		src := aliveNodes[local.Intn(len(aliveNodes))]
-		dst := aliveNodes[local.Intn(len(aliveNodes))]
+		src := aliveNodes[local.Uint64n(m)]
+		dst := aliveNodes[local.Uint64n(m)]
 		for dst == src {
-			dst = aliveNodes[local.Intn(len(aliveNodes))]
+			dst = aliveNodes[local.Uint64n(m)]
 		}
 		if h, routed := p.Route(src, dst, alive); routed {
 			successes++

@@ -1,6 +1,9 @@
 package overlay
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a small, fast, deterministic pseudo-random generator (splitmix64).
 // Simulations must be reproducible across runs and platforms given a seed,
@@ -15,10 +18,17 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
+// splitmixGamma is splitmix64's state increment.
+const splitmixGamma = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next 64 pseudo-random bits (splitmix64 step).
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+	r.state += splitmixGamma
+	return splitmixMix(r.state)
+}
+
+// splitmixMix is splitmix64's output function of the advanced state.
+func splitmixMix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -34,32 +44,27 @@ func (r *RNG) Intn(n int) int {
 
 // Uint64n returns a uniform integer in [0, n) using Lemire's multiply-shift
 // rejection method. n must be positive.
+//
+// Stream contract: a power of two n takes exactly one draw, the low bits of
+// rng.Uint64; any other n takes one draw per attempt, in order, until an
+// attempt's low product word reaches 2^64 mod n. The rejection threshold
+// 2^64 mod n is below n, so the division that computes it runs only for an
+// attempt whose low word is below n, with probability n/2^64.
 func (r *RNG) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("overlay: Uint64n with zero n")
 	}
-	// Fast path for powers of two.
 	if n&(n-1) == 0 {
 		return r.Uint64() & (n - 1)
 	}
-	threshold := -n % n
-	for {
-		v := r.Uint64()
-		hi, lo := mul64(v, n)
-		if lo >= threshold {
-			return hi
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	if lo < n {
+		threshold := -n % n
+		for lo < threshold {
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
-}
-
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	aLo, aHi := a&mask32, a>>32
-	bLo, bHi := b&mask32, b>>32
-	t := aHi*bLo + (aLo*bLo)>>32
-	lo = a * b
-	hi = aHi*bHi + (aLo*bHi+t&mask32)>>32 + t>>32
-	return hi, lo
+	return hi
 }
 
 // Float64 returns a uniform float64 in [0, 1).

@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -213,5 +214,55 @@ func TestNormalMoments(t *testing.T) {
 	b.Uint64()
 	if a.Uint64() != b.Uint64() {
 		t.Error("Normal() does not advance the stream by exactly two draws")
+	}
+}
+
+// uint64nDivideEveryCall is Uint64n's reference: the power-of-two mask,
+// else Lemire's rejection with the threshold 2^64 mod n computed on every
+// call.
+func uint64nDivideEveryCall(r *RNG, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.Uint64() & (n - 1)
+	}
+	threshold := -n % n
+	for {
+		hi, lo := bits.Mul64(r.Uint64(), n)
+		if lo >= threshold {
+			return hi
+		}
+	}
+}
+
+// checkUint64nMatches draws count values from n with Uint64n and with the
+// reference from one seed, and fails unless the outputs and the final
+// state agree.
+func checkUint64nMatches(t *testing.T, n uint64, seed uint64, count int) {
+	t.Helper()
+	got, want := NewRNG(seed), NewRNG(seed)
+	for i := 0; i < count; i++ {
+		if g, w := got.Uint64n(n), uint64nDivideEveryCall(want, n); g != w {
+			t.Fatalf("n=%d seed=%d draw %d: Uint64n %d, reference %d", n, seed, i, g, w)
+		}
+	}
+	if got.state != want.state {
+		t.Fatalf("n=%d seed=%d: final RNG state %#x, reference %#x", n, seed, got.state, want.state)
+	}
+}
+
+// TestUint64nMatchesDivideEveryCall holds the division-free draw to the
+// reference in outputs and stream. 2^63+1 and 3·2^62 reject about half and
+// a quarter of their attempts, so runs of rejections are common there and a
+// draw that stops re-checking after one retry fails.
+func TestUint64nMatchesDivideEveryCall(t *testing.T) {
+	ns := []uint64{1, 2, 3, 5, 6, 7, 10, 1000, 1 << 16, 1<<32 - 1, 1<<32 + 1, 1<<63 - 1, 1 << 63, 1<<63 + 1, 3 << 62, 1<<64 - 1}
+	rng := NewRNG(13)
+	for i := 0; i < 64; i++ {
+		ns = append(ns, rng.Uint64()>>uint(rng.Uint64n(64)))
+	}
+	for _, n := range ns {
+		if n == 0 {
+			continue
+		}
+		checkUint64nMatches(t, n, n^0x5eed, 4000)
 	}
 }
