@@ -133,7 +133,9 @@ lint:
 # through their canonical spellings; the fault step's tallies against the
 # fate it returns; the overlay's two draw kernels, the branch-free failure
 # pattern and the division-free bounded draw, against the per-bit Bernoulli
-# loop and the divide-every-call draw) a short budget; the targets are
+# loop and the divide-every-call draw; eventsim's timing wheel against the
+# binary-heap reference, on sharded slots, ties, late inserts and (t, seq)
+# bounds) a short budget; the targets are
 # build-tagged so they stay out of ordinary test runs. -fuzzminimizetime 1s caps the time spent
 # shrinking each new interesting input (60 s by default), so a target
 # whose inputs grow often, as FuzzRequestTable's do, spends its budget
@@ -147,3 +149,4 @@ fuzz-smoke:
 	go test -tags fuzz -fuzz FuzzSendTally -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./fault
 	go test -tags fuzz -fuzz FuzzLifetimeSpec -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./eventsim/lifetime
 	go test -tags fuzz -fuzz FuzzDrawKernels -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./overlay
+	go test -tags fuzz -fuzz FuzzWheelQueue -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./eventsim

@@ -108,8 +108,8 @@
 // its deadline with a sequence number drawn like any push's. The shard
 // merges the ring's head with its event queue in exact (t, seq) order —
 // the queue pops up to a (t, seq) bound — and counts a non-empty ring as
-// pending work. A record leaves the ring only when its
-// deadline comes due, so a bare attempt id in a request is safe without
+// pending work. A record leaves the ring only in the epoch its
+// deadline comes due in, so a bare attempt id in a request is safe without
 // a generation tag and steady-state forwarding allocates nothing. The
 // record also stashes the chosen next hop, so retransmissions to the
 // same candidate skip the Forwarder's candidate enumeration entirely.
@@ -129,7 +129,19 @@
 // that epoch's end: the acknowledgement is applied before the sender's
 // shard processes anything at or after that end.
 // Result.Events counts each acknowledgement when it is applied, so the
-// event total is that of an engine that queues acks and timeouts.
+// event total is that of an engine that queues acks and timeouts. The
+// deadline of an acknowledged attempt does nothing but retire its record,
+// so before it bounds the queue's pop the shard retires every acknowledged
+// head due in the epoch at once, counting each as the event it was; a
+// deadline takes its own (t, seq) turn only while it is live.
+//
+// Bucket accounting divides a time by the bucket width. A message, timer
+// or toggle is accounted at its own time, which lies in the current epoch,
+// so each shard computes at the top of an epoch whether the whole epoch
+// maps to one bucket — bucketOf is monotone, so its first time and the
+// last float64 before its end decide it — and accounts such an epoch's
+// events with no division. A lookup's start, completion and failure are
+// accounted at its scheduled start time and still divide.
 //
 // # Defining a custom Scenario
 //

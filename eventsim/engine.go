@@ -62,10 +62,10 @@ type ev struct {
 // retransmission to the same candidate re-sends directly instead of
 // re-running the Forwarder's candidate enumeration. live distinguishes
 // an outstanding attempt from one already acknowledged: the record
-// leaves the ring only when its deadline comes due, whether or not it
-// was acknowledged (the RTO validation guarantees the ack, if any, lands
-// first), which is what makes bare attempt ids safe to carry in requests
-// and acknowledgements with no generation tag.
+// leaves the ring only in the epoch its deadline comes due in, whether or
+// not it was acknowledged (the RTO validation guarantees the ack, if any,
+// lands first), which is what makes bare attempt ids safe to carry in
+// requests and acknowledgements with no generation tag.
 type pendingHop struct {
 	t     float64 // retransmission deadline: sent at t − RTO
 	seq   uint64  // the deadline's tie-break in the shard's (t, seq) order
@@ -204,6 +204,12 @@ type shard struct {
 	candBuf []overlay.ID
 	events  uint64
 
+	// accB is the accumulator of every time in [accLo, accEnd): the current
+	// epoch when the epoch lies inside one bucket, an empty range otherwise
+	// (see setEpoch and accAt).
+	accLo, accEnd float64
+	accB          *bucketAcc
+
 	// faults tallies this shard's injected faults (zero without a plan);
 	// summed into Result.Faults after the run.
 	faults fault.Counts
@@ -286,6 +292,29 @@ func (e *engine) bucketOf(t float64) int32 {
 		b = int32(e.cfg.Buckets) - 1
 	}
 	return b
+}
+
+// setEpoch caches the bucket of the epoch [end−delta, end) when the whole
+// epoch maps to one: bucketOf is monotone in t — correctly rounded division
+// and truncation both are, and so is the clamp — so if the epoch's first
+// time and the last float64 before end share a bucket, every time between
+// them is in it.
+func (sh *shard) setEpoch(end float64) {
+	eng := sh.eng
+	lo := end - eng.delta
+	sh.accLo, sh.accEnd = 0, 0
+	if b := eng.bucketOf(lo); b == eng.bucketOf(math.Nextafter(end, math.Inf(-1))) {
+		sh.accLo, sh.accEnd, sh.accB = lo, end, &sh.acc[b]
+	}
+}
+
+// accAt returns the accumulator of the bucket holding t, &acc[bucketOf(t)],
+// without the division when t is inside the cached epoch.
+func (sh *shard) accAt(t float64) *bucketAcc {
+	if sh.accLo <= t && t < sh.accEnd {
+		return sh.accB
+	}
+	return &sh.acc[sh.eng.bucketOf(t)]
 }
 
 // push assigns the event its shard-local sequence number — the tie-break
@@ -468,6 +497,7 @@ func (sh *shard) worker(done chan<- struct{}) {
 // one during the previous epoch, then processes every local event and
 // retransmission timeout with t < end, the two merged in (t, seq) order.
 func (sh *shard) runEpoch(end float64) {
+	sh.setEpoch(end)
 	sh.feed(end)
 	for src, acks := range sh.ackIn {
 		for _, id := range acks {
@@ -487,11 +517,23 @@ func (sh *shard) runEpoch(end float64) {
 		// A due timeout bounds the queue's pop at its own (t, seq): the
 		// queue yields only the events ordered before it, and once none is
 		// left the timeout is the least pending item.
+		//
+		// An acknowledged head due in this epoch is retired here, ahead of its
+		// (t, seq) turn: its deadline does nothing but count as an event, so
+		// retiring it early changes no result, and neither the ring nor the
+		// queue is left different at the barrier.
 		bt, bseq, due := end, uint64(0), false
-		if sh.pending.size() > 0 {
-			if pd := sh.pending.front(); pd.t < end {
-				bt, bseq, due = pd.t, pd.seq, true
+		for sh.pending.size() > 0 {
+			pd := sh.pending.front()
+			if pd.t >= end {
+				break
 			}
+			if pd.live {
+				bt, bseq, due = pd.t, pd.seq, true
+				break
+			}
+			sh.pending.pop()
+			sh.events++
 		}
 		e, ok := sh.q.popBefore(bt, bseq)
 		if !ok {
@@ -673,7 +715,7 @@ func (sh *shard) handleRetry(e ev) {
 // the tail of the pending ring.
 func (sh *shard) dispatch(t float64, lk, cur, next uint32, ci, try int, hops uint16, ri, mask uint8, prior uint16) {
 	eng := sh.eng
-	sh.acc[eng.bucketOf(t)].LookupMessages++
+	sh.accAt(t).LookupMessages++
 	lat := eng.cfg.Transport.Sample(sh.rng)
 	var dupLat float64
 	lost, dup := false, false
@@ -752,7 +794,7 @@ func (sh *shard) handleReq(e ev) {
 	// itself is a write of the attempt's live flag: now for a sender on
 	// this shard, first thing next epoch for one on another (doc.go,
 	// Engine design, shows no deadline can tell the difference).
-	sh.acc[eng.bucketOf(e.t)].LookupMessages++
+	sh.accAt(e.t).LookupMessages++
 	eng.cfg.Transport.Sample(sh.rng)
 	if ds := eng.shardOf(e.b); ds == sh.id {
 		sh.pending.at(e.a).live = false
@@ -788,22 +830,20 @@ func (sh *shard) handleDup(e ev) {
 	if !sh.online[e.node] {
 		return
 	}
-	sh.acc[eng.bucketOf(e.t)].LookupMessages++
+	sh.accAt(e.t).LookupMessages++
 }
 
-// handleTimeout retires the ring's head, whose deadline is the least
-// pending item of the shard.
+// handleTimeout retires the ring's head, an unacknowledged attempt whose
+// deadline is the least pending item of the shard (runEpoch retires
+// acknowledged heads itself).
 func (sh *shard) handleTimeout() {
+	// The deadline is the attempt's last reference; the copy outlives the
+	// slot, which the retries below may reuse.
 	pd := *sh.pending.front()
-	// The deadline is the attempt's last reference: retire the record
-	// whether the attempt was acknowledged or is genuinely overdue.
 	sh.pending.pop()
-	if !pd.live {
-		return // acknowledged in the meantime
-	}
 	eng := sh.eng
 	t := pd.t
-	sh.acc[eng.bucketOf(t)].Timeouts++
+	sh.accAt(t).Timeouts++
 	if eng.traced(pd.lk) {
 		sh.recordTrace(pd.lk, TraceEvent{T: t, Kind: TraceRTO, Node: int(pd.node), To: int(pd.next), Hops: int(pd.hops), Cand: int(pd.cand), Try: int(pd.try)})
 	}
@@ -846,11 +886,11 @@ func (sh *shard) handleToggle(t float64, node uint32, up bool) {
 		// coordinated across the survivors — k repair messages per
 		// effective toggle, the repair-bandwidth bill replication adds on
 		// top of routing-table maintenance.
-		sh.acc[eng.bucketOf(t)].RepairMessages += eng.k
+		sh.accAt(t).RepairMessages += eng.k
 	}
 	if up && eng.mnt != nil {
 		cost := eng.mnt.Join(overlay.ID(node), eng.snapshot, sh.rng)
-		sh.acc[eng.bucketOf(t)].MaintMessages += cost
+		sh.accAt(t).MaintMessages += cost
 	}
 }
 
@@ -858,7 +898,7 @@ func (sh *shard) handleStab(e ev) {
 	eng := sh.eng
 	if sh.online[e.node] && eng.mnt != nil {
 		cost := eng.mnt.Stabilize(overlay.ID(e.node), eng.snapshot, sh.rng)
-		sh.acc[eng.bucketOf(e.t)].MaintMessages += cost
+		sh.accAt(e.t).MaintMessages += cost
 	}
 	next := e.t + eng.cfg.StabilizeEvery
 	if next <= eng.cfg.Duration {

@@ -412,3 +412,64 @@ type scenarioFunc struct {
 
 func (s scenarioFunc) Name() string           { return s.name }
 func (s scenarioFunc) Program(env *Env) error { return s.program(env) }
+
+// TestAccAtMatchesBucketOf holds the per-epoch bucket cache to bucketOf at
+// every time where the two could part: epochs that straddle a bucket edge
+// or end exactly on one, times on an edge and on its float64 neighbours,
+// times past the last bucket (the clamp), and an epoch an idle jump lands
+// on. No run reaches these times (its events are strictly inside their
+// epoch), so nothing else checks them.
+func TestAccAtMatchesBucketOf(t *testing.T) {
+	const buckets = 10
+	e := &engine{cfg: Config{Buckets: buckets, Duration: 1}, width: 1.0 / buckets, delta: 0.03}
+	sh := &shard{eng: e, acc: make([]bucketAcc, buckets)}
+	// edge returns the least float64 bucketOf puts in bucket b, b ≥ 1.
+	edge := func(b int32) float64 {
+		x := float64(b) * e.width
+		for e.bucketOf(x) >= b {
+			x = math.Nextafter(x, math.Inf(-1))
+		}
+		for e.bucketOf(x) < b {
+			x = math.Nextafter(x, math.Inf(1))
+		}
+		return x
+	}
+	neighbours := func(x float64) []float64 {
+		return []float64{math.Nextafter(x, math.Inf(-1)), x, math.Nextafter(x, math.Inf(1))}
+	}
+	var edges, ends []float64
+	for b := int32(1); b < buckets; b++ {
+		x := edge(b)
+		edges = append(edges, x)
+		ends = append(ends, neighbours(x)...)       // the epoch ends on or beside the edge
+		ends = append(ends, x+e.delta/2, x+e.delta) // it straddles the edge, or starts on it
+	}
+	// Epochs as the engine reaches them: by steps of one lookahead, past the
+	// last bucket into the clamp, and by an idle jump to the lookahead
+	// boundary below the next event, then one more step.
+	for end := e.delta; end < 1.5; end += e.delta {
+		ends = append(ends, end)
+	}
+	jump := e.delta * math.Floor(0.7071/e.delta)
+	ends = append(ends, jump, jump+e.delta, 7.5)
+	cached := 0
+	for _, end := range ends {
+		sh.setEpoch(end)
+		if sh.accEnd > sh.accLo {
+			cached++
+		}
+		probes := append(neighbours(end-e.delta), neighbours(end)...)
+		probes = append(probes, end-e.delta/2, 2, 1e9)
+		for _, x := range edges {
+			probes = append(probes, neighbours(x)...)
+		}
+		for _, x := range probes {
+			if sh.accAt(x) != &sh.acc[e.bucketOf(x)] {
+				t.Fatalf("epoch ending %v: accAt(%v) is not bucket %d", end, x, e.bucketOf(x))
+			}
+		}
+	}
+	if cached == 0 || cached == len(ends) {
+		t.Fatalf("%d of %d epochs cached their bucket: the test covers only one path", cached, len(ends))
+	}
+}

@@ -11,7 +11,11 @@ import (
 // engine lookahead (epoch), so within an epoch events spread across
 // wheelSub slots and ordering becomes radix bucketing plus a linear
 // touch-up per slot (see load) instead of the heap's O(log n)
-// comparisons per event against the whole pending set.
+// comparisons per event against the whole pending set. The touch-up
+// meets two slot shapes: one shard's slot is dense (tens of events, in
+// push order), and a sharded engine's is sparse but is filled in runs —
+// the shard's own sends, then one inbox batch per source shard at the top
+// of an epoch — each sorted by time, all spanning the slot.
 //
 // Level 0 is wide — wheelSpan0 slots, eight lookaheads — because almost
 // everything the engine schedules is near: a message lands between one
@@ -62,6 +66,9 @@ type evChunk struct {
 }
 
 const nilChunk = int32(-1)
+
+// drainMin is the least drain buffer load makes, in events.
+const drainMin = 4 * chunkCap
 
 // wheelSlot heads one slot's chunk chain. min is the least event time in
 // the chain (+Inf when empty): it answers minTime without a scan and tells
@@ -143,9 +150,16 @@ func (s *chunkStore) put(c int32) int32 {
 }
 
 // Ordering a drained slot (see load): more than sortCutoff events take the
-// counting pass first, over at most maxSortBuckets buckets.
+// counting pass first, over at most maxSortBuckets buckets. The cutoff is
+// set by the insertion pass's moves on a sharded slot, a concatenation of
+// time-sorted runs. On eventsim_churn's configuration (2^12 chord, churn
+// with maintenance, 4 shards, 20 s; level-0 slots of 11.9 events on
+// average) a run moved 6.92M events at a cutoff of 24, 2.23M at 12, 0.60M
+// at 8, 0.43M at 6 and 0.39M with every slot counted: below 8 the counting
+// pass's extra work per event buys almost no moves back. One-shard slots
+// of the same run hold 45.8 events and were counted at 24 already.
 const (
-	sortCutoff     = 24
+	sortCutoff     = 8
 	maxSortBuckets = 1 << 12
 )
 
@@ -173,7 +187,9 @@ type wheelQueue struct {
 	// drain holds the events of the slot currently being emitted, sorted
 	// by (t, seq); drainPos is the emission cursor. An event pushed behind
 	// the cursor (the boundary slot of an epoch can be opened before the
-	// epoch that fills it) is inserted in order.
+	// epoch that fills it) is inserted in order. load sizes the buffer to
+	// the slots it opens, so one burst (a massfail instant puts every
+	// failure of a shard in one slot) does not keep its size for the run.
 	drain    []ev
 	drainPos int
 
@@ -323,19 +339,28 @@ func (w *wheelQueue) first() int {
 // sequence numbers increase with every push, except that a program bucket
 // pushed at the start of an epoch carries numbers below the events
 // already waiting — so what is mostly missing is the time order inside
-// the slot. A slot is narrow, and on a dense one gathering the chunks through
-// a stable counting pass over each event's position in the slot, about one
-// bucket per event, leaves every event within a few places of its final
-// one; the insertion pass then finishes in linear time. The position is
-// only a monotone function of t and is trusted no further: the insertion
-// pass compares (t, seq) itself, so the result is exact however the times
-// are distributed — a burst of equal times merely shares a bucket and is
-// ordered by the insertion pass alone, as every small slot is.
+// the slot. On a sharded engine a slot is a concatenation of time-sorted
+// runs: the shard's own sends, then one inbox batch per source shard, each
+// spanning the slot, so an insertion pass alone would move an event back
+// across every earlier run that overlaps it. A slot is narrow, and
+// gathering the chunks through a stable counting pass over each event's
+// position in the slot, about one bucket per event, leaves every event
+// within a few places of its final one whatever runs it came in; the
+// insertion pass then finishes in linear time. The position is only a
+// monotone function of t and is trusted no further: the insertion pass
+// compares (t, seq) itself, so the result is exact however the times are
+// distributed — a burst of equal times merely shares a bucket and is
+// ordered by the insertion pass alone, as a slot of sortCutoff events or
+// fewer is.
+//
+// The drain buffer is made anew when the slot does not fit it, and when it
+// is more than eight times what the slot needs, so that it follows the
+// traffic back down after a burst.
 func (w *wheelQueue) load() {
 	sl := w.detach(int(w.cur & (wheelSpan0 - 1)))
 	n := int(sl.n)
-	if cap(w.drain) < n {
-		w.drain = make([]ev, max(2*n, 4*chunkCap))
+	if c := cap(w.drain); c < n || c > 8*max(n, drainMin) {
+		w.drain = make([]ev, max(2*n, drainMin))
 	}
 	d := w.drain[:n]
 	w.drain, w.drainPos = d, 0
@@ -367,7 +392,10 @@ func (w *wheelQueue) load() {
 
 // gather moves the chain at head — the slot at the cursor, len(d) events —
 // into d in bucket order: bucket k holds the events whose position in the
-// slot falls in its k-th part, in chain order.
+// slot falls in its k-th part, in chain order. With as many buckets as
+// events (up to maxSortBuckets), the runs of a sharded slot interleave
+// here, and what is left for the insertion pass is the order inside a
+// bucket.
 func (w *wheelQueue) gather(head int32, d []ev) {
 	nb := 1 << bits.Len(uint(len(d)-1))
 	if nb > maxSortBuckets {

@@ -513,6 +513,35 @@ func TestWheelSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestWheelDrainFollowsTraffic: the drain buffer grows to hold a burst —
+// every event of a slot at one instant, as a massfail instant puts a
+// shard's failures — and shrinks again once ordinary slots follow, rather
+// than keeping the burst's size for the run. The order stays the heap's.
+func TestWheelDrainFollowsTraffic(t *testing.T) {
+	const width, burst = 0.05, 10000
+	p := newQueuePair(t, "burst", width)
+	for i := 0; i < burst; i++ {
+		p.push(width)
+	}
+	// Ordinary traffic after the burst: about ten events a slot over the
+	// next lookahead.
+	rng := overlay.NewRNG(1)
+	for i := 0; i < 10*wheelSub; i++ {
+		p.push(width * (1 + rng.Float64()))
+	}
+	peak, last := 0, 0
+	p.drainAll(0, width, 10, func(ev) {
+		last = cap(p.wheel.drain)
+		peak = max(peak, last)
+	})
+	if peak < burst {
+		t.Fatalf("the burst slot drained through a buffer of %d events, want ≥ %d", peak, burst)
+	}
+	if last > 8*drainMin {
+		t.Fatalf("drain buffer still holds %d events after the ordinary slots, want ≤ %d", last, 8*drainMin)
+	}
+}
+
 // TestSchedulersBitIdentical is the engine-level acceptance check for the
 // timing-wheel rewrite: for fixed (Seed, Shards), a run scheduled by
 // hierarchical timing wheels must be bit-identical to the binary-heap
