@@ -417,8 +417,8 @@ func (s scenarioFunc) Program(env *Env) error { return s.program(env) }
 // every time where the two could part: epochs that straddle a bucket edge
 // or end exactly on one, times on an edge and on its float64 neighbours,
 // times past the last bucket (the clamp), and an epoch an idle jump lands
-// on. No run reaches these times (its events are strictly inside their
-// epoch), so nothing else checks them.
+// on. A run's events never fall on their epoch's end, so no pinned result
+// checks these times.
 func TestAccAtMatchesBucketOf(t *testing.T) {
 	const buckets = 10
 	e := &engine{cfg: Config{Buckets: buckets, Duration: 1}, width: 1.0 / buckets, delta: 0.03}

@@ -187,9 +187,7 @@ type wheelQueue struct {
 	// drain holds the events of the slot currently being emitted, sorted
 	// by (t, seq); drainPos is the emission cursor. An event pushed behind
 	// the cursor (the boundary slot of an epoch can be opened before the
-	// epoch that fills it) is inserted in order. load sizes the buffer to
-	// the slots it opens, so one burst (a massfail instant puts every
-	// failure of a shard in one slot) does not keep its size for the run.
+	// epoch that fills it) is inserted in order.
 	drain    []ev
 	drainPos int
 
@@ -355,7 +353,8 @@ func (w *wheelQueue) first() int {
 //
 // The drain buffer is made anew when the slot does not fit it, and when it
 // is more than eight times what the slot needs, so that it follows the
-// traffic back down after a burst.
+// traffic back down after a burst (a massfail instant puts every failure
+// of a shard in one slot).
 func (w *wheelQueue) load() {
 	sl := w.detach(int(w.cur & (wheelSpan0 - 1)))
 	n := int(sl.n)
